@@ -81,10 +81,13 @@ profile-smoke:
 # observably identical to the plain event kernel — same VCD bytes, same
 # event/run/delta/time-point counters, same coverage and profile — on the
 # pinned property-test seeds and on the full rig workloads, under the
-# race detector. -short keeps the hdl property test at its three pinned
-# seeds; the nightly fuzz run explores beyond them.
+# race detector. The same run checks rising-edge processes against their
+# guarded level-process definition and parked processes against
+# never-parking twins at every wake position. -short keeps the hdl
+# property tests at their three pinned seeds; the nightly fuzz run
+# explores beyond them.
 kernel-diff-smoke:
-	$(GO) test -race -count=1 -short -run 'KernelEquivalence' -v ./internal/hdl/ ./internal/coverify/
+	$(GO) test -race -count=1 -short -run 'KernelEquivalence|EdgeSensitivity|ParkWake' -v ./internal/hdl/ ./internal/coverify/
 
 # Rig smoke: the functional-coverage floors and the deterministic
 # profiler artifact checked on one binary built once — the cover-smoke

@@ -1,0 +1,260 @@
+package coverify_test
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+
+	"castanet/internal/atm"
+	"castanet/internal/campaign"
+	"castanet/internal/coverify"
+	"castanet/internal/dut"
+	"castanet/internal/experiments"
+	"castanet/internal/hdl"
+	"castanet/internal/sim"
+	"castanet/internal/traffic"
+)
+
+// The parity wall pins what a kernel scheduling optimization must not
+// change: the full-design VCD and end-of-run report of every rig, and the
+// campaign digests. testdata/parity.txt holds them; testdata/
+// parity_counters.txt holds the kernel work counters of a reference
+// workload as measured before the idle-dispatch optimization (rising-edge
+// sensitivity and process parking, DESIGN.md §19). Both are recorded with
+//
+//	go test ./internal/coverify -run 'TestParity' -record-parity
+//
+// on the commit whose behaviour they pin, never on the change under test.
+var recordParity = flag.Bool("record-parity", false, "rewrite testdata/parity*.txt from the current tree")
+
+var paritySeeds = []uint64{1, 7, 42}
+
+func parityTraffic(cellsPerPort uint64) [dut.SwitchPorts]coverify.PortTraffic {
+	var tr [dut.SwitchPorts]coverify.PortTraffic
+	for p := range tr {
+		tr[p] = coverify.PortTraffic{Model: traffic.NewPoisson(50e3), VCs: coverify.PortVCs(p), Cells: cellsPerPort}
+	}
+	return tr
+}
+
+// rigParity runs one rig with a VCD of every signal in the design attached
+// and returns its artifact line: the VCD's sha256 and the rig report.
+func rigParity(t *testing.T, name string, seed uint64) string {
+	t.Helper()
+	var buf bytes.Buffer
+	var h *hdl.Simulator
+	var run func() error
+	var report func() string
+	switch name {
+	case "switch":
+		rig := coverify.NewSwitchRig(coverify.SwitchRigConfig{Seed: seed, Traffic: parityTraffic(15)})
+		h, report = rig.HDL, rig.Report
+		run = func() error { return rig.Run(4 * sim.Millisecond) }
+	case "rtl":
+		rig := coverify.NewRTLRig(coverify.SwitchRigConfig{Seed: seed, Traffic: parityTraffic(10 + seed%5)})
+		h, report, run = rig.HDL, rig.Report, rig.Run
+	case "policer":
+		vc := atm.VC{VPI: 2, VCI: 20}
+		rig := coverify.NewPolicerRig(coverify.PolicerRigConfig{
+			Seed:      seed,
+			Contracts: []coverify.PolicerContract{{VC: vc, PeakInterval: 20 * sim.Microsecond, Tau: sim.Microsecond}},
+			Sources:   []coverify.PolicerSource{{Model: traffic.NewPoisson(80e3), VC: vc, Cells: 60}},
+		})
+		h, report = rig.HDL, rig.Report
+		run = func() error { return rig.Run(2 * sim.Millisecond) }
+	case "acct":
+		rig := coverify.NewAcctRig(coverify.AcctRigConfig{
+			Seed:   seed,
+			VCs:    []atm.VC{{VPI: 1, VCI: 10}, {VPI: 2, VCI: 20}},
+			Tariff: atm.Tariff{CellsPerUnit: 10},
+			Sources: []coverify.AcctSource{
+				{Model: traffic.NewCBR(50e3), VC: 0, Cells: 40},
+				{Model: traffic.NewPoisson(40e3), VC: 1, Cells: 30, CLP1: 0.5},
+				{Model: traffic.NewPoisson(20e3), VC: -1, Cells: 8},
+			},
+		})
+		h, report = rig.HDL, rig.Report
+		run = func() error { return rig.Run(3 * sim.Millisecond) }
+	default:
+		t.Fatalf("unknown rig %q", name)
+	}
+	vcd := hdl.NewVCD(&buf, h)
+	if err := run(); err != nil {
+		t.Fatalf("%s seed %d: %v", name, seed, err)
+	}
+	if err := vcd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("rig %s seed=%d vcd=%x report=%s", name, seed, sha256.Sum256(buf.Bytes()), report())
+}
+
+// runCampaign executes a named campaign matrix at seed 1 on two shards.
+func runCampaign(t *testing.T, name string, runs int, coverage, profile bool) *campaign.Summary {
+	t.Helper()
+	matrix, err := experiments.CampaignMatrix(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if name == "faults" {
+		// A partition opens after a count of link operations, and wall-clock
+		// retransmits and heartbeats count too, so how much coverage an
+		// aborted partitioned run collects is not a function of its seed.
+		kept := matrix[:0]
+		for _, c := range matrix {
+			if c.Fault != "partition" {
+				kept = append(kept, c)
+			}
+		}
+		matrix = kept
+	}
+	sum, err := campaign.Execute(context.Background(), campaign.Spec{
+		Name: name, Seed: 1, Runs: runs, Shards: 2, Matrix: matrix,
+		Coverage: coverage, Profile: profile,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sum
+}
+
+func campaignParity(t *testing.T, name string) string {
+	t.Helper()
+	var b strings.Builder
+	if err := runCampaign(t, name, 32, true, false).WriteDigest(&b); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("campaign %s runs=32 coverage digest=%x", name, sha256.Sum256([]byte(b.String())))
+}
+
+func parityFile(t *testing.T, file, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
+	if *recordParity {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	if len(gl) != len(wl) {
+		t.Fatalf("%s: %d lines, want %d", file, len(gl), len(wl))
+	}
+	for i := range gl {
+		if gl[i] != wl[i] {
+			t.Errorf("%s line %d drifted:\n got  %s\n want %s", file, i+1, gl[i], wl[i])
+		}
+	}
+}
+
+// TestParityArtifacts asserts every rig's full-design VCD and report, and
+// the switch, faults (without its partition column), policer and acct
+// campaign digests (coverage on, profile off), byte-identical to the
+// recorded ones.
+func TestParityArtifacts(t *testing.T) {
+	var b strings.Builder
+	for _, rig := range []string{"switch", "rtl", "policer", "acct"} {
+		for _, seed := range paritySeeds {
+			b.WriteString(rigParity(t, rig, seed) + "\n")
+		}
+	}
+	for _, name := range []string{"switch", "faults", "policer", "acct"} {
+		b.WriteString(campaignParity(t, name) + "\n")
+	}
+	parityFile(t, "parity.txt", b.String())
+}
+
+// parityCounters measures the kernel work of the reference workloads: the
+// E1 switch rig (400 cells of CBR at 0.8 line load, seed 1) and a 16-run
+// switch campaign.
+func parityCounters(t *testing.T) map[string]uint64 {
+	t.Helper()
+	const cells, load = 400, 0.8
+	cellTime := sim.Duration(float64(atm.CellBytes*50*sim.Nanosecond) / load)
+	var tr [dut.SwitchPorts]coverify.PortTraffic
+	for p := range tr {
+		tr[p] = coverify.PortTraffic{Model: &traffic.CBR{Interval: cellTime}, VCs: coverify.PortVCs(p), Cells: cells / dut.SwitchPorts}
+	}
+	rig := coverify.NewSwitchRig(coverify.SwitchRigConfig{Seed: 1, Traffic: tr})
+	if err := rig.Run(sim.Time(cells/dut.SwitchPorts+4) * cellTime); err != nil {
+		t.Fatal(err)
+	}
+	if !rig.Cmp.Clean() {
+		t.Fatalf("E1 rig not clean: %s", rig.Cmp.Summary())
+	}
+	c := map[string]uint64{
+		"e1.cells":         rig.Cmp.Matched,
+		"e1.process_runs":  rig.HDL.ProcessRuns(),
+		"e1.signal_events": rig.HDL.Events(),
+		"e1.time_points":   rig.HDL.TimePoints(),
+	}
+	sum := runCampaign(t, "switch", 16, false, true)
+	for _, st := range sum.Stats {
+		if st.Name == "cells" {
+			c["campaign16.cells"] = uint64(st.Sum)
+		}
+	}
+	for _, p := range sum.Activity.Processes {
+		c["campaign16.process_runs"] += p.Runs
+	}
+	for _, s := range sum.Activity.Signals {
+		c["campaign16.signal_events"] += s.Events
+	}
+	return c
+}
+
+// TestParityCounters is the exact counter gate of the idle-dispatch
+// optimization: signal events and time points equal the recorded
+// pre-optimization figures, and process runs per cell fall at least 2× on
+// the E1 switch rig and at least 20× on the switch campaign.
+func TestParityCounters(t *testing.T) {
+	got := parityCounters(t)
+	if *recordParity {
+		var b strings.Builder
+		for _, k := range []string{"e1.cells", "e1.process_runs", "e1.signal_events", "e1.time_points",
+			"campaign16.cells", "campaign16.process_runs", "campaign16.signal_events"} {
+			fmt.Fprintf(&b, "%s %d\n", k, got[k])
+		}
+		parityFile(t, "parity_counters.txt", b.String())
+		return
+	}
+	raw, err := os.ReadFile(filepath.Join("testdata", "parity_counters.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := map[string]uint64{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		k, v, _ := strings.Cut(line, " ")
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			t.Fatalf("parity_counters.txt: %q: %v", line, err)
+		}
+		base[k] = n
+	}
+	for _, k := range []string{"e1.cells", "e1.signal_events", "e1.time_points", "campaign16.cells", "campaign16.signal_events"} {
+		if got[k] != base[k] {
+			t.Errorf("%s = %d, recorded %d", k, got[k], base[k])
+		}
+	}
+	for _, g := range []struct {
+		prefix string
+		min    float64
+	}{{"e1", 2}, {"campaign16", 20}} {
+		before := float64(base[g.prefix+".process_runs"]) / float64(base[g.prefix+".cells"])
+		after := float64(got[g.prefix+".process_runs"]) / float64(got[g.prefix+".cells"])
+		t.Logf("%s: process runs per cell %.1f -> %.1f (%.2fx)", g.prefix, before, after, before/after)
+		if before < g.min*after {
+			t.Errorf("%s: process runs per cell %.1f -> %.1f, want at least %gx fewer", g.prefix, before, after, g.min)
+		}
+	}
+}

@@ -2,10 +2,12 @@ package coverify
 
 import (
 	"fmt"
+	"time"
 
 	"castanet/internal/atm"
 	"castanet/internal/dut"
 	"castanet/internal/hdl"
+	"castanet/internal/obs"
 	"castanet/internal/rtltb"
 	"castanet/internal/sim"
 )
@@ -42,6 +44,9 @@ func NewRTLRig(cfg SwitchRigConfig) *RTLRig {
 	}
 	r := &RTLRig{Cfg: cfg}
 	r.HDL = hdl.New()
+	if cfg.Profile != nil {
+		cfg.Profile.AttachActivitySource(r.HDL.EnableProfile().Snapshot)
+	}
 	clk := r.HDL.Bit("clk", hdl.U)
 	r.HDL.Clock(clk, cfg.ClockPeriod)
 	r.DUT = dut.NewSwitch(r.HDL, clk, cfg.Table, cfg.Switch)
@@ -103,10 +108,17 @@ func NewRTLRig(cfg SwitchRigConfig) *RTLRig {
 }
 
 // Run executes the regression until all generators finish plus a drain
-// margin, entirely inside the event-driven HDL simulator.
+// margin, entirely inside the event-driven HDL simulator — so with a
+// profile attached the whole run is attributed to the HDL phase.
 func (r *RTLRig) Run() error {
 	horizon := sim.Duration(r.totalCycles+portDrainCycles()) * r.Cfg.ClockPeriod
-	return r.HDL.Run(horizon)
+	start := time.Now()
+	err := r.HDL.Run(horizon)
+	wall := time.Since(start)
+	ph := r.Cfg.Profile.PhaseProf()
+	ph.Add(obs.PhaseHDL, wall)
+	ph.AddTotal(wall)
+	return err
 }
 
 func portDrainCycles() int {

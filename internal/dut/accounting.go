@@ -92,23 +92,17 @@ func NewAccountingUnit(h *hdl.Simulator, clk *hdl.Signal, capacity int) *Account
 	// even when offending cells arrive back to back. The process runs
 	// after the reader (registration order), so the pulse rises in the
 	// same cycle the cell completes.
-	h.Process("acct_exc", func() {
-		if !clk.Rising() {
-			return
-		}
+	h.Clocked("acct_exc", clk, func() {
 		if u.pendingExc {
 			u.pendingExc = false
 			u.exceptionDrv.SetBit(hdl.L1)
 		} else {
 			u.exceptionDrv.SetBit(hdl.L0)
 		}
-	}, clk)
+	})
 
 	// Read-port pipeline.
-	h.Process("acct_rd", func() {
-		if !clk.Rising() {
-			return
-		}
+	h.Clocked("acct_rd", clk, func() {
 		if u.rdStage1Valid {
 			u.rdDataDrv.SetUint(uint64(u.rdStage1Val))
 			u.rdStage1Valid = false
@@ -126,7 +120,7 @@ func NewAccountingUnit(h *hdl.Simulator, clk *hdl.Signal, capacity int) *Account
 			}
 			u.rdStage1Valid = true
 		}
-	}, clk)
+	})
 	return u
 }
 

@@ -91,7 +91,7 @@ func TestAccountingUnitException(t *testing.T) {
 func TestAccountingUnitIgnoresIdle(t *testing.T) {
 	rig := newAcctRig(4)
 	rig.u.Register(atm.VC{VPI: 1, VCI: 10})
-	rig.w.InsertIdle = true
+	rig.w.SetInsertIdle(true)
 	rig.w.Enqueue(&atm.Cell{Header: atm.Header{VPI: 1, VCI: 10}})
 	rig.run(t, 10*60*clkPeriod)
 	if rig.u.Observed != 1 {

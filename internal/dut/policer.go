@@ -94,10 +94,7 @@ func NewPolicer(h *hdl.Simulator, clk *hdl.Signal, capacity int) *Policer {
 	p.writer = mapping.NewCellPortWriter(h, "upc_tx", clk, p.Out.Data, p.Out.Sync)
 
 	// Cycle counter plus the one-clock violation strobe.
-	h.Process("upc_time", func() {
-		if !clk.Rising() {
-			return
-		}
+	h.Clocked("upc_time", clk, func() {
 		p.cycle++
 		if p.pendingViol {
 			p.pendingViol = false
@@ -105,7 +102,7 @@ func NewPolicer(h *hdl.Simulator, clk *hdl.Signal, capacity int) *Policer {
 		} else {
 			p.violationDrv.SetBit(hdl.L0)
 		}
-	}, clk)
+	})
 	return p
 }
 

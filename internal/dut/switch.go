@@ -138,6 +138,7 @@ func NewSwitch(h *hdl.Simulator, clk *hdl.Signal, table *atm.Translator, cfg Swi
 			Sync: h.Bit(name+"_tx_sync", hdl.U),
 		}
 		sw.ports[i] = newPortModule(h, clk, sw, i, cfg, busData, busValid, busDest)
+		sw.gcu.proc.WakeOn(sw.ports[i].req)
 	}
 	return sw
 }
@@ -173,6 +174,11 @@ type portModule struct {
 	outFifo    [][atm.CellBytes]byte
 	outCap     int
 	writer     *mapping.CellPortWriter
+
+	// The port's processes park while idle: ctl with nothing to stream or
+	// present, collect while the bus carries no valid beat for this port,
+	// txfeed while the output FIFO is empty.
+	ctl, collect, txfeed *hdl.Process
 }
 
 func newPortModule(h *hdl.Simulator, clk *hdl.Signal, sw *Switch, idx int, cfg SwitchConfig,
@@ -208,6 +214,7 @@ func newPortModule(h *hdl.Simulator, clk *hdl.Signal, sw *Switch, idx int, cfg S
 			return
 		}
 		p.inFifo = append(p.inFifo, c.Marshal())
+		p.ctl.Wake()
 	}
 	rd.OnError = func(img [atm.CellBytes]byte, err error) {
 		sw.HECErrors[idx]++
@@ -216,10 +223,7 @@ func newPortModule(h *hdl.Simulator, clk *hdl.Signal, sw *Switch, idx int, cfg S
 
 	// Request/stream state machine.
 	gcu := sw.gcu
-	h.Process(name+"_ctl", func() {
-		if !clk.Rising() {
-			return
-		}
+	p.ctl = h.Clocked(name+"_ctl", clk, func() {
 		switch {
 		case p.streaming:
 			p.streamBeat()
@@ -246,19 +250,19 @@ func newPortModule(h *hdl.Simulator, clk *hdl.Signal, sw *Switch, idx int, cfg S
 			}
 		default:
 			p.reqDrv.SetBit(hdl.L0)
+			p.ctl.Park() // until OnCell queues a cell
 		}
-	}, clk)
+	})
 
 	// Output collection from the internal bus.
-	h.Process(name+"_collect", func() {
-		if !clk.Rising() {
-			return
-		}
+	p.collect = h.Clocked(name+"_collect", clk, func() {
 		if !busValid.Bit().IsHigh() {
+			p.collect.Park()
 			return
 		}
 		dest, ok := busDest.Uint()
 		if !ok || int(dest) != idx {
+			p.collect.Park() // another port's stream
 			return
 		}
 		word, ok := busData.Uint()
@@ -287,18 +291,22 @@ func newPortModule(h *hdl.Simulator, clk *hdl.Signal, sw *Switch, idx int, cfg S
 				drop.Hit()
 			} else {
 				p.outFifo = append(p.outFifo, p.collectBuf)
+				p.txfeed.Wake()
 				accept.Hit()
 			}
 		}
-	}, clk)
+	})
+	p.collect.WakeOn(busValid)
+	p.collect.WakeOn(busDest)
 
 	// Output serializer.
 	p.writer = mapping.NewCellPortWriter(h, name+"_tx", clk, sw.Out[idx].Data, sw.Out[idx].Sync)
-	h.Process(name+"_txfeed", func() {
-		if !clk.Rising() {
+	p.txfeed = h.Clocked(name+"_txfeed", clk, func() {
+		if len(p.outFifo) == 0 {
+			p.txfeed.Park() // until collect appends
 			return
 		}
-		if len(p.outFifo) > 0 && !p.writer.Busy() && p.writer.Backlog() == 0 {
+		if !p.writer.Busy() && p.writer.Backlog() == 0 {
 			img := p.outFifo[0]
 			p.outFifo = p.outFifo[1:]
 			cell, err := atm.Unmarshal(img)
@@ -310,7 +318,7 @@ func newPortModule(h *hdl.Simulator, clk *hdl.Signal, sw *Switch, idx int, cfg S
 			p.writer.Enqueue(cell)
 			sw.TxCells[idx]++
 		}
-	}, clk)
+	})
 
 	return p
 }
@@ -371,24 +379,28 @@ type globalControlUnit struct {
 
 	// Grants counts successful arbitrations (diagnostic).
 	Grants uint64
+
+	// proc parks while the bus is busy or no port requests it; busFree
+	// and every req event wake it.
+	proc *hdl.Process
 }
 
 func newGCU(h *hdl.Simulator, clk *hdl.Signal, sw *Switch) *globalControlUnit {
 	g := &globalControlUnit{sw: sw, granted: -1}
-	h.Process("gcu", func() {
-		if !clk.Rising() {
-			return
-		}
+	g.proc = h.Clocked("gcu", clk, func() {
 		if g.busy {
+			g.proc.Park()
 			return
 		}
 		g.granted = -1
+		requested := false
 		for n := 0; n < SwitchPorts; n++ {
 			i := (g.rrNext + n) % SwitchPorts
 			p := sw.ports[i]
 			if !p.req.Bit().IsHigh() {
 				continue
 			}
+			requested = true
 			hv, ok := p.hdr.Uint()
 			if !ok {
 				continue
@@ -411,13 +423,19 @@ func newGCU(h *hdl.Simulator, clk *hdl.Signal, sw *Switch) *globalControlUnit {
 			g.Grants++
 			break
 		}
-	}, clk)
+		if !requested {
+			g.proc.Park()
+		}
+	})
 	return g
 }
 
 // busFree is signalled by the streaming port when its last beat left the
 // bus.
-func (g *globalControlUnit) busFree() { g.busy = false }
+func (g *globalControlUnit) busFree() {
+	g.busy = false
+	g.proc.Wake()
+}
 
 // Drops returns the total number of cells lost in the switch for any
 // reason.

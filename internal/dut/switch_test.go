@@ -123,7 +123,7 @@ func TestSwitchUnknownVCDiscarded(t *testing.T) {
 
 func TestSwitchIdleCellsNotSwitched(t *testing.T) {
 	rig := newSwitchRig(basicTable(), DefaultSwitchConfig())
-	rig.in[0].InsertIdle = true // continuous idle-filled line
+	rig.in[0].SetInsertIdle(true) // continuous idle-filled line
 	rig.send(0, &atm.Cell{Header: atm.Header{VPI: 1, VCI: 100}, Seq: 4})
 	rig.run(t, 1000*clkPeriod)
 	total := 0

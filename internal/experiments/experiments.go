@@ -130,16 +130,30 @@ type E1Result struct {
 	CosimCPS     float64 // simulated clock cycles per wall second
 	CosimCellsPS float64
 	CosimClean   bool
+	// CosimProcessRuns and CosimSignalEvents are the co-simulation leg's
+	// HDL kernel work: deterministic for a seed, unlike the wall figures.
+	CosimProcessRuns  uint64
+	CosimSignalEvents uint64
 
-	RTLWall    time.Duration
-	RTLCycles  uint64
-	RTLCPS     float64
-	RTLCellsPS float64
-	RTLClean   bool
+	RTLWall         time.Duration
+	RTLCycles       uint64
+	RTLCPS          float64
+	RTLCellsPS      float64
+	RTLClean        bool
+	RTLProcessRuns  uint64
+	RTLSignalEvents uint64
 
 	// Speedup is CosimCPS / RTLCPS; the paper reports ~1300 vs ~300
 	// clock cycles per second, a factor of ~4.3.
 	Speedup float64
+}
+
+// PerCell divides a leg's work counter by the workload's cell count.
+func (r E1Result) PerCell(n uint64) float64 {
+	if r.Cells == 0 {
+		return 0
+	}
+	return float64(n) / float64(r.Cells)
 }
 
 // E1 runs the §2 benchmark workload against the package-level sink.
@@ -165,6 +179,7 @@ func (f Factory) E1(cells uint64, seed uint64) E1Result {
 	r.CosimClean = co.Cmp.Clean()
 	r.CosimCPS = float64(r.CosimCycles) / r.CosimWall.Seconds()
 	r.CosimCellsPS = float64(co.Cmp.Matched) / r.CosimWall.Seconds()
+	r.CosimProcessRuns, r.CosimSignalEvents = co.HDL.ProcessRuns(), co.HDL.Events()
 
 	rtl := coverify.NewRTLRig(cfg)
 	start = time.Now()
@@ -176,6 +191,7 @@ func (f Factory) E1(cells uint64, seed uint64) E1Result {
 	r.RTLClean = rtl.CheckErrors() == 0 && rtl.Checked() == rtl.Offered
 	r.RTLCPS = float64(r.RTLCycles) / r.RTLWall.Seconds()
 	r.RTLCellsPS = float64(rtl.Checked()) / r.RTLWall.Seconds()
+	r.RTLProcessRuns, r.RTLSignalEvents = rtl.HDL.ProcessRuns(), rtl.HDL.Events()
 
 	if r.RTLCPS > 0 {
 		r.Speedup = r.CosimCPS / r.RTLCPS
@@ -187,9 +203,11 @@ func (f Factory) E1(cells uint64, seed uint64) E1Result {
 func (r E1Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "E1: %d cells through 4-port switch + global control unit\n", r.Cells)
-	fmt.Fprintf(&b, "  %-22s %12s %14s %12s %6s\n", "configuration", "wall", "clk-cycles/s", "cells/s", "clean")
-	fmt.Fprintf(&b, "  %-22s %12v %14.0f %12.0f %6v\n", "co-simulation", r.CosimWall.Round(time.Millisecond), r.CosimCPS, r.CosimCellsPS, r.CosimClean)
-	fmt.Fprintf(&b, "  %-22s %12v %14.0f %12.0f %6v\n", "pure RTL test bench", r.RTLWall.Round(time.Millisecond), r.RTLCPS, r.RTLCellsPS, r.RTLClean)
+	fmt.Fprintf(&b, "  %-22s %12s %14s %12s %6s %11s %11s\n", "configuration", "wall", "clk-cycles/s", "cells/s", "clean", "runs/cell", "events/cell")
+	fmt.Fprintf(&b, "  %-22s %12v %14.0f %12.0f %6v %11.1f %11.1f\n", "co-simulation", r.CosimWall.Round(time.Millisecond), r.CosimCPS, r.CosimCellsPS, r.CosimClean,
+		r.PerCell(r.CosimProcessRuns), r.PerCell(r.CosimSignalEvents))
+	fmt.Fprintf(&b, "  %-22s %12v %14.0f %12.0f %6v %11.1f %11.1f\n", "pure RTL test bench", r.RTLWall.Round(time.Millisecond), r.RTLCPS, r.RTLCellsPS, r.RTLClean,
+		r.PerCell(r.RTLProcessRuns), r.PerCell(r.RTLSignalEvents))
 	fmt.Fprintf(&b, "  speedup (co-sim / RTL): %.2fx   [paper: ~1300 vs ~300 c/s => ~4.3x]\n", r.Speedup)
 	return b.String()
 }

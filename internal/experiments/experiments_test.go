@@ -17,14 +17,21 @@ func TestE1Shape(t *testing.T) {
 	if !r.RTLClean {
 		t.Error("E1 RTL regression not clean")
 	}
-	// The headline claim: co-simulation simulates clock cycles faster
-	// than the pure RTL test bench (paper: ~4.3x; any factor > 1 keeps
-	// the shape).
-	if r.Speedup <= 1 {
-		t.Errorf("E1 speedup = %.2f, want > 1\n%s", r.Speedup, r)
+	// The headline claim — co-simulation beats the pure RTL test bench
+	// (paper: ~4.3x in clock cycles per second) — asserted on the
+	// deterministic work counter behind it rather than on a wall-clock
+	// ratio that moves with host load: the co-simulation leg evaluates
+	// fewer signal events per cell, because its stimulus and checking live
+	// in the network simulator instead of toggling HDL signals every clock.
+	co, rtl := r.PerCell(r.CosimSignalEvents), r.PerCell(r.RTLSignalEvents)
+	if co == 0 || co >= rtl {
+		t.Errorf("signal events per cell: co-sim %.1f, RTL test bench %.1f; want co-sim lower\n%s", co, rtl, r)
 	}
-	if !strings.Contains(r.String(), "speedup") {
-		t.Error("report missing speedup line")
+	if r.CosimProcessRuns == 0 || r.RTLProcessRuns == 0 {
+		t.Errorf("process runs: co-sim %d, RTL %d; want both counted", r.CosimProcessRuns, r.RTLProcessRuns)
+	}
+	if out := r.String(); !strings.Contains(out, "speedup") || !strings.Contains(out, "events/cell") {
+		t.Errorf("report missing speedup line or work counters:\n%s", out)
 	}
 }
 

@@ -5,8 +5,8 @@ import "fmt"
 // This file provides the small library of synthesizable building blocks
 // device models compose: clocked registers, counters, shift registers and
 // synchronous FIFOs. Each component is elaborated onto a Simulator as a
-// process plus its interface signals, the way a VHDL entity would be
-// instantiated.
+// rising-edge process (Simulator.Clocked) plus its interface signals, the
+// way a VHDL entity would be instantiated.
 
 // Reg is a clocked register with synchronous enable and reset.
 type Reg struct {
@@ -23,10 +23,7 @@ type Reg struct {
 func NewReg(s *Simulator, name string, clk, d, en, rst *Signal) *Reg {
 	r := &Reg{Q: s.Signal(name+"_q", d.Width(), U), d: d, en: en, rst: rst}
 	drv := r.Q.Driver(name)
-	s.Process(name, func() {
-		if !clk.Rising() {
-			return
-		}
+	s.Clocked(name, clk, func() {
 		if rst != nil && rst.Bit().IsHigh() {
 			drv.SetUint(0)
 			return
@@ -40,7 +37,7 @@ func NewReg(s *Simulator, name string, clk, d, en, rst *Signal) *Reg {
 				drv.Set(d.Val().Clone())
 			}
 		}
-	}, clk)
+	})
 	return r
 }
 
@@ -55,10 +52,7 @@ func NewCounter(s *Simulator, name string, width int, clk, en, rst *Signal) *Cou
 	c := &Counter{Q: s.Signal(name+"_q", width, U)}
 	drv := c.Q.Driver(name)
 	drv.SetUint(0)
-	s.Process(name, func() {
-		if !clk.Rising() {
-			return
-		}
+	s.Clocked(name, clk, func() {
 		if rst != nil && rst.Bit().IsHigh() {
 			drv.SetUint(0)
 			return
@@ -66,7 +60,7 @@ func NewCounter(s *Simulator, name string, width int, clk, en, rst *Signal) *Cou
 		if en == nil || en.Bit().IsHigh() {
 			drv.Set(c.Q.Val().Incr())
 		}
-	}, clk)
+	})
 	return c
 }
 
@@ -85,10 +79,7 @@ func NewShiftReg(s *Simulator, name string, width int, clk, din, en *Signal) *Sh
 	r := &ShiftReg{Q: s.Signal(name+"_q", width, U)}
 	drv := r.Q.Driver(name)
 	drv.SetUint(0)
-	s.Process(name, func() {
-		if !clk.Rising() {
-			return
-		}
+	s.Clocked(name, clk, func() {
 		if en != nil && !en.Bit().IsHigh() {
 			return
 		}
@@ -97,7 +88,7 @@ func NewShiftReg(s *Simulator, name string, width int, clk, din, en *Signal) *Sh
 		copy(next, cur[1:])
 		next[width-1] = din.Bit().to01()
 		drv.Set(next)
-	}, clk)
+	})
 	return r
 }
 
@@ -142,10 +133,7 @@ func NewFIFO(s *Simulator, name string, width, depth int, clk *Signal) *FIFO {
 	dRd.SetUint(0)
 	dFull.SetBit(L0)
 	dEmpty.SetBit(L1)
-	s.Process(name, func() {
-		if !clk.Rising() {
-			return
-		}
+	s.Clocked(name, clk, func() {
 		// Read before write within a cycle (classic FWFT-less FIFO):
 		if f.RdEn.Bit().IsHigh() {
 			if len(f.mem) == 0 {
@@ -172,7 +160,7 @@ func NewFIFO(s *Simulator, name string, width, depth int, clk *Signal) *FIFO {
 		} else {
 			dEmpty.SetBit(L0)
 		}
-	}, clk)
+	})
 	return f
 }
 

@@ -12,14 +12,16 @@ import (
 
 // This file is the compiled≡event-driven differential harness. A byte
 // program (random bytes are always a valid program) elaborates a netlist —
-// input signals, structural gates, clocked registers, multi-driver
-// resolution, and a stimulus script that injects two-state values as well
-// as X/Z/weak/uninitialized vectors — onto a fresh simulator. The same
-// program runs once on the plain nine-value event kernel and once with
-// Compile(), and every observable must agree: the full VCD byte stream,
-// the per-signal waveform event-for-event (time, global delta index, old
-// and new value), the kernel counters, and the activity profile.
-// FuzzKernelEquivalence drives the same harness from the fuzzer.
+// input signals, structural gates, clocked registers, clocked processes
+// that park and wake at random, multi-driver resolution, and a stimulus
+// script that injects two-state values as well as X/Z/weak/uninitialized
+// vectors — onto a fresh simulator. The same program runs once on the
+// plain nine-value event kernel and once with Compile(), and every
+// observable must agree: the full VCD byte stream, the per-signal waveform
+// event-for-event (time, global delta index, old and new value), the
+// kernel counters, and the activity profile. FuzzKernelEquivalence drives
+// the same harness from the fuzzer. The same programs also check
+// rising-edge sensitivity against its definition (compareEdgeSensitivity).
 
 const (
 	diffClockPeriod = 10 * sim.Nanosecond
@@ -48,16 +50,65 @@ func (r *diffReader) next() byte {
 // strong two-state with every impure value reachable.
 var diffLogicTable = [16]Logic{L0, L1, L0, L1, L0, L1, X, Z, W, WL, WH, U, DC, L1, L0, X}
 
+// edgeGuard, when non-nil, makes buildDiffDesign elaborate every clocked
+// process as a level-sensitive Process on clk whose body starts with
+// "if !clk.Rising() { return }" — the definition Simulator.Clocked must
+// match — and count the dispatches that guard rejects.
+type edgeGuard struct {
+	elaboration uint64 // rejected first runs: each process's elaboration run
+	edges       uint64 // rejected later runs: non-rising clock events
+}
+
+// clocked registers fn on the rising edge of clk, natively or (with a
+// guard) as the guarded level process.
+func (eg *edgeGuard) clocked(s *Simulator, name string, clk *Signal, fn func()) *Process {
+	if eg == nil {
+		return s.Clocked(name, clk, fn)
+	}
+	first := true
+	return s.Process(name, func() {
+		if !clk.Rising() {
+			if first {
+				eg.elaboration++
+			} else {
+				eg.edges++
+			}
+			first = false
+			return
+		}
+		first = false
+		fn()
+	}, clk)
+}
+
+// guardedReg is NewReg (no enable, no reset) elaborated through eg.
+func guardedReg(eg *edgeGuard, s *Simulator, name string, clk, d *Signal) *Signal {
+	if eg == nil {
+		return NewReg(s, name, clk, d, nil, nil).Q
+	}
+	q := s.Signal(name+"_q", d.Width(), U)
+	drv := q.Driver(name)
+	eg.clocked(s, name, clk, func() {
+		if d.pknown {
+			drv.SetUint(d.pval)
+		} else {
+			drv.Set(d.Val().Clone())
+		}
+	})
+	return q
+}
+
 // buildDiffDesign elaborates the byte program onto s. The elaboration is a
 // pure function of data, so running it onto two simulators yields
 // structurally identical designs with identical stimulus schedules.
-func buildDiffDesign(data []byte, s *Simulator, clk *Signal) (all []*Signal, horizon sim.Time) {
+func buildDiffDesign(data []byte, s *Simulator, clk *Signal, eg *edgeGuard) (all []*Signal, horizon sim.Time) {
 	r := &diffReader{b: data}
 	type input struct {
 		sig *Signal
 		drv *Driver
 	}
 	var ins []input
+	var parkers []*Process
 	all = append(all, clk)
 	byWidth := map[int][]*Signal{1: {clk}}
 	addSig := func(g *Signal) {
@@ -86,7 +137,7 @@ func buildDiffDesign(data []byte, s *Simulator, clk *Signal) (all []*Signal, hor
 		}
 	}
 	for r.more() {
-		switch r.next() % 8 {
+		switch r.next() % 9 {
 		case 0: // new stimulus input
 			if len(ins) >= diffMaxSignals {
 				continue
@@ -120,8 +171,7 @@ func buildDiffDesign(data []byte, s *Simulator, clk *Signal) (all []*Signal, hor
 				continue
 			}
 			d := all[int(r.next())%len(all)]
-			reg := NewReg(s, fmt.Sprintf("r%d", len(all)), clk, d, nil, nil)
-			addSig(reg.Q)
+			addSig(guardedReg(eg, s, fmt.Sprintf("r%d", len(all)), clk, d))
 		case 4, 5: // two-state stimulus
 			if len(ins) == 0 || stims >= diffMaxStims {
 				continue
@@ -154,6 +204,39 @@ func buildDiffDesign(data []byte, s *Simulator, clk *Signal) (all []*Signal, hor
 			s.Schedule(at, func() { d2.Set(v) })
 			s.Schedule(at+3*diffClockPeriod, func() { d2.Set(NewLV(in.sig.width, Z)) })
 			stims++
+		case 8: // clocked process that parks and wakes at random
+			if len(all) == 0 || len(all) >= 2*diffMaxSignals {
+				continue
+			}
+			// Parking here ignores the parking contract on purpose: the
+			// kernels must agree on any park/wake schedule, not only on the
+			// ones that leave waveforms unchanged.
+			d := all[int(r.next())%len(all)]
+			wake := all[int(r.next())%len(all)]
+			mode := r.next()
+			name := fmt.Sprintf("k%d", len(all))
+			q := s.Signal(name+"_q", d.width, U)
+			drv := q.Driver(name)
+			var other *Process
+			if len(parkers) > 0 {
+				other = parkers[int(mode>>4)%len(parkers)]
+			}
+			every := int(mode&3) + 1
+			n := 0
+			var p *Process
+			p = eg.clocked(s, name, clk, func() {
+				drv.Set(d.Val().Clone())
+				n++
+				if other != nil && n%3 == 0 {
+					other.Wake()
+				}
+				if n%every == 0 {
+					p.Park()
+				}
+			})
+			p.WakeOn(wake)
+			parkers = append(parkers, p)
+			addSig(q)
 		}
 	}
 	return all, horizon
@@ -171,12 +254,12 @@ type diffResult struct {
 	planErr error
 }
 
-func runDiffKernel(data []byte, compiled bool) *diffResult {
+func runDiffKernel(data []byte, compiled bool, eg *edgeGuard) *diffResult {
 	s := New()
 	s.EnableProfile()
 	clk := s.Bit("clk", U)
 	s.Clock(clk, diffClockPeriod)
-	all, horizon := buildDiffDesign(data, s, clk)
+	all, horizon := buildDiffDesign(data, s, clk, eg)
 	res := &diffResult{waves: map[string][]string{}}
 	for _, g := range all {
 		g := g
@@ -210,8 +293,8 @@ func runDiffKernel(data []byte, compiled bool) *diffResult {
 // compareKernels runs the program through both kernels and reports the
 // first divergence, or "" when they agree.
 func compareKernels(data []byte) string {
-	ev := runDiffKernel(data, false)
-	cp := runDiffKernel(data, true)
+	ev := runDiffKernel(data, false, nil)
+	cp := runDiffKernel(data, true, nil)
 	if (ev.planErr == nil) != (cp.planErr == nil) {
 		return fmt.Sprintf("error divergence: event=%v compiled=%v", ev.planErr, cp.planErr)
 	}
@@ -222,6 +305,44 @@ func compareKernels(data []byte) string {
 		return fmt.Sprintf("counter divergence: event(ev=%d runs=%d deltas=%d points=%d) compiled(ev=%d runs=%d deltas=%d points=%d)",
 			ev.events, ev.runs, ev.deltas, ev.points, cp.events, cp.runs, cp.deltas, cp.points)
 	}
+	if diff := compareWaves(ev, cp); diff != "" {
+		return diff
+	}
+	if !reflect.DeepEqual(ev.prof, cp.prof) {
+		return fmt.Sprintf("profile divergence:\nevent:    %+v\ncompiled: %+v", ev.prof, cp.prof)
+	}
+	return ""
+}
+
+// compareEdgeSensitivity runs the program with native Clocked processes
+// and with each one replaced by its definition, a level process behind a
+// Rising() guard, on the given kernel. VCD, waveforms, signal events,
+// time points and delta cycles must be identical, and process runs must
+// differ by exactly the dispatches the guard rejected: one elaboration run
+// per process plus every non-rising clock event.
+func compareEdgeSensitivity(data []byte, compiled bool) string {
+	var eg edgeGuard
+	cl := runDiffKernel(data, compiled, nil)
+	lv := runDiffKernel(data, compiled, &eg)
+	if (cl.planErr == nil) != (lv.planErr == nil) {
+		return fmt.Sprintf("error divergence: clocked=%v level=%v", cl.planErr, lv.planErr)
+	}
+	if cl.planErr != nil {
+		return ""
+	}
+	if cl.events != lv.events || cl.deltas != lv.deltas || cl.points != lv.points {
+		return fmt.Sprintf("counter divergence: clocked(ev=%d deltas=%d points=%d) level(ev=%d deltas=%d points=%d)",
+			cl.events, cl.deltas, cl.points, lv.events, lv.deltas, lv.points)
+	}
+	if lv.runs-cl.runs != eg.elaboration+eg.edges {
+		return fmt.Sprintf("runs: level %d - clocked %d != %d elaboration + %d non-rising dispatches",
+			lv.runs, cl.runs, eg.elaboration, eg.edges)
+	}
+	return compareWaves(cl, lv)
+}
+
+// compareWaves reports the first waveform or VCD divergence.
+func compareWaves(ev, cp *diffResult) string {
 	if len(ev.waves) != len(cp.waves) {
 		return fmt.Sprintf("wave signal count divergence: %d vs %d", len(ev.waves), len(cp.waves))
 	}
@@ -238,9 +359,6 @@ func compareKernels(data []byte) string {
 	}
 	if ev.vcd != cp.vcd {
 		return fmt.Sprintf("VCD divergence (%d vs %d bytes)", len(ev.vcd), len(cp.vcd))
-	}
-	if !reflect.DeepEqual(ev.prof, cp.prof) {
-		return fmt.Sprintf("profile divergence:\nevent:    %+v\ncompiled: %+v", ev.prof, cp.prof)
 	}
 	return ""
 }
@@ -266,6 +384,29 @@ func TestKernelEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEdgeSensitivityEquivalence is the property that defines Clocked: on
+// random netlists, on both kernels, a rising-edge process is a level
+// process on its clock behind a Rising() guard, minus the guard's
+// rejected runs.
+func TestEdgeSensitivityEquivalence(t *testing.T) {
+	seeds := []int64{11, 23, 47}
+	if !testing.Short() {
+		seeds = append(seeds, 101, 211, 307)
+	}
+	for _, seed := range seeds {
+		rng := rand.New(rand.NewSource(seed))
+		for round := 0; round < 4; round++ {
+			data := make([]byte, 200+rng.Intn(600))
+			rng.Read(data)
+			for _, compiled := range []bool{false, true} {
+				if diff := compareEdgeSensitivity(data, compiled); diff != "" {
+					t.Fatalf("seed %d round %d compiled=%v: %s", seed, round, compiled, diff)
+				}
+			}
+		}
 	}
 }
 

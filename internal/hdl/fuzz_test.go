@@ -68,5 +68,8 @@ func FuzzKernelEquivalence(f *testing.F) {
 		if diff := compareKernels(data); diff != "" {
 			t.Fatalf("kernel divergence: %s", diff)
 		}
+		if diff := compareEdgeSensitivity(data, true); diff != "" {
+			t.Fatalf("edge-sensitivity divergence: %s", diff)
+		}
 	})
 }

@@ -44,6 +44,7 @@ type Signal struct {
 
 	eventStamp uint64 // stamp of the delta in which the last event occurred
 	watchers   []*Process
+	wakers     []*Process                        // processes woken by every event (Process.WakeOn)
 	gwatch     []*Gate                           // compiled gates sensitive to this signal
 	onChange   []func(now sim.Time, old, new LV) // VCD and probes
 }
@@ -183,7 +184,14 @@ func (g *Signal) fire(old, new LV) {
 	s := g.sim
 	g.eventStamp = s.stamp
 	s.signalEvents++
+	for _, p := range g.wakers {
+		p.parked = false
+	}
+	rising := len(g.watchers) > 0 && g.Rising()
 	for _, p := range g.watchers {
+		if p.edge != nil && !rising {
+			continue
+		}
 		s.trigger(p)
 	}
 	for _, gt := range g.gwatch {

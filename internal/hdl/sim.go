@@ -137,13 +137,16 @@ func (h *txnHeap) pop() *txn {
 func (h *txnHeap) len() int { return len(h.items) }
 
 // Process is a VHDL process: a body re-executed whenever a signal on its
-// sensitivity list has an event.
+// sensitivity list has an event (Simulator.Process), or on every rising
+// edge of its clock (Simulator.Clocked).
 type Process struct {
 	name      string
 	fn        func()
 	id        int // creation-order index into the profiler's accumulators
 	gate      *Gate
+	edge      *Signal // clock of a Clocked process, nil for level sensitivity
 	triggered bool
+	parked    bool
 	runs      uint64
 }
 
@@ -152,6 +155,26 @@ func (p *Process) Name() string { return p.name }
 
 // Runs returns how many times the process body has executed.
 func (p *Process) Runs() uint64 { return p.runs }
+
+// Park suspends the process: its triggers are ignored until Wake, or an
+// event on a WakeOn signal, resumes it — VHDL's "wait on". The kernel
+// checks the flag when it dispatches the process, not when it triggers it,
+// so a wake from anywhere before the process's slot in the current delta
+// (the signal-update phase, or a process dispatched earlier) is honoured
+// in that delta, and a later wake takes effect at the next trigger.
+//
+// A process may park only while every run of its body would change no
+// signal value and no Go state that others read, until one of its wake
+// sources fires. Under that contract parking changes no waveform, event
+// or time point; it removes process runs, and the trailing delta cycles
+// that only re-asserted unchanged values.
+func (p *Process) Park() { p.parked = true }
+
+// Wake resumes a parked process; a no-op on a running one.
+func (p *Process) Wake() { p.parked = false }
+
+// WakeOn makes every event on sig wake the process.
+func (p *Process) WakeOn(sig *Signal) { sig.wakers = append(sig.wakers, p) }
 
 // Simulator is the event-driven HDL simulation kernel. The central loop
 // implements the two-phase VHDL cycle: a signal-update phase applying all
@@ -294,13 +317,33 @@ func (s *Simulator) Signals() []*Signal { return s.signals }
 // at start of simulation (VHDL processes execute until their first wait at
 // elaboration) and then on every event of a listed signal.
 func (s *Simulator) Process(name string, fn func(), sensitivity ...*Signal) *Process {
-	p := &Process{name: name, fn: fn, id: len(s.processes)}
-	s.processes = append(s.processes, p)
-	s.prof.growProcess()
+	p := s.newProcess(name, fn)
 	for _, g := range sensitivity {
 		g.watchers = append(g.watchers, p)
 	}
 	s.trigger(p)
+	return p
+}
+
+// Clocked registers a process that runs on every rising edge of the
+// one-bit clk and at no other time — VHDL's "wait until rising_edge(clk)".
+// It is observably a Process on clk whose body starts with
+// "if !clk.Rising() { return }", minus the runs that guard rejects: the
+// process is not run at elaboration, and falling edges do not dispatch it.
+func (s *Simulator) Clocked(name string, clk *Signal, fn func()) *Process {
+	if clk.width != 1 {
+		panic(fmt.Sprintf("hdl: clocked process %q on %q of width %d", name, clk.name, clk.width))
+	}
+	p := s.newProcess(name, fn)
+	p.edge = clk
+	clk.watchers = append(clk.watchers, p)
+	return p
+}
+
+func (s *Simulator) newProcess(name string, fn func()) *Process {
+	p := &Process{name: name, fn: fn, id: len(s.processes)}
+	s.processes = append(s.processes, p)
+	s.prof.growProcess()
 	return p
 }
 
@@ -516,6 +559,8 @@ func (s *Simulator) Step() (bool, error) {
 			}
 		}
 		// Phase 2: process execution, then level-ordered compiled gates.
+		// Parked processes and clocked ones whose clock's last event in
+		// this delta was not a rising edge are skipped at their slot.
 		run := s.runnable
 		s.runnable = s.spare[:0]
 		if !applied && len(run) == 0 && s.ndirty == 0 {
@@ -524,6 +569,9 @@ func (s *Simulator) Step() (bool, error) {
 		}
 		for _, p := range run {
 			p.triggered = false
+			if p.parked || (p.edge != nil && !p.edge.Rising()) {
+				continue
+			}
 			p.runs++
 			s.procRuns++
 			if pr := s.prof; pr != nil {

@@ -11,12 +11,11 @@ import (
 //	cellsync : STD_LOGIC                     — high during the first octet
 //
 // One cell occupies exactly 53 rising clock edges. When the transmit
-// queue is empty the writer inserts idle cells (when InsertIdle is set) or
-// drives zero with cellsync low, modeling the idle periods of a real ATM
-// line versus a gated test stream.
+// queue is empty the writer inserts idle cells (SetInsertIdle) or drives
+// zero with cellsync low, modeling the idle periods of a real ATM line
+// versus a gated test stream. A writer with nothing to send and idle
+// insertion off parks its process until the next Enqueue.
 type CellPortWriter struct {
-	InsertIdle bool
-
 	// OnCellStart, when non-nil, fires as a queued (non-idle) cell's first
 	// octet goes onto the wire, with the cell's 53-byte image — the moment
 	// the hardware commits to transmitting it. Causal cell tracing hooks
@@ -25,11 +24,13 @@ type CellPortWriter struct {
 
 	data *hdl.Driver
 	sync *hdl.Driver
+	proc *hdl.Process
 
-	queue   [][atm.CellBytes]byte
-	current [atm.CellBytes]byte
-	pos     int
-	active  bool
+	insertIdle bool
+	queue      [][atm.CellBytes]byte
+	current    [atm.CellBytes]byte
+	pos        int
+	active     bool
 
 	// SentCells counts completed cell transmissions (including idles).
 	SentCells uint64
@@ -38,7 +39,7 @@ type CellPortWriter struct {
 
 // NewCellPortWriter attaches a writer to the simulator: data must be an
 // 8-bit signal, cellSync a 1-bit signal, clk the byte clock. The writer
-// registers a process sensitive to the rising clock edge.
+// registers a rising-edge process on clk.
 func NewCellPortWriter(s *hdl.Simulator, name string, clk, data, cellSync *hdl.Signal) *CellPortWriter {
 	if data.Width() != 8 {
 		panic("mapping: cell data port must be 8 bits wide")
@@ -52,11 +53,7 @@ func NewCellPortWriter(s *hdl.Simulator, name string, clk, data, cellSync *hdl.S
 	}
 	w.data.SetUint(0)
 	w.sync.SetBit(hdl.L0)
-	s.Process(name, func() {
-		if clk.Rising() {
-			w.tick()
-		}
-	}, clk)
+	w.proc = s.Clocked(name, clk, w.tick)
 	return w
 }
 
@@ -65,6 +62,7 @@ func NewCellPortWriter(s *hdl.Simulator, name string, clk, data, cellSync *hdl.S
 // into the payload first (Cell.StampSeq).
 func (w *CellPortWriter) Enqueue(c *atm.Cell) {
 	w.queue = append(w.queue, c.Marshal())
+	w.proc.Wake()
 }
 
 // EnqueueRaw schedules a raw 53-octet image for transmission, including
@@ -72,6 +70,14 @@ func (w *CellPortWriter) Enqueue(c *atm.Cell) {
 // vectors take to the device.
 func (w *CellPortWriter) EnqueueRaw(img [atm.CellBytes]byte) {
 	w.queue = append(w.queue, img)
+	w.proc.Wake()
+}
+
+// SetInsertIdle switches idle-cell insertion on an empty queue; the
+// setting takes effect at the next rising clock edge.
+func (w *CellPortWriter) SetInsertIdle(on bool) {
+	w.insertIdle = on
+	w.proc.Wake()
 }
 
 // Backlog returns the number of cells waiting (excluding the one in
@@ -91,14 +97,17 @@ func (w *CellPortWriter) tick() {
 			if w.OnCellStart != nil {
 				w.OnCellStart(w.current)
 			}
-		} else if w.InsertIdle {
+		} else if w.insertIdle {
 			w.current = atm.IdleCell().Marshal()
 			w.IdleCells++
 			w.active = true
 			w.pos = 0
 		} else {
+			// Idle line: once these zeros land, every further edge would
+			// only re-assert them, so sleep until Enqueue or SetInsertIdle.
 			w.data.SetUint(0)
 			w.sync.SetBit(hdl.L0)
+			w.proc.Park()
 			return
 		}
 	}
@@ -139,17 +148,21 @@ type CellPortReader struct {
 }
 
 // NewCellPortReader attaches a reader to the simulator, sampling data and
-// cellSync on rising edges of clk.
+// cellSync on rising edges of clk. Between cells, while cellsync is not
+// high, the reader's process parks and any cellsync event wakes it.
 func NewCellPortReader(s *hdl.Simulator, name string, clk, data, cellSync *hdl.Signal) *CellPortReader {
 	if data.Width() != 8 {
 		panic("mapping: cell data port must be 8 bits wide")
 	}
 	r := &CellPortReader{}
-	s.Process(name, func() {
-		if clk.Rising() {
-			r.sample(data, cellSync)
+	var p *hdl.Process
+	p = s.Clocked(name, clk, func() {
+		r.sample(data, cellSync)
+		if !r.inCell && !cellSync.Bit().IsHigh() {
+			p.Park()
 		}
-	}, clk)
+	})
+	p.WakeOn(cellSync)
 	return r
 }
 

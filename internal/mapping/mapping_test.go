@@ -82,7 +82,7 @@ func buildLoop(t *testing.T, insertIdle bool) (*hdl.Simulator, *CellPortWriter, 
 	csync := s.Bit("cellsync", hdl.U)
 	s.Clock(clk, 10*sim.Nanosecond)
 	w := NewCellPortWriter(s, "tx", clk, data, csync)
-	w.InsertIdle = insertIdle
+	w.SetInsertIdle(insertIdle)
 	r := NewCellPortReader(s, "rx", clk, data, csync)
 	r.SkipIdle = true
 	var got []*atm.Cell
@@ -164,6 +164,39 @@ func TestCellPortIdleInsertion(t *testing.T) {
 	// Line is continuously framed: received = user + idle cells.
 	if r.Received != 1+r.Idles {
 		t.Errorf("received=%d, idles=%d", r.Received, r.Idles)
+	}
+}
+
+// Switching idle insertion on mid-run reaches a writer that has parked on
+// its empty queue: the first idle cell starts at the next rising edge.
+func TestCellPortInsertIdleWakesParkedWriter(t *testing.T) {
+	s, w, r, got := buildLoop(t, false)
+	c := &atm.Cell{Header: atm.Header{VPI: 1, VCI: 7}, Seq: 9}
+	c.StampSeq()
+	w.Enqueue(c)
+	// Edges rise at 5, 15, 25, ... ns. At 1000 ns (a falling edge) the
+	// line has been idle for ~450 ns with writer and reader parked.
+	s.Schedule(1000*sim.Nanosecond, func() { w.SetInsertIdle(true) })
+	if err := s.Run(700 * sim.Nanosecond); err != nil {
+		t.Fatal(err)
+	}
+	idleRuns := s.ProcessRuns()
+	if err := s.Run(999 * sim.Nanosecond); err != nil {
+		t.Fatal(err)
+	}
+	if len(*got) != 1 || w.IdleCells != 0 {
+		t.Fatalf("before the switch: %d cells received, %d idle cells sent", len(*got), w.IdleCells)
+	}
+	if n := s.ProcessRuns() - idleRuns; n != 0 {
+		t.Errorf("%d process runs on the idle line, want 0 (writer and reader parked)", n)
+	}
+	if err := s.Run(3000 * sim.Nanosecond); err != nil {
+		t.Fatal(err)
+	}
+	// Idle cells start at 1005, 1535, 2065 and 2595 ns; three of them are
+	// complete by 3000 ns.
+	if w.IdleCells != 4 || r.Idles != 3 {
+		t.Errorf("idle cells sent %d, received %d; want 4 and 3", w.IdleCells, r.Idles)
 	}
 }
 

@@ -71,10 +71,7 @@ func NewGenerator(h *hdl.Simulator, name string, clk, data, sync *hdl.Signal, ve
 		dDone.SetBit(hdl.L1)
 	}
 
-	h.Process(name, func() {
-		if !clk.Rising() {
-			return
-		}
+	h.Clocked(name, clk, func() {
 		// Free-running LFSR (x^16+x^14+x^13+x^11+1), as TBs use for
 		// randomized fields; one 16-bit signal event per clock.
 		lv, ok := lfsr.Uint()
@@ -118,7 +115,7 @@ func NewGenerator(h *hdl.Simulator, name string, clk, data, sync *hdl.Signal, ve
 		} else {
 			dByte.SetUint(bc + 1)
 		}
-	}, clk)
+	})
 	return g
 }
 
@@ -182,10 +179,7 @@ func NewChecker(h *hdl.Simulator, name string, clk, data, sync *hdl.Signal) *Che
 		return crc
 	}
 
-	h.Process(name, func() {
-		if !clk.Rising() {
-			return
-		}
+	h.Clocked(name, clk, func() {
 		// Watchdog: reloaded by cell sync, otherwise counting down every
 		// cycle (a timeout monitor keeps ticking through idle periods).
 		if sync.Bit().IsHigh() {
@@ -237,6 +231,6 @@ func NewChecker(h *hdl.Simulator, name string, clk, data, sync *hdl.Signal) *Che
 		} else {
 			dByte.SetUint(bc + 1)
 		}
-	}, clk)
+	})
 	return c
 }
