@@ -3,7 +3,7 @@ GO ?= go
 # raises it to minutes (make fuzz FUZZTIME=5m).
 FUZZTIME ?= 10s
 
-.PHONY: verify build vet test race bench bench-all obs-bench campaign-smoke cover-smoke crash-resume-smoke explore-smoke profile-smoke rig-smoke kernel-diff-smoke fuzz
+.PHONY: verify build vet test race bench bench-all obs-bench campaign-smoke crash-resume-smoke explore-smoke rig-smoke kernel-diff-smoke fuzz
 
 # Tier-1 verification: everything CI runs.
 verify: build vet test race
@@ -39,19 +39,6 @@ campaign-smoke:
 		"$$tmp/castanet" -campaign switch -runs 8 -shards 2 -seed 1 -failfast
 	$(GO) test -race -count=1 -run 'TestCommandLineTools/castanet-serve-telemetry' .
 
-# Functional-coverage smoke: the reference campaigns must meet the
-# per-group coverage floors committed in COVER_FLOOR.json — the CI
-# contract that keeps the instrumented bins actually exercised. The
-# parameters here are the ones the floors were measured at; runs are
-# seed-deterministic, so a miss means the instrumentation or the
-# stimulus changed, not noise.
-cover-smoke:
-	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-		$(GO) build -o "$$tmp/castanet" ./cmd/castanet && \
-		"$$tmp/castanet" -campaign switch -runs 16 -shards 2 -seed 1 -cover-floor COVER_FLOOR.json && \
-		"$$tmp/castanet" -campaign policer -runs 8 -shards 2 -seed 2 -cover-floor COVER_FLOOR.json && \
-		"$$tmp/castanet" -campaign acct -runs 6 -shards 2 -seed 3 -cover-floor COVER_FLOOR.json
-
 # Durability smoke: run a reference campaign, SIGKILL a checkpointed run
 # of the same spec mid-flight, resume it, and require the resumed digest
 # file to be byte-identical to the uninterrupted reference.
@@ -65,18 +52,6 @@ crash-resume-smoke:
 explore-smoke:
 	sh scripts/explore_smoke.sh
 
-# Profiler smoke: the -profile hotspot table is a deterministic artifact.
-# Two runs of the same experiment and seed must print byte-identical
-# "profile " lines; the wall-clock "phase " lines after them legitimately
-# differ and are excluded by the grep.
-profile-smoke:
-	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-		$(GO) build -o "$$tmp/castanet" ./cmd/castanet && \
-		"$$tmp/castanet" -experiment e1 -cells 300 -seed 7 -profile | grep '^profile ' > "$$tmp/p1" && \
-		"$$tmp/castanet" -experiment e1 -cells 300 -seed 7 -profile | grep '^profile ' > "$$tmp/p2" && \
-		test -s "$$tmp/p1" && cmp "$$tmp/p1" "$$tmp/p2" && \
-		echo "profile-smoke: deterministic hotspot table ok"
-
 # Kernel-equivalence smoke: the compiled bit-parallel fast path must be
 # observably identical to the plain event kernel — same VCD bytes, same
 # event/run/delta/time-point counters, same coverage and profile — on the
@@ -89,10 +64,16 @@ profile-smoke:
 kernel-diff-smoke:
 	$(GO) test -race -count=1 -short -run 'KernelEquivalence|EdgeSensitivity|ParkWake' -v ./internal/hdl/ ./internal/coverify/
 
-# Rig smoke: the functional-coverage floors and the deterministic
-# profiler artifact checked on one binary built once — the cover-smoke
-# and profile-smoke sequences share the build instead of paying it twice
-# in separate CI jobs.
+# Rig smoke, on one binary built once: the reference campaigns must meet
+# the per-group coverage floors committed in COVER_FLOOR.json (the
+# parameters are the ones the floors were measured at; runs are
+# seed-deterministic, so a miss means the instrumentation or the stimulus
+# changed, not noise); the -profile hotspot table is a deterministic
+# artifact, so two runs of the same experiment and seed must print
+# byte-identical "profile " lines (the wall-clock "phase " lines after
+# them legitimately differ and are excluded by the grep); and the
+# accounting campaign, the profile's last rig to be wired, must publish
+# process activity rather than an empty table.
 rig-smoke:
 	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 		$(GO) build -o "$$tmp/castanet" ./cmd/castanet && \
@@ -102,7 +83,8 @@ rig-smoke:
 		"$$tmp/castanet" -experiment e1 -cells 300 -seed 7 -profile | grep '^profile ' > "$$tmp/p1" && \
 		"$$tmp/castanet" -experiment e1 -cells 300 -seed 7 -profile | grep '^profile ' > "$$tmp/p2" && \
 		test -s "$$tmp/p1" && cmp "$$tmp/p1" "$$tmp/p2" && \
-		echo "rig-smoke: coverage floors met, deterministic hotspot table ok"
+		"$$tmp/castanet" -campaign acct -runs 4 -seed 3 -profile > "$$tmp/acct" && ! grep -q 'processes=0' "$$tmp/acct" && \
+		echo "rig-smoke: coverage floors met, deterministic hotspot table ok, every rig profiled"
 
 # Coverage-guided fuzzing of the ipc frame, batch-frame, and envelope
 # decoders, plus the differential kernel-equivalence fuzzer (random

@@ -421,6 +421,25 @@ func TestCommandLineTools(t *testing.T) {
 		}
 	})
 
+	t.Run("castanet-profile-every-rig", func(t *testing.T) {
+		// Every rig publishes its HDL activity: the policer and accounting
+		// campaigns and the policer sweep print a non-empty hotspot table.
+		nonZero := regexp.MustCompile(`(?m)^profile processes=[1-9][0-9]* `)
+		for _, args := range [][]string{
+			{"-campaign", "policer", "-runs", "4", "-profile"},
+			{"-campaign", "acct", "-runs", "4", "-profile"},
+			{"-experiment", "e7", "-profile"},
+		} {
+			out, err := exec.Command(filepath.Join(bin, "castanet"), args...).CombinedOutput()
+			if err != nil {
+				t.Fatalf("%v: %v\n%s", args, err, out)
+			}
+			if !nonZero.Match(out) {
+				t.Errorf("%v: no non-zero profile processes= line:\n%s", args, out)
+			}
+		}
+	})
+
 	t.Run("castanet-campaign-replay", func(t *testing.T) {
 		out, err := exec.Command(filepath.Join(bin, "castanet"),
 			"-campaign", "switch", "-runs", "8", "-seed", "1", "-replay", "3").CombinedOutput()

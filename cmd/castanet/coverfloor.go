@@ -12,7 +12,7 @@ import (
 
 // coverFloorFile maps campaign name -> cover group -> minimum hit-bin
 // ratio (0..1). The committed COVER_FLOOR.json at the repo root is the
-// CI contract: make cover-smoke runs the campaigns against it.
+// CI contract: make rig-smoke runs the campaigns against it.
 type coverFloorFile map[string]map[string]float64
 
 // loadCoverFloor reads and validates a floor file before the campaign

@@ -29,9 +29,9 @@
 // -batch=false restores the one-frame-per-message wire protocol, useful
 // for A/B throughput comparison and when debugging at the frame level.
 //
-// -compiled (default on) runs every HDL kernel on the compiled
-// bit-parallel two-state fast path (DESIGN.md §18); -no-compiled falls
-// back to the plain event-driven kernel. The two modes are observably
+// Every HDL kernel runs on the compiled bit-parallel two-state fast path
+// (DESIGN.md §18); -no-compiled falls back to the plain event-driven
+// kernel. The two modes are observably
 // equivalent — same events, deltas, waveforms, coverage and profile — so
 // the switch exists for A/B speed measurement and for bisecting a
 // suspected fast-path defect, not for correctness.
@@ -146,8 +146,7 @@ func run() int {
 		replay     = flag.Int64("replay", -1, "campaign: replay this single run index from a failure digest")
 		failfast   = flag.Bool("failfast", false, "campaign: cancel remaining runs after the first failure")
 		batch      = flag.Bool("batch", true, "coalesce coupling messages per δ-window into batch frames (0xCA59)")
-		compiled   = flag.Bool("compiled", true, "run HDL kernels on the compiled bit-parallel fast path (DESIGN.md §18)")
-		noCompiled = flag.Bool("no-compiled", false, "force the plain event-driven HDL kernel (overrides -compiled)")
+		noCompiled = flag.Bool("no-compiled", false, "run HDL kernels on the plain event-driven kernel instead of the compiled fast path (DESIGN.md §18)")
 
 		runTimeout = flag.Duration("run-timeout", 0, "campaign: per-run wall-clock deadline (0 = none); a hung run fails with a typed timeout")
 		retries    = flag.Int("retries", 0, "campaign: retry budget per run for retryable infrastructure failures")
@@ -173,7 +172,7 @@ func run() int {
 	}
 
 	experiments.Batching(*batch)
-	experiments.Compiled(*compiled && !*noCompiled)
+	experiments.Compiled(!*noCompiled)
 	profiling := *profile || *profileOut != ""
 
 	if *explore && *camp != "" {
@@ -205,7 +204,7 @@ func run() int {
 			replay: *replay, failfast: *failfast,
 			metrics: *metrics, trace: *trace, serve: *serve, traceCells: *traceN,
 			batch:      *batch,
-			compiled:   *compiled && !*noCompiled,
+			noCompiled: *noCompiled,
 			runTimeout: *runTimeout, retries: *retries,
 			checkpoint: *checkpoint, checkpointEvery: *ckEvery, resume: *resume,
 			noQuarantine: *noQuar, digest: *digest,
@@ -280,7 +279,7 @@ func run() int {
 			obs.WriteCoverText(os.Stdout, run.CoverReg().Snapshot())
 		}
 		if profiling {
-			// The "profile " lines are seed-deterministic (the profile-smoke
+			// The "profile " lines are seed-deterministic (the rig-smoke
 			// CI job diffs them); the "phase " lines after them are
 			// wall-clock and vary run to run.
 			activity := run.Prof().Activity()
@@ -334,7 +333,7 @@ type campaignOpts struct {
 	serve      string
 	traceCells int
 	batch      bool
-	compiled   bool
+	noCompiled bool
 
 	runTimeout      time.Duration
 	retries         int
@@ -357,7 +356,7 @@ const defaultQuarantineAfter = 3
 // runCampaign executes (or replays one run of) a named campaign matrix.
 func runCampaign(o campaignOpts) int {
 	matrix, err := experiments.CampaignMatrixCfg(o.name,
-		experiments.CampaignConfig{TraceEvery: o.traceCells, Batch: o.batch, NoCompiled: !o.compiled})
+		experiments.CampaignConfig{TraceEvery: o.traceCells, Batch: o.batch, NoCompiled: o.noCompiled})
 	if err != nil {
 		return badFlags("unknown campaign %q (valid: %s)", o.name, experiments.CampaignNames())
 	}

@@ -56,8 +56,8 @@ func main() {
 		fmt.Printf("  %10.1f %8d %10d %9.1f%% %8v %8s\n",
 			ratio, rig.Offered, rig.DUT.Tagged, 100*violFrac, agree, verdict)
 		if verdict == "FAIL" {
-			for _, b := range rig.Cmp.Bad {
-				fmt.Println("   ", b)
+			for _, m := range rig.Cmp.Mismatches() {
+				fmt.Println("   ", m)
 			}
 		}
 	}

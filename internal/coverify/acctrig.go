@@ -23,9 +23,7 @@ const KindRawCell = ipc.KindUser + 32
 // paper: "We have used CASTANET for the functional verification of an ATM
 // accounting unit").
 type AcctRigConfig struct {
-	Seed        uint64
-	ClockPeriod sim.Duration
-	Delta       sim.Duration
+	Seed uint64
 	// VCs are the metered connections.
 	VCs []atm.VC
 	// Tariff for the reference charging computation.
@@ -33,17 +31,17 @@ type AcctRigConfig struct {
 	// Sources describes the traffic: per entry a model, a VC index into
 	// VCs (or -1 for an unregistered connection) and a cell budget.
 	Sources []AcctSource
-	// SyncEvery is the time-update period.
-	SyncEvery sim.Duration
 	// Batch coalesces per-instant coupling messages into δ-window units
 	// (see SwitchRigConfig.Batch).
 	Batch bool
 	// NoCompiled opts out of the compiled bit-parallel data plane (see
 	// SwitchRigConfig.NoCompiled).
 	NoCompiled bool
-	// Metrics and Trace mirror SwitchRigConfig's observability hooks.
+	// Metrics, Trace and Profile mirror SwitchRigConfig's observability
+	// hooks.
 	Metrics *obs.Registry
 	Trace   *obs.Tracer
+	Profile *obs.RunProfile
 	// Cover, when non-nil, receives the run's functional coverage: the
 	// metering event bins under "coverify.acct" (folded once from the
 	// hardware's end-of-run counters) plus the shared cosim.sync group.
@@ -63,17 +61,13 @@ type AcctSource struct {
 // and, through the coupling, by the RTL accounting unit; at end of run
 // the per-connection counters and charging units are compared.
 type AcctRig struct {
+	Harness
 	Cfg AcctRigConfig
 
-	Net    *netsim.Network
-	HDL    *hdl.Simulator
-	DUT    *dut.AccountingUnit
-	Ref    *atm.Accounting
-	Entity *cosim.Entity
-	Iface  *cosim.InterfaceProcess
+	DUT *dut.AccountingUnit
+	Ref *atm.Accounting
 
-	writer  *mapping.CellPortWriter
-	Offered uint64
+	refNode *netsim.Node
 	// Exceptions counts hardware exception strobes observed.
 	Exceptions uint64
 
@@ -82,15 +76,6 @@ type AcctRig struct {
 
 // NewAcctRig elaborates the environment.
 func NewAcctRig(cfg AcctRigConfig) *AcctRig {
-	if cfg.ClockPeriod == 0 {
-		cfg.ClockPeriod = 50 * sim.Nanosecond
-	}
-	if cfg.Delta == 0 {
-		cfg.Delta = 64 * cfg.ClockPeriod
-	}
-	if cfg.SyncEvery == 0 {
-		cfg.SyncEvery = 50 * sim.Microsecond
-	}
 	if cfg.Tariff.CellsPerUnit == 0 {
 		cfg.Tariff = atm.Tariff{CellsPerUnit: 100}
 	}
@@ -98,11 +83,14 @@ func NewAcctRig(cfg AcctRigConfig) *AcctRig {
 	r.coverEvent = cfg.Cover.Group("coverify.acct").Point("event",
 		"metered", "clp1", "unregistered", "exception")
 
-	r.HDL = hdl.New()
-	r.HDL.Instrument(cfg.Metrics, "hdl.sim")
-	clk := r.HDL.Bit("clk", hdl.U)
-	r.HDL.Clock(clk, cfg.ClockPeriod)
-	r.DUT = dut.NewAccountingUnit(r.HDL, clk, 256)
+	r.kernel(SwitchRigConfig{
+		Seed: cfg.Seed, Delta: 64 * clockPeriod, SyncEvery: syncEvery, Batch: cfg.Batch, NoCompiled: cfg.NoCompiled,
+		Metrics: cfg.Metrics, Trace: cfg.Trace, Cover: cfg.Cover, Profile: cfg.Profile,
+	})
+	// The accounting rig's coverage was recorded with the final window's
+	// synchronization lag counted.
+	r.countFlushLag = true
+	r.DUT = dut.NewAccountingUnit(r.HDL, r.clk, 256)
 	r.DUT.Exception.OnChange(func(now sim.Time, old, new hdl.LV) {
 		if new[0].IsHigh() {
 			r.Exceptions++
@@ -116,87 +104,37 @@ func NewAcctRig(cfg AcctRigConfig) *AcctRig {
 		}
 	}
 
-	r.Entity = cosim.NewEntity(r.HDL)
-	r.Entity.Instrument(cfg.Metrics, cfg.Trace)
-	r.Entity.InstrumentCover(cfg.Cover)
-	r.writer = mapping.NewCellPortWriter(r.HDL, "castanet_tx", clk, r.DUT.In.Data, r.DUT.In.Sync)
-	r.Entity.Input(cosim.KindData, cfg.Delta, func(e *cosim.Entity, msg ipc.Message) error {
-		v, err := (mapping.CellCodec{}).Decode(msg.Data)
-		if err != nil {
-			return err
-		}
-		r.writer.Enqueue(v.(*atm.Cell))
-		return nil
-	})
-	r.Entity.Input(KindRawCell, cfg.Delta, func(e *cosim.Entity, msg ipc.Message) error {
+	r.entity()
+	w := r.writer("castanet_tx", 0, r.DUT.In)
+	r.Entity.Input(KindRawCell, r.cfg.Delta, func(e *cosim.Entity, msg ipc.Message) error {
 		if len(msg.Data) != atm.CellBytes {
 			return fmt.Errorf("coverify: raw vector of %d bytes", len(msg.Data))
 		}
 		var img [atm.CellBytes]byte
 		copy(img[:], msg.Data)
-		r.writer.EnqueueRaw(img)
+		w.EnqueueRaw(img)
 		return nil
 	})
+	r.registry.Register(KindRawCell, mapping.BytesCodec{})
 
-	registry := mapping.NewRegistry()
-	registry.Register(cosim.KindData, mapping.CellCodec{})
-	registry.Register(KindRawCell, mapping.BytesCodec{})
-	r.Iface = &cosim.InterfaceProcess{
-		Coupling:  &cosim.Direct{Entity: r.Entity},
-		Registry:  registry,
-		SyncEvery: cfg.SyncEvery,
-		Batch:     cfg.Batch,
-		Classify: func(pkt *netsim.Packet, port int) ipc.Kind {
-			if _, raw := pkt.Data.([]byte); raw {
-				return KindRawCell
-			}
-			return cosim.KindData
-		},
-	}
-	r.Iface.Instrument(cfg.Metrics, cfg.Trace)
-	r.Iface.InstrumentCover(cfg.Cover)
-
-	r.Net = netsim.New(cfg.Seed)
-	r.Net.Sched.Instrument(cfg.Metrics, "net.sched")
-	ifaceNode := r.Net.Node("castanet", r.Iface)
-	refNode := r.Net.Node("refacct", &acctRefProc{rig: r})
-	for i, s := range cfg.Sources {
-		s := s
-		src := &netsim.Source{
-			Gen:   s.Model,
-			Limit: s.Cells,
-			Make: func(ctx *netsim.Ctx, k uint64) *netsim.Packet {
-				var vc atm.VC
-				if s.VC >= 0 {
-					vc = cfg.VCs[s.VC]
-				} else {
-					vc = atm.VC{VPI: 0xEE, VCI: 0xEEE} // deliberately unregistered
-				}
-				c := &atm.Cell{Header: atm.Header{VPI: vc.VPI, VCI: vc.VCI}}
-				if s.CLP1 > 0 && ctx.RNG().Bool(s.CLP1) {
-					c.CLP = 1
-				}
-				c.Seq = uint32(r.Offered)
-				r.Offered++
-				c.StampSeq()
-				return ctx.Net().NewPacket("cell", c, atm.CellBytes*8)
-			},
+	r.network(nil, func(pkt *netsim.Packet, port int) ipc.Kind {
+		if _, raw := pkt.Data.([]byte); raw {
+			return KindRawCell
 		}
-		srcNode := r.Net.Node(fmt.Sprintf("src%d", i), src)
-		split := r.Net.Node(fmt.Sprintf("split%d", i), &netsim.Func{
-			OnArrival: func(ctx *netsim.Ctx, pkt *netsim.Packet, port int) {
-				cell := pkt.Data.(*atm.Cell)
-				ctx.Send(ctx.Net().NewPacket("cell", cell.Clone(), pkt.Size), 0)
-				ctx.Send(ctx.Net().NewPacket("cell", cell.Clone(), pkt.Size), 1)
-			},
-		})
-		r.Net.Connect(srcNode, 0, split, 0, netsim.LinkParams{})
-		r.Net.Connect(split, 0, refNode, 0, netsim.LinkParams{})
-		r.Net.Connect(split, 1, ifaceNode, 0, netsim.LinkParams{})
+		return KindCellIn(0)
+	})
+	r.attach()
+	r.refNode = r.Net.Node("refacct", &acctRefProc{rig: r})
+	for i, s := range cfg.Sources {
+		r.feed(i, s.Model, s.Cells, func(ctx *netsim.Ctx, k uint64) *atm.Cell {
+			vc := atm.VC{VPI: 0xEE, VCI: 0xEEE} // deliberately unregistered
+			if s.VC >= 0 {
+				vc = cfg.VCs[s.VC]
+			}
+			return r.newCell(ctx, vc, s.CLP1)
+		}, r.refNode, 0, 0)
 	}
-	if !cfg.NoCompiled {
-		r.HDL.MustCompile()
-	}
+	r.compile()
 	return r
 }
 
@@ -227,33 +165,20 @@ func (a *acctRefProc) Timer(ctx *netsim.Ctx, tag interface{}) {}
 // (both sides of the comparison must see the same stimulus). Call before
 // Run.
 func (r *AcctRig) InjectVector(at sim.Time, img [atm.CellBytes]byte) {
-	iface, ok := r.Net.Lookup("castanet")
-	if !ok {
-		panic("coverify: interface node missing")
-	}
-	ref, ok := r.Net.Lookup("refacct")
-	if !ok {
-		panic("coverify: reference node missing")
-	}
 	raw := make([]byte, atm.CellBytes)
 	copy(raw, img[:])
 	r.Net.Sched.At(at, func() {
-		iface.Inject(r.Net.NewPacket("vector", raw, atm.CellBytes*8), 0)
-		ref.Inject(r.Net.NewPacket("vector", raw, atm.CellBytes*8), 0)
+		r.node.Inject(r.Net.NewPacket("vector", raw, atm.CellBytes*8), 0)
+		r.refNode.Inject(r.Net.NewPacket("vector", raw, atm.CellBytes*8), 0)
 	})
 }
 
 // Run executes the case study and drains the hardware.
 func (r *AcctRig) Run(until sim.Time) error {
-	tr := r.Cfg.Trace
-	tr.Begin(obs.TrackRig, "run", int64(r.Net.Sched.Now()))
-	r.Net.Run(until)
-	tr.End(obs.TrackRig, "run", int64(r.Net.Sched.Now()))
-	if err := r.Entity.Deliver(ipc.Message{Kind: ipc.KindSync, Time: until + 100*53*r.Cfg.ClockPeriod}); err != nil {
+	if err := r.drive(until, 0, flushWindow); err != nil {
 		return err
 	}
 	if reg := r.Cfg.Metrics; reg != nil {
-		reg.Gauge("coverify.offered").Set(float64(r.Offered))
 		reg.Gauge("coverify.exceptions").Set(float64(r.Exceptions))
 	}
 	// Metering outcomes accumulate in the hardware's counters during the

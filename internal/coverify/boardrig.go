@@ -5,13 +5,11 @@ import (
 
 	"castanet/internal/atm"
 	"castanet/internal/board"
-	"castanet/internal/cosim"
 	"castanet/internal/cyclesim"
 	"castanet/internal/dut"
 	"castanet/internal/ipc"
 	"castanet/internal/mapping"
 	"castanet/internal/netsim"
-	"castanet/internal/obs"
 	"castanet/internal/refmodel"
 	"castanet/internal/sim"
 )
@@ -24,57 +22,42 @@ import (
 // are thereby reused unchanged from simulation to functional chip
 // verification, the paper's central claim.
 type BoardRig struct {
+	Harness
 	Cfg SwitchRigConfig
 
-	Net     *netsim.Network
 	Dev     *cyclesim.Switch
 	Board   *board.Board
-	Harness *board.StreamHarness
+	Streams *board.StreamHarness
 	Ref     *refmodel.SwitchRef
-	Iface   *cosim.InterfaceProcess
-	Cmp     *refmodel.Comparator
-
-	nextSeq  uint32
-	Offered  uint64
-	coverCmp *obs.CoverPoint
 }
 
 // NewBoardRig elaborates the hardware-in-the-loop environment. The board
-// runs at the configured HDL clock rate (capped at the board's 20 MHz)
-// with the given memory depth per test cycle.
+// runs at the HDL clock rate (capped at the board's 20 MHz) with the given
+// memory depth per test cycle.
 func NewBoardRig(cfg SwitchRigConfig, memDepth int) (*BoardRig, error) {
-	if cfg.ClockPeriod == 0 {
-		cfg.ClockPeriod = 50 * sim.Nanosecond
-	}
-	if cfg.Table == nil {
-		cfg.Table = DefaultTable()
-	}
-	if cfg.Switch == (dut.SwitchConfig{}) {
-		cfg.Switch = dut.DefaultSwitchConfig()
-	}
-	if cfg.SyncEvery == 0 {
-		cfg.SyncEvery = 50 * sim.Microsecond
-	}
+	cfg = switchDefaults(cfg)
 	r := &BoardRig{Cfg: cfg}
-	hdrVPI, hdrVCI, hdrPTI, hdrCLP0, hdrCLP1 := coverHeaderPoints(cfg.Cover)
-	r.coverCmp = coverCmpPoint(cfg.Cover)
+	// The board replaces the kernel half: only the network half is built.
+	r.cfg, r.registry = cfg, mapping.NewRegistry()
+	header := newHeaderCover(cfg.Cover)
+	r.compareTo(cfg.Cover)
 
 	r.Dev = cyclesim.NewSwitch(cfg.Table, cfg.Switch.InFifoCells, cfg.Switch.OutFifoCells)
-	clockHz := 1 / (sim.Duration(cfg.ClockPeriod)).Seconds()
-	if clockHz > board.MaxClockHz {
-		clockHz = board.MaxClockHz
-	}
-	r.Board = board.New(r.Dev, clockHz, memDepth)
+	r.Board = board.New(r.Dev, min(1/clockPeriod.Seconds(), board.MaxClockHz), memDepth)
 	if err := r.Board.Configure(board.SwitchConfig()); err != nil {
 		return nil, err
 	}
-	h, err := board.NewStreamHarness(r.Board, board.SwitchStreams())
+	streams, err := board.NewStreamHarness(r.Board, board.SwitchStreams())
 	if err != nil {
 		return nil, err
 	}
-	r.Harness = h
-	coupling := &board.Coupling{
-		Harness: h,
+	r.Streams = streams
+	for p := 0; p < dut.SwitchPorts; p++ {
+		r.registry.Register(KindCellIn(p), mapping.CellCodec{})
+		r.registry.Register(KindCellOut(p), mapping.CellCodec{})
+	}
+	r.network(&board.Coupling{
+		Harness: streams,
 		KindOf: func(k ipc.Kind) int {
 			s := int(k - KindCellIn(0))
 			if s < 0 || s >= dut.SwitchPorts {
@@ -82,74 +65,27 @@ func NewBoardRig(cfg SwitchRigConfig, memDepth int) (*BoardRig, error) {
 			}
 			return s
 		},
-		RespKind: func(s int) ipc.Kind { return KindCellOut(s) },
+		RespKind: KindCellOut,
 		// Worst-case drain: a full output FIFO serializing at line rate
 		// behind the last stimulus byte.
-		DrainCycles: (cfg.Switch.OutFifoCells + 8) * 53,
-	}
-
-	r.Net = netsim.New(cfg.Seed)
-	r.Net.Sched.Instrument(cfg.Metrics, "net.sched")
-	r.Cmp = refmodel.NewComparator()
+		DrainCycles: (cfg.Switch.OutFifoCells + 8) * atm.CellBytes,
+	}, nil)
 	r.Ref = &refmodel.SwitchRef{Table: cfg.Table}
 	r.Ref.OnForward = func(ctx *netsim.Ctx, outPort int, c *atm.Cell) {
 		r.Cmp.Expect(outPort, c)
 	}
-	registry := mapping.NewRegistry()
-	for p := 0; p < dut.SwitchPorts; p++ {
-		registry.Register(KindCellIn(p), mapping.CellCodec{})
-		registry.Register(KindCellOut(p), mapping.CellCodec{})
-	}
-	r.Iface = &cosim.InterfaceProcess{
-		Coupling:  coupling,
-		Registry:  registry,
-		SyncEvery: cfg.SyncEvery,
-		Batch:     cfg.Batch, // inert: the board coupling is not batch-capable
-		Classify:  func(pkt *netsim.Packet, port int) ipc.Kind { return KindCellIn(port) },
-		OnResponse: func(ctx *netsim.Ctx, resp cosim.Response) {
-			port := int(resp.Kind - KindCellOut(0))
-			r.Cmp.Actual(port, resp.Value.(*atm.Cell))
-		},
-	}
-	r.Iface.Instrument(cfg.Metrics, cfg.Trace)
-
 	refNode := r.Net.Node("refswitch", r.Ref)
-	ifaceNode := r.Net.Node("castanet", r.Iface)
+	r.attach()
 	for p := 0; p < dut.SwitchPorts; p++ {
 		tr := cfg.Traffic[p]
 		if tr.Model == nil || tr.Cells == 0 {
 			continue
 		}
-		trc := tr
-		src := &netsim.Source{
-			Gen:   trc.Model,
-			Limit: trc.Cells,
-			Make: func(ctx *netsim.Ctx, i uint64) *netsim.Packet {
-				vc := trc.VCs[int(i)%len(trc.VCs)]
-				c := &atm.Cell{Header: atm.Header{VPI: vc.VPI, VCI: vc.VCI}}
-				if trc.CLP1 > 0 && ctx.RNG().Bool(trc.CLP1) {
-					c.CLP = 1
-				}
-				c.Seq = r.nextSeq
-				r.nextSeq++
-				r.Offered++
-				c.StampSeq()
-				coverHeaderHit(hdrVPI, hdrVCI, hdrPTI, hdrCLP0, hdrCLP1, c.Header)
-				return ctx.Net().NewPacket("cell", c, atm.CellBytes*8)
-			},
-		}
-		srcNode := r.Net.Node(fmt.Sprintf("src%d", p), src)
-		p := p
-		split := r.Net.Node(fmt.Sprintf("split%d", p), &netsim.Func{
-			OnArrival: func(ctx *netsim.Ctx, pkt *netsim.Packet, port int) {
-				cell := pkt.Data.(*atm.Cell)
-				ctx.Send(ctx.Net().NewPacket("cell", cell.Clone(), pkt.Size), 0)
-				ctx.Send(ctx.Net().NewPacket("cell", cell.Clone(), pkt.Size), 1)
-			},
-		})
-		r.Net.Connect(srcNode, 0, split, 0, netsim.LinkParams{})
-		r.Net.Connect(split, 0, refNode, p, netsim.LinkParams{})
-		r.Net.Connect(split, 1, ifaceNode, p, netsim.LinkParams{})
+		r.feed(p, tr.Model, tr.Cells, func(ctx *netsim.Ctx, i uint64) *atm.Cell {
+			c := r.newCell(ctx, tr.VCs[int(i)%len(tr.VCs)], tr.CLP1)
+			header.hit(c.Header)
+			return c
+		}, refNode, p, p)
 	}
 	return r, nil
 }
@@ -157,43 +93,19 @@ func NewBoardRig(cfg SwitchRigConfig, memDepth int) (*BoardRig, error) {
 // Run executes the verification, then flushes remaining hardware output
 // through one final sync-triggered test cycle batch.
 func (r *BoardRig) Run(until sim.Time) error {
-	tr := r.Cfg.Trace
-	tr.Begin(obs.TrackBoard, "run", int64(r.Net.Sched.Now()))
-	r.Net.Run(until)
-	tr.End(obs.TrackBoard, "run", int64(r.Net.Sched.Now()))
-	coupling := r.Iface.Coupling
-	resps, err := coupling.Send(ipc.Message{Kind: ipc.KindSync, Time: until})
-	if err != nil {
-		return err
-	}
-	for _, m := range resps {
-		var img [atm.CellBytes]byte
-		copy(img[:], m.Data)
-		cell, err := atm.Unmarshal(img)
-		if err != nil {
-			return err
-		}
-		r.Cmp.Actual(int(m.Kind-KindCellOut(0)), cell)
-	}
-	// The board comparator is driven directly (no per-cell compare hook),
-	// so its verdict coverage folds in once from the end-of-run totals.
-	r.coverCmp.Add("match", r.Cmp.Matched)
-	r.coverCmp.Add("mismatch", uint64(len(r.Cmp.Mismatches())))
-	r.publishObs()
-	return nil
+	err := r.drive(until, 0, 0)
+	r.publishBoard()
+	return err
 }
 
-// publishObs writes the end-of-run board figures into the registry: the
+// publishBoard writes the end-of-run board figures into the registry: the
 // test-cycle count and the split between hardware activity and SCSI
 // software activity that govern the real-time fraction of §3.3.
-func (r *BoardRig) publishObs() {
+func (r *BoardRig) publishBoard() {
 	reg := r.Cfg.Metrics
 	if reg == nil {
 		return
 	}
-	reg.Gauge("coverify.offered").Set(float64(r.Offered))
-	reg.Gauge("coverify.cmp.matched").Set(float64(r.Cmp.Matched))
-	reg.Gauge("coverify.cmp.mismatches").Set(float64(len(r.Cmp.Mismatches())))
 	reg.Gauge("board.test_cycles").Set(float64(r.Board.TestCycles))
 	reg.Gauge("board.hw_time_ps").Set(float64(r.Board.HWTime))
 	reg.Gauge("board.sw_time_ps").Set(float64(r.Board.SWTime))

@@ -18,6 +18,7 @@ import (
 	"castanet/internal/dut"
 	"castanet/internal/experiments"
 	"castanet/internal/hdl"
+	"castanet/internal/obs"
 	"castanet/internal/sim"
 	"castanet/internal/traffic"
 )
@@ -124,13 +125,17 @@ func runCampaign(t *testing.T, name string, runs int, coverage, profile bool) *c
 	return sum
 }
 
-func campaignParity(t *testing.T, name string) string {
+func campaignParity(t *testing.T, name string, profile bool) string {
 	t.Helper()
 	var b strings.Builder
-	if err := runCampaign(t, name, 32, true, false).WriteDigest(&b); err != nil {
+	if err := runCampaign(t, name, 32, true, profile).WriteDigest(&b); err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf("campaign %s runs=32 coverage digest=%x", name, sha256.Sum256([]byte(b.String())))
+	what := "coverage"
+	if profile {
+		what = "coverage+profile"
+	}
+	return fmt.Sprintf("campaign %s runs=32 %s digest=%x", name, what, sha256.Sum256([]byte(b.String())))
 }
 
 func parityFile(t *testing.T, file, got string) {
@@ -169,9 +174,28 @@ func TestParityArtifacts(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"switch", "faults", "policer", "acct"} {
-		b.WriteString(campaignParity(t, name) + "\n")
+		b.WriteString(campaignParity(t, name, false) + "\n")
 	}
 	parityFile(t, "parity.txt", b.String())
+}
+
+// TestParityProfile asserts the deterministic profile artifacts of the
+// rigs that were profiled before the rig harness existed byte-identical
+// to the recorded ones: the switch and faults campaign digests with
+// coverage and profile on, and the E1 hotspot table (300 cells, seed 7,
+// both legs) that castanet -experiment e1 -profile prints.
+func TestParityProfile(t *testing.T) {
+	var b strings.Builder
+	for _, name := range []string{"switch", "faults"} {
+		b.WriteString(campaignParity(t, name, true) + "\n")
+	}
+	run := obs.NewRun(0)
+	run.Profile = obs.NewRunProfile()
+	experiments.Factory{Obs: run, Batch: true}.E1(300, 7)
+	var table strings.Builder
+	obs.WriteActivityText(&table, run.Prof().Activity(), 10)
+	b.WriteString(table.String())
+	parityFile(t, "parity_profile.txt", b.String())
 }
 
 // parityCounters measures the kernel work of the reference workloads: the

@@ -4,20 +4,13 @@ import (
 	"fmt"
 
 	"castanet/internal/atm"
-	"castanet/internal/cosim"
 	"castanet/internal/dut"
-	"castanet/internal/hdl"
-	"castanet/internal/ipc"
-	"castanet/internal/mapping"
 	"castanet/internal/netsim"
 	"castanet/internal/obs"
 	"castanet/internal/refmodel"
 	"castanet/internal/sim"
 	"castanet/internal/traffic"
 )
-
-// kindPolicedOut labels cells the UPC hardware let through.
-const kindPolicedOut = ipc.KindUser + 48
 
 // SlotAligned wraps a traffic model so every inter-arrival interval is a
 // whole number of hardware clock cycles — the physical reality of a
@@ -48,22 +41,21 @@ type PolicerContract struct {
 
 // PolicerRigConfig parameterizes the UPC co-verification.
 type PolicerRigConfig struct {
-	Seed        uint64
-	ClockPeriod sim.Duration
-	Delta       sim.Duration
-	Tag         bool // tag instead of discard
-	Contracts   []PolicerContract
-	Sources     []PolicerSource
-	SyncEvery   sim.Duration
+	Seed      uint64
+	Tag       bool // tag instead of discard
+	Contracts []PolicerContract
+	Sources   []PolicerSource
 	// Batch coalesces per-instant coupling messages into δ-window units
 	// (see SwitchRigConfig.Batch).
 	Batch bool
 	// NoCompiled opts out of the compiled bit-parallel data plane (see
 	// SwitchRigConfig.NoCompiled).
 	NoCompiled bool
-	// Metrics and Trace mirror SwitchRigConfig's observability hooks.
+	// Metrics, Trace and Profile mirror SwitchRigConfig's observability
+	// hooks.
 	Metrics *obs.Registry
 	Trace   *obs.Tracer
+	Profile *obs.RunProfile
 	// Cover, when non-nil, receives the run's functional coverage: the
 	// UPC action bins under "coverify.policer" (folded once from the DUT's
 	// end-of-run counters) plus the shared cosim.sync group.
@@ -81,19 +73,12 @@ type PolicerSource struct {
 // see the same slot-aligned cell stream; the comparator checks that
 // exactly the same cells emerge, with identical CLP tagging.
 type PolicerRig struct {
+	Harness
 	Cfg PolicerRigConfig
 
-	Net    *netsim.Network
-	HDL    *hdl.Simulator
-	DUT    *dut.Policer
-	Ref    *refmodel.PolicerRef
-	Entity *cosim.Entity
-	Iface  *cosim.InterfaceProcess
-	Cmp    *Comparator1
+	DUT *dut.Policer
+	Ref *refmodel.PolicerRef
 
-	writer      *mapping.CellPortWriter
-	nextSeq     uint32
-	Offered     uint64
 	coverAction *obs.CoverPoint
 
 	// RefTrace/DUTTrace, when set, observe each policed arrival on the
@@ -103,200 +88,66 @@ type PolicerRig struct {
 	DUTTrace func(c *atm.Cell, cycle uint64)
 }
 
-// Comparator1 is a single-stream variant of the refmodel comparator: it
-// matches by sequence number on one logical port.
-type Comparator1 struct {
-	expected map[uint32]*atm.Cell
-	matched  map[uint32]bool
-	Matched  uint64
-	Bad      []string
-}
-
-// NewComparator1 returns an empty single-stream comparator.
-func NewComparator1() *Comparator1 {
-	return &Comparator1{expected: make(map[uint32]*atm.Cell), matched: make(map[uint32]bool)}
-}
-
-// Expect records a reference output cell.
-func (c *Comparator1) Expect(cell *atm.Cell) { c.expected[cell.Seq] = cell.Clone() }
-
-// Actual records a hardware output cell.
-func (c *Comparator1) Actual(cell *atm.Cell) {
-	exp, ok := c.expected[cell.Seq]
-	if !ok {
-		c.Bad = append(c.Bad, fmt.Sprintf("seq %d: hardware passed a cell the reference policer dropped (%v clp=%d)",
-			cell.Seq, cell.VC(), cell.CLP))
-		return
-	}
-	if c.matched[cell.Seq] {
-		c.Bad = append(c.Bad, fmt.Sprintf("seq %d: duplicate", cell.Seq))
-		return
-	}
-	if exp.Header != cell.Header {
-		c.Bad = append(c.Bad, fmt.Sprintf("seq %d: header %+v, reference %+v", cell.Seq, cell.Header, exp.Header))
-		return
-	}
-	c.matched[cell.Seq] = true
-	c.Matched++
-}
-
-// Outstanding returns reference cells the hardware never delivered.
-func (c *Comparator1) Outstanding() int {
-	n := 0
-	for seq := range c.expected {
-		if !c.matched[seq] {
-			n++
-		}
-	}
-	return n
-}
-
-// Clean reports a perfect comparison.
-func (c *Comparator1) Clean() bool { return len(c.Bad) == 0 && c.Outstanding() == 0 }
-
 // NewPolicerRig elaborates the UPC co-verification environment.
 func NewPolicerRig(cfg PolicerRigConfig) *PolicerRig {
-	if cfg.ClockPeriod == 0 {
-		cfg.ClockPeriod = 50 * sim.Nanosecond
-	}
-	if cfg.Delta == 0 {
+	r := &PolicerRig{Cfg: cfg}
+	r.coverAction = cfg.Cover.Group("coverify.policer").Point("action",
+		"conforming", "nonconforming", "tagged", "discarded")
+
+	r.kernel(SwitchRigConfig{
+		Seed: cfg.Seed, SyncEvery: syncEvery, Batch: cfg.Batch, NoCompiled: cfg.NoCompiled,
+		Metrics: cfg.Metrics, Trace: cfg.Trace, Cover: cfg.Cover, Profile: cfg.Profile,
 		// UPC hardware is timing-sensitive: its conformance decisions
 		// depend on exact cell spacing. A large processing window δ would
 		// let the hardware clock overrun later cells' time stamps,
 		// delaying their physical transmission and perturbing the very
 		// inter-arrival gaps under test. One clock of lookahead keeps the
 		// coupling cycle-faithful (arrivals are at least one slot apart).
-		cfg.Delta = cfg.ClockPeriod
-	}
-	if cfg.SyncEvery == 0 {
-		cfg.SyncEvery = 50 * sim.Microsecond
-	}
-	r := &PolicerRig{Cfg: cfg}
-	r.coverAction = cfg.Cover.Group("coverify.policer").Point("action",
-		"conforming", "nonconforming", "tagged", "discarded")
-
-	r.HDL = hdl.New()
-	r.HDL.Instrument(cfg.Metrics, "hdl.sim")
-	clk := r.HDL.Bit("clk", hdl.U)
-	r.HDL.Clock(clk, cfg.ClockPeriod)
-	r.DUT = dut.NewPolicer(r.HDL, clk, 64)
+		Delta: clockPeriod,
+	})
+	r.DUT = dut.NewPolicer(r.HDL, r.clk, 64)
 	if cfg.Tag {
 		r.DUT.Action = dut.PolicerTag
 	}
-
-	ref := refmodel.NewPolicerRef(cfg.Tag)
-	r.Ref = ref
-	r.Cmp = NewComparator1()
-	ref.OnForward = func(ctx *netsim.Ctx, c *atm.Cell) { r.Cmp.Expect(c) }
-
+	r.Ref = refmodel.NewPolicerRef(cfg.Tag)
+	// The policer's coverage has no comparison-verdict group.
+	r.compareTo(nil)
+	r.Ref.OnForward = func(ctx *netsim.Ctx, c *atm.Cell) { r.Cmp.Expect(0, c) }
 	for _, ct := range cfg.Contracts {
-		if err := r.DUT.ContractFor(ct.VC, ct.PeakInterval, ct.Tau, cfg.ClockPeriod); err != nil {
+		if err := r.DUT.ContractFor(ct.VC, ct.PeakInterval, ct.Tau, clockPeriod); err != nil {
 			panic(err)
 		}
-		ref.Contract(ct.VC, ct.PeakInterval, ct.Tau)
+		r.Ref.Contract(ct.VC, ct.PeakInterval, ct.Tau)
 	}
+	r.entity()
+	r.writer("castanet_tx", 0, r.DUT.In)
+	r.reader("castanet_rx", 0, r.DUT.Out)
 
-	r.Entity = cosim.NewEntity(r.HDL)
-	r.Entity.Instrument(cfg.Metrics, cfg.Trace)
-	r.Entity.InstrumentCover(cfg.Cover)
-	r.writer = mapping.NewCellPortWriter(r.HDL, "castanet_tx", clk, r.DUT.In.Data, r.DUT.In.Sync)
-	r.Entity.Input(cosim.KindData, cfg.Delta, func(e *cosim.Entity, msg ipc.Message) error {
-		v, err := (mapping.CellCodec{}).Decode(msg.Data)
-		if err != nil {
-			return err
-		}
-		r.writer.Enqueue(v.(*atm.Cell))
-		return nil
-	})
-	rd := mapping.NewCellPortReader(r.HDL, "castanet_rx", clk, r.DUT.Out.Data, r.DUT.Out.Sync)
-	rd.SkipIdle = true
-	rd.OnCell = func(c *atm.Cell) {
-		data, err := (mapping.CellCodec{}).Encode(c)
-		if err != nil {
-			panic(err)
-		}
-		r.Entity.Emit(kindPolicedOut, data)
-	}
-
-	registry := mapping.NewRegistry()
-	registry.Register(cosim.KindData, mapping.CellCodec{})
-	registry.Register(kindPolicedOut, mapping.CellCodec{})
-	r.Iface = &cosim.InterfaceProcess{
-		Coupling:  &cosim.Direct{Entity: r.Entity},
-		Registry:  registry,
-		SyncEvery: cfg.SyncEvery,
-		Batch:     cfg.Batch,
-		OnResponse: func(ctx *netsim.Ctx, resp cosim.Response) {
-			r.Cmp.Actual(resp.Value.(*atm.Cell))
-		},
-	}
-	r.Iface.Instrument(cfg.Metrics, cfg.Trace)
-	r.Iface.InstrumentCover(cfg.Cover)
-
-	r.Net = netsim.New(cfg.Seed)
-	r.Net.Sched.Instrument(cfg.Metrics, "net.sched")
-	ifaceNode := r.Net.Node("castanet", r.Iface)
-	refNode := r.Net.Node("refupc", ref)
+	r.network(nil, nil)
+	r.attach()
+	refNode := r.Net.Node("refupc", r.Ref)
 	// The reference policer must observe the cell stream at the same
 	// reference point as the hardware: after the physical line has
 	// serialized it (one cell per 53 byte clocks). Without this line
 	// model, conformance decisions near the GCRA boundary would differ
 	// between the instantaneous network view and the bit-level view —
 	// not a hardware bug, a mis-placed observation point.
-	line := &netsim.Queue{ServiceTime: 53 * cfg.ClockPeriod}
-	lineNode := r.Net.Node("line", line)
+	lineNode := r.Net.Node("line", &netsim.Queue{ServiceTime: atm.CellBytes * clockPeriod})
 	r.Net.Connect(lineNode, 0, refNode, 0, netsim.LinkParams{})
 	for i, s := range cfg.Sources {
-		s := s
-		src := &netsim.Source{
-			Gen:   SlotAligned{Model: s.Model, Period: cfg.ClockPeriod},
-			Limit: s.Cells,
-			Make: func(ctx *netsim.Ctx, k uint64) *netsim.Packet {
-				c := &atm.Cell{Header: atm.Header{VPI: s.VC.VPI, VCI: s.VC.VCI}}
-				c.Seq = r.nextSeq
-				r.nextSeq++
-				r.Offered++
-				c.StampSeq()
-				return ctx.Net().NewPacket("cell", c, atm.CellBytes*8)
-			},
-		}
-		srcNode := r.Net.Node(fmt.Sprintf("src%d", i), src)
-		split := r.Net.Node(fmt.Sprintf("split%d", i), &netsim.Func{
-			OnArrival: func(ctx *netsim.Ctx, pkt *netsim.Packet, port int) {
-				cell := pkt.Data.(*atm.Cell)
-				ctx.Send(ctx.Net().NewPacket("cell", cell.Clone(), pkt.Size), 0)
-				ctx.Send(ctx.Net().NewPacket("cell", cell.Clone(), pkt.Size), 1)
-			},
-		})
-		r.Net.Connect(srcNode, 0, split, 0, netsim.LinkParams{})
-		r.Net.Connect(split, 0, lineNode, i, netsim.LinkParams{})
-		r.Net.Connect(split, 1, ifaceNode, 0, netsim.LinkParams{})
+		r.feed(i, SlotAligned{Model: s.Model, Period: clockPeriod}, s.Cells,
+			func(ctx *netsim.Ctx, k uint64) *atm.Cell { return r.newCell(ctx, s.VC, 0) },
+			lineNode, i, 0)
 	}
-	if !cfg.NoCompiled {
-		r.HDL.MustCompile()
-	}
+	r.compile()
 	return r
 }
 
 // Run executes the verification and drains the pipeline.
 func (r *PolicerRig) Run(until sim.Time) error {
-	if r.RefTrace != nil {
-		r.Ref.OnArrival = func(c *atm.Cell, at sim.Time) { r.RefTrace(c, at) }
-	}
-	if r.DUTTrace != nil {
-		r.DUT.OnPolice = func(c *atm.Cell, cycle uint64) { r.DUTTrace(c, cycle) }
-	}
-	r.Net.Run(until)
-	r.Entity.FreezeLagStats = true
-	if err := r.Entity.Deliver(ipc.Message{Kind: ipc.KindSync, Time: until + 100*53*r.Cfg.ClockPeriod}); err != nil {
+	r.Ref.OnArrival, r.DUT.OnPolice = r.RefTrace, r.DUTTrace
+	if err := r.drive(until, 0, flushWindow); err != nil {
 		return err
-	}
-	for _, m := range r.Entity.TakeOutbox() {
-		v, err := (mapping.CellCodec{}).Decode(m.Data)
-		if err != nil {
-			return err
-		}
-		r.Cmp.Actual(v.(*atm.Cell))
 	}
 	// UPC decisions accumulate in the DUT's diagnostic registers during
 	// the run; fold them into the action bins once, after the drain.
@@ -312,5 +163,5 @@ func (r *PolicerRig) Report() string {
 	return fmt.Sprintf("offered=%d ref[conf=%d viol=%d] dut[conf=%d viol=%d tag=%d drop=%d] matched=%d bad=%d outstanding=%d",
 		r.Offered, r.Ref.Conforming, r.Ref.NonConforming,
 		r.DUT.Conforming, r.DUT.NonConforming, r.DUT.Tagged, r.DUT.Discarded,
-		r.Cmp.Matched, len(r.Cmp.Bad), r.Cmp.Outstanding())
+		r.Cmp.Matched, len(r.Cmp.Mismatches()), len(r.Cmp.Outstanding()))
 }

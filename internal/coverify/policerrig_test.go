@@ -25,7 +25,7 @@ func TestPolicerCoVerificationCBR(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rig.Cmp.Clean() {
-		t.Fatalf("not clean: %s\nbad: %v", rig.Report(), rig.Cmp.Bad)
+		t.Fatalf("not clean: %s\nbad: %v", rig.Report(), rig.Cmp.Mismatches())
 	}
 	if rig.DUT.NonConforming != 0 || rig.Ref.NonConforming != 0 {
 		t.Errorf("violations on a compliant stream: dut=%d ref=%d",
@@ -53,7 +53,7 @@ func TestPolicerCoVerificationViolators(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rig.Cmp.Clean() {
-		t.Fatalf("hardware and reference disagree: %s\nbad: %v", rig.Report(), rig.Cmp.Bad)
+		t.Fatalf("hardware and reference disagree: %s\nbad: %v", rig.Report(), rig.Cmp.Mismatches())
 	}
 	if rig.DUT.NonConforming == 0 {
 		t.Fatal("no violations at 2x contract rate")
@@ -83,7 +83,7 @@ func TestPolicerCoVerificationTagging(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rig.Cmp.Clean() {
-		t.Fatalf("tagging disagreement: %s\nbad: %v", rig.Report(), rig.Cmp.Bad)
+		t.Fatalf("tagging disagreement: %s\nbad: %v", rig.Report(), rig.Cmp.Mismatches())
 	}
 	if rig.DUT.Tagged == 0 {
 		t.Error("Poisson at 1.6x contract rate tagged nothing")
@@ -114,7 +114,7 @@ func TestPolicerCoVerificationMultiVC(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rig.Cmp.Clean() {
-		t.Fatalf("multi-VC disagreement: %s\nbad: %v", rig.Report(), rig.Cmp.Bad)
+		t.Fatalf("multi-VC disagreement: %s\nbad: %v", rig.Report(), rig.Cmp.Mismatches())
 	}
 	if rig.DUT.Passed != 40 {
 		t.Errorf("unpoliced passed = %d, want 40", rig.DUT.Passed)

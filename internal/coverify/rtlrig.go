@@ -6,7 +6,6 @@ import (
 
 	"castanet/internal/atm"
 	"castanet/internal/dut"
-	"castanet/internal/hdl"
 	"castanet/internal/obs"
 	"castanet/internal/rtltb"
 	"castanet/internal/sim"
@@ -19,13 +18,12 @@ import (
 // "pure VHDL-based test benches" whose construction and simulation cost
 // the co-verification environment eliminates.
 type RTLRig struct {
-	HDL      *hdl.Simulator
+	Harness
 	DUT      *dut.Switch
 	Gens     [dut.SwitchPorts]*rtltb.Generator
 	Checkers [dut.SwitchPorts]*rtltb.Checker
 
 	Cfg         SwitchRigConfig
-	Offered     uint64
 	totalCycles int
 }
 
@@ -33,33 +31,18 @@ type RTLRig struct {
 // co-simulation rig into static RTL stimulus vectors (the "regression
 // test bench"), sampling each traffic model with the rig seed.
 func NewRTLRig(cfg SwitchRigConfig) *RTLRig {
-	if cfg.ClockPeriod == 0 {
-		cfg.ClockPeriod = 50 * sim.Nanosecond
-	}
-	if cfg.Table == nil {
-		cfg.Table = DefaultTable()
-	}
-	if cfg.Switch == (dut.SwitchConfig{}) {
-		cfg.Switch = dut.DefaultSwitchConfig()
-	}
+	cfg = switchDefaults(cfg)
 	r := &RTLRig{Cfg: cfg}
-	r.HDL = hdl.New()
-	if cfg.Profile != nil {
-		cfg.Profile.AttachActivitySource(r.HDL.EnableProfile().Snapshot)
-	}
-	clk := r.HDL.Bit("clk", hdl.U)
-	r.HDL.Clock(clk, cfg.ClockPeriod)
-	r.DUT = dut.NewSwitch(r.HDL, clk, cfg.Table, cfg.Switch)
+	r.kernel(cfg)
+	r.DUT = dut.NewSwitch(r.HDL, r.clk, cfg.Table, cfg.Switch)
 	r.DUT.InstrumentCover(cfg.Cover)
-	hdrVPI, hdrVCI, hdrPTI, hdrCLP0, hdrCLP1 := coverHeaderPoints(cfg.Cover)
+	header := newHeaderCover(cfg.Cover)
 
 	rng := sim.NewRNG(cfg.Seed)
-	var seq uint32
 	for p := 0; p < dut.SwitchPorts; p++ {
 		tr := cfg.Traffic[p]
-		chk := rtltb.NewChecker(r.HDL, fmt.Sprintf("chk%d", p), clk,
+		r.Checkers[p] = rtltb.NewChecker(r.HDL, fmt.Sprintf("chk%d", p), r.clk,
 			r.DUT.Out[p].Data, r.DUT.Out[p].Sync)
-		r.Checkers[p] = chk
 		if tr.Model == nil || tr.Cells == 0 {
 			continue
 		}
@@ -67,43 +50,27 @@ func NewRTLRig(cfg SwitchRigConfig) *RTLRig {
 		var vectors []rtltb.Vector
 		cycles := 0
 		for i := uint64(0); i < tr.Cells; i++ {
-			gapTime := tr.Model.Next(srcRNG)
-			gap := int(gapTime / cfg.ClockPeriod)
-			if gap < 0 {
-				gap = 0
-			}
 			// Gaps are measured start-to-start at the network level;
 			// subtract the cell's own transmission time, as a hand-built
 			// vector file would.
-			if gap >= atm.CellBytes {
-				gap -= atm.CellBytes
-			} else {
-				gap = 0
-			}
+			gap := max(int(tr.Model.Next(srcRNG)/clockPeriod)-atm.CellBytes, 0)
 			vc := tr.VCs[int(i)%len(tr.VCs)]
 			c := &atm.Cell{Header: atm.Header{VPI: vc.VPI, VCI: vc.VCI}}
 			if tr.CLP1 > 0 && srcRNG.Bool(tr.CLP1) {
 				c.CLP = 1
 			}
-			c.Seq = seq
-			seq++
-			r.Offered++
-			coverHeaderHit(hdrVPI, hdrVCI, hdrPTI, hdrCLP0, hdrCLP1, c.Header)
-			for b := 4; b < len(c.Payload); b++ {
-				c.Payload[b] = byte(uint32(b) * (c.Seq + 1))
-			}
+			c.Seq = uint32(r.Offered + i)
+			header.hit(c.Header)
+			fillPayload(c)
 			vectors = append(vectors, rtltb.Vector{GapCycles: gap, Cell: c})
 			cycles += gap + atm.CellBytes
 		}
-		if cycles > r.totalCycles {
-			r.totalCycles = cycles
-		}
-		r.Gens[p] = rtltb.NewGenerator(r.HDL, fmt.Sprintf("gen%d", p), clk,
+		r.Offered += tr.Cells
+		r.totalCycles = max(r.totalCycles, cycles)
+		r.Gens[p] = rtltb.NewGenerator(r.HDL, fmt.Sprintf("gen%d", p), r.clk,
 			r.DUT.In[p].Data, r.DUT.In[p].Sync, vectors)
 	}
-	if !cfg.NoCompiled {
-		r.HDL.MustCompile()
-	}
+	r.compile()
 	return r
 }
 
@@ -111,18 +78,13 @@ func NewRTLRig(cfg SwitchRigConfig) *RTLRig {
 // margin, entirely inside the event-driven HDL simulator — so with a
 // profile attached the whole run is attributed to the HDL phase.
 func (r *RTLRig) Run() error {
-	horizon := sim.Duration(r.totalCycles+portDrainCycles()) * r.Cfg.ClockPeriod
 	start := time.Now()
-	err := r.HDL.Run(horizon)
+	err := r.HDL.Run(sim.Duration(r.totalCycles+16*atm.CellBytes) * clockPeriod)
 	wall := time.Since(start)
 	ph := r.Cfg.Profile.PhaseProf()
 	ph.Add(obs.PhaseHDL, wall)
 	ph.AddTotal(wall)
 	return err
-}
-
-func portDrainCycles() int {
-	return 16 * atm.CellBytes
 }
 
 // Checked returns the total cells observed by the output checkers.
@@ -145,11 +107,6 @@ func (r *RTLRig) CheckErrors() uint64 {
 		}
 	}
 	return t
-}
-
-// ClockCycles returns the simulated byte-clock cycle count.
-func (r *RTLRig) ClockCycles() uint64 {
-	return uint64(r.HDL.Now() / r.Cfg.ClockPeriod)
 }
 
 // Report summarizes the regression run.

@@ -14,11 +14,9 @@ import (
 	"time"
 
 	"castanet/internal/atm"
-	"castanet/internal/cosim"
 	"castanet/internal/dut"
 	"castanet/internal/hdl"
 	"castanet/internal/ipc"
-	"castanet/internal/mapping"
 	"castanet/internal/netsim"
 	"castanet/internal/obs"
 	"castanet/internal/refmodel"
@@ -47,14 +45,15 @@ type PortTraffic struct {
 	Cells uint64        // number of cells to emit
 }
 
-// SwitchRigConfig parameterizes a switch co-verification run.
+// SwitchRigConfig parameterizes a switch co-verification run. Its coupling
+// and observability fields are also the Harness configuration every rig
+// elaborates from. The HDL byte clock is 50 ns (20 MHz) in every rig.
 type SwitchRigConfig struct {
-	Seed        uint64
-	ClockPeriod sim.Duration // HDL byte clock; default 50ns (20 MHz)
-	Delta       sim.Duration // δ_j processing window; default 64 clocks
-	Switch      dut.SwitchConfig
-	Table       *atm.Translator
-	Traffic     [dut.SwitchPorts]PortTraffic
+	Seed    uint64
+	Delta   sim.Duration // δ_j processing window; default 64 clocks
+	Switch  dut.SwitchConfig
+	Table   *atm.Translator
+	Traffic [dut.SwitchPorts]PortTraffic
 	// Remote couples over an in-process socket pair with an EntityServer
 	// goroutine instead of direct calls.
 	Remote bool
@@ -149,169 +148,72 @@ func PortVCs(p int) []atm.VC {
 
 // SwitchRig is an elaborated switch co-verification environment.
 type SwitchRig struct {
+	Harness
 	Cfg SwitchRigConfig
 
-	Net    *netsim.Network
-	HDL    *hdl.Simulator
-	DUT    *dut.Switch
-	Ref    *refmodel.SwitchRef
-	Entity *cosim.Entity
-	Iface  *cosim.InterfaceProcess
-	Cmp    *refmodel.Comparator
+	DUT *dut.Switch
+	Ref *refmodel.SwitchRef
 
-	writers  [dut.SwitchPorts]*mapping.CellPortWriter
-	sources  [dut.SwitchPorts]*netsim.Source
-	nextSeq  uint32
-	injected map[uint32]sim.Time // seq -> injection time, for latency probes
-
-	srv       *cosim.EntityServer
-	transport ipc.Transport
-	remote    *cosim.Remote
-	srvDone   chan error
-	closeErr  error
-	vcd       *hdl.VCD
-
-	// FaultLink is the fault injector on the client side of a Remote
-	// coupling (nil unless Cfg.Fault is set) — Partition/Heal/Stats live
-	// here.
-	FaultLink *ipc.FaultTransport
-	// RelClient is the client-side reliability envelope (nil unless
-	// Cfg.Reliable is set); its Stats expose retransmit counts.
-	RelClient *ipc.ReliableTransport
-
-	// Probes collects run statistics: "hw.latency" is the per-cell
-	// traversal time through the hardware (network injection to hardware
-	// response, seconds) — the network simulator's analysis capabilities
-	// applied to the hardware's behaviour.
-	Probes *netsim.ProbeSet
-
-	// Offered counts cells injected into the environment.
-	Offered uint64
-
-	// runWall accumulates the wall-clock time spent inside Run, feeding the
-	// sim-rate gauges and the profile's whole-run total (telemetry only —
-	// wall time never enters a deterministic artifact).
-	runWall time.Duration
-
-	// coverMatch/coverMismatch bin comparison verdicts when the rig
-	// carries a cover registry: cached bin handles, so the per-cell hot
-	// path is one counter increment with no label lookup. Nil-safe like
-	// every obs handle.
-	coverMatch    *obs.CoverHit
-	coverMismatch *obs.CoverHit
+	vcd *hdl.VCD
 }
 
-// coverHeaderPoints defines the shared cell-header cover group on c and
-// returns the stamp-site handles (all nil when c is nil). SwitchRig and
-// BoardRig sources both stamp headers through it, so the two rigs report
-// against one schema.
-func coverHeaderPoints(c *obs.CoverRegistry) (vpi, vci, pti *obs.CoverPoint, clp0, clp1 *obs.CoverHit) {
+// headerCover holds the stamp-site handles of the shared cell-header cover
+// group (all nil without a cover registry). The switch, board and RTL
+// rigs stamp headers through it, so they report against one schema.
+type headerCover struct {
+	vpi, vci, pti *obs.CoverPoint
+	clp0, clp1    *obs.CoverHit
+}
+
+func newHeaderCover(c *obs.CoverRegistry) headerCover {
 	g := c.Group("coverify.cell_header")
-	vpi = g.Range("vpi", 1, 2, 4, 8, 16)
-	vci = g.Range("vci", 63, 127, 255, 1023)
-	pti = g.Range("pti", 0, 3, 7)
 	clp := g.Point("clp", "clp0", "clp1")
-	return vpi, vci, pti, clp.Handle("clp0"), clp.Handle("clp1")
-}
-
-// coverHeaderHit bins one stamped cell header.
-func coverHeaderHit(vpi, vci, pti *obs.CoverPoint, clp0, clp1 *obs.CoverHit, h atm.Header) {
-	vpi.Observe(int64(h.VPI))
-	vci.Observe(int64(h.VCI))
-	pti.Observe(int64(h.PTI))
-	if h.CLP != 0 {
-		clp1.Hit()
-	} else {
-		clp0.Hit()
+	return headerCover{
+		vpi:  g.Range("vpi", 1, 2, 4, 8, 16),
+		vci:  g.Range("vci", 63, 127, 255, 1023),
+		pti:  g.Range("pti", 0, 3, 7),
+		clp0: clp.Handle("clp0"),
+		clp1: clp.Handle("clp1"),
 	}
 }
 
-// coverCmpPoint defines the shared comparison-verdict cover point.
-func coverCmpPoint(c *obs.CoverRegistry) *obs.CoverPoint {
-	return c.Group("coverify.cmp").Point("verdict", "match", "mismatch")
+// hit bins one stamped cell header.
+func (hc headerCover) hit(h atm.Header) {
+	hc.vpi.Observe(int64(h.VPI))
+	hc.vci.Observe(int64(h.VCI))
+	hc.pti.Observe(int64(h.PTI))
+	if h.CLP != 0 {
+		hc.clp1.Hit()
+	} else {
+		hc.clp0.Hit()
+	}
+}
+
+// fillPayload writes a recognizable payload beyond the seq stamp.
+func fillPayload(c *atm.Cell) {
+	for b := 4; b < len(c.Payload); b++ {
+		c.Payload[b] = byte(uint32(b) * (c.Seq + 1))
+	}
 }
 
 // NewSwitchRig elaborates the complete environment.
 func NewSwitchRig(cfg SwitchRigConfig) *SwitchRig {
-	if cfg.ClockPeriod == 0 {
-		cfg.ClockPeriod = 50 * sim.Nanosecond
-	}
-	if cfg.Delta == 0 {
-		cfg.Delta = 64 * cfg.ClockPeriod
-	}
-	if cfg.Table == nil {
-		cfg.Table = DefaultTable()
-	}
-	if cfg.Switch == (dut.SwitchConfig{}) {
-		cfg.Switch = dut.DefaultSwitchConfig()
-	}
-	if cfg.SyncEvery == 0 {
-		cfg.SyncEvery = 50 * sim.Microsecond
-	}
-	r := &SwitchRig{Cfg: cfg, injected: make(map[uint32]sim.Time)}
-	hdrVPI, hdrVCI, hdrPTI, hdrCLP0, hdrCLP1 := coverHeaderPoints(cfg.Cover)
-	cmpPoint := coverCmpPoint(cfg.Cover)
-	r.coverMatch = cmpPoint.Handle("match")
-	r.coverMismatch = cmpPoint.Handle("mismatch")
+	cfg = switchDefaults(cfg)
+	r := &SwitchRig{Cfg: cfg}
+	header := newHeaderCover(cfg.Cover)
+	r.compareTo(cfg.Cover)
 
 	// Hardware side: switch DUT plus the co-simulation entity.
-	r.HDL = hdl.New()
-	r.HDL.Instrument(cfg.Metrics, "hdl.sim")
-	if cfg.Profile != nil {
-		cfg.Profile.AttachActivitySource(r.HDL.EnableProfile().Snapshot)
-	}
-	clk := r.HDL.Bit("clk", hdl.U)
-	r.HDL.Clock(clk, cfg.ClockPeriod)
-	r.DUT = dut.NewSwitch(r.HDL, clk, cfg.Table, cfg.Switch)
+	r.kernel(cfg)
+	r.DUT = dut.NewSwitch(r.HDL, r.clk, cfg.Table, cfg.Switch)
 	r.DUT.InstrumentCover(cfg.Cover)
-	r.Entity = cosim.NewEntity(r.HDL)
-	r.Entity.Instrument(cfg.Metrics, cfg.Trace)
-	r.Entity.InstrumentCover(cfg.Cover)
-	r.Entity.InstrumentProfile(cfg.Profile.PhaseProf())
-	r.Entity.Cells = cfg.Cells
-	r.Entity.Recorder = cfg.Recorder
+	r.entity()
 	for p := 0; p < dut.SwitchPorts; p++ {
-		p := p
-		w := mapping.NewCellPortWriter(r.HDL, fmt.Sprintf("castanet_tx%d", p), clk,
-			r.DUT.In[p].Data, r.DUT.In[p].Sync)
-		r.writers[p] = w
-		if cfg.Cells.Enabled() {
-			// The Seq stamp rides the first four payload octets of the
-			// 53-octet image (Cell.StampSeq), so the hdl.commit hop can be
-			// recovered from the raw bytes as they hit the wire.
-			w.OnCellStart = func(img [atm.CellBytes]byte) {
-				seq := uint32(img[atm.HeaderBytes])<<24 | uint32(img[atm.HeaderBytes+1])<<16 |
-					uint32(img[atm.HeaderBytes+2])<<8 | uint32(img[atm.HeaderBytes+3])
-				cfg.Cells.Hop(uint64(seq)+1, obs.HopHDLCommit, int64(r.HDL.Now()))
-			}
-		}
-		r.Entity.Input(KindCellIn(p), cfg.Delta, func(e *cosim.Entity, msg ipc.Message) error {
-			v, err := (mapping.CellCodec{}).Decode(msg.Data)
-			if err != nil {
-				return err
-			}
-			w.Enqueue(v.(*atm.Cell))
-			return nil
-		})
-		rd := mapping.NewCellPortReader(r.HDL, fmt.Sprintf("castanet_rx%d", p), clk,
-			r.DUT.Out[p].Data, r.DUT.Out[p].Sync)
-		rd.SkipIdle = true
-		rd.OnCell = func(c *atm.Cell) {
-			data, err := (mapping.CellCodec{}).Encode(c)
-			if err != nil {
-				panic(err)
-			}
-			if id := uint64(c.Seq) + 1; cfg.Cells.Sampled(id) {
-				r.Entity.EmitTraced(KindCellOut(p), data, id)
-			} else {
-				r.Entity.Emit(KindCellOut(p), data)
-			}
-		}
+		r.writer(fmt.Sprintf("castanet_tx%d", p), p, r.DUT.In[p])
+		r.reader(fmt.Sprintf("castanet_rx%d", p), p, r.DUT.Out[p])
 	}
-
 	if cfg.Waveforms != nil {
-		var watch []*hdl.Signal
-		watch = append(watch, clk)
+		watch := []*hdl.Signal{r.clk}
 		for p := 0; p < dut.SwitchPorts; p++ {
 			watch = append(watch, r.DUT.In[p].Data, r.DUT.In[p].Sync,
 				r.DUT.Out[p].Data, r.DUT.Out[p].Sync)
@@ -319,266 +221,47 @@ func NewSwitchRig(cfg SwitchRigConfig) *SwitchRig {
 		r.vcd = hdl.NewVCD(cfg.Waveforms, r.HDL, watch...)
 	}
 
-	// Coupling. The client stack is Reliable(Fault(pipe)): faults are
-	// injected under the envelope, so the envelope must recover them.
-	var coupling cosim.Coupling
-	if cfg.Remote {
-		a, b := ipc.Pipe(64)
-		var ct, st ipc.Transport = a, b
-		if cfg.Fault != nil {
-			r.FaultLink = ipc.NewFault(a, *cfg.Fault)
-			r.FaultLink.Instrument(cfg.Metrics, "ipc.fault")
-			ct = r.FaultLink
-		}
-		if cfg.Reliable != nil {
-			r.RelClient = ipc.NewReliable(ct, *cfg.Reliable)
-			r.RelClient.Instrument(cfg.Metrics, "ipc.reliable")
-			ct = r.RelClient
-			st = ipc.NewReliable(b, *cfg.Reliable)
-		}
-		r.transport = ct
-		r.remote = &cosim.Remote{Transport: ct, Deadline: cfg.Deadline}
-		r.srv = &cosim.EntityServer{Entity: r.Entity, Transport: st, Watchdog: cfg.Deadline}
-		r.srvDone = make(chan error, 1)
-		go func() { r.srvDone <- r.srv.Serve() }()
-		coupling = r.remote
-	} else {
-		coupling = &cosim.Direct{Entity: r.Entity}
-	}
-
 	// Network side.
-	r.Net = netsim.New(cfg.Seed)
-	r.Net.Sched.Instrument(cfg.Metrics, "net.sched")
-	r.Probes = netsim.NewProbeSet()
-	latency := r.Probes.Get("hw.latency")
-	r.Cmp = refmodel.NewComparator()
+	r.network(nil, nil)
 	r.Ref = &refmodel.SwitchRef{Table: cfg.Table}
 	r.Ref.OnForward = func(ctx *netsim.Ctx, outPort int, c *atm.Cell) {
 		r.Cmp.Expect(outPort, c)
 	}
-	registry := mapping.NewRegistry()
-	for p := 0; p < dut.SwitchPorts; p++ {
-		registry.Register(KindCellIn(p), mapping.CellCodec{})
-		registry.Register(KindCellOut(p), mapping.CellCodec{})
-	}
-	r.Iface = &cosim.InterfaceProcess{
-		Coupling:  coupling,
-		Registry:  registry,
-		SyncEvery: cfg.SyncEvery,
-		Batch:     cfg.Batch,
-		Cells:     cfg.Cells,
-		Recorder:  cfg.Recorder,
-		Classify:  func(pkt *netsim.Packet, port int) ipc.Kind { return KindCellIn(port) },
-		TraceOf: func(pkt *netsim.Packet, port int) uint64 {
-			if c, ok := pkt.Data.(*atm.Cell); ok {
-				return uint64(c.Seq) + 1
-			}
-			return 0
-		},
-		OnResponse: func(ctx *netsim.Ctx, resp cosim.Response) {
-			port := int(resp.Kind - kindCellOut)
-			cell, ok := resp.Value.(*atm.Cell)
-			if !ok {
-				panic(fmt.Sprintf("coverify: response kind %d carried %T", resp.Kind, resp.Value))
-			}
-			if t, known := r.injected[cell.Seq]; known {
-				latency.Record(ctx.Now(), (resp.HWTime - t).Seconds())
-			}
-			r.compare(port, cell, int64(ctx.Now()))
-		},
-	}
-	r.Iface.Instrument(cfg.Metrics, cfg.Trace)
-	r.Iface.InstrumentCover(cfg.Cover)
-	r.Iface.InstrumentProfile(cfg.Profile.PhaseProf())
-
 	refNode := r.Net.Node("refswitch", r.Ref)
-	ifaceNode := r.Net.Node("castanet", r.Iface)
+	r.attach()
 	for p := 0; p < dut.SwitchPorts; p++ {
 		tr := cfg.Traffic[p]
 		if tr.Model == nil || tr.Cells == 0 {
 			continue
 		}
-		p := p
-		trc := tr
-		src := &netsim.Source{
-			Gen:   trc.Model,
-			Limit: trc.Cells,
-			Make: func(ctx *netsim.Ctx, i uint64) *netsim.Packet {
-				vc := trc.VCs[int(i)%len(trc.VCs)]
-				c := &atm.Cell{Header: atm.Header{VPI: vc.VPI, VCI: vc.VCI}}
-				if trc.CLP1 > 0 && ctx.RNG().Bool(trc.CLP1) {
-					c.CLP = 1
-				}
-				c.Seq = r.nextSeq
-				r.nextSeq++
-				r.Offered++
-				// Fill a recognizable payload beyond the seq stamp.
-				for b := 4; b < len(c.Payload); b++ {
-					c.Payload[b] = byte(uint32(b) * (c.Seq + 1))
-				}
-				c.StampSeq()
-				coverHeaderHit(hdrVPI, hdrVCI, hdrPTI, hdrCLP0, hdrCLP1, c.Header)
-				r.injected[c.Seq] = ctx.Now()
-				cfg.Cells.Hop(uint64(c.Seq)+1, obs.HopNetEnqueue, int64(ctx.Now()))
-				return ctx.Net().NewPacket("cell", c, atm.CellBytes*8)
-			},
-		}
-		r.sources[p] = src
-		srcNode := r.Net.Node(fmt.Sprintf("src%d", p), src)
-		// Splitter duplicates each cell to the reference model and to the
-		// hardware coupling.
-		split := r.Net.Node(fmt.Sprintf("split%d", p), &netsim.Func{
-			OnArrival: func(ctx *netsim.Ctx, pkt *netsim.Packet, port int) {
-				cell := pkt.Data.(*atm.Cell)
-				refPkt := ctx.Net().NewPacket("cell", cell.Clone(), pkt.Size)
-				ctx.Send(refPkt, 0)
-				hwPkt := ctx.Net().NewPacket("cell", cell.Clone(), pkt.Size)
-				ctx.Send(hwPkt, 1)
-			},
-		})
-		r.Net.Connect(srcNode, 0, split, 0, netsim.LinkParams{})
-		r.Net.Connect(split, 0, refNode, p, netsim.LinkParams{})
-		r.Net.Connect(split, 1, ifaceNode, p, netsim.LinkParams{})
+		r.feed(p, tr.Model, tr.Cells, func(ctx *netsim.Ctx, i uint64) *atm.Cell {
+			c := r.newCell(ctx, tr.VCs[int(i)%len(tr.VCs)], tr.CLP1)
+			fillPayload(c)
+			header.hit(c.Header)
+			return c
+		}, refNode, p, p)
 	}
-	if !cfg.NoCompiled {
-		r.HDL.MustCompile()
-	}
+	r.compile()
 	return r
 }
 
 // Run executes the co-verification for the given horizon, lets the
 // network simulation continue through a drain margin so that responses
-// produced inside late δ-windows (whose hardware stamps may exceed the
-// horizon) are still delivered, then flushes the hardware pipeline.
+// produced inside late δ-windows are still delivered, then flushes the
+// hardware pipeline.
 func (r *SwitchRig) Run(until sim.Time) error {
-	start := time.Now()
-	defer func() {
-		wall := time.Since(start)
-		r.runWall += wall
-		r.Cfg.Profile.PhaseProf().AddTotal(wall)
-		r.publishRates()
-	}()
-	tr := r.Cfg.Trace
-	r.Cfg.Recorder.Note("rig", int64(r.Net.Sched.Now()), "run to horizon %v", until)
-	tr.Begin(obs.TrackRig, "run", int64(r.Net.Sched.Now()))
-	r.Net.Run(until)
-	if err := r.Iface.Err(); err != nil {
-		return err
-	}
-	tr.End(obs.TrackRig, "run", int64(r.Net.Sched.Now()))
-	tr.Begin(obs.TrackRig, "drain", int64(r.Net.Sched.Now()))
-	r.Cfg.Recorder.Note("rig", int64(r.Net.Sched.Now()), "horizon reached, draining")
 	margin := r.drainMargin()
-	r.Net.Sched.RunUntil(until + margin)
-	if err := r.Iface.Err(); err != nil {
+	if err := r.drive(until, margin, margin); err != nil || r.vcd == nil {
 		return err
 	}
-	err := r.Drain(until + margin)
-	tr.End(obs.TrackRig, "drain", int64(r.Net.Sched.Now()))
-	r.publishObs()
-	return err
+	return r.vcd.Close()
 }
-
-// publishObs writes the end-of-run verification figures into the registry:
-// how many cells the environment offered, what the comparison engine saw,
-// and the final protocol lag bound.
-func (r *SwitchRig) publishObs() {
-	reg := r.Cfg.Metrics
-	if reg == nil {
-		return
-	}
-	reg.Gauge("coverify.offered").Set(float64(r.Offered))
-	reg.Gauge("coverify.cmp.matched").Set(float64(r.Cmp.Matched))
-	reg.Gauge("coverify.cmp.mismatches").Set(float64(len(r.Cmp.Mismatches())))
-	reg.Gauge("coverify.dut_delivered").Set(float64(r.DUTDelivered()))
-	reg.Gauge("coverify.clock_cycles").Set(float64(r.ClockCycles()))
-	reg.Gauge("cosim.entity.max_lag_ps").Set(float64(r.Entity.MaxLag))
-}
-
-// publishRates writes the sim-rate gauges: simulated work per wall-clock
-// second, the co-simulation speed figures an operator watches on /profile.
-// The ".rate." name segment is the convention the telemetry server extracts.
-func (r *SwitchRig) publishRates() {
-	reg := r.Cfg.Metrics
-	if reg == nil {
-		return
-	}
-	w := r.runWall.Seconds()
-	if w <= 0 {
-		return
-	}
-	reg.Gauge("coverify.rate.cells_per_sec").Set(float64(r.DUTDelivered()) / w)
-	reg.Gauge("coverify.rate.signal_events_per_sec").Set(float64(r.HDL.Events()) / w)
-	reg.Gauge("coverify.rate.clk_cycles_per_sec").Set(float64(r.ClockCycles()) / w)
-}
-
-// ActivitySnapshot returns the HDL kernel's deterministic activity profile
-// (empty unless Cfg.Profile enabled it).
-func (r *SwitchRig) ActivitySnapshot() obs.ActivitySnap {
-	return r.HDL.Profile().Snapshot()
-}
-
-// RunWall returns the accumulated wall-clock time spent inside Run.
-func (r *SwitchRig) RunWall() time.Duration { return r.runWall }
 
 // drainMargin is a generous bound on how long in-flight cells can linger:
 // every FIFO in the switch emptied at line rate, several times over.
 func (r *SwitchRig) drainMargin() sim.Duration {
 	return sim.Duration(4*(r.Cfg.Switch.InFifoCells+r.Cfg.Switch.OutFifoCells+8)) *
-		53 * r.Cfg.ClockPeriod
-}
-
-// Drain grants the hardware a final window past the network horizon so
-// in-flight cells settle, and collects the last responses.
-func (r *SwitchRig) Drain(until sim.Time) error {
-	r.Entity.FreezeLagStats = true
-	final := ipc.Message{Kind: ipc.KindSync, Time: until + r.drainMargin()}
-	var resps []ipc.Message
-	if r.Cfg.Remote {
-		out, err := r.remote.Send(final)
-		if err != nil {
-			return err
-		}
-		resps = out
-	} else {
-		if err := r.Entity.Deliver(final); err != nil {
-			return err
-		}
-		resps = r.Entity.TakeOutbox()
-	}
-	for _, m := range resps {
-		v, err := (mapping.CellCodec{}).Decode(m.Data)
-		if err != nil {
-			return err
-		}
-		r.compare(int(m.Kind-kindCellOut), v.(*atm.Cell), int64(m.Time))
-	}
-	if r.vcd != nil {
-		return r.vcd.Close()
-	}
-	return nil
-}
-
-// compare feeds one DUT response cell into the comparison engine,
-// closing the cell's causal waterfall at the compare hop and noting any
-// fresh mismatch in the flight recorder. The TamperResponse hook (test
-// instrumentation) is applied first, so an induced fault takes the same
-// triage path as a real one.
-func (r *SwitchRig) compare(port int, c *atm.Cell, simPS int64) {
-	if r.Cfg.TamperResponse != nil {
-		r.Cfg.TamperResponse(c)
-	}
-	id := uint64(c.Seq) + 1
-	r.Cfg.Cells.Hop(id, obs.HopCompare, simPS)
-	before := len(r.Cmp.Mismatches())
-	r.Cmp.Actual(port, c)
-	if ms := r.Cmp.Mismatches(); len(ms) > before {
-		m := ms[len(ms)-1]
-		r.Cfg.Recorder.NoteCell(uint64(m.Seq)+1, "cmp", simPS, "port %d: %s", port, m)
-		r.coverMismatch.Hit()
-	} else {
-		r.coverMatch.Hit()
-	}
+		atm.CellBytes * clockPeriod
 }
 
 // FailureDigest renders the rig's triage bundle after a failed or
@@ -602,30 +285,6 @@ func (r *SwitchRig) FailureDigest() string {
 	}
 	b.WriteString(r.Cfg.Recorder.Dump())
 	return b.String()
-}
-
-// Close shuts down a remote coupling. It is idempotent: repeated calls
-// return the server's first exit status instead of blocking on the
-// already-drained completion channel.
-func (r *SwitchRig) Close() error {
-	if r.transport != nil {
-		r.transport.Close()
-		if r.srvDone != nil {
-			r.closeErr = <-r.srvDone
-			r.srvDone = nil
-		}
-	}
-	return r.closeErr
-}
-
-// DUTDelivered returns the number of cells that emerged from the DUT.
-func (r *SwitchRig) DUTDelivered() uint64 {
-	return r.Cmp.Matched + uint64(len(r.Cmp.Mismatches()))
-}
-
-// ClockCycles returns how many HDL byte-clock cycles were simulated.
-func (r *SwitchRig) ClockCycles() uint64 {
-	return uint64(r.HDL.Now() / r.Cfg.ClockPeriod)
 }
 
 // Report summarizes the run for harness output.

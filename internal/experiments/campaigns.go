@@ -49,6 +49,27 @@ type CampaignConfig struct {
 // CampaignConfig.
 var DefaultCampaignConfig = CampaignConfig{TraceEvery: 1, Batch: true}
 
+// rigConfig returns the rig configuration every campaign run shares: the
+// coupling batching, the kernel choice, the run's coverage and profile
+// sinks, and its supervision deadline. The policer and accounting rigs
+// take the fields their configurations have from it. Every run reports
+// the kernel it elaborated to result collectors: its Result.Value is
+// whether the HDL kernel ran compiled.
+func (cfg CampaignConfig) rigConfig(r *campaign.Run) coverify.SwitchRigConfig {
+	return coverify.SwitchRigConfig{
+		Batch: cfg.Batch, NoCompiled: cfg.NoCompiled,
+		Cover: r.Cover(), Profile: r.Profile(), Deadline: r.Deadline,
+	}
+}
+
+// switchRigConfig extends rigConfig for the switch rigs with the per-run
+// cell tracker and flight recorder.
+func (cfg CampaignConfig) switchRigConfig(r *campaign.Run) coverify.SwitchRigConfig {
+	c := cfg.rigConfig(r)
+	c.Cells, c.Recorder = cfg.runObs()
+	return c
+}
+
 // runObs builds the per-run cell tracker and flight recorder. Each run
 // gets fresh ones (runs share nothing mutable), sized for a campaign-run
 // workload.
@@ -124,13 +145,10 @@ func switchCells(ccfg CampaignConfig) []campaign.Cell {
 	return []campaign.Cell{{Experiment: "switch", Run: func(ctx context.Context, r *campaign.Run) error {
 		rng := r.RNG()
 		tr, horizon := campaignTraffic(rng)
-		cells, rec := ccfg.runObs()
-		rig := coverify.NewSwitchRig(coverify.SwitchRigConfig{
-			Seed: rng.Uint64(), Traffic: tr, Cells: cells, Recorder: rec,
-			Batch: ccfg.Batch, NoCompiled: ccfg.NoCompiled,
-			Deadline: r.Deadline, Cover: r.Cover(),
-			Profile: r.Profile(),
-		})
+		cfg := ccfg.switchRigConfig(r)
+		cfg.Seed, cfg.Traffic = rng.Uint64(), tr
+		rig := coverify.NewSwitchRig(cfg)
+		r.SetValue(rig.HDL.Compiled())
 		if err := rig.Run(horizon); err != nil {
 			return campaign.Detailed(err, rig.FailureDigest())
 		}
@@ -188,26 +206,15 @@ func faultRun(ccfg CampaignConfig, profile *LinkFaultProfile) campaign.RunFunc {
 	return func(ctx context.Context, r *campaign.Run) error {
 		rng := r.RNG()
 		tr, horizon := campaignTraffic(rng)
-		cells, rec := ccfg.runObs()
-		cfg := coverify.SwitchRigConfig{
-			Seed:       rng.Uint64(),
-			Traffic:    tr,
-			Remote:     true,
-			Batch:      ccfg.Batch,
-			NoCompiled: ccfg.NoCompiled,
-			Cells:      cells,
-			Recorder:   rec,
-			Cover:      r.Cover(),
-			Profile:    r.Profile(),
-			// The supervision deadline arms the coupling watchdogs too, so
-			// a hung transport trips inside the run as a typed coupling
-			// error before the supervisor has to reap the whole attempt.
-			Deadline: r.Deadline,
-			Reliable: &ipc.ReliableConfig{
-				MaxRetries: 20,
-				RetryBase:  time.Millisecond,
-				RetryCap:   8 * time.Millisecond,
-			},
+		// The supervision deadline in rigConfig arms the coupling watchdogs
+		// too, so a hung transport trips inside the run as a typed coupling
+		// error before the supervisor has to reap the whole attempt.
+		cfg := ccfg.switchRigConfig(r)
+		cfg.Seed, cfg.Traffic, cfg.Remote = rng.Uint64(), tr, true
+		cfg.Reliable = &ipc.ReliableConfig{
+			MaxRetries: 20,
+			RetryBase:  time.Millisecond,
+			RetryCap:   8 * time.Millisecond,
 		}
 		if profile != nil {
 			cfg.Fault = &ipc.FaultConfig{Seed: rng.Uint64(), Send: profile.Dir, Recv: profile.Dir}
@@ -219,6 +226,7 @@ func faultRun(ccfg CampaignConfig, profile *LinkFaultProfile) campaign.RunFunc {
 			}
 		}
 		rig := coverify.NewSwitchRig(cfg)
+		r.SetValue(rig.HDL.Compiled())
 		// Fail-fast cancellation tears the coupling down so the blocked
 		// run surfaces a typed error instead of outliving the campaign.
 		release := campaign.OnCancel(ctx, func() { rig.Close() })
@@ -261,10 +269,10 @@ func policerCells(ccfg CampaignConfig) []campaign.Cell {
 		ratio := 0.5 + 1.5*rng.Float64()
 		cells := uint64(30 + rng.Intn(31))
 		vc := atm.VC{VPI: 1, VCI: 10}
+		sh := ccfg.rigConfig(r)
 		rig := coverify.NewPolicerRig(coverify.PolicerRigConfig{
 			Seed:  rng.Uint64(),
-			Batch: ccfg.Batch,
-			Cover: r.Cover(),
+			Batch: sh.Batch, NoCompiled: sh.NoCompiled, Cover: sh.Cover, Profile: sh.Profile,
 			Contracts: []coverify.PolicerContract{
 				{VC: vc, PeakInterval: sim.FromSeconds(1 / contractRate), Tau: 2 * sim.Microsecond},
 			},
@@ -272,6 +280,7 @@ func policerCells(ccfg CampaignConfig) []campaign.Cell {
 				{Model: traffic.NewPoisson(contractRate * ratio), VC: vc, Cells: cells},
 			},
 		})
+		r.SetValue(rig.HDL.Compiled())
 		horizon := sim.FromSeconds(float64(cells)/(contractRate*ratio)) + sim.Millisecond
 		if err := rig.Run(horizon); err != nil {
 			return err
@@ -280,7 +289,7 @@ func policerCells(ccfg CampaignConfig) []campaign.Cell {
 		r.Observe("cells", float64(rig.Offered))
 		if !rig.Cmp.Clean() {
 			return fmt.Errorf("policer decisions diverged at load %.3f: %d bad, %d outstanding",
-				ratio, len(rig.Cmp.Bad), rig.Cmp.Outstanding())
+				ratio, len(rig.Cmp.Mismatches()), len(rig.Cmp.Outstanding()))
 		}
 		return nil
 	}}}
@@ -293,10 +302,10 @@ func acctCells(ccfg CampaignConfig) []campaign.Cell {
 	return []campaign.Cell{{Experiment: "acct", Run: func(ctx context.Context, r *campaign.Run) error {
 		rng := r.RNG()
 		vcs := []atm.VC{{VPI: 1, VCI: 10}, {VPI: 2, VCI: 20}}
+		sh := ccfg.rigConfig(r)
 		cfg := coverify.AcctRigConfig{
-			Seed:   rng.Uint64(),
-			Batch:  ccfg.Batch,
-			Cover:  r.Cover(),
+			Seed:  rng.Uint64(),
+			Batch: sh.Batch, NoCompiled: sh.NoCompiled, Cover: sh.Cover, Profile: sh.Profile,
 			VCs:    vcs,
 			Tariff: atm.Tariff{CellsPerUnit: 10},
 			Sources: []coverify.AcctSource{
@@ -305,6 +314,7 @@ func acctCells(ccfg CampaignConfig) []campaign.Cell {
 			},
 		}
 		rig := coverify.NewAcctRig(cfg)
+		r.SetValue(rig.HDL.Compiled())
 		suite := conformanceSuite(vcs[0])
 		at := sim.Microsecond
 		for i := range suite.Vectors {

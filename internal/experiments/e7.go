@@ -53,6 +53,7 @@ func (f Factory) E7(cellsPerPoint uint64, seed uint64) E7Result {
 			},
 			Metrics:    f.Obs.Reg(),
 			Trace:      f.Obs.Trace(),
+			Profile:    f.Obs.Prof(),
 			Batch:      f.Batch,
 			NoCompiled: f.NoCompiled,
 		})

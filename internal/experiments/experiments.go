@@ -72,8 +72,8 @@ func Batching(on bool) { batchOn = on }
 var compiledOn = true
 
 // Compiled sets whether package-level E* calls elaborate their HDL
-// kernels on the compiled bit-parallel fast path (the castanet
-// -compiled/-no-compiled flags).
+// kernels on the compiled bit-parallel fast path (cleared by the castanet
+// -no-compiled flag).
 func Compiled(on bool) { compiledOn = on }
 
 // pkgFactory is the Factory the package-level E* wrappers use, carrying
@@ -463,6 +463,7 @@ func (f Factory) E5(seed uint64) E5Result {
 	}
 	cfg.Metrics = f.Obs.Reg()
 	cfg.Trace = f.Obs.Trace()
+	cfg.Profile = f.Obs.Prof()
 	cfg.Batch = f.Batch
 	cfg.NoCompiled = f.NoCompiled
 	rig := coverify.NewAcctRig(cfg)

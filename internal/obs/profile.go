@@ -368,7 +368,7 @@ func pct(num, den uint64) float64 {
 }
 
 // WriteActivityText writes the deterministic hotspot table: every line
-// prefixed "profile ", so callers (and the profile-smoke CI job) can
+// prefixed "profile ", so callers (and the rig-smoke CI job) can
 // isolate the byte-stable section with a "^profile " filter from the
 // wall-clock "phase " lines that may follow. Integer-derived and sorted,
 // so the output is byte-identical for a given seed.

@@ -33,7 +33,6 @@ const (
 	TrackNetsim   = "netsim"
 	TrackHDL      = "hdl-dut"
 	TrackCoupling = "coupling"
-	TrackBoard    = "board"
 	TrackRig      = "rig"
 )
 
