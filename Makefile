@@ -86,14 +86,13 @@ rig-smoke:
 		"$$tmp/castanet" -campaign acct -runs 4 -seed 3 -profile > "$$tmp/acct" && ! grep -q 'processes=0' "$$tmp/acct" && \
 		echo "rig-smoke: coverage floors met, deterministic hotspot table ok, every rig profiled"
 
-# Coverage-guided fuzzing of the ipc frame, batch-frame, and envelope
+# Coverage-guided fuzzing of the ipc frame and reliability-envelope
 # decoders, plus the differential kernel-equivalence fuzzer (random
 # netlist programs through both HDL kernels, any observable divergence is
 # a crash); seed corpora live in internal/ipc/testdata/fuzz/ and
 # internal/hdl/testdata/fuzz/.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/ipc/
-	$(GO) test -run '^$$' -fuzz '^FuzzBatch$$' -fuzztime=$(FUZZTIME) ./internal/ipc/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenEnvelope$$' -fuzztime=$(FUZZTIME) ./internal/ipc/
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelEquivalence$$' -fuzztime=$(FUZZTIME) ./internal/hdl/
 
@@ -106,8 +105,8 @@ bench:
 obs-bench:
 	OBS_BENCH_OUT=$(CURDIR)/BENCH_obs.json $(GO) test -run TestWriteObsBench -count=1 -v ./internal/obs/
 
-# Coupling throughput: batched vs unbatched δ-window round trips, the
-# steady-state batch-encoder allocation count, and the headline sim-rate
+# Coupling throughput: one unit per δ-window vs one unit per message,
+# the steady-state frame-encoder allocation count, and the headline sim-rate
 # (clk_cycles_per_sec through the full coupled rig), written to
 # BENCH_coupling.json. CI's bench-gate job regenerates this file and
 # compares it against the committed baseline with cmd/benchgate.

@@ -440,6 +440,24 @@ func TestCommandLineTools(t *testing.T) {
 		}
 	})
 
+	t.Run("castanet-profile-no-silent-zeros", func(t *testing.T) {
+		// An experiment that publishes no process runs is an error under
+		// -profile, not an all-zero table.
+		cmd := exec.Command(filepath.Join(bin, "castanet"), "-experiment", "e4", "-profile")
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Fatalf("exit status = %v, want 2\n%s", err, out)
+		}
+		if !strings.Contains(stderr.String(), "no process runs published by e4") {
+			t.Errorf("stderr does not name e4:\n%s", stderr.String())
+		}
+		if strings.Contains(string(out), "profile processes=") {
+			t.Errorf("an activity table was printed:\n%s", out)
+		}
+	})
+
 	t.Run("castanet-campaign-replay", func(t *testing.T) {
 		out, err := exec.Command(filepath.Join(bin, "castanet"),
 			"-campaign", "switch", "-runs", "8", "-seed", "1", "-replay", "3").CombinedOutput()

@@ -24,10 +24,8 @@
 // a JSON progress stream. -trace-cells N samples the causal cell tracing
 // (every Nth cell's per-hop waterfall; default 1 = every cell, 0 = off).
 //
-// -batch (default on) coalesces the coupling traffic of every rig into
-// δ-window batch frames (one 0xCA59 frame per processing window);
-// -batch=false restores the one-frame-per-message wire protocol, useful
-// for A/B throughput comparison and when debugging at the frame level.
+// Every rig's coupling carries the messages of one δ-window as one unit:
+// one frame and one round trip per processing window.
 //
 // Every HDL kernel runs on the compiled bit-parallel two-state fast path
 // (DESIGN.md §18); -no-compiled falls back to the plain event-driven
@@ -78,7 +76,10 @@
 // dependent). With -campaign the shard-exact merged activity also lands in
 // the digest's profile section and, under -serve, at /profile together
 // with the live phase times and sim-rate gauges. -profile-report FILE
-// additionally saves the profile as JSON (implies -profile).
+// additionally saves the profile as JSON (implies -profile). Experiments
+// that publish no process runs (E4, E6, E8) cannot be profiled: when none
+// of the selected experiments does, castanet exits 2 naming them instead
+// of printing a table of zeros.
 package main
 
 import (
@@ -145,7 +146,6 @@ func run() int {
 		shards     = flag.Int("shards", 0, "campaign: worker shards (0 = GOMAXPROCS)")
 		replay     = flag.Int64("replay", -1, "campaign: replay this single run index from a failure digest")
 		failfast   = flag.Bool("failfast", false, "campaign: cancel remaining runs after the first failure")
-		batch      = flag.Bool("batch", true, "coalesce coupling messages per δ-window into batch frames (0xCA59)")
 		noCompiled = flag.Bool("no-compiled", false, "run HDL kernels on the plain event-driven kernel instead of the compiled fast path (DESIGN.md §18)")
 
 		runTimeout = flag.Duration("run-timeout", 0, "campaign: per-run wall-clock deadline (0 = none); a hung run fails with a typed timeout")
@@ -171,7 +171,6 @@ func run() int {
 		return badFlags("-trace-cells must be non-negative (got %d)", *traceN)
 	}
 
-	experiments.Batching(*batch)
 	experiments.Compiled(!*noCompiled)
 	profiling := *profile || *profileOut != ""
 
@@ -203,7 +202,6 @@ func run() int {
 			name: *camp, runs: *runs, shards: *shards, seed: *seed,
 			replay: *replay, failfast: *failfast,
 			metrics: *metrics, trace: *trace, serve: *serve, traceCells: *traceN,
-			batch:      *batch,
 			noCompiled: *noCompiled,
 			runTimeout: *runTimeout, retries: *retries,
 			checkpoint: *checkpoint, checkpointEvery: *ckEvery, resume: *resume,
@@ -264,9 +262,20 @@ func run() int {
 		defer stop()
 	}
 
+	// An experiment that publishes no process runs has nothing for the
+	// activity table; a table of zeros would pass for a measurement.
+	var unprofiled []string
 	for _, e := range selected {
+		before := processRuns(run)
 		fmt.Println(e.run(*cells, *seed))
 		srv.Beat()
+		if profiling && processRuns(run) == before {
+			unprofiled = append(unprofiled, e.name)
+		}
+	}
+	if profiling && processRuns(run) == 0 {
+		fmt.Fprintf(os.Stderr, "castanet: -profile: no process runs published by %s\n", strings.Join(unprofiled, ", "))
+		return 2
 	}
 
 	if run != nil {
@@ -295,6 +304,12 @@ func run() int {
 		}
 	}
 	return 0
+}
+
+// processRuns totals the process runs the run's profile has published.
+func processRuns(run *obs.Run) uint64 {
+	_, _, runs, _ := run.Prof().Activity().Totals()
+	return runs
 }
 
 // writeProfileFile saves the simulation profile as JSON: the deterministic
@@ -332,7 +347,6 @@ type campaignOpts struct {
 	trace      string
 	serve      string
 	traceCells int
-	batch      bool
 	noCompiled bool
 
 	runTimeout      time.Duration
@@ -356,7 +370,7 @@ const defaultQuarantineAfter = 3
 // runCampaign executes (or replays one run of) a named campaign matrix.
 func runCampaign(o campaignOpts) int {
 	matrix, err := experiments.CampaignMatrixCfg(o.name,
-		experiments.CampaignConfig{TraceEvery: o.traceCells, Batch: o.batch, NoCompiled: o.noCompiled})
+		experiments.CampaignConfig{TraceEvery: o.traceCells, NoCompiled: o.noCompiled})
 	if err != nil {
 		return badFlags("unknown campaign %q (valid: %s)", o.name, experiments.CampaignNames())
 	}

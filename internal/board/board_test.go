@@ -262,10 +262,10 @@ func TestBoardCouplingMessages(t *testing.T) {
 	cell := &atm.Cell{Header: atm.Header{VPI: 1, VCI: 102}, Seq: 31} // -> out 2
 	cell.StampSeq()
 	img := cell.Marshal()
-	if _, err := cpl.Send(ipc.Message{Kind: base + 0, Time: sim.Microsecond, Data: img[:]}); err != nil {
+	if _, err := cpl.Exchange([]ipc.Message{{Kind: base + 0, Time: sim.Microsecond, Data: img[:]}}); err != nil {
 		t.Fatal(err)
 	}
-	resps, err := cpl.Send(ipc.Message{Kind: ipc.KindSync, Time: 10 * sim.Microsecond})
+	resps, err := cpl.Exchange([]ipc.Message{{Kind: ipc.KindSync, Time: 10 * sim.Microsecond}})
 	if err != nil {
 		t.Fatal(err)
 	}

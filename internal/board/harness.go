@@ -196,9 +196,22 @@ type Coupling struct {
 	DrainCycles int
 }
 
-// Send implements the coupling contract (structurally compatible with
-// cosim.Coupling).
-func (c *Coupling) Send(msg ipc.Message) ([]ipc.Message, error) {
+// Exchange implements the coupling contract (structurally compatible
+// with cosim.Coupling): the unit's messages are applied in order and the
+// responses of every test-cycle batch they trigger are returned together.
+func (c *Coupling) Exchange(msgs []ipc.Message) ([]ipc.Message, error) {
+	var out []ipc.Message
+	for _, msg := range msgs {
+		var err error
+		if out, err = c.apply(out, msg); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// apply handles one message, appending any responses it produces to out.
+func (c *Coupling) apply(out []ipc.Message, msg ipc.Message) ([]ipc.Message, error) {
 	switch msg.Kind {
 	case ipc.KindSync, ipc.KindInit:
 		drain := c.DrainCycles
@@ -208,7 +221,6 @@ func (c *Coupling) Send(msg ipc.Message) ([]ipc.Message, error) {
 		if err := c.Harness.Execute(drain); err != nil {
 			return nil, err
 		}
-		var out []ipc.Message
 		for si := range c.Harness.Streams {
 			for _, cell := range c.Harness.TakeOut(si) {
 				img := cell.Marshal()
@@ -235,7 +247,7 @@ func (c *Coupling) Send(msg ipc.Message) ([]ipc.Message, error) {
 		return nil, err
 	}
 	c.Harness.Enqueue(stream, cell)
-	return nil, nil
+	return out, nil
 }
 
 // Close implements the coupling contract.

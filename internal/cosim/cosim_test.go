@@ -16,8 +16,8 @@ const clkPeriod = 10 * sim.Nanosecond
 
 // newLoopbackEntity builds an Entity around a minimal DUT: cells are
 // serialized onto an 8-bit port, pass a one-cycle register stage, and are
-// reassembled and emitted back. δ is sized to one full cell (53 cycles)
-// plus pipeline slack.
+// reassembled and emitted back, carrying trace ID Seq+1. δ is sized to
+// one full cell (53 cycles) plus pipeline slack.
 func newLoopbackEntity() *Entity {
 	h := hdl.New()
 	clk := h.Bit("clk", hdl.U)
@@ -46,7 +46,7 @@ func newLoopbackEntity() *Entity {
 		if err != nil {
 			panic(err)
 		}
-		e.Emit(KindData, data)
+		e.EmitTraced(KindData, data, uint64(c.Seq)+1)
 	}
 	e.Input(KindData, 60*clkPeriod, func(e *Entity, msg ipc.Message) error {
 		v, err := (mapping.CellCodec{}).Decode(msg.Data)
@@ -70,10 +70,6 @@ type cellGen struct{ gap sim.Duration }
 func (g cellGen) Next(*sim.RNG) sim.Duration { return g.gap }
 
 func runLoopback(t *testing.T, coupling Coupling, e *Entity, nCells int) []Response {
-	return runLoopbackBatch(t, coupling, e, nCells, false)
-}
-
-func runLoopbackBatch(t *testing.T, coupling Coupling, e *Entity, nCells int, batch bool) []Response {
 	t.Helper()
 	n := netsim.New(7)
 	var responses []Response
@@ -81,7 +77,6 @@ func runLoopbackBatch(t *testing.T, coupling Coupling, e *Entity, nCells int, ba
 		Coupling:  coupling,
 		Registry:  newRegistry(),
 		SyncEvery: 100 * sim.Microsecond,
-		Batch:     batch,
 		OnResponse: func(ctx *netsim.Ctx, r Response) {
 			if r.HWTime > r.NetTime {
 				t.Errorf("lag violated: hw %v > net %v", r.HWTime, r.NetTime)

@@ -10,30 +10,20 @@ import (
 )
 
 // Coupling is the channel between the network-simulator side and the
-// hardware side. Send pushes one time-stamped message and returns every
-// response the hardware produced while processing it — the strict
-// request/response alternation keeps both deployments (in-process and
-// socket) deterministic.
+// hardware side. Exchange delivers one unit — the messages of one
+// δ-window, which the conservative protocol has already proven safe — in
+// order, and returns every response the hardware produced while
+// processing it. The strict request/response alternation keeps both
+// deployments (in-process and socket) deterministic. msgs is not
+// retained; the returned slice is valid until the next Exchange.
 //
 // Error contract: on a non-nil error the returned slice is nil. Responses
-// received before a mid-stream failure are discarded — a half-delivered
-// batch is indistinguishable from a corrupted one, and callers must never
+// received before a mid-unit failure are discarded — a half-delivered
+// unit is indistinguishable from a corrupted one, and callers must never
 // fold it into the verification result.
 type Coupling interface {
-	Send(msg ipc.Message) ([]ipc.Message, error)
+	Exchange(msgs []ipc.Message) ([]ipc.Message, error)
 	Close() error
-}
-
-// BatchCoupling is a Coupling that can ship a whole δ-window of messages
-// as one protocol unit: the conservative protocol has already proven
-// every message in the window safe, so nothing is gained by paying a
-// round trip per message. SendBatch delivers msgs in order, returns all
-// responses the unit provoked, and follows the same error contract as
-// Send — on error the slice is nil and any half-built response unit is
-// discarded. The caller's slice is not retained.
-type BatchCoupling interface {
-	Coupling
-	SendBatch(msgs []ipc.Message) ([]ipc.Message, error)
 }
 
 // Direct couples the interface process to an Entity by plain function
@@ -42,24 +32,12 @@ type Direct struct {
 	Entity *Entity
 }
 
-// Send implements Coupling.
-func (d *Direct) Send(msg ipc.Message) ([]ipc.Message, error) {
-	if err := d.Entity.Deliver(msg); err != nil {
+// Exchange implements Coupling: the messages are delivered back-to-back
+// and the entity's outbox — which coalesces emissions per delta-window —
+// is taken once for the whole unit.
+func (d *Direct) Exchange(msgs []ipc.Message) ([]ipc.Message, error) {
+	if err := d.Entity.deliverUnit(msgs); err != nil {
 		return nil, &CouplingError{Class: ClassProtocol, Op: "entity", Err: err}
-	}
-	return d.Entity.TakeOutbox(), nil
-}
-
-// SendBatch implements BatchCoupling: the messages are delivered
-// back-to-back and the entity's outbox — which coalesces emissions per
-// delta-window — is taken once for the whole unit. A mid-unit failure
-// discards the half-built outbox per the error contract.
-func (d *Direct) SendBatch(msgs []ipc.Message) ([]ipc.Message, error) {
-	for _, m := range msgs {
-		if err := d.Entity.Deliver(m); err != nil {
-			d.Entity.TakeOutbox()
-			return nil, &CouplingError{Class: ClassProtocol, Op: "entity", Err: err}
-		}
 	}
 	return d.Entity.TakeOutbox(), nil
 }
@@ -69,14 +47,14 @@ func (d *Direct) Close() error { return nil }
 
 // Remote couples over an ipc.Transport (socket or pipe) to an
 // EntityServer in another goroutine or process — the paper's UNIX-IPC
-// deployment. The protocol is strictly alternating: one request, then
-// responses terminated by a KindSync acknowledgement carrying the
-// hardware's clock.
+// deployment. The protocol is strictly alternating: one request unit,
+// then one reply unit of responses terminated by a KindSync
+// acknowledgement carrying the hardware's clock.
 type Remote struct {
 	Transport ipc.Transport
 	// PeerTime is the hardware clock reported by the last acknowledgement.
 	PeerTime int64
-	// Deadline is the per-operation watchdog: a Send whose round trip
+	// Deadline is the per-operation watchdog: an Exchange whose round trip
 	// exceeds it tears the link down and reports a timeout-classed
 	// CouplingError instead of hanging on a dead peer. Zero disables it.
 	Deadline time.Duration
@@ -84,9 +62,9 @@ type Remote struct {
 	timedOut atomic.Bool
 }
 
-// Send implements Coupling. Errors are typed (*CouplingError); the
+// Exchange implements Coupling. Errors are typed (*CouplingError); the
 // response slice is nil whenever the error is non-nil.
-func (r *Remote) Send(msg ipc.Message) ([]ipc.Message, error) {
+func (r *Remote) Exchange(msgs []ipc.Message) ([]ipc.Message, error) {
 	if r.Deadline > 0 {
 		wd := time.AfterFunc(r.Deadline, func() {
 			// Closing the transport is the only way to unhook a blocked
@@ -96,72 +74,23 @@ func (r *Remote) Send(msg ipc.Message) ([]ipc.Message, error) {
 		})
 		defer wd.Stop()
 	}
-	if err := r.Transport.Send(msg); err != nil {
+	if err := r.Transport.Send(msgs); err != nil {
 		return nil, r.wrap("send", err)
 	}
 	var out []ipc.Message
 	for {
-		m, err := r.Transport.Recv()
+		u, err := r.Transport.Recv()
 		if err != nil {
 			return nil, r.wrap("recv", err)
 		}
-		switch m.Kind {
-		case ipc.KindSync:
-			r.PeerTime = int64(m.Time)
-			return out, nil
-		case kindError:
-			return nil, &CouplingError{
-				Class: ClassProtocol,
-				Op:    "entity",
-				Err:   fmt.Errorf("remote entity: %s", m.Data),
-			}
-		}
-		out = append(out, m)
-	}
-}
-
-// SendBatch implements BatchCoupling. On a batch-capable transport the
-// whole window crosses in one frame and the server answers with one
-// response unit terminated by its KindSync acknowledgement; otherwise it
-// degrades to the strict per-message alternation, which preserves
-// semantics at the unbatched cost.
-func (r *Remote) SendBatch(msgs []ipc.Message) ([]ipc.Message, error) {
-	if len(msgs) == 1 {
-		return r.Send(msgs[0])
-	}
-	bt, ok := r.Transport.(ipc.BatchTransport)
-	if !ok {
-		var out []ipc.Message
-		for _, m := range msgs {
-			resp, err := r.Send(m)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, resp...)
-		}
-		return out, nil
-	}
-	if r.Deadline > 0 {
-		wd := time.AfterFunc(r.Deadline, func() {
-			r.timedOut.Store(true)
-			r.Transport.Close()
-		})
-		defer wd.Stop()
-	}
-	if err := bt.SendBatch(msgs); err != nil {
-		return nil, r.wrap("send", err)
-	}
-	var out []ipc.Message
-	for {
-		unit, err := bt.RecvBatch()
-		if err != nil {
-			return nil, r.wrap("recv", err)
-		}
-		for _, m := range unit {
+		for i, m := range u {
 			switch m.Kind {
 			case ipc.KindSync:
 				r.PeerTime = int64(m.Time)
-				return out, nil
+				if out == nil {
+					return u[:i], nil // the whole reply in one unit
+				}
+				return append(out, u[:i]...), nil
 			case kindError:
 				return nil, &CouplingError{
 					Class: ClassProtocol,
@@ -169,8 +98,8 @@ func (r *Remote) SendBatch(msgs []ipc.Message) ([]ipc.Message, error) {
 					Err:   fmt.Errorf("remote entity: %s", m.Data),
 				}
 			}
-			out = append(out, m)
 		}
+		out = append(out, u...)
 	}
 }
 
@@ -205,19 +134,9 @@ type EntityServer struct {
 	Watchdog time.Duration
 
 	watchdogFired atomic.Bool
-}
-
-// recvUnit reads the client's next protocol unit: one message, or a
-// whole δ-window batch when the transport carries batches.
-func (s *EntityServer) recvUnit() ([]ipc.Message, error) {
-	if bt, ok := s.Transport.(ipc.BatchTransport); ok {
-		return bt.RecvBatch()
-	}
-	m, err := s.Transport.Recv()
-	if err != nil {
-		return nil, err
-	}
-	return []ipc.Message{m}, nil
+	// reply is the reply unit, reused across requests (Send does not
+	// retain it).
+	reply []ipc.Message
 }
 
 // Serve runs the request loop. It returns nil when the client closes the
@@ -225,11 +144,10 @@ func (s *EntityServer) recvUnit() ([]ipc.Message, error) {
 // way. The transport is closed on return, so a client blocked on a
 // response learns of the server's death instead of waiting forever.
 //
-// A batched request is processed as one unit: every message is delivered
-// in order, the entity's coalesced outbox plus the KindSync
-// acknowledgement travel back as one batch, and a mid-unit Deliver
-// failure discards the half-built outbox and answers kindError for the
-// whole unit — mirroring the client-side error contract.
+// Every request unit earns one reply unit: the entity's coalesced outbox
+// followed by the KindSync acknowledgement. A mid-unit Deliver failure
+// discards the half-built outbox and answers kindError for the whole
+// unit — mirroring the client-side error contract.
 func (s *EntityServer) Serve() error {
 	defer s.Transport.Close()
 	var wd *time.Timer
@@ -241,7 +159,7 @@ func (s *EntityServer) Serve() error {
 		defer wd.Stop()
 	}
 	for {
-		unit, err := s.recvUnit()
+		unit, err := s.Transport.Recv()
 		if err != nil {
 			if s.watchdogFired.Load() {
 				return &CouplingError{
@@ -258,36 +176,14 @@ func (s *EntityServer) Serve() error {
 		if wd != nil {
 			wd.Reset(s.Watchdog)
 		}
-		var derr error
-		for _, msg := range unit {
-			if derr = s.Entity.Deliver(msg); derr != nil {
-				break
-			}
+		s.reply = s.reply[:0]
+		if derr := s.Entity.deliverUnit(unit); derr != nil {
+			s.reply = append(s.reply, ipc.Message{Kind: kindError, Time: s.Entity.HDL.Now(), Data: []byte(derr.Error())})
+		} else {
+			s.reply = append(s.reply, s.Entity.TakeOutbox()...)
+			s.reply = append(s.reply, ipc.Message{Kind: ipc.KindSync, Time: s.Entity.HDL.Now()})
 		}
-		if derr != nil {
-			s.Entity.TakeOutbox() // discard the half-built unit
-			if serr := s.Transport.Send(ipc.Message{Kind: kindError, Time: s.Entity.HDL.Now(), Data: []byte(derr.Error())}); serr != nil {
-				return coupErr("send", serr)
-			}
-			continue
-		}
-		resps := s.Entity.TakeOutbox()
-		sync := ipc.Message{Kind: ipc.KindSync, Time: s.Entity.HDL.Now()}
-		if len(unit) > 1 {
-			// A batched request earns a batched reply; the transport is
-			// batch-capable or the unit could not have arrived whole.
-			reply := append(resps, sync)
-			if err := s.Transport.(ipc.BatchTransport).SendBatch(reply); err != nil {
-				return coupErr("send", err)
-			}
-			continue
-		}
-		for _, resp := range resps {
-			if err := s.Transport.Send(resp); err != nil {
-				return coupErr("send", err)
-			}
-		}
-		if err := s.Transport.Send(sync); err != nil {
+		if err := s.Transport.Send(s.reply); err != nil {
 			return coupErr("send", err)
 		}
 	}

@@ -209,6 +209,18 @@ func (e *Entity) TakeOutbox() []ipc.Message {
 	return out
 }
 
+// deliverUnit delivers msgs in order. A mid-unit failure discards the
+// half-built outbox, per the coupling's error contract.
+func (e *Entity) deliverUnit(msgs []ipc.Message) error {
+	for _, m := range msgs {
+		if err := e.Deliver(m); err != nil {
+			e.outbox = nil
+			return err
+		}
+	}
+	return nil
+}
+
 // ErrCausality is wrapped by Deliver when a message is stamped before an
 // already granted horizon — the Fig.-3 error the protocol exists to
 // prevent.

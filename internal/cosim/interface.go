@@ -33,6 +33,13 @@ type Response struct {
 // converts abstract packets to time-stamped messages, keeps the peer's
 // clock fed through periodic sync messages, and surfaces hardware
 // responses back into the network simulation.
+//
+// Every message generated within one network instant (one δ-window
+// boundary) is coalesced into a single coupling unit, flushed at the end
+// of the instant: the conservative protocol has already proven all of
+// them safe, so one round trip carries the whole window. The
+// initialization message, and a sync with nothing buffered, travel at
+// once as units of one.
 type InterfaceProcess struct {
 	// Coupling connects to the HDL entity or the hardware test board.
 	Coupling Coupling
@@ -57,15 +64,6 @@ type InterfaceProcess struct {
 	// hardware clock advancing through traffic pauses. Zero disables
 	// periodic sync.
 	SyncEvery sim.Duration
-	// Batch coalesces every message generated within one network instant
-	// (one δ-window boundary) into a single coupling unit, flushed at the
-	// end of the instant — the conservative protocol has already proven
-	// all of them safe, so one round trip carries the whole window. It
-	// takes effect when the Coupling implements BatchCoupling; otherwise
-	// messages travel one per round trip as before. Event orderings and
-	// the lag invariant are unchanged either way (see the batched-vs-
-	// unbatched property test).
-	Batch bool
 	// TraceOf, when non-nil, mints the causal trace ID of an outbound
 	// packet (0 = untraced). Sampled IDs ride the IPC envelope and record
 	// the ipc.tx hop in Cells.
@@ -87,9 +85,11 @@ type InterfaceProcess struct {
 
 	// pending holds the messages of the current network instant awaiting
 	// the end-of-instant flush; flushArmed tracks the zero-delay flush
-	// timer. Only ever non-empty within a single instant.
+	// timer. Only ever non-empty within a single instant. one is the unit
+	// an immediate message travels in (Exchange does not retain it).
 	pending    []ipc.Message
 	flushArmed bool
+	one        [1]ipc.Message
 
 	// Observability handles (nil when uninstrumented; all nil-safe). The
 	// process runs inside the sequential network scheduler, so plain field
@@ -136,7 +136,7 @@ func (p *InterfaceProcess) InstrumentCover(c *obs.CoverRegistry) {
 // InstrumentProfile routes the interface model's wall-time phase
 // accounting into the profile: packet encoding, response decoding and
 // coupling transport (with nested HDL time subtracted — a direct coupling
-// executes the entity, and therefore the HDL kernel, inside Send). Safe
+// executes the entity, and therefore the HDL kernel, inside Exchange). Safe
 // with a nil profile.
 func (p *InterfaceProcess) InstrumentProfile(prof *obs.PhaseProfile) {
 	p.phases = prof
@@ -241,15 +241,9 @@ func (p *InterfaceProcess) Timer(ctx *netsim.Ctx, tag interface{}) {
 	}
 }
 
-// enqueue routes one outgoing message: buffered until the end of the
-// instant when batching is on and the coupling can carry units, pushed
-// through a full round trip otherwise.
+// enqueue buffers one outgoing message until the end of the instant.
 func (p *InterfaceProcess) enqueue(ctx *netsim.Ctx, msg ipc.Message) {
 	if p.err != nil {
-		return
-	}
-	if _, ok := p.Coupling.(BatchCoupling); !ok || !p.Batch {
-		p.push(ctx, msg)
 		return
 	}
 	p.pending = append(p.pending, msg)
@@ -259,68 +253,52 @@ func (p *InterfaceProcess) enqueue(ctx *netsim.Ctx, msg ipc.Message) {
 	}
 }
 
-// flush ships the buffered window as one unit and dispatches its
-// responses — semantically identical to pushing each message in order,
-// minus the per-message round trips.
+// flush ships the buffered window as one unit.
 func (p *InterfaceProcess) flush(ctx *netsim.Ctx) {
 	p.flushArmed = false
 	msgs := p.pending
 	p.pending = p.pending[:0]
-	if len(msgs) == 0 || p.err != nil {
-		return
+	if len(msgs) > 0 {
+		p.exchange(ctx, msgs, "batch flush", true)
 	}
-	span := p.tracer.Enabled()
-	if span {
-		p.tracer.Begin(obs.TrackCoupling, "batch flush", int64(ctx.Now()))
-	}
-	start := time.Now()
-	hdlBefore := p.phases.Ns(obs.PhaseHDL)
-	resps, err := p.Coupling.(BatchCoupling).SendBatch(msgs)
-	if p.phases != nil {
-		nested := p.phases.Ns(obs.PhaseHDL) - hdlBefore
-		p.phases.AddNs(obs.PhaseTransport, int64(time.Since(start))-nested)
-	}
-	p.obsBatches.Inc()
-	if p.obsBatchSize != nil {
-		p.obsBatchSize.Observe(float64(len(msgs)))
-	}
-	p.coverBatch.Observe(int64(len(msgs)))
-	if p.obsFlushUs != nil {
-		p.obsFlushUs.Observe(float64(time.Since(start).Microseconds()))
-	}
-	if span {
-		p.tracer.End(obs.TrackCoupling, "batch flush", int64(ctx.Now()))
-	}
-	if err != nil {
-		p.fail(ctx, err)
-		return
-	}
-	p.handleResponses(ctx, resps)
 }
 
-// push sends one message and dispatches the responses it provoked. A
-// process whose coupling already failed is inert: the run is terminating.
+// push sends one message at once as a unit of one.
 func (p *InterfaceProcess) push(ctx *netsim.Ctx, msg ipc.Message) {
+	p.one[0] = msg
+	p.exchange(ctx, p.one[:], kindSpanName(msg.Kind), false)
+}
+
+// exchange ships one unit and dispatches the responses it provoked. Only
+// a coalesced window feeds the window-size metrics and coverage. A
+// process whose coupling already failed is inert: the run is terminating.
+func (p *InterfaceProcess) exchange(ctx *netsim.Ctx, msgs []ipc.Message, span string, coalesced bool) {
 	if p.err != nil {
 		return
 	}
-	span := p.tracer.Enabled()
-	if span {
-		p.tracer.Begin(obs.TrackCoupling, kindSpanName(msg.Kind), int64(msg.Time))
+	traced := p.tracer.Enabled()
+	if traced {
+		p.tracer.Begin(obs.TrackCoupling, span, int64(ctx.Now()))
 	}
-	var start time.Time
-	var hdlBefore int64
-	if p.phases != nil {
-		start = time.Now()
-		hdlBefore = p.phases.Ns(obs.PhaseHDL)
-	}
-	resps, err := p.Coupling.Send(msg)
+	start := time.Now()
+	hdlBefore := p.phases.Ns(obs.PhaseHDL)
+	resps, err := p.Coupling.Exchange(msgs)
 	if p.phases != nil {
 		nested := p.phases.Ns(obs.PhaseHDL) - hdlBefore
 		p.phases.AddNs(obs.PhaseTransport, int64(time.Since(start))-nested)
 	}
-	if span {
-		p.tracer.End(obs.TrackCoupling, kindSpanName(msg.Kind), int64(msg.Time))
+	if coalesced {
+		p.obsBatches.Inc()
+		if p.obsBatchSize != nil {
+			p.obsBatchSize.Observe(float64(len(msgs)))
+		}
+		p.coverBatch.Observe(int64(len(msgs)))
+		if p.obsFlushUs != nil {
+			p.obsFlushUs.Observe(float64(time.Since(start).Microseconds()))
+		}
+	}
+	if traced {
+		p.tracer.End(obs.TrackCoupling, span, int64(ctx.Now()))
 	}
 	if err != nil {
 		p.fail(ctx, err)

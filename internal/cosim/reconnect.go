@@ -69,7 +69,7 @@ func (c *Reconnector) connect(replay bool) error {
 	c.cur = &Remote{Transport: tr, Deadline: c.Deadline}
 	if replay {
 		if c.init != nil {
-			if _, err := c.cur.Send(*c.init); err != nil {
+			if _, err := c.cur.Exchange([]ipc.Message{*c.init}); err != nil {
 				c.teardown()
 				return err
 			}
@@ -137,21 +137,9 @@ func (c *Reconnector) do(sendsInit bool, op func(*Remote) ([]ipc.Message, error)
 	}
 }
 
-// Send implements Coupling.
-func (c *Reconnector) Send(msg ipc.Message) ([]ipc.Message, error) {
-	if msg.Kind == ipc.KindInit {
-		m := msg
-		c.init = &m
-	}
-	return c.do(msg.Kind == ipc.KindInit, func(r *Remote) ([]ipc.Message, error) {
-		return r.Send(msg)
-	})
-}
-
-// SendBatch implements BatchCoupling with the same retry policy; the
-// whole unit is retried as one operation, so a reconnect never splits a
-// δ-window.
-func (c *Reconnector) SendBatch(msgs []ipc.Message) ([]ipc.Message, error) {
+// Exchange implements Coupling. The whole unit is retried as one
+// operation, so a reconnect never splits a δ-window.
+func (c *Reconnector) Exchange(msgs []ipc.Message) ([]ipc.Message, error) {
 	sendsInit := false
 	for _, m := range msgs {
 		if m.Kind == ipc.KindInit {
@@ -161,7 +149,7 @@ func (c *Reconnector) SendBatch(msgs []ipc.Message) ([]ipc.Message, error) {
 		}
 	}
 	return c.do(sendsInit, func(r *Remote) ([]ipc.Message, error) {
-		return r.SendBatch(msgs)
+		return r.Exchange(msgs)
 	})
 }
 

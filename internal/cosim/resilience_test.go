@@ -32,7 +32,7 @@ func TestRemoteDeadlineWatchdog(t *testing.T) {
 	a, _ := ipc.Pipe(16)
 	r := &Remote{Transport: a, Deadline: 30 * time.Millisecond}
 	err := withTestDeadline(t, 5*time.Second, func() error {
-		out, err := r.Send(ipc.Message{Kind: ipc.KindInit})
+		out, err := r.Exchange([]ipc.Message{{Kind: ipc.KindInit}})
 		if out != nil {
 			t.Errorf("out = %v, want nil on error", out)
 		}
@@ -67,13 +67,13 @@ func TestRemotePartialResponseDiscarded(t *testing.T) {
 		if _, err := b.Recv(); err != nil {
 			return
 		}
-		b.Send(ipc.Message{Kind: KindData, Time: 5, Data: []byte("partial")})
+		b.Send([]ipc.Message{{Kind: KindData, Time: 5, Data: []byte("partial")}})
 		b.Close()
 	}()
 	r := &Remote{Transport: a}
-	out, err := r.Send(ipc.Message{Kind: ipc.KindInit})
+	out, err := r.Exchange([]ipc.Message{{Kind: ipc.KindInit}})
 	if err == nil {
-		t.Fatal("Send succeeded despite missing sync")
+		t.Fatal("Exchange succeeded despite missing sync")
 	}
 	if out != nil {
 		t.Fatalf("out = %v, want nil — partial batches must not leak", out)
@@ -90,11 +90,11 @@ func TestRemoteEntityErrorTyped(t *testing.T) {
 		if _, err := b.Recv(); err != nil {
 			return
 		}
-		b.Send(ipc.Message{Kind: kindError, Data: []byte("queue overflow")})
+		b.Send([]ipc.Message{{Kind: kindError, Data: []byte("queue overflow")}})
 	}()
 	r := &Remote{Transport: a}
 	defer r.Close()
-	out, err := r.Send(ipc.Message{Kind: KindData})
+	out, err := r.Exchange([]ipc.Message{{Kind: KindData}})
 	if out != nil {
 		t.Errorf("out = %v, want nil", out)
 	}
@@ -111,12 +111,12 @@ func TestRemoteEntityErrorTyped(t *testing.T) {
 // acknowledged with a sync, and every received message is recorded.
 func scriptedServer(tr ipc.Transport, log *[]ipc.Message) {
 	for {
-		m, err := tr.Recv()
+		u, err := tr.Recv()
 		if err != nil {
 			return
 		}
-		*log = append(*log, m)
-		if tr.Send(ipc.Message{Kind: ipc.KindSync, Time: m.Time}) != nil {
+		*log = append(*log, u...)
+		if tr.Send([]ipc.Message{{Kind: ipc.KindSync, Time: u[len(u)-1].Time}}) != nil {
 			return
 		}
 	}
@@ -142,17 +142,17 @@ func TestReconnectorReplaysSession(t *testing.T) {
 	}
 	defer rc.Close()
 
-	if _, err := rc.Send(ipc.Message{Kind: ipc.KindInit, Time: 0}); err != nil {
+	if _, err := rc.Exchange([]ipc.Message{{Kind: ipc.KindInit, Time: 0}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rc.Send(ipc.Message{Kind: KindData, Time: 1, Data: []byte("one")}); err != nil {
+	if _, err := rc.Exchange([]ipc.Message{{Kind: KindData, Time: 1, Data: []byte("one")}}); err != nil {
 		t.Fatal(err)
 	}
 
 	// The link dies mid-run; the next operation must transparently re-dial
 	// and replay the recorded init before retrying.
 	serverTr[0].Close()
-	if _, err := rc.Send(ipc.Message{Kind: KindData, Time: 2, Data: []byte("two")}); err != nil {
+	if _, err := rc.Exchange([]ipc.Message{{Kind: KindData, Time: 2, Data: []byte("two")}}); err != nil {
 		t.Fatalf("send after link loss: %v", err)
 	}
 
@@ -181,7 +181,7 @@ func TestReconnectorGivesUp(t *testing.T) {
 			return a, nil
 		},
 	}
-	_, err := rc.Send(ipc.Message{Kind: KindData})
+	_, err := rc.Exchange([]ipc.Message{{Kind: KindData}})
 	var ce *CouplingError
 	if !errors.As(err, &ce) || ce.Class != ClassClosed {
 		t.Fatalf("err = %v, want closed-classed CouplingError after giving up", err)
@@ -194,8 +194,8 @@ func TestReconnectorGivesUp(t *testing.T) {
 // failCoupling rejects every message with the given error.
 type failCoupling struct{ err error }
 
-func (f failCoupling) Send(ipc.Message) ([]ipc.Message, error) { return nil, f.err }
-func (f failCoupling) Close() error                            { return nil }
+func (f failCoupling) Exchange([]ipc.Message) ([]ipc.Message, error) { return nil, f.err }
+func (f failCoupling) Close() error                                  { return nil }
 
 func TestInterfaceGracefulDefault(t *testing.T) {
 	// A broken coupling must terminate the run and surface through Err —

@@ -70,18 +70,18 @@ func TestRemoteErrorPropagation(t *testing.T) {
 	defer a.Close()
 	remote := &Remote{Transport: a}
 
-	if _, err := remote.Send(ipc.Message{Kind: ipc.KindUser + 9, Time: sim.Microsecond}); err == nil {
+	if _, err := remote.Exchange([]ipc.Message{{Kind: ipc.KindUser + 9, Time: sim.Microsecond}}); err == nil {
 		t.Fatal("undeclared kind did not error")
 	}
 	// The server survives and processes valid traffic afterwards.
 	cell := &atm.Cell{Header: atm.Header{VPI: 1, VCI: 2}, Seq: 3}
 	cell.StampSeq()
 	data, _ := (mapping.CellCodec{}).Encode(cell)
-	r1, err := remote.Send(ipc.Message{Kind: KindData, Time: 2 * sim.Microsecond, Data: data})
+	r1, err := remote.Exchange([]ipc.Message{{Kind: KindData, Time: 2 * sim.Microsecond, Data: data}})
 	if err != nil {
 		t.Fatalf("valid message after error failed: %v", err)
 	}
-	r2, err := remote.Send(ipc.Message{Kind: ipc.KindSync, Time: 200 * sim.Microsecond})
+	r2, err := remote.Exchange([]ipc.Message{{Kind: ipc.KindSync, Time: 200 * sim.Microsecond}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,9 +31,6 @@ type AcctRigConfig struct {
 	// Sources describes the traffic: per entry a model, a VC index into
 	// VCs (or -1 for an unregistered connection) and a cell budget.
 	Sources []AcctSource
-	// Batch coalesces per-instant coupling messages into δ-window units
-	// (see SwitchRigConfig.Batch).
-	Batch bool
 	// NoCompiled opts out of the compiled bit-parallel data plane (see
 	// SwitchRigConfig.NoCompiled).
 	NoCompiled bool
@@ -84,7 +81,7 @@ func NewAcctRig(cfg AcctRigConfig) *AcctRig {
 		"metered", "clp1", "unregistered", "exception")
 
 	r.kernel(SwitchRigConfig{
-		Seed: cfg.Seed, Delta: 64 * clockPeriod, SyncEvery: syncEvery, Batch: cfg.Batch, NoCompiled: cfg.NoCompiled,
+		Seed: cfg.Seed, Delta: 64 * clockPeriod, SyncEvery: syncEvery, NoCompiled: cfg.NoCompiled,
 		Metrics: cfg.Metrics, Trace: cfg.Trace, Cover: cfg.Cover, Profile: cfg.Profile,
 	})
 	// The accounting rig's coverage was recorded with the final window's

@@ -228,7 +228,6 @@ func (h *Harness) network(coupling cosim.Coupling, classify func(*netsim.Packet,
 		Coupling:  coupling,
 		Registry:  h.registry,
 		SyncEvery: cfg.SyncEvery,
-		Batch:     cfg.Batch,
 		Cells:     cfg.Cells,
 		Recorder:  cfg.Recorder,
 		Classify:  classify,
@@ -375,7 +374,7 @@ func (h *Harness) flush(t sim.Time) error {
 	if h.Entity != nil {
 		h.Entity.FreezeLagStats = !h.countFlushLag
 	}
-	resps, err := h.Iface.Coupling.Send(ipc.Message{Kind: ipc.KindSync, Time: t})
+	resps, err := h.Iface.Coupling.Exchange([]ipc.Message{{Kind: ipc.KindSync, Time: t}})
 	if err != nil {
 		return err
 	}

@@ -191,7 +191,7 @@ func TestParityProfile(t *testing.T) {
 	}
 	run := obs.NewRun(0)
 	run.Profile = obs.NewRunProfile()
-	experiments.Factory{Obs: run, Batch: true}.E1(300, 7)
+	experiments.Factory{Obs: run}.E1(300, 7)
 	var table strings.Builder
 	obs.WriteActivityText(&table, run.Prof().Activity(), 10)
 	b.WriteString(table.String())

@@ -45,9 +45,6 @@ type PolicerRigConfig struct {
 	Tag       bool // tag instead of discard
 	Contracts []PolicerContract
 	Sources   []PolicerSource
-	// Batch coalesces per-instant coupling messages into δ-window units
-	// (see SwitchRigConfig.Batch).
-	Batch bool
 	// NoCompiled opts out of the compiled bit-parallel data plane (see
 	// SwitchRigConfig.NoCompiled).
 	NoCompiled bool
@@ -95,7 +92,7 @@ func NewPolicerRig(cfg PolicerRigConfig) *PolicerRig {
 		"conforming", "nonconforming", "tagged", "discarded")
 
 	r.kernel(SwitchRigConfig{
-		Seed: cfg.Seed, SyncEvery: syncEvery, Batch: cfg.Batch, NoCompiled: cfg.NoCompiled,
+		Seed: cfg.Seed, SyncEvery: syncEvery, NoCompiled: cfg.NoCompiled,
 		Metrics: cfg.Metrics, Trace: cfg.Trace, Cover: cfg.Cover, Profile: cfg.Profile,
 		// UPC hardware is timing-sensitive: its conformance decisions
 		// depend on exact cell spacing. A large processing window δ would

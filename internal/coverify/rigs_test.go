@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"castanet/internal/obs"
 	"castanet/internal/sim"
 	"castanet/internal/traffic"
 )
@@ -84,6 +85,33 @@ func TestBoardRigHardwareInLoop(t *testing.T) {
 	}
 	if rig.Board.HWTime == 0 || rig.Board.SWTime == 0 {
 		t.Errorf("board activity accounting empty: %v", rig.Board)
+	}
+}
+
+// TestBoardRigCouplingCoverage: the board coupling carries δ-window units
+// like every other coupling, so the board rig's cosim.coupling group bins
+// the size of every coalesced window.
+func TestBoardRigCouplingCoverage(t *testing.T) {
+	cover := obs.NewCoverRegistry()
+	rig, err := NewBoardRig(SwitchRigConfig{Seed: 3, Traffic: lightTraffic(10), Cover: cover}, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.Run(3 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	hits := uint64(0)
+	for _, g := range cover.Snapshot() {
+		for _, p := range g.Points {
+			if g.Name == "cosim.coupling" && p.Name == "batch_cells" {
+				for _, b := range p.Bins {
+					hits += b.Hits
+				}
+			}
+		}
+	}
+	if hits == 0 {
+		t.Error("board rig recorded no cosim.coupling batch_cells hits")
 	}
 }
 

@@ -72,10 +72,10 @@ type SwitchRigConfig struct {
 	Deadline time.Duration
 	// SyncEvery overrides the periodic time-update interval.
 	SyncEvery sim.Duration
-	// Batch coalesces all coupling messages of one network instant into a
-	// single δ-window unit (one wire frame, one acknowledgement) — see
-	// cosim.InterfaceProcess.Batch. Event orderings are unchanged; only
-	// the per-message round trips are amortized.
+	// Batch is ignored: every coupling coalesces the messages of one
+	// network instant into a single δ-window unit.
+	//
+	// Deprecated: ignored.
 	Batch bool
 	// NoCompiled keeps the HDL simulator on the plain nine-value event
 	// kernel instead of the compiled bit-parallel data plane (hdl.Compile,

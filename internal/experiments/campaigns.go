@@ -31,12 +31,6 @@ type CampaignConfig struct {
 	// tracing). Campaign runs are small, so full tracing is the default;
 	// raise it for full-rate soak campaigns.
 	TraceEvery int
-	// Batch runs every rig through the δ-window batched coupling path
-	// (default on, matching the castanet -batch flag). The campaigns are
-	// then end-to-end consumers of the batched wire format: switch runs
-	// batch over the direct coupling, fault runs push whole batches
-	// through Reliable(Fault(pipe)).
-	Batch bool
 	// NoCompiled elaborates every run's HDL kernel on the plain
 	// event-driven data plane instead of the compiled fast path
 	// (hdl.Compile, DESIGN.md §18) — the castanet -no-compiled escape
@@ -45,20 +39,19 @@ type CampaignConfig struct {
 	NoCompiled bool
 }
 
-// DefaultCampaignConfig traces every cell and batches the coupling — see
-// CampaignConfig.
-var DefaultCampaignConfig = CampaignConfig{TraceEvery: 1, Batch: true}
+// DefaultCampaignConfig traces every cell — see CampaignConfig.
+var DefaultCampaignConfig = CampaignConfig{TraceEvery: 1}
 
 // rigConfig returns the rig configuration every campaign run shares: the
-// coupling batching, the kernel choice, the run's coverage and profile
-// sinks, and its supervision deadline. The policer and accounting rigs
-// take the fields their configurations have from it. Every run reports
+// kernel choice, the run's coverage and profile sinks, and its
+// supervision deadline. The policer and accounting rigs take the fields
+// their configurations have from it. Every run reports
 // the kernel it elaborated to result collectors: its Result.Value is
 // whether the HDL kernel ran compiled.
 func (cfg CampaignConfig) rigConfig(r *campaign.Run) coverify.SwitchRigConfig {
 	return coverify.SwitchRigConfig{
-		Batch: cfg.Batch, NoCompiled: cfg.NoCompiled,
-		Cover: r.Cover(), Profile: r.Profile(), Deadline: r.Deadline,
+		NoCompiled: cfg.NoCompiled,
+		Cover:      r.Cover(), Profile: r.Profile(), Deadline: r.Deadline,
 	}
 }
 
@@ -271,8 +264,8 @@ func policerCells(ccfg CampaignConfig) []campaign.Cell {
 		vc := atm.VC{VPI: 1, VCI: 10}
 		sh := ccfg.rigConfig(r)
 		rig := coverify.NewPolicerRig(coverify.PolicerRigConfig{
-			Seed:  rng.Uint64(),
-			Batch: sh.Batch, NoCompiled: sh.NoCompiled, Cover: sh.Cover, Profile: sh.Profile,
+			Seed:       rng.Uint64(),
+			NoCompiled: sh.NoCompiled, Cover: sh.Cover, Profile: sh.Profile,
 			Contracts: []coverify.PolicerContract{
 				{VC: vc, PeakInterval: sim.FromSeconds(1 / contractRate), Tau: 2 * sim.Microsecond},
 			},
@@ -304,8 +297,8 @@ func acctCells(ccfg CampaignConfig) []campaign.Cell {
 		vcs := []atm.VC{{VPI: 1, VCI: 10}, {VPI: 2, VCI: 20}}
 		sh := ccfg.rigConfig(r)
 		cfg := coverify.AcctRigConfig{
-			Seed:  rng.Uint64(),
-			Batch: sh.Batch, NoCompiled: sh.NoCompiled, Cover: sh.Cover, Profile: sh.Profile,
+			Seed:       rng.Uint64(),
+			NoCompiled: sh.NoCompiled, Cover: sh.Cover, Profile: sh.Profile,
 			VCs:    vcs,
 			Tariff: atm.Tariff{CellsPerUnit: 10},
 			Sources: []coverify.AcctSource{

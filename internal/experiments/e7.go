@@ -54,7 +54,6 @@ func (f Factory) E7(cellsPerPoint uint64, seed uint64) E7Result {
 			Metrics:    f.Obs.Reg(),
 			Trace:      f.Obs.Trace(),
 			Profile:    f.Obs.Prof(),
-			Batch:      f.Batch,
 			NoCompiled: f.NoCompiled,
 		})
 		horizon := sim.FromSeconds(float64(cellsPerPoint)/(contractRate*ratio)) + sim.Millisecond

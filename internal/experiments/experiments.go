@@ -33,10 +33,6 @@ import (
 // mutable state. A zero Factory (nil Obs) elaborates uninstrumented rigs.
 type Factory struct {
 	Obs *obs.Run
-	// Batch routes every coupling the factory elaborates through the
-	// δ-window batched path (cosim.InterfaceProcess.Batch). Rigs whose
-	// coupling is not batch-capable ignore it.
-	Batch bool
 	// NoCompiled elaborates every HDL kernel the factory builds on the
 	// plain event-driven data plane instead of the compiled bit-parallel
 	// fast path (hdl.Compile, DESIGN.md §18) — the castanet -no-compiled
@@ -59,14 +55,6 @@ var obsRun *obs.Run
 // disable.
 func Observe(run *obs.Run) { obsRun = run }
 
-// batchOn is the package-level coupling-batching default for the E*
-// harness wrappers, on unless the castanet -batch flag clears it.
-var batchOn = true
-
-// Batching sets whether package-level E* calls elaborate their rigs on
-// the batched coupling path (the castanet -batch flag).
-func Batching(on bool) { batchOn = on }
-
 // compiledOn is the package-level compiled-kernel default for the E*
 // harness wrappers, on unless the castanet -no-compiled flag clears it.
 var compiledOn = true
@@ -79,7 +67,7 @@ func Compiled(on bool) { compiledOn = on }
 // pkgFactory is the Factory the package-level E* wrappers use, carrying
 // the flag-controlled defaults.
 func pkgFactory() Factory {
-	return Factory{Obs: obsRun, Batch: batchOn, NoCompiled: !compiledOn}
+	return Factory{Obs: obsRun, NoCompiled: !compiledOn}
 }
 
 // observed copies the factory's sink into a rig configuration.
@@ -89,7 +77,6 @@ func (f Factory) observed(cfg coverify.SwitchRigConfig) coverify.SwitchRigConfig
 	cfg.Cells = f.Obs.CellTrace()
 	cfg.Cover = f.Obs.CoverReg()
 	cfg.Profile = f.Obs.Prof()
-	cfg.Batch = f.Batch
 	cfg.NoCompiled = f.NoCompiled
 	return cfg
 }
@@ -464,7 +451,6 @@ func (f Factory) E5(seed uint64) E5Result {
 	cfg.Metrics = f.Obs.Reg()
 	cfg.Trace = f.Obs.Trace()
 	cfg.Profile = f.Obs.Prof()
-	cfg.Batch = f.Batch
 	cfg.NoCompiled = f.NoCompiled
 	rig := coverify.NewAcctRig(cfg)
 

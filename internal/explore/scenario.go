@@ -22,7 +22,7 @@ import (
 // rig parameterized over everything the static campaign matrices keep
 // fixed — per-port traffic model, rate, volume and VC focus, cell-loss
 // priority mix, link- and connection-table fault injection, and the
-// coupling's δ-window, sync period and batching.
+// coupling's δ-window and sync period.
 //
 // Where the static "switch" and "faults" campaigns deliberately stay in
 // the uncongested, spread-traffic regime (every cell must be delivered),
@@ -61,8 +61,7 @@ const (
 	geneFPort = 18 // table-fault port
 	geneDelta = 19 // δ-window clocks index
 	geneSync  = 20 // sync period index
-	geneBatch = 21 // batched coupling on/off
-	geneCount = 22
+	geneCount = 21
 )
 
 // Traffic model kinds (geneKind values).
@@ -113,7 +112,6 @@ func buildSwitchGenes() []Gene {
 	genes[geneFPort] = Gene{Name: "fport", Card: dut.SwitchPorts}
 	genes[geneDelta] = Gene{Name: "delta", Card: len(deltaTable)}
 	genes[geneSync] = Gene{Name: "sync", Card: len(syncTable)}
-	genes[geneBatch] = Gene{Name: "batch", Card: 2}
 	return genes
 }
 
@@ -140,7 +138,6 @@ type scenario struct {
 	fport   int
 	delta   sim.Duration
 	sync    sim.Duration
-	batch   bool
 	horizon sim.Time
 }
 
@@ -164,7 +161,6 @@ func (s *SwitchSpace) decode(g Genome) scenario {
 		fport:  int(g[geneFPort]),
 		delta:  sim.Duration(deltaTable[g[geneDelta]]) * 50 * sim.Nanosecond,
 		sync:   sim.Duration(syncTable[g[geneSync]]) * sim.Microsecond,
-		batch:  g[geneBatch] != 0,
 	}
 	// Horizon: the slowest port's expected emission time with a per-kind
 	// dispersion margin (bursty models emit their volume unevenly), plus
@@ -330,7 +326,6 @@ func (s *SwitchSpace) runFunc(sc scenario) campaign.RunFunc {
 			Traffic:   tr,
 			Delta:     sc.delta,
 			SyncEvery: sc.sync,
-			Batch:     sc.batch,
 			Cells:     cells,
 			Recorder:  obs.NewRecorder(0),
 			Cover:     r.Cover(),
@@ -480,7 +475,6 @@ func (s *SwitchSpace) nudge(g Genome, rng *sim.RNG, ref BinRef) bool {
 		// Sync-lag and batch-size bins respond to the coupling shape.
 		g[geneDelta] = uint16(rng.Intn(len(deltaTable)))
 		g[geneSync] = uint16(rng.Intn(len(syncTable)))
-		g[geneBatch] = uint16(rng.Intn(2))
 		return true
 	}
 	return false

@@ -24,11 +24,11 @@ func benchEcho(b *testing.B, wrap func(Transport) Transport) Transport {
 		tr := wrap(NewConn(c))
 		defer tr.Close()
 		for {
-			m, err := tr.Recv()
+			u, err := tr.Recv()
 			if err != nil {
 				return
 			}
-			if tr.Send(m) != nil {
+			if tr.Send(u) != nil {
 				return
 			}
 		}
@@ -42,11 +42,11 @@ func benchEcho(b *testing.B, wrap func(Transport) Transport) Transport {
 }
 
 func benchRoundTrips(b *testing.B, tr Transport) {
-	m := Message{Kind: KindUser, Time: sim.Microsecond, Data: make([]byte, 53)}
+	u := []Message{{Kind: KindUser, Time: sim.Microsecond, Data: make([]byte, 53)}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Time += sim.Microsecond
-		if err := tr.Send(m); err != nil {
+		u[0].Time += sim.Microsecond
+		if err := tr.Send(u); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := tr.Recv(); err != nil {

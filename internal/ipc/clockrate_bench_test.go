@@ -41,7 +41,7 @@ func TestWriteClockRateBench(t *testing.T) {
 			Cells: perPort,
 		}
 	}
-	rig := coverify.NewSwitchRig(coverify.SwitchRigConfig{Seed: 1, Traffic: tr, Batch: true})
+	rig := coverify.NewSwitchRig(coverify.SwitchRigConfig{Seed: 1, Traffic: tr})
 	start := time.Now()
 	if err := rig.Run(sim.Time(perPort+4) * cellTime); err != nil {
 		t.Fatal(err)

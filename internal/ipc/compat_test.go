@@ -8,12 +8,52 @@ import (
 	"castanet/internal/sim"
 )
 
-// The trace-carrying frame layout must never invalidate what older peers
-// wrote: untraced messages still encode in the original 16-byte-header
-// layout, and frames recorded before trace IDs existed still decode.
+// The frame layout is pinned bit-exactly by captured fixtures, so a change
+// to it cannot slip through as a round trip that merely agrees with itself.
 
-// legacyFrame is a frame captured from the pre-trace wire format:
-// magic 0xCA57, kind 8 (KindUser), time 12345, payload "cell".
+// untracedMsg and tracedMsg are the two fixture messages.
+var (
+	untracedMsg = []byte{
+		0x00, 0x08, // kind 8 (KindUser)
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x30, 0x39, // time 12345
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // trace 0: untraced
+		0x00, 0x00, 0x00, 0x04, // len
+		'c', 'e', 'l', 'l',
+	}
+	tracedMsg = []byte{
+		0x00, 0x08, // kind 8 (KindUser)
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x09, // time 777
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2A, // trace 0x2A
+		0x00, 0x00, 0x00, 0x02, // len
+		0xDE, 0xAD,
+	}
+)
+
+// tracedFrame is a captured unit of one: the traced fixture message.
+var tracedFrame = append([]byte{
+	0xCA, 0x5A, // magic
+	0x00, 0x00, 0x00, 0x01, // count
+	0x00, 0x00, 0x00, 0x18, // body length 24
+	0x23, 0x57, 0xAF, 0xE3, // crc32 (IEEE) of body
+}, tracedMsg...)
+
+// unitFrame is a captured unit of both fixture messages: count 2, a
+// 50-byte body under one CRC-32.
+var unitFrame = append(append([]byte{
+	0xCA, 0x5A, // magic
+	0x00, 0x00, 0x00, 0x02, // count
+	0x00, 0x00, 0x00, 0x32, // body length 50
+	0xD6, 0x20, 0xE7, 0xC0, // crc32 (IEEE) of body
+}, untracedMsg...), tracedMsg...)
+
+// fixtureUnit is what unitFrame decodes to.
+var fixtureUnit = []Message{
+	{Kind: KindUser, Time: 12345, Data: []byte("cell")},
+	{Kind: KindUser, Time: 777, Trace: 0x2A, Data: []byte{0xDE, 0xAD}},
+}
+
+// legacyFrame is a frame of the retired one-message-per-frame wire
+// format: magic 0xCA57, kind 8, time 12345, payload "cell".
 var legacyFrame = []byte{
 	0xCA, 0x57, // magic
 	0x00, 0x08, // kind
@@ -22,173 +62,103 @@ var legacyFrame = []byte{
 	'c', 'e', 'l', 'l',
 }
 
-// TestDecodeLegacyFrame: a hard-coded pre-trace frame decodes unchanged,
-// with a zero (untraced) trace ID.
+// TestDecodeLegacyFrame: a frame of the retired one-message layout is a
+// foreign stream, rejected as ErrBadFrame instead of misparsed.
 func TestDecodeLegacyFrame(t *testing.T) {
-	m, err := Decode(bytes.NewReader(legacyFrame))
-	if err != nil {
-		t.Fatalf("legacy frame rejected: %v", err)
-	}
-	if m.Kind != KindUser || m.Time != sim.Time(12345) || string(m.Data) != "cell" {
-		t.Errorf("legacy frame decoded wrong: %v", m)
-	}
-	if m.Trace != 0 {
-		t.Errorf("legacy frame must decode untraced, got trace 0x%x", m.Trace)
-	}
-}
-
-// TestEncodeUntracedIsLegacy: Trace == 0 emits bytes identical to the
-// original format — a never-tracing coupling is wire-compatible with old
-// peers by construction.
-func TestEncodeUntracedIsLegacy(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Encode(&buf, Message{Kind: KindUser, Time: 12345, Data: []byte("cell")}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), legacyFrame) {
-		t.Errorf("untraced encoding diverged from the legacy layout:\n got %x\nwant %x",
-			buf.Bytes(), legacyFrame)
+	if u, err := Decode(bytes.NewReader(legacyFrame)); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("legacy frame decoded to %v, %v; want ErrBadFrame", u, err)
 	}
 }
 
 // TestTracedRoundTrip: a traced message survives Encode→Decode with its
-// trace ID, under the traced magic.
+// trace ID, and an untraced one comes back with trace 0.
 func TestTracedRoundTrip(t *testing.T) {
-	in := Message{Kind: KindUser, Time: 777, Trace: 0x2a, Data: []byte{0xDE, 0xAD}}
+	in := []Message{
+		{Kind: KindUser, Time: 777, Trace: 0x2a, Data: []byte{0xDE, 0xAD}},
+		{Kind: KindSync, Time: 778},
+	}
 	var buf bytes.Buffer
 	if err := Encode(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	if got := uint16(raw[0])<<8 | uint16(raw[1]); got != magicTraced {
-		t.Errorf("traced frame magic = 0x%04x, want 0x%04x", got, magicTraced)
-	}
-	if len(raw) != tracedHeaderBytes+len(in.Data) {
-		t.Errorf("traced frame is %d bytes, want %d", len(raw), tracedHeaderBytes+len(in.Data))
+	if buf.Len() != frameHeaderBytes+2*msgHeaderBytes+len(in[0].Data) {
+		t.Errorf("frame is %d bytes, want %d", buf.Len(), frameHeaderBytes+2*msgHeaderBytes+len(in[0].Data))
 	}
 	out, err := Decode(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Trace != in.Trace || out.Kind != in.Kind || out.Time != in.Time || !bytes.Equal(out.Data, in.Data) {
-		t.Errorf("traced round trip changed the message: %v -> %v", in, out)
+	for i := range in {
+		if !sameMessage(out[i], in[i]) {
+			t.Errorf("round trip changed message %d: %v -> %v", i, in[i], out[i])
+		}
 	}
 }
 
-// TestTracedZeroRejected: a traced-layout frame claiming trace ID 0 can
-// not have been produced by Encode; the decoder must classify it as a bad
-// frame rather than silently aliasing the legacy layout.
-func TestTracedZeroRejected(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Encode(&buf, Message{Kind: KindUser, Time: 1, Trace: 5}); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	for i := 12; i < 20; i++ {
-		raw[i] = 0
-	}
-	if _, err := Decode(bytes.NewReader(raw)); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("zero-trace traced frame returned %v, want ErrBadFrame", err)
-	}
-}
-
-// tracedFrame is a frame captured from the 0xCA58 traced wire format:
-// kind 8 (KindUser), time 777, trace 0x2A, payload DE AD.
-var tracedFrame = []byte{
-	0xCA, 0x58, // magic
-	0x00, 0x08, // kind
-	0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x09, // time
-	0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2A, // trace
-	0x00, 0x00, 0x00, 0x02, // len
-	0xDE, 0xAD,
-}
-
-// batchFrame is a captured 0xCA59 batch of the two fixtures above: count
-// 2, a 46-byte body (legacyFrame then tracedFrame) under one CRC-32.
-var batchFrame = append(append([]byte{
-	0xCA, 0x59, // batch magic
-	0x00, 0x00, 0x00, 0x02, // count
-	0x00, 0x00, 0x00, 0x2E, // body length
-	0xD1, 0x0C, 0x47, 0x3C, // crc32 (IEEE) of body
-}, legacyFrame...), tracedFrame...)
-
-// TestDecodeTracedFixture: a hard-coded 0xCA58 frame decodes unchanged —
-// batching must not have disturbed the traced single-frame layout.
+// TestDecodeTracedFixture: a hard-coded traced unit of one decodes
+// unchanged.
 func TestDecodeTracedFixture(t *testing.T) {
-	m, err := Decode(bytes.NewReader(tracedFrame))
+	u, err := Decode(bytes.NewReader(tracedFrame))
 	if err != nil {
 		t.Fatalf("traced fixture rejected: %v", err)
 	}
-	if m.Kind != KindUser || m.Time != sim.Time(777) || m.Trace != 0x2A || !bytes.Equal(m.Data, []byte{0xDE, 0xAD}) {
-		t.Errorf("traced fixture decoded wrong: %v", m)
+	if len(u) != 1 || !sameMessage(u[0], fixtureUnit[1]) {
+		t.Errorf("traced fixture decoded wrong: %v", u)
 	}
 }
 
-// TestDecodeBatchFixture: a hard-coded 0xCA59 batch carrying one legacy
-// and one traced sub-frame decodes into both messages in order, each
-// bit-identical to its single-frame decoding.
+// TestDecodeBatchFixture: a hard-coded unit carrying an untraced and a
+// traced message decodes into both messages in order.
 func TestDecodeBatchFixture(t *testing.T) {
-	msgs, err := DecodeAny(bytes.NewReader(batchFrame))
+	u, err := Decode(bytes.NewReader(unitFrame))
 	if err != nil {
-		t.Fatalf("batch fixture rejected: %v", err)
+		t.Fatalf("unit fixture rejected: %v", err)
 	}
-	if len(msgs) != 2 {
-		t.Fatalf("batch fixture decoded to %d messages, want 2", len(msgs))
+	if len(u) != 2 {
+		t.Fatalf("unit fixture decoded to %d messages, want 2", len(u))
 	}
-	if m := msgs[0]; m.Kind != KindUser || m.Time != sim.Time(12345) || m.Trace != 0 || string(m.Data) != "cell" {
-		t.Errorf("batch sub-frame 0 decoded wrong: %v", m)
-	}
-	if m := msgs[1]; m.Kind != KindUser || m.Time != sim.Time(777) || m.Trace != 0x2A || !bytes.Equal(m.Data, []byte{0xDE, 0xAD}) {
-		t.Errorf("batch sub-frame 1 decoded wrong: %v", m)
+	for i := range u {
+		if !sameMessage(u[i], fixtureUnit[i]) {
+			t.Errorf("message %d decoded wrong: %v", i, u[i])
+		}
 	}
 }
 
-// TestEncodeBatchMatchesFixture pins the batch layout bit-exactly:
-// encoding the two fixture messages must reproduce the captured frame.
+// TestEncodeBatchMatchesFixture pins the frame layout bit-exactly:
+// encoding the fixture messages must reproduce the captured frames.
 func TestEncodeBatchMatchesFixture(t *testing.T) {
-	var buf bytes.Buffer
-	msgs := []Message{
-		{Kind: KindUser, Time: 12345, Data: []byte("cell")},
-		{Kind: KindUser, Time: 777, Trace: 0x2A, Data: []byte{0xDE, 0xAD}},
-	}
-	if err := EncodeBatch(&buf, msgs); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), batchFrame) {
-		t.Errorf("batch encoding diverged from the captured layout:\n got %x\nwant %x",
-			buf.Bytes(), batchFrame)
-	}
-}
-
-// TestDecodeAnySingleFixtures: the shared-stream decoder returns
-// hard-coded single frames of both legacy layouts as one-element units —
-// peers that never batch see the pre-batch protocol unchanged.
-func TestDecodeAnySingleFixtures(t *testing.T) {
-	for name, frame := range map[string][]byte{"legacy": legacyFrame, "traced": tracedFrame} {
-		msgs, err := DecodeAny(bytes.NewReader(frame))
-		if err != nil {
-			t.Fatalf("%s fixture rejected by DecodeAny: %v", name, err)
+	for name, c := range map[string]struct {
+		u    []Message
+		want []byte
+	}{"unit": {fixtureUnit, unitFrame}, "traced": {fixtureUnit[1:], tracedFrame}} {
+		var buf bytes.Buffer
+		if err := Encode(&buf, c.u); err != nil {
+			t.Fatal(err)
 		}
-		if len(msgs) != 1 {
-			t.Errorf("%s fixture decoded to %d messages, want 1", name, len(msgs))
+		if !bytes.Equal(buf.Bytes(), c.want) {
+			t.Errorf("%s encoding diverged from the captured layout:\n got %x\nwant %x", name, buf.Bytes(), c.want)
 		}
 	}
 }
 
-// TestEnvelopeCarriesTrace: the reliability envelope encodes the inner
-// message with Encode, so the trace ID crosses a faulty link inside the
-// checksummed body and comes back out of openEnvelope intact.
+// TestEnvelopeCarriesTrace: the reliability envelope carries the unit's
+// frame, so the trace ID crosses a faulty link inside the checksummed
+// body and comes back out of openEnvelope intact.
 func TestEnvelopeCarriesTrace(t *testing.T) {
-	in := Message{Kind: KindUser, Time: 42, Trace: 9, Data: []byte("x")}
+	in := []Message{{Kind: KindUser, Time: 42, Trace: 9, Data: []byte("x")}, {Kind: KindSync, Time: 43}}
 	env, err := envelope(3, in)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(env.Data) != cap(env.Data) || env.Time != sim.Time(43) {
+		t.Errorf("envelope len %d cap %d time %v: want an exactly sized buffer stamped with the last message",
+			len(env.Data), cap(env.Data), env.Time)
 	}
 	seq, out, err := openEnvelope(env.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != 3 || out.Trace != 9 || out.Kind != in.Kind || out.Time != in.Time {
-		t.Errorf("envelope round trip: seq=%d msg=%v", seq, out)
+	if seq != 3 || len(out) != 2 || !sameMessage(out[0], in[0]) || !sameMessage(out[1], in[1]) {
+		t.Errorf("envelope round trip: seq=%d unit=%v", seq, out)
 	}
 }

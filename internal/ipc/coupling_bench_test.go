@@ -10,12 +10,11 @@ import (
 	"castanet/internal/sim"
 )
 
-// dialUnitEcho starts a TCP echo peer that preserves unit boundaries —
-// whatever arrives as one unit (a single frame or a whole 0xCA59 batch)
-// is echoed back as one unit — and returns the dialed client side. A
-// real socket, not a Pipe, so the figures include the serialization and
-// syscall cost the batch frame amortizes.
-func dialUnitEcho(b *testing.B) BatchTransport {
+// dialUnitEcho starts a TCP echo peer that echoes every unit back as one
+// unit and returns the dialed client side. A real socket, not a Pipe, so
+// the figures include the serialization and syscall cost a many-message
+// unit amortizes.
+func dialUnitEcho(b *testing.B) Transport {
 	b.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -26,20 +25,14 @@ func dialUnitEcho(b *testing.B) BatchTransport {
 		if err != nil {
 			return
 		}
-		sv := NewConn(c).(BatchTransport)
+		sv := NewConn(c)
 		defer sv.Close()
 		for {
-			u, err := sv.RecvBatch()
+			u, err := sv.Recv()
 			if err != nil {
 				return
 			}
-			if len(u) == 1 {
-				if sv.Send(u[0]) != nil {
-					return
-				}
-				continue
-			}
-			if sv.SendBatch(u) != nil {
+			if sv.Send(u) != nil {
 				return
 			}
 		}
@@ -49,7 +42,7 @@ func dialUnitEcho(b *testing.B) BatchTransport {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { ln.Close(); raw.Close() })
-	return raw.(BatchTransport)
+	return raw
 }
 
 // windowMsgs builds one δ-window worth of cell-sized coupling messages.
@@ -65,16 +58,16 @@ func windowMsgs(delta int) []Message {
 	return msgs
 }
 
-// benchWindowUnbatched round-trips one δ-window as delta individual
-// frames per iteration — the pre-batching coupling wire protocol.
+// benchWindowUnbatched round-trips one δ-window as delta units of one
+// message per iteration — the cost of a coupling that did not coalesce.
 func benchWindowUnbatched(b *testing.B, delta int) {
 	tr := dialUnitEcho(b)
 	msgs := windowMsgs(delta)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, m := range msgs {
-			if err := tr.Send(m); err != nil {
+		for j := range msgs {
+			if err := tr.Send(msgs[j : j+1]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -87,20 +80,20 @@ func benchWindowUnbatched(b *testing.B, delta int) {
 	b.StopTimer()
 }
 
-// benchWindowBatched round-trips the same δ-window as one 0xCA59 batch
-// frame per iteration.
+// benchWindowBatched round-trips the same δ-window as one unit per
+// iteration.
 func benchWindowBatched(b *testing.B, delta int) {
 	tr := dialUnitEcho(b)
 	msgs := windowMsgs(delta)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := tr.SendBatch(msgs); err != nil {
+		if err := tr.Send(msgs); err != nil {
 			b.Fatal(err)
 		}
 		got := 0
 		for got < delta {
-			u, err := tr.RecvBatch()
+			u, err := tr.Recv()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -110,20 +103,20 @@ func benchWindowBatched(b *testing.B, delta int) {
 	b.StopTimer()
 }
 
-// benchBatchEncode measures the steady-state batch encoder alone: one
+// benchBatchEncode measures the steady-state frame encoder alone: one
 // 64-message window serialized to a discarding writer per iteration.
-// The pooled buffers make this zero-alloc after warm-up.
+// The pooled buffer makes this zero-alloc after warm-up.
 func benchBatchEncode(b *testing.B) {
 	msgs := windowMsgs(64)
-	// Warm the pools so the steady state, not the first allocation, is
+	// Warm the pool so the steady state, not the first allocation, is
 	// what the allocs/op figure reports.
-	if err := EncodeBatch(io.Discard, msgs); err != nil {
+	if err := Encode(io.Discard, msgs); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := EncodeBatch(io.Discard, msgs); err != nil {
+		if err := Encode(io.Discard, msgs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -131,8 +124,8 @@ func benchBatchEncode(b *testing.B) {
 }
 
 // BenchmarkCouplingWindow is the interactive form of the BENCH_coupling
-// figures: one δ-window round trip per iteration, unbatched vs batched,
-// at a small and a large window.
+// figures: one δ-window round trip per iteration, as units of one vs as
+// one unit, at a small and a large window.
 func BenchmarkCouplingWindow(b *testing.B) {
 	b.Run("unbatched-d4", func(b *testing.B) { benchWindowUnbatched(b, 4) })
 	b.Run("batched-d4", func(b *testing.B) { benchWindowBatched(b, 4) })
@@ -157,16 +150,16 @@ type couplingBenchReport struct {
 	UnbatchedD64 couplingBenchRow `json:"unbatched_delta64"`
 	BatchedD64   couplingBenchRow `json:"batched_delta64"`
 	// BatchEncodeAllocsPerOp is the steady-state allocation count of one
-	// EncodeBatch of a 64-message window — the zero-alloc claim.
+	// Encode of a 64-message window — the zero-alloc claim.
 	BatchEncodeAllocsPerOp float64 `json:"batch_encode_64_allocs_per_op"`
 	BatchEncodeNsPerOp     float64 `json:"batch_encode_64_ns_per_op"`
-	// SpeedupSmall/Large are batched/unbatched cells-per-second ratios at
-	// δ=4 and δ=64.
+	// SpeedupSmall/Large are the cells-per-second ratios of one unit per
+	// window over one unit per message, at δ=4 and δ=64.
 	SpeedupSmall float64 `json:"speedup_small_delta"`
 	SpeedupLarge float64 `json:"speedup_large_delta"`
 }
 
-// TestWriteCouplingBench measures the batched-vs-unbatched coupling
+// TestWriteCouplingBench measures the window-vs-message coupling
 // figures and writes BENCH_coupling.json. Gated behind COUPLING_BENCH_OUT
 // (see the Makefile's bench-all target) so the regular test run stays
 // fast.

@@ -1,7 +1,6 @@
 package ipc
 
 import (
-	"errors"
 	"sync"
 
 	"castanet/internal/obs"
@@ -9,19 +8,19 @@ import (
 )
 
 // DirFaults configures the fault processes of one link direction. Rates
-// are probabilities per unit (a single message or a whole batch), drawn
+// are probabilities per unit (one frame on the wire), drawn
 // from the transport's seeded RNG, so a given (seed, traffic) pair always
 // produces the same fault pattern — channel-fault campaigns are
 // reproducible the same way device-fault campaigns are.
 type DirFaults struct {
 	// Drop is the probability a unit is silently discarded. A dropped
-	// batch loses every sub-frame at once, exactly like a lost 0xCA59
-	// frame on the wire.
+	// unit loses every message at once, exactly like a lost frame on the
+	// wire.
 	Drop float64
 	// Dup is the probability a unit is delivered twice.
 	Dup float64
 	// Corrupt is the probability one payload bit is flipped in one
-	// randomly chosen sub-frame of the unit. The corrupted copy is a
+	// randomly chosen message of the unit. The corrupted copy is a
 	// clone; the sender's buffer (and hence any retransmission) is never
 	// touched.
 	Corrupt float64
@@ -50,8 +49,8 @@ type FaultConfig struct {
 }
 
 // FaultStats counts injected faults, for campaign reporting. Each count
-// is per fault event: one dropped batch is one Dropped, however many
-// sub-frames it carried.
+// is per fault event: one dropped unit is one Dropped, however many
+// messages it carried.
 type FaultStats struct {
 	Dropped     uint64
 	Duplicated  uint64
@@ -85,9 +84,9 @@ type dirState struct {
 // deterministically from a seeded RNG. It extends the fault philosophy of
 // package faultsim from device defects to channel defects: the coupling
 // link itself becomes a first-class failure domain. Faults act on wire
-// units: a batch is dropped, duplicated, delayed or partitioned whole
-// (that is how a 0xCA59 frame fails on a real link), while corruption
-// flips a bit inside one randomly chosen sub-frame.
+// units: a unit is dropped, duplicated, delayed or partitioned whole
+// (that is how a frame fails on a real link), while corruption flips a
+// bit inside one randomly chosen message.
 type FaultTransport struct {
 	inner Transport
 
@@ -95,9 +94,6 @@ type FaultTransport struct {
 	send   dirState
 	recvMu sync.Mutex
 	recv   dirState
-	// pending is the unread tail of the unit Recv is consuming; inbound
-	// faults apply per unit, before the first sub-message is popped.
-	pending []Message
 
 	statMu sync.Mutex
 	stats  FaultStats
@@ -208,7 +204,7 @@ func corrupt(m Message, rng *sim.RNG) Message {
 	return m
 }
 
-// corruptUnit flips one bit in one randomly chosen sub-frame of u. The
+// corruptUnit flips one bit in one randomly chosen message of u. The
 // unit slice is owned by the fault machinery; the chosen message's
 // payload is cloned before mutation.
 func corruptUnit(u []Message, rng *sim.RNG) {
@@ -240,22 +236,14 @@ func (s *dirState) takeAny() ([]Message, bool) {
 	return u, true
 }
 
-// innerSend ships one unit on the wrapped transport, preserving the unit
-// boundary: a multi-message unit requires a batch-capable inner.
-func (f *FaultTransport) innerSend(u []Message) error {
-	if len(u) == 1 {
-		return f.inner.Send(u[0])
+// Send implements Transport, running the outbound fault processes. The
+// unit is copied first (it may sit in the delay line past the call), so
+// the caller may reuse msgs.
+func (f *FaultTransport) Send(msgs []Message) error {
+	if len(msgs) == 0 {
+		return errEmptyUnit
 	}
-	bt, ok := f.inner.(BatchTransport)
-	if !ok {
-		return errors.New("ipc: fault inner transport cannot carry batches")
-	}
-	return bt.SendBatch(u)
-}
-
-// sendUnit runs the outbound fault processes on a unit the transport
-// owns (callers copy before handing it over if they retain it).
-func (f *FaultTransport) sendUnit(u []Message) error {
+	u := append([]Message(nil), msgs...)
 	f.sendMu.Lock()
 	defer f.sendMu.Unlock()
 	s := &f.send
@@ -267,7 +255,7 @@ func (f *FaultTransport) sendUnit(u []Message) error {
 		if !ok {
 			break
 		}
-		if err := f.innerSend(h); err != nil {
+		if err := f.inner.Send(h); err != nil {
 			return err
 		}
 	}
@@ -289,55 +277,30 @@ func (f *FaultTransport) sendUnit(u []Message) error {
 		f.bump(func(st *FaultStats) { st.Delayed++ }).delayed.Inc()
 		return nil
 	}
-	if err := f.innerSend(u); err != nil {
+	if err := f.inner.Send(u); err != nil {
 		return err
 	}
 	if c.Dup > 0 && s.rng.Bool(c.Dup) {
 		f.bump(func(st *FaultStats) { st.Duplicated++ }).duplicated.Inc()
-		return f.innerSend(u)
+		return f.inner.Send(u)
 	}
 	return nil
 }
 
-// Send implements Transport, running the outbound fault processes.
-func (f *FaultTransport) Send(m Message) error {
-	return f.sendUnit([]Message{m})
-}
-
-// SendBatch implements BatchTransport. The slice is copied immediately
-// (it may sit in the delay line past the call), so the caller may reuse
-// it. Whole-batch drop/dup/delay/partition model frame-level link
-// failures; corruption hits one sub-frame.
-func (f *FaultTransport) SendBatch(msgs []Message) error {
-	if len(msgs) == 0 {
-		return errors.New("ipc: empty batch")
-	}
-	u := make([]Message, len(msgs))
-	copy(u, msgs)
-	return f.sendUnit(u)
-}
-
-// recvUnit reads the next unit from the wrapped transport and runs the
-// inbound fault processes on it. A dropped inbound unit makes the read
-// continue with the next one — from the caller's view it simply never
-// arrived.
-func (f *FaultTransport) recvUnit() ([]Message, error) {
+// Recv implements Transport: it reads the next unit from the wrapped
+// transport and runs the inbound fault processes on it. A dropped inbound
+// unit makes the read continue with the next one — from the caller's view
+// it simply never arrived.
+func (f *FaultTransport) Recv() ([]Message, error) {
+	f.recvMu.Lock()
+	defer f.recvMu.Unlock()
 	s := &f.recv
 	for {
 		s.ops++
 		if u, ok := s.takeDue(); ok {
 			return u, nil
 		}
-		var u []Message
-		var err error
-		if bt, ok := f.inner.(BatchTransport); ok {
-			u, err = bt.RecvBatch()
-		} else {
-			var m Message
-			if m, err = f.inner.Recv(); err == nil {
-				u = []Message{m}
-			}
-		}
+		u, err := f.inner.Recv()
 		if err != nil {
 			// Drain delayed units before reporting closure, matching Pipe
 			// semantics.
@@ -372,36 +335,6 @@ func (f *FaultTransport) recvUnit() ([]Message, error) {
 	}
 }
 
-// Recv implements Transport, popping one message at a time from the
-// inbound unit stream.
-func (f *FaultTransport) Recv() (Message, error) {
-	f.recvMu.Lock()
-	defer f.recvMu.Unlock()
-	if len(f.pending) == 0 {
-		u, err := f.recvUnit()
-		if err != nil {
-			return Message{}, err
-		}
-		f.pending = u
-	}
-	m := f.pending[0]
-	f.pending = f.pending[1:]
-	return m, nil
-}
-
-// RecvBatch implements BatchTransport. A unit partially consumed by Recv
-// yields its remaining messages first.
-func (f *FaultTransport) RecvBatch() ([]Message, error) {
-	f.recvMu.Lock()
-	defer f.recvMu.Unlock()
-	if len(f.pending) > 0 {
-		u := f.pending
-		f.pending = nil
-		return u, nil
-	}
-	return f.recvUnit()
-}
-
 // Close implements Transport. Outbound units still sitting in the delay
 // line are flushed first: delay is reordering, not loss.
 func (f *FaultTransport) Close() error {
@@ -411,7 +344,7 @@ func (f *FaultTransport) Close() error {
 		if !ok {
 			break
 		}
-		if f.innerSend(h) != nil {
+		if f.inner.Send(h) != nil {
 			break
 		}
 	}

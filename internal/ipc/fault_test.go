@@ -11,25 +11,25 @@ func msg(i int) Message {
 	return Message{Kind: KindUser, Time: sim.Time(i+1) * sim.Microsecond, Data: []byte{byte(i), byte(i >> 8), 0x5A}}
 }
 
-// sendN pushes n messages through ft and then closes it, returning every
-// message the far pipe end yields.
+// faultDeliveries pushes n units of one through a fault transport and
+// then closes it, returning every message the far pipe end yields.
 func faultDeliveries(t *testing.T, cfg FaultConfig, n int) []Message {
 	t.Helper()
 	a, b := Pipe(2 * n)
 	ft := NewFault(a, cfg)
 	for i := 0; i < n; i++ {
-		if err := ft.Send(msg(i)); err != nil {
+		if err := ft.Send(one(msg(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ft.Close()
 	var out []Message
 	for {
-		m, err := b.Recv()
+		u, err := b.Recv()
 		if err != nil {
 			return out
 		}
-		out = append(out, m)
+		out = append(out, u...)
 	}
 }
 
@@ -58,10 +58,10 @@ func TestFaultCorruptClonesPayload(t *testing.T) {
 	ft := NewFault(a, FaultConfig{Seed: 1, Send: DirFaults{Corrupt: 1.0}})
 	orig := []byte{1, 2, 3, 4}
 	keep := append([]byte(nil), orig...)
-	if err := ft.Send(Message{Kind: KindUser, Data: orig}); err != nil {
+	if err := ft.Send(one(Message{Kind: KindUser, Data: orig})); err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.Recv()
+	got, err := recvOne(t, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,15 +125,15 @@ func TestFaultManualPartition(t *testing.T) {
 	a, b := Pipe(8)
 	ft := NewFault(a, FaultConfig{Seed: 1})
 	ft.Partition()
-	if err := ft.Send(msg(0)); err != nil {
+	if err := ft.Send(one(msg(0))); err != nil {
 		t.Fatal(err)
 	}
 	ft.Heal()
-	if err := ft.Send(msg(1)); err != nil {
+	if err := ft.Send(one(msg(1))); err != nil {
 		t.Fatal(err)
 	}
 	ft.Close()
-	m, err := b.Recv()
+	m, err := recvOne(t, b)
 	if err != nil || m.Time != msg(1).Time {
 		t.Fatalf("first delivery after heal = %v, %v", m, err)
 	}
@@ -149,7 +149,7 @@ func TestFaultRecvDirection(t *testing.T) {
 	a, b := Pipe(64)
 	ft := NewFault(a, FaultConfig{Seed: 11, Recv: DirFaults{Drop: 0.5}})
 	for i := 0; i < 40; i++ {
-		if err := b.Send(msg(i)); err != nil {
+		if err := b.Send(one(msg(i))); err != nil {
 			t.Fatal(err)
 		}
 	}

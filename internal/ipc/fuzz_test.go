@@ -9,131 +9,91 @@ import (
 	"testing"
 )
 
+// resealed returns a copy of frame with its CRC recomputed, so a seed
+// reaches the checks behind the checksum.
+func resealed(frame []byte) []byte {
+	b := append([]byte(nil), frame...)
+	binary.BigEndian.PutUint32(b[10:], crc32.ChecksumIEEE(b[frameHeaderBytes:]))
+	return b
+}
+
 // FuzzDecode throws arbitrary byte streams at the frame decoder. The
 // decoder's contract under corruption: every failure is a typed error —
 // ErrBadFrame for recognizably corrupt frames, io.EOF /
-// io.ErrUnexpectedEOF for truncation — and never a panic; every success
-// must survive an Encode→Decode round trip bit-exactly.
+// io.ErrUnexpectedEOF for truncation — and never a panic. The layout has
+// no free bits, so every accepted frame re-encodes to exactly the bytes
+// it was decoded from: Encode and Decode form a bijection on the
+// accepted set.
 func FuzzDecode(f *testing.F) {
-	// Seed the corpus with a valid frame, a truncated one, bad magic, and
-	// an oversized length field, so the generator starts at the
-	// interesting boundaries rather than random noise.
-	var valid bytes.Buffer
-	if err := Encode(&valid, Message{Kind: KindUser, Time: 12345, Data: []byte("cell")}); err != nil {
+	// Seeds at the interesting boundaries rather than random noise: a
+	// valid unit of one, a truncated header, bad magic, an oversize
+	// message length, empty input, a traced unit, trailing bytes inside a
+	// CRC-valid body; then a two-message unit, a unit of one sync, a
+	// truncated body, a bad CRC, an oversize and a zero count, and a
+	// frame nested inside a body.
+	var single bytes.Buffer
+	if err := Encode(&single, fixtureUnit[:1]); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(valid.Bytes())
-	f.Add(valid.Bytes()[:7])
-	bad := append([]byte(nil), valid.Bytes()...)
+	valid := single.Bytes()
+	f.Add(valid)
+	f.Add(valid[:7])
+	bad := append([]byte(nil), valid...)
 	bad[0] ^= 0xFF
 	f.Add(bad)
-	long := append([]byte(nil), valid.Bytes()...)
-	binary.BigEndian.PutUint32(long[12:], MaxData+1)
-	f.Add(long)
+	long := append([]byte(nil), valid...)
+	binary.BigEndian.PutUint32(long[frameHeaderBytes+18:], MaxData+1)
+	f.Add(resealed(long))
 	f.Add([]byte{})
-	// Traced-layout seeds: a valid traced frame, and a traced frame whose
-	// trace field is zero (must be rejected — Encode never emits it).
-	var traced bytes.Buffer
-	if err := Encode(&traced, Message{Kind: KindUser, Time: 12345, Trace: 0x2a, Data: []byte("cell")}); err != nil {
+	f.Add(tracedFrame)
+	trailing := append(append([]byte(nil), valid...), 0, 0)
+	binary.BigEndian.PutUint32(trailing[6:], uint32(len(trailing)-frameHeaderBytes))
+	f.Add(resealed(trailing))
+
+	f.Add(unitFrame)
+	var sync bytes.Buffer
+	if err := Encode(&sync, []Message{{Kind: KindSync, Time: 5}}); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(traced.Bytes())
-	zeroTrace := append([]byte(nil), traced.Bytes()...)
-	binary.BigEndian.PutUint64(zeroTrace[12:], 0)
-	f.Add(zeroTrace)
+	f.Add(sync.Bytes())
+	f.Add(unitFrame[:frameHeaderBytes+3])
+	crcBad := append([]byte(nil), unitFrame...)
+	crcBad[10] ^= 0x01
+	f.Add(crcBad)
+	countBad := append([]byte(nil), unitFrame...)
+	binary.BigEndian.PutUint32(countBad[2:], 100)
+	f.Add(countBad)
+	nested := append(append([]byte(nil), unitFrame[:frameHeaderBytes]...), unitFrame...)
+	binary.BigEndian.PutUint32(nested[6:], uint32(len(unitFrame)))
+	f.Add(resealed(nested))
+	countZero := append([]byte(nil), unitFrame...)
+	binary.BigEndian.PutUint32(countZero[2:], 0)
+	f.Add(countZero)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Decode(bytes.NewReader(data))
+		u, err := Decode(bytes.NewReader(data))
 		if err != nil {
 			if !errors.Is(err, ErrBadFrame) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 				t.Fatalf("Decode returned untyped error %v (%T)", err, err)
 			}
 			return
 		}
-		var buf bytes.Buffer
-		if err := Encode(&buf, m); err != nil {
-			t.Fatalf("re-encode of decoded message failed: %v", err)
-		}
-		m2, err := Decode(&buf)
-		if err != nil {
-			t.Fatalf("decode of re-encoded message failed: %v", err)
-		}
-		if m2.Kind != m.Kind || m2.Time != m.Time || m2.Trace != m.Trace || !bytes.Equal(m2.Data, m.Data) {
-			t.Fatalf("round trip changed the message: %v -> %v", m, m2)
-		}
-	})
-}
-
-// FuzzBatch throws arbitrary byte streams at the shared-stream decoder
-// (single frames and 0xCA59 batches alike). The contract mirrors
-// FuzzDecode's: failures are typed, never panics; every accepted unit
-// must survive re-encoding — Encode for a single frame, EncodeBatch for
-// a batch — and decode back bit-exactly, i.e. Encode/Decode form a
-// bijection on the accepted set.
-func FuzzBatch(f *testing.F) {
-	// Boundary seeds: a valid two-message batch (legacy + traced
-	// sub-frames), a single-message batch, plain single frames on the
-	// same stream, and the interesting corruptions — truncated body, bad
-	// CRC, count/body mismatch, nested batch magic inside the body.
-	msgs := []Message{
-		{Kind: KindUser, Time: 12345, Data: []byte("cell")},
-		{Kind: KindUser, Time: 777, Trace: 0x2A, Data: []byte{0xDE, 0xAD}},
-	}
-	var batch bytes.Buffer
-	if err := EncodeBatch(&batch, msgs); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(batch.Bytes())
-	var one bytes.Buffer
-	if err := EncodeBatch(&one, msgs[:1]); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(one.Bytes())
-	var single bytes.Buffer
-	if err := Encode(&single, msgs[1]); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(single.Bytes())
-	f.Add(batch.Bytes()[:batchHeaderBytes+3])
-	crcBad := append([]byte(nil), batch.Bytes()...)
-	crcBad[10] ^= 0x01
-	f.Add(crcBad)
-	countBad := append([]byte(nil), batch.Bytes()...)
-	binary.BigEndian.PutUint32(countBad[2:], 100)
-	f.Add(countBad)
-	nested := append([]byte(nil), batch.Bytes()...)
-	binary.BigEndian.PutUint16(nested[batchHeaderBytes:], magicBatch)
-	f.Add(nested)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		u, err := DecodeAny(bytes.NewReader(data))
-		if err != nil {
-			if !errors.Is(err, ErrBadFrame) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-				t.Fatalf("DecodeAny returned untyped error %v (%T)", err, err)
-			}
-			return
-		}
 		if len(u) == 0 {
-			t.Fatal("DecodeAny accepted an empty unit")
+			t.Fatal("Decode accepted an empty unit")
 		}
 		var buf bytes.Buffer
-		if len(u) == 1 {
-			if err := Encode(&buf, u[0]); err != nil {
-				t.Fatalf("re-encode of decoded message failed: %v", err)
-			}
-		} else if err := EncodeBatch(&buf, u); err != nil {
-			t.Fatalf("re-encode of decoded batch failed: %v", err)
+		if err := Encode(&buf, u); err != nil {
+			t.Fatalf("re-encode of decoded unit failed: %v", err)
 		}
-		u2, err := DecodeAny(&buf)
+		if n := buf.Len(); n > len(data) || !bytes.Equal(buf.Bytes(), data[:n]) {
+			t.Fatalf("re-encoding differs from the accepted frame:\n got %x\nfrom %x", buf.Bytes(), data)
+		}
+		u2, err := decodeBytes(buf.Bytes())
 		if err != nil {
-			t.Fatalf("decode of re-encoded unit failed: %v", err)
-		}
-		if len(u2) != len(u) {
-			t.Fatalf("round trip changed the unit size: %d -> %d", len(u), len(u2))
+			t.Fatalf("in-memory decode of the re-encoded frame failed: %v", err)
 		}
 		for i := range u {
-			if u2[i].Kind != u[i].Kind || u2[i].Time != u[i].Time ||
-				u2[i].Trace != u[i].Trace || !bytes.Equal(u2[i].Data, u[i].Data) {
+			if !sameMessage(u2[i], u[i]) {
 				t.Fatalf("round trip changed message %d: %v -> %v", i, u[i], u2[i])
 			}
 		}
@@ -143,10 +103,10 @@ func FuzzBatch(f *testing.F) {
 // FuzzOpenEnvelope drives the reliability envelope's unwrap path with
 // arbitrary KindRelData payloads. Corruption must always surface as
 // ErrBadFrame (the receive loop drops such frames and lets retransmission
-// recover); an accepted envelope must re-envelope to the identical inner
-// message under the same sequence number.
+// recover); an accepted envelope must re-envelope to the identical unit
+// under the same sequence number.
 func FuzzOpenEnvelope(f *testing.F) {
-	env, err := envelope(7, Message{Kind: KindUser, Time: 99, Data: []byte{0xAB, 0xCD}})
+	env, err := envelope(7, []Message{{Kind: KindUser, Time: 99, Data: []byte{0xAB, 0xCD}}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -161,7 +121,7 @@ func FuzzOpenEnvelope(f *testing.F) {
 	binary.BigEndian.PutUint32(cut[4:], crc32.ChecksumIEEE(cut[8:]))
 	f.Add(cut)
 	// A traced inner frame: the envelope must carry the trace ID through.
-	tracedEnv, err := envelope(8, Message{Kind: KindUser, Time: 100, Trace: 0x2a, Data: []byte{0x01}})
+	tracedEnv, err := envelope(8, []Message{{Kind: KindUser, Time: 100, Trace: 0x2a, Data: []byte{0x01}}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -183,10 +143,13 @@ func FuzzOpenEnvelope(f *testing.F) {
 		if err != nil {
 			t.Fatalf("unwrap of re-enveloped frame failed: %v", err)
 		}
-		if seq2 != seq || inner2.Kind != inner.Kind || inner2.Time != inner.Time ||
-			inner2.Trace != inner.Trace || !bytes.Equal(inner2.Data, inner.Data) {
-			t.Fatalf("envelope round trip changed the frame: seq %d->%d, %v -> %v",
-				seq, seq2, inner, inner2)
+		if seq2 != seq || len(inner2) != len(inner) {
+			t.Fatalf("envelope round trip changed the frame: seq %d->%d, %v -> %v", seq, seq2, inner, inner2)
+		}
+		for i := range inner {
+			if !sameMessage(inner2[i], inner[i]) {
+				t.Fatalf("envelope round trip changed message %d: %v -> %v", i, inner[i], inner2[i])
+			}
 		}
 	})
 }

@@ -2,7 +2,10 @@ package ipc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -11,21 +14,53 @@ import (
 	"castanet/internal/sim"
 )
 
+// one wraps m as a unit of one.
+func one(m Message) []Message { return []Message{m} }
+
+// recvOne receives a unit and requires it to hold exactly one message.
+func recvOne(t *testing.T, tr Transport) (Message, error) {
+	t.Helper()
+	u, err := tr.Recv()
+	if err != nil {
+		return Message{}, err
+	}
+	if len(u) != 1 {
+		t.Fatalf("unit of %d messages, want 1", len(u))
+	}
+	return u[0], nil
+}
+
+// sameMessage reports whether two messages agree on every field.
+func sameMessage(a, b Message) bool {
+	return a.Kind == b.Kind && a.Time == b.Time && a.Trace == b.Trace && bytes.Equal(a.Data, b.Data)
+}
+
 func TestCodecRoundTrip(t *testing.T) {
-	f := func(kind uint16, tm int64, data []byte) bool {
+	f := func(kinds []uint16, tm int64, trace uint64, data []byte) bool {
 		if tm < 0 {
 			tm = -tm
 		}
-		m := Message{Kind: Kind(kind), Time: sim.Time(tm), Data: data}
+		u := []Message{{Kind: KindUser, Time: sim.Time(tm), Trace: trace, Data: data}}
+		for i, k := range kinds {
+			u = append(u, Message{Kind: Kind(k), Time: sim.Time(tm + int64(i)), Data: data[:len(data)*i/(len(kinds)+1)]})
+		}
 		var buf bytes.Buffer
-		if err := Encode(&buf, m); err != nil {
+		if err := Encode(&buf, u); err != nil {
+			return false
+		}
+		if buf.Len() != frameBytes(u) {
 			return false
 		}
 		got, err := Decode(&buf)
-		if err != nil {
+		if err != nil || len(got) != len(u) || buf.Len() != 0 {
 			return false
 		}
-		return got.Kind == m.Kind && got.Time == m.Time && bytes.Equal(got.Data, m.Data)
+		for i := range u {
+			if !sameMessage(got[i], u[i]) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -35,43 +70,55 @@ func TestCodecRoundTrip(t *testing.T) {
 func TestCodecStreamOfMessages(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 100; i++ {
-		err := Encode(&buf, Message{Kind: Kind(i), Time: sim.Time(i) * sim.Microsecond, Data: []byte{byte(i)}})
+		err := Encode(&buf, one(Message{Kind: Kind(i), Time: sim.Time(i) * sim.Microsecond, Data: []byte{byte(i)}}))
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 100; i++ {
-		m, err := Decode(&buf)
+		u, err := Decode(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Kind != Kind(i) || m.Data[0] != byte(i) {
-			t.Fatalf("message %d corrupted: %v", i, m)
+		if len(u) != 1 || u[0].Kind != Kind(i) || u[0].Data[0] != byte(i) {
+			t.Fatalf("unit %d corrupted: %v", i, u)
 		}
 	}
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode(bytes.NewReader([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})); err == nil {
-		t.Error("garbage magic accepted")
+	if _, err := Decode(bytes.NewReader([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("garbage magic: err = %v, want ErrBadFrame", err)
 	}
-	// Absurd length field.
+	if err := Encode(io.Discard, nil); err == nil {
+		t.Error("empty unit encoded")
+	}
 	var buf bytes.Buffer
-	Encode(&buf, Message{})
-	b := buf.Bytes()
-	b[12], b[13], b[14], b[15] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, err := Decode(bytes.NewReader(b)); err == nil {
-		t.Error("oversized length accepted")
+	if err := Encode(&buf, one(Message{})); err != nil {
+		t.Fatal(err)
+	}
+	// Absurd body length field.
+	b := append([]byte(nil), buf.Bytes()...)
+	b[6], b[7], b[8], b[9] = 0xFF, 0xFF, 0xFF, 0xFF
+	if _, err := Decode(bytes.NewReader(b)); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("oversized body: err = %v, want ErrBadFrame", err)
+	}
+	// Absurd message length field, CRC kept valid.
+	b = append([]byte(nil), buf.Bytes()...)
+	b[frameHeaderBytes+18], b[frameHeaderBytes+19] = 0xFF, 0xFF
+	binary.BigEndian.PutUint32(b[10:], crc32.ChecksumIEEE(b[frameHeaderBytes:]))
+	if _, err := Decode(bytes.NewReader(b)); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("oversized message: err = %v, want ErrBadFrame", err)
 	}
 }
 
 func TestPipeTransport(t *testing.T) {
 	a, b := Pipe(4)
 	want := Message{Kind: KindUser, Time: sim.Microsecond, Data: []byte("cell")}
-	if err := a.Send(want); err != nil {
+	if err := a.Send(one(want)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.Recv()
+	got, err := recvOne(t, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +126,14 @@ func TestPipeTransport(t *testing.T) {
 		t.Fatalf("got %v", got)
 	}
 	// Reverse direction.
-	if err := b.Send(Message{Kind: KindSync, Time: 2 * sim.Microsecond}); err != nil {
+	if err := b.Send(one(Message{Kind: KindSync, Time: 2 * sim.Microsecond})); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := a.Recv(); err != nil || m.Kind != KindSync {
+	if m, err := recvOne(t, a); err != nil || m.Kind != KindSync {
 		t.Fatalf("reverse recv = %v, %v", m, err)
 	}
 	a.Close()
-	if err := a.Send(want); err == nil {
+	if err := a.Send(one(want)); err == nil {
 		t.Error("send after close succeeded")
 	}
 	if _, err := b.Recv(); err == nil {
@@ -96,9 +143,9 @@ func TestPipeTransport(t *testing.T) {
 
 func TestPipeDrainsAfterClose(t *testing.T) {
 	a, b := Pipe(4)
-	a.Send(Message{Kind: 5})
+	a.Send(one(Message{Kind: 5}))
 	a.Close()
-	if m, err := b.Recv(); err != nil || m.Kind != 5 {
+	if m, err := recvOne(t, b); err != nil || m.Kind != 5 {
 		t.Fatalf("queued message lost on close: %v %v", m, err)
 	}
 }
@@ -116,14 +163,14 @@ func TestSocketTransport(t *testing.T) {
 			return
 		}
 		tr := NewConn(c)
-		m, err := tr.Recv()
+		u, err := tr.Recv()
 		if err != nil {
 			return
 		}
 		// Echo back with bumped time.
-		m.Time += sim.Microsecond
-		tr.Send(m)
-		done <- m
+		u[0].Time += sim.Microsecond
+		tr.Send(u)
+		done <- u[0]
 	}()
 	tr, err := Dial("tcp", ln.Addr().String())
 	if err != nil {
@@ -131,10 +178,10 @@ func TestSocketTransport(t *testing.T) {
 	}
 	defer tr.Close()
 	want := Message{Kind: KindUser + 1, Time: 5 * sim.Microsecond, Data: bytes.Repeat([]byte{0xAA}, 53)}
-	if err := tr.Send(want); err != nil {
+	if err := tr.Send(one(want)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := tr.Recv()
+	got, err := recvOne(t, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +206,11 @@ func TestUnixSocketTransport(t *testing.T) {
 		}
 		tr := NewConn(c)
 		for {
-			m, err := tr.Recv()
+			u, err := tr.Recv()
 			if err != nil {
 				return
 			}
-			tr.Send(m) // echo
+			tr.Send(u) // echo
 		}
 	}()
 	tr, err := Dial("unix", sock)
@@ -173,10 +220,10 @@ func TestUnixSocketTransport(t *testing.T) {
 	defer tr.Close()
 	for i := 0; i < 10; i++ {
 		want := Message{Kind: Kind(i), Time: sim.Time(i) * sim.Microsecond, Data: []byte{byte(i)}}
-		if err := tr.Send(want); err != nil {
+		if err := tr.Send(one(want)); err != nil {
 			t.Fatal(err)
 		}
-		got, err := tr.Recv()
+		got, err := recvOne(t, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,11 +242,11 @@ func TestPipeCloseSemantics(t *testing.T) {
 		run  func(t *testing.T, a, b Transport)
 	}{
 		{"post-close drain yields queued then ErrClosed", func(t *testing.T, a, b Transport) {
-			a.Send(Message{Kind: 1})
-			a.Send(Message{Kind: 2})
+			a.Send(one(Message{Kind: 1}))
+			a.Send(one(Message{Kind: 2}))
 			a.Close()
 			for want := Kind(1); want <= 2; want++ {
-				m, err := b.Recv()
+				m, err := recvOne(t, b)
 				if err != nil || m.Kind != want {
 					t.Fatalf("drain %d = %v, %v", want, m, err)
 				}
@@ -220,7 +267,7 @@ func TestPipeCloseSemantics(t *testing.T) {
 		}},
 		{"send after peer close", func(t *testing.T, a, b Transport) {
 			b.Close()
-			if err := a.Send(Message{Kind: 1}); !errors.Is(err, ErrClosed) {
+			if err := a.Send(one(Message{Kind: 1})); !errors.Is(err, ErrClosed) {
 				t.Fatalf("send err = %v", err)
 			}
 		}},
@@ -237,7 +284,7 @@ func TestPipeCloseSemantics(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < 100; i++ {
-						if err := a.Send(Message{Kind: 1}); err != nil {
+						if err := a.Send(one(Message{Kind: 1})); err != nil {
 							if !errors.Is(err, ErrClosed) {
 								t.Errorf("send err = %v", err)
 							}
@@ -290,7 +337,7 @@ func TestConnCloseIdempotentUnderConcurrentSend(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10000; i++ {
-			if err := tr.Send(Message{Kind: KindUser, Data: []byte{1, 2, 3}}); err != nil {
+			if err := tr.Send(one(Message{Kind: KindUser, Data: []byte{1, 2, 3}})); err != nil {
 				if !errors.Is(err, ErrClosed) {
 					t.Errorf("racing send returned %v, want ErrClosed", err)
 				}
@@ -305,7 +352,7 @@ func TestConnCloseIdempotentUnderConcurrentSend(t *testing.T) {
 		t.Fatalf("second close: %v", err)
 	}
 	wg.Wait()
-	if err := tr.Send(Message{Kind: KindUser}); !errors.Is(err, ErrClosed) {
+	if err := tr.Send(one(Message{Kind: KindUser})); !errors.Is(err, ErrClosed) {
 		t.Errorf("send after close = %v, want ErrClosed", err)
 	}
 	if _, err := tr.Recv(); !errors.Is(err, ErrClosed) {

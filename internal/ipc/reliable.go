@@ -1,7 +1,6 @@
 package ipc
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"castanet/internal/obs"
-	"castanet/internal/sim"
 )
 
 // Reserved message kinds of the reliability envelope. They live below
@@ -19,8 +17,8 @@ import (
 // these kinds is exactly the pre-envelope protocol.
 const (
 	// KindRelData wraps one application unit: seq(4) crc32(4) followed by
-	// the inner frame in standard wire format — a single message or a
-	// whole 0xCA59 batch, so one acknowledgement covers the batch.
+	// the unit's frame in standard wire format, so one acknowledgement
+	// covers the whole unit.
 	KindRelData Kind = 3
 	// KindRelAck acknowledges a data sequence number: seq(4) crc32(4).
 	// The CRC keeps a corrupted ack from masquerading as a different
@@ -114,10 +112,10 @@ const (
 )
 
 // ReliableTransport layers exactly-once, in-order delivery over a lossy
-// Transport: every application unit — one message or one batch — travels
-// in a CRC-protected envelope with a sequence number, is acknowledged by
-// the peer, and is retransmitted with capped exponential backoff until
-// acknowledged or the retry budget runs out. Duplicates created by
+// Transport: every application unit travels in a CRC-protected envelope
+// with a sequence number, is acknowledged by the peer, and is
+// retransmitted with capped exponential backoff until acknowledged or
+// the retry budget runs out. Duplicates created by
 // retransmission (or by the link itself) are suppressed by sequence
 // number. The sender is stop-and-wait — one data frame in flight — which
 // the strictly alternating co-simulation protocol never notices.
@@ -131,9 +129,9 @@ type ReliableTransport struct {
 
 	recvq chan []Message
 	acks  chan uint32
-
-	recvMu  sync.Mutex
-	pending []Message // unread tail of the unit Recv is consuming
+	// out is the one-message unit every envelope, ack and heartbeat
+	// travels in, reused under wmu (Send does not retain it).
+	out [1]Message
 
 	done     chan struct{}
 	doneOnce sync.Once
@@ -267,78 +265,36 @@ func (t *ReliableTransport) termErr() error {
 func (t *ReliableTransport) write(m Message) error {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	return t.inner.Send(m)
+	t.out[0] = m
+	return t.inner.Send(t.out[:])
 }
 
-// envelope wraps m in a KindRelData frame.
-func envelope(seq uint32, m Message) (Message, error) {
-	var buf bytes.Buffer
-	buf.Write(make([]byte, 8))
-	if err := Encode(&buf, m); err != nil {
+// envelope wraps msgs in one KindRelData frame, encoded into a buffer of
+// exactly its size, so the caller's slice is not retained across
+// retransmissions. The envelope carries the unit's last time stamp.
+func envelope(seq uint32, msgs []Message) (Message, error) {
+	b, err := appendFrame(make([]byte, 8, 8+frameBytes(msgs)), msgs)
+	if err != nil {
 		return Message{}, err
 	}
-	return sealEnvelope(seq, m.Time, buf.Bytes()), nil
-}
-
-// envelopeBatch wraps msgs in one KindRelData frame. A single message
-// travels in the plain single-frame layout (byte-identical to envelope);
-// more than one ride a 0xCA59 batch frame, so one sequence number and
-// one acknowledgement cover the whole batch. The messages are copied
-// into the envelope's own buffer, so the caller's slice is not retained
-// across retransmissions.
-func envelopeBatch(seq uint32, msgs []Message) (Message, error) {
-	if len(msgs) == 1 {
-		return envelope(seq, msgs[0])
-	}
-	var buf bytes.Buffer
-	buf.Write(make([]byte, 8))
-	if err := EncodeBatch(&buf, msgs); err != nil {
-		return Message{}, err
-	}
-	return sealEnvelope(seq, msgs[len(msgs)-1].Time, buf.Bytes()), nil
-}
-
-// sealEnvelope fills in the seq and CRC of an envelope body whose first
-// 8 bytes were reserved.
-func sealEnvelope(seq uint32, stamp sim.Time, b []byte) Message {
 	binary.BigEndian.PutUint32(b[0:], seq)
 	binary.BigEndian.PutUint32(b[4:], crc32.ChecksumIEEE(b[8:]))
-	return Message{Kind: KindRelData, Time: stamp, Data: b}
+	return Message{Kind: KindRelData, Time: msgs[len(msgs)-1].Time, Data: b}, nil
 }
 
-// openEnvelope verifies and unwraps a KindRelData frame carrying a
-// single message (the pre-batch layout; FuzzOpenEnvelope exercises it).
-func openEnvelope(data []byte) (uint32, Message, error) {
-	seq, msgs, err := openEnvelopeMsgs(data)
-	if err != nil {
-		return seq, Message{}, err
-	}
-	if len(msgs) != 1 {
-		return seq, Message{}, fmt.Errorf("%w: envelope carries a batch", ErrBadFrame)
-	}
-	return seq, msgs[0], nil
-}
-
-// openEnvelopeMsgs verifies and unwraps a KindRelData frame into its
-// unit: a one-element slice for a single inner frame, all sub-messages
-// for an inner batch.
-func openEnvelopeMsgs(data []byte) (uint32, []Message, error) {
+// openEnvelope verifies and unwraps a KindRelData frame into its unit.
+// Payloads alias data. A CRC-valid envelope around an undecodable inner
+// frame is still a corrupt frame: every failure reports ErrBadFrame, so
+// receivers drop it instead of treating the stream as terminated.
+func openEnvelope(data []byte) (uint32, []Message, error) {
 	if len(data) < 8 {
 		return 0, nil, fmt.Errorf("%w: short envelope", ErrBadFrame)
 	}
 	seq := binary.BigEndian.Uint32(data[0:])
-	sum := binary.BigEndian.Uint32(data[4:])
-	if crc32.ChecksumIEEE(data[8:]) != sum {
+	if crc32.ChecksumIEEE(data[8:]) != binary.BigEndian.Uint32(data[4:]) {
 		return 0, nil, fmt.Errorf("%w: envelope crc mismatch", ErrBadFrame)
 	}
-	msgs, err := DecodeAny(bytes.NewReader(data[8:]))
-	if err != nil && !errors.Is(err, ErrBadFrame) {
-		// A CRC-valid envelope around an undecodable inner frame (e.g. a
-		// truncated header surfacing as io.EOF) is still a corrupt frame;
-		// classify it so receivers drop it instead of treating the stream
-		// as terminated.
-		err = fmt.Errorf("%w: inner frame: %v", ErrBadFrame, err)
-	}
+	msgs, err := decodeBytes(data[8:])
 	return seq, msgs, err
 }
 
@@ -407,12 +363,14 @@ func (t *ReliableTransport) sendFrame(frame Message, seq uint32) error {
 	}
 }
 
-// Send implements Transport. In envelope mode it blocks until the frame
-// is acknowledged. In raw mode (negotiated with a plain peer) it passes
-// through.
-func (t *ReliableTransport) Send(m Message) error {
+// Send implements Transport: the whole unit rides in one envelope and
+// the peer's single ack covers it, so a lossy link costs at most one
+// retransmission per δ-window instead of one per cell. In envelope mode
+// it blocks until the frame is acknowledged. In raw mode (negotiated with
+// a plain peer) it passes through.
+func (t *ReliableTransport) Send(msgs []Message) error {
 	if t.modeNow() != modeEnvelope {
-		return t.inner.Send(m)
+		return t.inner.Send(msgs)
 	}
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
@@ -423,47 +381,17 @@ func (t *ReliableTransport) Send(m Message) error {
 	}
 	t.seq++
 	seq := t.seq
-	frame, err := envelope(seq, m)
+	frame, err := envelope(seq, msgs)
 	if err != nil {
 		return err
 	}
 	return t.sendFrame(frame, seq)
 }
 
-// SendBatch implements BatchTransport: the whole batch rides in one
-// envelope, and the peer's single ack covers it, so a lossy link costs
-// at most one retransmission per δ-window instead of one per cell. The
-// caller's slice is not retained.
-func (t *ReliableTransport) SendBatch(msgs []Message) error {
-	if len(msgs) == 0 {
-		return errors.New("ipc: empty batch")
-	}
-	if t.modeNow() != modeEnvelope {
-		bt, ok := t.inner.(BatchTransport)
-		if !ok {
-			return errors.New("ipc: inner transport cannot carry batches")
-		}
-		return bt.SendBatch(msgs)
-	}
-	t.sendMu.Lock()
-	defer t.sendMu.Unlock()
-	select {
-	case <-t.done:
-		return t.termErr()
-	default:
-	}
-	t.seq++
-	seq := t.seq
-	frame, err := envelopeBatch(seq, msgs)
-	if err != nil {
-		return err
-	}
-	return t.sendFrame(frame, seq)
-}
-
-// recvUnit returns the next delivered unit. After Close or peer loss it
-// drains already-delivered units first, then reports the terminal error.
-func (t *ReliableTransport) recvUnit() ([]Message, error) {
+// Recv implements Transport: it delivers the next in-order application
+// unit. After Close or peer loss it drains already-delivered units first,
+// then reports the terminal error.
+func (t *ReliableTransport) Recv() ([]Message, error) {
 	select {
 	case u := <-t.recvq:
 		return u, nil
@@ -475,37 +403,6 @@ func (t *ReliableTransport) recvUnit() ([]Message, error) {
 			return nil, t.termErr()
 		}
 	}
-}
-
-// Recv implements Transport: it delivers the next in-order application
-// message, popping one at a time from the delivered-unit stream.
-func (t *ReliableTransport) Recv() (Message, error) {
-	t.recvMu.Lock()
-	defer t.recvMu.Unlock()
-	if len(t.pending) == 0 {
-		u, err := t.recvUnit()
-		if err != nil {
-			return Message{}, err
-		}
-		t.pending = u
-	}
-	m := t.pending[0]
-	t.pending = t.pending[1:]
-	return m, nil
-}
-
-// RecvBatch implements BatchTransport, delivering the peer's next unit
-// whole. A unit partially consumed by Recv yields its remaining messages
-// first.
-func (t *ReliableTransport) RecvBatch() ([]Message, error) {
-	t.recvMu.Lock()
-	defer t.recvMu.Unlock()
-	if len(t.pending) > 0 {
-		u := t.pending
-		t.pending = nil
-		return u, nil
-	}
-	return t.recvUnit()
 }
 
 // Close implements Transport; it is idempotent and safe to call
@@ -524,27 +421,13 @@ func (t *ReliableTransport) sendAck(seq uint32) {
 	}
 }
 
-// innerRecvUnit reads the next wire unit from the wrapped transport,
-// preserving a raw peer's batch boundaries when the inner is
-// batch-capable.
-func (t *ReliableTransport) innerRecvUnit() ([]Message, error) {
-	if bt, ok := t.inner.(BatchTransport); ok {
-		return bt.RecvBatch()
-	}
-	m, err := t.inner.Recv()
-	if err != nil {
-		return nil, err
-	}
-	return []Message{m}, nil
-}
-
 // readLoop owns the inner receive side: it verifies, deduplicates and
 // acknowledges data frames, routes acks to the sender, and refreshes the
 // watchdog. Envelope frames always travel alone, so a multi-message unit
-// can only come from a plain batching peer and passes through raw.
+// can only come from a plain peer and passes through raw.
 func (t *ReliableTransport) readLoop() {
 	for {
-		u, err := t.innerRecvUnit()
+		u, err := t.inner.Recv()
 		if err != nil {
 			t.fail(err)
 			return
@@ -563,7 +446,7 @@ func (t *ReliableTransport) readLoop() {
 		switch m.Kind {
 		case KindRelData:
 			t.decide(modeEnvelope)
-			seq, inner, err := openEnvelopeMsgs(m.Data)
+			seq, inner, err := openEnvelope(m.Data)
 			if err != nil {
 				// Corrupt frames are not acknowledged: the sender
 				// retransmits, which is the recovery.

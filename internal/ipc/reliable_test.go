@@ -26,10 +26,10 @@ func TestReliableCleanRoundTrip(t *testing.T) {
 	defer ra.Close()
 	defer rb.Close()
 	for i := 0; i < 10; i++ {
-		if err := ra.Send(msg(i)); err != nil {
+		if err := ra.Send(one(msg(i))); err != nil {
 			t.Fatal(err)
 		}
-		got, err := rb.Recv()
+		got, err := recvOne(t, rb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,10 +37,10 @@ func TestReliableCleanRoundTrip(t *testing.T) {
 			t.Fatalf("message %d arrived as %v", i, got)
 		}
 		// Reverse direction interleaved.
-		if err := rb.Send(msg(100 + i)); err != nil {
+		if err := rb.Send(one(msg(100 + i))); err != nil {
 			t.Fatal(err)
 		}
-		if back, err := ra.Recv(); err != nil || back.Time != msg(100+i).Time {
+		if back, err := recvOne(t, ra); err != nil || back.Time != msg(100+i).Time {
 			t.Fatalf("reverse %d = %v, %v", i, back, err)
 		}
 	}
@@ -68,18 +68,18 @@ func TestReliableExactlyOnceOverLossyLink(t *testing.T) {
 	recvDone := make(chan error, 1)
 	var got []Message
 	go func() {
-		for i := 0; i < n; i++ {
-			m, err := rb.Recv()
+		for len(got) < n {
+			u, err := rb.Recv()
 			if err != nil {
 				recvDone <- err
 				return
 			}
-			got = append(got, m)
+			got = append(got, u...)
 		}
 		recvDone <- nil
 	}()
 	for i := 0; i < n; i++ {
-		if err := ra.Send(msg(i)); err != nil {
+		if err := ra.Send(one(msg(i))); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
@@ -114,7 +114,7 @@ func TestReliableSendTimesOutOnPartition(t *testing.T) {
 	r := NewReliable(fault, cfg)
 	defer r.Close()
 	start := time.Now()
-	err := r.Send(msg(0))
+	err := r.Send(one(msg(0)))
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
@@ -132,7 +132,7 @@ func TestReliableOpDeadline(t *testing.T) {
 	cfg.OpDeadline = 30 * time.Millisecond
 	r := NewReliable(fault, cfg)
 	defer r.Close()
-	if err := r.Send(msg(0)); !errors.Is(err, ErrTimeout) {
+	if err := r.Send(one(msg(0))); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want deadline ErrTimeout", err)
 	}
 }
@@ -173,16 +173,16 @@ func TestReliableAutoNegotiatesRawPeer(t *testing.T) {
 	cfg.Auto = true
 	srv := NewReliable(b, cfg)
 	defer srv.Close()
-	if err := a.Send(Message{Kind: KindInit, Time: 0}); err != nil {
+	if err := a.Send(one(Message{Kind: KindInit, Time: 0})); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := srv.Recv(); err != nil || m.Kind != KindInit {
+	if m, err := recvOne(t, srv); err != nil || m.Kind != KindInit {
 		t.Fatalf("server got %v, %v", m, err)
 	}
-	if err := srv.Send(Message{Kind: KindSync, Time: sim.Microsecond}); err != nil {
+	if err := srv.Send(one(Message{Kind: KindSync, Time: sim.Microsecond})); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := a.Recv(); err != nil || m.Kind != KindSync {
+	if m, err := recvOne(t, a); err != nil || m.Kind != KindSync {
 		t.Fatalf("plain client got %v, %v — server leaked envelope frames", m, err)
 	}
 }
@@ -197,16 +197,16 @@ func TestReliableAutoNegotiatesEnvelopePeer(t *testing.T) {
 	cli := NewReliable(a, fastRel())
 	defer srv.Close()
 	defer cli.Close()
-	if err := cli.Send(Message{Kind: KindInit, Time: 0}); err != nil {
+	if err := cli.Send(one(Message{Kind: KindInit, Time: 0})); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := srv.Recv(); err != nil || m.Kind != KindInit {
+	if m, err := recvOne(t, srv); err != nil || m.Kind != KindInit {
 		t.Fatalf("server got %v, %v", m, err)
 	}
-	if err := srv.Send(Message{Kind: KindSync, Time: sim.Microsecond}); err != nil {
+	if err := srv.Send(one(Message{Kind: KindSync, Time: sim.Microsecond})); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := cli.Recv(); err != nil || m.Kind != KindSync {
+	if m, err := recvOne(t, cli); err != nil || m.Kind != KindSync {
 		t.Fatalf("client got %v, %v", m, err)
 	}
 	if st := cli.Stats(); st.Sent != 1 {
@@ -222,7 +222,7 @@ func TestReliableCloseIdempotentAndConcurrent(t *testing.T) {
 	ra := NewReliable(a, fastRel())
 	go func() {
 		for i := 0; i < 50; i++ {
-			if err := ra.Send(msg(i)); err != nil {
+			if err := ra.Send(one(msg(i))); err != nil {
 				if !errors.Is(err, ErrClosed) && !errors.Is(err, ErrTimeout) {
 					panic(err)
 				}
@@ -244,7 +244,7 @@ func TestReliableCloseIdempotentAndConcurrent(t *testing.T) {
 			t.Fatalf("close %d: %v", i, err)
 		}
 	}
-	if err := ra.Send(msg(0)); !errors.Is(err, ErrClosed) {
+	if err := ra.Send(one(msg(0))); !errors.Is(err, ErrClosed) {
 		t.Errorf("send after close = %v, want ErrClosed", err)
 	}
 }

@@ -8,46 +8,28 @@ import (
 	"sync/atomic"
 )
 
-// Transport moves messages between the coupled simulators. Send must not
-// block indefinitely when the peer is draining; Recv blocks until a
-// message arrives or the transport closes.
+// Transport moves units of messages between the coupled simulators. Send
+// ships msgs as one unit and does not retain the slice, so the caller may
+// reuse it at once; it must not block indefinitely when the peer is
+// draining. Recv blocks until the next unit arrives, whole and in order,
+// or the transport closes; the returned slice belongs to the caller.
 type Transport interface {
-	Send(Message) error
-	Recv() (Message, error)
+	Send(msgs []Message) error
+	Recv() ([]Message, error)
 	Close() error
-}
-
-// BatchTransport is a Transport that can move a whole δ-window of
-// messages as one unit. SendBatch ships all messages in a single frame
-// (one write, one CRC); it must not retain the caller's slice, so
-// implementations that hold messages past the call copy them first.
-// RecvBatch returns the next unit exactly as the peer sent it: a batch
-// arrives whole and in order, a single Send arrives as a one-element
-// unit. Recv on a batch-capable transport pops messages one at a time
-// from the same stream, so mixing the two never loses data — only the
-// unit boundary.
-type BatchTransport interface {
-	Transport
-	SendBatch([]Message) error
-	RecvBatch() ([]Message, error)
 }
 
 // pipeEnd is one side of an in-process transport built on buffered
 // channels — the default coupling when both engines live in one process.
-// Units travel as slices so a batch crosses the channel whole, exactly
-// like a 0xCA59 frame crosses a socket.
+// A unit crosses the channel whole, exactly like a frame crosses a socket.
 type pipeEnd struct {
 	out  chan<- []Message
 	in   <-chan []Message
 	done chan struct{}
 	once *sync.Once
-
-	rmu     sync.Mutex
-	pending []Message // unread tail of the unit Recv is consuming
 }
 
-// Pipe returns two connected in-process transports. Both ends implement
-// BatchTransport.
+// Pipe returns two connected in-process transports.
 func Pipe(buffer int) (a, b Transport) {
 	ab := make(chan []Message, buffer)
 	ba := make(chan []Message, buffer)
@@ -60,16 +42,20 @@ func Pipe(buffer int) (a, b Transport) {
 // ErrClosed is returned after Close.
 var ErrClosed = net.ErrClosed
 
-// sendUnit moves one unit across the pipe. The closed check takes
-// priority: without it, a Go select between the closed done channel and
-// free buffer space picks randomly, letting sends sneak through after
-// Close.
-func (p *pipeEnd) sendUnit(u []Message) error {
+// Send implements Transport. The unit is copied so the caller may reuse
+// msgs. The closed check takes priority: without it, a Go select between
+// the closed done channel and free buffer space picks randomly, letting
+// sends sneak through after Close.
+func (p *pipeEnd) Send(msgs []Message) error {
+	if len(msgs) == 0 {
+		return errEmptyUnit
+	}
 	select {
 	case <-p.done:
 		return ErrClosed
 	default:
 	}
+	u := append([]Message(nil), msgs...)
 	select {
 	case <-p.done:
 		return ErrClosed
@@ -78,25 +64,9 @@ func (p *pipeEnd) sendUnit(u []Message) error {
 	}
 }
 
-// Send implements Transport.
-func (p *pipeEnd) Send(m Message) error {
-	return p.sendUnit([]Message{m})
-}
-
-// SendBatch implements BatchTransport. The slice is copied so the caller
-// may immediately reuse it.
-func (p *pipeEnd) SendBatch(msgs []Message) error {
-	if len(msgs) == 0 {
-		return errors.New("ipc: empty batch")
-	}
-	u := make([]Message, len(msgs))
-	copy(u, msgs)
-	return p.sendUnit(u)
-}
-
-// recvUnit returns the next unit from the channel, draining anything
-// already queued before reporting closure.
-func (p *pipeEnd) recvUnit() ([]Message, error) {
+// Recv implements Transport, draining anything already queued before
+// reporting closure.
+func (p *pipeEnd) Recv() ([]Message, error) {
 	select {
 	case u := <-p.in:
 		return u, nil
@@ -110,59 +80,26 @@ func (p *pipeEnd) recvUnit() ([]Message, error) {
 	}
 }
 
-// Recv implements Transport, popping one message at a time from the
-// incoming unit stream.
-func (p *pipeEnd) Recv() (Message, error) {
-	p.rmu.Lock()
-	defer p.rmu.Unlock()
-	if len(p.pending) == 0 {
-		u, err := p.recvUnit()
-		if err != nil {
-			return Message{}, err
-		}
-		p.pending = u
-	}
-	m := p.pending[0]
-	p.pending = p.pending[1:]
-	return m, nil
-}
-
-// RecvBatch implements BatchTransport. A unit partially consumed by Recv
-// yields its remaining messages first.
-func (p *pipeEnd) RecvBatch() ([]Message, error) {
-	p.rmu.Lock()
-	defer p.rmu.Unlock()
-	if len(p.pending) > 0 {
-		u := p.pending
-		p.pending = nil
-		return u, nil
-	}
-	return p.recvUnit()
-}
-
 // Close implements Transport; closing either end closes both.
 func (p *pipeEnd) Close() error {
 	p.once.Do(func() { close(p.done) })
 	return nil
 }
 
-// connTransport frames messages over a net.Conn (TCP or Unix domain
-// socket) — the real-IPC deployment of the coupling.
+// connTransport frames units over a net.Conn (TCP or Unix domain socket)
+// — the real-IPC deployment of the coupling.
 type connTransport struct {
 	conn      net.Conn
 	bw        *bufio.Writer
 	br        *bufio.Reader
 	wmu       sync.Mutex
+	rmu       sync.Mutex
 	closed    atomic.Bool
 	closeOnce sync.Once
 	closeErr  error
-
-	rmu     sync.Mutex
-	pending []Message // unread tail of the batch Recv is consuming
 }
 
-// NewConn wraps an established connection. The result implements
-// BatchTransport.
+// NewConn wraps an established connection.
 func NewConn(c net.Conn) Transport {
 	return &connTransport{conn: c, bw: bufio.NewWriter(c), br: bufio.NewReader(c)}
 }
@@ -177,31 +114,16 @@ func Dial(network, addr string) (Transport, error) {
 	return NewConn(c), nil
 }
 
-// Send implements Transport with per-message flushing so the peer's
-// blocking Recv always makes progress. A Send racing Close reports
-// ErrClosed, never a bare net error.
-func (t *connTransport) Send(m Message) error {
+// Send implements Transport: one frame, one flush, so the peer's blocking
+// Recv always makes progress. A Send racing Close reports ErrClosed,
+// never a bare net error.
+func (t *connTransport) Send(msgs []Message) error {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
 	if t.closed.Load() {
 		return ErrClosed
 	}
-	if err := Encode(t.bw, m); err != nil {
-		return t.mapErr(err)
-	}
-	return t.mapErr(t.bw.Flush())
-}
-
-// SendBatch implements BatchTransport: one 0xCA59 frame, one flush. The
-// pooled encode buffer inside EncodeBatch is copied into the bufio
-// writer synchronously, so msgs is never retained.
-func (t *connTransport) SendBatch(msgs []Message) error {
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	if t.closed.Load() {
-		return ErrClosed
-	}
-	if err := EncodeBatch(t.bw, msgs); err != nil {
+	if err := Encode(t.bw, msgs); err != nil {
 		return t.mapErr(err)
 	}
 	return t.mapErr(t.bw.Flush())
@@ -218,39 +140,12 @@ func (t *connTransport) mapErr(err error) error {
 	return err
 }
 
-// Recv implements Transport. Batch frames arriving on the stream are
-// consumed one sub-message at a time.
-func (t *connTransport) Recv() (Message, error) {
+// Recv implements Transport, decoding the next frame.
+func (t *connTransport) Recv() ([]Message, error) {
 	t.rmu.Lock()
 	defer t.rmu.Unlock()
-	if len(t.pending) == 0 {
-		u, err := DecodeAny(t.br)
-		if err != nil {
-			return Message{}, t.mapErr(err)
-		}
-		t.pending = u
-	}
-	m := t.pending[0]
-	t.pending = t.pending[1:]
-	return m, nil
-}
-
-// RecvBatch implements BatchTransport, returning the next frame's
-// messages as one unit. A frame partially consumed by Recv yields its
-// remaining messages first.
-func (t *connTransport) RecvBatch() ([]Message, error) {
-	t.rmu.Lock()
-	defer t.rmu.Unlock()
-	if len(t.pending) > 0 {
-		u := t.pending
-		t.pending = nil
-		return u, nil
-	}
-	u, err := DecodeAny(t.br)
-	if err != nil {
-		return nil, t.mapErr(err)
-	}
-	return u, nil
+	u, err := Decode(t.br)
+	return u, t.mapErr(err)
 }
 
 // Close implements Transport. It is idempotent and safe to call

@@ -44,11 +44,11 @@ func benchReliableRoundTrip(b *testing.B, reg *obs.Registry) {
 	server := ipc.NewReliable(sv, cfg)
 	go func() {
 		for {
-			m, err := server.Recv()
+			u, err := server.Recv()
 			if err != nil {
 				return
 			}
-			if server.Send(m) != nil {
+			if server.Send(u) != nil {
 				return
 			}
 		}
@@ -56,11 +56,11 @@ func benchReliableRoundTrip(b *testing.B, reg *obs.Registry) {
 	client := ipc.NewReliable(cl, cfg)
 	client.Instrument(reg, "ipc.reliable")
 	defer client.Close()
-	m := ipc.Message{Kind: ipc.KindUser, Time: sim.Microsecond, Data: make([]byte, 53)}
+	u := []ipc.Message{{Kind: ipc.KindUser, Time: sim.Microsecond, Data: make([]byte, 53)}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Time += sim.Microsecond
-		if err := client.Send(m); err != nil {
+		u[0].Time += sim.Microsecond
+		if err := client.Send(u); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := client.Recv(); err != nil {

@@ -37,8 +37,8 @@ type Phase int
 // The accounted phases. PhaseHDL is time spent inside HDL.Run/Step within
 // granted timing windows; PhaseEncode and PhaseDecode bracket the coupling
 // registry's signal-map conversions; PhaseTransport brackets coupling
-// Send/SendBatch with nested HDL time subtracted (a direct coupling
-// executes the remote entity — and therefore its HDL — inside Send).
+// Exchange with nested HDL time subtracted (a direct coupling executes
+// the remote entity — and therefore its HDL — inside Exchange).
 const (
 	PhaseHDL Phase = iota
 	PhaseEncode
