@@ -62,7 +62,7 @@ explore-smoke:
 # property tests at their three pinned seeds; the nightly fuzz run
 # explores beyond them.
 kernel-diff-smoke:
-	$(GO) test -race -count=1 -short -run 'KernelEquivalence|EdgeSensitivity|ParkWake' -v ./internal/hdl/ ./internal/coverify/
+	$(GO) test -race -count=1 -short -run 'KernelEquivalence|EdgeSensitivity|ParkWake|Elide' -v ./internal/hdl/ ./internal/coverify/
 
 # Rig smoke, on one binary built once: the reference campaigns must meet
 # the per-group coverage floors committed in COVER_FLOOR.json (the

@@ -297,12 +297,7 @@ func (e *Entity) runBefore(t sim.Time) error {
 	if e.phases != nil {
 		defer e.phaseHDL(time.Now())
 	}
-	for e.HDL.NextTime() < t {
-		if _, err := e.HDL.Step(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.HDL.RunBefore(t)
 }
 
 // runThrough executes HDL events up to and including t.
@@ -310,12 +305,7 @@ func (e *Entity) runThrough(t sim.Time) error {
 	if e.phases != nil {
 		defer e.phaseHDL(time.Now())
 	}
-	for e.HDL.NextTime() <= t {
-		if _, err := e.HDL.Step(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.HDL.RunThrough(t)
 }
 
 // phaseHDL attributes the elapsed wall time since start to the HDL phase.

@@ -45,9 +45,16 @@ func parityTraffic(cellsPerPort uint64) [dut.SwitchPorts]coverify.PortTraffic {
 	return tr
 }
 
-// rigParity runs one rig with a VCD of every signal in the design attached
-// and returns its artifact line: the VCD's sha256 and the rig report.
-func rigParity(t *testing.T, name string, seed uint64) string {
+// parityRun is one rig's parity run: its artifact line (the VCD's sha256
+// and the rig report) and its kernel.
+type parityRun struct {
+	line string
+	hdl  *hdl.Simulator
+}
+
+// rigParity runs one rig with a VCD of every signal in the design
+// attached.
+func rigParity(t *testing.T, name string, seed uint64) parityRun {
 	t.Helper()
 	var buf bytes.Buffer
 	var h *hdl.Simulator
@@ -93,7 +100,7 @@ func rigParity(t *testing.T, name string, seed uint64) string {
 	if err := vcd.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf("rig %s seed=%d vcd=%x report=%s", name, seed, sha256.Sum256(buf.Bytes()), report())
+	return parityRun{fmt.Sprintf("rig %s seed=%d vcd=%x report=%s", name, seed, sha256.Sum256(buf.Bytes()), report()), h}
 }
 
 // runCampaign executes a named campaign matrix at seed 1 on two shards.
@@ -170,7 +177,7 @@ func TestParityArtifacts(t *testing.T) {
 	var b strings.Builder
 	for _, rig := range []string{"switch", "rtl", "policer", "acct"} {
 		for _, seed := range paritySeeds {
-			b.WriteString(rigParity(t, rig, seed) + "\n")
+			b.WriteString(rigParity(t, rig, seed).line + "\n")
 		}
 	}
 	for _, name := range []string{"switch", "faults", "policer", "acct"} {
@@ -237,10 +244,40 @@ func parityCounters(t *testing.T) map[string]uint64 {
 	return c
 }
 
+// campaign16Kernel replays the 16 runs of the switch campaign at seed 1
+// outside the campaign engine, which publishes no kernel counters, and
+// returns their offered cells, time points and elided edges. Each run
+// derives its traffic from its seed exactly as the campaign's switch cell
+// does; the caller checks the offered cells against the campaign's own.
+func campaign16Kernel(t *testing.T) (cells, points, elided uint64) {
+	t.Helper()
+	for i := uint64(0); i < 16; i++ {
+		rng := sim.NewRNG(sim.DeriveSeed(1, i))
+		var tr [dut.SwitchPorts]coverify.PortTraffic
+		ports, n := 1+rng.Intn(dut.SwitchPorts), uint64(12+rng.Intn(17))
+		horizon := sim.Time(0)
+		for p := 0; p < ports; p++ {
+			rate := 60e3 + 60e3*rng.Float64()
+			tr[p] = coverify.PortTraffic{Model: traffic.NewCBR(rate), VCs: coverify.PortVCs(p), Cells: n}
+			horizon = max(horizon, sim.FromSeconds(float64(n+2)/rate))
+		}
+		rig := coverify.NewSwitchRig(coverify.SwitchRigConfig{Seed: rng.Uint64(), Traffic: tr})
+		if err := rig.Run(horizon + 200*sim.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+		cells += rig.Offered
+		points += rig.HDL.TimePoints()
+		elided += rig.HDL.ElidedEdges()
+	}
+	return cells, points, elided
+}
+
 // TestParityCounters is the exact counter gate of the idle-dispatch
 // optimization: signal events and time points equal the recorded
 // pre-optimization figures, and process runs per cell fall at least 2× on
-// the E1 switch rig and at least 20× on the switch campaign.
+// the E1 switch rig and at least 20× on the switch campaign. On the same
+// campaign, idle-clock elision must execute at least 5× fewer time points
+// than the kernel counts.
 func TestParityCounters(t *testing.T) {
 	got := parityCounters(t)
 	if *recordParity {
@@ -279,6 +316,28 @@ func TestParityCounters(t *testing.T) {
 		t.Logf("%s: process runs per cell %.1f -> %.1f (%.2fx)", g.prefix, before, after, before/after)
 		if before < g.min*after {
 			t.Errorf("%s: process runs per cell %.1f -> %.1f, want at least %gx fewer", g.prefix, before, after, g.min)
+		}
+	}
+	cells, points, elided := campaign16Kernel(t)
+	if cells != got["campaign16.cells"] {
+		t.Fatalf("campaign16 replay offered %d cells, the campaign %d", cells, got["campaign16.cells"])
+	}
+	executed := points - elided
+	t.Logf("campaign16: %d time points, %d executed (%.2fx fewer)", points, executed, float64(points)/float64(executed))
+	if points < 5*executed {
+		t.Errorf("campaign16: %d of %d time points executed, want at least 5x fewer", executed, points)
+	}
+}
+
+// TestRigsElide keeps the parity goldens from passing vacuously: the
+// co-simulation rigs (switch, policer, accounting) elide idle clock edges
+// in their parity runs, while the RTL rig, whose test bench drives the DUT
+// every clock by design, never does.
+func TestRigsElide(t *testing.T) {
+	for _, rig := range []string{"switch", "rtl", "policer", "acct"} {
+		h := rigParity(t, rig, paritySeeds[0]).hdl
+		if n := h.ElidedEdges(); (n > 0) != (rig != "rtl") {
+			t.Errorf("rig %s elided %d of %d time points", rig, n, h.TimePoints())
 		}
 	}
 }

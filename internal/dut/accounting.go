@@ -51,8 +51,10 @@ type AccountingUnit struct {
 	rdStage1Valid bool
 	rdStage1Val   uint32
 
-	// pendingExc requests a one-cycle exception pulse.
+	// pendingExc requests a one-cycle exception pulse; excProc drives it
+	// and parks while the strobe is low and nothing is pending.
 	pendingExc bool
+	excProc    *hdl.Process
 
 	// Unregistered counts exception events (also visible as a register).
 	Unregistered uint64
@@ -91,36 +93,42 @@ func NewAccountingUnit(h *hdl.Simulator, clk *hdl.Signal, capacity int) *Account
 	// Exception strobe: exactly one clock cycle high per offending cell,
 	// even when offending cells arrive back to back. The process runs
 	// after the reader (registration order), so the pulse rises in the
-	// same cycle the cell completes.
-	h.Clocked("acct_exc", clk, func() {
+	// same cycle the cell completes. Once it has driven the strobe low it
+	// parks until meter sets pendingExc and wakes it.
+	u.excProc = h.Clocked("acct_exc", clk, func() {
 		if u.pendingExc {
 			u.pendingExc = false
 			u.exceptionDrv.SetBit(hdl.L1)
 		} else {
 			u.exceptionDrv.SetBit(hdl.L0)
+			u.excProc.Park()
 		}
 	})
 
-	// Read-port pipeline.
-	h.Clocked("acct_rd", clk, func() {
+	// Read-port pipeline. With no read staged and RdEn not high a run
+	// would change nothing, so it parks until RdEn changes.
+	var rdProc *hdl.Process
+	rdProc = h.Clocked("acct_rd", clk, func() {
 		if u.rdStage1Valid {
 			u.rdDataDrv.SetUint(uint64(u.rdStage1Val))
 			u.rdStage1Valid = false
 		}
-		if u.RdEn.Bit().IsHigh() {
-			addr, ok := u.RdAddr.Uint()
-			if !ok || int(addr) >= u.cap {
-				return
-			}
-			sel := u.RdSel.Bit().IsHigh()
-			if sel {
-				u.rdStage1Val = u.clp1[addr]
-			} else {
-				u.rdStage1Val = u.cells[addr]
-			}
-			u.rdStage1Valid = true
+		if !u.RdEn.Bit().IsHigh() {
+			rdProc.Park()
+			return
 		}
+		addr, ok := u.RdAddr.Uint()
+		if !ok || int(addr) >= u.cap {
+			return
+		}
+		if u.RdSel.Bit().IsHigh() {
+			u.rdStage1Val = u.clp1[addr]
+		} else {
+			u.rdStage1Val = u.cells[addr]
+		}
+		u.rdStage1Valid = true
 	})
+	rdProc.WakeOn(u.RdEn)
 	return u
 }
 
@@ -153,6 +161,7 @@ func (u *AccountingUnit) meter(c *atm.Cell) {
 	if !ok {
 		u.Unregistered++
 		u.pendingExc = true
+		u.excProc.Wake()
 		return
 	}
 	u.Observed++

@@ -26,7 +26,7 @@ const (
 // connection, the core traffic-management function the paper names as
 // CASTANET's application domain. Cells stream in on the Fig.-4 bit-level
 // port; conforming cells stream out unchanged, violators are discarded or
-// tagged. Time is the device's own cycle counter, exactly as UPC silicon
+// tagged. Time is the device's clock cycle count, exactly as UPC silicon
 // measures arrival times.
 type Policer struct {
 	HDL *hdl.Simulator
@@ -39,11 +39,11 @@ type Policer struct {
 	// Violation strobes one clock per non-conforming cell.
 	Violation *hdl.Signal
 
+	clk          *hdl.Signal
 	writer       *mapping.CellPortWriter
 	violationDrv *hdl.Driver
+	violProc     *hdl.Process
 	pendingViol  bool
-
-	cycle uint64 // free-running cycle counter (the hardware time base)
 
 	slots map[atm.VC]*policerSlot
 	cap   int
@@ -75,7 +75,7 @@ func NewPolicer(h *hdl.Simulator, clk *hdl.Signal, capacity int) *Policer {
 	if capacity <= 0 {
 		panic("dut: policer capacity must be positive")
 	}
-	p := &Policer{HDL: h, cap: capacity, slots: make(map[atm.VC]*policerSlot)}
+	p := &Policer{HDL: h, clk: clk, cap: capacity, slots: make(map[atm.VC]*policerSlot)}
 	p.In = CellPort{
 		Data: h.Signal("upc_rx_data", 8, hdl.U),
 		Sync: h.Bit("upc_rx_sync", hdl.U),
@@ -93,18 +93,24 @@ func NewPolicer(h *hdl.Simulator, clk *hdl.Signal, capacity int) *Policer {
 
 	p.writer = mapping.NewCellPortWriter(h, "upc_tx", clk, p.Out.Data, p.Out.Sync)
 
-	// Cycle counter plus the one-clock violation strobe.
-	h.Clocked("upc_time", clk, func() {
-		p.cycle++
+	// The one-clock violation strobe. Once it has driven the strobe low it
+	// parks until police sets pendingViol and wakes it.
+	p.violProc = h.Clocked("upc_viol", clk, func() {
 		if p.pendingViol {
 			p.pendingViol = false
 			p.violationDrv.SetBit(hdl.L1)
 		} else {
 			p.violationDrv.SetBit(hdl.L0)
+			p.violProc.Park()
 		}
 	})
 	return p
 }
+
+// cycle is the hardware time base: the number of clock cycles completed
+// before the current rising edge. police runs from the cell reader at a
+// rising edge, which the kernel's count already includes.
+func (p *Policer) cycle() uint64 { return p.HDL.RisingEdges(p.clk) - 1 }
 
 // Contract installs a policing contract: peak cell interval and cell
 // delay variation tolerance, both in clock cycles (the hardware time
@@ -135,8 +141,9 @@ func (p *Policer) police(c *atm.Cell) {
 	if c.IsIdle() || c.IsUnassigned() {
 		return
 	}
+	now := p.cycle()
 	if p.OnPolice != nil {
-		p.OnPolice(c, p.cycle)
+		p.OnPolice(c, now)
 	}
 	slot, ok := p.slots[c.VC()]
 	if !ok {
@@ -144,7 +151,6 @@ func (p *Policer) police(c *atm.Cell) {
 		p.writer.Enqueue(c)
 		return
 	}
-	now := p.cycle
 	conforms := false
 	switch {
 	case !slot.started:
@@ -165,6 +171,7 @@ func (p *Policer) police(c *atm.Cell) {
 	}
 	p.NonConforming++
 	p.pendingViol = true
+	p.violProc.Wake()
 	switch p.Action {
 	case PolicerTag:
 		if c.CLP == 1 {

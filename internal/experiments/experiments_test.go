@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"castanet/internal/obs"
 )
 
 // The experiment harnesses are exercised here with small workloads so the
@@ -118,6 +120,33 @@ func TestE5Shape(t *testing.T) {
 	}
 	if len(r.UnitRows) != 4 {
 		t.Errorf("unit rows = %d", len(r.UnitRows))
+	}
+}
+
+// TestE5E7ProcessRuns pins the parking of the last never-parking DUT
+// processes: the accounting unit's exception strobe and read port (E5)
+// and the policer's violation strobe, whose cycle counter now comes from
+// the kernel's clock (E7). Before they parked, E5 at seed 1 and E7 at
+// castanet's defaults (500 cells per point, seed 1) ran the recorded
+// process counts; the experiments' results are pinned by their shape
+// tests and the coverify parity goldens.
+func TestE5E7ProcessRuns(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		run    func(f Factory)
+		before uint64
+		min    uint64
+	}{
+		{"E5", func(f Factory) { f.E5(1) }, 3362730, 10},
+		{"E7", func(f Factory) { f.E7(500, 1) }, 1879354, 3},
+	} {
+		reg := obs.NewRegistry()
+		c.run(Factory{Obs: &obs.Run{Registry: reg}})
+		after := reg.Counter("hdl.sim.process_runs").Value()
+		t.Logf("%s: process runs %d -> %d (%.1fx)", c.name, c.before, after, float64(c.before)/float64(after))
+		if c.before < c.min*after {
+			t.Errorf("%s: process runs %d -> %d, want at least %dx fewer", c.name, c.before, after, c.min)
+		}
 	}
 }
 

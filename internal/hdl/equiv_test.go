@@ -21,7 +21,8 @@ import (
 // event-for-event (time, global delta index, old and new value), the
 // kernel counters, and the activity profile. FuzzKernelEquivalence drives
 // the same harness from the fuzzer. The same programs also check
-// rising-edge sensitivity against its definition (compareEdgeSensitivity).
+// rising-edge sensitivity against its definition (compareEdgeSensitivity)
+// and idle-clock elision against a Step-driven twin (compareElision).
 
 const (
 	diffClockPeriod = 10 * sim.Nanosecond
@@ -250,11 +251,15 @@ type diffResult struct {
 	runs    uint64
 	deltas  uint64
 	points  uint64
+	elided  uint64
 	prof    interface{}
 	planErr error
 }
 
-func runDiffKernel(data []byte, compiled bool, eg *edgeGuard) *diffResult {
+// runDiffKernel runs the program to its horizon with Run, which elides
+// idle clock edges, or with step set by a plain Step loop, which never
+// does.
+func runDiffKernel(data []byte, compiled bool, eg *edgeGuard, step bool) *diffResult {
 	s := New()
 	s.EnableProfile()
 	clk := s.Bit("clk", U)
@@ -276,7 +281,11 @@ func runDiffKernel(data []byte, compiled bool, eg *edgeGuard) *diffResult {
 			return res
 		}
 	}
-	if err := s.Run(horizon); err != nil {
+	run := s.Run
+	if step {
+		run = func(until sim.Time) error { return stepThrough(s, until) }
+	}
+	if err := run(horizon); err != nil {
 		res.planErr = err
 		return res
 	}
@@ -286,6 +295,7 @@ func runDiffKernel(data []byte, compiled bool, eg *edgeGuard) *diffResult {
 	res.runs = s.ProcessRuns()
 	res.deltas = s.DeltaCycles()
 	res.points = s.TimePoints()
+	res.elided = s.ElidedEdges()
 	res.prof = s.Profile().Snapshot()
 	return res
 }
@@ -293,8 +303,8 @@ func runDiffKernel(data []byte, compiled bool, eg *edgeGuard) *diffResult {
 // compareKernels runs the program through both kernels and reports the
 // first divergence, or "" when they agree.
 func compareKernels(data []byte) string {
-	ev := runDiffKernel(data, false, nil)
-	cp := runDiffKernel(data, true, nil)
+	ev := runDiffKernel(data, false, nil, false)
+	cp := runDiffKernel(data, true, nil, false)
 	if (ev.planErr == nil) != (cp.planErr == nil) {
 		return fmt.Sprintf("error divergence: event=%v compiled=%v", ev.planErr, cp.planErr)
 	}
@@ -322,8 +332,8 @@ func compareKernels(data []byte) string {
 // per process plus every non-rising clock event.
 func compareEdgeSensitivity(data []byte, compiled bool) string {
 	var eg edgeGuard
-	cl := runDiffKernel(data, compiled, nil)
-	lv := runDiffKernel(data, compiled, &eg)
+	cl := runDiffKernel(data, compiled, nil, false)
+	lv := runDiffKernel(data, compiled, &eg, false)
 	if (cl.planErr == nil) != (lv.planErr == nil) {
 		return fmt.Sprintf("error divergence: clocked=%v level=%v", cl.planErr, lv.planErr)
 	}
@@ -339,6 +349,35 @@ func compareEdgeSensitivity(data []byte, compiled bool) string {
 			lv.runs, cl.runs, eg.elaboration, eg.edges)
 	}
 	return compareWaves(cl, lv)
+}
+
+// compareElision runs the program on the given kernel with Run, which
+// elides idle clock edges, and with its never-eliding twin, a Step loop.
+// VCD, waveforms, the four counters and the activity profile must be
+// identical.
+func compareElision(data []byte, compiled bool) string {
+	el := runDiffKernel(data, compiled, nil, false)
+	st := runDiffKernel(data, compiled, nil, true)
+	if (el.planErr == nil) != (st.planErr == nil) {
+		return fmt.Sprintf("error divergence: eliding=%v stepping=%v", el.planErr, st.planErr)
+	}
+	if el.planErr != nil {
+		return ""
+	}
+	if el.events != st.events || el.runs != st.runs || el.deltas != st.deltas || el.points != st.points {
+		return fmt.Sprintf("counter divergence: eliding(ev=%d runs=%d deltas=%d points=%d) stepping(ev=%d runs=%d deltas=%d points=%d)",
+			el.events, el.runs, el.deltas, el.points, st.events, st.runs, st.deltas, st.points)
+	}
+	if st.elided != 0 {
+		return fmt.Sprintf("the Step loop elided %d edges", st.elided)
+	}
+	if diff := compareWaves(el, st); diff != "" {
+		return diff
+	}
+	if !reflect.DeepEqual(el.prof, st.prof) {
+		return fmt.Sprintf("profile divergence:\neliding:  %+v\nstepping: %+v", el.prof, st.prof)
+	}
+	return ""
 }
 
 // compareWaves reports the first waveform or VCD divergence.

@@ -51,14 +51,38 @@ func e1e8Seeds() [][]byte {
 	}
 }
 
+// elideSeeds returns differential-harness programs on which Run elides
+// clock edges: only clocked processes that park and wake on stimulus
+// inputs watch the clock, and the stimulus is sparse. They seed the
+// FuzzKernelEquivalence corpus (testdata/fuzz/.../elide_*), so the
+// eliding-versus-stepping twin starts from programs where the two differ
+// in how they run.
+func elideSeeds() [][]byte {
+	return [][]byte{
+		// Two inputs, two parkers (one waking the other), sparse two-state
+		// stimulus.
+		{0, 7, 0, 0, 8, 1, 2, 0x00, 8, 1, 1, 0x11,
+			4, 1, 1, 0, 10, 4, 0, 0x42, 0, 40, 4, 1, 0, 0, 90, 4, 0, 0x17, 0, 160, 4, 1, 1, 0, 230},
+		// A gate cone on the 8-bit inputs feeding a parker, an X burst on
+		// one input, long idle gaps.
+		{0, 7, 0, 7, 0, 0, 1, 2, 1, 0, 0, 1, 8, 4, 3, 0x02,
+			4, 0, 0x0f, 0, 20, 6, 1, 0, 60, 4, 2, 1, 0, 61, 4, 1, 0x33, 0, 200, 4, 2, 0, 0, 250},
+		// A second driver on the wake input: resolution to X and back to
+		// the stimulus driver while the parkers sleep.
+		{0, 0, 0, 3, 8, 2, 1, 0x01, 8, 3, 1, 0x13, 8, 1, 2, 0x22,
+			4, 0, 1, 0, 8, 7, 0, 0, 100, 4, 1, 0x05, 0, 180, 4, 0, 0, 0, 240},
+	}
+}
+
 // FuzzKernelEquivalence feeds arbitrary byte programs through the
 // differential harness: any divergence between the nine-value event
 // kernel and the compiled bit-parallel kernel — in waveforms, counters,
-// VCD bytes or the activity profile — is a crash. The nightly workflow
-// runs this for minutes; CI runs the committed corpus as regression
-// tests.
+// VCD bytes or the activity profile — is a crash, as is any divergence
+// between eliding (Run) and stepping (a Step loop) on either kernel. The
+// nightly workflow runs this for minutes; CI runs the committed corpus as
+// regression tests.
 func FuzzKernelEquivalence(f *testing.F) {
-	for _, seed := range e1e8Seeds() {
+	for _, seed := range append(e1e8Seeds(), elideSeeds()...) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -71,5 +95,22 @@ func FuzzKernelEquivalence(f *testing.F) {
 		if diff := compareEdgeSensitivity(data, true); diff != "" {
 			t.Fatalf("edge-sensitivity divergence: %s", diff)
 		}
+		for _, compiled := range []bool{false, true} {
+			if diff := compareElision(data, compiled); diff != "" {
+				t.Fatalf("elision divergence compiled=%v: %s", compiled, diff)
+			}
+		}
 	})
+}
+
+// TestElideSeedsElide keeps the elision corpus meaningful: every elide
+// seed skips clock edges on both kernels.
+func TestElideSeedsElide(t *testing.T) {
+	for i, data := range elideSeeds() {
+		for _, compiled := range []bool{false, true} {
+			if n := runDiffKernel(data, compiled, nil, false).elided; n == 0 {
+				t.Errorf("elide seed %d compiled=%v elided nothing", i+1, compiled)
+			}
+		}
+	}
 }

@@ -19,7 +19,8 @@ const MaxDeltas = 10000
 // pooled; a txn recycles once both of its owners have released it — the
 // heap it was scheduled into and its driver's projected waveform (pending
 // list). Callback transactions are never in a pending list and are born
-// with that bit released. Zero-delay driver transactions in compiled mode
+// with that bit released; a clock generator's toggle callback also carries
+// the generator's driver, which is how elide.go recognises it. Zero-delay driver transactions in compiled mode
 // do not use this type at all — they ride the delta ring as rtxn values.
 type txn struct {
 	at     sim.Time
@@ -206,6 +207,7 @@ type Simulator struct {
 	runnable  []*Process
 	spare     []*Process // recycled runnable buffer
 	signals   []*Signal
+	clocks    []*clock // Clock generators in creation order
 
 	fast   bool // compiled data plane enabled (set by Compile)
 	plan   *Plan
@@ -217,6 +219,7 @@ type Simulator struct {
 	procRuns     uint64
 	timePoints   uint64
 	deltaCycles  uint64
+	elided       uint64 // clock edges skipped by elision (elide.go)
 
 	// Observability handles, synchronized from the internal counters once
 	// per Step (diff-based) so the per-delta hot path stays untouched.
@@ -225,8 +228,9 @@ type Simulator struct {
 	obsEvents  *obs.Counter
 	obsRuns    *obs.Counter
 	obsPoints  *obs.Counter
+	obsElided  *obs.Counter
 	obsPending *obs.Gauge // scheduled-transaction agenda depth
-	lastSync   struct{ deltas, events, runs, points uint64 }
+	lastSync   struct{ deltas, events, runs, points, elided uint64 }
 
 	// prof, when non-nil, attributes events and runs to individual
 	// signals and processes (see profile.go). Hot paths pay one nil test
@@ -236,9 +240,9 @@ type Simulator struct {
 
 // Instrument registers the simulator's metrics under the given prefix
 // (e.g. "hdl.sim"): delta_cycles, signal_events (transitions),
-// process_runs and time_points. Counters are updated once per executed
-// time point, so the per-delta and per-signal hot paths carry no
-// instrumentation at all.
+// process_runs, time_points and elided_edges. Counters are updated once
+// per executed time point, so the per-delta and per-signal hot paths carry
+// no instrumentation at all.
 func (s *Simulator) Instrument(reg *obs.Registry, prefix string) {
 	if reg == nil {
 		return
@@ -247,11 +251,13 @@ func (s *Simulator) Instrument(reg *obs.Registry, prefix string) {
 	s.obsEvents = reg.Counter(prefix + ".signal_events")
 	s.obsRuns = reg.Counter(prefix + ".process_runs")
 	s.obsPoints = reg.Counter(prefix + ".time_points")
+	s.obsElided = reg.Counter(prefix + ".elided_edges")
 	s.obsPending = reg.Gauge(prefix + ".pending")
 	s.lastSync.deltas = s.deltaCycles
 	s.lastSync.events = s.signalEvents
 	s.lastSync.runs = s.procRuns
 	s.lastSync.points = s.timePoints
+	s.lastSync.elided = s.elided
 }
 
 // syncObs publishes the counter deltas accumulated since the last sync.
@@ -265,11 +271,13 @@ func (s *Simulator) syncObs() {
 	s.obsEvents.Add(s.signalEvents - s.lastSync.events)
 	s.obsRuns.Add(s.procRuns - s.lastSync.runs)
 	s.obsPoints.Add(s.timePoints - s.lastSync.points)
+	s.obsElided.Add(s.elided - s.lastSync.elided)
 	s.obsPending.Set(float64(s.agenda.len()))
 	s.lastSync.deltas = s.deltaCycles
 	s.lastSync.events = s.signalEvents
 	s.lastSync.runs = s.procRuns
 	s.lastSync.points = s.timePoints
+	s.lastSync.elided = s.elided
 }
 
 // New returns an empty simulator at time zero.
@@ -351,6 +359,10 @@ func (s *Simulator) newProcess(name string, fn func()) *Process {
 // of that instant's first delta. Test benches and clock generators use it;
 // device models should use processes.
 func (s *Simulator) Schedule(delay sim.Duration, fn func()) {
+	s.schedule(delay, fn)
+}
+
+func (s *Simulator) schedule(delay sim.Duration, fn func()) *txn {
 	if delay < 0 {
 		panic("hdl: negative delay")
 	}
@@ -362,28 +374,7 @@ func (s *Simulator) Schedule(delay sim.Duration, fn func()) {
 	t.fn = fn
 	t.rel = relPending // callbacks are never in a pending list
 	s.push(t)
-}
-
-// Clock drives sig as a free-running clock with the given period and an
-// initial low phase. The first rising edge occurs at period/2.
-func (s *Simulator) Clock(sig *Signal, period sim.Duration) {
-	if period <= 0 {
-		panic("hdl: clock period must be positive")
-	}
-	d := sig.Driver("clkgen:" + sig.name)
-	d.SetBit(L0)
-	var toggle func()
-	val := Logic(L0)
-	toggle = func() {
-		if val == L0 {
-			val = L1
-		} else {
-			val = L0
-		}
-		d.SetBit(val)
-		s.Schedule(period/2, toggle)
-	}
-	s.Schedule(period/2, toggle)
+	return t
 }
 
 // trigger marks a process runnable in the current (or first) delta.
@@ -503,7 +494,8 @@ var ErrDeltaOverflow = errors.New("hdl: delta cycle overflow (combinational loop
 
 // Step executes one complete simulated instant: it advances to the next
 // transaction time and runs delta cycles until the instant is quiescent.
-// It reports whether anything was executed.
+// It reports whether anything was executed. Step never elides clock
+// edges; only the bounded runs do (DESIGN.md §21).
 func (s *Simulator) Step() (bool, error) {
 	// Initial process executions (elaboration) run at the current time.
 	t := s.agendaPeek()
@@ -608,14 +600,38 @@ func (s *Simulator) Step() (bool, error) {
 // Run executes until the agenda is exhausted or the simulated time would
 // exceed until. The clock ends at min(until, last activity).
 func (s *Simulator) Run(until sim.Time) error {
-	for {
+	if err := s.RunThrough(until); err != nil {
+		return err
+	}
+	if until != sim.Never && s.now < until {
+		s.now = until
+	}
+	return nil
+}
+
+// RunBefore executes every instant strictly before t (the co-simulation
+// entity's "events with a time stamp smaller than t_k, but not equal").
+// Unlike a hand-written Step loop it elides idle clock edges inside the
+// bound (DESIGN.md §21); every observable is the same.
+func (s *Simulator) RunBefore(t sim.Time) error { return s.runTo(t, false) }
+
+// RunThrough executes every instant up to and including t, eliding idle
+// clock edges like RunBefore.
+func (s *Simulator) RunThrough(t sim.Time) error { return s.runTo(t, true) }
+
+func (s *Simulator) runTo(bound sim.Time, inclusive bool) error {
+	for elided := false; ; {
 		next := s.NextTime()
-		if next == sim.Never || next > until {
-			if until != sim.Never && s.now < until {
-				s.now = until
-			}
+		if next == sim.Never || next > bound || (next == bound && !inclusive) {
 			return nil
 		}
+		// An elision leaves at most one edge it could have skipped, so
+		// the instant after it always executes.
+		if !elided && s.elide(bound, inclusive) {
+			elided = true
+			continue
+		}
+		elided = false
 		if _, err := s.Step(); err != nil {
 			return err
 		}
