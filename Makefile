@@ -87,13 +87,15 @@ rig-smoke:
 		echo "rig-smoke: coverage floors met, deterministic hotspot table ok, every rig profiled"
 
 # Coverage-guided fuzzing of the ipc frame and reliability-envelope
-# decoders, plus the differential kernel-equivalence fuzzer (random
-# netlist programs through both HDL kernels, any observable divergence is
-# a crash); seed corpora live in internal/ipc/testdata/fuzz/ and
+# decoders and the campaign checkpoint decoder, plus the differential
+# kernel-equivalence fuzzer (random netlist programs through both HDL
+# kernels, any observable divergence is a crash); seed corpora live in
+# internal/ipc/testdata/fuzz/, internal/campaign/testdata/fuzz/ and
 # internal/hdl/testdata/fuzz/.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/ipc/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenEnvelope$$' -fuzztime=$(FUZZTIME) ./internal/ipc/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime=$(FUZZTIME) ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelEquivalence$$' -fuzztime=$(FUZZTIME) ./internal/hdl/
 
 bench:

@@ -179,7 +179,7 @@ func BenchmarkE4_BoardCycle(b *testing.B) {
 // unit verified against its algorithmic reference.
 func BenchmarkE5_Accounting(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.E5(uint64(i + 1))
+		r := experiments.Factory{}.E5(uint64(i + 1))
 		if r.CounterMismatches != 0 {
 			b.Fatalf("counter mismatches: %d", r.CounterMismatches)
 		}
@@ -191,7 +191,7 @@ func BenchmarkE5_Accounting(b *testing.B) {
 func BenchmarkE6_EventVsCycle(b *testing.B) {
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.E6(400, uint64(i+1))
+		r := experiments.Factory{}.E6(400, uint64(i+1))
 		if !r.Equivalent {
 			b.Fatal("engines disagree")
 		}
@@ -227,7 +227,7 @@ func BenchmarkE7_Policing(b *testing.B) {
 // 64-defect campaign under full-mesh traffic must reach 100% detection.
 func BenchmarkE8_FaultCoverage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.E8(uint64(i + 1))
+		r := experiments.Factory{}.E8(uint64(i + 1))
 		if r.Rows[len(r.Rows)-1].Coverage != 1.0 {
 			b.Fatal("full-traffic campaign missed faults")
 		}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"castanet/internal/campaign"
+	"castanet/internal/experiments"
 	"castanet/internal/explore"
 	"castanet/internal/obs"
 )
@@ -27,6 +28,7 @@ type exploreOpts struct {
 	trace      string
 	serve      string
 	traceCells int
+	noCompiled bool
 
 	runTimeout      time.Duration
 	retries         int
@@ -71,7 +73,8 @@ func runExplore(o exploreOpts) int {
 		quarantineAfter = 0
 	}
 	spec := explore.Spec{
-		Space:       explore.NewSwitchSpace(explore.SwitchSpaceConfig{TraceEvery: o.traceCells}),
+		Space: explore.NewSwitchSpace(experiments.CampaignConfig{
+			TraceEvery: o.traceCells, NoCompiled: o.noCompiled}),
 		Seed:        o.seed,
 		Generations: o.generations,
 		Population:  o.population,

@@ -100,22 +100,22 @@ import (
 )
 
 // experiment is one runnable harness: the name accepted by -experiment
-// and the function producing its report.
+// and the function producing its report from the run's factory.
 type experiment struct {
 	name string
-	run  func(cells, seed uint64) fmt.Stringer
+	run  func(f experiments.Factory, cells, seed uint64) fmt.Stringer
 }
 
 // table lists the experiments in execution order for -experiment all.
 var table = []experiment{
-	{"e1", func(c, s uint64) fmt.Stringer { return experiments.E1(c, s) }},
-	{"e2", func(c, s uint64) fmt.Stringer { return experiments.E2(min64(c, 800), s) }},
-	{"e3", func(c, s uint64) fmt.Stringer { return experiments.E3(min64(c, 1000), s) }},
-	{"e4", func(c, s uint64) fmt.Stringer { return experiments.E4(min64(c, 800), s) }},
-	{"e5", func(c, s uint64) fmt.Stringer { return experiments.E5(s) }},
-	{"e6", func(c, s uint64) fmt.Stringer { return experiments.E6(min64(c, 2000), s) }},
-	{"e7", func(c, s uint64) fmt.Stringer { return experiments.E7(min64(c, 500), s) }},
-	{"e8", func(c, s uint64) fmt.Stringer { return experiments.E8(s) }},
+	{"e1", func(f experiments.Factory, c, s uint64) fmt.Stringer { return f.E1(c, s) }},
+	{"e2", func(f experiments.Factory, c, s uint64) fmt.Stringer { return f.E2(min64(c, 800), s) }},
+	{"e3", func(f experiments.Factory, c, s uint64) fmt.Stringer { return f.E3(min64(c, 1000), s) }},
+	{"e4", func(f experiments.Factory, c, s uint64) fmt.Stringer { return f.E4(min64(c, 800), s) }},
+	{"e5", func(f experiments.Factory, c, s uint64) fmt.Stringer { return f.E5(s) }},
+	{"e6", func(f experiments.Factory, c, s uint64) fmt.Stringer { return f.E6(min64(c, 2000), s) }},
+	{"e7", func(f experiments.Factory, c, s uint64) fmt.Stringer { return f.E7(min64(c, 500), s) }},
+	{"e8", func(f experiments.Factory, c, s uint64) fmt.Stringer { return f.E8(s) }},
 }
 
 // names returns the valid -experiment values for usage messages.
@@ -171,7 +171,6 @@ func run() int {
 		return badFlags("-trace-cells must be non-negative (got %d)", *traceN)
 	}
 
-	experiments.Compiled(!*noCompiled)
 	profiling := *profile || *profileOut != ""
 
 	if *explore && *camp != "" {
@@ -192,6 +191,7 @@ func run() int {
 			shards: *shards, seed: *seed, target: *coverTarget,
 			replay:  *replay,
 			metrics: *metrics, trace: *trace, serve: *serve, traceCells: *traceN,
+			noCompiled: *noCompiled,
 			runTimeout: *runTimeout, retries: *retries,
 			checkpoint: *checkpoint, checkpointEvery: *ckEvery, resume: *resume,
 			noQuarantine: *noQuar, digest: *digest,
@@ -247,8 +247,8 @@ func run() int {
 		if profiling {
 			run.Profile = obs.NewRunProfile()
 		}
-		experiments.Observe(run)
 	}
+	factory := experiments.Factory{Obs: run, NoCompiled: *noCompiled}
 
 	var srv *obs.Server
 	if *serve != "" {
@@ -267,7 +267,7 @@ func run() int {
 	var unprofiled []string
 	for _, e := range selected {
 		before := processRuns(run)
-		fmt.Println(e.run(*cells, *seed))
+		fmt.Println(e.run(factory, *cells, *seed))
 		srv.Beat()
 		if profiling && processRuns(run) == before {
 			unprofiled = append(unprofiled, e.name)

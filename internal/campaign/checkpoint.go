@@ -1,15 +1,11 @@
 package campaign
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
-	"math"
-	"os"
-	"path/filepath"
 
+	"castanet/internal/durable"
 	"castanet/internal/obs"
 )
 
@@ -18,15 +14,8 @@ import (
 // the operator pointed a campaign at the wrong (or a damaged) file.
 var ErrCheckpoint = errors.New("campaign: bad checkpoint")
 
-// Checkpoint file layout (all integers big-endian):
-//
-//	offset 0   magic  "CKPT"
-//	offset 4   u16    version (2)
-//	offset 6   u32    CRC-32 (IEEE) of the payload
-//	offset 10  u32    payload length
-//	offset 14  payload
-//
-// Payload v3 (strings are u32 length + bytes; f64 is IEEE-754 bits).
+// The checkpoint is a durable file (magic "CKPT", version 3: header, CRC
+// and field encoding in package durable) carrying payload v3.
 // v2 added a coverage block after each stats block — to the shard
 // snapshot and to every held entry; v3 adds an activity block (the
 // simulation profile) after each coverage block. Older files are rejected
@@ -52,10 +41,7 @@ var ErrCheckpoint = errors.New("campaign: bad checkpoint")
 //	  {u64 decided, u64 consec, u64 chainFirst, u8 quarantined,
 //	   u64 e, u64 firstFail,
 //	   u32 npending × {u64 ord, u64 index, u8 failed, u8 gaveUp}}
-const (
-	ckptMagic   = "CKPT"
-	ckptVersion = 3
-)
+var ckptFormat = durable.Format{Magic: "CKPT", Version: 3, Class: ErrCheckpoint}
 
 // ckFailure is one persisted digest entry. The label is materialized at
 // save time (Failure.Label() of a live error) so a restored digest renders
@@ -132,375 +118,215 @@ func specFingerprint(s *Spec, shards int) uint64 {
 	return h.Sum64()
 }
 
-// ckEnc appends the payload fields.
-type ckEnc struct{ b []byte }
-
-func (e *ckEnc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *ckEnc) u16(v uint16) { e.b = binary.BigEndian.AppendUint16(e.b, v) }
-func (e *ckEnc) u32(v uint32) { e.b = binary.BigEndian.AppendUint32(e.b, v) }
-func (e *ckEnc) u64(v uint64) { e.b = binary.BigEndian.AppendUint64(e.b, v) }
-func (e *ckEnc) f64(v float64) {
-	e.u64(math.Float64bits(v))
-}
-func (e *ckEnc) boolean(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-func (e *ckEnc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-func (e *ckEnc) stats(ss []Stat) {
-	e.u32(uint32(len(ss)))
+func encStats(e *durable.Enc, ss []Stat) {
+	e.Count(len(ss))
 	for _, s := range ss {
-		e.str(s.Name)
-		e.u64(s.Count)
-		e.f64(s.Sum)
-		e.f64(s.Min)
-		e.f64(s.Max)
+		e.Str(s.Name)
+		e.U64(s.Count)
+		e.F64(s.Sum)
+		e.F64(s.Min)
+		e.F64(s.Max)
 	}
 }
 
-func (e *ckEnc) cover(gs []obs.CoverGroupSnap) {
-	e.u32(uint32(len(gs)))
-	for _, g := range gs {
-		e.str(g.Name)
-		e.u32(uint32(len(g.Points)))
-		for _, p := range g.Points {
-			e.str(p.Name)
-			e.u32(uint32(len(p.Bins)))
-			for _, b := range p.Bins {
-				e.str(b.Label)
-				e.u64(b.Hits)
-			}
-		}
-	}
-}
-
-func (e *ckEnc) activity(a obs.ActivitySnap) {
-	e.u32(uint32(len(a.Signals)))
+func encActivity(e *durable.Enc, a obs.ActivitySnap) {
+	e.Count(len(a.Signals))
 	for _, s := range a.Signals {
-		e.str(s.Name)
-		e.u64(uint64(s.Width))
-		e.u64(s.Events)
-		e.u64(s.TwoState)
+		e.Str(s.Name)
+		e.U64(uint64(s.Width))
+		e.U64(s.Events)
+		e.U64(s.TwoState)
 	}
-	e.u32(uint32(len(a.Processes)))
+	e.Count(len(a.Processes))
 	for _, p := range a.Processes {
-		e.str(p.Name)
-		e.u64(p.Runs)
-		e.u64(p.DeltaRuns)
+		e.Str(p.Name)
+		e.U64(p.Runs)
+		e.U64(p.DeltaRuns)
 	}
 }
 
-func (e *ckEnc) failure(f ckFailure) {
-	e.u64(f.index)
-	e.u64(f.seed)
-	e.str(f.cell)
-	e.str(f.label)
-	e.str(f.detail)
+func encFailure(e *durable.Enc, f ckFailure) {
+	e.U64(f.index)
+	e.U64(f.seed)
+	e.Str(f.cell)
+	e.Str(f.label)
+	e.Str(f.detail)
 }
 
-// ckDec consumes the payload with a sticky error; every read is bounds-
-// checked so a truncated payload degrades to ErrCheckpoint, never a panic.
-type ckDec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *ckDec) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: truncated payload at offset %d", ErrCheckpoint, d.off)
-	}
-}
-
-func (d *ckDec) take(n int) []byte {
-	if d.err != nil || n < 0 || d.off+n > len(d.b) {
-		d.fail()
-		return nil
-	}
-	s := d.b[d.off : d.off+n]
-	d.off += n
-	return s
-}
-
-func (d *ckDec) u8() uint8 {
-	if s := d.take(1); s != nil {
-		return s[0]
-	}
-	return 0
-}
-
-func (d *ckDec) u32() uint32 {
-	if s := d.take(4); s != nil {
-		return binary.BigEndian.Uint32(s)
-	}
-	return 0
-}
-
-func (d *ckDec) u64() uint64 {
-	if s := d.take(8); s != nil {
-		return binary.BigEndian.Uint64(s)
-	}
-	return 0
-}
-
-func (d *ckDec) f64() float64  { return math.Float64frombits(d.u64()) }
-func (d *ckDec) boolean() bool { return d.u8() != 0 }
-func (d *ckDec) str() string   { return string(d.take(int(d.u32()))) }
-func (d *ckDec) count() int    { return int(d.u32()) }
-func (d *ckDec) stats() []Stat {
-	n := d.count()
-	if d.err != nil {
+func decStats(d *durable.Dec) []Stat {
+	n := d.Count()
+	if d.Err() != nil {
 		return nil
 	}
 	out := make([]Stat, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		out = append(out, Stat{Name: d.str(), Count: d.u64(),
-			Sum: d.f64(), Min: d.f64(), Max: d.f64()})
+	for i := 0; i < n && d.Err() == nil; i++ {
+		out = append(out, Stat{Name: d.Str(), Count: d.U64(),
+			Sum: d.F64(), Min: d.F64(), Max: d.F64()})
 	}
 	return out
 }
 
-func (d *ckDec) cover() []obs.CoverGroupSnap {
-	n := d.count()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]obs.CoverGroupSnap, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		g := obs.CoverGroupSnap{Name: d.str()}
-		np := d.count()
-		for j := 0; j < np && d.err == nil; j++ {
-			p := obs.CoverPointSnap{Name: d.str()}
-			nb := d.count()
-			for k := 0; k < nb && d.err == nil; k++ {
-				p.Bins = append(p.Bins, obs.CoverBin{Label: d.str(), Hits: d.u64()})
-			}
-			g.Points = append(g.Points, p)
-		}
-		out = append(out, g)
-	}
-	return out
-}
-
-func (d *ckDec) activity() obs.ActivitySnap {
+func decActivity(d *durable.Dec) obs.ActivitySnap {
 	var a obs.ActivitySnap
-	ns := d.count()
-	for i := 0; i < ns && d.err == nil; i++ {
+	ns := d.Count()
+	for i := 0; i < ns && d.Err() == nil; i++ {
 		a.Signals = append(a.Signals, obs.SignalActivity{
-			Name: d.str(), Width: int(d.u64()), Events: d.u64(), TwoState: d.u64()})
+			Name: d.Str(), Width: int(d.U64()), Events: d.U64(), TwoState: d.U64()})
 	}
-	np := d.count()
-	for i := 0; i < np && d.err == nil; i++ {
+	np := d.Count()
+	for i := 0; i < np && d.Err() == nil; i++ {
 		a.Processes = append(a.Processes, obs.ProcessActivity{
-			Name: d.str(), Runs: d.u64(), DeltaRuns: d.u64()})
+			Name: d.Str(), Runs: d.U64(), DeltaRuns: d.U64()})
 	}
-	if d.err != nil {
+	if d.Err() != nil {
 		return obs.ActivitySnap{}
 	}
 	return a
 }
 
-func (d *ckDec) failure() ckFailure {
-	return ckFailure{index: d.u64(), seed: d.u64(),
-		cell: d.str(), label: d.str(), detail: d.str()}
+func decFailure(d *durable.Dec) ckFailure {
+	return ckFailure{index: d.U64(), seed: d.U64(),
+		cell: d.Str(), label: d.Str(), detail: d.Str()}
 }
 
 func encodeCheckpoint(ck *checkpointState) []byte {
-	var e ckEnc
-	e.u64(ck.fingerprint)
-	e.u64(ck.seed)
-	e.u64(uint64(ck.runs))
-	e.u32(uint32(ck.shards))
-	e.u32(uint32(ck.matrixLen))
-	e.boolean(ck.hasBoard)
+	var e durable.Enc
+	e.U64(ck.fingerprint)
+	e.U64(ck.seed)
+	e.U64(uint64(ck.runs))
+	e.U32(uint32(ck.shards))
+	e.U32(uint32(ck.matrixLen))
+	e.Bool(ck.hasBoard)
 	for _, s := range ck.snaps {
-		e.u64(uint64(s.done))
-		e.u64(uint64(s.completed))
-		e.u64(uint64(s.failTotal))
-		e.u64(uint64(s.quarantined))
-		e.u64(uint64(s.retried))
-		e.u64(uint64(s.gaveUp))
-		e.stats(s.stats)
-		e.cover(s.cover)
-		e.activity(s.activity)
-		e.u32(uint32(len(s.failures)))
+		e.U64(uint64(s.done))
+		e.U64(uint64(s.completed))
+		e.U64(uint64(s.failTotal))
+		e.U64(uint64(s.quarantined))
+		e.U64(uint64(s.retried))
+		e.U64(uint64(s.gaveUp))
+		encStats(&e, s.stats)
+		e.Cover(s.cover)
+		encActivity(&e, s.activity)
+		e.Count(len(s.failures))
 		for _, f := range s.failures {
-			e.failure(f)
+			encFailure(&e, f)
 		}
-		e.u32(uint32(len(s.held)))
+		e.Count(len(s.held))
 		for _, h := range s.held {
-			e.u64(h.index)
-			e.boolean(h.fail != nil)
+			e.U64(h.index)
+			e.Bool(h.fail != nil)
 			if h.fail != nil {
-				e.failure(*h.fail)
+				encFailure(&e, *h.fail)
 			}
-			e.stats(h.stats)
-			e.cover(h.cover)
-			e.activity(h.activity)
+			encStats(&e, h.stats)
+			e.Cover(h.cover)
+			encActivity(&e, h.activity)
 		}
 	}
 	if ck.hasBoard {
-		e.u32(uint32(len(ck.board)))
+		e.Count(len(ck.board))
 		for _, c := range ck.board {
-			e.u64(c.decided)
-			e.u64(uint64(c.consec))
-			e.u64(c.chainFirst)
-			e.boolean(c.quarantined)
-			e.u64(c.e)
-			e.u64(c.firstFail)
-			e.u32(uint32(len(c.pending)))
+			e.U64(c.decided)
+			e.U64(uint64(c.consec))
+			e.U64(c.chainFirst)
+			e.Bool(c.quarantined)
+			e.U64(c.e)
+			e.U64(c.firstFail)
+			e.Count(len(c.pending))
 			for _, p := range c.pending {
-				e.u64(p.ord)
-				e.u64(p.index)
-				e.boolean(p.failed)
-				e.boolean(p.gaveUp)
+				e.U64(p.ord)
+				e.U64(p.index)
+				e.Bool(p.failed)
+				e.Bool(p.gaveUp)
 			}
 		}
 	}
-	return e.b
+	return e.Bytes()
 }
 
 func decodeCheckpoint(payload []byte) (*checkpointState, error) {
-	d := &ckDec{b: payload}
+	d := ckptFormat.Dec(payload)
 	ck := &checkpointState{
-		fingerprint: d.u64(),
-		seed:        d.u64(),
-		runs:        int(d.u64()),
-		shards:      int(d.u32()),
-		matrixLen:   int(d.u32()),
-		hasBoard:    d.boolean(),
+		fingerprint: d.U64(),
+		seed:        d.U64(),
+		runs:        int(d.U64()),
+		shards:      int(d.U32()),
+		matrixLen:   int(d.U32()),
+		hasBoard:    d.Bool(),
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	if ck.shards < 1 || ck.runs < 1 {
 		return nil, fmt.Errorf("%w: nonsensical shape shards=%d runs=%d", ErrCheckpoint, ck.shards, ck.runs)
 	}
-	for s := 0; s < ck.shards && d.err == nil; s++ {
+	for s := 0; s < ck.shards && d.Err() == nil; s++ {
 		snap := ckShard{
-			done:        int(d.u64()),
-			completed:   int(d.u64()),
-			failTotal:   int(d.u64()),
-			quarantined: int(d.u64()),
-			retried:     int(d.u64()),
-			gaveUp:      int(d.u64()),
-			stats:       d.stats(),
+			done:        int(d.U64()),
+			completed:   int(d.U64()),
+			failTotal:   int(d.U64()),
+			quarantined: int(d.U64()),
+			retried:     int(d.U64()),
+			gaveUp:      int(d.U64()),
+			stats:       decStats(d),
 		}
-		snap.cover = d.cover()
-		snap.activity = d.activity()
-		nfail := d.count()
-		for i := 0; i < nfail && d.err == nil; i++ {
-			snap.failures = append(snap.failures, d.failure())
+		snap.cover = d.Cover()
+		snap.activity = decActivity(d)
+		nfail := d.Count()
+		for i := 0; i < nfail && d.Err() == nil; i++ {
+			snap.failures = append(snap.failures, decFailure(d))
 		}
-		nheld := d.count()
-		for i := 0; i < nheld && d.err == nil; i++ {
-			h := ckHeld{index: d.u64()}
-			if d.boolean() {
-				f := d.failure()
+		nheld := d.Count()
+		for i := 0; i < nheld && d.Err() == nil; i++ {
+			h := ckHeld{index: d.U64()}
+			if d.Bool() {
+				f := decFailure(d)
 				h.fail = &f
 			}
-			h.stats = d.stats()
-			h.cover = d.cover()
-			h.activity = d.activity()
+			h.stats = decStats(d)
+			h.cover = d.Cover()
+			h.activity = decActivity(d)
 			snap.held = append(snap.held, h)
 		}
 		ck.snaps = append(ck.snaps, snap)
 	}
 	if ck.hasBoard {
-		ncells := d.count()
-		for i := 0; i < ncells && d.err == nil; i++ {
+		ncells := d.Count()
+		for i := 0; i < ncells && d.Err() == nil; i++ {
 			c := ckCell{
-				decided:     d.u64(),
-				consec:      int(d.u64()),
-				chainFirst:  d.u64(),
-				quarantined: d.boolean(),
-				e:           d.u64(),
-				firstFail:   d.u64(),
+				decided:     d.U64(),
+				consec:      int(d.U64()),
+				chainFirst:  d.U64(),
+				quarantined: d.Bool(),
+				e:           d.U64(),
+				firstFail:   d.U64(),
 			}
-			npend := d.count()
-			for j := 0; j < npend && d.err == nil; j++ {
+			npend := d.Count()
+			for j := 0; j < npend && d.Err() == nil; j++ {
 				c.pending = append(c.pending, ckPending{
-					ord: d.u64(), index: d.u64(),
-					failed: d.boolean(), gaveUp: d.boolean()})
+					ord: d.U64(), index: d.U64(),
+					failed: d.Bool(), gaveUp: d.Bool()})
 			}
 			ck.board = append(ck.board, c)
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCheckpoint, len(d.b)-d.off)
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	return ck, nil
 }
 
-// saveCheckpoint writes the checkpoint atomically: temp file in the same
-// directory, fsync, rename over the target, fsync the directory. A crash
-// at any point leaves either the previous checkpoint or the new one,
-// never a torn file.
+// saveCheckpoint writes the checkpoint atomically (durable.Format.Save).
 func saveCheckpoint(path string, ck *checkpointState) error {
-	payload := encodeCheckpoint(ck)
-	var hdr ckEnc
-	hdr.b = append(hdr.b, ckptMagic...)
-	hdr.u16(ckptVersion)
-	hdr.u32(crc32.ChecksumIEEE(payload))
-	hdr.u32(uint32(len(payload)))
-
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, werr := f.Write(append(hdr.b, payload...))
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return werr
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		dir.Sync()
-		dir.Close()
-	}
-	return nil
+	return ckptFormat.Save(path, encodeCheckpoint(ck))
 }
 
 // loadCheckpoint reads and validates a checkpoint file. A missing file is
 // reported as os.ErrNotExist so Resume can fall back to a fresh start.
 func loadCheckpoint(path string) (*checkpointState, error) {
-	raw, err := os.ReadFile(path)
+	payload, err := ckptFormat.Load(path)
 	if err != nil {
 		return nil, err
-	}
-	if len(raw) < 14 || string(raw[:4]) != ckptMagic {
-		return nil, fmt.Errorf("%w: %s is not a checkpoint file", ErrCheckpoint, path)
-	}
-	if v := binary.BigEndian.Uint16(raw[4:6]); v != ckptVersion {
-		return nil, fmt.Errorf("%w: %s has version %d, this build reads %d", ErrCheckpoint, path, v, ckptVersion)
-	}
-	crc := binary.BigEndian.Uint32(raw[6:10])
-	plen := int(binary.BigEndian.Uint32(raw[10:14]))
-	if plen != len(raw)-14 {
-		return nil, fmt.Errorf("%w: %s payload length %d, file carries %d", ErrCheckpoint, path, plen, len(raw)-14)
-	}
-	payload := raw[14:]
-	if got := crc32.ChecksumIEEE(payload); got != crc {
-		return nil, fmt.Errorf("%w: %s CRC mismatch (file %08x, payload %08x)", ErrCheckpoint, path, crc, got)
 	}
 	ck, err := decodeCheckpoint(payload)
 	if err != nil {

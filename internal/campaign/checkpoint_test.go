@@ -1,9 +1,12 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -281,4 +284,79 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		got.board[1].firstFail != 3 || len(got.board[0].pending) != 1 {
 		t.Errorf("board: got %+v", got.board)
 	}
+}
+
+// craftedCheckpointPayload is an 85-byte payload whose framing is sound
+// but whose first stats count claims 0xFFFFFFF0 entries: one shard, one
+// run, then six zero counters and the crafted count.
+func craftedCheckpointPayload() []byte {
+	p := make([]byte, 0, 85)
+	p = binary.BigEndian.AppendUint64(p, 0) // fingerprint
+	p = binary.BigEndian.AppendUint64(p, 0) // seed
+	p = binary.BigEndian.AppendUint64(p, 1) // runs
+	p = binary.BigEndian.AppendUint32(p, 1) // shards
+	p = binary.BigEndian.AppendUint32(p, 1) // matrix length
+	p = append(p, 0)                        // no board
+	p = append(p, make([]byte, 6*8)...)     // shard 0 counters
+	return binary.BigEndian.AppendUint32(p, 0xFFFFFFF0)
+}
+
+// frameFile wraps payload in a well-formed durable header: magic,
+// version, the payload's CRC-32 and its length.
+func frameFile(magic string, version uint16, payload []byte) []byte {
+	b := append([]byte(magic), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	binary.BigEndian.PutUint16(b[4:], version)
+	binary.BigEndian.PutUint32(b[6:], crc32.ChecksumIEEE(payload))
+	binary.BigEndian.PutUint32(b[10:], uint32(len(payload)))
+	return append(b, payload...)
+}
+
+// TestResumeRejectsCraftedCount: a checkpoint whose CRC is valid but whose
+// length field claims four billion stats entries must surface as
+// ErrCheckpoint, not as an allocation that kills the process. Counts are
+// bounded by the payload bytes left (durable.Dec.Count).
+func TestResumeRejectsCraftedCount(t *testing.T) {
+	spec := Spec{
+		Name:       "ckpt-crafted",
+		Seed:       1,
+		Runs:       1,
+		Matrix:     syntheticMatrix(),
+		Checkpoint: filepath.Join(t.TempDir(), "campaign.ckpt"),
+	}
+	payload := craftedCheckpointPayload()
+	if len(payload) != 85 {
+		t.Fatalf("crafted payload is %d bytes, want 85", len(payload))
+	}
+	if err := os.WriteFile(spec.Checkpoint, frameFile("CKPT", 3, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Resume(context.Background(), spec); !errors.Is(err, ErrCheckpoint) {
+		t.Fatalf("Resume of crafted checkpoint: err = %v, want ErrCheckpoint", err)
+	}
+}
+
+// FuzzDecodeCheckpoint: any payload decodes to a state or an
+// ErrCheckpoint error, never a panic or a runaway allocation, and an
+// accepted payload re-encodes to its exact bytes (the codec has one
+// encoding per state). Seeded with the golden checkpoint's payload and
+// the crafted count.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint.golden"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden[14:])
+	f.Add(craftedCheckpointPayload())
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		ck, err := decodeCheckpoint(payload)
+		if err != nil {
+			if !errors.Is(err, ErrCheckpoint) {
+				t.Fatalf("decode error %v is not ErrCheckpoint", err)
+			}
+			return
+		}
+		if got := encodeCheckpoint(ck); !bytes.Equal(got, payload) {
+			t.Fatalf("accepted payload re-encodes differently:\n got %x\nwant %x", got, payload)
+		}
+	})
 }

@@ -81,7 +81,8 @@ func (s *Summary) Digest() string {
 }
 
 // WriteDigest writes the deterministic campaign digest file: identity,
-// outcome counts, aggregate stats and the failure digest — and nothing
+// outcome counts, aggregate stats, the coverage (obs.WriteCoverDigest) and
+// profile sections and the failure digest — and nothing
 // wall-clock or scheduling dependent, so two executions of the same spec
 // (including one interrupted and resumed) produce byte-identical files.
 func (s *Summary) WriteDigest(w io.Writer) error {
@@ -99,7 +100,7 @@ func (s *Summary) WriteDigest(w io.Writer) error {
 			return err
 		}
 	}
-	if err := s.writeCoverageSection(w); err != nil {
+	if err := obs.WriteCoverDigest(w, s.Coverage); err != nil {
 		return err
 	}
 	if err := s.writeProfileSection(w); err != nil {
@@ -118,41 +119,6 @@ func (s *Summary) writeProfileSection(w io.Writer) error {
 		return nil
 	}
 	return obs.WriteActivityText(w, s.Activity, 10)
-}
-
-// writeCoverageSection renders the digest's coverage: section — one
-// header, one group line with the hit-bin percentage, and one point line
-// listing every bin's hit count. All figures derive from integer bin sums
-// in a fixed sort order, so the section is byte-identical at any shard
-// count and across kill/resume (the package's property tests enforce it).
-func (s *Summary) writeCoverageSection(w io.Writer) error {
-	if len(s.Coverage) == 0 {
-		return nil
-	}
-	if _, err := fmt.Fprintf(w, "coverage: groups=%d\n", len(s.Coverage)); err != nil {
-		return err
-	}
-	for _, g := range s.Coverage {
-		hit, total := g.Covered()
-		if _, err := fmt.Fprintf(w, "cover group=%s hit=%d total=%d pct=%.1f\n",
-			g.Name, hit, total, 100*g.Ratio()); err != nil {
-			return err
-		}
-		for _, p := range g.Points {
-			if _, err := fmt.Fprintf(w, "cover point=%s.%s", g.Name, p.Name); err != nil {
-				return err
-			}
-			for _, b := range p.Bins {
-				if _, err := fmt.Fprintf(w, " %s=%d", b.Label, b.Hits); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintln(w); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // ReplayArgs returns the castanet argument string that reproduces failure

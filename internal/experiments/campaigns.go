@@ -45,9 +45,7 @@ var DefaultCampaignConfig = CampaignConfig{TraceEvery: 1}
 // rigConfig returns the rig configuration every campaign run shares: the
 // kernel choice, the run's coverage and profile sinks, and its
 // supervision deadline. The policer and accounting rigs take the fields
-// their configurations have from it. Every run reports
-// the kernel it elaborated to result collectors: its Result.Value is
-// whether the HDL kernel ran compiled.
+// their configurations have from it.
 func (cfg CampaignConfig) rigConfig(r *campaign.Run) coverify.SwitchRigConfig {
 	return coverify.SwitchRigConfig{
 		NoCompiled: cfg.NoCompiled,
@@ -55,9 +53,12 @@ func (cfg CampaignConfig) rigConfig(r *campaign.Run) coverify.SwitchRigConfig {
 	}
 }
 
-// switchRigConfig extends rigConfig for the switch rigs with the per-run
-// cell tracker and flight recorder.
-func (cfg CampaignConfig) switchRigConfig(r *campaign.Run) coverify.SwitchRigConfig {
+// SwitchRigConfig is the per-run switch rig configuration of every
+// campaign run and every explored scenario: rigConfig plus the run's cell
+// tracker and flight recorder. Every run reports the kernel it elaborated
+// to result collectors: its Result.Value is whether the HDL kernel ran
+// compiled (r.SetValue(rig.HDL.Compiled())).
+func (cfg CampaignConfig) SwitchRigConfig(r *campaign.Run) coverify.SwitchRigConfig {
 	c := cfg.rigConfig(r)
 	c.Cells, c.Recorder = cfg.runObs()
 	return c
@@ -138,7 +139,7 @@ func switchCells(ccfg CampaignConfig) []campaign.Cell {
 	return []campaign.Cell{{Experiment: "switch", Run: func(ctx context.Context, r *campaign.Run) error {
 		rng := r.RNG()
 		tr, horizon := campaignTraffic(rng)
-		cfg := ccfg.switchRigConfig(r)
+		cfg := ccfg.SwitchRigConfig(r)
 		cfg.Seed, cfg.Traffic = rng.Uint64(), tr
 		rig := coverify.NewSwitchRig(cfg)
 		r.SetValue(rig.HDL.Compiled())
@@ -199,44 +200,13 @@ func faultRun(ccfg CampaignConfig, profile *LinkFaultProfile) campaign.RunFunc {
 	return func(ctx context.Context, r *campaign.Run) error {
 		rng := r.RNG()
 		tr, horizon := campaignTraffic(rng)
-		// The supervision deadline in rigConfig arms the coupling watchdogs
-		// too, so a hung transport trips inside the run as a typed coupling
-		// error before the supervisor has to reap the whole attempt.
-		cfg := ccfg.switchRigConfig(r)
-		cfg.Seed, cfg.Traffic, cfg.Remote = rng.Uint64(), tr, true
-		cfg.Reliable = &ipc.ReliableConfig{
-			MaxRetries: 20,
-			RetryBase:  time.Millisecond,
-			RetryCap:   8 * time.Millisecond,
-		}
-		if profile != nil {
-			cfg.Fault = &ipc.FaultConfig{Seed: rng.Uint64(), Send: profile.Dir, Recv: profile.Dir}
-			if profile.Abort {
-				// A permanent partition must abort within the retry budget,
-				// not mask; keep the budget tight so it aborts promptly.
-				cfg.Fault.Recv = ipc.DirFaults{}
-				cfg.Reliable.MaxRetries = 5
-			}
-		}
+		cfg := ccfg.SwitchRigConfig(r)
+		cfg.Seed, cfg.Traffic = rng.Uint64(), tr
+		RemoteLink(&cfg, profile, rng)
 		rig := coverify.NewSwitchRig(cfg)
 		r.SetValue(rig.HDL.Compiled())
-		// Fail-fast cancellation tears the coupling down so the blocked
-		// run surfaces a typed error instead of outliving the campaign.
-		release := campaign.OnCancel(ctx, func() { rig.Close() })
-		err := rig.Run(horizon)
-		release()
-		rig.Close()
-
-		expectAbort := profile != nil && profile.Abort
-		switch {
-		case err != nil && !expectAbort:
-			// Typed coupling errors keep their class in the digest; the
-			// flight recorder rides along as report detail.
-			return campaign.Detailed(err, rig.FailureDigest())
-		case err != nil && expectAbort:
-			return nil // the partition aborted cleanly, as required
-		case expectAbort:
-			return fmt.Errorf("partitioned link completed instead of aborting")
+		if done, err := RunLink(ctx, rig, horizon, profile); done {
+			return err
 		}
 		r.Observe("cells", float64(rig.Offered))
 		// Retransmit counts depend on wall-clock retry timers, not on the
@@ -250,6 +220,58 @@ func faultRun(ccfg CampaignConfig, profile *LinkFaultProfile) campaign.RunFunc {
 		}
 		return nil
 	}
+}
+
+// RemoteLink couples cfg over the reliability envelope (Remote, 20
+// retries backing off from 1 ms to 8 ms) and, for a non-nil profile,
+// injects its link faults with a fault seed drawn from rng. A partition
+// must abort within the retry budget, not mask, so it faults the send
+// direction only and gets a tight 5-retry budget to abort promptly. The
+// supervision deadline in cfg arms the coupling watchdogs too, so a hung
+// transport trips inside the run as a typed coupling error before the
+// supervisor has to reap the whole attempt.
+func RemoteLink(cfg *coverify.SwitchRigConfig, profile *LinkFaultProfile, rng *sim.RNG) {
+	cfg.Remote = true
+	cfg.Reliable = &ipc.ReliableConfig{
+		MaxRetries: 20,
+		RetryBase:  time.Millisecond,
+		RetryCap:   8 * time.Millisecond,
+	}
+	if profile == nil {
+		return
+	}
+	cfg.Fault = &ipc.FaultConfig{Seed: rng.Uint64(), Send: profile.Dir, Recv: profile.Dir}
+	if profile.Abort {
+		cfg.Fault.Recv = ipc.DirFaults{}
+		cfg.Reliable.MaxRetries = 5
+	}
+}
+
+// RunLink runs rig to horizon and settles its coupling outcome against
+// the link-fault profile (nil: a healthy link). Fail-fast cancellation
+// tears the coupling down so a blocked run surfaces a typed error instead
+// of outliving the campaign. On a masking link any run error fails the
+// run, with the rig's triage bundle (cell waterfall + flight recorder)
+// attached and typed coupling errors keeping their class in the digest;
+// a partition must abort, so its error is the pass and its completion the
+// failure. done reports a settled verdict in err; otherwise the run
+// completed as required and the caller judges the comparison.
+func RunLink(ctx context.Context, rig *coverify.SwitchRig, horizon sim.Time, profile *LinkFaultProfile) (done bool, err error) {
+	release := campaign.OnCancel(ctx, func() { rig.Close() })
+	err = rig.Run(horizon)
+	release()
+	rig.Close()
+
+	expectAbort := profile != nil && profile.Abort
+	switch {
+	case err != nil && !expectAbort:
+		return true, campaign.Detailed(err, rig.FailureDigest())
+	case err != nil:
+		return true, nil // the partition aborted cleanly, as required
+	case expectAbort:
+		return true, fmt.Errorf("partitioned link completed instead of aborting")
+	}
+	return false, nil
 }
 
 // policerCells is the UPC campaign: per run a seed-derived offered load

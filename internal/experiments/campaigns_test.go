@@ -10,39 +10,6 @@ import (
 	"castanet/internal/coverify"
 )
 
-// TestCampaignNoCompiledReachesEveryRig runs every cell of the four
-// campaign matrices with and without NoCompiled and checks the kernel
-// each run elaborated (hdl.Simulator.Compiled, reported as the run's
-// result value): the -no-compiled choice must reach every rig.
-func TestCampaignNoCompiledReachesEveryRig(t *testing.T) {
-	for _, name := range []string{"switch", "faults", "policer", "acct"} {
-		for _, noCompiled := range []bool{false, true} {
-			cfg := DefaultCampaignConfig
-			cfg.NoCompiled = noCompiled
-			matrix, err := CampaignMatrixCfg(name, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			kernels := 0
-			_, err = campaign.Execute(context.Background(), campaign.Spec{
-				Name: name, Seed: 1, Runs: len(matrix), Shards: 1, Matrix: matrix,
-				OnResult: func(res campaign.Result) {
-					if compiled, ok := res.Value.(bool); !ok || compiled == noCompiled {
-						t.Errorf("%s run %d: NoCompiled=%v but the kernel reported compiled=%v", name, res.Index, noCompiled, res.Value)
-					}
-					kernels++
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if kernels != len(matrix) {
-				t.Errorf("%s: checked %d kernels for %d runs", name, kernels, len(matrix))
-			}
-		}
-	}
-}
-
 // TestCampaignMatrixCfg: names resolve under any config, unknown names
 // are typed errors, and the sampling knob reaches runObs.
 func TestCampaignMatrixCfg(t *testing.T) {

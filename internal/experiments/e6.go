@@ -52,11 +52,6 @@ type cellRecord struct {
 // E6 runs the identical stimulus through the event-driven RTL switch and
 // its cycle-based twin, comparing wall-clock speed and checking that the
 // delivered cells are identical.
-func E6(cells uint64, seed uint64) E6Result {
-	return pkgFactory().E6(cells, seed)
-}
-
-// E6 is the engine comparison against the factory's sink.
 func (f Factory) E6(cells uint64, seed uint64) E6Result {
 	st := makeE6Stimulus(cells, seed)
 	table := coverify.DefaultTable()

@@ -32,11 +32,6 @@ type E7Result struct {
 	Rows []E7Row
 }
 
-// E7 runs the sweep against the package-level sink.
-func E7(cellsPerPoint uint64, seed uint64) E7Result {
-	return pkgFactory().E7(cellsPerPoint, seed)
-}
-
 // E7 runs the sweep.
 func (f Factory) E7(cellsPerPoint uint64, seed uint64) E7Result {
 	var res E7Result

@@ -32,9 +32,6 @@ type E8Result struct {
 	Rows []E8Row
 }
 
-// E8 runs the coverage sweep against the package-level sink.
-func E8(seed uint64) E8Result { return pkgFactory().E8(seed) }
-
 // E8 runs fault campaigns with traffic on 1..4 input ports.
 func (f Factory) E8(seed uint64) E8Result {
 	var res E8Result

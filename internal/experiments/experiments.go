@@ -27,10 +27,10 @@ import (
 )
 
 // Factory builds experiment harnesses against an explicit observability
-// sink. Campaign workers construct one Factory per run (or share one
-// campaign-scoped sink — obs handles are concurrency-safe) instead of
-// reaching through package state, so concurrent runs stay free of shared
-// mutable state. A zero Factory (nil Obs) elaborates uninstrumented rigs.
+// sink and kernel choice; it is the one way to run E1–E8 (castanet builds
+// one from its flags), so the package holds no mutable state. Concurrent
+// callers may share one sink — obs handles are concurrency-safe. A zero
+// Factory (nil Obs, compiled kernel) elaborates uninstrumented rigs.
 type Factory struct {
 	Obs *obs.Run
 	// NoCompiled elaborates every HDL kernel the factory builds on the
@@ -39,35 +39,6 @@ type Factory struct {
 	// escape hatch. The two modes are observably equivalent; this exists
 	// for measuring the fast path's contribution and for bisecting.
 	NoCompiled bool
-}
-
-// obsRun is the observability sink installed by Observe. The package-level
-// harness signatures (E1..E8) predate the observability layer and stay
-// stable for their benchmark callers, so for them the sink travels through
-// package state; campaign code uses a Factory instead. nil (the default)
-// leaves every rig uninstrumented.
-var obsRun *obs.Run
-
-// Observe installs the package-level observability sink: every rig
-// elaborated by a subsequent package-level E* call registers its metrics
-// and trace events with it. Experiments that elaborate several rigs
-// (sweeps, campaigns) accumulate into the same registry. Pass nil to
-// disable.
-func Observe(run *obs.Run) { obsRun = run }
-
-// compiledOn is the package-level compiled-kernel default for the E*
-// harness wrappers, on unless the castanet -no-compiled flag clears it.
-var compiledOn = true
-
-// Compiled sets whether package-level E* calls elaborate their HDL
-// kernels on the compiled bit-parallel fast path (cleared by the castanet
-// -no-compiled flag).
-func Compiled(on bool) { compiledOn = on }
-
-// pkgFactory is the Factory the package-level E* wrappers use, carrying
-// the flag-controlled defaults.
-func pkgFactory() Factory {
-	return Factory{Obs: obsRun, NoCompiled: !compiledOn}
 }
 
 // observed copies the factory's sink into a rig configuration.
@@ -141,11 +112,6 @@ func (r E1Result) PerCell(n uint64) float64 {
 		return 0
 	}
 	return float64(n) / float64(r.Cells)
-}
-
-// E1 runs the §2 benchmark workload against the package-level sink.
-func E1(cells uint64, seed uint64) E1Result {
-	return pkgFactory().E1(cells, seed)
 }
 
 // E1 runs the §2 benchmark workload: cells through the 4-port switch with
@@ -227,11 +193,6 @@ type E2Result struct {
 // cycle — the "incorporating the HW-clock into the OPNET interface model"
 // that §3.2 rejects — showing the message blow-up the timing windows
 // avoid.
-func E2(cells uint64, seed uint64) E2Result {
-	return pkgFactory().E2(cells, seed)
-}
-
-// E2 is the sweep against the factory's sink.
 func (f Factory) E2(cells uint64, seed uint64) E2Result {
 	const load = 0.6
 	res := E2Result{Cells: cells}
@@ -310,11 +271,6 @@ type E3Result struct {
 	CyclesPerLineCell float64
 }
 
-// E3 measures the event accounting against the package-level sink.
-func E3(cells uint64, seed uint64) E3Result {
-	return pkgFactory().E3(cells, seed)
-}
-
 // E3 measures the two engines' event counts for the same traffic (Fig. 4
 // and §3.2: mapping one abstract cell event onto 53+ bit-level clock
 // cycles, plus idle periods).
@@ -376,11 +332,6 @@ type E4Result struct {
 // durations (stimulus memory depths): longer hardware activity cycles
 // amortize the per-cycle SCSI software activity, raising the real-time
 // fraction — the trade the §3.3 memory configuration governs.
-func E4(cells uint64, seed uint64) E4Result {
-	return pkgFactory().E4(cells, seed)
-}
-
-// E4 is the board sweep against the factory's sink.
 func (f Factory) E4(cells uint64, seed uint64) E4Result {
 	const load = 0.6
 	res := E4Result{Cells: cells}
@@ -431,9 +382,6 @@ type E5Result struct {
 // E5 runs the paper's case study: the accounting unit verified against
 // its algorithmic reference under mixed stochastic traffic, an MPEG
 // trace, and the standardized conformance vectors.
-func E5(seed uint64) E5Result { return pkgFactory().E5(seed) }
-
-// E5 is the case study against the factory's sink.
 func (f Factory) E5(seed uint64) E5Result {
 	vcs := []atm.VC{{VPI: 1, VCI: 10}, {VPI: 1, VCI: 11}, {VPI: 2, VCI: 20}, {VPI: 3, VCI: 30}}
 	cfg := coverify.AcctRigConfig{

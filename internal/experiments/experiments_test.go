@@ -12,7 +12,7 @@ import (
 // live in the root bench harness.
 
 func TestE1Shape(t *testing.T) {
-	r := E1(400, 1)
+	r := Factory{}.E1(400, 1)
 	if !r.CosimClean {
 		t.Error("E1 co-simulation comparison not clean")
 	}
@@ -38,7 +38,7 @@ func TestE1Shape(t *testing.T) {
 }
 
 func TestE2Shape(t *testing.T) {
-	r := E2(200, 1)
+	r := Factory{}.E2(200, 1)
 	if len(r.Rows) != 9 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -70,7 +70,7 @@ func TestE2Shape(t *testing.T) {
 }
 
 func TestE3Shape(t *testing.T) {
-	r := E3(200, 1)
+	r := Factory{}.E3(200, 1)
 	// Paper: HDL events an order of magnitude above network events, and
 	// hundreds of clock cycles per cell (1:400 at real line idle ratios).
 	if r.EventsRatio < 5 {
@@ -82,7 +82,7 @@ func TestE3Shape(t *testing.T) {
 }
 
 func TestE4Shape(t *testing.T) {
-	r := E4(200, 1)
+	r := Factory{}.E4(200, 1)
 	if len(r.Rows) != 5 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -108,7 +108,7 @@ func TestE4Shape(t *testing.T) {
 }
 
 func TestE5Shape(t *testing.T) {
-	r := E5(1)
+	r := Factory{}.E5(1)
 	if r.CounterMismatches != 0 {
 		t.Errorf("counter mismatches = %d\n%s", r.CounterMismatches, r)
 	}
@@ -151,7 +151,7 @@ func TestE5E7ProcessRuns(t *testing.T) {
 }
 
 func TestE6Shape(t *testing.T) {
-	r := E6(200, 1)
+	r := Factory{}.E6(200, 1)
 	if !r.Equivalent {
 		t.Errorf("engines disagree: event %d cells, cycle %d cells", r.EventCells, r.CycleCells)
 	}
@@ -165,7 +165,7 @@ func TestE6Shape(t *testing.T) {
 }
 
 func TestE7Shape(t *testing.T) {
-	r := E7(150, 1)
+	r := Factory{}.E7(150, 1)
 	if len(r.Rows) != 6 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -194,7 +194,7 @@ func TestE7Shape(t *testing.T) {
 }
 
 func TestE8Shape(t *testing.T) {
-	r := E8(1)
+	r := Factory{}.E8(1)
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}

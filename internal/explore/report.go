@@ -10,8 +10,8 @@ import (
 )
 
 // WriteDigest writes the deterministic exploration digest: identity, the
-// generation ladder, the merged coverage section (same line format as a
-// campaign digest) and one line per retained failure. Nothing wall-clock,
+// generation ladder, the merged coverage section (obs.WriteCoverDigest,
+// shared with the campaign digest) and one line per retained failure. Nothing wall-clock,
 // shard- or scheduling-dependent appears, so two executions of the same
 // spec — at any shard count, including one killed and resumed — produce
 // byte-identical files. The property tests and the explore-smoke CI job
@@ -36,45 +36,13 @@ func (r *Result) WriteDigest(w io.Writer) error {
 		hit, total, len(r.Ladder), r.FailTotal); err != nil {
 		return err
 	}
-	if err := writeCoverageSection(w, r.Coverage); err != nil {
+	if err := obs.WriteCoverDigest(w, r.Coverage); err != nil {
 		return err
 	}
 	for _, f := range r.Failures {
 		if _, err := fmt.Fprintf(w, "run=%06d gen=%03d slot=%03d seed=0x%016x cell=%s fail=%s\n",
 			f.Index, f.Gen, f.Slot, f.Seed, f.Cell, f.Label); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// writeCoverageSection mirrors the campaign digest's coverage: section
-// line format so the two artifact families diff with the same tools.
-func writeCoverageSection(w io.Writer, snaps []obs.CoverGroupSnap) error {
-	if len(snaps) == 0 {
-		return nil
-	}
-	if _, err := fmt.Fprintf(w, "coverage: groups=%d\n", len(snaps)); err != nil {
-		return err
-	}
-	for _, g := range snaps {
-		hit, total := g.Covered()
-		if _, err := fmt.Fprintf(w, "cover group=%s hit=%d total=%d pct=%.1f\n",
-			g.Name, hit, total, 100*g.Ratio()); err != nil {
-			return err
-		}
-		for _, p := range g.Points {
-			if _, err := fmt.Fprintf(w, "cover point=%s.%s", g.Name, p.Name); err != nil {
-				return err
-			}
-			for _, b := range p.Bins {
-				if _, err := fmt.Fprintf(w, " %s=%d", b.Label, b.Hits); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintln(w); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

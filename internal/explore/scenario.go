@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"castanet/internal/atm"
 	"castanet/internal/campaign"
@@ -12,8 +11,6 @@ import (
 	"castanet/internal/dut"
 	"castanet/internal/experiments"
 	"castanet/internal/faultsim"
-	"castanet/internal/ipc"
-	"castanet/internal/obs"
 	"castanet/internal/sim"
 	"castanet/internal/traffic"
 )
@@ -34,18 +31,13 @@ import (
 // hardware visibly dropped under overload do not (the static campaigns
 // keep the strict every-cell-delivered check for the uncongested regime).
 type SwitchSpace struct {
-	cfg SwitchSpaceConfig
+	cfg experiments.CampaignConfig
 }
 
-// SwitchSpaceConfig tunes the per-run observability of explored
-// scenarios, mirroring experiments.CampaignConfig.
-type SwitchSpaceConfig struct {
-	// TraceEvery samples causal cell tracing inside each run (0 off).
-	TraceEvery int
-}
-
-// NewSwitchSpace returns the switch scenario space.
-func NewSwitchSpace(cfg SwitchSpaceConfig) *SwitchSpace {
+// NewSwitchSpace returns the switch scenario space. Every scenario's rig
+// takes its kernel choice and per-run observability from cfg, exactly as
+// a static campaign cell does.
+func NewSwitchSpace(cfg experiments.CampaignConfig) *SwitchSpace {
 	return &SwitchSpace{cfg: cfg}
 }
 
@@ -263,20 +255,10 @@ func (sc *scenario) faultLabel() string {
 	case sc.fault == 0:
 		return "clean"
 	case sc.fault <= 4:
-		return linkProfiles()[sc.fault-1].Name
+		return experiments.LinkFaultProfiles()[sc.fault-1].Name
 	default:
 		return fmt.Sprintf("%s@p%d", faultsim.Classes()[sc.fault-5], sc.fport)
 	}
-}
-
-// linkProfiles caches the shared experiments profile menu.
-var linkProfilesCached []experiments.LinkFaultProfile
-
-func linkProfiles() []experiments.LinkFaultProfile {
-	if linkProfilesCached == nil {
-		linkProfilesCached = experiments.LinkFaultProfiles()
-	}
-	return linkProfilesCached
 }
 
 // label renders the genome as the cell's experiment name: one digit per
@@ -317,38 +299,17 @@ func (s *SwitchSpace) runFunc(sc scenario) campaign.RunFunc {
 				Cells: cellsTable[sc.genome[geneCells+p]],
 			}
 		}
-		var cells *obs.CellTracker
-		if s.cfg.TraceEvery > 0 {
-			cells = obs.NewCellTracker(s.cfg.TraceEvery, 0)
-		}
-		cfg := coverify.SwitchRigConfig{
-			Seed:      rng.Uint64(),
-			Traffic:   tr,
-			Delta:     sc.delta,
-			SyncEvery: sc.sync,
-			Cells:     cells,
-			Recorder:  obs.NewRecorder(0),
-			Cover:     r.Cover(),
-			Deadline:  r.Deadline,
-		}
-
+		cfg := s.cfg.SwitchRigConfig(r)
+		cfg.Seed, cfg.Traffic = rng.Uint64(), tr
+		cfg.Delta, cfg.SyncEvery = sc.delta, sc.sync
 		var profile *experiments.LinkFaultProfile
 		if sc.fault >= 1 && sc.fault <= 4 {
-			profile = &linkProfiles()[sc.fault-1]
-			cfg.Remote = true
-			cfg.Reliable = &ipc.ReliableConfig{
-				MaxRetries: 20,
-				RetryBase:  time.Millisecond,
-				RetryCap:   8 * time.Millisecond,
-			}
-			cfg.Fault = &ipc.FaultConfig{Seed: rng.Uint64(), Send: profile.Dir, Recv: profile.Dir}
-			if profile.Abort {
-				cfg.Fault.Recv = ipc.DirFaults{}
-				cfg.Reliable.MaxRetries = 5
-			}
+			profile = &experiments.LinkFaultProfiles()[sc.fault-1]
+			experiments.RemoteLink(&cfg, profile, rng)
 		}
 
 		rig := coverify.NewSwitchRig(cfg)
+		r.SetValue(rig.HDL.Compiled())
 		// Table faults poison the "silicon" only: the reference model
 		// keeps the intact table, so the comparator is the detector.
 		var plantedFault string
@@ -361,19 +322,8 @@ func (s *SwitchSpace) runFunc(sc scenario) campaign.RunFunc {
 			plantedFault = fault.Name
 		}
 
-		release := campaign.OnCancel(ctx, func() { rig.Close() })
-		err := rig.Run(sc.horizon)
-		release()
-		rig.Close()
-
-		expectAbort := profile != nil && profile.Abort
-		switch {
-		case err != nil && !expectAbort:
-			return campaign.Detailed(err, rig.FailureDigest())
-		case err != nil && expectAbort:
-			return nil // the partition aborted cleanly, as required
-		case expectAbort:
-			return fmt.Errorf("partitioned link completed instead of aborting")
+		if done, err := experiments.RunLink(ctx, rig, sc.horizon, profile); done {
+			return err
 		}
 		r.Observe("cells", float64(rig.Offered))
 

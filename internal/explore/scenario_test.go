@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"castanet/internal/experiments"
 	"castanet/internal/sim"
 )
 
@@ -11,7 +12,7 @@ import (
 // legal scenario (at least one active port) and labels are pure functions
 // of the genome.
 func TestSwitchSpaceGenomeRoundTrip(t *testing.T) {
-	s := NewSwitchSpace(SwitchSpaceConfig{})
+	s := NewSwitchSpace(experiments.CampaignConfig{})
 	if len(s.Genes()) != geneCount {
 		t.Fatalf("gene count %d, want %d", len(s.Genes()), geneCount)
 	}
@@ -49,7 +50,7 @@ func TestSwitchSpaceGenomeRoundTrip(t *testing.T) {
 // always produce in-domain genomes, under every pressure group the nudge
 // table knows.
 func TestSwitchSpaceMutateStaysInDomain(t *testing.T) {
-	s := NewSwitchSpace(SwitchSpaceConfig{})
+	s := NewSwitchSpace(experiments.CampaignConfig{})
 	rng := sim.NewRNG(7)
 	pressures := []*Pressure{
 		{},
@@ -79,20 +80,26 @@ func TestSwitchSpaceMutateStaysInDomain(t *testing.T) {
 
 // TestSwitchSpaceExploreSmoke runs a tiny real exploration end to end,
 // twice, and demands completion, advancing coverage, zero verification
-// failures at this pinned seed, and a byte-identical digest.
+// failures at this pinned seed, and a byte-identical digest. The second
+// run elaborates every rig on the plain event-driven kernel: the two
+// kernels are observably equivalent (DESIGN.md §18), so -no-compiled must
+// not move a digest byte.
 func TestSwitchSpaceExploreSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full co-verification rigs in -short mode")
 	}
 	spec := Spec{
-		Space:       NewSwitchSpace(SwitchSpaceConfig{}),
+		Space:       NewSwitchSpace(experiments.CampaignConfig{}),
 		Seed:        11,
 		Generations: 2,
 		Population:  3,
 		Shards:      2,
 	}
-	run := func() *Result { return mustExplore(t, spec) }
-	res := run()
+	run := func(noCompiled bool) *Result {
+		spec.Space = NewSwitchSpace(experiments.CampaignConfig{NoCompiled: noCompiled})
+		return mustExplore(t, spec)
+	}
+	res := run(false)
 	if !res.Complete || len(res.Ladder) != 2 {
 		t.Fatalf("exploration incomplete: %+v", res.Ladder)
 	}
@@ -103,7 +110,7 @@ func TestSwitchSpaceExploreSmoke(t *testing.T) {
 	if res.FailTotal != 0 {
 		t.Fatalf("pinned-seed exploration found %d failures:\n%s", res.FailTotal, res.Digest())
 	}
-	if got := run().Digest(); got != res.Digest() {
-		t.Errorf("switch-space digest not reproducible:\n--- second\n%s\n--- first\n%s", got, res.Digest())
+	if got := run(true).Digest(); got != res.Digest() {
+		t.Errorf("switch-space digest differs under NoCompiled:\n--- no-compiled\n%s\n--- compiled\n%s", got, res.Digest())
 	}
 }

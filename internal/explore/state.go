@@ -1,15 +1,12 @@
 package explore
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"os"
-	"path/filepath"
 
-	"castanet/internal/obs"
+	"castanet/internal/durable"
 )
 
 // ErrState classifies explorer state-file problems: corruption, version
@@ -18,16 +15,9 @@ import (
 // file.
 var ErrState = errors.New("explore: bad state file")
 
-// State file layout (all integers big-endian), written atomically at
-// every generation boundary:
-//
-//	offset 0   magic  "EXPL"
-//	offset 4   u16    version (1)
-//	offset 6   u32    CRC-32 (IEEE) of the payload
-//	offset 10  u32    payload length
-//	offset 14  payload
-//
-// Payload v1 (strings are u32 length + bytes):
+// The state file is a durable file (magic "EXPL", version 1: header, CRC,
+// atomic write and field encoding in package durable), rewritten at every
+// generation boundary. Payload v1:
 //
 //	u64 spec fingerprint
 //	u32 gen (next generation to run)
@@ -39,10 +29,7 @@ var ErrState = errors.New("explore: bad state file")
 //	  u64 accepted, u64 rejected, u64 failures}
 //	u32 nfail  × {u64 index, u32 gen, u32 slot, u64 seed,
 //	  str cell, str label}
-const (
-	stateMagic   = "EXPL"
-	stateVersion = 1
-)
+var stateFormat = durable.Format{Magic: "EXPL", Version: 1, Class: ErrState}
 
 // fingerprint hashes everything a resumed exploration must agree on:
 // space identity and genome schema, master seed, generation/population
@@ -63,184 +50,91 @@ func fingerprint(s *Spec) uint64 {
 	return h.Sum64()
 }
 
-type stEnc struct{ b []byte }
-
-func (e *stEnc) u16(v uint16) { e.b = binary.BigEndian.AppendUint16(e.b, v) }
-func (e *stEnc) u32(v uint32) { e.b = binary.BigEndian.AppendUint32(e.b, v) }
-func (e *stEnc) u64(v uint64) { e.b = binary.BigEndian.AppendUint64(e.b, v) }
-func (e *stEnc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-
-type stDec struct {
-	b   []byte
-	pos int
-	err bool
-}
-
-func (d *stDec) fail() {
-	d.err = true
-}
-
-func (d *stDec) take(n int) []byte {
-	if d.err || n < 0 || d.pos+n > len(d.b) {
-		d.fail()
-		return nil
-	}
-	out := d.b[d.pos : d.pos+n]
-	d.pos += n
-	return out
-}
-
-func (d *stDec) u16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (d *stDec) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (d *stDec) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (d *stDec) str() string { return string(d.take(int(d.u32()))) }
-
-// count reads a u32 length with a sanity cap so a corrupt length cannot
-// provoke a giant allocation before the CRC check would have caught it.
-func (d *stDec) count() int {
-	n := int(d.u32())
-	if n > 1<<24 {
-		d.fail()
-		return 0
-	}
-	return n
-}
-
 func encodeState(spec *Spec, e *engine) []byte {
-	var enc stEnc
-	enc.u64(fingerprint(spec))
-	enc.u32(uint32(e.gen))
-	enc.u64(uint64(e.failTotal))
-	enc.u32(uint32(len(e.pop)))
+	var enc durable.Enc
+	enc.U64(fingerprint(spec))
+	enc.U32(uint32(e.gen))
+	enc.U64(uint64(e.failTotal))
+	enc.Count(len(e.pop))
 	for _, g := range e.pop {
-		enc.u32(uint32(len(g)))
+		enc.Count(len(g))
 		for _, v := range g {
-			enc.u16(v)
+			enc.U16(v)
 		}
 	}
-	enc.u32(uint32(len(e.cum)))
-	for _, g := range e.cum {
-		enc.str(g.Name)
-		enc.u32(uint32(len(g.Points)))
-		for _, p := range g.Points {
-			enc.str(p.Name)
-			enc.u32(uint32(len(p.Bins)))
-			for _, b := range p.Bins {
-				enc.str(b.Label)
-				enc.u64(b.Hits)
-			}
-		}
-	}
-	enc.u32(uint32(len(e.ladder)))
+	enc.Cover(e.cum)
+	enc.Count(len(e.ladder))
 	for _, s := range e.ladder {
-		enc.u32(uint32(s.Gen))
-		enc.u64(uint64(s.Covered))
-		enc.u64(uint64(s.Total))
-		enc.u64(uint64(s.New))
-		enc.u64(uint64(s.Accepted))
-		enc.u64(uint64(s.Rejected))
-		enc.u64(uint64(s.Failures))
+		enc.U32(uint32(s.Gen))
+		enc.U64(uint64(s.Covered))
+		enc.U64(uint64(s.Total))
+		enc.U64(uint64(s.New))
+		enc.U64(uint64(s.Accepted))
+		enc.U64(uint64(s.Rejected))
+		enc.U64(uint64(s.Failures))
 	}
-	enc.u32(uint32(len(e.failures)))
+	enc.Count(len(e.failures))
 	for _, f := range e.failures {
-		enc.u64(f.Index)
-		enc.u32(uint32(f.Gen))
-		enc.u32(uint32(f.Slot))
-		enc.u64(f.Seed)
-		enc.str(f.Cell)
-		enc.str(f.Label)
+		enc.U64(f.Index)
+		enc.U32(uint32(f.Gen))
+		enc.U32(uint32(f.Slot))
+		enc.U64(f.Seed)
+		enc.Str(f.Cell)
+		enc.Str(f.Label)
 	}
-	return enc.b
+	return enc.Bytes()
 }
 
 // decodeState restores an engine from a payload; the engine arrives
 // holding the generation-zero population, which the file's population
 // replaces.
 func decodeState(spec *Spec, e *engine, payload []byte) error {
-	d := &stDec{b: payload}
-	if got, want := d.u64(), fingerprint(spec); got != want {
+	d := stateFormat.Dec(payload)
+	if got, want := d.U64(), fingerprint(spec); got != want {
 		return fmt.Errorf("%w: spec fingerprint 0x%016x does not match 0x%016x (different space, seed, geometry or policy)",
 			ErrState, got, want)
 	}
-	gen := int(d.u32())
-	failTotal := int(d.u64())
-	npop := d.count()
+	gen := int(d.U32())
+	failTotal := int(d.U64())
+	npop := d.Count()
 	pop := make([]Genome, 0, npop)
 	genes := spec.Space.Genes()
-	for i := 0; i < npop && !d.err; i++ {
-		ngenes := d.count()
+	for i := 0; i < npop && d.Err() == nil; i++ {
+		ngenes := d.Count()
 		g := make(Genome, 0, ngenes)
-		for j := 0; j < ngenes && !d.err; j++ {
-			g = append(g, d.u16())
+		for j := 0; j < ngenes && d.Err() == nil; j++ {
+			g = append(g, d.U16())
 		}
 		pop = append(pop, clampGenome(g, genes))
 	}
-	ngroups := d.count()
-	cum := make([]obs.CoverGroupSnap, 0, ngroups)
-	for i := 0; i < ngroups && !d.err; i++ {
-		g := obs.CoverGroupSnap{Name: d.str()}
-		npoints := d.count()
-		for j := 0; j < npoints && !d.err; j++ {
-			p := obs.CoverPointSnap{Name: d.str()}
-			nbins := d.count()
-			for k := 0; k < nbins && !d.err; k++ {
-				p.Bins = append(p.Bins, obs.CoverBin{Label: d.str(), Hits: d.u64()})
-			}
-			g.Points = append(g.Points, p)
-		}
-		cum = append(cum, g)
-	}
-	nladder := d.count()
+	cum := d.Cover()
+	nladder := d.Count()
 	ladder := make([]GenStat, 0, nladder)
-	for i := 0; i < nladder && !d.err; i++ {
+	for i := 0; i < nladder && d.Err() == nil; i++ {
 		ladder = append(ladder, GenStat{
-			Gen:      int(d.u32()),
-			Covered:  int(d.u64()),
-			Total:    int(d.u64()),
-			New:      int(d.u64()),
-			Accepted: int(d.u64()),
-			Rejected: int(d.u64()),
-			Failures: int(d.u64()),
+			Gen:      int(d.U32()),
+			Covered:  int(d.U64()),
+			Total:    int(d.U64()),
+			New:      int(d.U64()),
+			Accepted: int(d.U64()),
+			Rejected: int(d.U64()),
+			Failures: int(d.U64()),
 		})
 	}
-	nfail := d.count()
+	nfail := d.Count()
 	failures := make([]Failure, 0, nfail)
-	for i := 0; i < nfail && !d.err; i++ {
+	for i := 0; i < nfail && d.Err() == nil; i++ {
 		failures = append(failures, Failure{
-			Index: d.u64(),
-			Gen:   int(d.u32()),
-			Slot:  int(d.u32()),
-			Seed:  d.u64(),
-			Cell:  d.str(),
-			Label: d.str(),
+			Index: d.U64(),
+			Gen:   int(d.U32()),
+			Slot:  int(d.U32()),
+			Seed:  d.U64(),
+			Cell:  d.Str(),
+			Label: d.Str(),
 		})
 	}
-	if d.err || d.pos != len(d.b) {
-		return fmt.Errorf("%w: truncated or trailing payload", ErrState)
+	if err := d.Finish(); err != nil {
+		return err
 	}
 	if len(pop) != spec.Population || gen < 0 || gen > spec.Generations {
 		return fmt.Errorf("%w: geometry does not match spec", ErrState)
@@ -250,75 +144,23 @@ func decodeState(spec *Spec, e *engine, payload []byte) error {
 	return nil
 }
 
-// saveState writes the explorer state atomically: temp file, fsync,
-// rename, directory sync — the same durability discipline as the
-// campaign checkpoint.
+// saveState writes the explorer state atomically (durable.Format.Save).
 func saveState(spec *Spec, e *engine) error {
-	payload := encodeState(spec, e)
-	var hdr stEnc
-	hdr.b = append(hdr.b, stateMagic...)
-	hdr.u16(stateVersion)
-	hdr.u32(crc32.ChecksumIEEE(payload))
-	hdr.u32(uint32(len(payload)))
-
-	path := spec.Checkpoint
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, werr := f.Write(append(hdr.b, payload...))
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return werr
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		dir.Sync()
-		dir.Close()
-	}
-	return nil
+	return stateFormat.Save(spec.Checkpoint, encodeState(spec, e))
 }
 
 // loadState restores e from spec.Checkpoint. It returns (false, nil)
 // when the file does not exist — the fresh-start degradation Resume
 // promises — and an ErrState-wrapped error on any corruption.
 func loadState(spec *Spec, e *engine) (bool, error) {
-	raw, err := os.ReadFile(spec.Checkpoint)
+	payload, err := stateFormat.Load(spec.Checkpoint)
 	if errors.Is(err, os.ErrNotExist) {
 		return false, nil
 	}
-	if err != nil {
-		return false, err
+	if err == nil {
+		err = decodeState(spec, e, payload)
 	}
-	if len(raw) < 14 || string(raw[:4]) != stateMagic {
-		return false, fmt.Errorf("%w: %s is not an explorer state file", ErrState, spec.Checkpoint)
-	}
-	if v := binary.BigEndian.Uint16(raw[4:6]); v != stateVersion {
-		return false, fmt.Errorf("%w: version %d, want %d", ErrState, v, stateVersion)
-	}
-	sum := binary.BigEndian.Uint32(raw[6:10])
-	n := int(binary.BigEndian.Uint32(raw[10:14]))
-	if len(raw) != 14+n {
-		return false, fmt.Errorf("%w: payload length %d does not match header %d", ErrState, len(raw)-14, n)
-	}
-	payload := raw[14:]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return false, fmt.Errorf("%w: payload CRC mismatch", ErrState)
-	}
-	if err := decodeState(spec, e, payload); err != nil {
-		return false, err
-	}
-	return true, nil
+	return err == nil, err
 }
 
 // removeState clears durable state for a fresh Execute: the state file

@@ -503,6 +503,42 @@ func WriteCoverText(w io.Writer, snaps []CoverGroupSnap) error {
 	return nil
 }
 
+// WriteCoverDigest writes the coverage: section of the deterministic
+// campaign and exploration digests: one header, one group line with the
+// hit-bin percentage, and one point line listing every bin's hit count.
+// All figures derive from integer bin sums in a fixed sort order, so the
+// section is byte-identical at any shard count and across kill/resume.
+// No groups write nothing.
+func WriteCoverDigest(w io.Writer, snaps []CoverGroupSnap) error {
+	if len(snaps) == 0 {
+		return nil
+	}
+	if _, err := fmt.Fprintf(w, "coverage: groups=%d\n", len(snaps)); err != nil {
+		return err
+	}
+	for _, g := range snaps {
+		hit, total := g.Covered()
+		if _, err := fmt.Fprintf(w, "cover group=%s hit=%d total=%d pct=%.1f\n",
+			g.Name, hit, total, 100*g.Ratio()); err != nil {
+			return err
+		}
+		for _, p := range g.Points {
+			if _, err := fmt.Fprintf(w, "cover point=%s.%s", g.Name, p.Name); err != nil {
+				return err
+			}
+			for _, b := range p.Bins {
+				if _, err := fmt.Fprintf(w, " %s=%d", b.Label, b.Hits); err != nil {
+					return err
+				}
+			}
+			if _, err := fmt.Fprintln(w); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // WriteCoverPrometheus writes the cover state in Prometheus exposition
 // format: one castanet_cover_bin_total sample per bin and one
 // castanet_cover_group_ratio gauge per group.
