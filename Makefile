@@ -19,9 +19,14 @@ test:
 
 # The coupling layer is the concurrency hot spot: reader goroutines,
 # watchdog timers, and transport teardown all race by design. The
-# campaign engine joins the list: per-run isolation is a -race claim.
+# campaign engine joins the list: per-run isolation is a -race claim. So
+# do the rigs (remote couplings serve from a goroutine), the experiments
+# and the explorer (campaign shards share one observation handle) and the
+# command line (telemetry server). The root TestRaceTargetCoversGoroutines
+# fails when a package with a go statement is missing here.
 race:
-	$(GO) test -race ./internal/ipc/... ./internal/cosim/... ./internal/obs/... ./internal/campaign/...
+	$(GO) test -race ./internal/ipc/... ./internal/cosim/... ./internal/obs/... ./internal/campaign/... \
+		./internal/coverify/... ./internal/experiments/... ./internal/explore/... ./cmd/castanet/...
 
 # A short real campaign under the race detector: the engine's unit tests
 # plus an actual multi-shard fault campaign through the CLI, proving

@@ -421,6 +421,27 @@ func TestCommandLineTools(t *testing.T) {
 		}
 	})
 
+	t.Run("castanet-experiment-coverage-every-rig", func(t *testing.T) {
+		// The accounting and policer experiments carry the same
+		// observation handle as the switch rigs, so -coverage prints
+		// their rig's own bins, not "no cover groups instrumented".
+		for _, c := range []struct{ exp, group string }{
+			{"e5", "group coverify.acct"},
+			{"e7", "group coverify.policer"},
+		} {
+			out, err := exec.Command(filepath.Join(bin, "castanet"),
+				"-experiment", c.exp, "-cells", "200", "-coverage").CombinedOutput()
+			if err != nil {
+				t.Fatalf("%s: %v\n%s", c.exp, err, out)
+			}
+			for _, want := range []string{c.group, "group cosim.sync"} {
+				if !strings.Contains(string(out), want) {
+					t.Errorf("%s coverage missing %q:\n%s", c.exp, want, out)
+				}
+			}
+		}
+	})
+
 	t.Run("castanet-profile-every-rig", func(t *testing.T) {
 		// Every rig publishes its HDL activity: the policer and accounting
 		// campaigns and the policer sweep print a non-empty hotspot table.

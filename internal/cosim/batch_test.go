@@ -376,8 +376,7 @@ func TestBatchMetrics(t *testing.T) {
 		Registry:  newRegistry(),
 		SyncEvery: 100 * sim.Microsecond,
 	}
-	iface.Instrument(reg, nil)
-	iface.InstrumentCover(cover)
+	iface.Observe(&obs.Run{Registry: reg, Cover: cover})
 	src := &netsim.Source{
 		Gen:   cellGen{2726 * sim.Nanosecond},
 		Limit: 10,

@@ -2,6 +2,7 @@ package cosim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"castanet/internal/atm"
@@ -9,6 +10,7 @@ import (
 	"castanet/internal/ipc"
 	"castanet/internal/mapping"
 	"castanet/internal/netsim"
+	"castanet/internal/obs"
 	"castanet/internal/sim"
 )
 
@@ -185,6 +187,37 @@ func TestCausalityRejected(t *testing.T) {
 	}
 	if e.CausalityErrors != 1 {
 		t.Errorf("CausalityErrors = %d", e.CausalityErrors)
+	}
+}
+
+// TestEntityObserve: one handle reaches every sink the entity writes —
+// counters, the traced message's entity.rx hop, the flight-recorder note
+// of a rejected stamp and the lag coverage — and a nil handle observes
+// nothing without panicking.
+func TestEntityObserve(t *testing.T) {
+	newLoopbackEntity().Observe(nil)
+	run := obs.NewRun(0)
+	run.Cells = obs.NewCellTracker(1, 0)
+	run.Recorder = obs.NewTracer(obs.DefaultRecorderCap)
+	e := newLoopbackEntity()
+	e.Observe(run)
+	if err := e.Deliver(ipc.Message{Kind: ipc.KindSync, Time: 10 * sim.Microsecond, Trace: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Deliver(ipc.Message{Kind: ipc.KindSync, Time: 5 * sim.Microsecond, Trace: 9}); !errors.Is(err, ErrCausality) {
+		t.Fatalf("err = %v, want causality violation", err)
+	}
+	if got := run.Registry.Counter("cosim.entity.causality_errors").Value(); got != 1 {
+		t.Errorf("causality_errors counter = %d, want 1", got)
+	}
+	if tr, ok := run.Cells.Trace(7); !ok || tr.Hops[0].Name != obs.HopEntityRx {
+		t.Errorf("traced message left no entity.rx hop: %+v", tr)
+	}
+	if dump := run.Recorder.Dump(); !strings.Contains(dump, "[entity] t=5.000us cell=0x9 causality violation") {
+		t.Errorf("recorder dump lacks the causality note:\n%s", dump)
+	}
+	if snap := run.Cover.Snapshot(); len(snap) != 1 || snap[0].Name != "cosim.sync" {
+		t.Errorf("cover groups = %+v, want cosim.sync", snap)
 	}
 }
 

@@ -42,7 +42,7 @@ type inQueue struct {
 	apply ApplyFunc
 	msgs  []ipc.Message
 	last  sim.Time   // newest stamp seen for this queue
-	depth *obs.Gauge // queue occupancy (nil until Instrument)
+	depth *obs.Gauge // queue occupancy (nil until Observe)
 }
 
 // Entity is the co-simulation entity instantiated inside the HDL
@@ -75,14 +75,7 @@ type Entity struct {
 	// steady-state figure.
 	FreezeLagStats bool
 
-	// Cells, when non-nil, records the entity.rx hop of traced messages
-	// (messages whose Trace ID is sampled by the tracker).
-	Cells *obs.CellTracker
-	// Recorder, when non-nil, receives flight-recorder notes for protocol
-	// anomalies (causality violations, undeclared kinds).
-	Recorder *obs.Recorder
-
-	// Observability handles (nil when uninstrumented; all nil-safe). The
+	// Observability handles (nil until Observe; all nil-safe). The
 	// entity runs single-threaded inside the simulation loop, so plain
 	// field access is fine.
 	obsReceived  *obs.Counter
@@ -91,8 +84,10 @@ type Entity struct {
 	obsCausality *obs.Counter
 	obsLag       *obs.Gauge
 	obsLagHist   *obs.Histogram
-	obsReg       *obs.Registry // for per-kind queue gauges declared after Instrument
+	obsReg       *obs.Registry // for per-kind queue gauges declared after Observe
 	tracer       *obs.Tracer
+	cells        *obs.CellTracker // entity.rx hops of traced messages
+	recorder     *obs.Tracer      // flight-recorder notes on protocol anomalies
 	coverLag     *obs.CoverPoint
 	phases       *obs.PhaseProfile // wall-time phase attribution (nil-safe)
 }
@@ -101,46 +96,41 @@ type Entity struct {
 // 1 ns … 1 ms in decades, spanning sub-cycle jitter up to a stalled link.
 var lagHistBoundsPS = []float64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
 
-// Instrument routes the entity's synchronization statistics into the
-// registry and δ-window spans into the tracer. Metrics:
+// Observe routes the entity's observability into run (nil: none):
 //
-//	cosim.entity.{received,applied,windows,causality_errors}  counters
-//	cosim.entity.lag_ps            gauge, last observed stamp-vs-HDL lag
-//	cosim.entity.lag_hist_ps       histogram of the same lag
-//	cosim.queue.k<kind>.depth      gauge per declared input queue
+//   - metrics: cosim.entity.{received,applied,windows,causality_errors}
+//     counters, cosim.entity.lag_ps (gauge, last observed stamp-vs-HDL
+//     lag), cosim.entity.lag_hist_ps (histogram of the same lag) and a
+//     cosim.queue.k<kind>.depth gauge per declared input queue;
+//   - trace: one δ-window span per granted window on the hdl track;
+//   - cells: the entity.rx hop of traced messages;
+//   - flight recorder: notes on causality violations and undeclared kinds;
+//   - coverage: a picosecond lag band per delivered stamp under
+//     "cosim.sync", probing whether both tight and slack synchronization
+//     windows were exercised;
+//   - profile: every HDL execution window's wall time, as PhaseHDL.
 //
-// Either argument may be nil. Call before or after Input declarations;
-// queues declared later pick up their depth gauge automatically.
-func (e *Entity) Instrument(reg *obs.Registry, tr *obs.Tracer) {
-	e.tracer = tr
-	if reg == nil {
+// Call before or after Input declarations; queues declared later pick up
+// their depth gauge automatically.
+func (e *Entity) Observe(run *obs.Run) {
+	if run == nil {
 		return
 	}
-	e.obsReg = reg
-	e.obsReceived = reg.Counter("cosim.entity.received")
-	e.obsApplied = reg.Counter("cosim.entity.applied")
-	e.obsWindows = reg.Counter("cosim.entity.windows")
-	e.obsCausality = reg.Counter("cosim.entity.causality_errors")
-	e.obsLag = reg.Gauge("cosim.entity.lag_ps")
-	e.obsLagHist = reg.Histogram("cosim.entity.lag_hist_ps", lagHistBoundsPS...)
-	for _, q := range e.queues {
-		q.depth = reg.Gauge(fmt.Sprintf("cosim.queue.k%d.depth", q.kind))
+	e.tracer, e.cells, e.recorder = run.Tracer, run.Cells, run.Recorder
+	e.phases = run.Profile.PhaseProf()
+	if reg := run.Registry; reg != nil {
+		e.obsReg = reg
+		e.obsReceived = reg.Counter("cosim.entity.received")
+		e.obsApplied = reg.Counter("cosim.entity.applied")
+		e.obsWindows = reg.Counter("cosim.entity.windows")
+		e.obsCausality = reg.Counter("cosim.entity.causality_errors")
+		e.obsLag = reg.Gauge("cosim.entity.lag_ps")
+		e.obsLagHist = reg.Histogram("cosim.entity.lag_hist_ps", lagHistBoundsPS...)
+		for _, q := range e.queues {
+			q.depth = reg.Gauge(fmt.Sprintf("cosim.queue.k%d.depth", q.kind))
+		}
 	}
-}
-
-// InstrumentCover registers the entity's functional coverage under the
-// "cosim.sync" group: a picosecond lag band per delivered stamp, probing
-// whether the campaign exercised both tight and slack synchronization
-// windows. Safe on a nil registry.
-func (e *Entity) InstrumentCover(c *obs.CoverRegistry) {
-	e.coverLag = c.Group("cosim.sync").Range("lag_ps", 0, 1000000, 10000000, 100000000)
-}
-
-// InstrumentProfile routes the entity's wall-time phase accounting into
-// the profile: every HDL execution window (runBefore/runThrough) adds to
-// the PhaseHDL accumulator. Safe with a nil profile.
-func (e *Entity) InstrumentProfile(p *obs.PhaseProfile) {
-	e.phases = p
+	e.coverLag = run.Cover.Group("cosim.sync").Range("lag_ps", 0, 1000000, 10000000, 100000000)
 }
 
 // NewEntity wraps an HDL simulator. Input queues are declared with Input
@@ -241,12 +231,12 @@ func (e *Entity) Deliver(msg ipc.Message) error {
 	if msg.Time < e.gmin {
 		e.CausalityErrors++
 		e.obsCausality.Inc()
-		e.Recorder.NoteCell(msg.Trace, "entity", int64(msg.Time),
+		e.recorder.NoteCell(msg.Trace, "entity", int64(msg.Time),
 			"causality violation: kind %d stamped before horizon %v", msg.Kind, e.gmin)
 		return fmt.Errorf("%w: stamp %v before horizon %v", ErrCausality, msg.Time, e.gmin)
 	}
 	if msg.Trace != 0 {
-		e.Cells.Hop(msg.Trace, obs.HopEntityRx, int64(msg.Time))
+		e.cells.Hop(msg.Trace, obs.HopEntityRx, int64(msg.Time))
 	}
 	// Record how far the hardware clock trails the incoming network time
 	// stamp before the new window is granted — the lag the conservative
@@ -280,7 +270,7 @@ func (e *Entity) Deliver(msg ipc.Message) error {
 	}
 	q, ok := e.byKind[msg.Kind]
 	if !ok {
-		e.Recorder.NoteCell(msg.Trace, "entity", int64(msg.Time),
+		e.recorder.NoteCell(msg.Trace, "entity", int64(msg.Time),
 			"message for undeclared input kind %d", msg.Kind)
 		return fmt.Errorf("cosim: message for undeclared input kind %d", msg.Kind)
 	}

@@ -65,14 +65,9 @@ type InterfaceProcess struct {
 	// periodic sync.
 	SyncEvery sim.Duration
 	// TraceOf, when non-nil, mints the causal trace ID of an outbound
-	// packet (0 = untraced). Sampled IDs ride the IPC envelope and record
-	// the ipc.tx hop in Cells.
+	// packet (0 = untraced). IDs the observed cell tracker samples ride
+	// the IPC envelope and record the ipc.tx hop.
 	TraceOf func(pkt *netsim.Packet, port int) uint64
-	// Cells, when non-nil, collects the per-hop journeys of traced cells.
-	Cells *obs.CellTracker
-	// Recorder, when non-nil, receives flight-recorder notes for coupling
-	// failures.
-	Recorder *obs.Recorder
 
 	// Sent counts data messages pushed to the hardware side.
 	Sent uint64
@@ -91,7 +86,7 @@ type InterfaceProcess struct {
 	flushArmed bool
 	one        [1]ipc.Message
 
-	// Observability handles (nil when uninstrumented; all nil-safe). The
+	// Observability handles (nil until Observe; all nil-safe). The
 	// process runs inside the sequential network scheduler, so plain field
 	// access is fine.
 	obsSent      *obs.Counter
@@ -102,44 +97,45 @@ type InterfaceProcess struct {
 	obsBatchSize *obs.Histogram
 	obsFlushUs   *obs.Histogram
 	tracer       *obs.Tracer
+	cells        *obs.CellTracker // ipc.tx hops of traced cells
+	recorder     *obs.Tracer      // flight-recorder notes on coupling failures
 	coverBatch   *obs.CoverPoint
 	phases       *obs.PhaseProfile // wall-time phase attribution (nil-safe)
 }
 
-// Instrument routes the interface-model statistics into the registry
-// (cosim.iface.{sent,responses,syncs} counters) and records coupling
-// round-trips as spans on the coupling track, sync messages as instants
-// on the netsim track, and the network event-queue depth as counter
-// samples. Either argument may be nil.
-func (p *InterfaceProcess) Instrument(reg *obs.Registry, tr *obs.Tracer) {
-	p.tracer = tr
-	if reg == nil {
+// Observe routes the interface model's observability into run (nil:
+// none):
+//
+//   - metrics: cosim.iface.{sent,responses,syncs,batches} counters, the
+//     cosim.iface.net_pending gauge and the batch_size and flush_us
+//     histograms;
+//   - trace: coupling round-trips as spans on the coupling track, sync
+//     messages as instants on the netsim track and the network
+//     event-queue depth as counter samples;
+//   - cells: the ipc.tx hop of traced cells (see TraceOf);
+//   - flight recorder: a note per coupling failure;
+//   - coverage: the δ-window batch-size band per flush under
+//     "cosim.coupling", probing whether coupling windows ran both
+//     near-empty and saturated;
+//   - profile: packet encoding, response decoding and coupling transport
+//     wall time (with nested HDL time subtracted — a direct coupling
+//     executes the entity, and therefore the HDL kernel, inside Exchange).
+func (p *InterfaceProcess) Observe(run *obs.Run) {
+	if run == nil {
 		return
 	}
-	p.obsSent = reg.Counter("cosim.iface.sent")
-	p.obsResponses = reg.Counter("cosim.iface.responses")
-	p.obsSyncs = reg.Counter("cosim.iface.syncs")
-	p.obsPending = reg.Gauge("cosim.iface.net_pending")
-	p.obsBatches = reg.Counter("cosim.iface.batches")
-	p.obsBatchSize = reg.Histogram("cosim.iface.batch_size", 1, 2, 4, 8, 16, 32, 64, 128)
-	p.obsFlushUs = reg.Histogram("cosim.iface.flush_us", 1, 5, 10, 50, 100, 500, 1000, 5000)
-}
-
-// InstrumentCover registers the interface model's functional coverage
-// under the "cosim.coupling" group: the δ-window batch-size band per
-// flush, probing whether coupling windows ran both near-empty and
-// saturated. Safe on a nil registry.
-func (p *InterfaceProcess) InstrumentCover(c *obs.CoverRegistry) {
-	p.coverBatch = c.Group("cosim.coupling").Range("batch_cells", 1, 4, 16, 64)
-}
-
-// InstrumentProfile routes the interface model's wall-time phase
-// accounting into the profile: packet encoding, response decoding and
-// coupling transport (with nested HDL time subtracted — a direct coupling
-// executes the entity, and therefore the HDL kernel, inside Exchange). Safe
-// with a nil profile.
-func (p *InterfaceProcess) InstrumentProfile(prof *obs.PhaseProfile) {
-	p.phases = prof
+	p.tracer, p.cells, p.recorder = run.Tracer, run.Cells, run.Recorder
+	p.phases = run.Profile.PhaseProf()
+	if reg := run.Registry; reg != nil {
+		p.obsSent = reg.Counter("cosim.iface.sent")
+		p.obsResponses = reg.Counter("cosim.iface.responses")
+		p.obsSyncs = reg.Counter("cosim.iface.syncs")
+		p.obsPending = reg.Gauge("cosim.iface.net_pending")
+		p.obsBatches = reg.Counter("cosim.iface.batches")
+		p.obsBatchSize = reg.Histogram("cosim.iface.batch_size", 1, 2, 4, 8, 16, 32, 64, 128)
+		p.obsFlushUs = reg.Histogram("cosim.iface.flush_us", 1, 5, 10, 50, 100, 500, 1000, 5000)
+	}
+	p.coverBatch = run.Cover.Group("cosim.coupling").Range("batch_cells", 1, 4, 16, 64)
 }
 
 // Err returns the coupling failure that terminated the run, or nil. Rigs
@@ -200,9 +196,9 @@ func (p *InterfaceProcess) Arrival(ctx *netsim.Ctx, pkt *netsim.Packet, port int
 	p.obsSent.Inc()
 	msg := ipc.Message{Kind: kind, Time: ctx.Now(), Data: data}
 	if p.TraceOf != nil {
-		if id := p.TraceOf(pkt, port); p.Cells.Sampled(id) {
+		if id := p.TraceOf(pkt, port); p.cells.Sampled(id) {
 			msg.Trace = id
-			p.Cells.Hop(id, obs.HopEnvelopeTx, int64(msg.Time))
+			p.cells.Hop(id, obs.HopEnvelopeTx, int64(msg.Time))
 		}
 	}
 	p.enqueue(ctx, msg)
@@ -373,7 +369,7 @@ func (p *InterfaceProcess) fail(ctx *netsim.Ctx, err error) {
 	if ctx != nil {
 		now = int64(ctx.Now())
 	}
-	p.Recorder.Note("iface", now, "coupling failure: %v", err)
+	p.recorder.Note("iface", now, "coupling failure: %v", err)
 	if p.OnError != nil {
 		p.OnError(err)
 		return

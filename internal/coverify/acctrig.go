@@ -34,15 +34,10 @@ type AcctRigConfig struct {
 	// NoCompiled opts out of the compiled bit-parallel data plane (see
 	// SwitchRigConfig.NoCompiled).
 	NoCompiled bool
-	// Metrics, Trace and Profile mirror SwitchRigConfig's observability
-	// hooks.
-	Metrics *obs.Registry
-	Trace   *obs.Tracer
-	Profile *obs.RunProfile
-	// Cover, when non-nil, receives the run's functional coverage: the
-	// metering event bins under "coverify.acct" (folded once from the
-	// hardware's end-of-run counters) plus the shared cosim.sync group.
-	Cover *obs.CoverRegistry
+	// Run is the observation handle (see SwitchRigConfig.Run). Its Cover
+	// also receives the metering event bins under "coverify.acct", folded
+	// once from the hardware's end-of-run counters.
+	obs.Run
 }
 
 // AcctSource is one traffic stream of the case study.
@@ -81,8 +76,7 @@ func NewAcctRig(cfg AcctRigConfig) *AcctRig {
 		"metered", "clp1", "unregistered", "exception")
 
 	r.kernel(SwitchRigConfig{
-		Seed: cfg.Seed, Delta: 64 * clockPeriod, SyncEvery: syncEvery, NoCompiled: cfg.NoCompiled,
-		Metrics: cfg.Metrics, Trace: cfg.Trace, Cover: cfg.Cover, Profile: cfg.Profile,
+		Seed: cfg.Seed, Delta: 64 * clockPeriod, SyncEvery: syncEvery, NoCompiled: cfg.NoCompiled, Run: cfg.Run,
 	})
 	// The accounting rig's coverage was recorded with the final window's
 	// synchronization lag counted.
@@ -175,7 +169,7 @@ func (r *AcctRig) Run(until sim.Time) error {
 	if err := r.drive(until, 0, flushWindow); err != nil {
 		return err
 	}
-	if reg := r.Cfg.Metrics; reg != nil {
+	if reg := r.Cfg.Registry; reg != nil {
 		reg.Gauge("coverify.exceptions").Set(float64(r.Exceptions))
 	}
 	// Metering outcomes accumulate in the hardware's counters during the

@@ -102,7 +102,7 @@ func (r *BoardRig) Run(until sim.Time) error {
 // test-cycle count and the split between hardware activity and SCSI
 // software activity that govern the real-time fraction of §3.3.
 func (r *BoardRig) publishBoard() {
-	reg := r.Cfg.Metrics
+	reg := r.Cfg.Registry
 	if reg == nil {
 		return
 	}

@@ -100,11 +100,11 @@ func switchDefaults(cfg SwitchRigConfig) SwitchRigConfig {
 }
 
 // kernel elaborates the HDL simulator and its byte clock "clk". The
-// harness reads the coupling and observability fields of cfg.
+// harness reads the coupling fields and the observation handle of cfg.
 func (h *Harness) kernel(cfg SwitchRigConfig) {
 	h.cfg = cfg
 	h.HDL = hdl.New()
-	h.HDL.Instrument(cfg.Metrics, "hdl.sim")
+	h.HDL.Instrument(cfg.Registry, "hdl.sim")
 	if cfg.Profile != nil {
 		cfg.Profile.AttachActivitySource(h.HDL.EnableProfile().Snapshot)
 	}
@@ -115,13 +115,8 @@ func (h *Harness) kernel(cfg SwitchRigConfig) {
 // entity wraps the kernel in the co-simulation entity the coupling talks
 // to.
 func (h *Harness) entity() {
-	cfg := h.cfg
 	h.Entity = cosim.NewEntity(h.HDL)
-	h.Entity.Instrument(cfg.Metrics, cfg.Trace)
-	h.Entity.InstrumentCover(cfg.Cover)
-	h.Entity.InstrumentProfile(cfg.Profile.PhaseProf())
-	h.Entity.Cells = cfg.Cells
-	h.Entity.Recorder = cfg.Recorder
+	h.Entity.Observe(&h.cfg.Run)
 	h.registry = mapping.NewRegistry()
 }
 
@@ -191,12 +186,12 @@ func (h *Harness) couple() cosim.Coupling {
 	var ct, st ipc.Transport = a, b
 	if cfg.Fault != nil {
 		f := ipc.NewFault(a, *cfg.Fault)
-		f.Instrument(cfg.Metrics, "ipc.fault")
+		f.Instrument(cfg.Registry, "ipc.fault")
 		ct = f
 	}
 	if cfg.Reliable != nil {
 		h.RelClient = ipc.NewReliable(ct, *cfg.Reliable)
-		h.RelClient.Instrument(cfg.Metrics, "ipc.reliable")
+		h.RelClient.Instrument(cfg.Registry, "ipc.reliable")
 		ct = h.RelClient
 		st = ipc.NewReliable(b, *cfg.Reliable)
 	}
@@ -220,7 +215,7 @@ func (h *Harness) network(coupling cosim.Coupling, classify func(*netsim.Packet,
 		classify = func(pkt *netsim.Packet, port int) ipc.Kind { return KindCellIn(port) }
 	}
 	h.Net = netsim.New(cfg.Seed)
-	h.Net.Sched.Instrument(cfg.Metrics, "net.sched")
+	h.Net.Sched.Instrument(cfg.Registry, "net.sched")
 	h.Probes = netsim.NewProbeSet()
 	h.latency = h.Probes.Get("hw.latency")
 	h.injected = make(map[uint32]sim.Time)
@@ -228,8 +223,6 @@ func (h *Harness) network(coupling cosim.Coupling, classify func(*netsim.Packet,
 		Coupling:  coupling,
 		Registry:  h.registry,
 		SyncEvery: cfg.SyncEvery,
-		Cells:     cfg.Cells,
-		Recorder:  cfg.Recorder,
 		Classify:  classify,
 		TraceOf: func(pkt *netsim.Packet, port int) uint64 {
 			if c, ok := pkt.Data.(*atm.Cell); ok {
@@ -239,9 +232,7 @@ func (h *Harness) network(coupling cosim.Coupling, classify func(*netsim.Packet,
 		},
 		OnResponse: func(ctx *netsim.Ctx, resp cosim.Response) { h.respond(resp) },
 	}
-	h.Iface.Instrument(cfg.Metrics, cfg.Trace)
-	h.Iface.InstrumentCover(cfg.Cover)
-	h.Iface.InstrumentProfile(cfg.Profile.PhaseProf())
+	h.Iface.Observe(&h.cfg.Run)
 }
 
 // attach places the interface process in the network as node "castanet".
@@ -346,7 +337,7 @@ func (h *Harness) compare(port int, c *atm.Cell, simPS int64) {
 func (h *Harness) drive(until sim.Time, margin, flush sim.Duration) error {
 	start := time.Now()
 	defer h.account(start)
-	tr, rec := h.cfg.Trace, h.cfg.Recorder
+	tr, rec := h.cfg.Tracer, h.cfg.Recorder
 	rec.Note("rig", int64(h.Net.Sched.Now()), "run to horizon %v", until)
 	tr.Begin(obs.TrackRig, "run", int64(h.Net.Sched.Now()))
 	h.Net.Run(until)
@@ -396,7 +387,7 @@ func (h *Harness) account(start time.Time) {
 	wall := time.Since(start)
 	h.runWall += wall
 	h.cfg.Profile.PhaseProf().AddTotal(wall)
-	reg, w := h.cfg.Metrics, h.runWall.Seconds()
+	reg, w := h.cfg.Registry, h.runWall.Seconds()
 	if reg == nil || w <= 0 {
 		return
 	}
@@ -413,7 +404,7 @@ func (h *Harness) account(start time.Time) {
 // registry: how many cells the environment offered, what the comparison
 // engine saw, and the final protocol lag bound.
 func (h *Harness) publishObs() {
-	reg := h.cfg.Metrics
+	reg := h.cfg.Registry
 	if reg == nil {
 		return
 	}

@@ -20,17 +20,17 @@ func TestProfileReachesEveryRig(t *testing.T) {
 		run  func(p *obs.RunProfile) error
 	}{
 		{"switch", true, func(p *obs.RunProfile) error {
-			return NewSwitchRig(SwitchRigConfig{Seed: 1, Traffic: lightTraffic(5), Profile: p}).Run(sim.Millisecond)
+			return NewSwitchRig(SwitchRigConfig{Seed: 1, Traffic: lightTraffic(5), Run: obs.Run{Profile: p}}).Run(sim.Millisecond)
 		}},
 		{"rtl", true, func(p *obs.RunProfile) error {
-			return NewRTLRig(SwitchRigConfig{Seed: 1, Traffic: lightTraffic(5), Profile: p}).Run()
+			return NewRTLRig(SwitchRigConfig{Seed: 1, Traffic: lightTraffic(5), Run: obs.Run{Profile: p}}).Run()
 		}},
 		{"policer", true, func(p *obs.RunProfile) error {
 			return NewPolicerRig(PolicerRigConfig{
 				Seed:      1,
 				Contracts: []PolicerContract{{VC: vc, PeakInterval: 10 * sim.Microsecond, Tau: sim.Microsecond}},
 				Sources:   []PolicerSource{{Model: traffic.NewCBR(100e3), VC: vc, Cells: 10}},
-				Profile:   p,
+				Run:       obs.Run{Profile: p},
 			}).Run(sim.Millisecond)
 		}},
 		{"acct", true, func(p *obs.RunProfile) error {
@@ -39,7 +39,7 @@ func TestProfileReachesEveryRig(t *testing.T) {
 			return NewAcctRig(cfg).Run(sim.Millisecond)
 		}},
 		{"board", false, func(p *obs.RunProfile) error {
-			rig, err := NewBoardRig(SwitchRigConfig{Seed: 1, Traffic: lightTraffic(5), Profile: p}, 4096)
+			rig, err := NewBoardRig(SwitchRigConfig{Seed: 1, Traffic: lightTraffic(5), Run: obs.Run{Profile: p}}, 4096)
 			if err != nil {
 				return err
 			}

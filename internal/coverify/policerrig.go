@@ -48,15 +48,10 @@ type PolicerRigConfig struct {
 	// NoCompiled opts out of the compiled bit-parallel data plane (see
 	// SwitchRigConfig.NoCompiled).
 	NoCompiled bool
-	// Metrics, Trace and Profile mirror SwitchRigConfig's observability
-	// hooks.
-	Metrics *obs.Registry
-	Trace   *obs.Tracer
-	Profile *obs.RunProfile
-	// Cover, when non-nil, receives the run's functional coverage: the
-	// UPC action bins under "coverify.policer" (folded once from the DUT's
-	// end-of-run counters) plus the shared cosim.sync group.
-	Cover *obs.CoverRegistry
+	// Run is the observation handle (see SwitchRigConfig.Run). Its Cover
+	// also receives the UPC action bins under "coverify.policer", folded
+	// once from the DUT's end-of-run counters.
+	obs.Run
 }
 
 // PolicerSource is one offered stream.
@@ -92,8 +87,7 @@ func NewPolicerRig(cfg PolicerRigConfig) *PolicerRig {
 		"conforming", "nonconforming", "tagged", "discarded")
 
 	r.kernel(SwitchRigConfig{
-		Seed: cfg.Seed, SyncEvery: syncEvery, NoCompiled: cfg.NoCompiled,
-		Metrics: cfg.Metrics, Trace: cfg.Trace, Cover: cfg.Cover, Profile: cfg.Profile,
+		Seed: cfg.Seed, SyncEvery: syncEvery, NoCompiled: cfg.NoCompiled, Run: cfg.Run,
 		// UPC hardware is timing-sensitive: its conformance decisions
 		// depend on exact cell spacing. A large processing window δ would
 		// let the hardware clock overrun later cells' time stamps,

@@ -93,7 +93,7 @@ func TestBoardRigHardwareInLoop(t *testing.T) {
 // the size of every coalesced window.
 func TestBoardRigCouplingCoverage(t *testing.T) {
 	cover := obs.NewCoverRegistry()
-	rig, err := NewBoardRig(SwitchRigConfig{Seed: 3, Traffic: lightTraffic(10), Cover: cover}, 4096)
+	rig, err := NewBoardRig(SwitchRigConfig{Seed: 3, Traffic: lightTraffic(10), Run: obs.Run{Cover: cover}}, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,8 +46,8 @@ type PortTraffic struct {
 }
 
 // SwitchRigConfig parameterizes a switch co-verification run. Its coupling
-// and observability fields are also the Harness configuration every rig
-// elaborates from. The HDL byte clock is 50 ns (20 MHz) in every rig.
+// fields and observation handle are also the Harness configuration every
+// rig elaborates from. The HDL byte clock is 50 ns (20 MHz) in every rig.
 type SwitchRigConfig struct {
 	Seed    uint64
 	Delta   sim.Duration // δ_j processing window; default 64 clocks
@@ -85,36 +85,29 @@ type SwitchRigConfig struct {
 	// Waveforms, when non-nil, receives a VCD dump of the DUT's external
 	// ports — the HDL-side waveform debugging window of Fig. 2.
 	Waveforms io.Writer
-	// Metrics, when non-nil, receives the run's counters and gauges: the
-	// network scheduler, HDL kernel, co-simulation entity/interface,
-	// transport envelopes and the comparison engine all register under it
-	// (naming scheme in DESIGN.md §10).
-	Metrics *obs.Registry
-	// Cover, when non-nil, receives the run's functional coverage: cell
-	// header bins (VPI/VCI/PTI/CLP), comparison verdicts, DUT queue-depth
-	// bands and drop causes, and the coupling's sync-window extremes
-	// (DESIGN.md §15). Every handle is nil-safe, so the rig instruments
-	// unconditionally at ~0 ns when coverage is off.
-	Cover *obs.CoverRegistry
-	// Profile, when non-nil, receives the run's simulation profile: the
-	// HDL kernel's deterministic activity attribution (per-signal events,
-	// two-state purity, per-process runs and delta churn) is attached as a
-	// live source, and the co-simulation entity and interface attribute
-	// their wall-clock phase times (HDL execution, encode/decode,
-	// transport) into its phase profile. Nil-safe like every obs handle.
-	Profile *obs.RunProfile
-	// Trace, when non-nil, records run-scoped events (δ-windows, coupling
-	// messages, rig phases) for Chrome trace-event export.
-	Trace *obs.Tracer
-	// Cells, when non-nil, records the causal per-hop journey of sampled
-	// cells (trace ID = cell Seq + 1) from traffic-source enqueue to the
-	// comparison engine; waterfalls surface in FailureDigest and as
-	// Chrome-trace flow arrows.
-	Cells *obs.CellTracker
-	// Recorder, when non-nil, keeps the rig's flight-recorder ring:
-	// coupling failures, protocol anomalies and comparison mismatches are
-	// noted as they happen and dumped by FailureDigest.
-	Recorder *obs.Recorder
+	// Run is the run's one observation handle; every sink is optional
+	// and nil-safe, so a zero Run elaborates an unobserved rig at ~0 ns
+	// per hook. The harness hands it whole to every layer (DESIGN.md §10,
+	// §20):
+	//   - Registry: the network scheduler, HDL kernel, co-simulation
+	//     entity/interface, transport envelopes and the comparison engine
+	//     register counters and gauges under it (naming in DESIGN.md §10);
+	//   - Tracer: δ-windows, coupling messages and rig phases, for Chrome
+	//     trace-event export;
+	//   - Cells: the causal per-hop journey of sampled cells (trace ID =
+	//     cell Seq + 1) from traffic-source enqueue to the comparison
+	//     engine; waterfalls surface in FailureDigest and as Chrome-trace
+	//     flow arrows;
+	//   - Cover: functional coverage — cell header bins, comparison
+	//     verdicts, each rig's DUT bins and the coupling's sync-window
+	//     extremes (DESIGN.md §15);
+	//   - Profile: the HDL kernel's deterministic activity attribution as a
+	//     live source, plus the wall-clock phase times (HDL execution,
+	//     encode/decode, transport) of the entity and interface;
+	//   - Recorder: the flight recorder — coupling failures, protocol
+	//     anomalies and comparison mismatches noted as they happen and
+	//     dumped by FailureDigest.
+	obs.Run
 	// TamperResponse, when non-nil, mutates every DUT response cell before
 	// comparison — a verify-the-verifier hook that induces deterministic
 	// mismatches so digests, waterfalls and recorder dumps can be exercised

@@ -42,37 +42,24 @@ type CampaignConfig struct {
 // DefaultCampaignConfig traces every cell — see CampaignConfig.
 var DefaultCampaignConfig = CampaignConfig{TraceEvery: 1}
 
-// rigConfig returns the rig configuration every campaign run shares: the
-// kernel choice, the run's coverage and profile sinks, and its
-// supervision deadline. The policer and accounting rigs take the fields
-// their configurations have from it.
-func (cfg CampaignConfig) rigConfig(r *campaign.Run) coverify.SwitchRigConfig {
-	return coverify.SwitchRigConfig{
-		NoCompiled: cfg.NoCompiled,
-		Cover:      r.Cover(), Profile: r.Profile(), Deadline: r.Deadline,
+// handle builds a campaign run's observation handle: the run's coverage
+// and profile sinks, plus a fresh cell tracker (every TraceEvery-th cell)
+// and flight recorder, so runs share nothing mutable.
+func (cfg CampaignConfig) handle(r *campaign.Run) obs.Run {
+	h := obs.Run{Cover: r.Cover(), Profile: r.Profile(), Recorder: obs.NewTracer(obs.DefaultRecorderCap)}
+	if cfg.TraceEvery > 0 {
+		h.Cells = obs.NewCellTracker(cfg.TraceEvery, 0)
 	}
+	return h
 }
 
 // SwitchRigConfig is the per-run switch rig configuration of every
-// campaign run and every explored scenario: rigConfig plus the run's cell
-// tracker and flight recorder. Every run reports the kernel it elaborated
-// to result collectors: its Result.Value is whether the HDL kernel ran
-// compiled (r.SetValue(rig.HDL.Compiled())).
+// campaign run and every explored scenario: the kernel choice, the run's
+// observation handle and its supervision deadline. Every run reports the
+// kernel it elaborated to result collectors: its Result.Value is whether
+// the HDL kernel ran compiled (r.SetValue(rig.HDL.Compiled())).
 func (cfg CampaignConfig) SwitchRigConfig(r *campaign.Run) coverify.SwitchRigConfig {
-	c := cfg.rigConfig(r)
-	c.Cells, c.Recorder = cfg.runObs()
-	return c
-}
-
-// runObs builds the per-run cell tracker and flight recorder. Each run
-// gets fresh ones (runs share nothing mutable), sized for a campaign-run
-// workload.
-func (cfg CampaignConfig) runObs() (*obs.CellTracker, *obs.Recorder) {
-	var cells *obs.CellTracker
-	if cfg.TraceEvery > 0 {
-		cells = obs.NewCellTracker(cfg.TraceEvery, 0)
-	}
-	return cells, obs.NewRecorder(0)
+	return coverify.SwitchRigConfig{Run: cfg.handle(r), NoCompiled: cfg.NoCompiled, Deadline: r.Deadline}
 }
 
 // campaignMatrices maps campaign names to their matrix builders.
@@ -284,10 +271,8 @@ func policerCells(ccfg CampaignConfig) []campaign.Cell {
 		ratio := 0.5 + 1.5*rng.Float64()
 		cells := uint64(30 + rng.Intn(31))
 		vc := atm.VC{VPI: 1, VCI: 10}
-		sh := ccfg.rigConfig(r)
 		rig := coverify.NewPolicerRig(coverify.PolicerRigConfig{
-			Seed:       rng.Uint64(),
-			NoCompiled: sh.NoCompiled, Cover: sh.Cover, Profile: sh.Profile,
+			Seed: rng.Uint64(), Run: ccfg.handle(r), NoCompiled: ccfg.NoCompiled,
 			Contracts: []coverify.PolicerContract{
 				{VC: vc, PeakInterval: sim.FromSeconds(1 / contractRate), Tau: 2 * sim.Microsecond},
 			},
@@ -317,10 +302,8 @@ func acctCells(ccfg CampaignConfig) []campaign.Cell {
 	return []campaign.Cell{{Experiment: "acct", Run: func(ctx context.Context, r *campaign.Run) error {
 		rng := r.RNG()
 		vcs := []atm.VC{{VPI: 1, VCI: 10}, {VPI: 2, VCI: 20}}
-		sh := ccfg.rigConfig(r)
 		cfg := coverify.AcctRigConfig{
-			Seed:       rng.Uint64(),
-			NoCompiled: sh.NoCompiled, Cover: sh.Cover, Profile: sh.Profile,
+			Seed: rng.Uint64(), Run: ccfg.handle(r), NoCompiled: ccfg.NoCompiled,
 			VCs:    vcs,
 			Tariff: atm.Tariff{CellsPerUnit: 10},
 			Sources: []coverify.AcctSource{

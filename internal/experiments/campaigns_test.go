@@ -11,7 +11,7 @@ import (
 )
 
 // TestCampaignMatrixCfg: names resolve under any config, unknown names
-// are typed errors, and the sampling knob reaches runObs.
+// are typed errors, and the sampling knob reaches each run's handle.
 func TestCampaignMatrixCfg(t *testing.T) {
 	if _, err := CampaignMatrix("switch"); err != nil {
 		t.Fatalf("default switch matrix: %v", err)
@@ -19,11 +19,12 @@ func TestCampaignMatrixCfg(t *testing.T) {
 	if _, err := CampaignMatrixCfg("nope", DefaultCampaignConfig); err == nil {
 		t.Error("unknown campaign accepted")
 	}
-	if cells, _ := (CampaignConfig{TraceEvery: 0}).runObs(); cells != nil {
+	r := &campaign.Run{}
+	if h := (CampaignConfig{TraceEvery: 0}).handle(r); h.Cells != nil {
 		t.Error("TraceEvery=0 must disable the cell tracker")
 	}
-	if cells, rec := (CampaignConfig{TraceEvery: 3}).runObs(); cells.Every() != 3 || !rec.Enabled() {
-		t.Error("runObs must honor the sampling interval and always record")
+	if h := (CampaignConfig{TraceEvery: 3}).handle(r); h.Cells.Every() != 3 || !h.Recorder.Enabled() {
+		t.Error("handle must honor the sampling interval and always record")
 	}
 }
 
@@ -37,9 +38,8 @@ func TestCampaignTriageBundle(t *testing.T) {
 	matrix := []campaign.Cell{{Experiment: "tampered", Run: func(ctx context.Context, r *campaign.Run) error {
 		rng := r.RNG()
 		tr, horizon := campaignTraffic(rng)
-		cells, rec := cfg.runObs()
 		rig := coverify.NewSwitchRig(coverify.SwitchRigConfig{
-			Seed: rng.Uint64(), Traffic: tr, Cells: cells, Recorder: rec,
+			Seed: rng.Uint64(), Traffic: tr, Run: cfg.handle(r),
 			TamperResponse: func(c *atm.Cell) { c.Payload[atm.PayloadBytes-1] ^= 0xFF },
 		})
 		if err := rig.Run(horizon); err != nil {

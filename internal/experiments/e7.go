@@ -46,9 +46,7 @@ func (f Factory) E7(cellsPerPoint uint64, seed uint64) E7Result {
 			Sources: []coverify.PolicerSource{
 				{Model: traffic.NewPoisson(contractRate * ratio), VC: vc, Cells: cellsPerPoint},
 			},
-			Metrics:    f.Obs.Reg(),
-			Trace:      f.Obs.Trace(),
-			Profile:    f.Obs.Prof(),
+			Run:        f.handle(),
 			NoCompiled: f.NoCompiled,
 		})
 		horizon := sim.FromSeconds(float64(cellsPerPoint)/(contractRate*ratio)) + sim.Millisecond

@@ -37,7 +37,7 @@ func (f Factory) E8(seed uint64) E8Result {
 	var res E8Result
 	faults := faultsim.TableFaults(coverify.DefaultTable())
 	for nPorts := 1; nPorts <= 4; nPorts++ {
-		cfg := f.observed(coverify.SwitchRigConfig{Seed: seed})
+		cfg := coverify.SwitchRigConfig{Seed: seed, Run: f.handle(), NoCompiled: f.NoCompiled}
 		for p := 0; p < nPorts; p++ {
 			cfg.Traffic[p] = coverify.PortTraffic{
 				Model: traffic.NewCBR(100e3),

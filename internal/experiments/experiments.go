@@ -41,15 +41,13 @@ type Factory struct {
 	NoCompiled bool
 }
 
-// observed copies the factory's sink into a rig configuration.
-func (f Factory) observed(cfg coverify.SwitchRigConfig) coverify.SwitchRigConfig {
-	cfg.Metrics = f.Obs.Reg()
-	cfg.Trace = f.Obs.Trace()
-	cfg.Cells = f.Obs.CellTrace()
-	cfg.Cover = f.Obs.CoverReg()
-	cfg.Profile = f.Obs.Prof()
-	cfg.NoCompiled = f.NoCompiled
-	return cfg
+// handle returns the observation handle every rig the factory builds
+// carries: all of Obs's sinks, or none for an unobserved factory.
+func (f Factory) handle() obs.Run {
+	if f.Obs == nil {
+		return obs.Run{}
+	}
+	return *f.Obs
 }
 
 // loadTraffic offers CBR load on all four ports at the given fraction of
@@ -120,7 +118,7 @@ func (r E1Result) PerCell(n uint64) float64 {
 func (f Factory) E1(cells uint64, seed uint64) E1Result {
 	const load = 0.8
 	r := E1Result{Cells: cells}
-	cfg := f.observed(coverify.SwitchRigConfig{Seed: seed, Traffic: loadTraffic(cells, load)})
+	cfg := coverify.SwitchRigConfig{Seed: seed, Traffic: loadTraffic(cells, load), Run: f.handle(), NoCompiled: f.NoCompiled}
 
 	co := coverify.NewSwitchRig(cfg)
 	start := time.Now()
@@ -198,12 +196,14 @@ func (f Factory) E2(cells uint64, seed uint64) E2Result {
 	res := E2Result{Cells: cells}
 	period := 50 * sim.Nanosecond
 	run := func(deltaCycles int, syncEvery sim.Duration, lockstep bool) {
-		cfg := f.observed(coverify.SwitchRigConfig{
-			Seed:      seed,
-			Traffic:   loadTraffic(cells, load),
-			Delta:     sim.Duration(deltaCycles) * period,
-			SyncEvery: syncEvery,
-		})
+		cfg := coverify.SwitchRigConfig{
+			Seed:       seed,
+			Traffic:    loadTraffic(cells, load),
+			Delta:      sim.Duration(deltaCycles) * period,
+			SyncEvery:  syncEvery,
+			Run:        f.handle(),
+			NoCompiled: f.NoCompiled,
+		}
 		rig := coverify.NewSwitchRig(cfg)
 		start := time.Now()
 		if err := rig.Run(horizonFor(cells/dut.SwitchPorts, load)); err != nil {
@@ -276,7 +276,7 @@ type E3Result struct {
 // cycles, plus idle periods).
 func (f Factory) E3(cells uint64, seed uint64) E3Result {
 	const load = 0.25 // realistic partially-loaded line: idle slots between cells
-	cfg := f.observed(coverify.SwitchRigConfig{Seed: seed, Traffic: loadTraffic(cells, load)})
+	cfg := coverify.SwitchRigConfig{Seed: seed, Traffic: loadTraffic(cells, load), Run: f.handle(), NoCompiled: f.NoCompiled}
 	rig := coverify.NewSwitchRig(cfg)
 	if err := rig.Run(horizonFor(cells/dut.SwitchPorts, load)); err != nil {
 		panic(err)
@@ -336,7 +336,7 @@ func (f Factory) E4(cells uint64, seed uint64) E4Result {
 	const load = 0.6
 	res := E4Result{Cells: cells}
 	for _, depth := range []int{128, 512, 2048, 8192, 32768} {
-		cfg := f.observed(coverify.SwitchRigConfig{Seed: seed, Traffic: loadTraffic(cells, load)})
+		cfg := coverify.SwitchRigConfig{Seed: seed, Traffic: loadTraffic(cells, load), Run: f.handle(), NoCompiled: f.NoCompiled}
 		rig, err := coverify.NewBoardRig(cfg, depth)
 		if err != nil {
 			panic(err)
@@ -385,9 +385,11 @@ type E5Result struct {
 func (f Factory) E5(seed uint64) E5Result {
 	vcs := []atm.VC{{VPI: 1, VCI: 10}, {VPI: 1, VCI: 11}, {VPI: 2, VCI: 20}, {VPI: 3, VCI: 30}}
 	cfg := coverify.AcctRigConfig{
-		Seed:   seed,
-		VCs:    vcs,
-		Tariff: atm.Tariff{CellsPerUnit: 25},
+		Seed:       seed,
+		VCs:        vcs,
+		Tariff:     atm.Tariff{CellsPerUnit: 25},
+		Run:        f.handle(),
+		NoCompiled: f.NoCompiled,
 		Sources: []coverify.AcctSource{
 			{Model: traffic.NewCBR(100e3), VC: 0, Cells: 400},
 			{Model: traffic.NewPoisson(80e3), VC: 1, Cells: 300, CLP1: 0.4},
@@ -396,10 +398,6 @@ func (f Factory) E5(seed uint64) E5Result {
 			{Model: traffic.NewPoisson(10e3), VC: -1, Cells: 50},
 		},
 	}
-	cfg.Metrics = f.Obs.Reg()
-	cfg.Trace = f.Obs.Trace()
-	cfg.Profile = f.Obs.Prof()
-	cfg.NoCompiled = f.NoCompiled
 	rig := coverify.NewAcctRig(cfg)
 
 	// Conformance vectors replayed ahead of the stochastic phase.

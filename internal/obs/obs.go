@@ -25,16 +25,18 @@ package obs
 import (
 	"io"
 	"sort"
-	"time"
 )
 
 // Run bundles the observability context of one co-verification run: the
-// metrics registry and the event tracer, plus the wall-clock epoch the
-// tracer's wall stamps are relative to. A nil *Run disables everything.
+// metrics registry, the event tracer and the optional sinks below. It is
+// the one observation handle everything below the command line carries:
+// rig configurations embed it by value and hand it on whole to the
+// co-simulation entity and interface process (Observe), so a sink set
+// once reaches every layer. A nil *Run, like a zero Run, disables
+// everything.
 type Run struct {
 	Registry *Registry
 	Tracer   *Tracer
-	Start    time.Time
 	// Cells, when non-nil, collects causal per-hop cell traces (see
 	// celltrace.go); its journeys are merged into WriteTrace as flow
 	// arrows. NewRun leaves it nil — cell tracing is opt-in.
@@ -49,6 +51,11 @@ type Run struct {
 	// activity mirror backing /profile. NewRun leaves it nil — profiling
 	// is opt-in (castanet -profile).
 	Profile *RunProfile
+	// Recorder, when non-nil, is the run's flight recorder: a second
+	// tracer, typically DefaultRecorderCap events, holding the Notes
+	// (coupling failures, protocol anomalies, comparison mismatches) a
+	// failure digest dumps. NewRun leaves it nil.
+	Recorder *Tracer
 }
 
 // NewRun returns a run context with a fresh registry and a tracer holding
@@ -57,7 +64,7 @@ type Run struct {
 // a uniform schema whether or not the run exercises the corresponding
 // subsystem (a direct-coupled run still reports zero retransmits).
 func NewRun(traceCap int) *Run {
-	r := &Run{Registry: NewRegistry(), Tracer: NewTracer(traceCap), Start: time.Now(), Cover: NewCoverRegistry()}
+	r := &Run{Registry: NewRegistry(), Tracer: NewTracer(traceCap), Cover: NewCoverRegistry()}
 	preregister(r.Registry)
 	return r
 }

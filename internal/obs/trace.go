@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 )
@@ -25,6 +26,11 @@ const (
 	// (Chrome "s"/"t"/"f" phases). Produced by CellTracker.FlowEvents,
 	// not by the Tracer itself.
 	FlowPoint
+	// Note is a flight-recorder entry: Track names the subsystem that
+	// wrote it ("rig", "entity", "iface", "cmp"), Name carries the text
+	// and Flow the cell it concerns (0 when not cell-specific). Rendered
+	// by Dump.
+	Note
 )
 
 // Track names used by the instrumented engines — one timeline row per
@@ -58,17 +64,27 @@ type Event struct {
 // DefaultTraceCap is the ring capacity used when NewTracer is given 0.
 const DefaultTraceCap = 1 << 16
 
-// Tracer records run-scoped events into a fixed-capacity ring buffer:
-// when the ring is full the oldest events are overwritten, so a
-// long-running co-verification keeps its most recent window and never
-// grows without bound. A nil *Tracer is a no-op on every method.
+// DefaultRecorderCap is the capacity of a flight recorder: a tracer that
+// only holds the notes a failure digest dumps.
+const DefaultRecorderCap = 256
+
+// Tracer records run-scoped events into a bounded ring buffer: storage
+// grows on demand up to the capacity, after which the oldest events are
+// overwritten, so a long-running co-verification keeps its most recent
+// window and never grows without bound. A nil *Tracer is a no-op on every
+// method.
+//
+// The same type serves as a run's flight recorder (Run.Recorder): a
+// DefaultRecorderCap ring of Notes that nothing reads during a healthy
+// run; on a mismatch or a typed coupling failure the rig's failure digest
+// carries its Dump, so the failure is triageable without a re-run.
 type Tracer struct {
-	mu      sync.Mutex
-	start   time.Time
-	buf     []Event
-	next    int
-	wrapped bool
-	dropped uint64
+	mu       sync.Mutex
+	start    time.Time
+	capacity int
+	buf      []Event
+	next     int // oldest event once the ring is full
+	dropped  uint64
 }
 
 // NewTracer returns a tracer holding up to capacity events (0 selects
@@ -77,7 +93,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCap
 	}
-	return &Tracer{start: time.Now(), buf: make([]Event, capacity)}
+	return &Tracer{start: time.Now(), capacity: capacity}
 }
 
 // Enabled reports whether events will be recorded; instrumented code may
@@ -90,14 +106,17 @@ func (t *Tracer) record(e Event) {
 	}
 	t.mu.Lock()
 	e.Wall = int64(time.Since(t.start))
-	if t.wrapped {
+	if n := len(t.buf); n < t.capacity {
+		if n == cap(t.buf) {
+			grown := make([]Event, n, min(max(2*n, 8), t.capacity))
+			copy(grown, t.buf)
+			t.buf = grown
+		}
+		t.buf = append(t.buf, e)
+	} else {
+		t.buf[t.next] = e
+		t.next = (t.next + 1) % t.capacity
 		t.dropped++
-	}
-	t.buf[t.next] = e
-	t.next++
-	if t.next == len(t.buf) {
-		t.next = 0
-		t.wrapped = true
 	}
 	t.mu.Unlock()
 }
@@ -122,6 +141,22 @@ func (t *Tracer) Sample(track, name string, simPS int64, v float64) {
 	t.record(Event{Type: CounterSample, Track: track, Name: name, Sim: simPS, Value: v})
 }
 
+// Note records a flight-recorder entry from subsystem src at simulated
+// time simPS (negative when it happened outside the simulated clock
+// domain, e.g. on a transport goroutine).
+func (t *Tracer) Note(src string, simPS int64, format string, args ...any) {
+	t.NoteCell(0, src, simPS, format, args...)
+}
+
+// NoteCell records a flight-recorder entry attributed to the traced cell
+// with trace ID cell.
+func (t *Tracer) NoteCell(cell uint64, src string, simPS int64, format string, args ...any) {
+	if t == nil {
+		return
+	}
+	t.record(Event{Type: Note, Track: src, Name: fmt.Sprintf(format, args...), Sim: simPS, Flow: cell})
+}
+
 // Dropped returns how many events were overwritten by ring wrap-around.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
@@ -139,10 +174,27 @@ func (t *Tracer) Events() []Event {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.wrapped {
-		return append([]Event(nil), t.buf[:t.next]...)
-	}
 	out := make([]Event, 0, len(t.buf))
 	out = append(out, t.buf[t.next:]...)
 	return append(out, t.buf[:t.next]...)
+}
+
+// Dump renders the ring for a failure digest: a headline plus one line
+// per event. Only simulated time appears, so a dump from a replayed seed
+// matches the campaign's original byte for byte. An empty ring dumps "".
+func (t *Tracer) Dump() string {
+	events := t.Events()
+	if len(events) == 0 {
+		return ""
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "flight recorder (%d events, %d overwritten):\n", len(events), t.Dropped())
+	for _, e := range events {
+		fmt.Fprintf(&b, "  [%s] t=%s", e.Track, fmtSimPS(e.Sim))
+		if e.Flow != 0 {
+			fmt.Fprintf(&b, " cell=0x%x", e.Flow)
+		}
+		fmt.Fprintf(&b, " %s\n", e.Name)
+	}
+	return b.String()
 }
