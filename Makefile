@@ -92,7 +92,9 @@ rig-smoke:
 		echo "rig-smoke: coverage floors met, deterministic hotspot table ok, every rig profiled"
 
 # Coverage-guided fuzzing of the ipc frame and reliability-envelope
-# decoders and the campaign checkpoint decoder, plus the differential
+# decoders, the envelope's inbound read loop (arbitrary units from the far
+# end; only in-sequence envelope payloads may reach Recv) and the campaign
+# checkpoint decoder, plus the differential
 # kernel-equivalence fuzzer (random netlist programs through both HDL
 # kernels, any observable divergence is a crash); seed corpora live in
 # internal/ipc/testdata/fuzz/, internal/campaign/testdata/fuzz/ and
@@ -100,6 +102,7 @@ rig-smoke:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/ipc/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenEnvelope$$' -fuzztime=$(FUZZTIME) ./internal/ipc/
+	$(GO) test -run '^$$' -fuzz '^FuzzReliableInbound$$' -fuzztime=$(FUZZTIME) ./internal/ipc/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime=$(FUZZTIME) ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelEquivalence$$' -fuzztime=$(FUZZTIME) ./internal/hdl/
 

@@ -323,7 +323,7 @@ func TestBatchedReliableFaultStack(t *testing.T) {
 		Send: ipc.DirFaults{Drop: 0.05},
 		Recv: ipc.DirFaults{Drop: 0.05},
 	}), ipc.ReliableConfig{})
-	server := ipc.NewReliable(b, ipc.ReliableConfig{Auto: true})
+	server := ipc.NewReliable(b, ipc.ReliableConfig{})
 	go (&EntityServer{Entity: e, Transport: server}).Serve()
 	resps := runLoopback(t, &Remote{Transport: client}, e, 20)
 	client.Close()

@@ -11,24 +11,24 @@ import (
 )
 
 // ErrorClass partitions coupling failures into the four failure domains
-// of the link: each calls for a different reaction (retry, abort, clean
-// shutdown, bug report).
+// of the link: each calls for a different reaction (retry the run, abort,
+// clean shutdown, bug report).
 type ErrorClass int
 
 const (
 	// ClassTimeout: the peer did not answer within the configured
-	// interval — watchdog expiry, retransmit exhaustion, heartbeat loss.
-	// Transient: a Reconnector may recover it.
+	// interval — watchdog expiry or retransmit exhaustion. The link, not
+	// the design, failed: a campaign supervisor may retry the run.
 	ClassTimeout ErrorClass = iota
 	// ClassClosed: the link was torn down (locally or by the peer).
-	// Transient in the same sense.
+	// Retryable in the same sense.
 	ClassClosed
 	// ClassCorrupt: a frame failed validation and no reliability envelope
 	// was there to recover it. Results downstream are suspect.
 	ClassCorrupt
 	// ClassProtocol: the peer answered with something the protocol does
 	// not allow (undeclared kind, entity rejection, causality violation).
-	// Not transient — retrying resends the same poison.
+	// Never retried — retrying resends the same poison.
 	ClassProtocol
 )
 
@@ -53,7 +53,7 @@ func (c ErrorClass) String() string {
 // Remote and EntityServer.
 type CouplingError struct {
 	Class ErrorClass
-	Op    string // "send", "recv", "serve", "dial", "entity", "reconnect"
+	Op    string // "send", "recv", "serve", "entity", "run"
 	Err   error
 }
 
@@ -77,8 +77,7 @@ func Classify(err error) ErrorClass {
 		return ClassCorrupt
 	default:
 		// Network-stack failures (reset, refused, timeout) count as link
-		// loss: the message never legally arrived, so a reconnect may
-		// recover.
+		// loss: the message never legally arrived.
 		var ne net.Error
 		if errors.As(err, &ne) {
 			if ne.Timeout() {
@@ -103,31 +102,15 @@ func coupErr(op string, err error) error {
 	return &CouplingError{Class: Classify(err), Op: op, Err: err}
 }
 
-// IsTransient reports whether the failure is worth a reconnect attempt:
-// timeouts and closed links may heal; corrupt or protocol failures will
-// only repeat.
-func IsTransient(err error) bool {
-	var ce *CouplingError
-	if errors.As(err, &ce) {
-		return ce.Class == ClassTimeout || ce.Class == ClassClosed
-	}
-	c := Classify(err)
-	return c == ClassTimeout || c == ClassClosed
-}
-
 // Retryable reports whether a failed run may be re-attempted by a
 // supervisor: the failure came from the infrastructure (a hung or torn
 // link), not from the design under verification. A verification mismatch
 // is the product, not noise, so ClassCorrupt, ClassProtocol and every
-// untyped error are final. Errors can override the classification by
-// implementing Retryable() bool (see MarkRetryable).
+// untyped error are final. A supervision deadline (context.DeadlineExceeded)
+// is retryable: a hung run is infrastructure too.
 func Retryable(err error) bool {
 	if err == nil {
 		return false
-	}
-	var r interface{ Retryable() bool }
-	if errors.As(err, &r) {
-		return r.Retryable()
 	}
 	if errors.Is(err, context.DeadlineExceeded) {
 		return true
@@ -137,22 +120,4 @@ func Retryable(err error) bool {
 		return ce.Class == ClassTimeout || ce.Class == ClassClosed
 	}
 	return false
-}
-
-// retryableError brands an error infra-transient for Retryable while
-// leaving errors.Is/As identity and text untouched.
-type retryableError struct{ err error }
-
-func (e *retryableError) Error() string   { return e.err.Error() }
-func (e *retryableError) Unwrap() error   { return e.err }
-func (e *retryableError) Retryable() bool { return true }
-
-// MarkRetryable wraps err so Retryable reports true for it, for
-// infrastructure failures that carry no CouplingError type of their own.
-// A nil err passes through.
-func MarkRetryable(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &retryableError{err: err}
 }

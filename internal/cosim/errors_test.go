@@ -26,8 +26,6 @@ func TestRetryableClassification(t *testing.T) {
 		{"cancel", context.Canceled, false},
 		{"untyped mismatch", errors.New("acct mismatch: 3 != 4"), false},
 		{"raw eof", io.EOF, false}, // untyped transport leak: final, a rig must type it
-		{"marked", MarkRetryable(errors.New("worker evicted")), true},
-		{"wrapped marked", fmt.Errorf("campaign: %w", MarkRetryable(io.EOF)), true},
 		{"wrapped coupling", fmt.Errorf("rig: %w", &CouplingError{Class: ClassTimeout, Op: "run", Err: ipc.ErrTimeout}), true},
 	}
 	for _, tc := range cases {
@@ -37,27 +35,13 @@ func TestRetryableClassification(t *testing.T) {
 	}
 }
 
-func TestMarkRetryableKeepsIdentity(t *testing.T) {
-	base := errors.New("boom")
-	m := MarkRetryable(base)
-	if !errors.Is(m, base) {
-		t.Fatal("MarkRetryable broke errors.Is identity")
-	}
-	if m.Error() != base.Error() {
-		t.Fatalf("MarkRetryable changed text: %q", m.Error())
-	}
-	if MarkRetryable(nil) != nil {
-		t.Fatal("MarkRetryable(nil) != nil")
-	}
-}
-
 func TestRetryableNeverRetriesMismatchEvenWhenTransientLooking(t *testing.T) {
-	// IsTransient consults Classify for untyped errors; Retryable must
-	// not, so an untyped error that merely *looks* like a link failure to
-	// Classify is still final for the retry budget.
+	// Classify maps untyped errors to a class; Retryable must not
+	// consult it, so an untyped error that merely *looks* like a link
+	// failure to Classify is still final for the retry budget.
 	err := io.ErrUnexpectedEOF
-	if !IsTransient(err) {
-		t.Skip("Classify semantics changed; update this test")
+	if c := Classify(err); c != ClassClosed {
+		t.Fatalf("Classify(io.ErrUnexpectedEOF) = %v, want closed: the premise of this test changed", c)
 	}
 	if Retryable(err) {
 		t.Fatal("untyped io.ErrUnexpectedEOF must not be Retryable")

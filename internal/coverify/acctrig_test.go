@@ -5,6 +5,7 @@ import (
 
 	"castanet/internal/atm"
 	"castanet/internal/conformance"
+	"castanet/internal/obs"
 	"castanet/internal/sim"
 	"castanet/internal/traffic"
 )
@@ -141,5 +142,43 @@ func TestAccountingDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("diverged:\n%s\n%s", a, b)
+	}
+}
+
+// TestAcctVectorsOpenNoTrace: a raw conformance vector carries no trace
+// ID, so committing it to the wire opens no cell trace — its payload is
+// not a sequence stamp — and each traced cell's waterfall holds exactly
+// one hdl.commit hop.
+func TestAcctVectorsOpenNoTrace(t *testing.T) {
+	cells := obs.NewCellTracker(1, 0)
+	cfg := acctConfig(3)
+	cfg.Run = obs.Run{Cells: cells}
+	rig := NewAcctRig(cfg)
+	suite := conformance.StandardSuite(cfg.VCs[0])
+	at := sim.Microsecond
+	for i := range suite.Vectors {
+		rig.InjectVector(at, suite.Vectors[i].Image)
+		at += 60 * sim.Microsecond
+	}
+	if err := rig.Run(at + 3*sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range cells.Traces() {
+		if tr.ID == 0 || tr.ID > rig.Offered {
+			t.Errorf("trace 0x%x opened for no offered cell: %v", tr.ID, tr.Hops)
+		}
+	}
+	tr, ok := cells.Trace(0x1)
+	if !ok {
+		t.Fatal("cell 0x1 not traced")
+	}
+	commits := 0
+	for _, h := range tr.Hops {
+		if h.Name == obs.HopHDLCommit {
+			commits++
+		}
+	}
+	if commits != 1 {
+		t.Errorf("cell 0x1 has %d hdl.commit hops, want 1: %v", commits, tr.Hops)
 	}
 }

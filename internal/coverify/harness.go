@@ -125,13 +125,10 @@ func (h *Harness) entity() {
 func (h *Harness) writer(name string, p int, in dut.CellPort) *mapping.CellPortWriter {
 	w := mapping.NewCellPortWriter(h.HDL, name, h.clk, in.Data, in.Sync)
 	if cells := h.cfg.Cells; cells.Enabled() {
-		// The Seq stamp rides the first four payload octets of the
-		// 53-octet image (Cell.StampSeq), so the hdl.commit hop can be
-		// recovered from the raw bytes as they hit the wire.
-		w.OnCellStart = func(img [atm.CellBytes]byte) {
-			seq := uint32(img[atm.HeaderBytes])<<24 | uint32(img[atm.HeaderBytes+1])<<16 |
-				uint32(img[atm.HeaderBytes+2])<<8 | uint32(img[atm.HeaderBytes+3])
-			cells.Hop(uint64(seq)+1, obs.HopHDLCommit, int64(h.HDL.Now()))
+		// Only a cell whose message carried a trace ID records the
+		// hdl.commit hop; raw images (conformance vectors) carry none.
+		w.OnCellStart = func(trace uint64) {
+			cells.Hop(trace, obs.HopHDLCommit, int64(h.HDL.Now()))
 		}
 	}
 	h.Entity.Input(KindCellIn(p), h.cfg.Delta, func(e *cosim.Entity, msg ipc.Message) error {
@@ -139,7 +136,7 @@ func (h *Harness) writer(name string, p int, in dut.CellPort) *mapping.CellPortW
 		if err != nil {
 			return err
 		}
-		w.Enqueue(v.(*atm.Cell))
+		w.EnqueueTraced(v.(*atm.Cell), msg.Trace)
 		return nil
 	})
 	h.registry.Register(KindCellIn(p), mapping.CellCodec{})

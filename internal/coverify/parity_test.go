@@ -112,8 +112,8 @@ func runCampaign(t *testing.T, name string, runs int, coverage, profile bool) *c
 	}
 	if name == "faults" {
 		// A partition opens after a count of link operations, and wall-clock
-		// retransmits and heartbeats count too, so how much coverage an
-		// aborted partitioned run collects is not a function of its seed.
+		// retransmits count too, so how much coverage an aborted
+		// partitioned run collects is not a function of its seed.
 		kept := matrix[:0]
 		for _, c := range matrix {
 			if c.Fault != "partition" {

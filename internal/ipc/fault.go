@@ -30,13 +30,10 @@ type DirFaults struct {
 	Delay float64
 	// DelaySlots bounds the hold-back (default 4 when Delay > 0).
 	DelaySlots int
-	// PartitionAfter opens a partition window once that many operations
-	// have occurred on this direction; 0 means never. During the window
-	// every unit is swallowed.
+	// PartitionAfter severs this direction for good once that many
+	// operations have occurred on it; 0 means never. From then on every
+	// unit is swallowed.
 	PartitionAfter uint64
-	// PartitionFor is the window length in operations; 0 with
-	// PartitionAfter > 0 means the partition never heals.
-	PartitionFor uint64
 }
 
 // FaultConfig configures a FaultTransport. Send and Recv directions are
@@ -98,9 +95,6 @@ type FaultTransport struct {
 	statMu sync.Mutex
 	stats  FaultStats
 	obs    faultObs
-
-	partMu      sync.Mutex
-	partitioned bool
 }
 
 // NewFault wraps inner with the given fault configuration. Distinct RNG
@@ -119,21 +113,6 @@ func NewFault(inner Transport, cfg FaultConfig) *FaultTransport {
 		send:  dirState{cfg: norm(cfg.Send), rng: root.Split()},
 		recv:  dirState{cfg: norm(cfg.Recv), rng: root.Split()},
 	}
-}
-
-// Partition severs both directions until Heal — the manual override used
-// by watchdog tests; automatic windows are configured per direction.
-func (f *FaultTransport) Partition() {
-	f.partMu.Lock()
-	f.partitioned = true
-	f.partMu.Unlock()
-}
-
-// Heal reverses a manual Partition.
-func (f *FaultTransport) Heal() {
-	f.partMu.Lock()
-	f.partitioned = false
-	f.partMu.Unlock()
 }
 
 // Stats returns a snapshot of the injected-fault counters.
@@ -174,20 +153,10 @@ func (f *FaultTransport) bump(fn func(*FaultStats)) faultObs {
 	return o
 }
 
-// cut reports whether the direction is inside a partition window (manual
-// or automatic) at its current operation count.
-func (f *FaultTransport) cut(s *dirState) bool {
-	f.partMu.Lock()
-	manual := f.partitioned
-	f.partMu.Unlock()
-	if manual {
-		return true
-	}
-	c := s.cfg
-	if c.PartitionAfter == 0 || s.ops <= c.PartitionAfter {
-		return false
-	}
-	return c.PartitionFor == 0 || s.ops <= c.PartitionAfter+c.PartitionFor
+// cut reports whether the direction is partitioned at its current
+// operation count.
+func (s *dirState) cut() bool {
+	return s.cfg.PartitionAfter > 0 && s.ops > s.cfg.PartitionAfter
 }
 
 // corrupt returns a copy of m with one payload bit flipped (or, for
@@ -259,7 +228,7 @@ func (f *FaultTransport) Send(msgs []Message) error {
 			return err
 		}
 	}
-	if f.cut(s) {
+	if s.cut() {
 		f.bump(func(st *FaultStats) { st.Partitioned++ }).partitioned.Inc()
 		return nil
 	}
@@ -309,7 +278,7 @@ func (f *FaultTransport) Recv() ([]Message, error) {
 			}
 			return nil, err
 		}
-		if f.cut(s) {
+		if s.cut() {
 			f.bump(func(st *FaultStats) { st.Partitioned++ }).partitioned.Inc()
 			continue
 		}

@@ -153,3 +153,92 @@ func FuzzOpenEnvelope(f *testing.F) {
 		}
 	})
 }
+
+// inboundStream encodes units back to back, the byte stream
+// FuzzReliableInbound splits into the units its far end sends.
+func inboundStream(f *testing.F, units ...[]Message) []byte {
+	var buf bytes.Buffer
+	for _, u := range units {
+		if err := Encode(&buf, u); err != nil {
+			f.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// FuzzReliableInbound feeds arbitrary units to the envelope's read loop:
+// the input is split into frames and each decoded frame arrives from the
+// far end as one unit. Only the payloads of valid envelopes in sequence
+// (1, 2, 3 …) may reach Recv, in order; raw units, multi-message units,
+// corrupt, duplicate or out-of-sequence envelopes, acks and the reserved
+// heartbeat kind are all dropped.
+func FuzzReliableInbound(f *testing.F) {
+	env := func(seq uint32, msgs ...Message) []Message {
+		m, err := envelope(seq, msgs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return []Message{m}
+	}
+	e1, e2 := env(1, fixtureUnit[0]), env(2, fixtureUnit...)
+	bent := append([]byte(nil), e1[0].Data...)
+	bent[len(bent)-1] ^= 0x01
+	ack := []Message{{Kind: KindRelAck, Data: []byte{0, 0, 0, 1, 0, 0, 0, 0}}}
+	f.Add(inboundStream(f, e1, e2))
+	f.Add(inboundStream(f, one(fixtureUnit[0]), fixtureUnit, e1))
+	f.Add(inboundStream(f, e2, e1, e1, e2))
+	f.Add(inboundStream(f, []Message{{Kind: KindRelData, Data: bent}}, ack, []Message{{Kind: KindRelHeartbeat}}, e1))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var units [][]Message
+		for br := bytes.NewReader(data); ; {
+			u, err := Decode(br)
+			if err != nil {
+				break
+			}
+			units = append(units, u)
+		}
+		var want []Message
+		var last uint32
+		for _, u := range units {
+			if len(u) != 1 || u[0].Kind != KindRelData {
+				continue
+			}
+			if seq, inner, err := openEnvelope(u[0].Data); err == nil && seq == last+1 {
+				want = append(want, inner...)
+				last = seq
+			}
+		}
+
+		// The pipe holds every unit and every ack, so nothing blocks
+		// before the far end closes and the read loop drains.
+		a, b := Pipe(len(units) + 1)
+		r := NewReliable(a, ReliableConfig{})
+		defer r.Close()
+		for _, u := range units {
+			if err := b.Send(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b.Close()
+		var got []Message
+		for {
+			u, err := r.Recv()
+			if err != nil {
+				break
+			}
+			got = append(got, u...)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("delivered %d messages, want %d in-sequence envelope payloads", len(got), len(want))
+		}
+		for i := range want {
+			if !sameMessage(got[i], want[i]) {
+				t.Fatalf("delivery %d = %v, want %v", i, got[i], want[i])
+			}
+		}
+		if st := r.Stats(); st.Delivered != uint64(len(want)) {
+			t.Errorf("Delivered = %d, want %d", st.Delivered, len(want))
+		}
+	})
+}

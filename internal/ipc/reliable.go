@@ -13,8 +13,7 @@ import (
 
 // Reserved message kinds of the reliability envelope. They live below
 // KindUser with the other protocol kinds, so the envelope travels inside
-// ordinary frames and the wire format stays unchanged: a stream without
-// these kinds is exactly the pre-envelope protocol.
+// ordinary frames and the wire format stays unchanged.
 const (
 	// KindRelData wraps one application unit: seq(4) crc32(4) followed by
 	// the unit's frame in standard wire format, so one acknowledgement
@@ -24,44 +23,31 @@ const (
 	// The CRC keeps a corrupted ack from masquerading as a different
 	// (possibly future) acknowledgement.
 	KindRelAck Kind = 4
-	// KindRelHeartbeat is a keep-alive; any inbound frame refreshes the
-	// peer watchdog, heartbeats cover idle phases.
+	// KindRelHeartbeat is reserved and never sent; an inbound one is
+	// dropped as corrupt like any other unit that is not an envelope or
+	// an ack.
 	KindRelHeartbeat Kind = 5
 )
 
-// ErrTimeout reports that a reliable operation exhausted its retries or
-// deadline without an acknowledgement.
+// recvDepth bounds the delivered units waiting for Recv; past it the read
+// loop waits. The alternating coupling has at most one unit in flight
+// per direction.
+const recvDepth = 256
+
+// ErrTimeout reports that a reliable operation exhausted its retry budget
+// without an acknowledgement.
 var ErrTimeout = errors.New("ipc: operation timed out")
 
-// ErrPeerLost reports that the heartbeat watchdog declared the peer dead.
-// It wraps ErrTimeout so timeout-classed handling catches both.
-var ErrPeerLost = fmt.Errorf("%w: peer heartbeat lost", ErrTimeout)
-
-// ReliableConfig tunes the reliability envelope.
+// ReliableConfig tunes the reliability envelope. The retry budget bounds
+// one Send: at most MaxRetries+1 transmissions, each waiting at most
+// RetryCap for the acknowledgement.
 type ReliableConfig struct {
-	// Auto defers the envelope decision to the first inbound frame: an
-	// envelope frame switches the transport to reliable mode, anything
-	// else to transparent pass-through. Servers use it so a plain client's
-	// KindInit negotiates a plain session and a reliable client's
-	// enveloped KindInit negotiates a reliable one.
-	Auto bool
 	// MaxRetries bounds retransmissions per data frame (default 8).
 	MaxRetries int
 	// RetryBase is the first acknowledgement wait (default 2ms); it
 	// doubles per retry up to RetryCap (default 100ms).
 	RetryBase time.Duration
 	RetryCap  time.Duration
-	// OpDeadline caps one Send including all retries (default 10s; < 0
-	// disables).
-	OpDeadline time.Duration
-	// Heartbeat is the keep-alive period; 0 disables heartbeats and the
-	// peer watchdog.
-	Heartbeat time.Duration
-	// PeerTimeout is the silence interval after which the peer is declared
-	// lost (default 4 × Heartbeat).
-	PeerTimeout time.Duration
-	// RecvBuffer is the delivered-unit queue depth (default 256).
-	RecvBuffer int
 }
 
 func (c ReliableConfig) withDefaults() ReliableConfig {
@@ -74,15 +60,6 @@ func (c ReliableConfig) withDefaults() ReliableConfig {
 	if c.RetryCap == 0 {
 		c.RetryCap = 100 * time.Millisecond
 	}
-	if c.OpDeadline == 0 {
-		c.OpDeadline = 10 * time.Second
-	}
-	if c.PeerTimeout == 0 {
-		c.PeerTimeout = 4 * c.Heartbeat
-	}
-	if c.RecvBuffer == 0 {
-		c.RecvBuffer = 256
-	}
 	return c
 }
 
@@ -92,24 +69,17 @@ type ReliableStats struct {
 	Retransmits    uint64
 	Delivered      uint64 // in-order data messages handed to Recv
 	AcksSent       uint64
-	CorruptDropped uint64 // frames failing the CRC or envelope parse
+	CorruptDropped uint64 // units that are not one valid envelope or ack
 	DupDropped     uint64 // retransmit duplicates suppressed
-	Heartbeats     uint64
-	Timeouts       uint64 // operations abandoned: retry budget, deadline, peer loss
+	Timeouts       uint64 // sends abandoned with the retry budget spent
 }
 
 // relObs mirrors ReliableStats into registry counters (all nil when the
 // transport is uninstrumented; obs counters are nil-safe).
 type relObs struct {
-	sent, retransmits, delivered, acksSent       *obs.Counter
-	corruptDropped, dupDropped, heartbeats, tout *obs.Counter
+	sent, retransmits, delivered, acksSent *obs.Counter
+	corruptDropped, dupDropped, tout       *obs.Counter
 }
-
-const (
-	modeUndecided = iota
-	modeEnvelope
-	modeRaw
-)
 
 // ReliableTransport layers exactly-once, in-order delivery over a lossy
 // Transport: every application unit travels in a CRC-protected envelope
@@ -118,27 +88,27 @@ const (
 // the retry budget runs out. Duplicates created by
 // retransmission (or by the link itself) are suppressed by sequence
 // number. The sender is stop-and-wait — one data frame in flight — which
-// the strictly alternating co-simulation protocol never notices.
+// the strictly alternating co-simulation protocol never notices. Both
+// ends must be enveloped: an inbound unit that is not one valid envelope
+// or acknowledgement is dropped and counted, never delivered.
 type ReliableTransport struct {
 	inner Transport
 	cfg   ReliableConfig
 
 	sendMu sync.Mutex // one in-flight data frame
-	wmu    sync.Mutex // serializes inner.Send (acks/heartbeats interleave)
+	wmu    sync.Mutex // serializes inner.Send (acks interleave with data)
 	seq    uint32
 
 	recvq chan []Message
 	acks  chan uint32
-	// out is the one-message unit every envelope, ack and heartbeat
-	// travels in, reused under wmu (Send does not retain it).
+	// out is the one-message unit every envelope and ack travels in,
+	// reused under wmu (Send does not retain it).
 	out [1]Message
 
 	done     chan struct{}
 	doneOnce sync.Once
 
 	mu           sync.Mutex
-	mode         int
-	lastHeard    time.Time
 	lastAccepted uint32
 	failErr      error
 	stats        ReliableStats
@@ -162,7 +132,6 @@ func (t *ReliableTransport) Instrument(reg *obs.Registry, prefix string) {
 		acksSent:       reg.Counter(prefix + ".acks_sent"),
 		corruptDropped: reg.Counter(prefix + ".corrupt_dropped"),
 		dupDropped:     reg.Counter(prefix + ".dup_dropped"),
-		heartbeats:     reg.Counter(prefix + ".heartbeats"),
 		tout:           reg.Counter(prefix + ".timeouts"),
 	}
 	t.mu.Lock()
@@ -171,26 +140,16 @@ func (t *ReliableTransport) Instrument(reg *obs.Registry, prefix string) {
 }
 
 // NewReliable wraps inner in the reliability envelope and starts its
-// reader (and, with Heartbeat set, watchdog) goroutines. Close releases
-// them.
+// reader goroutine. Close releases it.
 func NewReliable(inner Transport, cfg ReliableConfig) *ReliableTransport {
-	cfg = cfg.withDefaults()
 	t := &ReliableTransport{
-		inner:     inner,
-		cfg:       cfg,
-		recvq:     make(chan []Message, cfg.RecvBuffer),
-		acks:      make(chan uint32, 16),
-		done:      make(chan struct{}),
-		mode:      modeEnvelope,
-		lastHeard: time.Now(),
-	}
-	if cfg.Auto {
-		t.mode = modeUndecided
+		inner: inner,
+		cfg:   cfg.withDefaults(),
+		recvq: make(chan []Message, recvDepth),
+		acks:  make(chan uint32, 16),
+		done:  make(chan struct{}),
 	}
 	go t.readLoop()
-	if cfg.Heartbeat > 0 {
-		go t.heartbeatLoop()
-	}
 	return t
 }
 
@@ -211,33 +170,6 @@ func (t *ReliableTransport) bump(fn func(*ReliableStats)) relObs {
 	o := t.obs
 	t.mu.Unlock()
 	return o
-}
-
-func (t *ReliableTransport) modeNow() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.mode
-}
-
-// decide pins the negotiated mode on the first inbound frame.
-func (t *ReliableTransport) decide(mode int) {
-	t.mu.Lock()
-	if t.mode == modeUndecided {
-		t.mode = mode
-	}
-	t.mu.Unlock()
-}
-
-func (t *ReliableTransport) touch() {
-	t.mu.Lock()
-	t.lastHeard = time.Now()
-	t.mu.Unlock()
-}
-
-func (t *ReliableTransport) heard() time.Time {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.lastHeard
 }
 
 // fail records the terminal error, wakes every waiter and tears the link
@@ -300,15 +232,9 @@ func openEnvelope(data []byte) (uint32, []Message, error) {
 
 // sendFrame transmits one sealed data frame, blocking until the peer
 // acknowledges seq, retransmitting with capped exponential backoff, and
-// returns a timeout error once the retry budget or the per-op deadline
-// is spent. Callers hold sendMu.
+// returns a timeout error once the retry budget is spent. Callers hold
+// sendMu.
 func (t *ReliableTransport) sendFrame(frame Message, seq uint32) error {
-	var deadline <-chan time.Time
-	if t.cfg.OpDeadline > 0 {
-		dt := time.NewTimer(t.cfg.OpDeadline)
-		defer dt.Stop()
-		deadline = dt.C
-	}
 	wait := t.cfg.RetryBase
 	for attempt := 0; ; attempt++ {
 		if err := t.write(frame); err != nil {
@@ -331,12 +257,6 @@ func (t *ReliableTransport) sendFrame(frame Message, seq uint32) error {
 				}
 			case <-timer.C:
 				break waiting
-			case <-deadline:
-				timer.Stop()
-				err := fmt.Errorf("%w: seq %d unacknowledged at deadline", ErrTimeout, seq)
-				t.bump(func(s *ReliableStats) { s.Timeouts++ }).tout.Inc()
-				t.fail(err)
-				return err
 			case <-t.done:
 				timer.Stop()
 				return t.termErr()
@@ -365,13 +285,9 @@ func (t *ReliableTransport) sendFrame(frame Message, seq uint32) error {
 
 // Send implements Transport: the whole unit rides in one envelope and
 // the peer's single ack covers it, so a lossy link costs at most one
-// retransmission per δ-window instead of one per cell. In envelope mode
-// it blocks until the frame is acknowledged. In raw mode (negotiated with
-// a plain peer) it passes through.
+// retransmission per δ-window instead of one per cell. It blocks until
+// the frame is acknowledged or the retry budget is spent.
 func (t *ReliableTransport) Send(msgs []Message) error {
-	if t.modeNow() != modeEnvelope {
-		return t.inner.Send(msgs)
-	}
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
 	select {
@@ -389,8 +305,8 @@ func (t *ReliableTransport) Send(msgs []Message) error {
 }
 
 // Recv implements Transport: it delivers the next in-order application
-// unit. After Close or peer loss it drains already-delivered units first,
-// then reports the terminal error.
+// unit. After Close or link failure it drains already-delivered units
+// first, then reports the terminal error.
 func (t *ReliableTransport) Recv() ([]Message, error) {
 	select {
 	case u := <-t.recvq:
@@ -421,10 +337,16 @@ func (t *ReliableTransport) sendAck(seq uint32) {
 	}
 }
 
+// dropCorrupt counts one inbound unit that is not a valid envelope or
+// acknowledgement. It is not acknowledged: the sender retransmits, which
+// is the recovery.
+func (t *ReliableTransport) dropCorrupt() {
+	t.bump(func(s *ReliableStats) { s.CorruptDropped++ }).corruptDropped.Inc()
+}
+
 // readLoop owns the inner receive side: it verifies, deduplicates and
-// acknowledges data frames, routes acks to the sender, and refreshes the
-// watchdog. Envelope frames always travel alone, so a multi-message unit
-// can only come from a plain peer and passes through raw.
+// acknowledges data frames and routes acks to the sender. Envelopes and
+// acks always travel alone, so any other unit is dropped as corrupt.
 func (t *ReliableTransport) readLoop() {
 	for {
 		u, err := t.inner.Recv()
@@ -432,25 +354,16 @@ func (t *ReliableTransport) readLoop() {
 			t.fail(err)
 			return
 		}
-		t.touch()
 		if len(u) != 1 {
-			t.decide(modeRaw)
-			select {
-			case t.recvq <- u:
-			case <-t.done:
-				return
-			}
+			t.dropCorrupt()
 			continue
 		}
 		m := u[0]
 		switch m.Kind {
 		case KindRelData:
-			t.decide(modeEnvelope)
 			seq, inner, err := openEnvelope(m.Data)
 			if err != nil {
-				// Corrupt frames are not acknowledged: the sender
-				// retransmits, which is the recovery.
-				t.bump(func(s *ReliableStats) { s.CorruptDropped++ }).corruptDropped.Inc()
+				t.dropCorrupt()
 				continue
 			}
 			t.mu.Lock()
@@ -480,53 +393,17 @@ func (t *ReliableTransport) readLoop() {
 				return
 			}
 		case KindRelAck:
-			t.decide(modeEnvelope)
 			if len(m.Data) < 8 ||
 				crc32.ChecksumIEEE(m.Data[:4]) != binary.BigEndian.Uint32(m.Data[4:]) {
-				t.bump(func(s *ReliableStats) { s.CorruptDropped++ }).corruptDropped.Inc()
+				t.dropCorrupt()
 				continue
 			}
 			select {
 			case t.acks <- binary.BigEndian.Uint32(m.Data):
 			default: // stale ack with no waiter
 			}
-		case KindRelHeartbeat:
-			t.decide(modeEnvelope)
 		default:
-			// A raw frame: a plain peer (negotiates pass-through mode on
-			// the first frame) or a mixed stream — deliver as-is.
-			t.decide(modeRaw)
-			select {
-			case t.recvq <- u:
-			case <-t.done:
-				return
-			}
-		}
-	}
-}
-
-// heartbeatLoop sends keep-alives and declares the peer lost after
-// PeerTimeout of silence. It only acts in envelope mode: plain peers
-// neither send heartbeats nor expect them.
-func (t *ReliableTransport) heartbeatLoop() {
-	ticker := time.NewTicker(t.cfg.Heartbeat)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-t.done:
-			return
-		case <-ticker.C:
-			if t.modeNow() != modeEnvelope {
-				continue
-			}
-			if t.write(Message{Kind: KindRelHeartbeat}) == nil {
-				t.bump(func(s *ReliableStats) { s.Heartbeats++ }).heartbeats.Inc()
-			}
-			if pt := t.cfg.PeerTimeout; pt > 0 && time.Since(t.heard()) > pt {
-				t.bump(func(s *ReliableStats) { s.Timeouts++ }).tout.Inc()
-				t.fail(ErrPeerLost)
-				return
-			}
+			t.dropCorrupt()
 		}
 	}
 }

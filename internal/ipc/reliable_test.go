@@ -4,8 +4,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"castanet/internal/sim"
 )
 
 // fastRel is a test config with tight timers so lossy-link tests finish
@@ -15,7 +13,6 @@ func fastRel() ReliableConfig {
 		MaxRetries: 20,
 		RetryBase:  time.Millisecond,
 		RetryCap:   8 * time.Millisecond,
-		OpDeadline: 5 * time.Second,
 	}
 }
 
@@ -106,114 +103,68 @@ func TestReliableExactlyOnceOverLossyLink(t *testing.T) {
 }
 
 func TestReliableSendTimesOutOnPartition(t *testing.T) {
-	a, _ := Pipe(16)
-	fault := NewFault(a, FaultConfig{Seed: 1})
-	fault.Partition()
-	cfg := fastRel()
-	cfg.MaxRetries = 3
+	// The link passes one unit and is then severed for good: the next
+	// Send must spend its whole retry budget and then give up, bounded by
+	// (MaxRetries+1)·RetryCap — no other timer stands behind it.
+	a, b := Pipe(16)
+	fault := NewFault(a, FaultConfig{Seed: 1, Send: DirFaults{PartitionAfter: 1}})
+	cfg := ReliableConfig{MaxRetries: 3, RetryBase: 20 * time.Millisecond, RetryCap: 20 * time.Millisecond}
 	r := NewReliable(fault, cfg)
+	peer := NewReliable(b, cfg)
 	defer r.Close()
+	defer peer.Close()
+	if err := r.Send(one(msg(0))); err != nil {
+		t.Fatalf("send before the partition: %v", err)
+	}
 	start := time.Now()
-	err := r.Send(one(msg(0)))
+	err := r.Send(one(msg(1)))
+	elapsed := time.Since(start)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
-	if time.Since(start) > 2*time.Second {
-		t.Errorf("retry exhaustion took %v", time.Since(start))
+	budget := time.Duration(cfg.MaxRetries+1) * cfg.RetryCap
+	// The lower bound proves every retry waited; the upper one allows for
+	// scheduling only.
+	if elapsed < budget || elapsed > budget+2*time.Second {
+		t.Errorf("retry exhaustion took %v, want the %v budget", elapsed, budget)
+	}
+	if st := r.Stats(); st.Retransmits != uint64(cfg.MaxRetries) || st.Timeouts != 1 {
+		t.Errorf("stats %+v, want %d retransmits and one timeout", st, cfg.MaxRetries)
+	}
+	if st := fault.Stats(); st.Partitioned != uint64(cfg.MaxRetries+1) {
+		t.Errorf("partitioned %d units, want %d", st.Partitioned, cfg.MaxRetries+1)
 	}
 }
 
-func TestReliableOpDeadline(t *testing.T) {
-	a, _ := Pipe(16)
-	fault := NewFault(a, FaultConfig{Seed: 1})
-	fault.Partition()
-	cfg := fastRel()
-	cfg.MaxRetries = 10_000
-	cfg.OpDeadline = 30 * time.Millisecond
-	r := NewReliable(fault, cfg)
+func TestReliableDropsRawFrames(t *testing.T) {
+	// Both ends are always enveloped: a raw unit of one and a
+	// multi-message unit from the far end are corrupt, not deliverable.
+	// The valid envelope behind them is the first thing Recv sees.
+	a, b := Pipe(16)
+	r := NewReliable(a, fastRel())
 	defer r.Close()
-	if err := r.Send(one(msg(0))); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want deadline ErrTimeout", err)
-	}
-}
-
-func TestReliableHeartbeatDetectsDeadPeer(t *testing.T) {
-	// The peer exists but the inbound direction is severed: only the
-	// heartbeat watchdog can notice.
-	a, b := Pipe(64)
-	fault := NewFault(a, FaultConfig{Seed: 1, Recv: DirFaults{PartitionAfter: 1}})
-	cfg := fastRel()
-	cfg.Heartbeat = 5 * time.Millisecond
-	cfg.PeerTimeout = 25 * time.Millisecond
-	ra := NewReliable(fault, cfg)
-	rb := NewReliable(b, fastRel())
-	defer ra.Close()
-	defer rb.Close()
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := ra.Recv()
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrPeerLost) || !errors.Is(err, ErrTimeout) {
-			t.Fatalf("err = %v, want ErrPeerLost (a timeout)", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("watchdog never fired")
-	}
-}
-
-func TestReliableAutoNegotiatesRawPeer(t *testing.T) {
-	// A plain client against an Auto server: the first (raw) frame pins
-	// pass-through mode and traffic flows unchanged both ways.
-	a, b := Pipe(16)
-	cfg := fastRel()
-	cfg.Auto = true
-	srv := NewReliable(b, cfg)
-	defer srv.Close()
-	if err := a.Send(one(Message{Kind: KindInit, Time: 0})); err != nil {
+	if err := b.Send(one(msg(0))); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := recvOne(t, srv); err != nil || m.Kind != KindInit {
-		t.Fatalf("server got %v, %v", m, err)
-	}
-	if err := srv.Send(one(Message{Kind: KindSync, Time: sim.Microsecond})); err != nil {
+	if err := b.Send([]Message{msg(1), msg(2)}); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := recvOne(t, a); err != nil || m.Kind != KindSync {
-		t.Fatalf("plain client got %v, %v — server leaked envelope frames", m, err)
-	}
-}
-
-func TestReliableAutoNegotiatesEnvelopePeer(t *testing.T) {
-	// A reliable client against the same Auto server: the enveloped
-	// KindInit pins reliable mode and acknowledgements flow.
-	a, b := Pipe(16)
-	cfg := fastRel()
-	cfg.Auto = true
-	srv := NewReliable(b, cfg)
-	cli := NewReliable(a, fastRel())
-	defer srv.Close()
-	defer cli.Close()
-	if err := cli.Send(one(Message{Kind: KindInit, Time: 0})); err != nil {
+	env, err := envelope(1, one(msg(3)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if m, err := recvOne(t, srv); err != nil || m.Kind != KindInit {
-		t.Fatalf("server got %v, %v", m, err)
-	}
-	if err := srv.Send(one(Message{Kind: KindSync, Time: sim.Microsecond})); err != nil {
+	if err := b.Send(one(env)); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := recvOne(t, cli); err != nil || m.Kind != KindSync {
-		t.Fatalf("client got %v, %v", m, err)
+	got, err := recvOne(t, r)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := cli.Stats(); st.Sent != 1 {
-		t.Errorf("client stats %+v, want one enveloped send", st)
+	if !sameMessage(got, msg(3)) {
+		t.Fatalf("first delivery %v, want the enveloped %v", got, msg(3))
 	}
-	if st := srv.Stats(); st.Sent != 1 || st.Delivered != 1 {
-		t.Errorf("server stats %+v, want envelope mode engaged", st)
+	if st := r.Stats(); st.CorruptDropped != 2 || st.Delivered != 1 {
+		t.Errorf("stats %+v, want both raw units dropped as corrupt", st)
 	}
 }
 

@@ -16,18 +16,18 @@ import (
 // versus a gated test stream. A writer with nothing to send and idle
 // insertion off parks its process until the next Enqueue.
 type CellPortWriter struct {
-	// OnCellStart, when non-nil, fires as a queued (non-idle) cell's first
-	// octet goes onto the wire, with the cell's 53-byte image — the moment
-	// the hardware commits to transmitting it. Causal cell tracing hooks
-	// here to record the hdl.commit hop.
-	OnCellStart func(img [atm.CellBytes]byte)
+	// OnCellStart, when non-nil, fires as a cell queued by EnqueueTraced
+	// with a nonzero trace ID puts its first octet onto the wire, with that
+	// ID — the moment the hardware commits to transmitting it. Causal cell
+	// tracing hooks here to record the hdl.commit hop.
+	OnCellStart func(trace uint64)
 
 	data *hdl.Driver
 	sync *hdl.Driver
 	proc *hdl.Process
 
 	insertIdle bool
-	queue      [][atm.CellBytes]byte
+	queue      []queued
 	current    [atm.CellBytes]byte
 	pos        int
 	active     bool
@@ -35,6 +35,13 @@ type CellPortWriter struct {
 	// SentCells counts completed cell transmissions (including idles).
 	SentCells uint64
 	IdleCells uint64
+}
+
+// queued is one cell image waiting for the wire, with the causal trace ID
+// it was enqueued under (0: untraced).
+type queued struct {
+	img   [atm.CellBytes]byte
+	trace uint64
 }
 
 // NewCellPortWriter attaches a writer to the simulator: data must be an
@@ -61,7 +68,13 @@ func NewCellPortWriter(s *hdl.Simulator, name string, clk, data, cellSync *hdl.S
 // exactly as given; callers that match cells by sequence number stamp it
 // into the payload first (Cell.StampSeq).
 func (w *CellPortWriter) Enqueue(c *atm.Cell) {
-	w.queue = append(w.queue, c.Marshal())
+	w.EnqueueTraced(c, 0)
+}
+
+// EnqueueTraced is Enqueue for a cell carrying causal trace ID trace (0:
+// untraced); OnCellStart reports the ID when the cell commits.
+func (w *CellPortWriter) EnqueueTraced(c *atm.Cell, trace uint64) {
+	w.queue = append(w.queue, queued{img: c.Marshal(), trace: trace})
 	w.proc.Wake()
 }
 
@@ -69,7 +82,7 @@ func (w *CellPortWriter) Enqueue(c *atm.Cell) {
 // deliberately invalid images (bad HEC) — the path conformance test
 // vectors take to the device.
 func (w *CellPortWriter) EnqueueRaw(img [atm.CellBytes]byte) {
-	w.queue = append(w.queue, img)
+	w.queue = append(w.queue, queued{img: img})
 	w.proc.Wake()
 }
 
@@ -90,12 +103,13 @@ func (w *CellPortWriter) Busy() bool { return w.active }
 func (w *CellPortWriter) tick() {
 	if !w.active {
 		if len(w.queue) > 0 {
-			w.current = w.queue[0]
+			q := w.queue[0]
+			w.current = q.img
 			w.queue = w.queue[1:]
 			w.active = true
 			w.pos = 0
-			if w.OnCellStart != nil {
-				w.OnCellStart(w.current)
+			if q.trace != 0 && w.OnCellStart != nil {
+				w.OnCellStart(q.trace)
 			}
 		} else if w.insertIdle {
 			w.current = atm.IdleCell().Marshal()

@@ -146,7 +146,6 @@ func preregister(reg *Registry) {
 		"cosim.entity.windows",
 		"ipc.reliable.sent",
 		"ipc.reliable.retransmits",
-		"ipc.reliable.heartbeats",
 		"ipc.reliable.timeouts",
 		"ipc.fault.dropped",
 	} {
