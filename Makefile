@@ -17,8 +17,9 @@ vet:
 test:
 	$(GO) test ./...
 
-# The coupling layer is the concurrency hot spot: reader goroutines,
-# watchdog timers, and transport teardown all race by design. The
+# The coupling layer is the concurrency hot spot: callers sharing the
+# envelope's read role, retransmit and watchdog timers, and transport
+# teardown all race by design. The
 # campaign engine joins the list: per-run isolation is a -race claim. So
 # do the rigs (remote couplings serve from a goroutine), the experiments
 # and the explorer (campaign shards share one observation handle) and the
@@ -92,7 +93,7 @@ rig-smoke:
 		echo "rig-smoke: coverage floors met, deterministic hotspot table ok, every rig profiled"
 
 # Coverage-guided fuzzing of the ipc frame and reliability-envelope
-# decoders, the envelope's inbound read loop (arbitrary units from the far
+# decoders, the envelope's inbound dispatch (arbitrary units from the far
 # end; only in-sequence envelope payloads may reach Recv) and the campaign
 # checkpoint decoder, plus the differential
 # kernel-equivalence fuzzer (random netlist programs through both HDL

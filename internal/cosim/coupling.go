@@ -60,19 +60,21 @@ type Remote struct {
 	Deadline time.Duration
 
 	timedOut atomic.Bool
+	// watchdog enforces Deadline: one timer per Remote, re-armed by every
+	// Exchange and stopped when it returns.
+	watchdog *time.Timer
 }
 
 // Exchange implements Coupling. Errors are typed (*CouplingError); the
 // response slice is nil whenever the error is non-nil.
 func (r *Remote) Exchange(msgs []ipc.Message) ([]ipc.Message, error) {
 	if r.Deadline > 0 {
-		wd := time.AfterFunc(r.Deadline, func() {
-			// Closing the transport is the only way to unhook a blocked
-			// Recv on an arbitrary Transport; the link is gone anyway.
-			r.timedOut.Store(true)
-			r.Transport.Close()
-		})
-		defer wd.Stop()
+		if r.watchdog == nil {
+			r.watchdog = time.AfterFunc(r.Deadline, r.expire)
+		} else {
+			r.watchdog.Reset(r.Deadline)
+		}
+		defer r.watchdog.Stop()
 	}
 	if err := r.Transport.Send(msgs); err != nil {
 		return nil, r.wrap("send", err)
@@ -101,6 +103,14 @@ func (r *Remote) Exchange(msgs []ipc.Message) ([]ipc.Message, error) {
 		}
 		out = append(out, u...)
 	}
+}
+
+// expire is the watchdog's callback. Closing the transport is the only
+// way to unhook a blocked Recv on an arbitrary Transport; the link is
+// gone anyway.
+func (r *Remote) expire() {
+	r.timedOut.Store(true)
+	r.Transport.Close()
 }
 
 // wrap types a transport error; a failure caused by the deadline watchdog

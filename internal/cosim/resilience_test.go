@@ -47,6 +47,45 @@ func TestRemoteDeadlineWatchdog(t *testing.T) {
 	}
 }
 
+func TestRemoteDeadlineAfterExchanges(t *testing.T) {
+	// The watchdog is one timer re-armed per Exchange: after several
+	// answered exchanges, a peer that stops answering still yields a
+	// timeout within Deadline plus scheduling slack.
+	const answered = 5
+	a, b := ipc.Pipe(16)
+	go func() {
+		for i := 0; i < answered; i++ {
+			if _, err := b.Recv(); err != nil {
+				return
+			}
+			if b.Send([]ipc.Message{{Kind: ipc.KindSync, Time: sim.Time(i)}}) != nil {
+				return
+			}
+		}
+		b.Recv() // the last request is read and never answered
+	}()
+	deadline := 30 * time.Millisecond
+	r := &Remote{Transport: a, Deadline: deadline}
+	for i := 0; i < answered; i++ {
+		if _, err := r.Exchange([]ipc.Message{{Kind: ipc.KindInit}}); err != nil {
+			t.Fatalf("exchange %d: %v", i, err)
+		}
+	}
+	start := time.Now()
+	err := withTestDeadline(t, 5*time.Second, func() error {
+		_, err := r.Exchange([]ipc.Message{{Kind: ipc.KindInit}})
+		return err
+	})
+	elapsed := time.Since(start)
+	var ce *CouplingError
+	if !errors.As(err, &ce) || ce.Class != ClassTimeout {
+		t.Fatalf("err = %v, want timeout-classed CouplingError", err)
+	}
+	if slack := time.Second; elapsed < deadline || elapsed > deadline+slack {
+		t.Errorf("timeout after %v, want within %v plus %v", elapsed, deadline, slack)
+	}
+}
+
 func TestEntityServerWatchdog(t *testing.T) {
 	// A client that dials and then never speaks must not pin the server
 	// forever.

@@ -61,7 +61,9 @@ func benchRoundTrips(b *testing.B, tr Transport) {
 // the raw socket framing as the baseline, then the reliability envelope
 // on a clean link (pure envelope overhead: seq/crc/ack) and over 5%
 // injected loss each way (the retransmission cost the envelope pays to
-// keep the verification result intact). Tracked in BENCH_*.json.
+// keep the verification result intact), all tracked in BENCH_*.json.
+// reliable-pipe is the remote coupling's own stack: both ends of an
+// in-process pipe enveloped, with an echo peer in a goroutine.
 func BenchmarkTransport(b *testing.B) {
 	rel := ReliableConfig{
 		MaxRetries: 12,
@@ -84,5 +86,10 @@ func BenchmarkTransport(b *testing.B) {
 			Recv: DirFaults{Drop: 0.05},
 		})
 		benchRoundTrips(b, NewReliable(lossy, rel))
+	})
+	b.Run("reliable-pipe", func(b *testing.B) {
+		a, far := Pipe(64)
+		go echo(NewReliable(far, rel), make(chan struct{}))
+		benchRoundTrips(b, NewReliable(a, rel))
 	})
 }

@@ -166,9 +166,9 @@ func inboundStream(f *testing.F, units ...[]Message) []byte {
 	return buf.Bytes()
 }
 
-// FuzzReliableInbound feeds arbitrary units to the envelope's read loop:
-// the input is split into frames and each decoded frame arrives from the
-// far end as one unit. Only the payloads of valid envelopes in sequence
+// FuzzReliableInbound feeds arbitrary units to the envelope's inbound
+// dispatch: the input is split into frames and each decoded frame arrives
+// from the far end as one unit. Only the payloads of valid envelopes in sequence
 // (1, 2, 3 …) may reach Recv, in order; raw units, multi-message units,
 // corrupt, duplicate or out-of-sequence envelopes, acks and the reserved
 // heartbeat kind are all dropped.
@@ -211,7 +211,7 @@ func FuzzReliableInbound(f *testing.F) {
 		}
 
 		// The pipe holds every unit and every ack, so nothing blocks
-		// before the far end closes and the read loop drains.
+		// before the far end closes and Recv drains the pipe.
 		a, b := Pipe(len(units) + 1)
 		r := NewReliable(a, ReliableConfig{})
 		defer r.Close()

@@ -29,9 +29,10 @@ const (
 	KindRelHeartbeat Kind = 5
 )
 
-// recvDepth bounds the delivered units waiting for Recv; past it the read
-// loop waits. The alternating coupling has at most one unit in flight
-// per direction.
+// recvDepth bounds the delivered units waiting for Recv. Past it an
+// in-order envelope is left unacknowledged, so the peer's retransmission
+// is the back-pressure. The alternating coupling has at most one unit in
+// flight per direction.
 const recvDepth = 256
 
 // ErrTimeout reports that a reliable operation exhausted its retry budget
@@ -91,36 +92,57 @@ type relObs struct {
 // the strictly alternating co-simulation protocol never notices. Both
 // ends must be enveloped: an inbound unit that is not one valid envelope
 // or acknowledgement is dropped and counted, never delivered.
+//
+// No goroutine reads the link: Send and Recv read inner themselves. One
+// caller at a time holds the read role and dispatches every unit it
+// reads, whichever call it is in; other callers wait for the role or for
+// what it delivers. So the envelope acknowledges only while its owner is
+// inside Send or Recv — an owner that alternates, as Remote and
+// EntityServer do, always keeps one side of the link in a call. One timer
+// per transport retransmits the in-flight frame.
 type ReliableTransport struct {
 	inner Transport
 	cfg   ReliableConfig
 
 	sendMu sync.Mutex // one in-flight data frame
 	wmu    sync.Mutex // serializes inner.Send (acks interleave with data)
-	seq    uint32
-
-	recvq chan []Message
-	acks  chan uint32
+	seq    uint32     // last data sequence number sent, under sendMu
 	// out is the one-message unit every envelope and ack travels in,
 	// reused under wmu (Send does not retain it).
 	out [1]Message
+	// retry fires when the in-flight frame's acknowledgement is overdue;
+	// each transmission re-arms it.
+	retry *time.Timer
 
-	done     chan struct{}
-	doneOnce sync.Once
-
-	mu           sync.Mutex
+	mu sync.Mutex
+	// cond (on mu) wakes callers waiting for the read role, for a
+	// delivered unit or acknowledgement, or for the transport to fail.
+	cond         sync.Cond
+	reading      bool        // a caller holds the read role
+	recvq        [][]Message // delivered units waiting for Recv
 	lastAccepted uint32
+	acked        uint32 // highest sequence number the peer acknowledged
+	flight       inflight
 	failErr      error
 	stats        ReliableStats
 
 	obs relObs
 }
 
+// inflight is the data frame awaiting its acknowledgement.
+type inflight struct {
+	frame   Message
+	seq     uint32 // 0: nothing in flight
+	attempt int    // retransmissions so far
+	wait    time.Duration
+	due     time.Time // when the current transmission's ack is overdue
+}
+
 // Instrument routes the envelope counters into the registry under the
 // given prefix (conventionally "ipc.reliable"), in addition to the
 // Stats() snapshot. Counts accumulated before Instrument stay only in
-// Stats; a nil registry is a no-op. Safe to call while the transport's
-// goroutines are running.
+// Stats; a nil registry is a no-op. Safe to call concurrently with Send
+// and Recv.
 func (t *ReliableTransport) Instrument(reg *obs.Registry, prefix string) {
 	if reg == nil {
 		return
@@ -139,17 +161,13 @@ func (t *ReliableTransport) Instrument(reg *obs.Registry, prefix string) {
 	t.mu.Unlock()
 }
 
-// NewReliable wraps inner in the reliability envelope and starts its
-// reader goroutine. Close releases it.
+// NewReliable wraps inner in the reliability envelope. It starts no
+// goroutine; Close stops the retry timer and closes inner.
 func NewReliable(inner Transport, cfg ReliableConfig) *ReliableTransport {
-	t := &ReliableTransport{
-		inner: inner,
-		cfg:   cfg.withDefaults(),
-		recvq: make(chan []Message, recvDepth),
-		acks:  make(chan uint32, 16),
-		done:  make(chan struct{}),
-	}
-	go t.readLoop()
+	t := &ReliableTransport{inner: inner, cfg: cfg.withDefaults()}
+	t.cond.L = &t.mu
+	t.retry = time.AfterFunc(time.Hour, t.retransmit)
+	t.retry.Stop()
 	return t
 }
 
@@ -172,26 +190,26 @@ func (t *ReliableTransport) bump(fn func(*ReliableStats)) relObs {
 	return o
 }
 
-// fail records the terminal error, wakes every waiter and tears the link
-// down. First error wins.
-func (t *ReliableTransport) fail(err error) {
+// fail records the terminal error (first error wins), wakes every waiter
+// and closes inner, which releases a caller blocked in inner.Recv.
+func (t *ReliableTransport) fail(err error) error {
 	t.mu.Lock()
 	if t.failErr == nil {
 		t.failErr = err
 	}
+	t.cond.Broadcast()
 	t.mu.Unlock()
-	t.doneOnce.Do(func() { close(t.done) })
-	t.inner.Close()
+	t.retry.Stop()
+	return t.inner.Close()
 }
 
 // termErr is the error Send/Recv report once the transport is down.
+// Callers hold mu.
 func (t *ReliableTransport) termErr() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.failErr != nil && !errors.Is(t.failErr, ErrClosed) {
-		return t.failErr
+	if errors.Is(t.failErr, ErrClosed) {
+		return ErrClosed
 	}
-	return ErrClosed
+	return t.failErr
 }
 
 func (t *ReliableTransport) write(m Message) error {
@@ -230,102 +248,135 @@ func openEnvelope(data []byte) (uint32, []Message, error) {
 	return seq, msgs, err
 }
 
-// sendFrame transmits one sealed data frame, blocking until the peer
-// acknowledges seq, retransmitting with capped exponential backoff, and
-// returns a timeout error once the retry budget is spent. Callers hold
-// sendMu.
-func (t *ReliableTransport) sendFrame(frame Message, seq uint32) error {
-	wait := t.cfg.RetryBase
-	for attempt := 0; ; attempt++ {
-		if err := t.write(frame); err != nil {
-			return err
-		}
-		if attempt == 0 {
-			t.bump(func(s *ReliableStats) { s.Sent++ }).sent.Inc()
-		} else {
-			t.bump(func(s *ReliableStats) { s.Retransmits++ }).retransmits.Inc()
-		}
-		timer := time.NewTimer(wait)
-		acked := false
-	waiting:
-		for {
-			select {
-			case a := <-t.acks:
-				if a >= seq { // stale acks from older frames are skipped
-					acked = true
-					break waiting
-				}
-			case <-timer.C:
-				break waiting
-			case <-t.done:
-				timer.Stop()
-				return t.termErr()
-			}
-		}
-		timer.Stop()
-		if acked {
-			return nil
-		}
-		if attempt >= t.cfg.MaxRetries {
-			// A stop-and-wait envelope that abandons a frame can no longer
-			// keep its exactly-once promise: the link is dead. Failing the
-			// transport also unblocks the peer's Recv instead of leaving it
-			// waiting on a half-alive pipe.
-			err := fmt.Errorf("%w: seq %d unacknowledged after %d attempts", ErrTimeout, seq, attempt+1)
-			t.bump(func(s *ReliableStats) { s.Timeouts++ }).tout.Inc()
-			t.fail(err)
-			return err
-		}
-		wait *= 2
-		if wait > t.cfg.RetryCap {
-			wait = t.cfg.RetryCap
-		}
-	}
-}
-
 // Send implements Transport: the whole unit rides in one envelope and
 // the peer's single ack covers it, so a lossy link costs at most one
-// retransmission per δ-window instead of one per cell. It blocks until
-// the frame is acknowledged or the retry budget is spent.
+// retransmission per δ-window instead of one per cell. It blocks, reading
+// the link, until the frame is acknowledged or the retry budget is spent.
 func (t *ReliableTransport) Send(msgs []Message) error {
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
-	select {
-	case <-t.done:
-		return t.termErr()
-	default:
-	}
-	t.seq++
-	seq := t.seq
+	seq := t.seq + 1
 	frame, err := envelope(seq, msgs)
 	if err != nil {
+		return err // nothing sent: seq stays free, the stream has no gap
+	}
+	t.mu.Lock()
+	if t.failErr != nil {
+		defer t.mu.Unlock()
+		return t.termErr()
+	}
+	t.seq = seq
+	base := t.cfg.RetryBase
+	t.flight = inflight{frame: frame, seq: seq, wait: base, due: time.Now().Add(base)}
+	t.mu.Unlock()
+
+	if err := t.write(frame); err != nil {
+		t.mu.Lock()
+		t.flight = inflight{}
+		t.mu.Unlock()
 		return err
 	}
-	return t.sendFrame(frame, seq)
+	t.bump(func(s *ReliableStats) { s.Sent++ }).sent.Inc()
+	t.retry.Reset(base)
+	t.mu.Lock()
+	err = t.await(func() bool { return t.acked >= seq })
+	t.flight = inflight{}
+	t.mu.Unlock()
+	t.retry.Stop()
+	return err
+}
+
+// retransmit is the retry timer's callback: it rewrites the in-flight
+// frame with the next backoff step, or fails the transport once the retry
+// budget is spent. It reads the frame, its wait and its deadline under
+// mu, so a stale firing — the frame was acknowledged and the timer
+// re-armed for the next one — finds a deadline still ahead and only
+// re-arms.
+func (t *ReliableTransport) retransmit() {
+	t.mu.Lock()
+	f := &t.flight
+	if f.seq == 0 || t.acked >= f.seq || t.failErr != nil {
+		t.mu.Unlock()
+		return
+	}
+	if early := time.Until(f.due); early > 0 {
+		t.mu.Unlock()
+		t.retry.Reset(early)
+		return
+	}
+	if f.attempt >= t.cfg.MaxRetries {
+		// A stop-and-wait envelope that abandons a frame can no longer
+		// keep its exactly-once promise: the link is dead. Failing the
+		// transport closes inner, which releases the caller reading it
+		// and the peer's Recv instead of leaving them on a half-alive
+		// pipe.
+		err := fmt.Errorf("%w: seq %d unacknowledged after %d attempts", ErrTimeout, f.seq, f.attempt+1)
+		t.stats.Timeouts++
+		o := t.obs
+		t.mu.Unlock()
+		o.tout.Inc()
+		t.fail(err)
+		return
+	}
+	f.attempt++
+	f.wait = min(2*f.wait, t.cfg.RetryCap)
+	f.due = time.Now().Add(f.wait)
+	frame, wait := f.frame, f.wait
+	t.stats.Retransmits++
+	o := t.obs
+	t.mu.Unlock()
+	o.retransmits.Inc()
+	t.retry.Reset(wait)
+	if err := t.write(frame); err != nil {
+		t.fail(err)
+	}
 }
 
 // Recv implements Transport: it delivers the next in-order application
-// unit. After Close or link failure it drains already-delivered units
-// first, then reports the terminal error.
+// unit, reading the link itself when no other caller is. After Close or
+// link failure it drains already-delivered units first, then reports the
+// terminal error.
 func (t *ReliableTransport) Recv() ([]Message, error) {
-	select {
-	case u := <-t.recvq:
-		return u, nil
-	case <-t.done:
-		select {
-		case u := <-t.recvq:
-			return u, nil
-		default:
-			return nil, t.termErr()
-		}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := t.await(func() bool { return len(t.recvq) > 0 }); err != nil {
+		return nil, err
 	}
+	u := t.recvq[0]
+	n := copy(t.recvq, t.recvq[1:])
+	t.recvq[n] = nil
+	t.recvq = t.recvq[:n]
+	return u, nil
+}
+
+// await returns once ready holds, or with the terminal error once the
+// transport is down. While neither is so it holds the read role — reading
+// inner and dispatching each unit — or, when another caller holds it,
+// waits on cond. Callers hold mu; await releases it around inner.Recv.
+func (t *ReliableTransport) await(ready func() bool) error {
+	for !ready() {
+		if t.failErr != nil {
+			return t.termErr()
+		}
+		if t.reading {
+			t.cond.Wait()
+			continue
+		}
+		t.reading = true
+		t.mu.Unlock()
+		u, err := t.inner.Recv()
+		t.dispatch(u, err)
+		t.mu.Lock()
+		t.reading = false
+		t.cond.Broadcast()
+	}
+	return nil
 }
 
 // Close implements Transport; it is idempotent and safe to call
 // concurrently with Send and Recv.
 func (t *ReliableTransport) Close() error {
-	t.doneOnce.Do(func() { close(t.done) })
-	return t.inner.Close()
+	return t.fail(ErrClosed)
 }
 
 func (t *ReliableTransport) sendAck(seq uint32) {
@@ -344,66 +395,65 @@ func (t *ReliableTransport) dropCorrupt() {
 	t.bump(func(s *ReliableStats) { s.CorruptDropped++ }).corruptDropped.Inc()
 }
 
-// readLoop owns the inner receive side: it verifies, deduplicates and
-// acknowledges data frames and routes acks to the sender. Envelopes and
-// acks always travel alone, so any other unit is dropped as corrupt.
-func (t *ReliableTransport) readLoop() {
-	for {
-		u, err := t.inner.Recv()
+// dispatch handles one result of inner.Recv for the read role's holder:
+// it verifies, deduplicates, acknowledges and queues data frames, and
+// records acks for the waiting Send. Envelopes and acks always travel
+// alone, so any other unit is dropped as corrupt; a read error fails the
+// transport.
+func (t *ReliableTransport) dispatch(u []Message, err error) {
+	if err != nil {
+		t.fail(err)
+		return
+	}
+	if len(u) != 1 {
+		t.dropCorrupt()
+		return
+	}
+	m := u[0]
+	switch m.Kind {
+	case KindRelData:
+		seq, inner, err := openEnvelope(m.Data)
 		if err != nil {
-			t.fail(err)
+			t.dropCorrupt()
 			return
 		}
-		if len(u) != 1 {
-			t.dropCorrupt()
-			continue
+		n := uint64(len(inner))
+		t.mu.Lock()
+		dup := seq <= t.lastAccepted
+		// A gap is impossible under stop-and-wait, and a full queue is
+		// back-pressure: either way the frame goes unacknowledged and the
+		// sender's retransmission recovers it.
+		accept := seq == t.lastAccepted+1 && len(t.recvq) < recvDepth
+		switch {
+		case dup:
+			t.stats.DupDropped++
+		case accept:
+			t.lastAccepted = seq
+			t.recvq = append(t.recvq, inner)
+			t.stats.Delivered += n
 		}
-		m := u[0]
-		switch m.Kind {
-		case KindRelData:
-			seq, inner, err := openEnvelope(m.Data)
-			if err != nil {
-				t.dropCorrupt()
-				continue
-			}
-			t.mu.Lock()
-			dup := seq <= t.lastAccepted
-			inOrder := seq == t.lastAccepted+1
-			if inOrder {
-				t.lastAccepted = seq
-			}
-			t.mu.Unlock()
-			if dup {
-				// Already delivered; the peer missed our ack — repeat it.
-				t.bump(func(s *ReliableStats) { s.DupDropped++ }).dupDropped.Inc()
-				t.sendAck(seq)
-				continue
-			}
-			if !inOrder {
-				// A gap is impossible under stop-and-wait; drop without
-				// ack so the sender recovers it.
-				continue
-			}
+		o := t.obs
+		t.mu.Unlock()
+		switch {
+		case dup:
+			// Already delivered; the peer missed our ack — repeat it.
+			o.dupDropped.Inc()
 			t.sendAck(seq)
-			n := uint64(len(inner))
-			select {
-			case t.recvq <- inner:
-				t.bump(func(s *ReliableStats) { s.Delivered += n }).delivered.Add(n)
-			case <-t.done:
-				return
-			}
-		case KindRelAck:
-			if len(m.Data) < 8 ||
-				crc32.ChecksumIEEE(m.Data[:4]) != binary.BigEndian.Uint32(m.Data[4:]) {
-				t.dropCorrupt()
-				continue
-			}
-			select {
-			case t.acks <- binary.BigEndian.Uint32(m.Data):
-			default: // stale ack with no waiter
-			}
-		default:
-			t.dropCorrupt()
+		case accept:
+			o.delivered.Add(n)
+			t.sendAck(seq)
 		}
+	case KindRelAck:
+		if len(m.Data) < 8 ||
+			crc32.ChecksumIEEE(m.Data[:4]) != binary.BigEndian.Uint32(m.Data[4:]) {
+			t.dropCorrupt()
+			return
+		}
+		a := binary.BigEndian.Uint32(m.Data)
+		t.mu.Lock()
+		t.acked = max(t.acked, a) // stale acks from older frames change nothing
+		t.mu.Unlock()
+	default:
+		t.dropCorrupt()
 	}
 }

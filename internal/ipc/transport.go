@@ -13,6 +13,12 @@ import (
 // reuse it at once; it must not block indefinitely when the peer is
 // draining. Recv blocks until the next unit arrives, whole and in order,
 // or the transport closes; the returned slice belongs to the caller.
+//
+// "Draining" means the peer's owner is inside Send or Recv: a transport
+// may do its protocol work only there (ReliableTransport acknowledges
+// inside those calls and runs no goroutine of its own). An owner that
+// alternates Send and Recv, as the coupling does, keeps one side of the
+// link in a call at all times.
 type Transport interface {
 	Send(msgs []Message) error
 	Recv() ([]Message, error)
