@@ -79,7 +79,9 @@ kernel-diff-smoke:
 # byte-identical "profile " lines (the wall-clock "phase " lines after
 # them legitimately differ and are excluded by the grep); and the
 # accounting campaign, the profile's last rig to be wired, must publish
-# process activity rather than an empty table.
+# process activity rather than an empty table; and the campaign digest
+# file is a pure function of the spec, so the policer campaign (whose
+# load_ratio sum is non-integral) writes the same bytes at 1 and 3 shards.
 rig-smoke:
 	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 		$(GO) build -o "$$tmp/castanet" ./cmd/castanet && \
@@ -90,7 +92,10 @@ rig-smoke:
 		"$$tmp/castanet" -experiment e1 -cells 300 -seed 7 -profile | grep '^profile ' > "$$tmp/p2" && \
 		test -s "$$tmp/p1" && cmp "$$tmp/p1" "$$tmp/p2" && \
 		"$$tmp/castanet" -campaign acct -runs 4 -seed 3 -profile > "$$tmp/acct" && ! grep -q 'processes=0' "$$tmp/acct" && \
-		echo "rig-smoke: coverage floors met, deterministic hotspot table ok, every rig profiled"
+		"$$tmp/castanet" -campaign policer -runs 48 -seed 7 -coverage -profile -shards 1 -digest "$$tmp/d1" > /dev/null && \
+		"$$tmp/castanet" -campaign policer -runs 48 -seed 7 -coverage -profile -shards 3 -digest "$$tmp/d3" > /dev/null && \
+		cmp "$$tmp/d1" "$$tmp/d3" && \
+		echo "rig-smoke: coverage floors met, deterministic hotspot table ok, every rig profiled, digest shard-invariant"
 
 # Coverage-guided fuzzing of the ipc frame and reliability-envelope
 # decoders, the envelope's inbound dispatch (arbitrary units from the far

@@ -161,3 +161,36 @@ func TestExploreEndToEnd(t *testing.T) {
 		t.Errorf("replay output unexpected:\n%s", out)
 	}
 }
+
+// TestCampaignDigestShardInvariant: the campaign -digest file is a pure
+// function of the spec. The policer campaign's non-integral load_ratio
+// sum and the header both once depended on the shard count; with
+// coverage and profile on, 1 and 3 shards must write the same bytes.
+func TestCampaignDigestShardInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full co-verification rigs in -short mode")
+	}
+	dir := t.TempDir()
+	digest := func(shards string) []byte {
+		path := filepath.Join(dir, "digest-"+shards)
+		out, code := runCLI(t, "-campaign", "policer", "-runs", "48", "-seed", "7",
+			"-coverage", "-profile", "-shards", shards, "-digest", path)
+		if code != 0 {
+			t.Fatalf("campaign at -shards %s: exit %d\n%s", shards, code, out)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	d1, d3 := digest("1"), digest("3")
+	if string(d1) != string(d3) {
+		t.Errorf("digest differs across shard counts:\n--- shards=1\n%s\n--- shards=3\n%s", d1, d3)
+	}
+	for _, want := range []string{"stat load_ratio n=48 ", "coverage:", "profile "} {
+		if !strings.Contains(string(d1), want) {
+			t.Errorf("digest missing %q:\n%s", want, d1)
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"castanet/internal/campaign"
 	"castanet/internal/experiments"
@@ -30,13 +29,8 @@ type exploreOpts struct {
 	traceCells int
 	noCompiled bool
 
-	runTimeout      time.Duration
-	retries         int
-	checkpoint      string
-	checkpointEvery int
-	resume          bool
-	noQuarantine    bool
-	digest          string
+	supervision
+	digest string
 }
 
 // runExplore executes (or replays one run of) a coverage-guided
@@ -54,37 +48,25 @@ func runExplore(o exploreOpts) int {
 	case o.replay >= int64(o.generations)*int64(o.population):
 		return badFlags("-replay index %d out of range (exploration has %d runs)",
 			o.replay, o.generations*o.population)
-	case o.runTimeout < 0:
-		return badFlags("-run-timeout must be non-negative (got %v)", o.runTimeout)
-	case o.retries < 0:
-		return badFlags("-retries must be non-negative (got %d)", o.retries)
-	case o.checkpointEvery < 0:
-		return badFlags("-checkpoint-every must be non-negative (got %d)", o.checkpointEvery)
-	case o.resume && o.checkpoint == "":
-		return badFlags("-resume requires -checkpoint FILE")
+	}
+	policy, err := o.policy()
+	if err != nil {
+		return badFlags("%v", err)
 	}
 
 	var obsRun *obs.Run
 	if o.metrics != "" || o.trace != "" || o.serve != "" {
 		obsRun = obs.NewRun(obs.DefaultTraceCap)
 	}
-	quarantineAfter := defaultQuarantineAfter
-	if o.noQuarantine {
-		quarantineAfter = 0
-	}
 	spec := explore.Spec{
 		Space: explore.NewSwitchSpace(experiments.CampaignConfig{
 			TraceEvery: o.traceCells, NoCompiled: o.noCompiled}),
-		Seed:        o.seed,
-		Generations: o.generations,
-		Population:  o.population,
-		Shards:      o.shards,
-		Target:      o.target,
-		Policy: campaign.Policy{
-			RunTimeout:      o.runTimeout,
-			Retries:         o.retries,
-			QuarantineAfter: quarantineAfter,
-		},
+		Seed:            o.seed,
+		Generations:     o.generations,
+		Population:      o.population,
+		Shards:          o.shards,
+		Target:          o.target,
+		Policy:          policy,
 		Checkpoint:      o.checkpoint,
 		CheckpointEvery: o.checkpointEvery,
 		Obs:             obsRun,
@@ -132,7 +114,6 @@ func runExplore(o exploreOpts) int {
 	}
 
 	var res *explore.Result
-	var err error
 	if o.resume {
 		res, err = explore.Resume(ctx, spec)
 	} else {

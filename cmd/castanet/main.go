@@ -45,12 +45,11 @@
 // run's wall clock (a hung coupling becomes a typed timeout failure, not
 // a stuck worker), -retries re-executes runs that failed with a
 // retryable infrastructure error (verification mismatches are never
-// retried), and a cell that exhausts its retries repeatedly is
-// quarantined — skipped for the rest of the campaign and called out in
-// the digest (-no-quarantine opts out). -checkpoint FILE persists
-// progress every -checkpoint-every runs and on SIGINT/SIGTERM; -resume
-// continues from the file and produces a digest byte-identical to an
-// uninterrupted run (-digest FILE writes it for diffing).
+// retried; a run still failing after its retries counts as failed).
+// -checkpoint FILE persists progress every -checkpoint-every runs and on
+// SIGINT/SIGTERM; -resume continues from the file. -digest FILE writes
+// the deterministic digest for diffing: it is byte-identical across
+// shard counts and to an uninterrupted run.
 //
 // -explore replaces the static matrix with the coverage-guided scenario
 // explorer: -generations campaigns of -population switch scenarios each,
@@ -85,6 +84,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	_ "net/http/pprof"
@@ -153,7 +153,6 @@ func run() int {
 		checkpoint = flag.String("checkpoint", "", "campaign: persist progress to this file for crash/resume")
 		ckEvery    = flag.Int("checkpoint-every", 0, "campaign: checkpoint after this many committed runs (0 = default 64)")
 		resume     = flag.Bool("resume", false, "campaign: resume from -checkpoint instead of starting over")
-		noQuar     = flag.Bool("no-quarantine", false, "campaign: never quarantine cells whose infrastructure keeps dying")
 		digest     = flag.String("digest", "", "campaign: write the deterministic digest file here (byte-identical across shard counts and resume)")
 		coverage   = flag.Bool("coverage", false, "collect functional coverage and print the per-group bin report")
 		coverFloor = flag.String("cover-floor", "", "campaign: enforce the per-group coverage floors committed in this JSON file (implies -coverage; unmet floors exit 1)")
@@ -172,6 +171,8 @@ func run() int {
 	}
 
 	profiling := *profile || *profileOut != ""
+	sup := supervision{runTimeout: *runTimeout, retries: *retries,
+		checkpoint: *checkpoint, checkpointEvery: *ckEvery, resume: *resume}
 
 	if *explore && *camp != "" {
 		return badFlags("-explore and -campaign are mutually exclusive")
@@ -191,10 +192,8 @@ func run() int {
 			shards: *shards, seed: *seed, target: *coverTarget,
 			replay:  *replay,
 			metrics: *metrics, trace: *trace, serve: *serve, traceCells: *traceN,
-			noCompiled: *noCompiled,
-			runTimeout: *runTimeout, retries: *retries,
-			checkpoint: *checkpoint, checkpointEvery: *ckEvery, resume: *resume,
-			noQuarantine: *noQuar, digest: *digest,
+			noCompiled:  *noCompiled,
+			supervision: sup, digest: *digest,
 		})
 	}
 	if *camp != "" {
@@ -202,10 +201,8 @@ func run() int {
 			name: *camp, runs: *runs, shards: *shards, seed: *seed,
 			replay: *replay, failfast: *failfast,
 			metrics: *metrics, trace: *trace, serve: *serve, traceCells: *traceN,
-			noCompiled: *noCompiled,
-			runTimeout: *runTimeout, retries: *retries,
-			checkpoint: *checkpoint, checkpointEvery: *ckEvery, resume: *resume,
-			noQuarantine: *noQuar, digest: *digest,
+			noCompiled:  *noCompiled,
+			supervision: sup, digest: *digest,
 			coverage: *coverage || *coverFloor != "", coverFloor: *coverFloor,
 			profile: profiling, profileOut: *profileOut,
 		})
@@ -349,23 +346,39 @@ type campaignOpts struct {
 	traceCells int
 	noCompiled bool
 
+	supervision
+	digest     string
+	coverage   bool
+	coverFloor string
+	profile    bool
+	profileOut string
+}
+
+// supervision is the flag block -campaign and -explore share: the per-run
+// policy and the checkpoint file the run persists to.
+type supervision struct {
 	runTimeout      time.Duration
 	retries         int
 	checkpoint      string
 	checkpointEvery int
 	resume          bool
-	noQuarantine    bool
-	digest          string
-	coverage        bool
-	coverFloor      string
-	profile         bool
-	profileOut      string
 }
 
-// defaultQuarantineAfter is the CLI's quarantine threshold: a cell whose
-// runs exhaust their retries this many times in a row is declared dead
-// infrastructure and skipped. -no-quarantine opts out.
-const defaultQuarantineAfter = 3
+// policy validates the supervision flags and returns the campaign policy
+// they select.
+func (s supervision) policy() (campaign.Policy, error) {
+	switch {
+	case s.runTimeout < 0:
+		return campaign.Policy{}, fmt.Errorf("-run-timeout must be non-negative (got %v)", s.runTimeout)
+	case s.retries < 0:
+		return campaign.Policy{}, fmt.Errorf("-retries must be non-negative (got %d)", s.retries)
+	case s.checkpointEvery < 0:
+		return campaign.Policy{}, fmt.Errorf("-checkpoint-every must be non-negative (got %d)", s.checkpointEvery)
+	case s.resume && s.checkpoint == "":
+		return campaign.Policy{}, errors.New("-resume requires -checkpoint FILE")
+	}
+	return campaign.Policy{RunTimeout: s.runTimeout, Retries: s.retries}, nil
+}
 
 // runCampaign executes (or replays one run of) a named campaign matrix.
 func runCampaign(o campaignOpts) int {
@@ -385,17 +398,9 @@ func runCampaign(o campaignOpts) int {
 	if replay >= int64(runs) {
 		return badFlags("-replay index %d out of range (campaign has %d runs)", replay, runs)
 	}
-	if o.runTimeout < 0 {
-		return badFlags("-run-timeout must be non-negative (got %v)", o.runTimeout)
-	}
-	if o.retries < 0 {
-		return badFlags("-retries must be non-negative (got %d)", o.retries)
-	}
-	if o.checkpointEvery < 0 {
-		return badFlags("-checkpoint-every must be non-negative (got %d)", o.checkpointEvery)
-	}
-	if o.resume && o.checkpoint == "" {
-		return badFlags("-resume requires -checkpoint FILE")
+	policy, err := o.policy()
+	if err != nil {
+		return badFlags("%v", err)
 	}
 	// Preflight the cover-floor contract so a bad file or a typo'd
 	// campaign name fails in milliseconds, not after the whole campaign.
@@ -420,23 +425,15 @@ func runCampaign(o campaignOpts) int {
 			obsRun.Profile = obs.NewRunProfile()
 		}
 	}
-	quarantineAfter := defaultQuarantineAfter
-	if o.noQuarantine {
-		quarantineAfter = 0
-	}
 	spec := campaign.Spec{
-		Name:     name,
-		Seed:     seed,
-		Runs:     runs,
-		Shards:   shards,
-		FailFast: o.failfast,
-		Matrix:   matrix,
-		Obs:      obsRun,
-		Policy: campaign.Policy{
-			RunTimeout:      o.runTimeout,
-			Retries:         o.retries,
-			QuarantineAfter: quarantineAfter,
-		},
+		Name:            name,
+		Seed:            seed,
+		Runs:            runs,
+		Shards:          shards,
+		FailFast:        o.failfast,
+		Matrix:          matrix,
+		Obs:             obsRun,
+		Policy:          policy,
 		Checkpoint:      o.checkpoint,
 		CheckpointEvery: o.checkpointEvery,
 		Coverage:        o.coverage,

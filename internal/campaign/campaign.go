@@ -16,13 +16,16 @@
 //   - Shard s owns exactly the indices ≡ s (mod Shards); each shard's
 //     work list and failure stream ascend by index, and the final digest
 //     is an index-ordered merge — byte-identical for any shard count.
+//   - Every committed run merges into its shard's aggregate at once, and
+//     stat sums are exact (rounded once, when the Summary is built), so
+//     the aggregate too is the same for any shard count.
 //
 // On top of that sits the durability layer (Policy, Spec.Checkpoint):
 // per-run deadlines reap hung rigs into typed timeouts, infra-class
-// failures retry with seed-derived backoff, dead cells quarantine, and a
-// CRC-guarded checkpoint file lets Resume continue a killed campaign from
-// its per-shard watermarks — with a digest byte-identical to the
-// uninterrupted run, which the package's property tests enforce.
+// failures retry with seed-derived backoff, and a CRC-guarded checkpoint
+// file lets Resume continue a killed campaign from its per-shard
+// watermarks — with a digest byte-identical to the uninterrupted run,
+// which the package's property tests enforce.
 //
 // Every run builds its own engine stack (scheduler, HDL kernel,
 // transports) through its RunFunc; runs share nothing mutable, which the
@@ -120,20 +123,18 @@ func (r *Run) ObserveWall(stat string, v float64) {
 // Cover returns the run's functional-coverage registry: a fresh registry
 // per attempt when Spec.Coverage is on, nil otherwise (every obs cover
 // handle is nil-safe, so rigs instrument unconditionally). The final
-// attempt's snapshot rides the campaign aggregate through the same
-// held-queue/quarantine machinery as the stats, so the digest's
-// coverage section is byte-identical at any shard count and across
-// kill/resume.
+// attempt's snapshot merges into the campaign aggregate with the stats,
+// so the digest's coverage section is byte-identical at any shard count
+// and across kill/resume.
 func (r *Run) Cover() *obs.CoverRegistry { return r.cover }
 
 // Profile returns the run's simulation profile: a fresh obs.RunProfile per
 // attempt when Spec.Profile is on, nil otherwise (every profile handle is
 // nil-safe, so rigs instrument unconditionally). Its deterministic
-// activity half rides the campaign aggregate through the same held-queue
-// machinery as coverage, so the digest's profile section is byte-identical
-// at any shard count; its wall-clock phase half accumulates into the
-// campaign's shared live phase profile, which feeds telemetry only and
-// never a digest.
+// activity half merges into the campaign aggregate like coverage, so the
+// digest's profile section is byte-identical at any shard count; its
+// wall-clock phase half accumulates into the campaign's shared live phase
+// profile, which feeds telemetry only and never a digest.
 func (r *Run) Profile() *obs.RunProfile { return r.prof }
 
 // SetValue attaches a payload to the run's Result for Spec.OnResult
@@ -163,8 +164,8 @@ type Spec struct {
 	DigestMax int
 	// Matrix is the experiment × fault-profile cell list.
 	Matrix []Cell
-	// Policy supervises each run: per-run deadline, classified bounded
-	// retry, cell quarantine. The zero value disables supervision.
+	// Policy supervises each run: per-run deadline and classified bounded
+	// retry. The zero value disables supervision.
 	Policy Policy
 	// Checkpoint, when non-empty, is the durable checkpoint file: written
 	// atomically every CheckpointEvery committed runs, on cancellation,
@@ -198,19 +199,14 @@ type Spec struct {
 	Obs *obs.Run
 	// OnResult, when non-nil, is invoked serially (in completion order,
 	// not index order) with every finished run's Result, including its
-	// SetValue payload. Quarantine-skipped runs are delivered with
-	// Err == ErrQuarantined. Callers needing index order can slot results
-	// by Result.Index.
+	// SetValue payload. Callers needing index order can slot results by
+	// Result.Index.
 	OnResult func(Result)
 }
 
 // ErrSpec classifies campaign parameter errors, so the CLI can map them to
 // usage-and-exit-2 like any other flag validation failure.
 var ErrSpec = errors.New("campaign: invalid spec")
-
-// ErrQuarantined marks the Result of a run skipped because its matrix
-// cell was quarantined.
-var ErrQuarantined = errors.New("campaign: cell quarantined")
 
 func (s *Spec) validate() error {
 	switch {
@@ -228,8 +224,6 @@ func (s *Spec) validate() error {
 		return fmt.Errorf("%w: retries = %d, want >= 0", ErrSpec, s.Policy.Retries)
 	case s.Policy.RetryBase < 0, s.Policy.RetryCap < 0:
 		return fmt.Errorf("%w: negative retry backoff", ErrSpec)
-	case s.Policy.QuarantineAfter < 0:
-		return fmt.Errorf("%w: quarantine after = %d, want >= 0", ErrSpec, s.Policy.QuarantineAfter)
 	case s.CheckpointEvery < 0:
 		return fmt.Errorf("%w: checkpoint every = %d, want >= 0", ErrSpec, s.CheckpointEvery)
 	}
@@ -269,8 +263,7 @@ type Result struct {
 	Err   error
 	Value any
 	Wall  time.Duration
-	// Attempts is how many times the run executed (1 without retries; 0
-	// for a quarantine-skipped run).
+	// Attempts is how many times the run executed (1 without retries).
 	Attempts int
 }
 
@@ -336,35 +329,18 @@ func (f Failure) Label() string {
 	return f.Err.Error()
 }
 
-// heldAgg is a committed run's aggregate and digest entry waiting for the
-// run's final quarantine classification: with a board active, a run's
-// stats only merge into the shard aggregate — and its failure only claims
-// a bounded digest slot — once the board's frontier proves the run is not
-// retroactively quarantined. The queue drains in push order — the shard's
-// index order — so the float64 merge order and the digest retention both
-// stay pure functions of the spec.
-type heldAgg struct {
-	cell  int
-	ord   uint64
-	index uint64
-	agg   *agg     // nil when the run observed nothing
-	fail  *Failure // nil when the run passed
-}
-
 // shardState accumulates one worker's output. The mutex orders the
 // worker's commits against checkpoint snapshots; workers never touch each
 // other's state.
 type shardState struct {
-	mu          sync.Mutex
-	agg         *agg
-	held        []heldAgg
-	failures    []Failure // ascending by index, bounded by digestMax
-	failTotal   int
-	completed   int
-	skipped     int
-	quarantined int
-	retried     int
-	gaveUp      int
+	mu        sync.Mutex
+	agg       *agg
+	failures  []Failure // ascending by index, bounded by digestMax
+	failTotal int
+	completed int
+	skipped   int
+	retried   int
+	gaveUp    int
 	// done is the shard's runs-completed watermark: the first done indices
 	// of the shard's work list are committed (counted, checkpointed, never
 	// re-run). Cancelled runs never commit, so the prefix stays contiguous
@@ -372,35 +348,12 @@ type shardState struct {
 	done int
 }
 
-// drainHeldLocked consumes the prefix of the held queue whose quarantine
-// classification is final, merging surviving aggregates and retaining
-// surviving failures up to digestMax. Callers hold st.mu.
-func (st *shardState) drainHeldLocked(q *quarantine, digestMax int) {
-	for len(st.held) > 0 {
-		h := st.held[0]
-		final, drop := q.finality(h.cell, h.ord, false)
-		if !final {
-			return
-		}
-		if !drop {
-			if h.agg != nil {
-				st.agg.merge(h.agg)
-			}
-			if h.fail != nil && len(st.failures) < digestMax {
-				st.failures = append(st.failures, *h.fail)
-			}
-		}
-		st.held = st.held[1:]
-	}
-}
-
 // engine is one campaign execution: spec, effective shard count, per-shard
-// states, the optional quarantine board, and the checkpoint plumbing.
+// states and the checkpoint plumbing.
 type engine struct {
 	spec   *Spec
 	shards int
 	states []*shardState
-	board  *quarantine
 
 	ckCh      chan struct{} // nil without a checkpoint path
 	ckEvery   int
@@ -421,11 +374,12 @@ func Execute(ctx context.Context, spec Spec) (*Summary, error) {
 
 // Resume continues the campaign from Spec.Checkpoint: it validates the
 // file's spec fingerprint, restores the per-shard watermarks, aggregates
-// and failure lists, and executes only the runs past each watermark. The
-// shard count is taken from the checkpoint (per-shard float sums only
-// merge deterministically at a fixed shard count), so the final digest
-// and aggregate report are byte-identical to an uninterrupted run. A
-// missing checkpoint file degrades to a fresh Execute.
+// and failure lists, and executes only the runs past each watermark, so
+// the final digest and aggregate report are byte-identical to an
+// uninterrupted run. The shard count is taken from the checkpoint: shard
+// s owns the indices ≡ s (mod shards), so a per-shard watermark only
+// means something at the count that wrote it. A missing checkpoint file
+// degrades to a fresh Execute.
 func Resume(ctx context.Context, spec Spec) (*Summary, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
@@ -460,9 +414,6 @@ func execute(ctx context.Context, spec Spec, resume *checkpointState) (*Summary,
 	e.states = make([]*shardState, shards)
 	for s := range e.states {
 		e.states[s] = &shardState{agg: newAgg()}
-	}
-	if spec.Policy.QuarantineAfter > 0 {
-		e.board = newQuarantine(len(spec.Matrix), spec.Policy.QuarantineAfter)
 	}
 	if resume != nil {
 		e.restore(resume)
@@ -549,7 +500,6 @@ func (e *engine) runShard(ctx context.Context, cancel context.CancelFunc,
 	retriesC := reg.ShardCounter("campaign.retries", shard)
 	gaveupC := reg.ShardCounter("campaign.gaveup", shard)
 	wallPS := func() int64 { return time.Since(epoch).Nanoseconds() * 1000 }
-	cells := uint64(len(spec.Matrix))
 	digestMax := spec.digestMax()
 
 	first := uint64(shard) + uint64(st.done)*uint64(e.shards)
@@ -561,20 +511,7 @@ func (e *engine) runShard(ctx context.Context, cancel context.CancelFunc,
 			continue
 		}
 		cell := spec.cellFor(i)
-		cellIdx := int(i % cells)
-		ord := i / cells
 		seed := sim.DeriveSeed(spec.Seed, i)
-		if e.board.skip(cellIdx, ord) {
-			st.mu.Lock()
-			st.quarantined++
-			st.done++
-			st.mu.Unlock()
-			e.afterCommit()
-			if results != nil {
-				results <- Result{Index: i, Seed: seed, Cell: cell, Shard: shard, Err: ErrQuarantined}
-			}
-			continue
-		}
 		proto := Run{Index: i, Seed: seed, Shard: shard, Cell: cell,
 			coverage: spec.Coverage, profile: spec.Profile, phases: profMirror.PhaseProf()}
 		tr.Begin(track, cell.Name(), wallPS())
@@ -588,7 +525,7 @@ func (e *engine) runShard(ctx context.Context, cancel context.CancelFunc,
 			// tracks hotspots while the campaign runs. Absorb order is
 			// scheduling-dependent, which is fine here — the deterministic
 			// artifacts are the aggregate's cover and activity, committed
-			// under the held-queue discipline below.
+			// below.
 			coverMirror.Absorb(out.agg.cover)
 			profMirror.AbsorbActivity(out.agg.activity)
 		}
@@ -601,52 +538,31 @@ func (e *engine) runShard(ctx context.Context, cancel context.CancelFunc,
 			st.skipped++
 			st.mu.Unlock()
 		} else {
-			cls := e.board.record(cellIdx, ord, i, out.gaveUp, out.err != nil)
-			quarantined := cls == classQuarantined
-			var fail *Failure
 			st.mu.Lock()
-			switch {
-			case quarantined:
-				st.quarantined++
-			case out.err == nil:
+			if out.err == nil {
 				st.completed++
-			default:
+			} else {
 				failsC.Inc()
 				st.failTotal++
-				f := Failure{Index: i, Seed: seed, Cell: cell.Name(), Err: out.err}
-				var det Detailer
-				if errors.As(out.err, &det) {
-					f.Detail = det.FailureDetail()
-				}
-				if e.board == nil {
-					if len(st.failures) < digestMax {
-						st.failures = append(st.failures, f)
+				if len(st.failures) < digestMax {
+					f := Failure{Index: i, Seed: seed, Cell: cell.Name(), Err: out.err}
+					var det Detailer
+					if errors.As(out.err, &det) {
+						f.Detail = det.FailureDetail()
 					}
-				} else {
-					// Digest retention is decided when the board finalizes
-					// the run, not now: a raced failure must not claim one
-					// of the bounded slots it would never get serially.
-					fail = &f
+					st.failures = append(st.failures, f)
 				}
 			}
-			if !quarantined {
-				if e.board == nil {
-					if out.agg != nil {
-						st.agg.merge(out.agg)
-					}
-				} else if out.agg != nil || fail != nil {
-					st.held = append(st.held, heldAgg{cell: cellIdx, ord: ord, index: i,
-						agg: out.agg, fail: fail})
-				}
+			if out.agg != nil {
+				st.agg.merge(out.agg)
 			}
 			st.retried += out.attempts - 1
 			if out.gaveUp {
 				st.gaveUp++
 			}
 			st.done++
-			st.drainHeldLocked(e.board, digestMax)
 			st.mu.Unlock()
-			if out.err != nil && !quarantined {
+			if out.err != nil {
 				tr.Emit(track, "fail:"+cell.Name(), wallPS())
 				if spec.FailFast {
 					cancel()
@@ -712,68 +628,33 @@ func (e *engine) writeCheckpoint() {
 	}
 }
 
-// snapshotState copies the committed state under the shard locks, then
-// the board. Ordering matters: commits record to the board before they
-// advance the watermark, so snapshotting states first guarantees every
-// watermarked run is present in the board copy; the converse surplus
-// (board outcomes past a watermark) is idempotently re-recorded on
-// resume.
+// snapshotState copies the committed state under the shard locks.
 func (e *engine) snapshotState() *checkpointState {
 	ck := &checkpointState{
 		fingerprint: specFingerprint(e.spec, e.shards),
 		seed:        e.spec.Seed,
 		runs:        e.spec.Runs,
 		shards:      e.shards,
-		matrixLen:   len(e.spec.Matrix),
-		hasBoard:    e.board != nil,
 	}
 	for _, st := range e.states {
 		st.mu.Lock()
 		snap := ckShard{
 			done: st.done, completed: st.completed, failTotal: st.failTotal,
-			quarantined: st.quarantined, retried: st.retried, gaveUp: st.gaveUp,
-			stats: st.agg.summary(), cover: st.agg.cover, activity: st.agg.activity,
+			retried: st.retried, gaveUp: st.gaveUp,
+			stats: st.agg.sorted(), cover: st.agg.cover, activity: st.agg.activity,
 		}
 		for _, f := range st.failures {
 			snap.failures = append(snap.failures, ckFailure{index: f.Index, seed: f.Seed,
 				cell: f.Cell, label: f.Label(), detail: f.Detail})
 		}
-		for _, h := range st.held {
-			ch := ckHeld{index: h.index}
-			if h.agg != nil {
-				ch.stats = h.agg.summary()
-				ch.cover = h.agg.cover
-				ch.activity = h.agg.activity
-			}
-			if h.fail != nil {
-				ch.fail = &ckFailure{index: h.fail.Index, seed: h.fail.Seed,
-					cell: h.fail.Cell, label: h.fail.Label(), detail: h.fail.Detail}
-			}
-			snap.held = append(snap.held, ch)
-		}
 		st.mu.Unlock()
 		ck.snaps = append(ck.snaps, snap)
-	}
-	if e.board != nil {
-		e.board.mu.Lock()
-		for i := range e.board.cells {
-			c := &e.board.cells[i]
-			cc := ckCell{decided: c.decided, consec: c.consec, chainFirst: c.chainFirst,
-				quarantined: c.quarantined, e: c.e, firstFail: c.firstFail}
-			for ord, p := range c.pending {
-				cc.pending = append(cc.pending, ckPending{ord: ord, index: p.index,
-					failed: p.failed, gaveUp: p.gaveUp})
-			}
-			ck.board = append(ck.board, cc)
-		}
-		e.board.mu.Unlock()
 	}
 	return ck
 }
 
 // restore loads a checkpoint into the engine before the workers start.
 func (e *engine) restore(ck *checkpointState) {
-	cells := uint64(len(e.spec.Matrix))
 	var total uint64
 	for s, snap := range ck.snaps {
 		if s >= len(e.states) {
@@ -783,49 +664,23 @@ func (e *engine) restore(ck *checkpointState) {
 		st.done = snap.done
 		st.completed = snap.completed
 		st.failTotal = snap.failTotal
-		st.quarantined = snap.quarantined
 		st.retried = snap.retried
 		st.gaveUp = snap.gaveUp
-		st.agg = aggFromStats(snap.stats)
+		for i := range snap.stats {
+			st.agg.stats[snap.stats[i].name] = &snap.stats[i].statAgg
+		}
 		st.agg.cover = snap.cover
 		st.agg.activity = snap.activity
 		for _, f := range snap.failures {
 			st.failures = append(st.failures, Failure{Index: f.index, Seed: f.seed,
 				Cell: f.cell, Detail: f.detail, label: f.label})
 		}
-		for _, h := range snap.held {
-			ha := heldAgg{cell: int(h.index % cells), ord: h.index / cells, index: h.index}
-			if len(h.stats) > 0 || len(h.cover) > 0 || !h.activity.Empty() {
-				ha.agg = aggFromStats(h.stats)
-				ha.agg.cover = h.cover
-				ha.agg.activity = h.activity
-			}
-			if h.fail != nil {
-				ha.fail = &Failure{Index: h.fail.index, Seed: h.fail.seed,
-					Cell: h.fail.cell, Detail: h.fail.detail, label: h.fail.label}
-			}
-			st.held = append(st.held, ha)
-		}
 		total += uint64(snap.done)
-	}
-	if e.board != nil && ck.hasBoard {
-		for i, cc := range ck.board {
-			if i >= len(e.board.cells) {
-				break
-			}
-			c := &e.board.cells[i]
-			c.decided, c.consec, c.chainFirst = cc.decided, cc.consec, cc.chainFirst
-			c.quarantined, c.e, c.firstFail = cc.quarantined, cc.e, cc.firstFail
-			for _, p := range cc.pending {
-				c.pending[p.ord] = pendingOutcome{index: p.index, failed: p.failed, gaveUp: p.gaveUp}
-			}
-		}
 	}
 	e.committed.Store(total)
 }
 
-// summarize normalizes the quarantine board's raced runs, drains the held
-// aggregates, and merges the shard states in shard order.
+// summarize merges the shard states.
 func (e *engine) summarize(epoch time.Time) *Summary {
 	spec := e.spec
 	sum := &Summary{
@@ -836,34 +691,17 @@ func (e *engine) summarize(epoch time.Time) *Summary {
 		FailFast: spec.FailFast,
 		Wall:     time.Since(epoch),
 	}
-	e.normalizeQuarantine(sum)
 	merged := newAgg()
-	var lists [][]Failure
+	lists := make([][]Failure, 0, len(e.states))
 	for _, st := range e.states {
 		st.mu.Lock()
-		st.drainHeldLocked(e.board, spec.digestMax())
 		merged.merge(st.agg)
-		// Held leftovers exist only when cancellation left frontier gaps;
-		// their stats and failures count toward this (inherently partial)
-		// summary but stay queued so the checkpoint resumes them exactly.
-		fl := st.failures
-		for _, h := range st.held {
-			if _, drop := e.board.finality(h.cell, h.ord, true); !drop {
-				if h.agg != nil {
-					merged.merge(h.agg)
-				}
-				if h.fail != nil {
-					fl = append(fl[:len(fl):len(fl)], *h.fail)
-				}
-			}
-		}
 		sum.Completed += st.completed
 		sum.Failed += st.failTotal
 		sum.Skipped += st.skipped
-		sum.Quarantined += st.quarantined
 		sum.Retried += st.retried
 		sum.GaveUp += st.gaveUp
-		lists = append(lists, fl)
+		lists = append(lists, st.failures)
 		st.mu.Unlock()
 	}
 	sum.Stats = merged.summary()
@@ -871,53 +709,6 @@ func (e *engine) summarize(epoch time.Time) *Summary {
 	sum.Activity = merged.activity
 	sum.Failures = mergeFailures(lists, spec.digestMax())
 	return sum
-}
-
-// normalizeQuarantine reclassifies runs that raced ahead of a quarantine
-// declaration: they executed and committed as ordinary outcomes, but a
-// serial execution would have skipped them, so the summary must count
-// them as quarantined and drop their digest entries. The set of such runs
-// — cell ordinals >= e — is a pure function of the deterministic per-run
-// outcomes, so the normalized counts and digest are shard-count and
-// crash/resume invariant.
-func (e *engine) normalizeQuarantine(sum *Summary) {
-	if e.board == nil {
-		return
-	}
-	L := uint64(len(e.spec.Matrix))
-	type raced struct {
-		index  uint64
-		failed bool
-	}
-	var relabel []raced
-	e.board.mu.Lock()
-	for ci := range e.board.cells {
-		c := &e.board.cells[ci]
-		if !c.quarantined {
-			continue
-		}
-		for _, p := range c.pending {
-			relabel = append(relabel, raced{index: p.index, failed: p.failed})
-		}
-		c.pending = make(map[uint64]pendingOutcome)
-		sum.Quarantines = append(sum.Quarantines, QuarantinedCell{
-			Cell:      e.spec.Matrix[ci].Name(),
-			FirstFail: c.firstFail,
-			FromRun:   c.e*L + uint64(ci),
-		})
-	}
-	e.board.mu.Unlock()
-	for _, r := range relabel {
-		st := e.states[int(r.index%uint64(e.shards))]
-		st.mu.Lock()
-		if r.failed {
-			st.failTotal--
-		} else {
-			st.completed--
-		}
-		st.quarantined++
-		st.mu.Unlock()
-	}
 }
 
 // runOne executes the run with panic containment: a panicking rig fails

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/big"
 	"runtime"
 	"strings"
 	"testing"
@@ -11,6 +13,7 @@ import (
 
 	"castanet/internal/cosim"
 	"castanet/internal/obs"
+	"castanet/internal/sim"
 )
 
 // syntheticMatrix is a deterministic stand-in for the real rigs: run
@@ -28,6 +31,7 @@ func syntheticMatrix() []Cell {
 			return fmt.Errorf("synthetic failure %d", v%4)
 		}
 		r.Observe("draw", float64(v%1000))
+		r.Observe("frac", syntheticFrac(v))
 		r.Observe("index", float64(r.Index))
 		return nil
 	}
@@ -77,27 +81,52 @@ func TestDigestDeterministicAcrossShards(t *testing.T) {
 	}
 }
 
+// syntheticFrac is the synthetic runs' non-integral observation: thirds
+// over five decades, whose float64 running sum rounds at almost every
+// add, so a sum merged in another grouping would round differently.
+func syntheticFrac(v uint64) float64 { return float64(v%100000) / 3 }
+
 // TestAggregateMergeMatchesSerial checks the streaming shard-merge against
-// the 1-shard serial reference. Observations are integer-valued so
-// float64 sums are exact and shard order cannot perturb them.
+// the 1-shard serial reference at 3 and 7 shards: every field of every
+// stat, the non-integral "frac" sum included, is bit-identical, and that
+// sum is the correctly rounded exact sum of the observations.
 func TestAggregateMergeMatchesSerial(t *testing.T) {
 	ref := executeSynthetic(t, 1)
-	got := executeSynthetic(t, 7)
-	if len(ref.Stats) != len(got.Stats) {
-		t.Fatalf("stat count: %d vs %d", len(got.Stats), len(ref.Stats))
-	}
-	for i, want := range ref.Stats {
-		s := got.Stats[i]
-		if s.Name != want.Name || s.Count != want.Count || s.Sum != want.Sum ||
-			s.Min != want.Min || s.Max != want.Max {
-			t.Errorf("stat %q: got %+v, want %+v", want.Name, s, want)
+	for _, shards := range []int{3, 7} {
+		got := executeSynthetic(t, shards)
+		if len(ref.Stats) != len(got.Stats) {
+			t.Fatalf("shards=%d: stat count %d, want %d", shards, len(got.Stats), len(ref.Stats))
+		}
+		for i, want := range ref.Stats {
+			s := got.Stats[i]
+			if s.Name != want.Name || s.Count != want.Count ||
+				math.Float64bits(s.Sum) != math.Float64bits(want.Sum) ||
+				s.Min != want.Min || s.Max != want.Max {
+				t.Errorf("shards=%d: stat %q: got %+v, want %+v", shards, want.Name, s, want)
+			}
+		}
+		// The "index" stat observes every completed run's index exactly
+		// once, so its count independently cross-checks the completion
+		// tally.
+		for _, s := range got.Stats {
+			if s.Name == "index" && int(s.Count) != got.Completed {
+				t.Errorf("shards=%d: index stat count %d != completed %d", shards, s.Count, got.Completed)
+			}
 		}
 	}
-	// The "index" stat observes every completed run's index exactly once,
-	// so its count independently cross-checks the completion tally.
-	for _, s := range got.Stats {
-		if s.Name == "index" && int(s.Count) != got.Completed {
-			t.Errorf("index stat count %d != completed %d", s.Count, got.Completed)
+
+	// Recompute the frac observations outside the engine and sum them
+	// exactly at a precision no float64 sum can exceed.
+	exact := new(big.Float).SetPrec(4096)
+	for i := uint64(0); i < 200; i++ {
+		if v := sim.NewRNG(sim.DeriveSeed(42, i)).Uint64(); v%8 != 0 {
+			exact.Add(exact, big.NewFloat(syntheticFrac(v)))
+		}
+	}
+	want, _ := exact.Float64()
+	for _, s := range ref.Stats {
+		if s.Name == "frac" && s.Sum != want {
+			t.Errorf("frac sum %v, want the correctly rounded %v", s.Sum, want)
 		}
 	}
 }

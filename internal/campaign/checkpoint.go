@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 
 	"castanet/internal/durable"
 	"castanet/internal/obs"
@@ -14,34 +15,33 @@ import (
 // the operator pointed a campaign at the wrong (or a damaged) file.
 var ErrCheckpoint = errors.New("campaign: bad checkpoint")
 
-// The checkpoint is a durable file (magic "CKPT", version 3: header, CRC
-// and field encoding in package durable) carrying payload v3.
-// v2 added a coverage block after each stats block — to the shard
-// snapshot and to every held entry; v3 adds an activity block (the
-// simulation profile) after each coverage block. Older files are rejected
-// by version, not silently misread:
+// The checkpoint is a durable file (magic "CKPT", version 4: header, CRC
+// and field encoding in package durable) carrying payload v4, which
+// stores each stat's exact sum. Older files are rejected by version, not
+// silently misread:
 //
 //	u64 spec fingerprint          u64 seed
 //	u64 runs                      u32 shards (effective)
-//	u32 matrix length             u8  board present
 //	shards × shard snapshot:
 //	  u64 done (watermark)        u64 completed
-//	  u64 failTotal               u64 quarantined
-//	  u64 retried                 u64 gaveUp
-//	  u32 nstats × {str name, u64 count, f64 sum, f64 min, f64 max}
+//	  u64 failTotal               u64 retried
+//	  u64 gaveUp
+//	  u32 nstats × {str name, u64 count, f64 min, f64 max, sum}
+//	    (names strictly ascending)
 //	  u32 ngroups × {str group, u32 npoints ×
 //	    {str point, u32 nbins × {str bin, u64 hits}}}
 //	  u32 nsignals × {str name, u64 width, u64 events, u64 twoState}
 //	  u32 nprocs   × {str name, u64 runs, u64 deltaRuns}
 //	  u32 nfail  × {u64 index, u64 seed, str cell, str label, str detail}
-//	  u32 nheld  × {u64 index, u8 hasFail, [fail as above],
-//	    u32 nstats × {...}, u32 ngroups × {...},
-//	    u32 nsignals × {...}, u32 nprocs × {...}}
-//	board (when present): u32 ncells ×
-//	  {u64 decided, u64 consec, u64 chainFirst, u8 quarantined,
-//	   u64 e, u64 firstFail,
-//	   u32 npending × {u64 ord, u64 index, u8 failed, u8 gaveUp}}
-var ckptFormat = durable.Format{Magic: "CKPT", Version: 3, Class: ErrCheckpoint}
+//
+// An exact sum is its non-finite part and the sign and magnitude of its
+// finite part, the magnitude as the window of 32-bit limbs (limb 0 weighs
+// 2^-1074) from its lowest to its highest nonzero limb:
+//
+//	f64 special (0, ±Inf or NaN)  u8 negative
+//	u8 lo                         u8 n
+//	n × u32 limb                  (n = 0: zero, lo = 0, not negative)
+var ckptFormat = durable.Format{Magic: "CKPT", Version: 4, Class: ErrCheckpoint}
 
 // ckFailure is one persisted digest entry. The label is materialized at
 // save time (Failure.Label() of a live error) so a restored digest renders
@@ -51,40 +51,14 @@ type ckFailure struct {
 	cell, label, detail string
 }
 
-// ckHeld is one persisted held entry: a committed run whose stats and
-// digest retention await their final quarantine classification. Cell and
-// ordinal re-derive from the index.
-type ckHeld struct {
-	index    uint64
-	fail     *ckFailure
-	stats    []Stat
-	cover    []obs.CoverGroupSnap
-	activity obs.ActivitySnap
-}
-
 // ckShard is one shard's persisted snapshot.
 type ckShard struct {
-	done, completed, failTotal   int
-	quarantined, retried, gaveUp int
-	stats                        []Stat
-	cover                        []obs.CoverGroupSnap
-	activity                     obs.ActivitySnap
-	failures                     []ckFailure
-	held                         []ckHeld
-}
-
-// ckPending mirrors pendingOutcome with its ordinal key.
-type ckPending struct {
-	ord, index     uint64
-	failed, gaveUp bool
-}
-
-// ckCell mirrors cellBoard.
-type ckCell struct {
-	decided, chainFirst, e, firstFail uint64
-	consec                            int
-	quarantined                       bool
-	pending                           []ckPending
+	done, completed, failTotal int
+	retried, gaveUp            int
+	stats                      []namedStat
+	cover                      []obs.CoverGroupSnap
+	activity                   obs.ActivitySnap
+	failures                   []ckFailure
 }
 
 // checkpointState is a decoded checkpoint.
@@ -93,24 +67,22 @@ type checkpointState struct {
 	seed        uint64
 	runs        int
 	shards      int
-	matrixLen   int
 	snaps       []ckShard
-	board       []ckCell
-	hasBoard    bool
 }
 
 // specFingerprint hashes everything the resumed campaign must agree on:
-// identity, seed, run count, effective shard count (per-shard float sums
-// only merge deterministically at a fixed shard count), digest bound,
-// supervision policy, the coverage and profile flags (a resume must
-// collect each exactly as the checkpointed campaign did, or the merged
-// sections would be partial), and the matrix cell names in order.
+// identity, seed, run count, effective shard count (shard s owns the
+// indices ≡ s mod shards, so a per-shard watermark only means something
+// at the count that wrote it), digest bound, supervision policy, the
+// coverage and profile flags (a resume must collect each exactly as the
+// checkpointed campaign did, or the merged sections would be partial),
+// and the matrix cell names in order.
 func specFingerprint(s *Spec, shards int) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "ckpt-v3|%s|%d|%d|%d|%d|%v|%d|%v|%v|%d|cov=%v|prof=%v|",
+	fmt.Fprintf(h, "ckpt-v4|%s|%d|%d|%d|%d|%v|%d|%v|%v|cov=%v|prof=%v|",
 		s.Name, s.Seed, s.Runs, shards, s.digestMax(),
 		s.Policy.RunTimeout, s.Policy.Retries,
-		s.Policy.retryBase(), s.Policy.retryCap(), s.Policy.QuarantineAfter,
+		s.Policy.retryBase(), s.Policy.retryCap(),
 		s.Coverage, s.Profile)
 	for _, c := range s.Matrix {
 		fmt.Fprintf(h, "%s|", c.Name())
@@ -118,14 +90,36 @@ func specFingerprint(s *Spec, shards int) uint64 {
 	return h.Sum64()
 }
 
-func encStats(e *durable.Enc, ss []Stat) {
+func encStats(e *durable.Enc, ss []namedStat) {
 	e.Count(len(ss))
-	for _, s := range ss {
-		e.Str(s.Name)
-		e.U64(s.Count)
-		e.F64(s.Sum)
-		e.F64(s.Min)
-		e.F64(s.Max)
+	for i := range ss {
+		s := &ss[i]
+		e.Str(s.name)
+		e.U64(s.count)
+		e.F64(s.min)
+		e.F64(s.max)
+		encSum(e, &s.sum)
+	}
+}
+
+func encSum(e *durable.Enc, s *exactSum) {
+	neg, mag := s.magnitude()
+	lo, hi := 0, len(mag)
+	for lo < hi && mag[lo] == 0 {
+		lo++
+	}
+	for hi > lo && mag[hi-1] == 0 {
+		hi--
+	}
+	if lo == hi {
+		lo, hi = 0, 0
+	}
+	e.F64(s.special)
+	e.Bool(neg)
+	e.U8(uint8(lo))
+	e.U8(uint8(hi - lo))
+	for _, l := range mag[lo:hi] {
+		e.U32(l)
 	}
 }
 
@@ -153,17 +147,50 @@ func encFailure(e *durable.Enc, f ckFailure) {
 	e.Str(f.detail)
 }
 
-func decStats(d *durable.Dec) []Stat {
+func decStats(d *durable.Dec) []namedStat {
+	// No preallocation: an entry is far larger in memory than its
+	// smallest encoding, so only entries actually decoded take space.
+	var out []namedStat
 	n := d.Count()
-	if d.Err() != nil {
-		return nil
-	}
-	out := make([]Stat, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		out = append(out, Stat{Name: d.Str(), Count: d.U64(),
-			Sum: d.F64(), Min: d.F64(), Max: d.F64()})
+		s := namedStat{name: d.Str()}
+		s.count, s.min, s.max = d.U64(), d.F64(), d.F64()
+		s.sum = decSum(d)
+		if i > 0 && s.name <= out[i-1].name {
+			d.Fail("stat %q out of name order", s.name)
+		}
+		out = append(out, s)
 	}
 	return out
+}
+
+// decSum reads what encSum wrote and accepts only that canonical form, so
+// an accepted payload re-encodes to its exact bytes.
+func decSum(d *durable.Dec) exactSum {
+	var s exactSum
+	s.special = d.F64()
+	if s.special != 0 && !math.IsInf(s.special, 0) && !math.IsNaN(s.special) {
+		d.Fail("non-finite part %g is finite", s.special)
+	}
+	neg := d.Bool()
+	lo, n := int(d.U8()), int(d.U8())
+	switch {
+	case lo+n > sumLimbs:
+		d.Fail("sum limbs %d..%d beyond %d", lo, lo+n, sumLimbs)
+	case n == 0 && (lo != 0 || neg):
+		d.Fail("non-canonical zero sum")
+	}
+	for i := 0; i < n && d.Err() == nil; i++ {
+		l := int64(d.U32())
+		if (i == 0 || i == n-1) && l == 0 {
+			d.Fail("sum window ends in a zero limb")
+		}
+		if neg {
+			l = -l
+		}
+		s.limb[lo+i] = l
+	}
+	return s
 }
 
 func decActivity(d *durable.Dec) obs.ActivitySnap {
@@ -195,13 +222,10 @@ func encodeCheckpoint(ck *checkpointState) []byte {
 	e.U64(ck.seed)
 	e.U64(uint64(ck.runs))
 	e.U32(uint32(ck.shards))
-	e.U32(uint32(ck.matrixLen))
-	e.Bool(ck.hasBoard)
 	for _, s := range ck.snaps {
 		e.U64(uint64(s.done))
 		e.U64(uint64(s.completed))
 		e.U64(uint64(s.failTotal))
-		e.U64(uint64(s.quarantined))
 		e.U64(uint64(s.retried))
 		e.U64(uint64(s.gaveUp))
 		encStats(&e, s.stats)
@@ -210,35 +234,6 @@ func encodeCheckpoint(ck *checkpointState) []byte {
 		e.Count(len(s.failures))
 		for _, f := range s.failures {
 			encFailure(&e, f)
-		}
-		e.Count(len(s.held))
-		for _, h := range s.held {
-			e.U64(h.index)
-			e.Bool(h.fail != nil)
-			if h.fail != nil {
-				encFailure(&e, *h.fail)
-			}
-			encStats(&e, h.stats)
-			e.Cover(h.cover)
-			encActivity(&e, h.activity)
-		}
-	}
-	if ck.hasBoard {
-		e.Count(len(ck.board))
-		for _, c := range ck.board {
-			e.U64(c.decided)
-			e.U64(uint64(c.consec))
-			e.U64(c.chainFirst)
-			e.Bool(c.quarantined)
-			e.U64(c.e)
-			e.U64(c.firstFail)
-			e.Count(len(c.pending))
-			for _, p := range c.pending {
-				e.U64(p.ord)
-				e.U64(p.index)
-				e.Bool(p.failed)
-				e.Bool(p.gaveUp)
-			}
 		}
 	}
 	return e.Bytes()
@@ -251,8 +246,6 @@ func decodeCheckpoint(payload []byte) (*checkpointState, error) {
 		seed:        d.U64(),
 		runs:        int(d.U64()),
 		shards:      int(d.U32()),
-		matrixLen:   int(d.U32()),
-		hasBoard:    d.Bool(),
 	}
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -262,13 +255,12 @@ func decodeCheckpoint(payload []byte) (*checkpointState, error) {
 	}
 	for s := 0; s < ck.shards && d.Err() == nil; s++ {
 		snap := ckShard{
-			done:        int(d.U64()),
-			completed:   int(d.U64()),
-			failTotal:   int(d.U64()),
-			quarantined: int(d.U64()),
-			retried:     int(d.U64()),
-			gaveUp:      int(d.U64()),
-			stats:       decStats(d),
+			done:      int(d.U64()),
+			completed: int(d.U64()),
+			failTotal: int(d.U64()),
+			retried:   int(d.U64()),
+			gaveUp:    int(d.U64()),
+			stats:     decStats(d),
 		}
 		snap.cover = d.Cover()
 		snap.activity = decActivity(d)
@@ -276,39 +268,7 @@ func decodeCheckpoint(payload []byte) (*checkpointState, error) {
 		for i := 0; i < nfail && d.Err() == nil; i++ {
 			snap.failures = append(snap.failures, decFailure(d))
 		}
-		nheld := d.Count()
-		for i := 0; i < nheld && d.Err() == nil; i++ {
-			h := ckHeld{index: d.U64()}
-			if d.Bool() {
-				f := decFailure(d)
-				h.fail = &f
-			}
-			h.stats = decStats(d)
-			h.cover = d.Cover()
-			h.activity = decActivity(d)
-			snap.held = append(snap.held, h)
-		}
 		ck.snaps = append(ck.snaps, snap)
-	}
-	if ck.hasBoard {
-		ncells := d.Count()
-		for i := 0; i < ncells && d.Err() == nil; i++ {
-			c := ckCell{
-				decided:     d.U64(),
-				consec:      int(d.U64()),
-				chainFirst:  d.U64(),
-				quarantined: d.Bool(),
-				e:           d.U64(),
-				firstFail:   d.U64(),
-			}
-			npend := d.Count()
-			for j := 0; j < npend && d.Err() == nil; j++ {
-				c.pending = append(c.pending, ckPending{
-					ord: d.U64(), index: d.U64(),
-					failed: d.Bool(), gaveUp: d.Bool()})
-			}
-			ck.board = append(ck.board, c)
-		}
 	}
 	if err := d.Finish(); err != nil {
 		return nil, err

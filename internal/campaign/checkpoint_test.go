@@ -7,10 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
+
+	"castanet/internal/durable"
 )
 
 // interruptAfter cancels ctx once n results have been collected,
@@ -30,10 +33,10 @@ func assertSameSummary(t *testing.T, got, want *Summary, label string) {
 		t.Errorf("%s: digest differs:\n-- got --\n%s-- want --\n%s", label, got.Digest(), want.Digest())
 	}
 	if got.Completed != want.Completed || got.Failed != want.Failed ||
-		got.Quarantined != want.Quarantined {
-		t.Errorf("%s: completed/failed/quarantined = %d/%d/%d, want %d/%d/%d", label,
-			got.Completed, got.Failed, got.Quarantined,
-			want.Completed, want.Failed, want.Quarantined)
+		got.Retried != want.Retried || got.GaveUp != want.GaveUp {
+		t.Errorf("%s: completed/failed/retried/gaveup = %d/%d/%d/%d, want %d/%d/%d/%d", label,
+			got.Completed, got.Failed, got.Retried, got.GaveUp,
+			want.Completed, want.Failed, want.Retried, want.GaveUp)
 	}
 	if len(got.Stats) != len(want.Stats) {
 		t.Fatalf("%s: stat count %d, want %d", label, len(got.Stats), len(want.Stats))
@@ -219,42 +222,56 @@ func TestResumeRejectsCorruptFile(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTrip exercises the codec directly, including the
-// held-entry shapes the engine produces under quarantine: stats with no
-// failure, a failure with no stats, and both.
+// sumOf returns the exact sum of vs.
+func sumOf(vs ...float64) exactSum {
+	var s exactSum
+	for _, v := range vs {
+		s.add(v)
+	}
+	return s
+}
+
+// TestCheckpointRoundTrip exercises the codec directly, including exact
+// sums of every shape: zero, negative, non-integral, subnormal, beyond
+// the float64 range, and with a non-finite part.
 func TestCheckpointRoundTrip(t *testing.T) {
 	fail := ckFailure{index: 5, seed: 99, cell: "synth/noise",
 		label: "coupling/timeout/run", detail: "deadline"}
+	stat := func(name string, vs ...float64) namedStat {
+		s := namedStat{name: name}
+		for _, v := range vs {
+			s.observe(v)
+		}
+		return s
+	}
 	ck := &checkpointState{
 		fingerprint: 0xdeadbeefcafe,
-		seed:        21, runs: 100, shards: 2, matrixLen: 2, hasBoard: true,
+		seed:        21, runs: 100, shards: 2,
 		snaps: []ckShard{
 			{
-				done: 7, completed: 5, failTotal: 2, quarantined: 0, retried: 3, gaveUp: 1,
-				stats:    []Stat{{Name: "draw", Count: 5, Sum: 12.5, Min: 0.5, Max: 9}},
-				failures: []ckFailure{fail},
-				held: []ckHeld{
-					{index: 10, stats: []Stat{{Name: "draw", Count: 1, Sum: 2, Min: 2, Max: 2}}},
-					{index: 12, fail: &fail},
-					{index: 14, fail: &fail,
-						stats: []Stat{{Name: "x", Count: 2, Sum: 3, Min: 1, Max: 2}}},
+				done: 7, completed: 5, failTotal: 2, retried: 3, gaveUp: 1,
+				stats: []namedStat{
+					stat("a-zero", 1.5, -1.5),
+					stat("b-negative", -0.1, -0.2, 1e-3),
+					stat("c-tiny", math.SmallestNonzeroFloat64, 3e-320),
+					stat("d-huge", math.MaxFloat64, math.MaxFloat64, 1),
+					stat("e-inf", 1, math.Inf(-1)),
 				},
+				failures: []ckFailure{fail},
 			},
 			{done: 6, completed: 6},
 		},
-		board: []ckCell{
-			{decided: 4, consec: 2, chainFirst: 2, quarantined: false,
-				pending: []ckPending{{ord: 6, index: 12, failed: true, gaveUp: true}}},
-			{decided: 9, consec: 0, quarantined: true, e: 6, firstFail: 3},
-		},
 	}
-	got, err := decodeCheckpoint(encodeCheckpoint(ck))
+	payload := encodeCheckpoint(ck)
+	got, err := decodeCheckpoint(payload)
 	if err != nil {
 		t.Fatalf("decode(encode): %v", err)
 	}
+	if !bytes.Equal(encodeCheckpoint(got), payload) {
+		t.Error("decoded checkpoint re-encodes differently")
+	}
 	if got.fingerprint != ck.fingerprint || got.seed != ck.seed ||
-		got.runs != ck.runs || got.shards != ck.shards ||
-		got.matrixLen != ck.matrixLen || got.hasBoard != ck.hasBoard {
+		got.runs != ck.runs || got.shards != ck.shards {
 		t.Errorf("header: got %+v, want %+v", got, ck)
 	}
 	if len(got.snaps) != len(ck.snaps) {
@@ -268,36 +285,74 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if len(s.failures) != 1 || s.failures[0] != fail {
 		t.Errorf("shard 0 failures: got %+v", s.failures)
 	}
-	if len(s.held) != 3 {
-		t.Fatalf("shard 0 held: %d entries, want 3", len(s.held))
+	if len(s.stats) != len(w.stats) {
+		t.Fatalf("shard 0 stats: %d, want %d", len(s.stats), len(w.stats))
 	}
-	if s.held[0].fail != nil || len(s.held[0].stats) != 1 {
-		t.Errorf("held[0]: got %+v", s.held[0])
-	}
-	if s.held[1].fail == nil || *s.held[1].fail != fail || len(s.held[1].stats) != 0 {
-		t.Errorf("held[1]: got %+v", s.held[1])
-	}
-	if s.held[2].fail == nil || len(s.held[2].stats) != 1 {
-		t.Errorf("held[2]: got %+v", s.held[2])
-	}
-	if len(got.board) != 2 || !got.board[1].quarantined || got.board[1].e != 6 ||
-		got.board[1].firstFail != 3 || len(got.board[0].pending) != 1 {
-		t.Errorf("board: got %+v", got.board)
+	for i, ws := range w.stats {
+		gs := s.stats[i]
+		if gs.name != ws.name || gs.count != ws.count || gs.min != ws.min || gs.max != ws.max {
+			t.Errorf("stat %q: got %+v", ws.name, gs)
+		}
+		// A restored sum must keep accumulating exactly: add a term on
+		// both sides and compare the rounded results.
+		g, wsum := gs.sum, ws.sum
+		g.add(0.25)
+		wsum.add(0.25)
+		if a, b := g.round(), wsum.round(); math.Float64bits(a) != math.Float64bits(b) {
+			t.Errorf("stat %q: restored sum rounds to %v, want %v", ws.name, a, b)
+		}
 	}
 }
 
-// craftedCheckpointPayload is an 85-byte payload whose framing is sound
+// TestDecodeRejectsNonCanonicalSum: every exact sum has one encoding; a
+// zero limb at a window end, a window past the top limb, a negative zero
+// and a finite non-finite part are each rejected.
+func TestDecodeRejectsNonCanonicalSum(t *testing.T) {
+	encode := func(special float64, neg bool, lo uint8, limbs ...uint32) []byte {
+		var e durable.Enc
+		e.F64(special)
+		e.Bool(neg)
+		e.U8(lo)
+		e.U8(uint8(len(limbs)))
+		for _, l := range limbs {
+			e.U32(l)
+		}
+		return e.Bytes()
+	}
+	for name, b := range map[string][]byte{
+		"low zero limb":    encode(0, false, 3, 0, 7),
+		"high zero limb":   encode(0, false, 3, 7, 0),
+		"past the top":     encode(0, false, sumLimbs-1, 1, 1),
+		"negative zero":    encode(0, true, 0),
+		"zero with offset": encode(0, false, 5),
+		"finite special":   encode(2, false, 0),
+	} {
+		d := ckptFormat.Dec(b)
+		decSum(d)
+		if err := d.Finish(); !errors.Is(err, ErrCheckpoint) {
+			t.Errorf("%s: err = %v, want ErrCheckpoint", name, err)
+		}
+	}
+	canonical := sumOf(-2.5, 1e300)
+	var e durable.Enc
+	encSum(&e, &canonical)
+	d := ckptFormat.Dec(e.Bytes())
+	got := decSum(d)
+	if err := d.Finish(); err != nil || got.round() != canonical.round() {
+		t.Errorf("canonical sum: err %v, round %v, want %v", err, got.round(), canonical.round())
+	}
+}
+
+// craftedCheckpointPayload is a 72-byte payload whose framing is sound
 // but whose first stats count claims 0xFFFFFFF0 entries: one shard, one
-// run, then six zero counters and the crafted count.
+// run, then five zero counters and the crafted count.
 func craftedCheckpointPayload() []byte {
-	p := make([]byte, 0, 85)
+	p := make([]byte, 0, 72)
 	p = binary.BigEndian.AppendUint64(p, 0) // fingerprint
 	p = binary.BigEndian.AppendUint64(p, 0) // seed
 	p = binary.BigEndian.AppendUint64(p, 1) // runs
 	p = binary.BigEndian.AppendUint32(p, 1) // shards
-	p = binary.BigEndian.AppendUint32(p, 1) // matrix length
-	p = append(p, 0)                        // no board
-	p = append(p, make([]byte, 6*8)...)     // shard 0 counters
+	p = append(p, make([]byte, 5*8)...)     // shard 0 counters
 	return binary.BigEndian.AppendUint32(p, 0xFFFFFFF0)
 }
 
@@ -324,10 +379,10 @@ func TestResumeRejectsCraftedCount(t *testing.T) {
 		Checkpoint: filepath.Join(t.TempDir(), "campaign.ckpt"),
 	}
 	payload := craftedCheckpointPayload()
-	if len(payload) != 85 {
-		t.Fatalf("crafted payload is %d bytes, want 85", len(payload))
+	if len(payload) != 72 {
+		t.Fatalf("crafted payload is %d bytes, want 72", len(payload))
 	}
-	if err := os.WriteFile(spec.Checkpoint, frameFile("CKPT", 3, payload), 0o644); err != nil {
+	if err := os.WriteFile(spec.Checkpoint, frameFile("CKPT", 4, payload), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Resume(context.Background(), spec); !errors.Is(err, ErrCheckpoint) {

@@ -13,8 +13,8 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 
 // goldenMatrix joins the synthetic cover, failure and profile cells, so
-// one checkpoint carries every payload block: stats, coverage, activity,
-// retained failures and the quarantine board.
+// one checkpoint carries every payload block: stats with exact sums,
+// coverage, activity and retained failures.
 func goldenMatrix() []Cell {
 	var m []Cell
 	for _, part := range []struct {
@@ -29,11 +29,11 @@ func goldenMatrix() []Cell {
 	return m
 }
 
-// TestCheckpointFormatGolden pins the CKPT v3 file byte for byte: a
+// TestCheckpointFormatGolden pins the CKPT v4 file byte for byte: a
 // completed 32-run, 2-shard synthetic campaign with coverage, profile and
-// supervision on writes exactly testdata/checkpoint.golden. Any change to the frame, the codec
-// or the payload schema fails here; a deliberate format change bumps
-// ckptFormat.Version and re-records with -update.
+// supervision on writes exactly testdata/checkpoint.golden. Any change to
+// the frame, the codec or the payload schema fails here; a deliberate
+// format change bumps ckptFormat.Version and re-records with -update.
 func TestCheckpointFormatGolden(t *testing.T) {
 	spec := Spec{
 		Name:       "ckpt-golden",
@@ -43,7 +43,7 @@ func TestCheckpointFormatGolden(t *testing.T) {
 		Matrix:     goldenMatrix(),
 		Coverage:   true,
 		Profile:    true,
-		Policy:     Policy{Retries: 1, RetryBase: time.Microsecond, QuarantineAfter: 3},
+		Policy:     Policy{Retries: 1, RetryBase: time.Microsecond},
 		Checkpoint: filepath.Join(t.TempDir(), "campaign.ckpt"),
 	}
 	if _, err := Execute(context.Background(), spec); err != nil {

@@ -9,15 +9,6 @@ import (
 	"castanet/internal/obs"
 )
 
-// QuarantinedCell is one digest-header entry: a matrix cell the campaign
-// stopped scheduling because runs in QuarantineAfter consecutive cell
-// ordinals exhausted their retry budgets.
-type QuarantinedCell struct {
-	Cell      string
-	FirstFail uint64 // run index of the give-up that opened the fatal chain
-	FromRun   uint64 // first run index the quarantine skips
-}
-
 // Summary is the end-of-campaign report.
 type Summary struct {
 	Name     string
@@ -26,15 +17,17 @@ type Summary struct {
 	Shards   int
 	FailFast bool
 
-	Completed   int
-	Failed      int // total failures, not truncated to the digest
-	Skipped     int // runs cancelled before or during teardown
-	Quarantined int // runs skipped (or reclassified) by cell quarantine
-	Retried     int // extra attempts spent on transient infra failures
-	GaveUp      int // runs whose final failure was still transient
-	Wall        time.Duration
+	Completed int
+	Failed    int // total failures, not truncated to the digest
+	Skipped   int // runs cancelled before or during teardown
+	Retried   int // extra attempts spent on transient infra failures
+	GaveUp    int // runs whose final failure was still transient
+	Wall      time.Duration
 
-	Stats    []Stat    // sorted by name
+	// Stats are sorted by name; each Sum is the exact sum of the
+	// observations rounded once, so it too is independent of the shard
+	// count and of crash/resume boundaries.
+	Stats    []Stat
 	Failures []Failure // first DigestMax failures, ascending by run index
 	// Coverage is the campaign's merged functional-coverage snapshot
 	// (empty unless Spec.Coverage): groups and points sorted by name,
@@ -48,8 +41,7 @@ type Summary struct {
 	// like Coverage, so the digest's profile section is byte-identical at
 	// any shard count and across kill/resume. Wall-clock phase times are
 	// deliberately absent — they live in telemetry only.
-	Activity    obs.ActivitySnap
-	Quarantines []QuarantinedCell
+	Activity obs.ActivitySnap
 	// CheckpointErr is the last checkpoint write failure, nil when
 	// durability worked (or was not requested). It is an operational
 	// warning and deliberately does not affect Clean.
@@ -58,21 +50,16 @@ type Summary struct {
 
 // Clean reports whether every run completed verified.
 func (s *Summary) Clean() bool {
-	return s.Failed == 0 && s.Skipped == 0 && s.Quarantined == 0
+	return s.Failed == 0 && s.Skipped == 0
 }
 
-// Digest renders the canonical failure digest: quarantine header lines,
-// then one line per retained failure, ascending by run index. Everything
-// in it — indices, derived seeds, cell names, failure labels — is a pure
-// function of the campaign spec, so the digest is byte-identical across
-// shard counts and across crash/resume boundaries; wall-clock figures
-// deliberately never appear.
+// Digest renders the canonical failure digest: one line per retained
+// failure, ascending by run index. Everything in it — indices, derived
+// seeds, cell names, failure labels — is a pure function of the campaign
+// spec, so the digest is byte-identical across shard counts and across
+// crash/resume boundaries; wall-clock figures deliberately never appear.
 func (s *Summary) Digest() string {
 	var b strings.Builder
-	for _, q := range s.Quarantines {
-		fmt.Fprintf(&b, "quarantined cell=%s first-fail=%06d from-run=%06d\n",
-			q.Cell, q.FirstFail, q.FromRun)
-	}
 	for _, f := range s.Failures {
 		fmt.Fprintf(&b, "run=%06d seed=0x%016x cell=%s fail=%s\n",
 			f.Index, f.Seed, f.Cell, f.Label())
@@ -82,16 +69,17 @@ func (s *Summary) Digest() string {
 
 // WriteDigest writes the deterministic campaign digest file: identity,
 // outcome counts, aggregate stats, the coverage (obs.WriteCoverDigest) and
-// profile sections and the failure digest — and nothing
-// wall-clock or scheduling dependent, so two executions of the same spec
-// (including one interrupted and resumed) produce byte-identical files.
+// profile sections and the failure digest — and nothing wall-clock or
+// scheduling dependent, not even the shard count, so two executions of
+// the same spec (at any shard count, or interrupted and resumed) produce
+// byte-identical files.
 func (s *Summary) WriteDigest(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "campaign %s seed=%d runs=%d shards=%d\n",
-		s.Name, s.Seed, s.Runs, s.Shards); err != nil {
+	if _, err := fmt.Fprintf(w, "campaign %s seed=%d runs=%d\n",
+		s.Name, s.Seed, s.Runs); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "completed=%d failed=%d quarantined=%d\n",
-		s.Completed, s.Failed, s.Quarantined); err != nil {
+	if _, err := fmt.Fprintf(w, "completed=%d failed=%d\n",
+		s.Completed, s.Failed); err != nil {
 		return err
 	}
 	for _, st := range s.Stats {
@@ -139,15 +127,9 @@ func (s *Summary) WriteReport(w io.Writer) error {
 		s.Name, s.Runs, s.Shards, s.Wall.Round(time.Millisecond), rate); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "  completed=%d failed=%d skipped=%d quarantined=%d retried=%d gaveup=%d failfast=%v seed=%d\n",
-		s.Completed, s.Failed, s.Skipped, s.Quarantined, s.Retried, s.GaveUp, s.FailFast, s.Seed); err != nil {
+	if _, err := fmt.Fprintf(w, "  completed=%d failed=%d skipped=%d retried=%d gaveup=%d failfast=%v seed=%d\n",
+		s.Completed, s.Failed, s.Skipped, s.Retried, s.GaveUp, s.FailFast, s.Seed); err != nil {
 		return err
-	}
-	for _, q := range s.Quarantines {
-		if _, err := fmt.Fprintf(w, "  quarantined cell=%s first-fail=%06d from-run=%06d\n",
-			q.Cell, q.FirstFail, q.FromRun); err != nil {
-			return err
-		}
 	}
 	if s.CheckpointErr != nil {
 		if _, err := fmt.Fprintf(w, "  warning: checkpoint write failed: %v\n", s.CheckpointErr); err != nil {

@@ -11,9 +11,9 @@ import (
 )
 
 // Policy configures per-run supervision: a wall-clock deadline that reaps
-// hung runs, a bounded retry budget for infrastructure failures, and cell
-// quarantine for infrastructure that stays down. The zero value disables
-// all of it, leaving the engine's original synchronous behaviour.
+// hung runs and a bounded retry budget for infrastructure failures. The
+// zero value disables both, leaving the engine's original synchronous
+// behaviour.
 type Policy struct {
 	// RunTimeout is the per-run wall-clock deadline. A run still blocked
 	// past it fails with a typed cosim.ClassTimeout coupling error
@@ -30,17 +30,6 @@ type Policy struct {
 	// from the run seed, so a replayed run backs off identically.
 	RetryBase time.Duration
 	RetryCap  time.Duration
-	// QuarantineAfter quarantines a matrix cell once runs in
-	// QuarantineAfter consecutive cell ordinals exhaust their retry
-	// budget: later runs of the cell are skipped and counted as
-	// quarantined instead of burning the remaining budget. 0 disables
-	// quarantine.
-	QuarantineAfter int
-}
-
-// active reports whether any supervision feature is enabled.
-func (p Policy) active() bool {
-	return p.RunTimeout > 0 || p.Retries > 0 || p.QuarantineAfter > 0
 }
 
 func (p Policy) retryBase() time.Duration {

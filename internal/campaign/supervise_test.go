@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -119,6 +120,116 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	if sum.Retried != 6 {
 		t.Errorf("retried = %d, want 6 (3 extra attempts per run)", sum.Retried)
 	}
+}
+
+// deadInfraMatrix pairs a healthy cell with one whose infrastructure is
+// permanently down: every run fails with a retryable coupling timeout and
+// exhausts its retry budget.
+func deadInfraMatrix() []Cell {
+	good := func(ctx context.Context, r *Run) error {
+		r.Observe("draw", float64(r.RNG().Uint64()%1000))
+		return nil
+	}
+	bad := func(ctx context.Context, r *Run) error {
+		return &cosim.CouplingError{Class: cosim.ClassTimeout, Op: "connect",
+			Err: errors.New("rig never came up")}
+	}
+	return []Cell{
+		{Experiment: "synth", Run: good},
+		{Experiment: "synth", Fault: "dead", Run: bad},
+	}
+}
+
+// deadInfraSpec runs deadInfraMatrix with one fast retry per run.
+func deadInfraSpec(shards int) Spec {
+	return Spec{
+		Name:   "dead-infra",
+		Seed:   5,
+		Runs:   40,
+		Shards: shards,
+		Matrix: deadInfraMatrix(),
+		Policy: Policy{Retries: 1, RetryBase: time.Microsecond, RetryCap: time.Microsecond},
+	}
+}
+
+// TestGiveUpDigestDeterministicAcrossShards: a cell whose infrastructure
+// stays down keeps failing — every one of its runs spends its retry and
+// counts as a failed give-up — and the counts, stats and digest are the
+// same at any shard count.
+func TestGiveUpDigestDeterministicAcrossShards(t *testing.T) {
+	run := func(shards int) *Summary {
+		sum, err := Execute(context.Background(), deadInfraSpec(shards))
+		if err != nil {
+			t.Fatalf("Execute(shards=%d): %v", shards, err)
+		}
+		return sum
+	}
+	ref := run(1)
+	if ref.Completed != 20 || ref.Failed != 20 || ref.GaveUp != 20 || ref.Retried != 20 {
+		t.Fatalf("serial reference: completed=%d failed=%d gaveup=%d retried=%d, want 20/20/20/20",
+			ref.Completed, ref.Failed, ref.GaveUp, ref.Retried)
+	}
+	if !strings.HasPrefix(ref.Digest(), "run=000001 ") || len(ref.Failures) != 16 {
+		t.Fatalf("digest keeps %d failures, want the first 16 from run 1:\n%s", len(ref.Failures), ref.Digest())
+	}
+	for _, shards := range []int{4, 8} {
+		assertSameSummary(t, run(shards), ref, fmt.Sprintf("shards=%d", shards))
+	}
+}
+
+// TestDeadCellKeepsFailing: nothing stops a cell whose infrastructure
+// stays down; every one of its runs is a counted failure to the end of
+// the campaign, and the healthy cell beside it is unaffected.
+func TestDeadCellKeepsFailing(t *testing.T) {
+	spec := deadInfraSpec(4)
+	spec.DigestMax = spec.Runs
+	sum, err := Execute(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	if sum.Failed != 20 || sum.Completed != 20 {
+		t.Errorf("failed=%d completed=%d, want 20/20", sum.Failed, sum.Completed)
+	}
+	if len(sum.Failures) != 20 {
+		t.Fatalf("digest keeps %d failures, want all 20", len(sum.Failures))
+	}
+	for k, f := range sum.Failures {
+		if f.Cell != "synth/dead" || f.Index != uint64(2*k+1) {
+			t.Errorf("failure %d: run %d cell %q, want run %d cell synth/dead", k, f.Index, f.Cell, 2*k+1)
+		}
+	}
+}
+
+// TestGiveUpResumeDeterministic: a checkpointed campaign with give-ups,
+// interrupted mid-flight, resumes to the identical digest and counts.
+func TestGiveUpResumeDeterministic(t *testing.T) {
+	base := deadInfraSpec(4)
+	ref, err := Execute(context.Background(), base)
+	if err != nil {
+		t.Fatalf("reference Execute: %v", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	interrupted := base
+	interrupted.Checkpoint = filepath.Join(t.TempDir(), "campaign.ckpt")
+	interrupted.CheckpointEvery = 2
+	interrupted.OnResult = interruptAfter(12, cancel)
+	partial, err := Execute(ctx, interrupted)
+	cancel()
+	if err != nil {
+		t.Fatalf("interrupted Execute: %v", err)
+	}
+	if partial.Skipped == 0 {
+		t.Fatal("interruption skipped nothing; test is vacuous")
+	}
+
+	resumed := base
+	resumed.Checkpoint = interrupted.Checkpoint
+	res, err := Resume(context.Background(), resumed)
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	assertSameSummary(t, res, ref, "give-up resume")
 }
 
 // TestHungRunReaped is the acceptance property for the per-run deadline:
@@ -335,11 +446,10 @@ func TestReplayHonoursSupervision(t *testing.T) {
 func TestSupervisionSpecValidation(t *testing.T) {
 	good := Spec{Runs: 1, Matrix: syntheticMatrix()}
 	for name, mut := range map[string]func(*Spec){
-		"negative timeout":    func(s *Spec) { s.Policy.RunTimeout = -time.Second },
-		"negative retries":    func(s *Spec) { s.Policy.Retries = -1 },
-		"negative backoff":    func(s *Spec) { s.Policy.RetryBase = -time.Second },
-		"negative quarantine": func(s *Spec) { s.Policy.QuarantineAfter = -2 },
-		"negative cadence":    func(s *Spec) { s.CheckpointEvery = -1 },
+		"negative timeout": func(s *Spec) { s.Policy.RunTimeout = -time.Second },
+		"negative retries": func(s *Spec) { s.Policy.Retries = -1 },
+		"negative backoff": func(s *Spec) { s.Policy.RetryBase = -time.Second },
+		"negative cadence": func(s *Spec) { s.CheckpointEvery = -1 },
 	} {
 		s := good
 		mut(&s)

@@ -176,6 +176,15 @@ func (d *Dec) Finish() error {
 	return d.err
 }
 
+// Fail rejects the payload for a schema rule the field readers cannot
+// check themselves, such as a non-canonical value; it keeps an earlier
+// error.
+func (d *Dec) Fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: %s at offset %d", d.class, fmt.Sprintf(format, args...), d.off)
+	}
+}
+
 func (d *Dec) take(n int) []byte {
 	if d.err != nil {
 		return nil

@@ -266,7 +266,7 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 
 // incomplete reports whether a generation campaign was cut short.
 func incomplete(sum *campaign.Summary, population int) bool {
-	return sum.Skipped > 0 || sum.Completed+sum.Failed+sum.Quarantined < population
+	return sum.Skipped > 0 || sum.Completed+sum.Failed < population
 }
 
 // runGeneration executes generation g as one campaign over the current

@@ -1,11 +1,11 @@
 // Package explore closes the coverage loop: where a campaign sweeps a
 // static experiment × fault matrix and merely *measures* functional
 // coverage, the explorer *pursues* it. Each generation is one campaign
-// (reusing the engine's supervision, retry, quarantine and checkpoint
-// machinery unchanged), whose merged coverage snapshot scores every
-// scenario by the bins it newly covered; the best scenarios seed the next
-// generation through coverage-guided mutation of traffic mix, rates,
-// fault profiles and coupling configuration.
+// (reusing the engine's supervision, retry and checkpoint machinery
+// unchanged), whose merged coverage snapshot scores every scenario by the
+// bins it newly covered; the best scenarios seed the next generation
+// through coverage-guided mutation of traffic mix, rates, fault profiles
+// and coupling configuration.
 //
 // Determinism contract: every generation seed, every mutation draw and
 // every per-run seed derives from the explorer's master seed through

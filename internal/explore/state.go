@@ -39,11 +39,11 @@ var stateFormat = durable.Format{Magic: "EXPL", Version: 1, Class: ErrState}
 // hardware.
 func fingerprint(s *Spec) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "expl-v1|%s|%d|%d|%d|%s|%d|%d|%v|%d|%v|%v|%d|",
+	fmt.Fprintf(h, "expl-v1|%s|%d|%d|%d|%s|%d|%d|%v|%d|%v|%v|",
 		s.Space.Name(), s.Seed, s.Generations, s.Population, s.Target,
 		s.elite(), s.digestMax(),
 		s.Policy.RunTimeout, s.Policy.Retries,
-		s.Policy.RetryBase, s.Policy.RetryCap, s.Policy.QuarantineAfter)
+		s.Policy.RetryBase, s.Policy.RetryCap)
 	for _, g := range s.Space.Genes() {
 		fmt.Fprintf(h, "%s:%d|", g.Name, g.Card)
 	}
