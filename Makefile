@@ -63,12 +63,13 @@ explore-smoke:
 # event/run/delta/time-point counters, same coverage and profile — on the
 # pinned property-test seeds and on the full rig workloads, under the
 # race detector. The same run checks rising-edge processes against their
-# guarded level-process definition and parked processes against
-# never-parking twins at every wake position. -short keeps the hdl
-# property tests at their three pinned seeds; the nightly fuzz run
-# explores beyond them.
+# guarded level-process definition, parked processes against
+# never-parking twins at every wake position, idle-clock elision against
+# Step loops and cycle stepping against plain dispatch. -short keeps the
+# hdl property tests at their pinned seeds; the nightly fuzz run explores
+# beyond them.
 kernel-diff-smoke:
-	$(GO) test -race -count=1 -short -run 'KernelEquivalence|EdgeSensitivity|ParkWake|Elide' -v ./internal/hdl/ ./internal/coverify/
+	$(GO) test -race -count=1 -short -run 'KernelEquivalence|EdgeSensitivity|ParkWake|Elide|CycleStep' -v ./internal/hdl/ ./internal/coverify/
 
 # Rig smoke, on one binary built once: the reference campaigns must meet
 # the per-group coverage floors committed in COVER_FLOOR.json (the

@@ -25,15 +25,23 @@ import (
 
 // The parity wall pins what a kernel scheduling optimization must not
 // change: the full-design VCD and end-of-run report of every rig, and the
-// campaign digests. testdata/parity.txt holds them; testdata/
-// parity_counters.txt holds the kernel work counters of a reference
-// workload as measured before the idle-dispatch optimization (rising-edge
-// sensitivity and process parking, DESIGN.md §19). Both are recorded with
+// campaign digests. testdata/parity.txt and testdata/parity_profile.txt
+// hold them and are recorded with
 //
 //	go test ./internal/coverify -run 'TestParity' -record-parity
 //
-// on the commit whose behaviour they pin, never on the change under test.
-var recordParity = flag.Bool("record-parity", false, "rewrite testdata/parity*.txt from the current tree")
+// on the commit whose behaviour they pin, never on the change under test;
+// on an unchanged tree the record run rewrites them byte for byte.
+// testdata/parity_counters.txt is different: it is a fixed baseline, the
+// kernel work counters of a reference workload as measured before the
+// idle-dispatch optimization (rising-edge sensitivity and process parking,
+// DESIGN.md §19), which no later tree can reproduce. The record flag
+// refuses to write it.
+var recordParity = flag.Bool("record-parity", false, "rewrite the parity goldens testdata/parity.txt and parity_profile.txt from the current tree")
+
+// parityBaseline is the fixed baseline under testdata that the record flag
+// must never rewrite.
+const parityBaseline = "parity_counters.txt"
 
 var paritySeeds = []uint64{1, 7, 42}
 
@@ -149,6 +157,9 @@ func parityFile(t *testing.T, file, got string) {
 	t.Helper()
 	path := filepath.Join("testdata", file)
 	if *recordParity {
+		if file == parityBaseline {
+			t.Fatalf("%s is a fixed baseline, not a golden: -record-parity does not rewrite it", file)
+		}
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -206,8 +217,10 @@ func TestParityProfile(t *testing.T) {
 }
 
 // parityCounters measures the kernel work of the reference workloads: the
-// E1 switch rig (400 cells of CBR at 0.8 line load, seed 1) and a 16-run
-// switch campaign.
+// E1 switch rig (400 cells of CBR at 0.8 line load, seed 1), the RTL rig on
+// the same traffic, and a 16-run switch campaign. The e1 and rtl
+// "executed" counts are the instants the kernel ran rather than elided or
+// folded (TimePoints − ElidedEdges − FoldedEdges).
 func parityCounters(t *testing.T) map[string]uint64 {
 	t.Helper()
 	const cells, load = 400, 0.8
@@ -228,7 +241,16 @@ func parityCounters(t *testing.T) map[string]uint64 {
 		"e1.process_runs":  rig.HDL.ProcessRuns(),
 		"e1.signal_events": rig.HDL.Events(),
 		"e1.time_points":   rig.HDL.TimePoints(),
+		"e1.elided":        rig.HDL.ElidedEdges(),
+		"e1.executed":      executedPoints(rig.HDL),
 	}
+	rtl := coverify.NewRTLRig(coverify.SwitchRigConfig{Seed: 1, Traffic: tr})
+	if err := rtl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	c["rtl.time_points"] = rtl.HDL.TimePoints()
+	c["rtl.elided"] = rtl.HDL.ElidedEdges()
+	c["rtl.executed"] = executedPoints(rtl.HDL)
 	sum := runCampaign(t, "switch", 16, false, true)
 	for _, st := range sum.Stats {
 		if st.Name == "cells" {
@@ -242,6 +264,11 @@ func parityCounters(t *testing.T) map[string]uint64 {
 		c["campaign16.signal_events"] += s.Events
 	}
 	return c
+}
+
+// executedPoints is the number of instants h executed as a Step.
+func executedPoints(h *hdl.Simulator) uint64 {
+	return h.TimePoints() - h.ElidedEdges() - h.FoldedEdges()
 }
 
 // campaign16Kernel replays the 16 runs of the switch campaign at seed 1
@@ -277,19 +304,13 @@ func campaign16Kernel(t *testing.T) (cells, points, elided uint64) {
 // pre-optimization figures, and process runs per cell fall at least 2× on
 // the E1 switch rig and at least 20× on the switch campaign. On the same
 // campaign, idle-clock elision must execute at least 5× fewer time points
-// than the kernel counts.
+// than the kernel counts. Cycle stepping must execute at least 1.8× fewer
+// time points than elision alone leaves (TimePoints − ElidedEdges), so at
+// least 1.8× fewer than the kernel counts, on the E1 switch rig and on the
+// RTL rig. It reads the fixed baseline under -record-parity too.
 func TestParityCounters(t *testing.T) {
 	got := parityCounters(t)
-	if *recordParity {
-		var b strings.Builder
-		for _, k := range []string{"e1.cells", "e1.process_runs", "e1.signal_events", "e1.time_points",
-			"campaign16.cells", "campaign16.process_runs", "campaign16.signal_events"} {
-			fmt.Fprintf(&b, "%s %d\n", k, got[k])
-		}
-		parityFile(t, "parity_counters.txt", b.String())
-		return
-	}
-	raw, err := os.ReadFile(filepath.Join("testdata", "parity_counters.txt"))
+	raw, err := os.ReadFile(filepath.Join("testdata", parityBaseline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,6 +339,14 @@ func TestParityCounters(t *testing.T) {
 			t.Errorf("%s: process runs per cell %.1f -> %.1f, want at least %gx fewer", g.prefix, before, after, g.min)
 		}
 	}
+	for _, rig := range []string{"e1", "rtl"} {
+		unelided, executed := got[rig+".time_points"]-got[rig+".elided"], got[rig+".executed"]
+		t.Logf("%s: %d time points, %d not elided, %d executed (%.2fx fewer)",
+			rig, got[rig+".time_points"], unelided, executed, float64(unelided)/float64(executed))
+		if 10*unelided < 18*executed {
+			t.Errorf("%s: %d of %d unelided time points executed, want at least 1.8x fewer", rig, executed, unelided)
+		}
+	}
 	cells, points, elided := campaign16Kernel(t)
 	if cells != got["campaign16.cells"] {
 		t.Fatalf("campaign16 replay offered %d cells, the campaign %d", cells, got["campaign16.cells"])
@@ -332,12 +361,15 @@ func TestParityCounters(t *testing.T) {
 // TestRigsElide keeps the parity goldens from passing vacuously: the
 // co-simulation rigs (switch, policer, accounting) elide idle clock edges
 // in their parity runs, while the RTL rig, whose test bench drives the DUT
-// every clock by design, never does.
+// every clock by design, never does. Every rig folds falling edges.
 func TestRigsElide(t *testing.T) {
 	for _, rig := range []string{"switch", "rtl", "policer", "acct"} {
 		h := rigParity(t, rig, paritySeeds[0]).hdl
 		if n := h.ElidedEdges(); (n > 0) != (rig != "rtl") {
 			t.Errorf("rig %s elided %d of %d time points", rig, n, h.TimePoints())
+		}
+		if h.FoldedEdges() == 0 {
+			t.Errorf("rig %s folded none of %d time points", rig, h.TimePoints())
 		}
 	}
 }

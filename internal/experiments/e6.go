@@ -51,7 +51,8 @@ type cellRecord struct {
 
 // E6 runs the identical stimulus through the event-driven RTL switch and
 // its cycle-based twin, comparing wall-clock speed and checking that the
-// delivered cells are identical.
+// delivered cells are identical, and that each completes a constant number
+// of cycles later in the RTL leg than in the twin.
 func (f Factory) E6(cells uint64, seed uint64) E6Result {
 	st := makeE6Stimulus(cells, seed)
 	table := coverify.DefaultTable()
@@ -65,6 +66,7 @@ func (f Factory) E6(cells uint64, seed uint64) E6Result {
 	h.Clock(clk, period)
 	sw := dut.NewSwitch(h, clk, table, dut.DefaultSwitchConfig())
 	eventGot := make(map[uint32]cellRecord)
+	eventDone := make(map[uint32]int) // completion cycle: rising edges made - 1
 	totalCycles := 0
 	for p := 0; p < dut.SwitchPorts; p++ {
 		p := p
@@ -81,7 +83,10 @@ func (f Factory) E6(cells uint64, seed uint64) E6Result {
 		}
 		rd := mapping.NewCellPortReader(h, fmt.Sprintf("rx%d", p), clk, sw.Out[p].Data, sw.Out[p].Sync)
 		rd.SkipIdle = true
-		rd.OnCell = func(c *atm.Cell) { eventGot[c.Seq] = cellRecord{port: p, header: c.Header} }
+		rd.OnCell = func(c *atm.Cell) {
+			eventGot[c.Seq] = cellRecord{port: p, header: c.Header}
+			eventDone[c.Seq] = int(h.RisingEdges(clk)) - 1
+		}
 	}
 	if !f.NoCompiled {
 		h.MustCompile()
@@ -98,6 +103,7 @@ func (f Factory) E6(cells uint64, seed uint64) E6Result {
 	// Cycle-based engine, same stimulus timing.
 	csw := cyclesim.NewSwitch(table, dut.DefaultSwitchConfig().InFifoCells, dut.DefaultSwitchConfig().OutFifoCells)
 	cycleGot := make(map[uint32]cellRecord)
+	cycleDone := make(map[uint32]int)
 	nCycles := totalCycles + 20*53
 	// Precompile per-port byte streams.
 	type stream struct {
@@ -153,6 +159,7 @@ func (f Factory) E6(cells uint64, seed uint64) E6Result {
 				r.inCell = false
 				if c, err := atm.Unmarshal(r.buf); err == nil && !c.IsIdle() && !c.IsUnassigned() {
 					cycleGot[c.Seq] = cellRecord{port: p, header: c.Header}
+					cycleDone[c.Seq] = cyc
 				}
 			}
 		}
@@ -172,6 +179,22 @@ func (f Factory) E6(cells uint64, seed uint64) E6Result {
 		if !ok || cr != er {
 			res.Equivalent = false
 			break
+		}
+	}
+	// Timing: the RTL−twin completion latency of the first cell, and
+	// whether every cell both legs delivered shows the same one.
+	res.LatencyConst = len(eventDone) > 0
+	first := true
+	for seq := uint32(0); seq < uint32(cells); seq++ {
+		ed, ok1 := eventDone[seq]
+		cd, ok2 := cycleDone[seq]
+		if !ok1 || !ok2 {
+			continue
+		}
+		if first {
+			res.Latency, first = ed-cd, false
+		} else if ed-cd != res.Latency {
+			res.LatencyConst = false
 		}
 	}
 	return res

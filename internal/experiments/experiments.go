@@ -456,6 +456,11 @@ type E6Result struct {
 	Equivalent bool
 	EventCells uint64
 	CycleCells uint64
+	// Latency is how many clock cycles later a cell completes in the RTL
+	// leg than in the cycle twin, and LatencyConst whether every cell both
+	// legs delivered shows that same latency (not printed).
+	Latency      int
+	LatencyConst bool
 }
 
 // String formats the E6 report.

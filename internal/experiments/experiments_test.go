@@ -158,6 +158,12 @@ func TestE6Shape(t *testing.T) {
 	if r.EventCells != r.Cells {
 		t.Errorf("event engine delivered %d of %d cells", r.EventCells, r.Cells)
 	}
+	// Cycle-exact timing: E6 schedules its stimulus on falling-edge
+	// instants, so a kernel that shifted RTL timing around a folded edge
+	// would move or spread this latency.
+	if !r.LatencyConst || r.Latency != 18 {
+		t.Errorf("RTL-twin latency %d cycles (same for every cell: %v), want 18 for every cell", r.Latency, r.LatencyConst)
+	}
 	// Cycle-based must be clearly faster (paper's conclusion).
 	if r.Speedup < 2 {
 		t.Errorf("cycle-based speedup = %.1fx, want >= 2\n%s", r.Speedup, r)

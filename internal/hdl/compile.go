@@ -270,17 +270,8 @@ func (pl *Plan) runDirty(s *Simulator) {
 		lvl := pl.dirty[li]
 		for _, gt := range lvl {
 			gt.dirty = false
-			p := gt.proc
-			p.triggered = false
-			p.runs++
-			s.procRuns++
-			if pr := s.prof; pr != nil {
-				pr.procRuns[p.id]++
-				if s.deltasAtNow > 0 {
-					pr.procDelta[p.id]++
-				}
-			}
-			gt.run()
+			gt.proc.triggered = false
+			s.runProcess(gt.proc)
 		}
 		if len(lvl) > 0 {
 			pl.dirty[li] = lvl[:0]
@@ -424,6 +415,7 @@ func (s *Simulator) Compile() (*Plan, error) {
 			}
 			in.watchers = live
 			in.gwatch = append(in.gwatch, gt)
+			in.rederive()
 		}
 	}
 

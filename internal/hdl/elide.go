@@ -11,14 +11,19 @@ import "castanet/internal/sim"
 
 // clock is a kernel-owned free-running clock generator (Simulator.Clock).
 // Its pending toggle is a heap callback transaction that also carries the
-// generator's driver, which is how the elision check recognises it.
+// generator's driver, which is how elision and folding recognise it.
+// eligible and awake are the clock domain's cycle-stepping state
+// (cycle.go), kept current as the design changes so that every check on
+// them is O(1).
 type clock struct {
-	sig    *Signal
-	drv    *Driver
-	half   sim.Duration
-	val    Logic
-	rises  uint64 // rising edges made, elided ones included
-	toggle func()
+	sig      *Signal
+	drv      *Driver
+	half     sim.Duration
+	val      Logic
+	rises    uint64 // rising edges made, elided ones included
+	toggle   func()
+	eligible bool // every watcher is Clocked; no waker, compiled gate or second driver
+	awake    int  // unparked Clocked watchers of sig
 }
 
 // Clock drives sig as a free-running clock with the given period and an
@@ -39,7 +44,10 @@ func (s *Simulator) Clock(sig *Signal, period sim.Duration) {
 		c.drv.SetBit(c.val)
 		s.scheduleToggle(c)
 	}
-	s.clocks = append(s.clocks, c)
+	if sig.clk == nil {
+		sig.clk = c
+		sig.rederive()
+	}
 	s.scheduleToggle(c)
 }
 
@@ -53,10 +61,8 @@ func (s *Simulator) toggleClock(t *txn) *clock {
 	if t.fn == nil || t.drv == nil {
 		return nil
 	}
-	for _, c := range s.clocks {
-		if c.drv == t.drv {
-			return c
-		}
+	if c := t.drv.sig.clk; c != nil && c.drv == t.drv {
+		return c
 	}
 	return nil
 }
@@ -65,35 +71,29 @@ func (s *Simulator) toggleClock(t *txn) *clock {
 // onto clk has made up to the current instant, elided edges included. It
 // panics if Clock does not drive clk.
 func (s *Simulator) RisingEdges(clk *Signal) uint64 {
-	for _, c := range s.clocks {
-		if c.sig == clk {
-			return c.rises
-		}
+	if c := clk.clk; c != nil {
+		return c.rises
 	}
 	panic("hdl: RisingEdges on " + clk.name + ", which Clock does not drive")
 }
 
 // ElidedEdges returns how many clock edges bounded runs have skipped
 // instead of executing. Every elided edge is also counted in TimePoints,
-// Events and DeltaCycles, so TimePoints()-ElidedEdges() is the number of
-// instants actually executed.
+// Events and DeltaCycles, as is every folded one (FoldedEdges), so
+// TimePoints()-ElidedEdges()-FoldedEdges() is the number of instants
+// actually executed.
 func (s *Simulator) ElidedEdges() uint64 { return s.elided }
 
-// idle reports whether nothing observes the clock's edges: every watcher
-// is a parked Clocked process, no process wakes on it, no compiled gate
-// reads it, the generator is its only driver, and its last event was a
-// two-state toggle — so an even number of further toggles leaves its
-// value and prev exactly as they are.
+// idle reports whether nothing observes the clock's edges: the clock is
+// eligible (every watcher is Clocked, no process wakes on it, no compiled
+// gate reads it, the generator is its only driver), every watcher is
+// parked, and its last event was a two-state toggle — so an even number
+// of further toggles leaves its value and prev exactly as they are.
 func (c *clock) idle() bool {
-	g := c.sig
-	if len(g.wakers) > 0 || len(g.gwatch) > 0 || len(g.drivers) != 1 || c.half <= 0 {
+	if !c.eligible || c.awake > 0 {
 		return false
 	}
-	for _, p := range g.watchers {
-		if p.edge == nil || !p.parked {
-			return false
-		}
-	}
+	g := c.sig
 	if g.pknown && g.pprevKnown {
 		return g.pval != g.pprev
 	}

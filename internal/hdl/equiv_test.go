@@ -21,8 +21,9 @@ import (
 // event-for-event (time, global delta index, old and new value), the
 // kernel counters, and the activity profile. FuzzKernelEquivalence drives
 // the same harness from the fuzzer. The same programs also check
-// rising-edge sensitivity against its definition (compareEdgeSensitivity)
-// and idle-clock elision against a Step-driven twin (compareElision).
+// rising-edge sensitivity against its definition (compareEdgeSensitivity),
+// idle-clock elision against a Step-driven twin (compareElision) and cycle
+// stepping against plain dispatch (compareCycleStep).
 
 const (
 	diffClockPeriod = 10 * sim.Nanosecond
@@ -138,7 +139,7 @@ func buildDiffDesign(data []byte, s *Simulator, clk *Signal, eg *edgeGuard) (all
 		}
 	}
 	for r.more() {
-		switch r.next() % 9 {
+		switch r.next() % 12 {
 		case 0: // new stimulus input
 			if len(ins) >= diffMaxSignals {
 				continue
@@ -238,6 +239,61 @@ func buildDiffDesign(data []byte, s *Simulator, clk *Signal, eg *edgeGuard) (all
 			p.WakeOn(wake)
 			parkers = append(parkers, p)
 			addSig(q)
+		case 9: // two-state stimulus on a falling-edge instant, as E6 schedules it
+			if len(ins) == 0 || stims >= diffMaxStims {
+				continue
+			}
+			in := ins[int(r.next())%len(ins)]
+			u := uint64(r.next())
+			at := sim.Duration(r.next()) * diffClockPeriod
+			note(sim.Time(at))
+			s.Schedule(at, func() { in.drv.SetUint(u) })
+			stims++
+		case 10: // mid-run, clk gains a level watcher or a parker wakes on it
+			if len(all) >= 2*diffMaxSignals || stims >= diffMaxStims {
+				continue
+			}
+			mode := r.next()
+			at := sim.Duration(r.next()) * diffClockPeriod / 2
+			note(sim.Time(at))
+			stims++
+			if mode%2 == 1 && len(parkers) > 0 {
+				p := parkers[int(mode>>1)%len(parkers)]
+				s.Schedule(at, func() { p.WakeOn(clk) })
+				continue
+			}
+			name := fmt.Sprintf("l%d", len(all))
+			q := s.Bit(name+"_q", U)
+			drv := q.Driver(name)
+			s.Schedule(at, func() {
+				s.Process(name, func() { drv.Set(clk.Val().Not()) }, clk)
+			})
+			addSig(q)
+		case 11: // mid-run (after Compile), a clocked process is registered
+			if len(all) == 0 || len(all) >= 2*diffMaxSignals || stims >= diffMaxStims {
+				continue
+			}
+			d := all[int(r.next())%len(all)]
+			wake := all[int(r.next())%len(all)]
+			every := int(r.next()&3) + 1
+			at := sim.Duration(r.next()) * diffClockPeriod / 2
+			note(sim.Time(at))
+			stims++
+			name := fmt.Sprintf("c%d", len(all))
+			q := s.Signal(name+"_q", d.width, U)
+			drv := q.Driver(name)
+			s.Schedule(at, func() {
+				n := 0
+				var p *Process
+				p = eg.clocked(s, name, clk, func() {
+					drv.Set(d.Val().Clone())
+					if n++; n%every == 0 {
+						p.Park()
+					}
+				})
+				p.WakeOn(wake)
+			})
+			addSig(q)
 		}
 	}
 	return all, horizon
@@ -252,15 +308,26 @@ type diffResult struct {
 	deltas  uint64
 	points  uint64
 	elided  uint64
+	folded  uint64
 	prof    interface{}
 	planErr error
 }
 
-// runDiffKernel runs the program to its horizon with Run, which elides
-// idle clock edges, or with step set by a plain Step loop, which never
-// does.
-func runDiffKernel(data []byte, compiled bool, eg *edgeGuard, step bool) *diffResult {
+// diffMode is how runDiffKernel drives the program to its horizon.
+type diffMode int
+
+const (
+	diffRun   diffMode = iota // Run: elides, folds and dispatches rising edges directly
+	diffStep                  // a plain Step loop: never elides or folds
+	diffPlain                 // Run with cycle stepping off (plainDispatch)
+)
+
+// runDiffKernel runs the program to its horizon in the given mode.
+func runDiffKernel(data []byte, compiled bool, eg *edgeGuard, mode diffMode) *diffResult {
 	s := New()
+	if mode == diffPlain {
+		plainDispatch(s)
+	}
 	s.EnableProfile()
 	clk := s.Bit("clk", U)
 	s.Clock(clk, diffClockPeriod)
@@ -282,7 +349,7 @@ func runDiffKernel(data []byte, compiled bool, eg *edgeGuard, step bool) *diffRe
 		}
 	}
 	run := s.Run
-	if step {
+	if mode == diffStep {
 		run = func(until sim.Time) error { return stepThrough(s, until) }
 	}
 	if err := run(horizon); err != nil {
@@ -296,6 +363,7 @@ func runDiffKernel(data []byte, compiled bool, eg *edgeGuard, step bool) *diffRe
 	res.deltas = s.DeltaCycles()
 	res.points = s.TimePoints()
 	res.elided = s.ElidedEdges()
+	res.folded = s.FoldedEdges()
 	res.prof = s.Profile().Snapshot()
 	return res
 }
@@ -303,8 +371,8 @@ func runDiffKernel(data []byte, compiled bool, eg *edgeGuard, step bool) *diffRe
 // compareKernels runs the program through both kernels and reports the
 // first divergence, or "" when they agree.
 func compareKernels(data []byte) string {
-	ev := runDiffKernel(data, false, nil, false)
-	cp := runDiffKernel(data, true, nil, false)
+	ev := runDiffKernel(data, false, nil, diffRun)
+	cp := runDiffKernel(data, true, nil, diffRun)
 	if (ev.planErr == nil) != (cp.planErr == nil) {
 		return fmt.Sprintf("error divergence: event=%v compiled=%v", ev.planErr, cp.planErr)
 	}
@@ -332,8 +400,8 @@ func compareKernels(data []byte) string {
 // per process plus every non-rising clock event.
 func compareEdgeSensitivity(data []byte, compiled bool) string {
 	var eg edgeGuard
-	cl := runDiffKernel(data, compiled, nil, false)
-	lv := runDiffKernel(data, compiled, &eg, false)
+	cl := runDiffKernel(data, compiled, nil, diffRun)
+	lv := runDiffKernel(data, compiled, &eg, diffRun)
 	if (cl.planErr == nil) != (lv.planErr == nil) {
 		return fmt.Sprintf("error divergence: clocked=%v level=%v", cl.planErr, lv.planErr)
 	}
@@ -356,26 +424,40 @@ func compareEdgeSensitivity(data []byte, compiled bool) string {
 // VCD, waveforms, the four counters and the activity profile must be
 // identical.
 func compareElision(data []byte, compiled bool) string {
-	el := runDiffKernel(data, compiled, nil, false)
-	st := runDiffKernel(data, compiled, nil, true)
+	return compareTwins(data, compiled, diffStep, "stepping")
+}
+
+// compareCycleStep runs the program on the given kernel with Run and with
+// its plain-dispatch twin, which neither elides, folds nor dispatches a
+// rising edge directly. VCD, waveforms, the four counters and the
+// activity profile must be identical.
+func compareCycleStep(data []byte, compiled bool) string {
+	return compareTwins(data, compiled, diffPlain, "plain")
+}
+
+// compareTwins compares Run against the twin mode, which must execute
+// every instant it credits.
+func compareTwins(data []byte, compiled bool, mode diffMode, name string) string {
+	el := runDiffKernel(data, compiled, nil, diffRun)
+	st := runDiffKernel(data, compiled, nil, mode)
 	if (el.planErr == nil) != (st.planErr == nil) {
-		return fmt.Sprintf("error divergence: eliding=%v stepping=%v", el.planErr, st.planErr)
+		return fmt.Sprintf("error divergence: run=%v %s=%v", el.planErr, name, st.planErr)
 	}
 	if el.planErr != nil {
 		return ""
 	}
 	if el.events != st.events || el.runs != st.runs || el.deltas != st.deltas || el.points != st.points {
-		return fmt.Sprintf("counter divergence: eliding(ev=%d runs=%d deltas=%d points=%d) stepping(ev=%d runs=%d deltas=%d points=%d)",
-			el.events, el.runs, el.deltas, el.points, st.events, st.runs, st.deltas, st.points)
+		return fmt.Sprintf("counter divergence: run(ev=%d runs=%d deltas=%d points=%d) %s(ev=%d runs=%d deltas=%d points=%d)",
+			el.events, el.runs, el.deltas, el.points, name, st.events, st.runs, st.deltas, st.points)
 	}
-	if st.elided != 0 {
-		return fmt.Sprintf("the Step loop elided %d edges", st.elided)
+	if st.elided != 0 || st.folded != 0 {
+		return fmt.Sprintf("the %s twin elided %d and folded %d edges", name, st.elided, st.folded)
 	}
 	if diff := compareWaves(el, st); diff != "" {
 		return diff
 	}
 	if !reflect.DeepEqual(el.prof, st.prof) {
-		return fmt.Sprintf("profile divergence:\neliding:  %+v\nstepping: %+v", el.prof, st.prof)
+		return fmt.Sprintf("profile divergence:\nrun:    %+v\n%s: %+v", el.prof, name, st.prof)
 	}
 	return ""
 }

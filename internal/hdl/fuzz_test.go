@@ -78,11 +78,13 @@ func elideSeeds() [][]byte {
 // differential harness: any divergence between the nine-value event
 // kernel and the compiled bit-parallel kernel — in waveforms, counters,
 // VCD bytes or the activity profile — is a crash, as is any divergence
-// between eliding (Run) and stepping (a Step loop) on either kernel. The
-// nightly workflow runs this for minutes; CI runs the committed corpus as
+// between eliding (Run) and stepping (a Step loop), or between cycle
+// stepping (Run) and plain dispatch, on either kernel. The nightly
+// workflow runs this for minutes; CI runs the committed corpus as
 // regression tests.
 func FuzzKernelEquivalence(f *testing.F) {
-	for _, seed := range append(e1e8Seeds(), elideSeeds()...) {
+	seeds := append(e1e8Seeds(), elideSeeds()...)
+	for _, seed := range append(seeds, cycleSeeds()...) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -99,6 +101,9 @@ func FuzzKernelEquivalence(f *testing.F) {
 			if diff := compareElision(data, compiled); diff != "" {
 				t.Fatalf("elision divergence compiled=%v: %s", compiled, diff)
 			}
+			if diff := compareCycleStep(data, compiled); diff != "" {
+				t.Fatalf("cycle-stepping divergence compiled=%v: %s", compiled, diff)
+			}
 		}
 	})
 }
@@ -108,7 +113,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 func TestElideSeedsElide(t *testing.T) {
 	for i, data := range elideSeeds() {
 		for _, compiled := range []bool{false, true} {
-			if n := runDiffKernel(data, compiled, nil, false).elided; n == 0 {
+			if n := runDiffKernel(data, compiled, nil, diffRun).elided; n == 0 {
 				t.Errorf("elide seed %d compiled=%v elided nothing", i+1, compiled)
 			}
 		}

@@ -25,7 +25,6 @@ type Signal struct {
 	name  string
 	sim   *Simulator
 	width int
-	id    int // creation-order index into the profiler's accumulators
 
 	drivers []*Driver
 	value   LV
@@ -37,10 +36,12 @@ type Signal struct {
 	pprev      uint64
 	pknown     bool
 	pprevKnown bool
-	valStale   bool // value's LV contents lag pval (pknown is set)
-	prevStale  bool // prev's LV contents lag pprev (pprevKnown is set)
+	valStale   bool  // value's LV contents lag pval (pknown is set)
+	prevStale  bool  // prev's LV contents lag pprev (pprevKnown is set)
+	id         int32 // creation-order index into the profiler's accumulators
 
 	region *Region // purity-guard region, set by Compile for gate cones
+	clk    *clock  // kernel clock generator driving the signal, nil if none
 
 	eventStamp uint64 // stamp of the delta in which the last event occurred
 	watchers   []*Process
@@ -158,6 +159,7 @@ func (g *Signal) Driver(owner string) *Driver {
 	d := &Driver{sig: g, owner: owner, value: NewLV(g.width, U), di: uint32(len(g.sim.drvs))}
 	g.sim.drvs = append(g.sim.drvs, d)
 	g.drivers = append(g.drivers, d)
+	g.rederive()
 	return d
 }
 
@@ -179,20 +181,30 @@ func (g *Signal) initMirror() {
 }
 
 // fire records the event and wakes everything sensitive to it: processes,
-// compiled gates, probes. The caller has already rotated value/prev.
+// compiled gates, probes. The caller has already rotated value/prev. An
+// eligible clock's watchers are all Clocked, so its falling edge triggers
+// nothing and its rising edge goes to direct dispatch (cycle.go).
 func (g *Signal) fire(old, new LV) {
 	s := g.sim
 	g.eventStamp = s.stamp
 	s.signalEvents++
 	for _, p := range g.wakers {
-		p.parked = false
+		p.Wake()
 	}
-	rising := len(g.watchers) > 0 && g.Rising()
-	for _, p := range g.watchers {
-		if p.edge != nil && !rising {
-			continue
+	if len(g.watchers) > 0 {
+		rising := g.Rising()
+		if c := g.clk; c != nil && c.eligible {
+			if rising {
+				s.rise(c)
+			}
+		} else {
+			for _, p := range g.watchers {
+				if p.edge != nil && !rising {
+					continue
+				}
+				s.trigger(p)
+			}
 		}
-		s.trigger(p)
 	}
 	for _, gt := range g.gwatch {
 		s.markDirty(gt)

@@ -20,8 +20,9 @@ const MaxDeltas = 10000
 // heap it was scheduled into and its driver's projected waveform (pending
 // list). Callback transactions are never in a pending list and are born
 // with that bit released; a clock generator's toggle callback also carries
-// the generator's driver, which is how elide.go recognises it. Zero-delay driver transactions in compiled mode
-// do not use this type at all — they ride the delta ring as rtxn values.
+// the generator's driver, which is how elision and folding recognise it.
+// Zero-delay driver transactions in compiled mode do not use this type at
+// all — they ride the delta ring as rtxn values.
 type txn struct {
 	at     sim.Time
 	seq    uint64
@@ -169,13 +170,39 @@ func (p *Process) Runs() uint64 { return p.runs }
 // sources fires. Under that contract parking changes no waveform, event
 // or time point; it removes process runs, and the trailing delta cycles
 // that only re-asserted unchanged values.
-func (p *Process) Park() { p.parked = true }
+func (p *Process) Park() {
+	if !p.parked {
+		p.parked = true
+		if c := p.domain(); c != nil {
+			c.awake--
+		}
+	}
+}
 
 // Wake resumes a parked process; a no-op on a running one.
-func (p *Process) Wake() { p.parked = false }
+func (p *Process) Wake() {
+	if p.parked {
+		p.parked = false
+		if c := p.domain(); c != nil {
+			c.awake++
+		}
+	}
+}
+
+// domain returns the kernel clock whose rising edges dispatch a Clocked
+// process, nil for a level process or a clock no Clock drives.
+func (p *Process) domain() *clock {
+	if p.edge == nil {
+		return nil
+	}
+	return p.edge.clk
+}
 
 // WakeOn makes every event on sig wake the process.
-func (p *Process) WakeOn(sig *Signal) { sig.wakers = append(sig.wakers, p) }
+func (p *Process) WakeOn(sig *Signal) {
+	sig.wakers = append(sig.wakers, p)
+	sig.rederive()
+}
 
 // Simulator is the event-driven HDL simulation kernel. The central loop
 // implements the two-phase VHDL cycle: a signal-update phase applying all
@@ -207,7 +234,14 @@ type Simulator struct {
 	runnable  []*Process
 	spare     []*Process // recycled runnable buffer
 	signals   []*Signal
-	clocks    []*clock // Clock generators in creation order
+
+	// Cycle stepping (cycle.go): rose is the eligible clock whose rising
+	// edge awaits direct dispatch in the current delta, and roseN the
+	// number of its watchers at that edge. plain switches cycle stepping
+	// off (tests only, export_test.go).
+	rose  *clock
+	roseN int
+	plain bool
 
 	fast   bool // compiled data plane enabled (set by Compile)
 	plan   *Plan
@@ -220,6 +254,7 @@ type Simulator struct {
 	timePoints   uint64
 	deltaCycles  uint64
 	elided       uint64 // clock edges skipped by elision (elide.go)
+	folded       uint64 // falling edges folded by the bounded runs (cycle.go)
 
 	// Observability handles, synchronized from the internal counters once
 	// per Step (diff-based) so the per-delta hot path stays untouched.
@@ -229,8 +264,9 @@ type Simulator struct {
 	obsRuns    *obs.Counter
 	obsPoints  *obs.Counter
 	obsElided  *obs.Counter
+	obsFolded  *obs.Counter
 	obsPending *obs.Gauge // scheduled-transaction agenda depth
-	lastSync   struct{ deltas, events, runs, points, elided uint64 }
+	lastSync   struct{ deltas, events, runs, points, elided, folded uint64 }
 
 	// prof, when non-nil, attributes events and runs to individual
 	// signals and processes (see profile.go). Hot paths pay one nil test
@@ -240,9 +276,9 @@ type Simulator struct {
 
 // Instrument registers the simulator's metrics under the given prefix
 // (e.g. "hdl.sim"): delta_cycles, signal_events (transitions),
-// process_runs, time_points and elided_edges. Counters are updated once
-// per executed time point, so the per-delta and per-signal hot paths carry
-// no instrumentation at all.
+// process_runs, time_points, elided_edges and folded_edges. Counters are
+// updated once per executed time point, so the per-delta and per-signal
+// hot paths carry no instrumentation at all.
 func (s *Simulator) Instrument(reg *obs.Registry, prefix string) {
 	if reg == nil {
 		return
@@ -252,12 +288,14 @@ func (s *Simulator) Instrument(reg *obs.Registry, prefix string) {
 	s.obsRuns = reg.Counter(prefix + ".process_runs")
 	s.obsPoints = reg.Counter(prefix + ".time_points")
 	s.obsElided = reg.Counter(prefix + ".elided_edges")
+	s.obsFolded = reg.Counter(prefix + ".folded_edges")
 	s.obsPending = reg.Gauge(prefix + ".pending")
 	s.lastSync.deltas = s.deltaCycles
 	s.lastSync.events = s.signalEvents
 	s.lastSync.runs = s.procRuns
 	s.lastSync.points = s.timePoints
 	s.lastSync.elided = s.elided
+	s.lastSync.folded = s.folded
 }
 
 // syncObs publishes the counter deltas accumulated since the last sync.
@@ -272,12 +310,14 @@ func (s *Simulator) syncObs() {
 	s.obsRuns.Add(s.procRuns - s.lastSync.runs)
 	s.obsPoints.Add(s.timePoints - s.lastSync.points)
 	s.obsElided.Add(s.elided - s.lastSync.elided)
+	s.obsFolded.Add(s.folded - s.lastSync.folded)
 	s.obsPending.Set(float64(s.agenda.len()))
 	s.lastSync.deltas = s.deltaCycles
 	s.lastSync.events = s.signalEvents
 	s.lastSync.runs = s.procRuns
 	s.lastSync.points = s.timePoints
 	s.lastSync.elided = s.elided
+	s.lastSync.folded = s.folded
 }
 
 // New returns an empty simulator at time zero.
@@ -306,7 +346,7 @@ func (s *Simulator) Signal(name string, width int, init Logic) *Signal {
 	if width <= 0 {
 		panic(fmt.Sprintf("hdl: signal %q with width %d", name, width))
 	}
-	g := &Signal{name: name, sim: s, width: width, id: len(s.signals), value: NewLV(width, init), prev: NewLV(width, init)}
+	g := &Signal{name: name, sim: s, width: width, id: int32(len(s.signals)), value: NewLV(width, init), prev: NewLV(width, init)}
 	if width <= 64 {
 		g.pmask = packMask(width)
 	}
@@ -328,6 +368,7 @@ func (s *Simulator) Process(name string, fn func(), sensitivity ...*Signal) *Pro
 	p := s.newProcess(name, fn)
 	for _, g := range sensitivity {
 		g.watchers = append(g.watchers, p)
+		g.rederive()
 	}
 	s.trigger(p)
 	return p
@@ -345,6 +386,9 @@ func (s *Simulator) Clocked(name string, clk *Signal, fn func()) *Process {
 	p := s.newProcess(name, fn)
 	p.edge = clk
 	clk.watchers = append(clk.watchers, p)
+	if c := clk.clk; c != nil {
+		c.awake++ // a new Clocked watcher is unparked and keeps the verdict
+	}
 	return p
 }
 
@@ -494,8 +538,8 @@ var ErrDeltaOverflow = errors.New("hdl: delta cycle overflow (combinational loop
 
 // Step executes one complete simulated instant: it advances to the next
 // transaction time and runs delta cycles until the instant is quiescent.
-// It reports whether anything was executed. Step never elides clock
-// edges; only the bounded runs do (DESIGN.md §21).
+// It reports whether anything was executed. Step never elides or folds
+// clock edges; only the bounded runs do (DESIGN.md §21).
 func (s *Simulator) Step() (bool, error) {
 	// Initial process executions (elaboration) run at the current time.
 	t := s.agendaPeek()
@@ -552,27 +596,30 @@ func (s *Simulator) Step() (bool, error) {
 		}
 		// Phase 2: process execution, then level-ordered compiled gates.
 		// Parked processes and clocked ones whose clock's last event in
-		// this delta was not a rising edge are skipped at their slot.
+		// this delta was not a rising edge are skipped at their slot. A
+		// rising edge that was the delta's first trigger dispatches its
+		// clock's Clocked processes directly, in registration order,
+		// ahead of the rest (cycle.go).
 		run := s.runnable
 		s.runnable = s.spare[:0]
 		if !applied && len(run) == 0 && s.ndirty == 0 {
 			s.spare = run
 			break
 		}
+		if c := s.rose; c != nil {
+			s.rose = nil
+			for _, p := range c.sig.watchers[:s.roseN] {
+				if !p.parked {
+					s.runProcess(p)
+				}
+			}
+		}
 		for _, p := range run {
 			p.triggered = false
 			if p.parked || (p.edge != nil && !p.edge.Rising()) {
 				continue
 			}
-			p.runs++
-			s.procRuns++
-			if pr := s.prof; pr != nil {
-				pr.procRuns[p.id]++
-				if s.deltasAtNow > 0 {
-					pr.procDelta[p.id]++
-				}
-			}
-			p.fn()
+			s.runProcess(p)
 		}
 		if s.ndirty > 0 {
 			s.plan.runDirty(s)
@@ -597,6 +644,19 @@ func (s *Simulator) Step() (bool, error) {
 	return true, nil
 }
 
+// runProcess executes one process body with its run accounting.
+func (s *Simulator) runProcess(p *Process) {
+	p.runs++
+	s.procRuns++
+	if pr := s.prof; pr != nil {
+		pr.procRuns[p.id]++
+		if s.deltasAtNow > 0 {
+			pr.procDelta[p.id]++
+		}
+	}
+	p.fn()
+}
+
 // Run executes until the agenda is exhausted or the simulated time would
 // exceed until. The clock ends at min(until, last activity).
 func (s *Simulator) Run(until sim.Time) error {
@@ -611,12 +671,13 @@ func (s *Simulator) Run(until sim.Time) error {
 
 // RunBefore executes every instant strictly before t (the co-simulation
 // entity's "events with a time stamp smaller than t_k, but not equal").
-// Unlike a hand-written Step loop it elides idle clock edges inside the
-// bound (DESIGN.md §21); every observable is the same.
+// Unlike a hand-written Step loop it elides idle clock edges and folds
+// lone falling edges inside the bound (DESIGN.md §21); every observable
+// is the same.
 func (s *Simulator) RunBefore(t sim.Time) error { return s.runTo(t, false) }
 
-// RunThrough executes every instant up to and including t, eliding idle
-// clock edges like RunBefore.
+// RunThrough executes every instant up to and including t, eliding and
+// folding clock edges like RunBefore.
 func (s *Simulator) RunThrough(t sim.Time) error { return s.runTo(t, true) }
 
 func (s *Simulator) runTo(bound sim.Time, inclusive bool) error {
@@ -632,6 +693,9 @@ func (s *Simulator) runTo(bound sim.Time, inclusive bool) error {
 			continue
 		}
 		elided = false
+		if s.fold() {
+			continue
+		}
 		if _, err := s.Step(); err != nil {
 			return err
 		}
