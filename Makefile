@@ -30,8 +30,10 @@ race:
 		./internal/coverify/... ./internal/experiments/... ./internal/explore/... ./cmd/castanet/...
 
 # A short real campaign under the race detector: the engine's unit tests
-# plus an actual multi-shard fault campaign through the CLI, proving
-# per-run isolation on the full rig stack, not just on synthetic cells.
+# plus actual multi-shard campaigns through the CLI (the link-fault
+# matrix, the switch matrix and the first runs of E8's table-fault sweep
+# on the board rig), proving per-run isolation on the full rig stack, not
+# just on synthetic cells.
 # The serve-telemetry step starts a campaign with -serve and scrapes
 # /metrics and /healthz mid-run, asserting the Prometheus exposition
 # parses and carries per-shard progress. The race-instrumented binary is
@@ -42,7 +44,8 @@ campaign-smoke:
 	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 		$(GO) build -race -o "$$tmp/castanet" ./cmd/castanet && \
 		"$$tmp/castanet" -campaign faults -runs 10 -shards 4 -seed 7 && \
-		"$$tmp/castanet" -campaign switch -runs 8 -shards 2 -seed 1 -failfast
+		"$$tmp/castanet" -campaign switch -runs 8 -shards 2 -seed 1 -failfast && \
+		"$$tmp/castanet" -campaign tablefaults -runs 20 -shards 2
 	$(GO) test -race -count=1 -run 'TestCommandLineTools/castanet-serve-telemetry' .
 
 # Durability smoke: run a reference campaign, SIGKILL a checkpointed run
@@ -82,7 +85,10 @@ kernel-diff-smoke:
 # accounting campaign, the profile's last rig to be wired, must publish
 # process activity rather than an empty table; and the campaign digest
 # file is a pure function of the spec, so the policer campaign (whose
-# load_ratio sum is non-integral) writes the same bytes at 1 and 3 shards.
+# load_ratio sum is non-integral) writes the same bytes at 1 and 3 shards,
+# and so does one full sweep of E8's table-fault matrix (260 runs), whose
+# faultsim.fault cross must also meet its floor (8 of 10 bins: the two
+# "other" bins are unreachable with the standard fault set).
 rig-smoke:
 	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 		$(GO) build -o "$$tmp/castanet" ./cmd/castanet && \
@@ -96,7 +102,10 @@ rig-smoke:
 		"$$tmp/castanet" -campaign policer -runs 48 -seed 7 -coverage -profile -shards 1 -digest "$$tmp/d1" > /dev/null && \
 		"$$tmp/castanet" -campaign policer -runs 48 -seed 7 -coverage -profile -shards 3 -digest "$$tmp/d3" > /dev/null && \
 		cmp "$$tmp/d1" "$$tmp/d3" && \
-		echo "rig-smoke: coverage floors met, deterministic hotspot table ok, every rig profiled, digest shard-invariant"
+		"$$tmp/castanet" -campaign tablefaults -runs 260 -seed 1 -coverage -shards 1 -digest "$$tmp/t1" -cover-floor COVER_FLOOR.json > /dev/null && \
+		"$$tmp/castanet" -campaign tablefaults -runs 260 -seed 1 -coverage -shards 3 -digest "$$tmp/t3" > /dev/null && \
+		cmp "$$tmp/t1" "$$tmp/t3" && \
+		echo "rig-smoke: coverage floors met, deterministic hotspot table ok, every rig profiled, digests shard-invariant"
 
 # Coverage-guided fuzzing of the ipc frame and reliability-envelope
 # decoders, the envelope's inbound dispatch (arbitrary units from the far

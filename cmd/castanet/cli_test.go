@@ -1,12 +1,16 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"castanet/internal/campaign"
+	"castanet/internal/experiments"
 )
 
 // cliBin is the castanet binary under test, built once in TestMain so
@@ -192,5 +196,74 @@ func TestCampaignDigestShardInvariant(t *testing.T) {
 		if !strings.Contains(string(d1), want) {
 			t.Errorf("digest missing %q:\n%s", want, d1)
 		}
+	}
+}
+
+// TestTableFaultsCampaign: E8's fault sweep as a campaign. The 260-run
+// -digest file (one sweep of the matrix, coverage on) is byte-identical
+// at 1 and 3 shards, and replaying an escaped fault's run alone gives the
+// outcome it had in the campaign. Run i depends only on (seed, i), so the
+// campaign's outcomes are taken from its first 65 runs: the one-port
+// bench, where 48 of the 64 faults escape.
+func TestTableFaultsCampaign(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full co-verification rigs in -short mode")
+	}
+	dir := t.TempDir()
+	digest := func(shards string) []byte {
+		path := filepath.Join(dir, "digest-"+shards)
+		out, code := runCLI(t, "-campaign", "tablefaults", "-runs", "260", "-seed", "1",
+			"-coverage", "-shards", shards, "-digest", path)
+		if code != 0 {
+			t.Fatalf("campaign at -shards %s: exit %d\n%s", shards, code, out)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	d1, d3 := digest("1"), digest("3")
+	if string(d1) != string(d3) {
+		t.Errorf("digest differs across shard counts:\n--- shards=1\n%s\n--- shards=3\n%s", d1, d3)
+	}
+	for _, want := range []string{"completed=260 failed=0", "stat detected.p1 n=64 sum=16 ", "stat detected.p4 n=64 sum=64 ", "faultsim.fault"} {
+		if !strings.Contains(string(d1), want) {
+			t.Errorf("digest missing %q:\n%s", want, d1)
+		}
+	}
+
+	matrix, err := experiments.CampaignMatrix("tablefaults")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := campaign.Spec{Name: "tablefaults", Seed: 1, Runs: 65, Matrix: matrix}
+	outcome := make(map[uint64]bool)
+	collect := spec
+	collect.OnResult = func(res campaign.Result) {
+		if d, ok := res.Value.(bool); ok {
+			outcome[res.Index] = d
+		}
+	}
+	if sum, err := campaign.Execute(context.Background(), collect); err != nil || !sum.Clean() {
+		t.Fatalf("one-port sweep: err=%v summary=%+v", err, sum)
+	}
+	escaped := uint64(0)
+	for i := uint64(1); i < 65; i++ {
+		if !outcome[i] {
+			escaped = i
+			break
+		}
+	}
+	if escaped == 0 || len(outcome) != 64 {
+		t.Fatalf("no escaped fault among %d one-port outcomes", len(outcome))
+	}
+	res, err := campaign.Replay(context.Background(), spec, escaped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, ok := res.Value.(bool); res.Err != nil || !ok || d {
+		t.Errorf("replay of escaped run %d (%s): err=%v detected=%v, want a clean escape",
+			escaped, res.Cell.Name(), res.Err, res.Value)
 	}
 }

@@ -9,6 +9,7 @@
 //	castanet -experiment e1 -trace /tmp/e1.json -metrics /tmp/e1.metrics
 //	castanet -campaign faults -runs 1000 -shards 8 -seed 7
 //	castanet -campaign faults -runs 1000 -seed 7 -replay 412
+//	castanet -campaign tablefaults -runs 260 -coverage -digest e8.digest
 //	castanet -explore -generations 8 -population 16 -seed 7
 //	castanet -explore -generations 8 -population 16 -seed 7 -replay 23
 //

@@ -11,6 +11,7 @@ import (
 	"castanet/internal/campaign"
 	"castanet/internal/coverify"
 	"castanet/internal/dut"
+	"castanet/internal/faultsim"
 	"castanet/internal/ipc"
 	"castanet/internal/obs"
 	"castanet/internal/sim"
@@ -55,19 +56,22 @@ func (cfg CampaignConfig) handle(r *campaign.Run) obs.Run {
 
 // SwitchRigConfig is the per-run switch rig configuration of every
 // campaign run and every explored scenario: the kernel choice, the run's
-// observation handle and its supervision deadline. Every run reports the
-// kernel it elaborated to result collectors: its Result.Value is whether
-// the HDL kernel ran compiled (r.SetValue(rig.HDL.Compiled())).
+// observation handle and its supervision deadline. Every run that
+// elaborates an HDL kernel reports it to result collectors: its
+// Result.Value is whether the kernel ran compiled
+// (r.SetValue(rig.HDL.Compiled())). Table-fault runs elaborate the board
+// instead and report whether their planted fault was detected.
 func (cfg CampaignConfig) SwitchRigConfig(r *campaign.Run) coverify.SwitchRigConfig {
 	return coverify.SwitchRigConfig{Run: cfg.handle(r), NoCompiled: cfg.NoCompiled, Deadline: r.Deadline}
 }
 
 // campaignMatrices maps campaign names to their matrix builders.
 var campaignMatrices = map[string]func(CampaignConfig) []campaign.Cell{
-	"switch":  switchCells,
-	"faults":  faultCells,
-	"policer": policerCells,
-	"acct":    acctCells,
+	"switch":      switchCells,
+	"faults":      faultCells,
+	"policer":     policerCells,
+	"acct":        acctCells,
+	"tablefaults": tableFaultCells,
 }
 
 // CampaignNames lists the valid -campaign values, sorted.
@@ -259,6 +263,78 @@ func RunLink(ctx context.Context, rig *coverify.SwitchRig, horizon sim.Time, pro
 		return true, fmt.Errorf("partitioned link completed instead of aborting")
 	}
 	return false, nil
+}
+
+// tableFaultCells is E8's fault sweep, ports-major: for n = 1..4 driven
+// ports, the table-fault sweep of the bench that offers 24 CBR cells at
+// 100k cells/s on each of ports 0..n-1 over a 2 ms horizon. That is
+// 4 × (1 golden + 64 faults) = 260 cells, so run i of a 260-run campaign
+// is cell i and the stat "detected.p<n>" counts row n of E8's table.
+func tableFaultCells(ccfg CampaignConfig) []campaign.Cell {
+	faults := faultsim.TableFaults(coverify.DefaultTable())
+	var cells []campaign.Cell
+	for n := 1; n <= dut.SwitchPorts; n++ {
+		bench := func(cfg *coverify.SwitchRigConfig) {
+			for p := 0; p < n; p++ {
+				cfg.Traffic[p] = coverify.PortTraffic{Model: traffic.NewCBR(100e3), VCs: coverify.PortVCs(p), Cells: 24}
+			}
+		}
+		cells = append(cells, TableFaultCells(ccfg, fmt.Sprintf("p%d", n), bench, 2*sim.Millisecond, faults)...)
+	}
+	return cells
+}
+
+// TableFaultCells is one test bench's table-fault sweep: a golden cell,
+// then one cell per fault. Every run reruns the bench unchanged on the
+// hardware test board (a board rig with 8192 words of test memory) to
+// horizon; bench sets the traffic and switch geometry on the run's switch
+// rig config, and the rig seed comes from the run's stream. The golden
+// run fails unless its comparison is clean: an unhealthy test bench
+// measures nothing. A fault run plants its fault in the device's table
+// only, so the reference keeps the intact table and the comparator is the
+// detector. It bins the outcome into the run's coverage and records it as
+// the stat "detected.<label>" (0 or 1) and as the run's value; an escape
+// is the measurement, not a failure.
+func TableFaultCells(ccfg CampaignConfig, label string, bench func(*coverify.SwitchRigConfig),
+	horizon sim.Time, faults []faultsim.Fault) []campaign.Cell {
+
+	run := func(fault *faultsim.Fault) campaign.RunFunc {
+		return func(ctx context.Context, r *campaign.Run) error {
+			cfg := ccfg.SwitchRigConfig(r)
+			cfg.Seed = r.RNG().Uint64()
+			bench(&cfg)
+			rig, err := coverify.NewBoardRig(cfg, 8192)
+			if err != nil {
+				return err
+			}
+			if fault != nil {
+				rig.Dev.Table = faultsim.Plant(rig.Cfg.Table, *fault)
+			}
+			if err := rig.Run(horizon); err != nil {
+				return err
+			}
+			detected := !rig.Cmp.Clean()
+			if fault == nil {
+				if detected {
+					return fmt.Errorf("golden run not clean: %s", rig.Report())
+				}
+				return nil
+			}
+			faultsim.Cover(r.Cover(), fault.Name, detected)
+			hit := 0.0
+			if detected {
+				hit = 1
+			}
+			r.Observe("detected."+label, hit)
+			r.SetValue(detected)
+			return nil
+		}
+	}
+	cells := []campaign.Cell{{Experiment: "tablefaults", Fault: label + "/golden", Run: run(nil)}}
+	for i := range faults {
+		cells = append(cells, campaign.Cell{Experiment: "tablefaults", Fault: label + "/" + faults[i].Name, Run: run(&faults[i])})
+	}
+	return cells
 }
 
 // policerCells is the UPC campaign: per run a seed-derived offered load

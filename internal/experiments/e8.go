@@ -1,13 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
-	"castanet/internal/coverify"
-	"castanet/internal/faultsim"
-	"castanet/internal/sim"
-	"castanet/internal/traffic"
+	"castanet/internal/campaign"
+	"castanet/internal/dut"
 )
 
 // E8 is the second extension experiment: fault coverage of the reused
@@ -30,33 +29,41 @@ type E8Row struct {
 // E8Result is the campaign sweep.
 type E8Result struct {
 	Rows []E8Row
+	// Summary is the tablefaults campaign the rows are read from: row n
+	// is its "detected.p<n>" stat.
+	Summary *campaign.Summary
 }
 
-// E8 runs fault campaigns with traffic on 1..4 input ports.
+// E8 runs the tablefaults campaign — fault sweeps with traffic on 1..4
+// input ports — on GOMAXPROCS shards. A dirty golden run panics with the
+// campaign digest; the runs' coverage lands in the factory's cover sink.
 func (f Factory) E8(seed uint64) E8Result {
-	var res E8Result
-	faults := faultsim.TableFaults(coverify.DefaultTable())
-	for nPorts := 1; nPorts <= 4; nPorts++ {
-		cfg := coverify.SwitchRigConfig{Seed: seed, Run: f.handle(), NoCompiled: f.NoCompiled}
-		for p := 0; p < nPorts; p++ {
-			cfg.Traffic[p] = coverify.PortTraffic{
-				Model: traffic.NewCBR(100e3),
-				VCs:   coverify.PortVCs(p),
-				Cells: 24,
-			}
-		}
-		results, err := faultsim.Campaign(cfg, 2*sim.Millisecond, faults)
-		if err != nil {
-			panic(err)
-		}
-		detected, frac := faultsim.Coverage(results)
+	matrix := tableFaultCells(CampaignConfig{NoCompiled: f.NoCompiled})
+	cover := f.Obs.CoverReg()
+	sum, err := campaign.Execute(context.Background(), campaign.Spec{
+		Name: "tablefaults", Seed: seed, Runs: len(matrix), Matrix: matrix, Coverage: cover != nil,
+	})
+	if err != nil {
+		panic(err)
+	}
+	if !sum.Clean() {
+		panic("E8: tablefaults campaign not clean:\n" + sum.Digest())
+	}
+	stats := make(map[string]campaign.Stat, len(sum.Stats))
+	for _, st := range sum.Stats {
+		stats[st.Name] = st
+	}
+	res := E8Result{Summary: sum}
+	for n := 1; n <= dut.SwitchPorts; n++ {
+		st := stats[fmt.Sprintf("detected.p%d", n)]
 		res.Rows = append(res.Rows, E8Row{
-			PortsDriven: nPorts,
-			Faults:      len(results),
-			Detected:    detected,
-			Coverage:    frac,
+			PortsDriven: n,
+			Faults:      int(st.Count),
+			Detected:    int(st.Sum),
+			Coverage:    st.Mean(),
 		})
 	}
+	cover.Absorb(sum.Coverage)
 	return res
 }
 

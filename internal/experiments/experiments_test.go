@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -199,22 +200,27 @@ func TestE7Shape(t *testing.T) {
 	}
 }
 
+// TestE8Shape pins E8's claim on counters: fault coverage tracks the
+// traffic's connection coverage, 16 more of the 64 planted faults caught
+// per driven port, all 64 under full-mesh stimuli. The rows and the
+// campaign digest's "detected.p<n>" stats must carry the same counts.
 func TestE8Shape(t *testing.T) {
 	r := Factory{}.E8(1)
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
-	// Coverage grows with connection coverage of the traffic and reaches
-	// 100% with full-mesh stimuli.
-	for i := 1; i < len(r.Rows); i++ {
-		if r.Rows[i].Coverage < r.Rows[i-1].Coverage {
-			t.Errorf("coverage fell: %.2f -> %.2f", r.Rows[i-1].Coverage, r.Rows[i].Coverage)
+	var digest strings.Builder
+	if err := r.Summary.WriteDigest(&digest); err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range r.Rows {
+		n, want := i+1, 16*(i+1)
+		if row.PortsDriven != n || row.Faults != 64 || row.Detected != want || row.Coverage != float64(want)/64 {
+			t.Errorf("row %d = %+v, want %d of 64 detected", n, row, want)
 		}
-	}
-	if last := r.Rows[3]; last.Coverage != 1.0 {
-		t.Errorf("full traffic coverage = %.2f, want 1.0", last.Coverage)
-	}
-	if first := r.Rows[0]; first.Coverage >= 0.5 {
-		t.Errorf("1-port coverage = %.2f, want ~0.25", first.Coverage)
+		stat := fmt.Sprintf("stat detected.p%d n=64 sum=%d ", n, want)
+		if !strings.Contains(digest.String(), stat) {
+			t.Errorf("digest lacks %q:\n%s", stat, digest.String())
+		}
 	}
 }

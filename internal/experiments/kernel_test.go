@@ -24,8 +24,9 @@ func exploreCells(cfg experiments.CampaignConfig) []campaign.Cell {
 	return cells
 }
 
-// TestCampaignNoCompiledReachesEveryRig runs every cell of the four
-// campaign matrices and of an explorer matrix with and without NoCompiled
+// TestCampaignNoCompiledReachesEveryRig runs every cell of the four HDL
+// campaign matrices (tablefaults runs the board, which has no HDL kernel)
+// and of an explorer matrix with and without NoCompiled
 // and checks the kernel each run elaborated (hdl.Simulator.Compiled,
 // reported as the run's result value): the -no-compiled choice must
 // reach every rig.

@@ -316,9 +316,7 @@ func (s *SwitchSpace) runFunc(sc scenario) campaign.RunFunc {
 		if sc.fault >= 5 {
 			vc := sc.tableFaultVC()
 			fault := faultsim.EntryFaults(rig.Cfg.Table, vc)[sc.fault-5]
-			poisoned := coverify.DefaultTable()
-			fault.Mutate(poisoned)
-			rig.DUT.Table = poisoned
+			rig.DUT.Table = faultsim.Plant(rig.Cfg.Table, fault)
 			plantedFault = fault.Name
 		}
 
@@ -330,7 +328,7 @@ func (s *SwitchSpace) runFunc(sc scenario) campaign.RunFunc {
 		if plantedFault != "" {
 			// A planted fault's run cannot "fail": the outcome — caught
 			// or escaped — is the coverage signal itself.
-			faultsim.CoverOne(r.Cover(), plantedFault, !rig.Cmp.Clean())
+			faultsim.Cover(r.Cover(), plantedFault, !rig.Cmp.Clean())
 			return nil
 		}
 		// Congestion legally drops cells (that is the point of the

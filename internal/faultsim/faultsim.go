@@ -1,10 +1,12 @@
 // Package faultsim measures the quality of a co-verification test bench
 // the way silicon teams measure test quality: by fault injection. Each
-// campaign plants one defect in the device's connection table (a wrong
-// output port, a flipped identifier bit, a lost entry — the failure modes
-// of a corrupted on-chip CAM), reruns the unchanged network-level test
-// bench against the faulty device, and records whether the comparison
-// engine caught it.
+// run plants one defect in the device's connection table (a wrong output
+// port, a flipped identifier bit, a lost entry — the failure modes of a
+// corrupted on-chip CAM), reruns the unchanged network-level test bench
+// against the faulty device, and records whether the comparison engine
+// caught it. This package enumerates the faults, plants them and bins
+// the outcomes; the campaign engine schedules the runs (the tablefaults
+// matrix of internal/experiments, which E8 executes).
 //
 // Fault coverage quantifies the paper's central promise: test benches
 // reused from the network level detect implementation defects — but only
@@ -18,10 +20,8 @@ import (
 	"strings"
 
 	"castanet/internal/atm"
-	"castanet/internal/coverify"
 	"castanet/internal/dut"
 	"castanet/internal/obs"
-	"castanet/internal/sim"
 )
 
 // Fault is one plantable defect.
@@ -93,47 +93,17 @@ func TableFaults(tb *atm.Translator) []Fault {
 	return faults
 }
 
-// Result records one campaign run.
-type Result struct {
-	Fault    Fault
-	Detected bool
-}
-
-// Campaign reruns the given test bench against one faulty device per
-// fault (hardware-in-the-loop on the test board, the fast engine) and
-// reports detection. The golden run must be clean or Campaign returns an
-// error — an unhealthy test bench cannot measure anything.
-func Campaign(cfg coverify.SwitchRigConfig, horizon sim.Time, faults []Fault) ([]Result, error) {
-	// Golden run: the unfaulted device must pass.
-	golden, err := coverify.NewBoardRig(cfg, 8192)
-	if err != nil {
-		return nil, err
+// Plant returns a copy of tb with fault f planted in it; tb itself is
+// left intact. Harnesses poison only the device's copy, so the reference
+// model keeps the intact table and the comparator is the detector.
+func Plant(tb *atm.Translator, f Fault) *atm.Translator {
+	poisoned := atm.NewTranslator()
+	for _, vc := range tb.VCs() {
+		r, _ := tb.Lookup(vc)
+		poisoned.Add(vc, r)
 	}
-	if err := golden.Run(horizon); err != nil {
-		return nil, err
-	}
-	if !golden.Cmp.Clean() {
-		return nil, fmt.Errorf("faultsim: golden run not clean: %s", golden.Report())
-	}
-
-	results := make([]Result, 0, len(faults))
-	for _, f := range faults {
-		rig, err := coverify.NewBoardRig(cfg, 8192)
-		if err != nil {
-			return nil, err
-		}
-		// The reference keeps the intact table; only the "silicon" gets
-		// the defect.
-		poisoned := clone(rig.Cfg.Table)
-		f.Mutate(poisoned)
-		rig.Dev.Table = poisoned
-		if err := rig.Run(horizon); err != nil {
-			return nil, err
-		}
-		results = append(results, Result{Fault: f, Detected: !rig.Cmp.Clean()})
-	}
-	Cover(cfg.Cover, results)
-	return results, nil
+	f.Mutate(poisoned)
+	return poisoned
 }
 
 // faultClasses are the cross's fault-class axis, the suffixes TableFaults
@@ -162,74 +132,14 @@ func class(name string) string {
 	return "other"
 }
 
-// coverCross returns the campaign's fault-coverage cross — fault class ×
-// detection outcome under "faultsim.fault" — nil-safe like every cover
-// handle.
-func coverCross(c *obs.CoverRegistry) *obs.CoverCross {
-	return c.Group("faultsim.fault").Cross("class_outcome",
-		faultClasses, []string{"detected", "escaped"})
-}
-
-// Cover folds a campaign's results into the registry's fault-coverage
-// cross: one hit per planted fault, binned by fault class and whether the
-// comparison engine caught it.
-func Cover(c *obs.CoverRegistry, results []Result) {
-	x := coverCross(c)
-	for _, r := range results {
-		outcome := "escaped"
-		if r.Detected {
-			outcome = "detected"
-		}
-		x.Hit(class(r.Fault.Name), outcome)
+// Cover bins one planted fault's outcome into the registry's
+// fault-coverage cross — fault class × detection outcome under
+// "faultsim.fault" — nil-safe like every cover handle.
+func Cover(c *obs.CoverRegistry, faultName string, detected bool) {
+	outcome := "escaped"
+	if detected {
+		outcome = "detected"
 	}
-}
-
-// CoverOne bins a single planted fault's outcome — the per-run variant
-// of Cover for harnesses (like the scenario explorer) that plant one
-// fault per run instead of sweeping a whole campaign.
-func CoverOne(c *obs.CoverRegistry, faultName string, detected bool) {
-	Cover(c, []Result{{Fault: Fault{Name: faultName}, Detected: detected}})
-}
-
-// clone deep-copies a translator.
-func clone(tb *atm.Translator) *atm.Translator {
-	out := atm.NewTranslator()
-	for _, vc := range tb.VCs() {
-		r, _ := tb.Lookup(vc)
-		out.Add(vc, r)
-	}
-	return out
-}
-
-// Coverage summarizes a result set: detected count and fraction. It is
-// computed from the same "faultsim.fault" cross bins a campaign
-// accumulates, so the headline quality figure and the coverage artifact
-// can never disagree.
-func Coverage(results []Result) (detected int, fraction float64) {
-	c := obs.NewCoverRegistry()
-	Cover(c, results)
-	for _, g := range c.Snapshot() {
-		for _, p := range g.Points {
-			for _, b := range p.Bins {
-				if strings.HasSuffix(b.Label, "×detected") {
-					detected += int(b.Hits)
-				}
-			}
-		}
-	}
-	if len(results) == 0 {
-		return 0, 0
-	}
-	return detected, float64(detected) / float64(len(results))
-}
-
-// Undetected lists the fault names that escaped.
-func Undetected(results []Result) []string {
-	var out []string
-	for _, r := range results {
-		if !r.Detected {
-			out = append(out, r.Fault.Name)
-		}
-	}
-	return out
+	c.Group("faultsim.fault").Cross("class_outcome", faultClasses, []string{"detected", "escaped"}).
+		Hit(class(faultName), outcome)
 }

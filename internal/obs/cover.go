@@ -184,6 +184,19 @@ func (g *CoverGroup) get(name string, kind coverKind, labels []string, bounds []
 	return p
 }
 
+// absorbPoint returns the named point with the given bins for Absorb: the
+// registered one of any kind, else a new enumerated point. Different bins
+// under the same name panic, as in get.
+func (g *CoverGroup) absorbPoint(name string, labels []string) *CoverPoint {
+	g.mu.Lock()
+	p, ok := g.points[name]
+	g.mu.Unlock()
+	if ok && sameLabels(p.labels, labels) {
+		return p
+	}
+	return g.Point(name, labels...)
+}
+
 func sameLabels(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
@@ -351,9 +364,12 @@ func (r *CoverRegistry) Snapshot() []CoverGroupSnap {
 }
 
 // Absorb folds a snapshot into the registry: groups, points and bins are
-// created as needed (as enumerated points) and hit counts added. It backs
-// the live telemetry mirror, which accumulates committed per-run
-// snapshots for /coverage while a campaign runs.
+// created as needed (as enumerated points) and hit counts added; a point
+// already registered with the same bins takes the hits whatever its kind
+// (range, cross), so a campaign's merged coverage folds into a registry
+// that rigs instrumented directly. It backs the live telemetry mirror,
+// which accumulates committed per-run snapshots for /coverage while a
+// campaign runs.
 func (r *CoverRegistry) Absorb(snaps []CoverGroupSnap) {
 	if r == nil {
 		return
@@ -365,7 +381,7 @@ func (r *CoverRegistry) Absorb(snaps []CoverGroupSnap) {
 			for i, b := range ps.Bins {
 				labels[i] = b.Label
 			}
-			p := g.Point(ps.Name, labels...)
+			p := g.absorbPoint(ps.Name, labels)
 			for _, b := range ps.Bins {
 				p.Add(b.Label, b.Hits)
 			}

@@ -185,6 +185,27 @@ func TestAbsorbAccumulates(t *testing.T) {
 	}
 }
 
+// TestAbsorbIntoInstrumentedPoints: a snapshot folds into range and
+// cross points a rig registered directly, instead of re-registering them
+// as enumerated points.
+func TestAbsorbIntoInstrumentedPoints(t *testing.T) {
+	src := obs.NewCoverRegistry()
+	src.Group("g").Range("r", 8).Observe(3)
+	src.Group("g").Cross("x", []string{"a"}, []string{"b", "c"}).Hit("a", "c")
+	dst := obs.NewCoverRegistry()
+	dst.Group("g").Range("r", 8).Observe(9)
+	dst.Group("g").Cross("x", []string{"a"}, []string{"b", "c"})
+	dst.Absorb(src.Snapshot())
+	dst.Absorb(src.Snapshot())
+	got := dst.Snapshot()[0].Points
+	if r := got[0].Bins; r[0].Hits != 2 || r[1].Hits != 1 {
+		t.Errorf("range bins = %+v, want le_8=2 gt_8=1", r)
+	}
+	if x := got[1].Bins; x[0].Hits != 0 || x[1].Hits != 2 {
+		t.Errorf("cross bins = %+v, want a×b=0 a×c=2", x)
+	}
+}
+
 func TestCoverConcurrentHits(t *testing.T) {
 	c := obs.NewCoverRegistry()
 	var wg sync.WaitGroup
