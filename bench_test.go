@@ -75,7 +75,7 @@ func BenchmarkE1_PureRTLThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		if rig.CheckErrors() != 0 {
-			b.Fatalf("checker errors: %s", rig.Report())
+			b.Fatalf("%d checker errors in %d checked cells", rig.CheckErrors(), rig.Checked())
 		}
 		cells += rig.Checked()
 		cycles += rig.ClockCycles()

@@ -599,5 +599,22 @@ func TestCommandLineTools(t *testing.T) {
 				t.Errorf("output missing %q:\n%s", want, out)
 			}
 		}
+		// The accounting unit is the bus-interfaced device: its µP data
+		// bus maps to a bidirectional lane (§3.3), and its exception
+		// strobe ends an automatic-duration test cycle.
+		out, err = exec.Command(filepath.Join(bin, "boardctl"), "-device", "accounting", "-demo").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v\n%s", err, out)
+		}
+		for _, want := range []string{
+			"lane  9  bidir",
+			"I/O port mappings:\n  bus_in       / bus_out      ctrl bus_oe     write-value 1",
+			"byte lane  9  start bit 0  bits 8  (pins 72..79)",
+			"test cycle stopped after 53 of 1000 cycles",
+		} {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("accounting output missing %q:\n%s", want, out)
+			}
+		}
 	})
 }

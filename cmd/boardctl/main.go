@@ -37,7 +37,7 @@ func main() {
 		dev = cyclesim.NewSwitch(tb, 4, 32)
 		cfg = board.SwitchConfig()
 	case "accounting":
-		acct := cyclesim.NewAccounting(16)
+		acct := cyclesim.NewBusAccounting(16)
 		acct.Register(atm.VC{VPI: 1, VCI: 100})
 		dev = acct
 		cfg = board.AccountingConfig()
@@ -109,4 +109,38 @@ func runDemo(dev cyclesim.Device, cfg board.ConfigDataSet) {
 	fmt.Println(b)
 	fmt.Printf("hardware activity: %v at 20 MHz (%d cycles)\n", b.HWTime, b.HWCycles)
 	fmt.Printf("software activity: %v (SCSI transfers: stimuli + responses)\n", b.SWTime)
+	if _, ok := dev.(*cyclesim.BusAccounting); ok {
+		runAutoDuration(b)
+	}
+}
+
+// runAutoDuration shows the automatic test-cycle duration of §3.3: one
+// cell on an unregistered connection raises the accounting unit's
+// exception control port, and the hardware stops there instead of
+// clocking the whole stimulus.
+func runAutoDuration(b *board.Board) {
+	stim := make([]board.Frame, 1000)
+	img := (&atm.Cell{Header: atm.Header{VPI: 9, VCI: 99}}).Marshal()
+	data, sync := inportPins(b.Cfg, "rx_data"), inportPins(b.Cfg, "rx_sync")
+	for i, v := range img {
+		stim[i][data.Lane] |= v << data.StartBit
+	}
+	stim[0][sync.Lane] |= 1 << sync.StartBit
+	resp, err := b.RunTestCycleAuto(stim, "exception", 1)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "boardctl:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("automatic duration: unregistered cell raised exception=1; test cycle stopped after %d of %d cycles\n",
+		len(resp), len(stim))
+}
+
+// inportPins returns the pins an inport is mapped to.
+func inportPins(cfg board.ConfigDataSet, port string) board.PinRange {
+	for _, m := range cfg.Inports {
+		if m.Port == port {
+			return m.Pins
+		}
+	}
+	panic("boardctl: no inport " + port)
 }

@@ -267,3 +267,28 @@ func TestTableFaultsCampaign(t *testing.T) {
 			escaped, res.Cell.Name(), res.Err, res.Value)
 	}
 }
+
+// TestReplayShowsObservedStats: -replay prints the stats the run
+// observed, so an escaped fault, whose outcome is ok like the golden
+// run's, is told apart from a detected one by its detected.p<n> stat.
+func TestReplayShowsObservedStats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full co-verification rigs in -short mode")
+	}
+	for _, tc := range []struct {
+		run, cell, stat string
+	}{
+		{"17", "cell=tablefaults/p1/2.100:wrong-port", "stat detected.p1 n=1 sum=0 min=0 max=0\n"},
+		{"1", "cell=tablefaults/p1/1.100:wrong-port", "stat detected.p1 n=1 sum=1 min=1 max=1\n"},
+	} {
+		out, code := runCLI(t, "-campaign", "tablefaults", "-runs", "260", "-seed", "1", "-replay", tc.run)
+		if code != 0 {
+			t.Fatalf("replay %s: exit %d\n%s", tc.run, code, out)
+		}
+		for _, want := range []string{tc.cell, tc.stat, "outcome: ok"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("replay %s missing %q:\n%s", tc.run, want, out)
+			}
+		}
+	}
+}

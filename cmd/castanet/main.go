@@ -466,6 +466,9 @@ func runCampaign(o campaignOpts) int {
 		}
 		fmt.Printf("replay run=%06d seed=0x%016x cell=%s wall=%v\n",
 			res.Index, res.Seed, res.Cell.Name(), res.Wall)
+		for _, st := range res.Stats {
+			fmt.Printf("stat %s n=%d sum=%g min=%g max=%g\n", st.Name, st.Count, st.Sum, st.Min, st.Max)
+		}
 		if res.Err != nil {
 			fmt.Printf("outcome: FAIL: %v\n", res.Err)
 			return 1

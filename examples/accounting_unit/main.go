@@ -76,6 +76,7 @@ func main() {
 		fmt.Println("RESULT: hardware counters match the charging algorithm exactly")
 	} else {
 		fmt.Println("RESULT: FAILED")
+		fmt.Println("  ", rig.Report())
 		for _, m := range ms {
 			fmt.Printf("  %+v\n", m)
 		}

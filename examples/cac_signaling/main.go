@@ -83,6 +83,9 @@ func main() {
 		fmt.Println("  released", r)
 	}
 	fmt.Printf("  rejected: %d (capacity %0.f kb/s)\n\n", cac.Rejected, cac.CapacityBps/1e3)
+	if used := cac.UsedBps(); len(admissions) == len(releases) && used != 0 {
+		log.Fatalf("CAC leaked capacity: %.0f b/s still admitted after every release", used)
+	}
 	for i, cl := range callers {
 		fmt.Printf("caller %d (%v): final state %q\n", i, cl.VC, cl.State())
 	}

@@ -19,6 +19,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"castanet/internal/atm"
 	"castanet/internal/netsim"
@@ -112,5 +113,9 @@ func run(depth int, heavyTailed bool) (offered, lost uint64, meanDelay float64) 
 	}
 
 	n.Run(20 * sim.Second)
-	return count, line.Dropped, probes.Get("out.delay").Stats().Mean()
+	delay := probes.Get("out.delay").Stats()
+	if delivered := delay.N(); delivered+line.Dropped != count {
+		log.Fatalf("buffer %d: %d cells offered, %d delivered + %d lost", depth, count, delivered, line.Dropped)
+	}
+	return count, line.Dropped, delay.Mean()
 }

@@ -56,6 +56,7 @@ func main() {
 		fmt.Printf("  %10.1f %8d %10d %9.1f%% %8v %8s\n",
 			ratio, rig.Offered, rig.DUT.Tagged, 100*violFrac, agree, verdict)
 		if verdict == "FAIL" {
+			fmt.Println("   ", rig.Report())
 			for _, m := range rig.Cmp.Mismatches() {
 				fmt.Println("   ", m)
 			}

@@ -168,6 +168,3 @@ func (r *Reassembler) fail(vc VC, err error) {
 		r.OnError(vc, err)
 	}
 }
-
-// Pending returns the number of partially reassembled frames.
-func (r *Reassembler) Pending() int { return len(r.partial) }

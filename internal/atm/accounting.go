@@ -2,7 +2,6 @@ package atm
 
 import (
 	"fmt"
-	"sort"
 
 	"castanet/internal/sim"
 )
@@ -100,22 +99,6 @@ func (a *Accounting) Units(vc VC) uint64 {
 		return 0
 	}
 	return a.tariff.Units(r.Cells, r.CLP1Cells)
-}
-
-// Records returns all usage records sorted by connection for deterministic
-// reports.
-func (a *Accounting) Records() []UsageRecord {
-	out := make([]UsageRecord, 0, len(a.records))
-	for _, r := range a.records {
-		out = append(out, *r)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].VC.VPI != out[j].VC.VPI {
-			return out[i].VC.VPI < out[j].VC.VPI
-		}
-		return out[i].VC.VCI < out[j].VC.VCI
-	})
-	return out
 }
 
 // String summarizes the accounting state.

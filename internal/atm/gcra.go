@@ -21,12 +21,6 @@ type GCRA struct {
 	NonConforming uint64
 }
 
-// NewGCRA returns a policer for peak cell rate cellsPerSecond with the
-// given tolerance.
-func NewGCRA(cellsPerSecond float64, tau sim.Duration) *GCRA {
-	return &GCRA{T: sim.FromSeconds(1 / cellsPerSecond), Tau: tau}
-}
-
 // Arrive processes a cell arriving at time t and reports whether it
 // conforms. Non-conforming cells do not update the theoretical arrival
 // time (they would be tagged or discarded by UPC hardware).
@@ -46,46 +40,6 @@ func (g *GCRA) Arrive(t sim.Time) bool {
 	}
 	g.tat += g.T
 	g.Conforming++
-	return true
-}
-
-// LeakyBucket is the continuous-state leaky bucket equivalent of GCRA,
-// kept as an independent implementation so the two can be cross-checked in
-// tests (dual formulation property of I.371).
-type LeakyBucket struct {
-	T   sim.Duration
-	Tau sim.Duration
-
-	level   sim.Duration // bucket content
-	lastT   sim.Time
-	started bool
-}
-
-// NewLeakyBucket mirrors NewGCRA.
-func NewLeakyBucket(cellsPerSecond float64, tau sim.Duration) *LeakyBucket {
-	return &LeakyBucket{T: sim.FromSeconds(1 / cellsPerSecond), Tau: tau}
-}
-
-// Arrive processes an arrival and reports conformance.
-func (b *LeakyBucket) Arrive(t sim.Time) bool {
-	if !b.started {
-		b.started = true
-		b.lastT = t
-		b.level = b.T
-		return true
-	}
-	drained := b.level - (t - b.lastT)
-	if drained < 0 {
-		drained = 0
-	}
-	if drained > b.Tau {
-		// Non-conforming: bucket unchanged apart from drain.
-		b.level = drained
-		b.lastT = t
-		return false
-	}
-	b.level = drained + b.T
-	b.lastT = t
 	return true
 }
 
@@ -117,9 +71,6 @@ func (t *Translator) Lookup(in VC) (Route, bool) {
 	r, ok := t.entries[in]
 	return r, ok
 }
-
-// Len returns the number of installed entries.
-func (t *Translator) Len() int { return len(t.entries) }
 
 // VCs returns all configured incoming connections sorted by (VPI, VCI).
 // The order is deterministic so fault enumerations built from it (see

@@ -80,3 +80,43 @@ func TestTranslator(t *testing.T) {
 		t.Fatal("remove failed")
 	}
 }
+
+// LeakyBucket is the continuous-state leaky bucket equivalent of GCRA,
+// kept as an independent implementation so the two can be cross-checked in
+// tests (dual formulation property of I.371).
+type LeakyBucket struct {
+	T   sim.Duration
+	Tau sim.Duration
+
+	level   sim.Duration // bucket content
+	lastT   sim.Time
+	started bool
+}
+
+// NewLeakyBucket mirrors NewGCRA.
+func NewLeakyBucket(cellsPerSecond float64, tau sim.Duration) *LeakyBucket {
+	return &LeakyBucket{T: sim.FromSeconds(1 / cellsPerSecond), Tau: tau}
+}
+
+// Arrive processes an arrival and reports conformance.
+func (b *LeakyBucket) Arrive(t sim.Time) bool {
+	if !b.started {
+		b.started = true
+		b.lastT = t
+		b.level = b.T
+		return true
+	}
+	drained := b.level - (t - b.lastT)
+	if drained < 0 {
+		drained = 0
+	}
+	if drained > b.Tau {
+		// Non-conforming: bucket unchanged apart from drain.
+		b.level = drained
+		b.lastT = t
+		return false
+	}
+	b.level = drained + b.T
+	b.lastT = t
+	return true
+}

@@ -90,7 +90,7 @@ func TestBoardClockLimit(t *testing.T) {
 }
 
 func TestAccountingOnBoard(t *testing.T) {
-	dev := cyclesim.NewAccounting(8)
+	dev := cyclesim.NewBusAccounting(8)
 	slot, _ := dev.Register(atm.VC{VPI: 1, VCI: 11})
 	b := New(dev, 20e6, 4096)
 	if err := b.Configure(AccountingConfig()); err != nil {
@@ -144,7 +144,7 @@ func TestAccountingOnBoard(t *testing.T) {
 }
 
 func TestAutoDurationStopsOnControlPort(t *testing.T) {
-	dev := cyclesim.NewAccounting(8)
+	dev := cyclesim.NewBusAccounting(8)
 	b := New(dev, 20e6, 4096)
 	if err := b.Configure(AccountingConfig()); err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestSwitchOnBoardEndToEnd(t *testing.T) {
 }
 
 func TestTestCycleDurationBounds(t *testing.T) {
-	dev := cyclesim.NewAccounting(4)
+	dev := cyclesim.NewBusAccounting(4)
 	b := New(dev, 20e6, 128)
 	if err := b.Configure(AccountingConfig()); err != nil {
 		t.Fatal(err)
@@ -287,7 +287,7 @@ func TestBoardCouplingMessages(t *testing.T) {
 }
 
 func TestRealTimeFraction(t *testing.T) {
-	dev := cyclesim.NewAccounting(4)
+	dev := cyclesim.NewBusAccounting(4)
 	b := New(dev, 20e6, 4096)
 	if err := b.Configure(AccountingConfig()); err != nil {
 		t.Fatal(err)

@@ -7,47 +7,12 @@ import (
 	"castanet/internal/cyclesim"
 )
 
-// busAcctConfig wires the bus-readable accounting unit: cell stream on
-// drive lanes 0-1, address/strobes on lanes 2-3, exception/ack on sample
-// lanes, and the shared data bus on a bidirectional lane controlled by
-// the device's bus_oe flag — the three-signal bus modeling of §3.3.
-func busAcctConfig() ConfigDataSet {
-	var cfg ConfigDataSet
-	cfg.Lanes[0] = LaneConfig{Dir: Drive}  // rx_data
-	cfg.Lanes[1] = LaneConfig{Dir: Drive}  // rx_sync
-	cfg.Lanes[2] = LaneConfig{Dir: Drive}  // addr
-	cfg.Lanes[3] = LaneConfig{Dir: Drive}  // req/rw
-	cfg.Lanes[8] = LaneConfig{Dir: Sample} // exception/ack
-	cfg.Lanes[9] = LaneConfig{Dir: Bidir}  // shared data bus
-	cfg.Inports = []InportMapping{
-		{Port: "rx_data", Pins: PinRange{Lane: 0, StartBit: 0, Bits: 8}},
-		{Port: "rx_sync", Pins: PinRange{Lane: 1, StartBit: 0, Bits: 1}},
-		{Port: "addr", Pins: PinRange{Lane: 2, StartBit: 0, Bits: 8}},
-		{Port: "req", Pins: PinRange{Lane: 3, StartBit: 0, Bits: 1}},
-		{Port: "rw", Pins: PinRange{Lane: 3, StartBit: 1, Bits: 1}},
-	}
-	cfg.Outports = []OutportMapping{
-		{Port: "exception", Pins: PinRange{Lane: 8, StartBit: 0, Bits: 1}},
-		{Port: "ack", Pins: PinRange{Lane: 8, StartBit: 1, Bits: 1}},
-	}
-	cfg.IOPorts = []IOPortMapping{
-		{
-			InPort:     "bus_in",
-			OutPort:    "bus_out",
-			CtrlPort:   "bus_oe",
-			WriteValue: 1,
-			Pins:       PinRange{Lane: 9, StartBit: 0, Bits: 8},
-		},
-	}
-	return cfg
-}
-
 func TestBidirectionalBusReadout(t *testing.T) {
 	dev := cyclesim.NewBusAccounting(8)
 	vc := atm.VC{VPI: 1, VCI: 11}
 	slot, _ := dev.Register(vc)
 	b := New(dev, 20e6, 8192)
-	if err := b.Configure(busAcctConfig()); err != nil {
+	if err := b.Configure(AccountingConfig()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -126,7 +91,7 @@ func TestBidirectionalBusCommandWrite(t *testing.T) {
 	vc := atm.VC{VPI: 2, VCI: 22}
 	slot, _ := dev.Register(vc)
 	b := New(dev, 20e6, 8192)
-	if err := b.Configure(busAcctConfig()); err != nil {
+	if err := b.Configure(AccountingConfig()); err != nil {
 		t.Fatal(err)
 	}
 	// Meter 3 cells.

@@ -265,6 +265,10 @@ type Result struct {
 	Wall  time.Duration
 	// Attempts is how many times the run executed (1 without retries).
 	Attempts int
+	// Stats are the run's own observations (Run.Observe), sorted by
+	// name. Only Replay fills them; the campaign folds them into its
+	// Summary instead.
+	Stats []Stat
 }
 
 // Failure is one digest entry.
@@ -749,11 +753,12 @@ func mergeFailures(lists [][]Failure, max int) []Failure {
 }
 
 // Replay executes exactly the single run a digest line names, serially on
-// the calling goroutine, and returns its result. The run reconstructs the
-// identical (seed, cell) pair the campaign used and executes under the
-// same supervision policy — same per-run deadline, same retry budget —
-// so a digest line from a timed-out run replays to the same typed
-// timeout.
+// the calling goroutine, and returns its result with the stats the run
+// observed, so a run that ends ok still shows what it saw. The run
+// reconstructs the identical (seed, cell) pair the campaign used and
+// executes under the same supervision policy — same per-run deadline,
+// same retry budget — so a digest line from a timed-out run replays to
+// the same typed timeout.
 func Replay(ctx context.Context, spec Spec, index uint64) (Result, error) {
 	if err := spec.validate(); err != nil {
 		return Result{}, err
@@ -768,8 +773,12 @@ func Replay(ctx context.Context, spec Spec, index uint64) (Result, error) {
 	start := time.Now()
 	out := spec.Policy.supervise(ctx, cell.Run, proto, reg,
 		reg.ShardCounter("campaign.retries", 0), reg.ShardCounter("campaign.gaveup", 0))
-	return Result{Index: index, Seed: proto.Seed, Cell: cell, Err: out.err,
-		Value: out.value, Wall: time.Since(start), Attempts: out.attempts}, nil
+	res := Result{Index: index, Seed: proto.Seed, Cell: cell, Err: out.err,
+		Value: out.value, Wall: time.Since(start), Attempts: out.attempts}
+	if out.agg != nil {
+		res.Stats = out.agg.summary()
+	}
+	return res, nil
 }
 
 // OnCancel arranges teardown for an in-flight run: stop is invoked once if

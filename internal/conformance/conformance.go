@@ -3,17 +3,11 @@
 // Fig. 1: deterministic cell sequences that probe protocol properties —
 // header error handling, idle-cell transparency, boundary identifier
 // values — rather than statistical behaviour. Vectors are raw 53-octet
-// images so that deliberately invalid cells (bad HEC) can be expressed,
-// and they serialize to a plain-text file format for reuse across tool
-// versions.
+// images so that deliberately invalid cells (bad HEC) can be expressed.
 package conformance
 
 import (
-	"bufio"
-	"encoding/hex"
 	"fmt"
-	"io"
-	"strings"
 
 	"castanet/internal/atm"
 )
@@ -26,16 +20,6 @@ type Vector struct {
 	// ExpectDiscard marks vectors the hardware must drop (bad HEC,
 	// unknown VC when the table is fixed).
 	ExpectDiscard bool
-}
-
-// Cell parses the image, returning nil for vectors that are invalid by
-// construction.
-func (v *Vector) Cell() *atm.Cell {
-	c, err := atm.Unmarshal(v.Image)
-	if err != nil {
-		return nil
-	}
-	return c
 }
 
 // Suite is a named list of vectors.
@@ -103,82 +87,4 @@ func StandardSuite(known atm.VC) *Suite {
 	seq++
 	add("unknown-vci-1", cellImage(atm.Header{VPI: known.VPI, VCI: 1}, seq), true)
 	return s
-}
-
-// Write serializes the suite: "# name" comments, then one vector per line
-// as "name flag hex(53 bytes)".
-func (s *Suite) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# castanet conformance suite %q, %d vectors\n", s.Name, len(s.Vectors)); err != nil {
-		return err
-	}
-	for _, v := range s.Vectors {
-		flag := "pass"
-		if v.ExpectDiscard {
-			flag = "discard"
-		}
-		if _, err := fmt.Fprintf(bw, "%s %s %s\n", v.Name, flag, hex.EncodeToString(v.Image[:])); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Read parses a suite written by Write.
-func Read(r io.Reader) (*Suite, error) {
-	s := &Suite{Name: "file"}
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("conformance: line %d: want 3 fields, got %d", line, len(fields))
-		}
-		var v Vector
-		v.Name = fields[0]
-		switch fields[1] {
-		case "pass":
-		case "discard":
-			v.ExpectDiscard = true
-		default:
-			return nil, fmt.Errorf("conformance: line %d: bad flag %q", line, fields[1])
-		}
-		img, err := hex.DecodeString(fields[2])
-		if err != nil || len(img) != atm.CellBytes {
-			return nil, fmt.Errorf("conformance: line %d: bad image", line)
-		}
-		copy(v.Image[:], img)
-		s.Vectors = append(s.Vectors, v)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Result is the outcome of replaying one vector against a device.
-type Result struct {
-	Vector *Vector
-	Passed bool
-	Detail string
-}
-
-// Evaluate checks a vector's outcome: delivered reports whether the
-// device forwarded/accepted the cell.
-func Evaluate(v *Vector, delivered bool) Result {
-	switch {
-	case v.ExpectDiscard && delivered:
-		return Result{Vector: v, Passed: false,
-			Detail: fmt.Sprintf("%s: device accepted a cell it must discard", v.Name)}
-	case !v.ExpectDiscard && !delivered:
-		return Result{Vector: v, Passed: false,
-			Detail: fmt.Sprintf("%s: device dropped a conforming cell", v.Name)}
-	default:
-		return Result{Vector: v, Passed: true}
-	}
 }

@@ -176,9 +176,6 @@ func (e *Entity) minDelta() sim.Duration {
 	return min
 }
 
-// Now returns the co-simulation time (the newest network-simulator stamp).
-func (e *Entity) Now() sim.Time { return e.tcur }
-
 // Emit queues a response message stamped with the current HDL time.
 // Device-output callbacks (e.g. a CellPortReader's OnCell) call it.
 func (e *Entity) Emit(kind ipc.Kind, data []byte) {
@@ -360,16 +357,6 @@ func (e *Entity) drainReady() error {
 			return err
 		}
 	}
-}
-
-// Flush grants the hardware a final window up to the given network time,
-// used at end of simulation to let in-flight cells drain out of the DUT.
-func (e *Entity) Flush(until sim.Time) error {
-	if until > e.tcur {
-		e.tcur = until
-		e.gmin = until
-	}
-	return e.runBefore(e.tcur)
 }
 
 // LagInvariantHolds reports whether the HDL clock is at or behind the

@@ -105,7 +105,7 @@ func TestAccountingConformanceVectors(t *testing.T) {
 		v := &suite.Vectors[i]
 		rig.InjectVector(at, v.Image)
 		at += 200 * sim.Microsecond
-		c := v.Cell()
+		c, _ := atm.Unmarshal(v.Image) // nil for a HEC-corrupt image
 		switch {
 		case c == nil:
 			// HEC-corrupt: invisible to the meter.

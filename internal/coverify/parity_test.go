@@ -56,8 +56,9 @@ func parityTraffic(cellsPerPort uint64) [dut.SwitchPorts]coverify.PortTraffic {
 // parityRun is one rig's parity run: its artifact line (the VCD's sha256
 // and the rig report) and its kernel.
 type parityRun struct {
-	line string
-	hdl  *hdl.Simulator
+	line  string
+	hdl   *hdl.Simulator
+	edges func() (elided, folded uint64)
 }
 
 // rigParity runs one rig with a VCD of every signal in the design
@@ -101,6 +102,7 @@ func rigParity(t *testing.T, name string, seed uint64) parityRun {
 	default:
 		t.Fatalf("unknown rig %q", name)
 	}
+	edges := kernelEdges(h)
 	vcd := hdl.NewVCD(&buf, h)
 	if err := run(); err != nil {
 		t.Fatalf("%s seed %d: %v", name, seed, err)
@@ -108,7 +110,18 @@ func rigParity(t *testing.T, name string, seed uint64) parityRun {
 	if err := vcd.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return parityRun{fmt.Sprintf("rig %s seed=%d vcd=%x report=%s", name, seed, sha256.Sum256(buf.Bytes()), report()), h}
+	return parityRun{fmt.Sprintf("rig %s seed=%d vcd=%x report=%s", name, seed, sha256.Sum256(buf.Bytes()), report()), h, edges}
+}
+
+// kernelEdges instruments h into a registry of its own and returns a
+// reader of the clock edges it elided and folded, as published in the
+// hdl.sim.elided_edges and hdl.sim.folded_edges counters.
+func kernelEdges(h *hdl.Simulator) func() (elided, folded uint64) {
+	reg := obs.NewRegistry()
+	h.Instrument(reg, "hdl.sim")
+	return func() (uint64, uint64) {
+		return reg.Counter("hdl.sim.elided_edges").Value(), reg.Counter("hdl.sim.folded_edges").Value()
+	}
 }
 
 // runCampaign executes a named campaign matrix at seed 1 on two shards.
@@ -230,27 +243,31 @@ func parityCounters(t *testing.T) map[string]uint64 {
 		tr[p] = coverify.PortTraffic{Model: &traffic.CBR{Interval: cellTime}, VCs: coverify.PortVCs(p), Cells: cells / dut.SwitchPorts}
 	}
 	rig := coverify.NewSwitchRig(coverify.SwitchRigConfig{Seed: 1, Traffic: tr})
+	e1Edges := kernelEdges(rig.HDL)
 	if err := rig.Run(sim.Time(cells/dut.SwitchPorts+4) * cellTime); err != nil {
 		t.Fatal(err)
 	}
 	if !rig.Cmp.Clean() {
 		t.Fatalf("E1 rig not clean: %s", rig.Cmp.Summary())
 	}
+	elided, folded := e1Edges()
 	c := map[string]uint64{
 		"e1.cells":         rig.Cmp.Matched,
 		"e1.process_runs":  rig.HDL.ProcessRuns(),
 		"e1.signal_events": rig.HDL.Events(),
 		"e1.time_points":   rig.HDL.TimePoints(),
-		"e1.elided":        rig.HDL.ElidedEdges(),
-		"e1.executed":      executedPoints(rig.HDL),
+		"e1.elided":        elided,
+		"e1.executed":      rig.HDL.TimePoints() - elided - folded,
 	}
 	rtl := coverify.NewRTLRig(coverify.SwitchRigConfig{Seed: 1, Traffic: tr})
+	rtlEdges := kernelEdges(rtl.HDL)
 	if err := rtl.Run(); err != nil {
 		t.Fatal(err)
 	}
+	elided, folded = rtlEdges()
 	c["rtl.time_points"] = rtl.HDL.TimePoints()
-	c["rtl.elided"] = rtl.HDL.ElidedEdges()
-	c["rtl.executed"] = executedPoints(rtl.HDL)
+	c["rtl.elided"] = elided
+	c["rtl.executed"] = rtl.HDL.TimePoints() - elided - folded
 	sum := runCampaign(t, "switch", 16, false, true)
 	for _, st := range sum.Stats {
 		if st.Name == "cells" {
@@ -264,11 +281,6 @@ func parityCounters(t *testing.T) map[string]uint64 {
 		c["campaign16.signal_events"] += s.Events
 	}
 	return c
-}
-
-// executedPoints is the number of instants h executed as a Step.
-func executedPoints(h *hdl.Simulator) uint64 {
-	return h.TimePoints() - h.ElidedEdges() - h.FoldedEdges()
 }
 
 // campaign16Kernel replays the 16 runs of the switch campaign at seed 1
@@ -289,12 +301,14 @@ func campaign16Kernel(t *testing.T) (cells, points, elided uint64) {
 			horizon = max(horizon, sim.FromSeconds(float64(n+2)/rate))
 		}
 		rig := coverify.NewSwitchRig(coverify.SwitchRigConfig{Seed: rng.Uint64(), Traffic: tr})
+		edges := kernelEdges(rig.HDL)
 		if err := rig.Run(horizon + 200*sim.Microsecond); err != nil {
 			t.Fatal(err)
 		}
+		e, _ := edges()
 		cells += rig.Offered
 		points += rig.HDL.TimePoints()
-		elided += rig.HDL.ElidedEdges()
+		elided += e
 	}
 	return cells, points, elided
 }
@@ -364,12 +378,13 @@ func TestParityCounters(t *testing.T) {
 // every clock by design, never does. Every rig folds falling edges.
 func TestRigsElide(t *testing.T) {
 	for _, rig := range []string{"switch", "rtl", "policer", "acct"} {
-		h := rigParity(t, rig, paritySeeds[0]).hdl
-		if n := h.ElidedEdges(); (n > 0) != (rig != "rtl") {
-			t.Errorf("rig %s elided %d of %d time points", rig, n, h.TimePoints())
+		pr := rigParity(t, rig, paritySeeds[0])
+		elided, folded := pr.edges()
+		if (elided > 0) != (rig != "rtl") {
+			t.Errorf("rig %s elided %d of %d time points", rig, elided, pr.hdl.TimePoints())
 		}
-		if h.FoldedEdges() == 0 {
-			t.Errorf("rig %s folded none of %d time points", rig, h.TimePoints())
+		if folded == 0 {
+			t.Errorf("rig %s folded none of %d time points", rig, pr.hdl.TimePoints())
 		}
 	}
 }

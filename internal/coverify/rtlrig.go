@@ -108,9 +108,3 @@ func (r *RTLRig) CheckErrors() uint64 {
 	}
 	return t
 }
-
-// Report summarizes the regression run.
-func (r *RTLRig) Report() string {
-	return fmt.Sprintf("offered=%d checked=%d checkErrs=%d drops=%d hdlEvents=%d cycles=%d",
-		r.Offered, r.Checked(), r.CheckErrors(), r.DUT.Drops(), r.HDL.Events(), r.ClockCycles())
-}

@@ -91,8 +91,15 @@ func TestAccountingUnitException(t *testing.T) {
 func TestAccountingUnitIgnoresIdle(t *testing.T) {
 	rig := newAcctRig(4)
 	rig.u.Register(atm.VC{VPI: 1, VCI: 10})
-	rig.w.SetInsertIdle(true)
+	// An idle-filled line around one user cell.
+	idle := atm.IdleCell().Marshal()
+	for i := 0; i < 5; i++ {
+		rig.w.EnqueueRaw(idle)
+	}
 	rig.w.Enqueue(&atm.Cell{Header: atm.Header{VPI: 1, VCI: 10}})
+	for i := 0; i < 5; i++ {
+		rig.w.EnqueueRaw(idle)
+	}
 	rig.run(t, 10*60*clkPeriod)
 	if rig.u.Observed != 1 {
 		t.Errorf("Observed = %d (idle cells metered?)", rig.u.Observed)

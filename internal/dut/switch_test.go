@@ -123,8 +123,15 @@ func TestSwitchUnknownVCDiscarded(t *testing.T) {
 
 func TestSwitchIdleCellsNotSwitched(t *testing.T) {
 	rig := newSwitchRig(basicTable(), DefaultSwitchConfig())
-	rig.in[0].SetInsertIdle(true) // continuous idle-filled line
+	// A continuous idle-filled line: 18 cell slots in 1000 clocks.
+	idle := atm.IdleCell().Marshal()
+	for i := 0; i < 8; i++ {
+		rig.in[0].EnqueueRaw(idle)
+	}
 	rig.send(0, &atm.Cell{Header: atm.Header{VPI: 1, VCI: 100}, Seq: 4})
+	for i := 0; i < 9; i++ {
+		rig.in[0].EnqueueRaw(idle)
+	}
 	rig.run(t, 1000*clkPeriod)
 	total := 0
 	for i := 0; i < SwitchPorts; i++ {

@@ -3,7 +3,6 @@ package explore
 import (
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"castanet/internal/obs"
@@ -103,11 +102,4 @@ func (r *Result) WriteReport(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Digest renders WriteDigest to a string (test convenience).
-func (r *Result) Digest() string {
-	var b strings.Builder
-	r.WriteDigest(&b)
-	return b.String()
 }

@@ -8,16 +8,17 @@ import (
 
 // This file is the compiled fast path's control plane (DESIGN.md §18),
 // after CCSS: at elaboration the structural combinational logic — gates
-// declared with Simulator.Gate — is levelized into a topologically sorted
-// evaluation plan, and the connected gate cones become purity-guarded
-// regions. While every signal of a region is two-state pure, its gates
-// evaluate bit-parallel on packed words (bitpack.go); the moment an
-// X/Z/weak/uninitialized value commits into the region it demotes to the
-// full IEEE-1164 nine-value event kernel, and it promotes back when the
-// last such value drains. Sequential logic (clocked processes: Reg,
-// Counter, FIFO, the DUT port machines) needs no plan — it is already
-// synchronized at clock edges, and the packed data plane accelerates its
-// signal traffic transparently.
+// declared with Simulator.Gate (export_test.go; today only the kernel
+// tests declare gates, the device models declare none) — is levelized
+// into a topologically sorted evaluation plan, and the connected gate
+// cones become purity-guarded regions. While every signal of a region is
+// two-state pure, its gates evaluate bit-parallel on packed words
+// (bitpack.go); the moment an X/Z/weak/uninitialized value commits into
+// the region it demotes to the full IEEE-1164 nine-value event kernel,
+// and it promotes back when the last such value drains. Sequential logic
+// (clocked processes such as the DUT port machines) needs no plan — it is
+// already synchronized at clock edges, and the packed data plane
+// accelerates its signal traffic transparently.
 //
 // Evaluation stays delta-exact: a dirty gate runs in the process phase of
 // the delta in which an input changed, and its output assignment matures
@@ -73,60 +74,6 @@ type Gate struct {
 	level  int
 	region *Region
 	dirty  bool
-}
-
-// Name returns the gate instance name.
-func (gt *Gate) Name() string { return gt.name }
-
-// Op returns the gate operator.
-func (gt *Gate) Op() GateOp { return gt.op }
-
-// Out returns the driven output signal.
-func (gt *Gate) Out() *Signal { return gt.out }
-
-// Level returns the gate's topological level in the compiled plan (0 =
-// fed only by non-gate signals). Valid after Compile.
-func (gt *Gate) Level() int { return gt.level }
-
-// Region returns the purity region the gate belongs to. Valid after
-// Compile.
-func (gt *Gate) Region() *Region { return gt.region }
-
-// Gate declares a structural combinational gate driving out from ins.
-// The output must not have any other driver (the gate owns it), widths
-// must match, and the width must fit the packed representation (≤ 64).
-// Gates must be declared before Compile.
-func (s *Simulator) Gate(name string, op GateOp, out *Signal, ins ...*Signal) *Gate {
-	if s.fast {
-		panic(fmt.Sprintf("hdl: gate %q declared after Compile", name))
-	}
-	switch {
-	case op == GateBuf || op == GateNot:
-		if len(ins) != 1 {
-			panic(fmt.Sprintf("hdl: gate %q: %v takes exactly one input, got %d", name, op, len(ins)))
-		}
-	default:
-		if len(ins) < 2 {
-			panic(fmt.Sprintf("hdl: gate %q: %v takes at least two inputs, got %d", name, op, len(ins)))
-		}
-	}
-	if out.width > 64 {
-		panic(fmt.Sprintf("hdl: gate %q: output %q wider than 64 bits", name, out.name))
-	}
-	if len(out.drivers) != 0 {
-		panic(fmt.Sprintf("hdl: gate %q: output %q already has a driver", name, out.name))
-	}
-	for _, in := range ins {
-		if in.width != out.width {
-			panic(fmt.Sprintf("hdl: gate %q: input %q width %d vs output width %d", name, in.name, in.width, out.width))
-		}
-	}
-	gt := &Gate{name: name, op: op, out: out, ins: ins, mask: packMask(out.width)}
-	gt.drv = out.Driver("gate:" + name)
-	gt.proc = s.Process(name, gt.run, ins...)
-	gt.proc.gate = gt
-	s.gates = append(s.gates, gt)
-	return gt
 }
 
 // run evaluates the gate: bit-parallel on packed words while the region is
@@ -199,22 +146,9 @@ type Region struct {
 	promotions uint64
 }
 
-// ID returns the region's index in the plan.
-func (r *Region) ID() int { return r.id }
-
-// Signals returns how many signals belong to the region.
-func (r *Region) Signals() int { return r.signals }
-
 // Demoted reports whether the region is currently evaluating on the
 // nine-value event kernel.
 func (r *Region) Demoted() bool { return r.impure > 0 }
-
-// Demotions returns how many times the region left the bit-parallel path.
-func (r *Region) Demotions() uint64 { return r.demotions }
-
-// Promotions returns how many times the region re-entered the
-// bit-parallel path after draining its impure values.
-func (r *Region) Promotions() uint64 { return r.promotions }
 
 // note records one member signal crossing the two-state boundary.
 func (r *Region) note(pure bool) {
@@ -239,15 +173,6 @@ type Plan struct {
 	dirty   [][]*Gate // per-level dirty lists, drained each delta
 	regions []*Region
 }
-
-// Gates returns the number of compiled gates.
-func (pl *Plan) Gates() int { return len(pl.gates) }
-
-// Depth returns the number of topological levels.
-func (pl *Plan) Depth() int { return len(pl.levels) }
-
-// Regions returns the purity regions.
-func (pl *Plan) Regions() []*Region { return pl.regions }
 
 // String summarizes the plan for diagnostics.
 func (pl *Plan) String() string {
@@ -282,9 +207,6 @@ func (pl *Plan) runDirty(s *Simulator) {
 
 // Compiled reports whether the compiled fast path is active.
 func (s *Simulator) Compiled() bool { return s.fast }
-
-// CompiledPlan returns the active plan, or nil before Compile.
-func (s *Simulator) CompiledPlan() *Plan { return s.plan }
 
 // Compile levelizes the declared gates into an evaluation plan, forms the
 // purity regions, seeds every signal's packed mirror from its current

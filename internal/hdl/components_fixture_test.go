@@ -2,11 +2,12 @@ package hdl
 
 import "fmt"
 
-// This file provides the small library of synthesizable building blocks
-// device models compose: clocked registers, counters, shift registers and
-// synchronous FIFOs. Each component is elaborated onto a Simulator as a
-// rising-edge process (Simulator.Clocked) plus its interface signals, the
-// way a VHDL entity would be instantiated.
+// This file provides the small synthesizable designs the kernel tests
+// elaborate: clocked registers, counters, shift registers and synchronous
+// FIFOs. Each component is elaborated onto a Simulator as a rising-edge
+// process (Simulator.Clocked) plus its interface signals, the way a VHDL
+// entity would be instantiated. The device models under internal/dut
+// write their own port machines and use none of these.
 
 // Reg is a clocked register with synchronous enable and reset.
 type Reg struct {

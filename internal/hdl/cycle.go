@@ -54,13 +54,6 @@ func (s *Simulator) rise(c *clock) {
 	}
 }
 
-// FoldedEdges returns how many falling clock edges bounded runs have
-// folded instead of executing as a Step. Like elided edges, folded ones
-// are counted in TimePoints, Events and DeltaCycles, so
-// TimePoints()-ElidedEdges()-FoldedEdges() is the number of instants
-// actually executed.
-func (s *Simulator) FoldedEdges() uint64 { return s.folded }
-
 // fold executes the next instant without the Step machinery when it holds
 // nothing but the falling edge of an eligible clock: the current instant
 // is idle, the earliest agenda entry is the clock's toggle from high, and

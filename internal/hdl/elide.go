@@ -77,13 +77,6 @@ func (s *Simulator) RisingEdges(clk *Signal) uint64 {
 	panic("hdl: RisingEdges on " + clk.name + ", which Clock does not drive")
 }
 
-// ElidedEdges returns how many clock edges bounded runs have skipped
-// instead of executing. Every elided edge is also counted in TimePoints,
-// Events and DeltaCycles, as is every folded one (FoldedEdges), so
-// TimePoints()-ElidedEdges()-FoldedEdges() is the number of instants
-// actually executed.
-func (s *Simulator) ElidedEdges() uint64 { return s.elided }
-
 // idle reports whether nothing observes the clock's edges: the clock is
 // eligible (every watcher is Clocked, no process wakes on it, no compiled
 // gate reads it, the generator is its only driver), every watcher is

@@ -1,16 +1,14 @@
 // Package hdl is an event-driven hardware simulator with VHDL semantics.
 // It stands in for the Synopsys VHDL System Simulator (VSS) of the paper:
 // IEEE-1164 nine-valued logic, resolved signals with multiple drivers,
-// delta cycles, processes with sensitivity lists, and inertial/transport
-// delay. The co-simulation entity of package cosim instantiates its
+// delta cycles, processes with sensitivity lists, and inertial delay
+// (transport delay, Driver.SetTransport, is a kernel-test hook in
+// export_test.go). The co-simulation entity of package cosim instantiates its
 // bit-level side inside this simulator, exactly as the paper instantiates
 // a C-language co-simulation entity inside VSS.
 package hdl
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Logic is one IEEE-1164 std_logic value.
 type Logic byte
@@ -36,16 +34,6 @@ func (l Logic) String() string {
 		return string(logicNames[l])
 	}
 	return "?"
-}
-
-// ParseLogic converts a VHDL character literal to a Logic value.
-func ParseLogic(c byte) (Logic, error) {
-	for i, n := range logicNames {
-		if n == c || (c >= 'a' && c <= 'z' && n == c-'a'+'A') {
-			return Logic(i), nil
-		}
-	}
-	return U, fmt.Errorf("hdl: invalid std_logic literal %q", string(c))
 }
 
 // resolutionTable is the IEEE-1164 resolution function for two drivers.
@@ -83,9 +71,6 @@ func (l Logic) IsHigh() bool { return l.to01() == L1 }
 
 // IsLow reports whether the value reads as logical 0 ('0' or 'L').
 func (l Logic) IsLow() bool { return l.to01() == L0 }
-
-// Defined reports whether the value is a defined binary level.
-func (l Logic) Defined() bool { return l.to01() != X }
 
 // Not returns the logical inverse with X propagation.
 func (l Logic) Not() Logic {
@@ -163,33 +148,6 @@ func FromUint(val uint64, width int) LV {
 	return v
 }
 
-// FromByte returns an 8-bit vector for b.
-func FromByte(b byte) LV { return FromUint(uint64(b), 8) }
-
-// ParseLV parses a VHDL-style bit string, most significant bit first,
-// e.g. "10ZX".
-func ParseLV(s string) (LV, error) {
-	v := make(LV, len(s))
-	for i := 0; i < len(s); i++ {
-		l, err := ParseLogic(s[len(s)-1-i])
-		if err != nil {
-			return nil, err
-		}
-		v[i] = l
-	}
-	return v, nil
-}
-
-// MustParseLV is ParseLV that panics on error, for literals in tests and
-// device models.
-func MustParseLV(s string) LV {
-	v, err := ParseLV(s)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 // String prints the vector most significant bit first.
 func (v LV) String() string {
 	var b strings.Builder
@@ -215,15 +173,6 @@ func (v LV) Uint() (val uint64, ok bool) {
 		}
 	}
 	return val, true
-}
-
-// Byte converts an 8-bit (or narrower) vector to a byte.
-func (v LV) Byte() (byte, bool) {
-	u, ok := v.Uint()
-	if !ok || len(v) > 8 {
-		return 0, false
-	}
-	return byte(u), ok
 }
 
 // Equal reports exact value equality (same width, same std_logic values).
@@ -252,96 +201,9 @@ func (v LV) TwoState() bool {
 	return true
 }
 
-// Defined reports whether every bit is a defined binary level.
-func (v LV) Defined() bool {
-	for _, l := range v {
-		if !l.Defined() {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns a copy of the vector.
 func (v LV) Clone() LV {
 	c := make(LV, len(v))
 	copy(c, v)
 	return c
-}
-
-// Not returns the bitwise inverse.
-func (v LV) Not() LV {
-	r := make(LV, len(v))
-	for i := range v {
-		r[i] = v[i].Not()
-	}
-	return r
-}
-
-// And returns the bitwise AND. Widths must match.
-func (v LV) And(o LV) LV { return v.zip(o, Logic.And) }
-
-// Or returns the bitwise OR. Widths must match.
-func (v LV) Or(o LV) LV { return v.zip(o, Logic.Or) }
-
-// Xor returns the bitwise XOR. Widths must match.
-func (v LV) Xor(o LV) LV { return v.zip(o, Logic.Xor) }
-
-func (v LV) zip(o LV, op func(Logic, Logic) Logic) LV {
-	if len(v) != len(o) {
-		panic(fmt.Sprintf("hdl: width mismatch %d vs %d", len(v), len(o)))
-	}
-	r := make(LV, len(v))
-	for i := range v {
-		r[i] = op(v[i], o[i])
-	}
-	return r
-}
-
-// Add returns v + o modulo 2^width plus the carry-out. Any undefined input
-// bit makes the whole result X.
-func (v LV) Add(o LV) (sum LV, carry Logic) {
-	if len(v) != len(o) {
-		panic(fmt.Sprintf("hdl: width mismatch %d vs %d", len(v), len(o)))
-	}
-	if !v.Defined() || !o.Defined() {
-		return NewLV(len(v), X), X
-	}
-	sum = make(LV, len(v))
-	c := Logic(L0)
-	for i := range v {
-		a, b := v[i].to01(), o[i].to01()
-		s := a.Xor(b).Xor(c)
-		c = a.And(b).Or(c.And(a.Xor(b)))
-		sum[i] = s
-	}
-	return sum, c
-}
-
-// Incr returns v + 1 modulo 2^width.
-func (v LV) Incr() LV {
-	one := NewLV(len(v), L0)
-	if len(one) > 0 {
-		one[0] = L1
-	}
-	s, _ := v.Add(one)
-	return s
-}
-
-// Slice returns bits [lo, lo+width) as a new vector (VHDL slice of a
-// downto range).
-func (v LV) Slice(lo, width int) LV {
-	if lo < 0 || lo+width > len(v) {
-		panic(fmt.Sprintf("hdl: slice [%d,%d) out of range of width %d", lo, lo+width, len(v)))
-	}
-	return v[lo : lo+width].Clone()
-}
-
-// Concat returns o & v in VHDL terms: o becomes the new most significant
-// part.
-func (v LV) Concat(o LV) LV {
-	r := make(LV, 0, len(v)+len(o))
-	r = append(r, v...)
-	r = append(r, o...)
-	return r
 }

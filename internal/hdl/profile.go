@@ -64,10 +64,6 @@ func (s *Simulator) EnableProfile() *ActivityProfile {
 	return s.prof
 }
 
-// Profile returns the attached activity profiler, nil when profiling is
-// disabled.
-func (s *Simulator) Profile() *ActivityProfile { return s.prof }
-
 // growSignal extends the per-signal accumulators for one new signal.
 func (p *ActivityProfile) growSignal() {
 	if p == nil {

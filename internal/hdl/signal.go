@@ -106,10 +106,6 @@ func (g *Signal) Uint() (uint64, bool) {
 	return g.value.Uint()
 }
 
-// Event reports whether the signal changed value in the delta cycle that
-// triggered the currently running process ("sig'event" in VHDL).
-func (g *Signal) Event() bool { return g.eventStamp == g.sim.stamp }
-
 // Rising reports a 0→1 edge in the current delta ("rising_edge(sig)").
 func (g *Signal) Rising() bool {
 	if g.width != 1 || g.eventStamp != g.sim.stamp {
@@ -119,17 +115,6 @@ func (g *Signal) Rising() bool {
 		return g.pval&1 != 0 && g.pprev&1 == 0
 	}
 	return g.Prev()[0].IsLow() && g.Val()[0].IsHigh()
-}
-
-// Falling reports a 1→0 edge in the current delta.
-func (g *Signal) Falling() bool {
-	if g.width != 1 || g.eventStamp != g.sim.stamp {
-		return false
-	}
-	if g.pknown && g.pprevKnown {
-		return g.pval&1 == 0 && g.pprev&1 != 0
-	}
-	return g.Prev()[0].IsHigh() && g.Val()[0].IsLow()
 }
 
 // OnChange registers a callback invoked after every value change (used by
@@ -324,9 +309,6 @@ type Driver struct {
 	ringArmed bool
 }
 
-// Sig returns the driven signal.
-func (d *Driver) Sig() *Signal { return d.sig }
-
 func (d *Driver) checkWidth(v LV) {
 	if len(v) != d.sig.width {
 		panic(fmt.Sprintf("hdl: driver %s: assigning width %d to signal %q of width %d",
@@ -470,20 +452,6 @@ func (d *Driver) SetZ() {
 	due := d.sig.sim.now
 	d.preempt(due)
 	d.schedule(d.zval, due)
-}
-
-// SetTransport schedules an assignment with transport delay (VHDL
-// "sig <= transport v after t;"): transactions later than the new one are
-// deleted, earlier ones are kept, modeling an ideal delay line.
-func (d *Driver) SetTransport(v LV, delay sim.Duration) {
-	d.checkWidth(v)
-	due := d.sig.sim.now + delay
-	for _, t := range d.pending {
-		if !t.dead && t.at > due {
-			t.dead = true
-		}
-	}
-	d.schedule(v.Clone(), due)
 }
 
 func (d *Driver) schedule(v LV, due sim.Time) {

@@ -152,12 +152,6 @@ type Process struct {
 	runs      uint64
 }
 
-// Name returns the process name.
-func (p *Process) Name() string { return p.name }
-
-// Runs returns how many times the process body has executed.
-func (p *Process) Runs() uint64 { return p.runs }
-
 // Park suspends the process: its triggers are ignored until Wake, or an
 // event on a WakeOn signal, resumes it — VHDL's "wait on". The kernel
 // checks the flag when it dispatches the process, not when it triggers it,
@@ -700,13 +694,4 @@ func (s *Simulator) runTo(bound sim.Time, inclusive bool) error {
 			return err
 		}
 	}
-}
-
-// RunOne is Step for callers that treat errors as fatal (tests).
-func (s *Simulator) RunOne() bool {
-	ok, err := s.Step()
-	if err != nil {
-		panic(err)
-	}
-	return ok
 }

@@ -47,9 +47,6 @@ func NewVCD(w io.Writer, s *Simulator, signals ...*Signal) *VCD {
 	return v
 }
 
-// Err returns the first write error encountered, if any.
-func (v *VCD) Err() error { return v.err }
-
 // vcdID produces the compact printable identifiers VCD uses ('!' .. '~',
 // then two characters, ...).
 func vcdID(i int) string {

@@ -115,13 +115,6 @@ func NewFault(inner Transport, cfg FaultConfig) *FaultTransport {
 	}
 }
 
-// Stats returns a snapshot of the injected-fault counters.
-func (f *FaultTransport) Stats() FaultStats {
-	f.statMu.Lock()
-	defer f.statMu.Unlock()
-	return f.stats
-}
-
 // Instrument routes the injected-fault counters into the registry under
 // the given prefix (conventionally "ipc.fault"), in addition to the
 // Stats() snapshot. A nil registry is a no-op; safe to call while traffic

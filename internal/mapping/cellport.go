@@ -11,10 +11,10 @@ import (
 //	cellsync : STD_LOGIC                     — high during the first octet
 //
 // One cell occupies exactly 53 rising clock edges. When the transmit
-// queue is empty the writer inserts idle cells (SetInsertIdle) or drives
-// zero with cellsync low, modeling the idle periods of a real ATM line
-// versus a gated test stream. A writer with nothing to send and idle
-// insertion off parks its process until the next Enqueue.
+// queue is empty the writer drives zero with cellsync low (a gated test
+// stream) and parks its process until the next Enqueue. A test bench that
+// models a continuously framed line enqueues idle-cell images with
+// EnqueueRaw.
 type CellPortWriter struct {
 	// OnCellStart, when non-nil, fires as a cell queued by EnqueueTraced
 	// with a nonzero trace ID puts its first octet onto the wire, with that
@@ -26,15 +26,13 @@ type CellPortWriter struct {
 	sync *hdl.Driver
 	proc *hdl.Process
 
-	insertIdle bool
-	queue      []queued
-	current    [atm.CellBytes]byte
-	pos        int
-	active     bool
+	queue   []queued
+	current [atm.CellBytes]byte
+	pos     int
+	active  bool
 
-	// SentCells counts completed cell transmissions (including idles).
+	// SentCells counts completed cell transmissions.
 	SentCells uint64
-	IdleCells uint64
 }
 
 // queued is one cell image waiting for the wire, with the causal trace ID
@@ -86,13 +84,6 @@ func (w *CellPortWriter) EnqueueRaw(img [atm.CellBytes]byte) {
 	w.proc.Wake()
 }
 
-// SetInsertIdle switches idle-cell insertion on an empty queue; the
-// setting takes effect at the next rising clock edge.
-func (w *CellPortWriter) SetInsertIdle(on bool) {
-	w.insertIdle = on
-	w.proc.Wake()
-}
-
 // Backlog returns the number of cells waiting (excluding the one in
 // flight).
 func (w *CellPortWriter) Backlog() int { return len(w.queue) }
@@ -111,14 +102,9 @@ func (w *CellPortWriter) tick() {
 			if q.trace != 0 && w.OnCellStart != nil {
 				w.OnCellStart(q.trace)
 			}
-		} else if w.insertIdle {
-			w.current = atm.IdleCell().Marshal()
-			w.IdleCells++
-			w.active = true
-			w.pos = 0
 		} else {
 			// Idle line: once these zeros land, every further edge would
-			// only re-assert them, so sleep until Enqueue or SetInsertIdle.
+			// only re-assert them, so sleep until the next Enqueue.
 			w.data.SetUint(0)
 			w.sync.SetBit(hdl.L0)
 			w.proc.Park()

@@ -2,8 +2,6 @@ package netsim
 
 import (
 	"fmt"
-
-	"castanet/internal/sim"
 )
 
 // This file implements the process domain: behaviour expressed as
@@ -84,25 +82,13 @@ func NewEFSM(name string) *EFSM {
 	return &EFSM{name: name, states: make(map[string]*stateDef), Vars: make(map[string]interface{})}
 }
 
-// Name returns the machine name.
-func (m *EFSM) Name() string { return m.name }
-
 // Current returns the current state name.
 func (m *EFSM) Current() string { return m.current }
-
-// Transitions returns the number of transitions taken.
-func (m *EFSM) Transitions() uint64 { return m.transitions }
 
 // State declares an unforced (waiting) state. enter, if non-nil, runs on
 // entry.
 func (m *EFSM) State(name string, enter func(ctx *Ctx, m *EFSM)) *EFSM {
 	return m.addState(name, false, enter)
-}
-
-// ForcedState declares a forced state: its outgoing transitions are
-// evaluated immediately after entry without waiting for an interrupt.
-func (m *EFSM) ForcedState(name string, enter func(ctx *Ctx, m *EFSM)) *EFSM {
-	return m.addState(name, true, enter)
 }
 
 func (m *EFSM) addState(name string, forced bool, enter func(ctx *Ctx, m *EFSM)) *EFSM {
@@ -199,21 +185,3 @@ func (m *EFSM) step(ctx *Ctx, intr Interrupt) bool {
 	}
 	return false
 }
-
-// IntVar reads an integer extended state variable (0 when unset).
-func (m *EFSM) IntVar(name string) int {
-	v, _ := m.Vars[name].(int)
-	return v
-}
-
-// SetIntVar writes an integer extended state variable.
-func (m *EFSM) SetIntVar(name string, v int) { m.Vars[name] = v }
-
-// TimeVar reads a sim.Time extended state variable.
-func (m *EFSM) TimeVar(name string) sim.Time {
-	v, _ := m.Vars[name].(sim.Time)
-	return v
-}
-
-// SetTimeVar writes a sim.Time extended state variable.
-func (m *EFSM) SetTimeVar(name string, v sim.Time) { m.Vars[name] = v }

@@ -17,21 +17,21 @@ func buildOnOff() *EFSM {
 	m.Transition("off", "on",
 		func(ctx *Ctx, m *EFSM, intr Interrupt) bool { return intr.Kind == IntrBegin || intr.Kind == IntrTimer },
 		func(ctx *Ctx, m *EFSM, intr Interrupt) {
-			m.SetIntVar("left", burst)
+			m.Vars["left"] = burst
 			ctx.SetTimer(sim.Microsecond, "emit")
 		})
 	m.Transition("on", "on",
 		func(ctx *Ctx, m *EFSM, intr Interrupt) bool {
-			return intr.Kind == IntrTimer && m.IntVar("left") > 1
+			return intr.Kind == IntrTimer && m.Vars["left"].(int) > 1
 		},
 		func(ctx *Ctx, m *EFSM, intr Interrupt) {
 			ctx.Send(ctx.Net().NewPacket("cell", nil, 424), 0)
-			m.SetIntVar("left", m.IntVar("left")-1)
+			m.Vars["left"] = m.Vars["left"].(int) - 1
 			ctx.SetTimer(sim.Microsecond, "emit")
 		})
 	m.Transition("on", "off",
 		func(ctx *Ctx, m *EFSM, intr Interrupt) bool {
-			return intr.Kind == IntrTimer && m.IntVar("left") == 1
+			return intr.Kind == IntrTimer && m.Vars["left"].(int) == 1
 		},
 		func(ctx *Ctx, m *EFSM, intr Interrupt) {
 			ctx.Send(ctx.Net().NewPacket("cell", nil, 424), 0)

@@ -72,10 +72,6 @@ type Queue struct {
 // Init implements Processor.
 func (q *Queue) Init(ctx *Ctx) { q.Occupancy.Set(ctx.Now(), 0) }
 
-// Len returns the current queue length (not counting the packet in
-// service).
-func (q *Queue) Len() int { return len(q.fifo) }
-
 // Arrival implements Processor.
 func (q *Queue) Arrival(ctx *Ctx, pkt *Packet, port int) {
 	if q.Capacity > 0 && len(q.fifo) >= q.Capacity {

@@ -82,9 +82,6 @@ func (n *Network) Lookup(name string) (*Node, bool) {
 	return nd, ok
 }
 
-// Nodes returns all nodes in creation order.
-func (n *Network) Nodes() []*Node { return n.order }
-
 // Connect creates a simplex link from port srcPort of src to port dstPort
 // of dst. Transmission of a packet takes size/rate seconds followed by the
 // propagation delay; zero rate means infinite bandwidth.
@@ -165,12 +162,6 @@ type Node struct {
 	inited bool
 }
 
-// Net returns the owning network.
-func (nd *Node) Net() *Network { return nd.net }
-
-// Processor returns the node's process-domain behaviour.
-func (nd *Node) Processor() Processor { return nd.proc }
-
 func (nd *Node) setOutput(port int, l *Link) {
 	for port >= len(nd.out) {
 		nd.out = append(nd.out, nil)
@@ -214,9 +205,6 @@ type Ctx struct {
 
 // Now returns the current simulated time.
 func (c *Ctx) Now() sim.Time { return c.node.net.Now() }
-
-// Node returns the hosting node.
-func (c *Ctx) Node() *Node { return c.node }
 
 // Net returns the network.
 func (c *Ctx) Net() *Network { return c.node.net }

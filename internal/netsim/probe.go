@@ -1,20 +1,12 @@
 package netsim
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"sort"
-
-	"castanet/internal/sim"
-)
+import "castanet/internal/sim"
 
 // This file provides the statistic probes of the network simulation
 // environment — the paper's "access to powerful analysis capabilities
 // available in existing network simulation tools for the representation
 // of errors and results". A probe collects a named scalar statistic as
-// both streaming summary and (optionally) a bounded time series for
-// export to plotting tools.
+// a streaming summary and, optionally, a bounded time series.
 
 // Probe collects one named statistic.
 type Probe struct {
@@ -45,23 +37,6 @@ func (p *Probe) Record(at sim.Time, v float64) {
 // Stats returns the streaming summary.
 func (p *Probe) Stats() *sim.Accumulator { return &p.acc }
 
-// Series returns the captured samples.
-func (p *Probe) Series() []Sample { return p.series }
-
-// WriteSeries exports the time series as "time_seconds value" lines.
-func (p *Probe) WriteSeries(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# probe %q, %d samples\n", p.Name, len(p.series)); err != nil {
-		return err
-	}
-	for _, s := range p.series {
-		if _, err := fmt.Fprintf(bw, "%.9f %g\n", s.At.Seconds(), s.Value); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // ProbeSet is a named collection of probes for one simulation study.
 type ProbeSet struct {
 	probes map[string]*Probe
@@ -82,32 +57,6 @@ func (s *ProbeSet) Get(name string) *Probe {
 	return p
 }
 
-// Names returns the probe names in creation order.
-func (s *ProbeSet) Names() []string {
-	out := make([]string, len(s.order))
-	copy(out, s.order)
-	return out
-}
-
-// Report writes a summary table of all probes.
-func (s *ProbeSet) Report(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	names := s.Names()
-	sort.Strings(names)
-	if _, err := fmt.Fprintf(bw, "%-28s %10s %12s %12s %12s %12s\n",
-		"probe", "n", "mean", "stddev", "min", "max"); err != nil {
-		return err
-	}
-	for _, name := range names {
-		a := s.probes[name].Stats()
-		if _, err := fmt.Fprintf(bw, "%-28s %10d %12.5g %12.5g %12.5g %12.5g\n",
-			name, a.N(), a.Mean(), a.Stddev(), a.Min(), a.Max()); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // InstrumentSink attaches delay and size probes to a sink: every absorbed
 // packet records its end-to-end delay (seconds) and size (bits).
 func InstrumentSink(s *Sink, set *ProbeSet, prefix string) {
@@ -121,18 +70,4 @@ func InstrumentSink(s *Sink, set *ProbeSet, prefix string) {
 			prev(ctx, pkt, port)
 		}
 	}
-}
-
-// InstrumentQueue samples a queue's occupancy and drop count into probes
-// every interval.
-func InstrumentQueue(net *Network, q *Queue, set *ProbeSet, prefix string, every sim.Duration) {
-	occ := set.Get(prefix + ".occupancy")
-	drops := set.Get(prefix + ".drops")
-	var tick func()
-	tick = func() {
-		occ.Record(net.Now(), float64(q.Len()))
-		drops.Record(net.Now(), float64(q.Dropped))
-		net.Sched.After(every, tick)
-	}
-	net.Sched.After(every, tick)
 }

@@ -91,16 +91,15 @@ const DefaultCellCap = 4096
 // campaigns affordable: a tracker created with every=N follows only
 // trace IDs where (id-1)%N == 0, i.e. every Nth cell of a rig whose IDs
 // are seq+1. The tracked-cell count is bounded; cells beyond the cap are
-// counted as dropped, never recorded partially. A nil *CellTracker is a
+// ignored, never recorded partially. A nil *CellTracker is a
 // no-op on every method, same contract as the rest of the package.
 type CellTracker struct {
 	every uint64
 	max   int
 
-	mu      sync.Mutex
-	traces  map[uint64]*CellTrace
-	order   []uint64 // first-seen order, for stable export
-	dropped uint64
+	mu     sync.Mutex
+	traces map[uint64]*CellTrace
+	order  []uint64 // first-seen order, for stable export
 }
 
 // NewCellTracker returns a tracker sampling every Nth traced cell
@@ -138,8 +137,8 @@ func (t *CellTracker) Sampled(id uint64) bool {
 }
 
 // Hop records one waypoint of cell id at simulated time simPS. IDs
-// outside the sample are ignored; a new ID past the tracked-cell cap is
-// counted as dropped.
+// outside the sample, and a new ID past the tracked-cell cap, are
+// ignored.
 func (t *CellTracker) Hop(id uint64, name string, simPS int64) {
 	if !t.Sampled(id) {
 		return
@@ -148,7 +147,6 @@ func (t *CellTracker) Hop(id uint64, name string, simPS int64) {
 	tr, ok := t.traces[id]
 	if !ok {
 		if len(t.traces) >= t.max {
-			t.dropped++
 			t.mu.Unlock()
 			return
 		}
@@ -158,17 +156,6 @@ func (t *CellTracker) Hop(id uint64, name string, simPS int64) {
 	}
 	tr.Hops = append(tr.Hops, Hop{Name: name, Sim: simPS})
 	t.mu.Unlock()
-}
-
-// Dropped returns how many new cells were not tracked because the cap
-// was reached.
-func (t *CellTracker) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // Len returns the number of tracked cells.

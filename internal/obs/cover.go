@@ -108,14 +108,6 @@ func (h *CoverHit) Hit() {
 	h.c.Add(1)
 }
 
-// Add counts n hits of the handle's bin.
-func (h *CoverHit) Add(n uint64) {
-	if h == nil {
-		return
-	}
-	h.c.Add(n)
-}
-
 // Handle returns a precomputed hit handle for the named bin, nil for a nil
 // point or an unknown label (both drop hits, matching Hit's semantics).
 func (p *CoverPoint) Handle(label string) *CoverHit {

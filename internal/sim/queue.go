@@ -11,13 +11,6 @@ type Event struct {
 	dead bool
 }
 
-// Cancelled reports whether the event was cancelled before execution.
-func (e *Event) Cancelled() bool { return e.dead }
-
-// Cancel removes the event from its queue. Cancelling an already executed
-// or cancelled event is a no-op.
-func (e *Event) Cancel() { e.dead = true }
-
 // eventQueue is a binary min-heap keyed on (At, seq). A hand-rolled heap
 // (rather than container/heap) avoids the interface boxing on every
 // operation; the event queue is the hottest structure in the kernel.

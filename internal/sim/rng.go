@@ -73,23 +73,6 @@ func (r *RNG) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Geometric returns a geometrically distributed count >= 1 with the given
-// mean (mean must be >= 1).
-func (r *RNG) Geometric(mean float64) int {
-	if mean < 1 {
-		panic("sim: geometric mean must be >= 1")
-	}
-	if mean == 1 {
-		return 1
-	}
-	p := 1 / mean
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return 1 + int(math.Log(u)/math.Log(1-p))
-}
-
 // Norm returns a normally distributed value (Box–Muller).
 func (r *RNG) Norm(mean, stddev float64) float64 {
 	u1 := r.Float64()

@@ -81,16 +81,6 @@ func (s *Scheduler) After(d Duration, fn func()) *Event {
 	return s.At(s.now+d, fn)
 }
 
-// NextTime returns the time stamp of the earliest pending event, or Never
-// when the queue is empty.
-func (s *Scheduler) NextTime() Time {
-	e := s.queue.peek()
-	if e == nil {
-		return Never
-	}
-	return e.At
-}
-
 // Step executes the single earliest event. It reports whether an event was
 // executed (false when the queue is empty or the scheduler was stopped).
 func (s *Scheduler) Step() bool {
@@ -106,12 +96,6 @@ func (s *Scheduler) Step() bool {
 	s.obsExecuted.Inc()
 	e.Fn()
 	return true
-}
-
-// Run executes events until the queue is empty or Stop is called. It
-// returns the final simulated time.
-func (s *Scheduler) Run() Time {
-	return s.RunUntil(Never)
 }
 
 // RunUntil executes events whose time stamp is <= limit, then advances the
@@ -153,17 +137,3 @@ func (s *Scheduler) RunUntil(limit Time) Time {
 // Stop makes the current Run/RunUntil return after the in-flight event
 // completes.
 func (s *Scheduler) Stop() { s.stopped = true }
-
-// Advance moves the clock forward to t without executing anything. It is
-// used by the co-simulation entity when the synchronization protocol grants
-// a timing window that ends beyond the last local event. Advancing past
-// pending events or backwards panics.
-func (s *Scheduler) Advance(t Time) {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: Advance backwards: now=%v target=%v", s.now, t))
-	}
-	if next := s.NextTime(); next < t {
-		panic(fmt.Sprintf("sim: Advance(%v) would skip pending event at %v", t, next))
-	}
-	s.now = t
-}

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Accumulator collects streaming summary statistics (Welford's algorithm,
@@ -97,75 +96,4 @@ func (w *TimeWeighted) Set(t Time, v float64) {
 	if v > w.max {
 		w.max = v
 	}
-}
-
-// Average returns the time average over [first Set, t]. Before the first
-// Set it returns 0; at or before the first observation it returns the
-// current value.
-func (w *TimeWeighted) Average(t Time) float64 {
-	if !w.started {
-		return 0
-	}
-	elapsed := float64(t - w.first)
-	if elapsed <= 0 {
-		return w.value
-	}
-	area := w.area
-	if t > w.last {
-		area += w.value * float64(t-w.last)
-	}
-	return area / elapsed
-}
-
-// Max returns the maximum value ever set.
-func (w *TimeWeighted) Max() float64 { return w.max }
-
-// Histogram is a fixed-bucket histogram for latency/occupancy profiles in
-// experiment reports.
-type Histogram struct {
-	Bounds []float64 // ascending upper bounds; last bucket is overflow
-	counts []uint64
-	n      uint64
-}
-
-// NewHistogram returns a histogram with the given ascending bucket upper
-// bounds. Values above the last bound land in an overflow bucket.
-func NewHistogram(bounds ...float64) *Histogram {
-	if !sort.Float64sAreSorted(bounds) {
-		panic("sim: histogram bounds must ascend")
-	}
-	return &Histogram{Bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-// Add records an observation.
-func (h *Histogram) Add(x float64) {
-	i := sort.SearchFloat64s(h.Bounds, x)
-	h.counts[i]++
-	h.n++
-}
-
-// Count returns the count in bucket i (len(Bounds) is the overflow bucket).
-func (h *Histogram) Count(i int) uint64 { return h.counts[i] }
-
-// N returns the total number of observations.
-func (h *Histogram) N() uint64 { return h.n }
-
-// Quantile returns an approximate q-quantile (bucket upper bound
-// containing the quantile; +Inf for the overflow bucket).
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	target := uint64(q * float64(h.n))
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum > target {
-			if i == len(h.Bounds) {
-				return math.Inf(1)
-			}
-			return h.Bounds[i]
-		}
-	}
-	return math.Inf(1)
 }

@@ -80,34 +80,3 @@ func TestTimeWeightedEdgeCases(t *testing.T) {
 		t.Error("average at first instant should be the value")
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(1, 2, 4, 8)
-	for _, v := range []float64{0.5, 1.5, 1.7, 3, 9, 100} {
-		h.Add(v)
-	}
-	if h.N() != 6 {
-		t.Fatalf("N = %d", h.N())
-	}
-	if h.Count(0) != 1 || h.Count(1) != 2 || h.Count(2) != 1 || h.Count(3) != 0 || h.Count(4) != 2 {
-		t.Errorf("bucket counts wrong: %d %d %d %d %d",
-			h.Count(0), h.Count(1), h.Count(2), h.Count(3), h.Count(4))
-	}
-	// Median of {0.5, 1.5, 1.7, 3, 9, 100} is 2.35, which falls in the
-	// (2, 4] bucket, so the reported quantile is that bucket's bound.
-	if q := h.Quantile(0.5); q != 4 {
-		t.Errorf("median bucket = %v, want 4", q)
-	}
-	if q := h.Quantile(0.99); !math.IsInf(q, 1) {
-		t.Errorf("p99 = %v, want +Inf (overflow bucket)", q)
-	}
-}
-
-func TestHistogramUnsortedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("unsorted bounds did not panic")
-		}
-	}()
-	NewHistogram(3, 1, 2)
-}

@@ -12,7 +12,6 @@ package sim
 
 import (
 	"fmt"
-	"time"
 )
 
 // Time is a point in simulated time, measured in integer picoseconds.
@@ -76,18 +75,5 @@ func trimUnit(v float64, unit string) string {
 // Seconds returns the time as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Std converts a simulated duration to a time.Duration (nanosecond
-// resolution; sub-nanosecond remainders truncate).
-func (t Time) Std() time.Duration { return time.Duration(int64(t/Nanosecond)) * time.Nanosecond }
-
 // FromSeconds converts floating-point seconds to simulated Time.
 func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
-
-// ClockPeriod returns the period of a clock of the given frequency in hertz.
-// It panics if hz is not positive.
-func ClockPeriod(hz float64) Duration {
-	if hz <= 0 {
-		panic("sim: clock frequency must be positive")
-	}
-	return Duration(float64(Second) / hz)
-}

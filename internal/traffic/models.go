@@ -82,15 +82,6 @@ func (o *OnOff) Next(rng *sim.RNG) sim.Duration {
 	}
 }
 
-// MeanRate returns the long-run average cell rate of the ON/OFF source in
-// cells per second.
-func (o *OnOff) MeanRate() float64 {
-	on := float64(o.MeanOn)
-	off := float64(o.MeanOff)
-	peak := float64(sim.Second) / float64(o.PeakInterval)
-	return peak * on / (on + off)
-}
-
 // MMPP2 is a two-state Markov-modulated Poisson process: the cell rate
 // switches between Rate1 and Rate2 with exponentially distributed
 // sojourn times — a common model for aggregated bursty ATM traffic.
@@ -131,15 +122,6 @@ func (m *MMPP2) Next(rng *sim.RNG) sim.Duration {
 		}
 		m.stLeft = sim.Duration(rng.Exp(float64(next)))
 	}
-}
-
-// MeanRate returns the long-run average cell rate of the modulated
-// process in cells per second: each state's rate weighted by its mean
-// sojourn time.
-func (m *MMPP2) MeanRate() float64 {
-	s1 := float64(m.Sojourn1)
-	s2 := float64(m.Sojourn2)
-	return (m.Rate1*s1 + m.Rate2*s2) / (s1 + s2)
 }
 
 // Trace replays a recorded inter-arrival sequence, wrapping around at the
@@ -276,17 +258,6 @@ func pareto(rng *sim.RNG, mean sim.Duration, alpha float64) sim.Duration {
 		v = limit
 	}
 	return sim.Duration(v)
-}
-
-// MeanRate returns the long-run average cell rate in cells per second
-// (peak rate scaled by the ON duty cycle). The tail clamp in pareto
-// slightly shortens extreme periods, so empirical means converge to this
-// figure only approximately.
-func (o *ParetoOnOff) MeanRate() float64 {
-	on := float64(o.MeanOn)
-	off := float64(o.MeanOff)
-	peak := float64(sim.Second) / float64(o.PeakInterval)
-	return peak * on / (on + off)
 }
 
 // Next implements Model.

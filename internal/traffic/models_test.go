@@ -1,8 +1,12 @@
 package traffic
 
 import (
+	"bufio"
+	"fmt"
+	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -278,4 +282,34 @@ func TestParetoAlphaValidation(t *testing.T) {
 		}
 	}()
 	m.Next(sim.NewRNG(1))
+}
+
+// ReadTrace parses a trace written by WriteTrace (the format atmgen
+// emits), so the round-trip test checks the writer against it.
+func ReadTrace(r io.Reader) (*Trace, error) {
+	sc := bufio.NewScanner(r)
+	var intervals []sim.Duration
+	line := 0
+	for sc.Scan() {
+		line++
+		text := strings.TrimSpace(sc.Text())
+		if text == "" || strings.HasPrefix(text, "#") {
+			continue
+		}
+		v, err := strconv.ParseInt(text, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("traffic: trace line %d: %v", line, err)
+		}
+		if v < 0 {
+			return nil, fmt.Errorf("traffic: trace line %d: negative interval", line)
+		}
+		intervals = append(intervals, sim.Duration(v))
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if len(intervals) == 0 {
+		return nil, fmt.Errorf("traffic: trace contains no intervals")
+	}
+	return &Trace{Intervals: intervals}, nil
 }

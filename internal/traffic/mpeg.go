@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"castanet/internal/atm"
 	"castanet/internal/sim"
@@ -115,33 +113,4 @@ func WriteTrace(w io.Writer, m Model, rng *sim.RNG, n int) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadTrace parses a trace previously written by WriteTrace.
-func ReadTrace(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	var intervals []sim.Duration
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		v, err := strconv.ParseInt(text, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("traffic: trace line %d: %v", line, err)
-		}
-		if v < 0 {
-			return nil, fmt.Errorf("traffic: trace line %d: negative interval", line)
-		}
-		intervals = append(intervals, sim.Duration(v))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(intervals) == 0 {
-		return nil, fmt.Errorf("traffic: trace contains no intervals")
-	}
-	return &Trace{Intervals: intervals}, nil
 }

@@ -20,26 +20,8 @@ func TestRaceTargetCoversGoroutines(t *testing.T) {
 	patterns := raceTargetPatterns(t)
 	fset := token.NewFileSet()
 	concurrent := map[string]bool{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path == "." {
-				return nil
-			}
-			if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
-				return filepath.SkipDir
-			}
-			// A nested module (cvbench) is outside this module's go test.
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
+	// A nested module (cvbench) is outside this module's go test.
+	err := walkGoFiles(".", false, func(path string) error {
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
@@ -114,4 +96,33 @@ func raceCovers(patterns []string, dir string) bool {
 		}
 	}
 	return false
+}
+
+// walkGoFiles calls fn with the path of every non-test .go file under
+// root, skipping dot-directories and testdata, and nested modules (a
+// directory below root with its own go.mod) unless nested is set.
+func walkGoFiles(root string, nested bool, fn func(path string) error) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == root {
+				return nil
+			}
+			if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if !nested {
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		return fn(path)
+	})
 }
