@@ -115,12 +115,16 @@ rig-smoke:
 # kernels, any observable divergence is a crash); seed corpora live in
 # internal/ipc/testdata/fuzz/, internal/campaign/testdata/fuzz/ and
 # internal/hdl/testdata/fuzz/.
+# Each kernel-equivalence input runs about sixteen simulations, so the
+# default 60 s minimization of every new input would spend the whole
+# budget on the first few; -fuzzminimizetime=1x keeps the inputs as found
+# and leaves the time to exploring.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/ipc/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenEnvelope$$' -fuzztime=$(FUZZTIME) ./internal/ipc/
 	$(GO) test -run '^$$' -fuzz '^FuzzReliableInbound$$' -fuzztime=$(FUZZTIME) ./internal/ipc/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime=$(FUZZTIME) ./internal/campaign/
-	$(GO) test -run '^$$' -fuzz '^FuzzKernelEquivalence$$' -fuzztime=$(FUZZTIME) ./internal/hdl/
+	$(GO) test -run '^$$' -fuzz '^FuzzKernelEquivalence$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/hdl/
 
 bench:
 	$(GO) test -bench=Transport -benchtime=100x -run=^$$ ./internal/ipc/

@@ -608,8 +608,7 @@ func TestCommandLineTools(t *testing.T) {
 		}
 		for _, want := range []string{
 			"lane  9  bidir",
-			"I/O port mappings:\n  bus_in       / bus_out      ctrl bus_oe     write-value 1",
-			"byte lane  9  start bit 0  bits 8  (pins 72..79)",
+			"I/O port mappings:\n  bus_in       / bus_out      ctrl bus_oe     write-value 1  byte lane  9  start bit 0  bits 8  (pins 72..79)\n",
 			"test cycle stopped after 53 of 1000 cycles",
 		} {
 			if !strings.Contains(string(out), want) {

@@ -81,15 +81,21 @@ func printConfig(cfg board.ConfigDataSet) {
 	if len(cfg.IOPorts) > 0 {
 		fmt.Println("\nI/O port mappings:")
 		for _, m := range cfg.IOPorts {
-			fmt.Printf("  %-12s / %-12s ctrl %-10s write-value %d ", m.InPort, m.OutPort, m.CtrlPort, m.WriteValue)
-			printMapping("", m.Pins)
+			fmt.Printf("  %-12s / %-12s ctrl %-10s write-value %d  %s\n",
+				m.InPort, m.OutPort, m.CtrlPort, m.WriteValue, pinRange(m.Pins))
 		}
 	}
 }
 
 func printMapping(port string, pr board.PinRange) {
-	fmt.Printf("  %-12s byte lane %2d  start bit %d  bits %d  (pins %d..%d)\n",
-		port, pr.Lane, pr.StartBit, pr.Bits,
+	fmt.Printf("  %-12s %s\n", port, pinRange(pr))
+}
+
+// pinRange describes a mapping's pins: its lane, start bit and width, and
+// the board pins they span.
+func pinRange(pr board.PinRange) string {
+	return fmt.Sprintf("byte lane %2d  start bit %d  bits %d  (pins %d..%d)",
+		pr.Lane, pr.StartBit, pr.Bits,
 		pr.Lane*board.PinsPerLane+pr.StartBit,
 		pr.Lane*board.PinsPerLane+pr.StartBit+pr.Bits-1)
 }

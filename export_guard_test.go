@@ -25,6 +25,9 @@ var exportAllowlist = map[string]string{
 		"runs ahead of the network horizon), checked by the cosim and coverify tests",
 	"internal/hdl.(*Simulator).Process": "the sensitivity-list process; the device models use " +
 		"only Clocked, but kernel tests in five packages build their designs with it",
+	"internal/hdl.(*Simulator).Step": "one instant that never elides or folds; the bounded runs " +
+		"execute instants through the internal step, and the hdl, obs and campaign tests and " +
+		"the obs overhead benchmarks (BENCH_obs.json) step the kernel with it",
 }
 
 // TestExportedHaveProductionCallers: every exported func, method, type

@@ -284,25 +284,16 @@ func parityCounters(t *testing.T) map[string]uint64 {
 }
 
 // campaign16Kernel replays the 16 runs of the switch campaign at seed 1
-// outside the campaign engine, which publishes no kernel counters, and
-// returns their offered cells, time points and elided edges. Each run
-// derives its traffic from its seed exactly as the campaign's switch cell
-// does; the caller checks the offered cells against the campaign's own.
+// outside the campaign engine (campaign16Run), which publishes no kernel
+// counters, and returns their offered cells, time points and elided
+// edges. The caller checks the offered cells against the campaign's own.
 func campaign16Kernel(t *testing.T) (cells, points, elided uint64) {
 	t.Helper()
 	for i := uint64(0); i < 16; i++ {
-		rng := sim.NewRNG(sim.DeriveSeed(1, i))
-		var tr [dut.SwitchPorts]coverify.PortTraffic
-		ports, n := 1+rng.Intn(dut.SwitchPorts), uint64(12+rng.Intn(17))
-		horizon := sim.Time(0)
-		for p := 0; p < ports; p++ {
-			rate := 60e3 + 60e3*rng.Float64()
-			tr[p] = coverify.PortTraffic{Model: traffic.NewCBR(rate), VCs: coverify.PortVCs(p), Cells: n}
-			horizon = max(horizon, sim.FromSeconds(float64(n+2)/rate))
-		}
-		rig := coverify.NewSwitchRig(coverify.SwitchRigConfig{Seed: rng.Uint64(), Traffic: tr})
+		cfg, bound := campaign16Run(i)
+		rig := coverify.NewSwitchRig(cfg)
 		edges := kernelEdges(rig.HDL)
-		if err := rig.Run(horizon + 200*sim.Microsecond); err != nil {
+		if err := rig.Run(bound); err != nil {
 			t.Fatal(err)
 		}
 		e, _ := edges()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"castanet/internal/obs"
@@ -19,6 +20,24 @@ import (
 // sampled inside the process bodies and the activity profile.
 
 const cyclePeriod = 10 * sim.Nanosecond // rising edges at 5, 15, ... ns; falling at 10, 20, ...
+
+// cycleMode is how a cycleBench observes its clock and how many clocked
+// processes it has.
+type cycleMode int
+
+const (
+	// cycleVCD attaches a VCD and wave probes to every signal, clk
+	// included.
+	cycleVCD cycleMode = iota
+	// cycleQuiet leaves clk without any OnChange callback, so on the
+	// compiled kernel its commits take the callback-free path; clk is
+	// checked through RisingEdges, the counters, the per-process runs and
+	// its final value.
+	cycleQuiet
+	// cycleWide is cycleQuiet with 66 to 140 clocked processes, so the
+	// clock's awake mask spans two or three words.
+	cycleWide
+)
 
 // cycleBench is a random design on one kernel clock whose watchers are
 // clocked processes that park and wake (each other too, in the same
@@ -41,12 +60,18 @@ type cycleBench struct {
 	order  *obs.CoverCross
 	last   string
 	lastAt sim.Time
+	// clkAt records clk's value and Prev() after every bounded run;
+	// reading Prev materializes the word-only commit's lazy vector.
+	clkAt []string
 	// direct and fallback count the first clocked process's runs by how
-	// its edge reached it: direct dispatch, or plain triggers.
-	direct, fallback int
+	// its edge reached it: direct dispatch, or plain triggers. quick
+	// counts the ones whose edge an eligible clock committed by the
+	// callback-free word rotation, and high the direct dispatches of the
+	// process in slot 64, the first slot of the mask's second word.
+	direct, fallback, quick, high int
 }
 
-func newCycleBench(seed int64, compiled, plain bool) *cycleBench {
+func newCycleBench(seed int64, compiled, plain bool, mode cycleMode) *cycleBench {
 	rng := rand.New(rand.NewSource(seed))
 	s := New()
 	if plain {
@@ -69,6 +94,9 @@ func newCycleBench(seed int64, compiled, plain bool) *cycleBench {
 		b.sigs = append(b.sigs, out)
 	}
 	nproc := 2 + rng.Intn(4)
+	if mode == cycleWide {
+		nproc = 66 + rng.Intn(75)
+	}
 	names := []string{"none"}
 	for i := 0; i < nproc; i++ {
 		names = append(names, fmt.Sprintf("p%d", i))
@@ -116,7 +144,11 @@ func newCycleBench(seed int64, compiled, plain bool) *cycleBench {
 	case 4: // a clocked process registered by a callback, inside a Step
 		s.Schedule(sim.Duration(20+rng.Intn(200))*cyclePeriod/2, b.lateClocked(rng))
 	}
-	NewVCD(&b.vcd, s)
+	if mode == cycleVCD {
+		NewVCD(&b.vcd, s)
+	} else {
+		NewVCD(&b.vcd, s, b.sigs...)
+	}
 	for _, g := range b.sigs {
 		g := g
 		g.OnChange(func(now sim.Time, old, new LV) {
@@ -143,6 +175,14 @@ func (b *cycleBench) clockedBody(name string, p **Process, src *Signal, d *Drive
 			} else {
 				b.direct++
 			}
+			// prevStale after the commit is the word-only commit's mark:
+			// the generic commit leaves it as valStale was before.
+			if b.clk.prevStale && b.clk.clk.eligible {
+				b.quick++
+			}
+		}
+		if len(b.procs) > 65 && b.procs[64] == *p && (*p).slot == 64 && !b.procs[len(b.procs)-1].triggered {
+			b.high++
 		}
 		prev := "none"
 		if b.lastAt == b.s.Now() {
@@ -212,6 +252,7 @@ func (b *cycleBench) drive(seed int64) error {
 		if err != nil {
 			return err
 		}
+		b.clkAt = append(b.clkAt, fmt.Sprintf("%d %v/%v", b.s.Now(), b.clk.Bit(), b.clk.Prev()))
 		if chunk == b.lateAt {
 			for _, f := range b.late {
 				f()
@@ -239,6 +280,7 @@ func (b *cycleBench) drive(seed int64) error {
 // cycleObs is everything the twins must agree on.
 type cycleObs struct {
 	counters string
+	clkAt    []string
 	runs     []uint64
 	values   []string
 	waves    map[string][]string
@@ -252,6 +294,7 @@ func (b *cycleBench) observe() cycleObs {
 	o := cycleObs{
 		counters: fmt.Sprintf("events=%d runs=%d deltas=%d points=%d now=%d rises=%d",
 			s.Events(), s.ProcessRuns(), s.DeltaCycles(), s.TimePoints(), s.Now(), s.RisingEdges(b.clk)),
+		clkAt: b.clkAt,
 		waves: b.waves,
 		vcd:   b.vcd.String(),
 		prof:  s.Profile().Snapshot(),
@@ -270,6 +313,8 @@ func diffCycleObs(cy, pl cycleObs) string {
 	switch {
 	case cy.counters != pl.counters:
 		return fmt.Sprintf("counters: cycle %s, plain %s", cy.counters, pl.counters)
+	case !reflect.DeepEqual(cy.clkAt, pl.clkAt):
+		return fmt.Sprintf("clk after each run: cycle %v, plain %v", cy.clkAt, pl.clkAt)
 	case !reflect.DeepEqual(cy.runs, pl.runs):
 		return fmt.Sprintf("process runs: cycle %v, plain %v", cy.runs, pl.runs)
 	case !reflect.DeepEqual(cy.values, pl.values):
@@ -295,41 +340,50 @@ func diffCycleObs(cy, pl cycleObs) string {
 // both kernels, driven in bounded chunks with stimulus on falling and
 // rising edges, mid-run watchers, wakers and clocked processes, and
 // same-delta wakes, agree with their plain-dispatch twin on every
-// observable. Between them the seeds must fold edges, dispatch rising
-// edges directly and fall back to plain triggers, so the property cannot hold
-// vacuously.
+// observable — with a VCD on every signal, with no callback on the clock,
+// and with more clocked processes than one mask word holds. Between them
+// the seeds must fold edges, dispatch rising edges directly, fall back to
+// plain triggers, commit the clock by the callback-free word rotation and
+// directly dispatch a process in the mask's second word, so the property
+// cannot hold vacuously.
 func TestCycleStepEquivalence(t *testing.T) {
 	seeds := 32
 	if testing.Short() {
 		seeds = 10
 	}
-	var folded, direct, fallback uint64
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		for _, compiled := range []bool{false, true} {
-			cy := newCycleBench(seed, compiled, false)
-			pl := newCycleBench(seed, compiled, true)
-			if err := cy.drive(seed); err != nil {
-				t.Fatal(err)
+	var folded, direct, fallback, quick, high uint64
+	for _, mode := range []cycleMode{cycleVCD, cycleQuiet, cycleWide} {
+		for seed := int64(1); seed <= int64(seeds); seed++ {
+			for _, compiled := range []bool{false, true} {
+				cy := newCycleBench(seed, compiled, false, mode)
+				pl := newCycleBench(seed, compiled, true, mode)
+				if err := cy.drive(seed); err != nil {
+					t.Fatal(err)
+				}
+				if err := pl.drive(seed); err != nil {
+					t.Fatal(err)
+				}
+				if pl.s.FoldedEdges() != 0 || pl.s.ElidedEdges() != 0 || pl.direct != 0 || pl.quick != 0 {
+					t.Fatalf("mode %d seed %d: the plain twin folded %d, elided %d, dispatched %d edges directly and committed %d by word rotation",
+						mode, seed, pl.s.FoldedEdges(), pl.s.ElidedEdges(), pl.direct, pl.quick)
+				}
+				if diff := diffCycleObs(cy.observe(), pl.observe()); diff != "" {
+					t.Fatalf("mode %d seed %d compiled=%v: %s", mode, seed, compiled, diff)
+				}
+				folded += cy.s.FoldedEdges()
+				direct += uint64(cy.direct)
+				fallback += uint64(cy.fallback)
+				quick += uint64(cy.quick)
+				high += uint64(cy.high)
 			}
-			if err := pl.drive(seed); err != nil {
-				t.Fatal(err)
-			}
-			if pl.s.FoldedEdges() != 0 || pl.s.ElidedEdges() != 0 || pl.direct != 0 {
-				t.Fatalf("seed %d: the plain twin folded %d, elided %d and dispatched %d edges directly",
-					seed, pl.s.FoldedEdges(), pl.s.ElidedEdges(), pl.direct)
-			}
-			if diff := diffCycleObs(cy.observe(), pl.observe()); diff != "" {
-				t.Fatalf("seed %d compiled=%v: %s", seed, compiled, diff)
-			}
-			folded += cy.s.FoldedEdges()
-			direct += uint64(cy.direct)
-			fallback += uint64(cy.fallback)
 		}
 	}
-	if folded == 0 || direct == 0 || fallback == 0 {
-		t.Fatalf("folded %d edges, dispatched %d directly, %d by plain triggers: the property held vacuously", folded, direct, fallback)
+	if folded == 0 || direct == 0 || fallback == 0 || quick == 0 || high == 0 {
+		t.Fatalf("folded %d edges, dispatched %d directly, %d by plain triggers, committed %d by word rotation and %d directly in slot 64: the property held vacuously",
+			folded, direct, fallback, quick, high)
 	}
-	t.Logf("%d seeds: %d edges folded, %d rising edges dispatched directly, %d by plain triggers", seeds, folded, direct, fallback)
+	t.Logf("%d seeds per mode: %d edges folded, %d rising edges dispatched directly, %d by plain triggers, %d committed by word rotation, %d dispatched directly in slot 64",
+		seeds, folded, direct, fallback, quick, high)
 }
 
 // A free-running clock with one never-parking clocked process: every
@@ -472,15 +526,15 @@ func TestClockEligibility(t *testing.T) {
 		c.build(s, clk)
 		s.MustCompile()
 		k := clk.clk
-		if k.eligible != c.eligible || k.awake != 2 {
-			t.Errorf("%s: eligible=%v awake=%d, want %v and 2", c.name, k.eligible, k.awake, c.eligible)
+		if k.eligible != c.eligible || len(k.awake) != 1 || k.awake[0] != 0b11 {
+			t.Errorf("%s: eligible=%v awake=%b, want %v and 11", c.name, k.eligible, k.awake, c.eligible)
 		}
 		p.Park()
 		p.Park()
 		q.Park()
 		q.Wake()
-		if k.awake != 1 {
-			t.Errorf("%s: awake=%d after two parks of p and a park and wake of q, want 1", c.name, k.awake)
+		if k.awake[0] != 0b10 {
+			t.Errorf("%s: awake=%b after two parks of p and a park and wake of q, want 10", c.name, k.awake)
 		}
 	}
 }
@@ -588,12 +642,88 @@ func cycleSeeds() [][]byte {
 func TestCycleSeedsFold(t *testing.T) {
 	for i, data := range cycleSeeds() {
 		for _, compiled := range []bool{false, true} {
-			if n := runDiffKernel(data, compiled, nil, diffRun).folded; n == 0 {
+			if n := runDiffKernel(data, compiled, nil, diffRun, false).folded; n == 0 {
 				t.Errorf("cycle seed %d compiled=%v folded nothing", i+1, compiled)
 			}
 			if diff := compareCycleStep(data, compiled); diff != "" {
 				t.Errorf("cycle seed %d compiled=%v: %s", i+1, compiled, diff)
 			}
+		}
+	}
+}
+
+// Further Clocks on a clocked signal chain behind the signal's kernel
+// clock, and every toggle runs in place. The signal, a process on it and
+// every counter behave as with hand-written generators, each a driver and
+// a rescheduling callback: the generators' toggles share some instants
+// and conflict (X) between them.
+func TestSecondClockOnSignal(t *testing.T) {
+	run := func(compiled, kernel bool) string {
+		s := New()
+		clk := s.Bit("clk", U)
+		for _, period := range []sim.Duration{cyclePeriod, cyclePeriod, 3 * cyclePeriod} {
+			if kernel {
+				s.Clock(clk, period)
+				continue
+			}
+			d := clk.Driver("clkgen:clk")
+			d.SetBit(L0)
+			val := L0
+			var tick func()
+			tick = func() {
+				val = L0 + L1 - val
+				d.SetBit(val)
+				s.Schedule(period/2, tick)
+			}
+			s.Schedule(period/2, tick)
+		}
+		var log []string
+		s.Process("p", func() { log = append(log, fmt.Sprintf("p@%d=%s", s.Now(), clk.Val())) }, clk)
+		clk.OnChange(func(now sim.Time, old, new LV) { log = append(log, fmt.Sprintf("%d %s->%s", now, old, new)) })
+		if compiled {
+			s.MustCompile()
+		}
+		if err := s.RunThrough(200 * sim.Nanosecond); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("events=%d runs=%d deltas=%d points=%d %v",
+			s.Events(), s.ProcessRuns(), s.DeltaCycles(), s.TimePoints(), log)
+	}
+	for _, compiled := range []bool{false, true} {
+		got, want := run(compiled, true), run(compiled, false)
+		if got != want {
+			t.Errorf("compiled=%v: three Clocks\n%s\nhand-written generators\n%s", compiled, got, want)
+		}
+		if !strings.Contains(got, "p@") || !strings.Contains(got, "->X") {
+			t.Errorf("compiled=%v: no process run or no conflict: %s", compiled, got)
+		}
+	}
+}
+
+// Reading Prev after word-only commits materializes it into a vector of
+// its own. The clock's first compiled commit leaves prev on the vector its
+// driver assigned before Compile, a shared bitLV constant; unpacking into
+// that slice would turn the process-wide constant for '0' into '1'.
+func TestPrevLeavesSharedVectors(t *testing.T) {
+	s := New()
+	clk := s.Bit("clk", U)
+	s.Clock(clk, cyclePeriod)
+	s.Clocked("p", clk, func() {})
+	s.MustCompile()
+	for i := 1; i <= 6; i++ {
+		at := sim.Time(i) * cyclePeriod / 2
+		if err := s.RunThrough(at); err != nil {
+			t.Fatal(err)
+		}
+		want := "1" // after a falling edge
+		if i%2 == 1 {
+			want = "0"
+		}
+		if got := clk.Prev().String(); got != want {
+			t.Errorf("at %v: Prev() = %s, want %s", at, got, want)
+		}
+		if bitLV[L0][0] != L0 || bitLV[L1][0] != L1 {
+			t.Fatalf("at %v: the shared one-bit vectors read %v and %v", at, bitLV[L0], bitLV[L1])
 		}
 	}
 }

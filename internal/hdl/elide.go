@@ -10,20 +10,20 @@ import "castanet/internal/sim"
 // have been, so no artifact can tell the two apart.
 
 // clock is a kernel-owned free-running clock generator (Simulator.Clock).
-// Its pending toggle is a heap callback transaction that also carries the
-// generator's driver, which is how elision and folding recognise it.
-// eligible and awake are the clock domain's cycle-stepping state
-// (cycle.go), kept current as the design changes so that every check on
-// them is O(1).
+// Its pending toggle is a heap transaction marked edge that carries the
+// generator's driver; Step executes it in place (cycle.go), and elision
+// and folding recognise it. eligible and awake are the clock domain's
+// cycle-stepping state (cycle.go), kept current as the design changes so
+// that a check on them reads a field or a mask word, and a rising edge
+// visits only the awake watchers. The clock's signal is drv.sig.
 type clock struct {
-	sig      *Signal
 	drv      *Driver
 	half     sim.Duration
+	rises    uint64   // rising edges made, elided ones included
+	awake    []uint64 // unparked Clocked watchers, a bit per slot in the signal's watchers
+	next     *clock   // a further generator on the signal; only the first is its clk
 	val      Logic
-	rises    uint64 // rising edges made, elided ones included
-	toggle   func()
 	eligible bool // every watcher is Clocked; no waker, compiled gate or second driver
-	awake    int  // unparked Clocked watchers of sig
 }
 
 // Clock drives sig as a free-running clock with the given period and an
@@ -32,39 +32,28 @@ func (s *Simulator) Clock(sig *Signal, period sim.Duration) {
 	if period <= 0 {
 		panic("hdl: clock period must be positive")
 	}
-	c := &clock{sig: sig, drv: sig.Driver("clkgen:" + sig.name), half: period / 2, val: L0}
+	c := &clock{drv: sig.Driver("clkgen:" + sig.name), half: period / 2, val: L0}
 	c.drv.SetBit(L0)
-	c.toggle = func() {
-		if c.val == L0 {
-			c.val = L1
-			c.rises++
-		} else {
-			c.val = L0
-		}
-		c.drv.SetBit(c.val)
-		s.scheduleToggle(c)
-	}
-	if sig.clk == nil {
+	if k := sig.clk; k != nil {
+		c.next, k.next = k.next, c
+	} else {
 		sig.clk = c
 		sig.rederive()
 	}
-	s.scheduleToggle(c)
+	t := s.newTxn()
+	t.at = s.now + c.half
+	t.drv = c.drv
+	t.edge = true
+	s.push(t)
 }
 
-// scheduleToggle queues the clock's next edge half a period from now.
-func (s *Simulator) scheduleToggle(c *clock) {
-	s.schedule(c.half, c.toggle).drv = c.drv
-}
-
-// toggleClock returns the generator whose toggle t is, or nil.
-func (s *Simulator) toggleClock(t *txn) *clock {
-	if t.fn == nil || t.drv == nil {
-		return nil
+// clock returns the generator whose toggle t is; t.edge is set.
+func (t *txn) clock() *clock {
+	c := t.drv.sig.clk
+	for c.drv != t.drv {
+		c = c.next
 	}
-	if c := t.drv.sig.clk; c != nil && c.drv == t.drv {
-		return c
-	}
-	return nil
+	return c
 }
 
 // RisingEdges returns how many rising edges the clock that Clock drives
@@ -83,10 +72,15 @@ func (s *Simulator) RisingEdges(clk *Signal) uint64 {
 // parked, and its last event was a two-state toggle — so an even number
 // of further toggles leaves its value and prev exactly as they are.
 func (c *clock) idle() bool {
-	if !c.eligible || c.awake > 0 {
+	if !c.eligible {
 		return false
 	}
-	g := c.sig
+	for _, w := range c.awake {
+		if w != 0 {
+			return false
+		}
+	}
+	g := c.drv.sig
 	if g.pknown && g.pprevKnown {
 		return g.pval != g.pprev
 	}
@@ -99,20 +93,12 @@ func (c *clock) idle() bool {
 
 // elide skips the largest even number of clock edges that are due before
 // any other agenda entry and inside the bound (through it when inclusive),
-// when the current instant is idle and the earliest entry is the toggle of
-// a clock nobody listens to. It reports whether it skipped any. Only the
-// bounded runs call it: a caller stepping by hand may wake a process
-// between two Steps, so Step itself never elides.
-func (s *Simulator) elide(bound sim.Time, inclusive bool) bool {
-	if len(s.runnable) > 0 || s.ndirty > 0 || s.ringPeek() != nil {
-		return false
-	}
-	t := s.agendaPeek()
-	if t == nil {
-		return false
-	}
-	c := s.toggleClock(t)
-	if c == nil || !c.idle() {
+// when the current instant is quiet and the earliest entry, t, is the
+// toggle of c, a clock nobody listens to. It reports whether it skipped
+// any. Only the bounded runs call it: a caller stepping by hand may wake a
+// process between two Steps, so Step itself never elides.
+func (s *Simulator) elide(t *txn, c *clock, bound sim.Time, inclusive bool) bool {
+	if !c.idle() {
 		return false
 	}
 	last := bound // the latest instant an elided edge may occupy
@@ -153,7 +139,7 @@ func (s *Simulator) elide(bound sim.Time, inclusive bool) bool {
 // It leaves now at the last skipped edge. The signal itself keeps the
 // value it has after the even number of toggles.
 func (s *Simulator) creditEdges(c *clock, first sim.Time, k uint64) {
-	g := c.sig
+	g := c.drv.sig
 	if pr := s.prof; pr != nil {
 		pr.sigEvents[g.id] += k
 		pr.sigTwo[g.id] += k

@@ -399,7 +399,11 @@ func TestElideRunNeverNoOverflow(t *testing.T) {
 	if err := b.s.RunThrough(5 * sim.Nanosecond); err != nil { // p runs and parks
 		t.Fatal(err)
 	}
-	if b.s.elide(sim.Never, true) || b.s.elide(sim.Never, false) {
+	next := b.s.agendaPeek()
+	if !next.edge {
+		t.Fatal("the earliest entry is not the clock's toggle")
+	}
+	if c := next.clock(); b.s.elide(next, c, sim.Never, true) || b.s.elide(next, c, sim.Never, false) {
 		t.Fatal("elided with no later entry under an unbounded run")
 	}
 	const stopAfter = 1000

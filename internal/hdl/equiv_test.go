@@ -309,6 +309,7 @@ type diffResult struct {
 	points  uint64
 	elided  uint64
 	folded  uint64
+	clk     string // clk's rising-edge count and final value
 	prof    interface{}
 	planErr error
 }
@@ -322,8 +323,11 @@ const (
 	diffPlain                 // Run with cycle stepping off (plainDispatch)
 )
 
-// runDiffKernel runs the program to its horizon in the given mode.
-func runDiffKernel(data []byte, compiled bool, eg *edgeGuard, mode diffMode) *diffResult {
+// runDiffKernel runs the program to its horizon in the given mode. A
+// quiet run attaches no OnChange callback to clk (the VCD and the wave
+// probes watch every other signal), so on the compiled kernel the clock's
+// commits take the callback-free path.
+func runDiffKernel(data []byte, compiled bool, eg *edgeGuard, mode diffMode, quiet bool) *diffResult {
 	s := New()
 	if mode == diffPlain {
 		plainDispatch(s)
@@ -332,6 +336,9 @@ func runDiffKernel(data []byte, compiled bool, eg *edgeGuard, mode diffMode) *di
 	clk := s.Bit("clk", U)
 	s.Clock(clk, diffClockPeriod)
 	all, horizon := buildDiffDesign(data, s, clk, eg)
+	if quiet {
+		all = all[1:] // clk is the first
+	}
 	res := &diffResult{waves: map[string][]string{}}
 	for _, g := range all {
 		g := g
@@ -341,7 +348,11 @@ func runDiffKernel(data []byte, compiled bool, eg *edgeGuard, mode diffMode) *di
 		})
 	}
 	var vcdBuf bytes.Buffer
-	vcd := NewVCD(&vcdBuf, s)
+	dumped := s.Signals()
+	if quiet {
+		dumped = dumped[1:] // clk is the first signal
+	}
+	vcd := NewVCD(&vcdBuf, s, dumped...)
 	if compiled {
 		if _, err := s.Compile(); err != nil {
 			res.planErr = err
@@ -364,6 +375,7 @@ func runDiffKernel(data []byte, compiled bool, eg *edgeGuard, mode diffMode) *di
 	res.points = s.TimePoints()
 	res.elided = s.ElidedEdges()
 	res.folded = s.FoldedEdges()
+	res.clk = fmt.Sprintf("rises=%d value=%s", s.RisingEdges(clk), clk.Val())
 	res.prof = s.Profile().Snapshot()
 	return res
 }
@@ -371,8 +383,8 @@ func runDiffKernel(data []byte, compiled bool, eg *edgeGuard, mode diffMode) *di
 // compareKernels runs the program through both kernels and reports the
 // first divergence, or "" when they agree.
 func compareKernels(data []byte) string {
-	ev := runDiffKernel(data, false, nil, diffRun)
-	cp := runDiffKernel(data, true, nil, diffRun)
+	ev := runDiffKernel(data, false, nil, diffRun, false)
+	cp := runDiffKernel(data, true, nil, diffRun, false)
 	if (ev.planErr == nil) != (cp.planErr == nil) {
 		return fmt.Sprintf("error divergence: event=%v compiled=%v", ev.planErr, cp.planErr)
 	}
@@ -400,8 +412,8 @@ func compareKernels(data []byte) string {
 // per process plus every non-rising clock event.
 func compareEdgeSensitivity(data []byte, compiled bool) string {
 	var eg edgeGuard
-	cl := runDiffKernel(data, compiled, nil, diffRun)
-	lv := runDiffKernel(data, compiled, &eg, diffRun)
+	cl := runDiffKernel(data, compiled, nil, diffRun, false)
+	lv := runDiffKernel(data, compiled, &eg, diffRun, false)
 	if (cl.planErr == nil) != (lv.planErr == nil) {
 		return fmt.Sprintf("error divergence: clocked=%v level=%v", cl.planErr, lv.planErr)
 	}
@@ -424,22 +436,26 @@ func compareEdgeSensitivity(data []byte, compiled bool) string {
 // VCD, waveforms, the four counters and the activity profile must be
 // identical.
 func compareElision(data []byte, compiled bool) string {
-	return compareTwins(data, compiled, diffStep, "stepping")
+	return compareTwins(data, compiled, diffStep, "stepping", false)
 }
 
 // compareCycleStep runs the program on the given kernel with Run and with
 // its plain-dispatch twin, which neither elides, folds nor dispatches a
-// rising edge directly. VCD, waveforms, the four counters and the
-// activity profile must be identical.
+// rising edge directly, once with every signal probed and once with clk
+// quiet. VCD, waveforms, the four counters, clk's rising edges and value,
+// and the activity profile must be identical.
 func compareCycleStep(data []byte, compiled bool) string {
-	return compareTwins(data, compiled, diffPlain, "plain")
+	if diff := compareTwins(data, compiled, diffPlain, "plain", false); diff != "" {
+		return diff
+	}
+	return compareTwins(data, compiled, diffPlain, "plain", true)
 }
 
 // compareTwins compares Run against the twin mode, which must execute
 // every instant it credits.
-func compareTwins(data []byte, compiled bool, mode diffMode, name string) string {
-	el := runDiffKernel(data, compiled, nil, diffRun)
-	st := runDiffKernel(data, compiled, nil, mode)
+func compareTwins(data []byte, compiled bool, mode diffMode, name string, quiet bool) string {
+	el := runDiffKernel(data, compiled, nil, diffRun, quiet)
+	st := runDiffKernel(data, compiled, nil, mode, quiet)
 	if (el.planErr == nil) != (st.planErr == nil) {
 		return fmt.Sprintf("error divergence: run=%v %s=%v", el.planErr, name, st.planErr)
 	}
@@ -452,6 +468,9 @@ func compareTwins(data []byte, compiled bool, mode diffMode, name string) string
 	}
 	if st.elided != 0 || st.folded != 0 {
 		return fmt.Sprintf("the %s twin elided %d and folded %d edges", name, st.elided, st.folded)
+	}
+	if el.clk != st.clk {
+		return fmt.Sprintf("clk divergence: run %s, %s %s", el.clk, name, st.clk)
 	}
 	if diff := compareWaves(el, st); diff != "" {
 		return diff

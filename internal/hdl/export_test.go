@@ -272,3 +272,18 @@ func (s *Simulator) ElidedEdges() uint64 { return s.elided }
 // TimePoints()-ElidedEdges()-FoldedEdges() is the number of instants
 // actually executed.
 func (s *Simulator) FoldedEdges() uint64 { return s.folded }
+
+// NextTime returns the time of the earliest pending transaction, or
+// sim.Never when idle.
+func (s *Simulator) NextTime() sim.Time {
+	if s.ringPeek() != nil {
+		return s.now
+	}
+	if t := s.agendaPeek(); t != nil {
+		return t.at
+	}
+	if len(s.runnable) > 0 || s.ndirty > 0 {
+		return s.now
+	}
+	return sim.Never
+}

@@ -113,7 +113,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 func TestElideSeedsElide(t *testing.T) {
 	for i, data := range elideSeeds() {
 		for _, compiled := range []bool{false, true} {
-			if n := runDiffKernel(data, compiled, nil, diffRun).elided; n == 0 {
+			if n := runDiffKernel(data, compiled, nil, diffRun, false).elided; n == 0 {
 				t.Errorf("elide seed %d compiled=%v elided nothing", i+1, compiled)
 			}
 		}

@@ -64,9 +64,13 @@ func (g *Signal) matVal() {
 	}
 }
 
+// matPrev materializes the previous value into a fresh vector. A
+// word-only commit keeps the prev slice it finds, and that slice may be
+// one the signal shares — a driver's value, an all-Z vector, a bitLV
+// constant — so unpacking into it would rewrite them.
 func (g *Signal) matPrev() {
 	if g.prevStale {
-		unpackInto(g.prev, g.pprev)
+		g.prev = fromPacked(g.pprev, g.width)
 		g.prevStale = false
 	}
 }
@@ -636,5 +640,5 @@ func (g *Signal) commitWord(d *Driver, w uint64, alias bool) {
 			pr.sigTwo[g.id]++
 		}
 	}
-	g.fire(oldLV, buf)
+	g.fire(g.prev, buf)
 }

@@ -19,10 +19,11 @@ const MaxDeltas = 10000
 // pooled; a txn recycles once both of its owners have released it — the
 // heap it was scheduled into and its driver's projected waveform (pending
 // list). Callback transactions are never in a pending list and are born
-// with that bit released; a clock generator's toggle callback also carries
-// the generator's driver, which is how elision and folding recognise it.
-// Zero-delay driver transactions in compiled mode do not use this type at
-// all — they ride the delta ring as rtxn values.
+// with that bit released. A clock generator's toggle (edge set) carries
+// the generator's driver and is neither: it stays with its clock for the
+// whole run, re-pushed at every edge and never pooled. Zero-delay driver
+// transactions in compiled mode do not use this type at all — they ride
+// the delta ring as rtxn values.
 type txn struct {
 	at     sim.Time
 	seq    uint64
@@ -32,6 +33,7 @@ type txn struct {
 	fn     func()
 	dead   bool
 	packed bool
+	edge   bool // a clock toggle (Simulator.Clock)
 	rel    uint8
 	next   *txn // pool free list
 }
@@ -149,6 +151,7 @@ type Process struct {
 	edge      *Signal // clock of a Clocked process, nil for level sensitivity
 	triggered bool
 	parked    bool
+	slot      int32 // a Clocked process's index in its clock's watchers
 	runs      uint64
 }
 
@@ -168,7 +171,7 @@ func (p *Process) Park() {
 	if !p.parked {
 		p.parked = true
 		if c := p.domain(); c != nil {
-			c.awake--
+			c.note(p.slot, false)
 		}
 	}
 }
@@ -178,7 +181,7 @@ func (p *Process) Wake() {
 	if p.parked {
 		p.parked = false
 		if c := p.domain(); c != nil {
-			c.awake++
+			c.note(p.slot, true)
 		}
 	}
 }
@@ -251,8 +254,8 @@ type Simulator struct {
 	folded       uint64 // falling edges folded by the bounded runs (cycle.go)
 
 	// Observability handles, synchronized from the internal counters once
-	// per Step (diff-based) so the per-delta hot path stays untouched.
-	// All nil when uninstrumented.
+	// per executed instant (diff-based) so the per-delta hot path stays
+	// untouched. All nil when uninstrumented.
 	obsDeltas  *obs.Counter
 	obsEvents  *obs.Counter
 	obsRuns    *obs.Counter
@@ -379,9 +382,11 @@ func (s *Simulator) Clocked(name string, clk *Signal, fn func()) *Process {
 	}
 	p := s.newProcess(name, fn)
 	p.edge = clk
+	p.slot = int32(len(clk.watchers))
 	clk.watchers = append(clk.watchers, p)
 	if c := clk.clk; c != nil {
-		c.awake++ // a new Clocked watcher is unparked and keeps the verdict
+		c.cover(len(clk.watchers)) // a new Clocked watcher is awake and keeps the verdict
+		c.note(p.slot, true)
 	}
 	return p
 }
@@ -511,21 +516,6 @@ func (s *Simulator) ringPop() (d *Driver, w uint64, v LV, packed bool) {
 	return
 }
 
-// NextTime returns the time of the earliest pending transaction, or
-// sim.Never when idle.
-func (s *Simulator) NextTime() sim.Time {
-	if s.ringPeek() != nil {
-		return s.now
-	}
-	if t := s.agendaPeek(); t != nil {
-		return t.at
-	}
-	if len(s.runnable) > 0 || s.ndirty > 0 {
-		return s.now
-	}
-	return sim.Never
-}
-
 // ErrDeltaOverflow is returned when a single simulated instant exceeds
 // MaxDeltas delta cycles.
 var ErrDeltaOverflow = errors.New("hdl: delta cycle overflow (combinational loop?)")
@@ -533,15 +523,27 @@ var ErrDeltaOverflow = errors.New("hdl: delta cycle overflow (combinational loop
 // Step executes one complete simulated instant: it advances to the next
 // transaction time and runs delta cycles until the instant is quiescent.
 // It reports whether anything was executed. Step never elides or folds
-// clock edges; only the bounded runs do (DESIGN.md §21).
+// clock edges; only the bounded runs do (DESIGN.md §21), so a Step loop
+// is the never-eliding twin the kernel tests compare them against.
 func (s *Simulator) Step() (bool, error) {
+	return s.step(s.agendaPeek(), s.quiet())
+}
+
+// quiet reports whether the current instant has nothing left to run:
+// nothing runnable, no dirty gate and an empty delta ring.
+func (s *Simulator) quiet() bool {
+	return len(s.runnable) == 0 && s.ndirty == 0 && s.ringPeek() == nil
+}
+
+// step is Step on t, the earliest live heap entry (nil when the heap is
+// empty), and the current instant's quiet verdict, which the caller has
+// just worked out.
+func (s *Simulator) step(t *txn, quiet bool) (bool, error) {
 	// Initial process executions (elaboration) run at the current time.
-	t := s.agendaPeek()
-	idleHere := len(s.runnable) == 0 && s.ndirty == 0 && s.ringPeek() == nil
-	if t == nil && idleHere {
-		return false, nil
-	}
-	if t != nil && idleHere {
+	if quiet {
+		if t == nil {
+			return false, nil
+		}
 		if t.at < s.now {
 			panic(fmt.Sprintf("hdl: transaction in the past: now=%v at=%v", s.now, t.at))
 		}
@@ -549,6 +551,7 @@ func (s *Simulator) Step() (bool, error) {
 	}
 	s.timePoints++
 	s.deltasAtNow = 0
+	ht := t // the earliest live heap entry, peeked at the end of each delta
 	for {
 		s.stamp++
 		// Phase 1: signal update — apply every transaction due now, in
@@ -557,8 +560,8 @@ func (s *Simulator) Step() (bool, error) {
 		// code that schedules or preempts (OnChange probes must not write
 		// signals), so only executing a heap transaction — whose fn may
 		// schedule or preempt — can change the earliest live heap entry.
+		// A clock toggle executes in place (cycle.go).
 		applied := false
-		ht := s.agendaPeek()
 		if ht != nil && ht.at > s.now {
 			ht = nil
 		}
@@ -570,11 +573,14 @@ func (s *Simulator) Step() (bool, error) {
 			applied = true
 			if rt == nil || (ht != nil && ht.seq < rt.seq) {
 				t := s.agenda.pop()
-				if t.fn != nil {
+				switch {
+				case t.edge:
+					s.edge(t)
+				case t.fn != nil:
 					fn := t.fn
 					s.releaseTxn(t, relContainer) // recycle before the call: fn may reuse it
 					fn()
-				} else {
+				default:
 					t.drv.apply(t)
 					s.releaseTxn(t, relContainer)
 				}
@@ -592,8 +598,8 @@ func (s *Simulator) Step() (bool, error) {
 		// Parked processes and clocked ones whose clock's last event in
 		// this delta was not a rising edge are skipped at their slot. A
 		// rising edge that was the delta's first trigger dispatches its
-		// clock's Clocked processes directly, in registration order,
-		// ahead of the rest (cycle.go).
+		// clock's awake Clocked processes directly, in registration
+		// order, ahead of the rest (cycle.go).
 		run := s.runnable
 		s.runnable = s.spare[:0]
 		if !applied && len(run) == 0 && s.ndirty == 0 {
@@ -602,11 +608,7 @@ func (s *Simulator) Step() (bool, error) {
 		}
 		if c := s.rose; c != nil {
 			s.rose = nil
-			for _, p := range c.sig.watchers[:s.roseN] {
-				if !p.parked {
-					s.runProcess(p)
-				}
-			}
+			s.dispatch(c, s.roseN)
 		}
 		for _, p := range run {
 			p.triggered = false
@@ -626,11 +628,9 @@ func (s *Simulator) Step() (bool, error) {
 			s.prof.publish()
 			return true, fmt.Errorf("%w at %v", ErrDeltaOverflow, s.now)
 		}
-		if s.ringPeek() == nil && len(s.runnable) == 0 && s.ndirty == 0 {
-			hp := s.agendaPeek()
-			if hp == nil || hp.at > s.now {
-				break
-			}
+		ht = s.agendaPeek()
+		if s.quiet() && (ht == nil || ht.at > s.now) {
+			break
 		}
 	}
 	s.syncObs()
@@ -674,23 +674,41 @@ func (s *Simulator) RunBefore(t sim.Time) error { return s.runTo(t, false) }
 // folding clock edges like RunBefore.
 func (s *Simulator) RunThrough(t sim.Time) error { return s.runTo(t, true) }
 
+// runTo decides each iteration's instant once: whether it is quiet, its
+// earliest heap entry, and that entry's clock if it is a toggle. The
+// bound applies to the instant NextTime would report; then the instant
+// elides, folds or executes as a Step.
 func (s *Simulator) runTo(bound sim.Time, inclusive bool) error {
 	for elided := false; ; {
-		next := s.NextTime()
+		ring := s.ringPeek() != nil
+		quiet := !ring && len(s.runnable) == 0 && s.ndirty == 0
+		t := s.agendaPeek()
+		next := s.now
+		if !ring {
+			if t != nil {
+				next = t.at
+			} else if quiet {
+				return nil
+			}
+		}
 		if next == sim.Never || next > bound || (next == bound && !inclusive) {
 			return nil
 		}
-		// An elision leaves at most one edge it could have skipped, so
-		// the instant after it always executes.
-		if !elided && s.elide(bound, inclusive) {
-			elided = true
-			continue
+		if quiet && t.edge {
+			c := t.clock()
+			// An elision leaves at most one edge it could have skipped,
+			// so the instant after it always executes.
+			if !elided && s.elide(t, c, bound, inclusive) {
+				elided = true
+				continue
+			}
+			elided = false
+			if s.fold(t, c) {
+				continue
+			}
 		}
 		elided = false
-		if s.fold() {
-			continue
-		}
-		if _, err := s.Step(); err != nil {
+		if _, err := s.step(t, quiet); err != nil {
 			return err
 		}
 	}
