@@ -68,11 +68,12 @@ explore-smoke:
 # race detector. The same run checks rising-edge processes against their
 # guarded level-process definition, parked processes against
 # never-parking twins at every wake position, idle-clock elision against
-# Step loops and cycle stepping against plain dispatch. -short keeps the
+# Step loops, cycle stepping against plain dispatch, and absorbed
+# re-assertions against the event kernel's queued ones. -short keeps the
 # hdl property tests at their pinned seeds; the nightly fuzz run explores
 # beyond them.
 kernel-diff-smoke:
-	$(GO) test -race -count=1 -short -run 'KernelEquivalence|EdgeSensitivity|ParkWake|Elide|CycleStep' -v ./internal/hdl/ ./internal/coverify/
+	$(GO) test -race -count=1 -short -run 'KernelEquivalence|EdgeSensitivity|ParkWake|Elide|CycleStep|Absorb' -v ./internal/hdl/ ./internal/coverify/
 
 # Rig smoke, on one binary built once: the reference campaigns must meet
 # the per-group coverage floors committed in COVER_FLOOR.json (the

@@ -39,8 +39,18 @@ func benchHorizon(cellsPerPort uint64, load float64) sim.Time {
 // §2 performance paragraph: cells through the 4-port switch plus global
 // control unit, test bench at the network level. The paper reports ~30 s
 // for 10,000 cells (~1,300 clock cycles/s) on an UltraSparc.
+//
+// To size a kernel change, build the parent's and the change's test
+// binaries once and alternate them on one CPU, comparing pair by pair,
+// since a shared host is noisy:
+//
+//	go test -c -o /tmp/change.test .   # and the parent's as /tmp/parent.test
+//	for i in $(seq 10); do for b in parent change; do
+//		GOMAXPROCS=1 /tmp/$b.test -test.run '^$' -test.bench E1_Cosim -test.benchtime 40x
+//	done; done
 func BenchmarkE1_CosimThroughput(b *testing.B) {
 	const cellsPerPort, load = 250, 0.8
+	b.ReportAllocs()
 	var cells, cycles uint64
 	for i := 0; i < b.N; i++ {
 		rig := coverify.NewSwitchRig(coverify.SwitchRigConfig{
@@ -62,9 +72,12 @@ func BenchmarkE1_CosimThroughput(b *testing.B) {
 
 // BenchmarkE1_PureRTLThroughput is the baseline: the same workload as a
 // traditional RTL regression test bench (~300 clock cycles/s in the
-// paper).
+// paper). It is all HDL kernel and device model, so it sizes a kernel
+// change with the alternating command of BenchmarkE1_CosimThroughput and
+// -test.bench E1_PureRTL.
 func BenchmarkE1_PureRTLThroughput(b *testing.B) {
 	const cellsPerPort, load = 250, 0.8
+	b.ReportAllocs()
 	var cells, cycles uint64
 	for i := 0; i < b.N; i++ {
 		rig := coverify.NewRTLRig(coverify.SwitchRigConfig{

@@ -56,9 +56,9 @@ func parityTraffic(cellsPerPort uint64) [dut.SwitchPorts]coverify.PortTraffic {
 // parityRun is one rig's parity run: its artifact line (the VCD's sha256
 // and the rig report) and its kernel.
 type parityRun struct {
-	line  string
-	hdl   *hdl.Simulator
-	edges func() (elided, folded uint64)
+	line    string
+	hdl     *hdl.Simulator
+	counter func(name string) uint64
 }
 
 // rigParity runs one rig with a VCD of every signal in the design
@@ -102,7 +102,7 @@ func rigParity(t *testing.T, name string, seed uint64) parityRun {
 	default:
 		t.Fatalf("unknown rig %q", name)
 	}
-	edges := kernelEdges(h)
+	counter := kernelCounters(h)
 	vcd := hdl.NewVCD(&buf, h)
 	if err := run(); err != nil {
 		t.Fatalf("%s seed %d: %v", name, seed, err)
@@ -110,18 +110,16 @@ func rigParity(t *testing.T, name string, seed uint64) parityRun {
 	if err := vcd.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return parityRun{fmt.Sprintf("rig %s seed=%d vcd=%x report=%s", name, seed, sha256.Sum256(buf.Bytes()), report()), h, edges}
+	return parityRun{fmt.Sprintf("rig %s seed=%d vcd=%x report=%s", name, seed, sha256.Sum256(buf.Bytes()), report()), h, counter}
 }
 
-// kernelEdges instruments h into a registry of its own and returns a
-// reader of the clock edges it elided and folded, as published in the
-// hdl.sim.elided_edges and hdl.sim.folded_edges counters.
-func kernelEdges(h *hdl.Simulator) func() (elided, folded uint64) {
+// kernelCounters instruments h into a registry of its own and returns a
+// reader of its hdl.sim counters by name, as published (elided_edges,
+// folded_edges, absorbed_assignments, ...).
+func kernelCounters(h *hdl.Simulator) func(name string) uint64 {
 	reg := obs.NewRegistry()
 	h.Instrument(reg, "hdl.sim")
-	return func() (uint64, uint64) {
-		return reg.Counter("hdl.sim.elided_edges").Value(), reg.Counter("hdl.sim.folded_edges").Value()
-	}
+	return func(name string) uint64 { return reg.Counter("hdl.sim." + name).Value() }
 }
 
 // runCampaign executes a named campaign matrix at seed 1 on two shards.
@@ -243,14 +241,14 @@ func parityCounters(t *testing.T) map[string]uint64 {
 		tr[p] = coverify.PortTraffic{Model: &traffic.CBR{Interval: cellTime}, VCs: coverify.PortVCs(p), Cells: cells / dut.SwitchPorts}
 	}
 	rig := coverify.NewSwitchRig(coverify.SwitchRigConfig{Seed: 1, Traffic: tr})
-	e1Edges := kernelEdges(rig.HDL)
+	e1Counter := kernelCounters(rig.HDL)
 	if err := rig.Run(sim.Time(cells/dut.SwitchPorts+4) * cellTime); err != nil {
 		t.Fatal(err)
 	}
 	if !rig.Cmp.Clean() {
 		t.Fatalf("E1 rig not clean: %s", rig.Cmp.Summary())
 	}
-	elided, folded := e1Edges()
+	elided, folded := e1Counter("elided_edges"), e1Counter("folded_edges")
 	c := map[string]uint64{
 		"e1.cells":         rig.Cmp.Matched,
 		"e1.process_runs":  rig.HDL.ProcessRuns(),
@@ -258,16 +256,19 @@ func parityCounters(t *testing.T) map[string]uint64 {
 		"e1.time_points":   rig.HDL.TimePoints(),
 		"e1.elided":        elided,
 		"e1.executed":      rig.HDL.TimePoints() - elided - folded,
+		"e1.absorbed":      e1Counter("absorbed_assignments"),
 	}
 	rtl := coverify.NewRTLRig(coverify.SwitchRigConfig{Seed: 1, Traffic: tr})
-	rtlEdges := kernelEdges(rtl.HDL)
+	rtlCounter := kernelCounters(rtl.HDL)
 	if err := rtl.Run(); err != nil {
 		t.Fatal(err)
 	}
-	elided, folded = rtlEdges()
+	elided, folded = rtlCounter("elided_edges"), rtlCounter("folded_edges")
+	c["rtl.cells"] = rtl.Checked()
 	c["rtl.time_points"] = rtl.HDL.TimePoints()
 	c["rtl.elided"] = elided
 	c["rtl.executed"] = rtl.HDL.TimePoints() - elided - folded
+	c["rtl.absorbed"] = rtlCounter("absorbed_assignments")
 	sum := runCampaign(t, "switch", 16, false, true)
 	for _, st := range sum.Stats {
 		if st.Name == "cells" {
@@ -292,14 +293,13 @@ func campaign16Kernel(t *testing.T) (cells, points, elided uint64) {
 	for i := uint64(0); i < 16; i++ {
 		cfg, bound := campaign16Run(i)
 		rig := coverify.NewSwitchRig(cfg)
-		edges := kernelEdges(rig.HDL)
+		counter := kernelCounters(rig.HDL)
 		if err := rig.Run(bound); err != nil {
 			t.Fatal(err)
 		}
-		e, _ := edges()
 		cells += rig.Offered
 		points += rig.HDL.TimePoints()
-		elided += e
+		elided += counter("elided_edges")
 	}
 	return cells, points, elided
 }
@@ -312,7 +312,10 @@ func campaign16Kernel(t *testing.T) (cells, points, elided uint64) {
 // than the kernel counts. Cycle stepping must execute at least 1.8× fewer
 // time points than elision alone leaves (TimePoints − ElidedEdges), so at
 // least 1.8× fewer than the kernel counts, on the E1 switch rig and on the
-// RTL rig. It reads the fixed baseline under -record-parity too.
+// RTL rig. The compiled kernel must absorb at least 140 zero-delay
+// assignments per cell on the E1 switch rig and 180 on the RTL rig, read
+// from hdl.sim.absorbed_assignments (167.8 and 218.4 when the floor was
+// set). It reads the fixed baseline under -record-parity too.
 func TestParityCounters(t *testing.T) {
 	got := parityCounters(t)
 	raw, err := os.ReadFile(filepath.Join("testdata", parityBaseline))
@@ -352,6 +355,16 @@ func TestParityCounters(t *testing.T) {
 			t.Errorf("%s: %d of %d unelided time points executed, want at least 1.8x fewer", rig, executed, unelided)
 		}
 	}
+	for _, g := range []struct {
+		rig string
+		min float64
+	}{{"e1", 140}, {"rtl", 180}} {
+		per := float64(got[g.rig+".absorbed"]) / float64(got[g.rig+".cells"])
+		t.Logf("%s: %.1f absorbed assignments per cell", g.rig, per)
+		if per < g.min {
+			t.Errorf("%s: %.1f absorbed assignments per cell, want at least %g", g.rig, per, g.min)
+		}
+	}
 	cells, points, elided := campaign16Kernel(t)
 	if cells != got["campaign16.cells"] {
 		t.Fatalf("campaign16 replay offered %d cells, the campaign %d", cells, got["campaign16.cells"])
@@ -370,7 +383,7 @@ func TestParityCounters(t *testing.T) {
 func TestRigsElide(t *testing.T) {
 	for _, rig := range []string{"switch", "rtl", "policer", "acct"} {
 		pr := rigParity(t, rig, paritySeeds[0])
-		elided, folded := pr.edges()
+		elided, folded := pr.counter("elided_edges"), pr.counter("folded_edges")
 		if (elided > 0) != (rig != "rtl") {
 			t.Errorf("rig %s elided %d of %d time points", rig, elided, pr.hdl.TimePoints())
 		}

@@ -17,6 +17,7 @@ import (
 	"castanet/internal/hdl"
 	"castanet/internal/mapping"
 	"castanet/internal/obs"
+	"castanet/internal/sim"
 )
 
 // SwitchPorts is the port count of the switch: four port modules, one
@@ -155,7 +156,7 @@ type portModule struct {
 	reqDrv *hdl.Driver
 	hdr    *hdl.Signal // 24-bit VPI(8) | VCI(16) of the pending cell
 	hdrDrv *hdl.Driver
-	inFifo [][atm.CellBytes]byte
+	inFifo sim.FIFO[inCell]
 	inCap  int
 
 	// Streaming state.
@@ -171,7 +172,7 @@ type portModule struct {
 	collectPos int
 	collecting bool
 	collectBuf [atm.CellBytes]byte
-	outFifo    [][atm.CellBytes]byte
+	outFifo    sim.FIFO[[atm.CellBytes]byte]
 	outCap     int
 	writer     *mapping.CellPortWriter
 
@@ -179,6 +180,14 @@ type portModule struct {
 	// present, collect while the bus carries no valid beat for this port,
 	// txfeed while the output FIFO is empty.
 	ctl, collect, txfeed *hdl.Process
+}
+
+// inCell is one reassembled cell awaiting the bus: its image and the
+// header the reader decoded from it, kept so that neither the request
+// nor the translation decodes the image again.
+type inCell struct {
+	img [atm.CellBytes]byte
+	hdr atm.Header
 }
 
 func newPortModule(h *hdl.Simulator, clk *hdl.Signal, sw *Switch, idx int, cfg SwitchConfig,
@@ -207,13 +216,13 @@ func newPortModule(h *hdl.Simulator, clk *hdl.Signal, sw *Switch, idx int, cfg S
 			return
 		}
 		sw.RxCells[idx]++
-		sw.coverInDepth.Observe(int64(len(p.inFifo)))
-		if len(p.inFifo) >= p.inCap {
+		sw.coverInDepth.Observe(int64(p.inFifo.Len()))
+		if p.inFifo.Len() >= p.inCap {
 			sw.InFifoDrops[idx]++
 			sw.coverDropInFifo.Hit()
 			return
 		}
-		p.inFifo = append(p.inFifo, c.Marshal())
+		p.inFifo.Push(inCell{img: c.Marshal(), hdr: c.Header})
 		p.ctl.Wake()
 	}
 	rd.OnError = func(img [atm.CellBytes]byte, err error) {
@@ -227,26 +236,16 @@ func newPortModule(h *hdl.Simulator, clk *hdl.Signal, sw *Switch, idx int, cfg S
 		switch {
 		case p.streaming:
 			p.streamBeat()
-		case len(p.inFifo) > 0:
+		case p.inFifo.Len() > 0:
 			// Present the head cell to the GCU.
-			img := p.inFifo[0]
-			hdr, err := atm.UnmarshalHeader([5]byte{img[0], img[1], img[2], img[3], img[4]})
-			if err != nil {
-				// HEC was checked at reassembly; a failure here means the
-				// FIFO was corrupted — drop defensively.
-				p.inFifo = p.inFifo[1:]
-				sw.HECErrors[idx]++
-				sw.coverDropHEC.Hit()
-				return
-			}
+			hdr := p.inFifo.Head().hdr
 			p.reqDrv.SetBit(hdl.L1)
 			p.hdrDrv.SetUint(uint64(hdr.VPI)<<16 | uint64(hdr.VCI))
 			if gcu.granted == idx {
 				// Grant received this cycle: translate and stream.
 				gcu.granted = -1
 				p.reqDrv.SetBit(hdl.L0)
-				p.inFifo = p.inFifo[1:]
-				p.beginStream(img, gcu.grantHdr, gcu.grantDest)
+				p.beginStream(p.inFifo.Pop(), gcu.grantHdr, gcu.grantDest)
 			}
 		default:
 			p.reqDrv.SetBit(hdl.L0)
@@ -280,17 +279,18 @@ func newPortModule(h *hdl.Simulator, clk *hdl.Signal, sw *Switch, idx int, cfg S
 		}
 		if p.collectPos == atm.CellBytes {
 			p.collecting = false
-			sw.coverOutDepth.Observe(int64(len(p.outFifo)))
+			depth := p.outFifo.Len()
+			sw.coverOutDepth.Observe(int64(depth))
 			accept, drop := sw.coverOutLowAccept, sw.coverOutLowDrop
-			if len(p.outFifo) >= p.outCap/2 {
+			if depth >= p.outCap/2 {
 				accept, drop = sw.coverOutHighAccept, sw.coverOutHighDrop
 			}
-			if len(p.outFifo) >= p.outCap {
+			if depth >= p.outCap {
 				sw.OutFifoDrops[idx]++
 				sw.coverDropOutFifo.Hit()
 				drop.Hit()
 			} else {
-				p.outFifo = append(p.outFifo, p.collectBuf)
+				p.outFifo.Push(p.collectBuf)
 				p.txfeed.Wake()
 				accept.Hit()
 			}
@@ -302,20 +302,18 @@ func newPortModule(h *hdl.Simulator, clk *hdl.Signal, sw *Switch, idx int, cfg S
 	// Output serializer.
 	p.writer = mapping.NewCellPortWriter(h, name+"_tx", clk, sw.Out[idx].Data, sw.Out[idx].Sync)
 	p.txfeed = h.Clocked(name+"_txfeed", clk, func() {
-		if len(p.outFifo) == 0 {
+		if p.outFifo.Len() == 0 {
 			p.txfeed.Park() // until collect appends
 			return
 		}
 		if !p.writer.Busy() && p.writer.Backlog() == 0 {
-			img := p.outFifo[0]
-			p.outFifo = p.outFifo[1:]
-			cell, err := atm.Unmarshal(img)
-			if err != nil {
+			img := p.outFifo.Pop()
+			if atm.HEC(img[0], img[1], img[2], img[3]) != img[4] {
 				sw.HECErrors[idx]++
 				sw.coverDropHEC.Hit()
 				return
 			}
-			p.writer.Enqueue(cell)
+			p.writer.EnqueueRaw(img)
 			sw.TxCells[idx]++
 		}
 	})
@@ -324,11 +322,11 @@ func newPortModule(h *hdl.Simulator, clk *hdl.Signal, sw *Switch, idx int, cfg S
 }
 
 // beginStream loads the translated cell image and claims the bus.
-func (p *portModule) beginStream(img [atm.CellBytes]byte, newHdr atm.Header, dest int) {
+func (p *portModule) beginStream(c inCell, newHdr atm.Header, dest int) {
 	// Header translation: rebuild the first five octets with the new
 	// VPI/VCI and a freshly computed HEC (the PTI/CLP travel unchanged).
-	old, _ := atm.UnmarshalHeader([5]byte{img[0], img[1], img[2], img[3], img[4]})
-	h := old
+	h := c.hdr
+	img := c.img
 	h.VPI = newHdr.VPI
 	h.VCI = newHdr.VCI
 	nb := h.MarshalHeader()
@@ -412,7 +410,7 @@ func newGCU(h *hdl.Simulator, clk *hdl.Signal, sw *Switch) *globalControlUnit {
 				// consuming its request without a grant.
 				sw.UnknownVC++
 				sw.coverDropUnknownVC.Hit()
-				p.inFifo = p.inFifo[1:]
+				p.inFifo.Pop()
 				continue
 			}
 			g.granted = i

@@ -344,6 +344,7 @@ func (s *Simulator) Compile() (*Plan, error) {
 	// Seed the packed mirrors and count region impurity from the current
 	// values, so the guard state is exact from the first compiled delta.
 	for _, g := range s.signals {
+		g.packed = g.width <= 64
 		g.initMirror()
 		if g.region != nil && !g.pknown {
 			g.region.impure++

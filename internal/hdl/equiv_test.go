@@ -15,11 +15,12 @@ import (
 // input signals, structural gates, clocked registers, clocked processes
 // that park and wake at random, multi-driver resolution, and a stimulus
 // script that injects two-state values as well as X/Z/weak/uninitialized
-// vectors — onto a fresh simulator. The same program runs once on the
-// plain nine-value event kernel and once with Compile(), and every
-// observable must agree: the full VCD byte stream, the per-signal waveform
-// event-for-event (time, global delta index, old and new value), the
-// kernel counters, and the activity profile. FuzzKernelEquivalence drives
+// vectors and re-asserts values drivers already hold — onto a fresh
+// simulator. The same program runs once on the plain nine-value event
+// kernel and once with Compile(), and every observable must agree: the
+// full VCD byte stream, the per-signal waveform event-for-event (time,
+// global delta index, old and new value), the kernel counters, and the
+// activity profile. FuzzKernelEquivalence drives
 // the same harness from the fuzzer. The same programs also check
 // rising-edge sensitivity against its definition (compareEdgeSensitivity),
 // idle-clock elision against a Step-driven twin (compareElision) and cycle
@@ -100,10 +101,26 @@ func guardedReg(eg *edgeGuard, s *Simulator, name string, clk, d *Signal) *Signa
 	return q
 }
 
+// absorbStats counts, on the compiled kernel, the absorption cases the
+// re-assertion ops reach (Driver.setPacked), so that programs written to
+// exercise them cannot pass vacuously: a re-assertion that disarmed the
+// driver's earlier entry in the same run and was absorbed, and one that
+// would have been absorbed but for a pending delayed assignment.
+type absorbStats struct {
+	disarmed, declined uint64
+}
+
+// contribution returns the driver's own current value, the one a
+// re-assertion assigns again. It reads the same vector on both kernels.
+func contribution(d *Driver) LV {
+	d.matDrv()
+	return d.value
+}
+
 // buildDiffDesign elaborates the byte program onto s. The elaboration is a
 // pure function of data, so running it onto two simulators yields
 // structurally identical designs with identical stimulus schedules.
-func buildDiffDesign(data []byte, s *Simulator, clk *Signal, eg *edgeGuard) (all []*Signal, horizon sim.Time) {
+func buildDiffDesign(data []byte, s *Simulator, clk *Signal, eg *edgeGuard, st *absorbStats) (all []*Signal, horizon sim.Time) {
 	r := &diffReader{b: data}
 	type input struct {
 		sig *Signal
@@ -139,7 +156,7 @@ func buildDiffDesign(data []byte, s *Simulator, clk *Signal, eg *edgeGuard) (all
 		}
 	}
 	for r.more() {
-		switch r.next() % 12 {
+		switch r.next() % 16 {
 		case 0: // new stimulus input
 			if len(ins) >= diffMaxSignals {
 				continue
@@ -294,6 +311,72 @@ func buildDiffDesign(data []byte, s *Simulator, clk *Signal, eg *edgeGuard) (all
 				p.WakeOn(wake)
 			})
 			addSig(q)
+		case 12: // re-assert an input driver's own value: a transaction, not an event
+			if len(ins) == 0 || stims >= diffMaxStims {
+				continue
+			}
+			in := ins[int(r.next())%len(ins)]
+			at := sim.Duration(r.next()) * diffClockPeriod / 2
+			note(sim.Time(at))
+			s.Schedule(at, func() { in.drv.Set(contribution(in.drv)) })
+			stims++
+		case 13: // assign a new value, then the old one again in the same run
+			if len(ins) == 0 || stims >= diffMaxStims {
+				continue
+			}
+			in := ins[int(r.next())%len(ins)]
+			u := uint64(r.next())
+			at := sim.Duration(r.next()) * diffClockPeriod / 2
+			note(sim.Time(at))
+			s.Schedule(at, func() {
+				old := contribution(in.drv)
+				in.drv.SetUint(u)
+				armed, n := in.drv.ringArmed, s.absorptions
+				in.drv.Set(old)
+				if armed && s.absorptions > n {
+					st.disarmed++
+				}
+			})
+			stims++
+		case 14: // a bus driver steps Z→value under the value the signal reads
+			if len(ins) == 0 || stims >= diffMaxStims {
+				continue
+			}
+			in := ins[int(r.next())%len(ins)]
+			u := uint64(r.next())
+			at := sim.Duration(r.next()) * diffClockPeriod / 2
+			note(sim.Time(at + 4*diffClockPeriod))
+			bus := in.sig.Driver("bus")
+			bus.SetZ()
+			// The step leaves the resolved value as it is but changes the
+			// bus driver's contribution, which the conflicting assignment
+			// after it shows; the bus then re-asserts and floats again.
+			s.Schedule(at, func() { bus.Set(in.sig.Val().Clone()) })
+			s.Schedule(at+diffClockPeriod, func() { bus.Set(contribution(bus)) })
+			s.Schedule(at+2*diffClockPeriod, func() { in.drv.SetUint(u) })
+			s.Schedule(at+4*diffClockPeriod, func() { bus.SetZ() })
+			stims++
+		case 15: // re-assert while a delayed assignment is pending
+			if len(ins) == 0 || stims >= diffMaxStims {
+				continue
+			}
+			in := ins[int(r.next())%len(ins)]
+			u := uint64(r.next())
+			at := sim.Duration(r.next()) * diffClockPeriod / 2
+			note(sim.Time(at + 3*diffClockPeriod))
+			s.Schedule(at, func() { in.drv.SetAfter(FromUint(u, in.sig.width), 3*diffClockPeriod) })
+			s.Schedule(at+diffClockPeriod, func() {
+				d := in.drv
+				old := contribution(d)
+				w, two := old.PackTwoState()
+				held := s.fast && two && len(d.pending) > 0 && d.pstate == drvTwo && d.pword == w
+				n := s.absorptions
+				d.Set(old)
+				if held && s.absorptions == n {
+					st.declined++
+				}
+			})
+			stims++
 		}
 	}
 	return all, horizon
@@ -312,6 +395,10 @@ type diffResult struct {
 	clk     string // clk's rising-edge count and final value
 	prof    interface{}
 	planErr error
+	// absorbed is the compiled kernel's absorbed assignments; absorb
+	// counts the cases the re-assertion ops reached.
+	absorbed uint64
+	absorb   absorbStats
 }
 
 // diffMode is how runDiffKernel drives the program to its horizon.
@@ -335,11 +422,11 @@ func runDiffKernel(data []byte, compiled bool, eg *edgeGuard, mode diffMode, qui
 	s.EnableProfile()
 	clk := s.Bit("clk", U)
 	s.Clock(clk, diffClockPeriod)
-	all, horizon := buildDiffDesign(data, s, clk, eg)
+	res := &diffResult{waves: map[string][]string{}}
+	all, horizon := buildDiffDesign(data, s, clk, eg, &res.absorb)
 	if quiet {
 		all = all[1:] // clk is the first
 	}
-	res := &diffResult{waves: map[string][]string{}}
 	for _, g := range all {
 		g := g
 		g.OnChange(func(now sim.Time, old, new LV) {
@@ -375,6 +462,7 @@ func runDiffKernel(data []byte, compiled bool, eg *edgeGuard, mode diffMode, qui
 	res.points = s.TimePoints()
 	res.elided = s.ElidedEdges()
 	res.folded = s.FoldedEdges()
+	res.absorbed = s.absorptions
 	res.clk = fmt.Sprintf("rises=%d value=%s", s.RisingEdges(clk), clk.Val())
 	res.prof = s.Profile().Snapshot()
 	return res

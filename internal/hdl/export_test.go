@@ -276,7 +276,7 @@ func (s *Simulator) FoldedEdges() uint64 { return s.folded }
 // NextTime returns the time of the earliest pending transaction, or
 // sim.Never when idle.
 func (s *Simulator) NextTime() sim.Time {
-	if s.ringPeek() != nil {
+	if s.absorbed || s.ringPeek() != nil {
 		return s.now
 	}
 	if t := s.agendaPeek(); t != nil {

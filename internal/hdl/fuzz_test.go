@@ -74,6 +74,29 @@ func elideSeeds() [][]byte {
 	}
 }
 
+// absorbSeeds returns differential-harness programs built on the
+// re-assertion ops: an input re-asserting its value from a callback (op
+// 12), assigning a new value and the old one again in one run (op 13), a
+// bus driver stepping Z→value under the value the signal already reads
+// (op 14), and a re-assertion while a delayed assignment is pending (op
+// 15), beside registers that re-assert their unchanged inputs every
+// clock. They seed the FuzzKernelEquivalence corpus
+// (testdata/fuzz/.../absorb_*).
+func absorbSeeds() [][]byte {
+	return [][]byte{
+		// An 8-bit and a 1-bit input, a register on each, re-assertions
+		// and new-then-old pairs on both.
+		{0, 7, 0, 0, 3, 1, 3, 2, 4, 0, 0x42, 0, 0, 12, 0, 4, 12, 1, 6,
+			13, 0, 0x17, 8, 13, 0, 0x42, 12, 4, 1, 1, 0, 2, 13, 1, 0, 14, 12, 0, 20},
+		// A bus on the 8-bit input: Z→value under an equal resolved value,
+		// a re-assertion on the bus, then a conflict and release.
+		{0, 7, 3, 1, 4, 0, 0x33, 0, 0, 14, 0, 0x55, 4, 14, 0, 0x33, 30, 12, 0, 50},
+		// Re-assertions with a delayed assignment pending, on both inputs.
+		{0, 7, 0, 3, 3, 2, 4, 0, 0x10, 0, 0, 4, 1, 5, 0, 0,
+			15, 0, 0x20, 4, 15, 1, 9, 10, 12, 1, 30, 13, 1, 2, 40},
+	}
+}
+
 // FuzzKernelEquivalence feeds arbitrary byte programs through the
 // differential harness: any divergence between the nine-value event
 // kernel and the compiled bit-parallel kernel — in waveforms, counters,
@@ -84,6 +107,7 @@ func elideSeeds() [][]byte {
 // regression tests.
 func FuzzKernelEquivalence(f *testing.F) {
 	seeds := append(e1e8Seeds(), elideSeeds()...)
+	seeds = append(seeds, absorbSeeds()...)
 	for _, seed := range append(seeds, cycleSeeds()...) {
 		f.Add(seed)
 	}
@@ -117,5 +141,36 @@ func TestElideSeedsElide(t *testing.T) {
 				t.Errorf("elide seed %d compiled=%v elided nothing", i+1, compiled)
 			}
 		}
+	}
+}
+
+// TestAbsorbSeedsAbsorb keeps the absorption corpus meaningful: on the
+// compiled kernel every absorb seed absorbs assignments, the seeds
+// between them absorb a re-assertion that disarmed the driver's earlier
+// entry and decline one for a pending delayed assignment, and each agrees
+// with the event kernel.
+func TestAbsorbSeedsAbsorb(t *testing.T) {
+	var disarmed, declined uint64
+	for i, data := range absorbSeeds() {
+		res := runDiffKernel(data, true, nil, diffRun, false)
+		if res.planErr != nil {
+			t.Fatalf("absorb seed %d: %v", i+1, res.planErr)
+		}
+		if res.absorbed == 0 {
+			t.Errorf("absorb seed %d absorbed nothing", i+1)
+		}
+		t.Logf("absorb seed %d: %d absorbed, %d disarmed, %d declined",
+			i+1, res.absorbed, res.absorb.disarmed, res.absorb.declined)
+		disarmed += res.absorb.disarmed
+		declined += res.absorb.declined
+		if diff := compareKernels(data); diff != "" {
+			t.Errorf("absorb seed %d: %s", i+1, diff)
+		}
+	}
+	if disarmed == 0 {
+		t.Error("no absorbed re-assertion disarmed an earlier entry")
+	}
+	if declined == 0 {
+		t.Error("no re-assertion was declined for a pending delayed assignment")
 	}
 }

@@ -42,6 +42,7 @@ type Signal struct {
 
 	region *Region // purity-guard region, set by Compile for gate cones
 	clk    *clock  // kernel clock generator driving the signal, nil if none
+	packed bool    // compiled mode and width ≤ 64: the packed mirror is live
 
 	eventStamp uint64 // stamp of the delta in which the last event occurred
 	watchers   []*Process
@@ -158,7 +159,7 @@ func (g *Signal) Driver(owner string) *Driver {
 func (g *Signal) initMirror() {
 	g.pknown, g.pprevKnown = false, false
 	g.valStale, g.prevStale = false, false
-	if g.width > 64 {
+	if !g.packed {
 		return
 	}
 	if w, ok := g.value.PackTwoState(); ok {
@@ -218,7 +219,7 @@ func (g *Signal) resolve() {
 		d.matDrv()
 		v = d.value
 	default:
-		if g.sim.fast && g.width <= 64 {
+		if g.packed {
 			if w, ok := g.resolveWord(); ok {
 				g.commitWord(g.drivers[0], w, false)
 				return
@@ -246,7 +247,7 @@ func (g *Signal) resolve() {
 	g.pprev, g.pprevKnown = g.pval, oldK
 	g.value = v
 	var newK bool
-	if s.fast && g.width <= 64 {
+	if g.packed {
 		var w uint64
 		w, newK = v.PackTwoState()
 		g.pval, g.pknown = w, newK
@@ -259,7 +260,7 @@ func (g *Signal) resolve() {
 	if pr := s.prof; pr != nil {
 		pr.sigEvents[g.id]++
 		var oldTwo, newTwo bool
-		if s.fast && g.width <= 64 {
+		if g.packed {
 			oldTwo, newTwo = oldK, newK
 		} else {
 			oldTwo, newTwo = old.TwoState(), v.TwoState()
@@ -325,10 +326,7 @@ func (d *Driver) checkWidth(v LV) {
 // signals qualify too — the commit resolves at word level when every
 // contribution classifies (resolveWord) and falls back to the nine-value
 // table otherwise.
-func (d *Driver) packable() bool {
-	g := d.sig
-	return g.sim.fast && g.width <= 64
-}
+func (d *Driver) packable() bool { return d.sig.packed }
 
 // classify refreshes the packed contribution mirror after a nine-value
 // assignment: a pure two-state vector carries its word, a fully floating
@@ -336,8 +334,7 @@ func (d *Driver) packable() bool {
 // nine-value table.
 func (d *Driver) classify() {
 	d.pstate = drvOther
-	g := d.sig
-	if !g.sim.fast || g.width > 64 {
+	if !d.sig.packed {
 		return
 	}
 	if w, ok := d.value.PackTwoState(); ok {
@@ -415,10 +412,25 @@ func (d *Driver) SetAfter(v LV, delay sim.Duration) {
 // preemption: the value is a word, no vector is allocated. Zero-delay
 // assignments ride the delta ring as plain values; delayed ones take a
 // pooled heap transaction.
+//
+// A zero-delay assignment of the word the driver already contributes,
+// with nothing pending, is absorbed: committing it could change no value
+// and wake nothing (a transaction, not an event), so no ring entry is
+// queued and the simulator's absorbed flag stands in for it, keeping the
+// delta it would have taken (DESIGN.md §18). The test is the driver's own
+// contribution, never the signal's value: under other drivers a Z→1 step
+// on a signal that already reads 1 still changes the resolution. It runs
+// after preempt, which has disarmed this driver's earlier entry in the
+// delta, so "assign 1, then 0 again" leaves nothing queued.
 func (d *Driver) setPacked(w uint64, due sim.Time) {
 	d.preempt(due)
 	s := d.sig.sim
 	if due == s.now {
+		if d.pstate == drvTwo && d.pword == w && len(d.pending) == 0 {
+			s.absorbed = true
+			s.absorptions++
+			return
+		}
 		s.pushRing(d, w, nil, true)
 		return
 	}

@@ -245,6 +245,12 @@ type Simulator struct {
 	gates  []*Gate
 	ndirty int // gates awaiting evaluation in the current delta
 
+	// absorbed stands in for the ring entries of absorbed assignments
+	// (Driver.setPacked) until the next signal-update phase, which counts
+	// it as applied; absorptions counts those assignments.
+	absorbed    bool
+	absorptions uint64
+
 	deltasAtNow  int
 	signalEvents uint64
 	procRuns     uint64
@@ -256,14 +262,15 @@ type Simulator struct {
 	// Observability handles, synchronized from the internal counters once
 	// per executed instant (diff-based) so the per-delta hot path stays
 	// untouched. All nil when uninstrumented.
-	obsDeltas  *obs.Counter
-	obsEvents  *obs.Counter
-	obsRuns    *obs.Counter
-	obsPoints  *obs.Counter
-	obsElided  *obs.Counter
-	obsFolded  *obs.Counter
-	obsPending *obs.Gauge // scheduled-transaction agenda depth
-	lastSync   struct{ deltas, events, runs, points, elided, folded uint64 }
+	obsDeltas   *obs.Counter
+	obsEvents   *obs.Counter
+	obsRuns     *obs.Counter
+	obsPoints   *obs.Counter
+	obsElided   *obs.Counter
+	obsFolded   *obs.Counter
+	obsAbsorbed *obs.Counter
+	obsPending  *obs.Gauge // scheduled-transaction agenda depth
+	lastSync    struct{ deltas, events, runs, points, elided, folded, absorbed uint64 }
 
 	// prof, when non-nil, attributes events and runs to individual
 	// signals and processes (see profile.go). Hot paths pay one nil test
@@ -273,9 +280,11 @@ type Simulator struct {
 
 // Instrument registers the simulator's metrics under the given prefix
 // (e.g. "hdl.sim"): delta_cycles, signal_events (transitions),
-// process_runs, time_points, elided_edges and folded_edges. Counters are
-// updated once per executed time point, so the per-delta and per-signal
-// hot paths carry no instrumentation at all.
+// process_runs, time_points, elided_edges, folded_edges and
+// absorbed_assignments (zero-delay assignments that left their driver as
+// it was and were never queued). Counters are updated once per executed
+// time point, so the per-delta and per-signal hot paths carry no
+// instrumentation at all.
 func (s *Simulator) Instrument(reg *obs.Registry, prefix string) {
 	if reg == nil {
 		return
@@ -286,6 +295,7 @@ func (s *Simulator) Instrument(reg *obs.Registry, prefix string) {
 	s.obsPoints = reg.Counter(prefix + ".time_points")
 	s.obsElided = reg.Counter(prefix + ".elided_edges")
 	s.obsFolded = reg.Counter(prefix + ".folded_edges")
+	s.obsAbsorbed = reg.Counter(prefix + ".absorbed_assignments")
 	s.obsPending = reg.Gauge(prefix + ".pending")
 	s.lastSync.deltas = s.deltaCycles
 	s.lastSync.events = s.signalEvents
@@ -293,6 +303,7 @@ func (s *Simulator) Instrument(reg *obs.Registry, prefix string) {
 	s.lastSync.points = s.timePoints
 	s.lastSync.elided = s.elided
 	s.lastSync.folded = s.folded
+	s.lastSync.absorbed = s.absorptions
 }
 
 // syncObs publishes the counter deltas accumulated since the last sync.
@@ -308,6 +319,7 @@ func (s *Simulator) syncObs() {
 	s.obsPoints.Add(s.timePoints - s.lastSync.points)
 	s.obsElided.Add(s.elided - s.lastSync.elided)
 	s.obsFolded.Add(s.folded - s.lastSync.folded)
+	s.obsAbsorbed.Add(s.absorptions - s.lastSync.absorbed)
 	s.obsPending.Set(float64(s.agenda.len()))
 	s.lastSync.deltas = s.deltaCycles
 	s.lastSync.events = s.signalEvents
@@ -315,6 +327,7 @@ func (s *Simulator) syncObs() {
 	s.lastSync.points = s.timePoints
 	s.lastSync.elided = s.elided
 	s.lastSync.folded = s.folded
+	s.lastSync.absorbed = s.absorptions
 }
 
 // New returns an empty simulator at time zero.
@@ -344,6 +357,7 @@ func (s *Simulator) Signal(name string, width int, init Logic) *Signal {
 		panic(fmt.Sprintf("hdl: signal %q with width %d", name, width))
 	}
 	g := &Signal{name: name, sim: s, width: width, id: int32(len(s.signals)), value: NewLV(width, init), prev: NewLV(width, init)}
+	g.packed = s.fast && width <= 64
 	if width <= 64 {
 		g.pmask = packMask(width)
 	}
@@ -530,9 +544,10 @@ func (s *Simulator) Step() (bool, error) {
 }
 
 // quiet reports whether the current instant has nothing left to run:
-// nothing runnable, no dirty gate and an empty delta ring.
+// nothing runnable, no dirty gate, no absorbed assignment and an empty
+// delta ring.
 func (s *Simulator) quiet() bool {
-	return len(s.runnable) == 0 && s.ndirty == 0 && s.ringPeek() == nil
+	return len(s.runnable) == 0 && s.ndirty == 0 && !s.absorbed && s.ringPeek() == nil
 }
 
 // step is Step on t, the earliest live heap entry (nil when the heap is
@@ -593,6 +608,12 @@ func (s *Simulator) step(t *txn, quiet bool) (bool, error) {
 				d.ringArmed = false
 				d.applyRing(w, v, packed)
 			}
+		}
+		// Absorbed assignments, from the last process phase or from a
+		// callback just applied, are the ring entries this phase would
+		// have applied, to no effect.
+		if s.absorbed {
+			applied, s.absorbed = true, false
 		}
 		// Phase 2: process execution, then level-ordered compiled gates.
 		// Parked processes and clocked ones whose clock's last event in
@@ -680,7 +701,7 @@ func (s *Simulator) RunThrough(t sim.Time) error { return s.runTo(t, true) }
 // elides, folds or executes as a Step.
 func (s *Simulator) runTo(bound sim.Time, inclusive bool) error {
 	for elided := false; ; {
-		ring := s.ringPeek() != nil
+		ring := s.absorbed || s.ringPeek() != nil
 		quiet := !ring && len(s.runnable) == 0 && s.ndirty == 0
 		t := s.agendaPeek()
 		next := s.now

@@ -3,6 +3,7 @@ package mapping
 import (
 	"castanet/internal/atm"
 	"castanet/internal/hdl"
+	"castanet/internal/sim"
 )
 
 // CellPortWriter serializes ATM cells onto the Fig.-4 port structure:
@@ -26,7 +27,7 @@ type CellPortWriter struct {
 	sync *hdl.Driver
 	proc *hdl.Process
 
-	queue   []queued
+	queue   sim.FIFO[queued]
 	current [atm.CellBytes]byte
 	pos     int
 	active  bool
@@ -72,7 +73,7 @@ func (w *CellPortWriter) Enqueue(c *atm.Cell) {
 // EnqueueTraced is Enqueue for a cell carrying causal trace ID trace (0:
 // untraced); OnCellStart reports the ID when the cell commits.
 func (w *CellPortWriter) EnqueueTraced(c *atm.Cell, trace uint64) {
-	w.queue = append(w.queue, queued{img: c.Marshal(), trace: trace})
+	w.queue.Push(queued{img: c.Marshal(), trace: trace})
 	w.proc.Wake()
 }
 
@@ -80,23 +81,22 @@ func (w *CellPortWriter) EnqueueTraced(c *atm.Cell, trace uint64) {
 // deliberately invalid images (bad HEC) — the path conformance test
 // vectors take to the device.
 func (w *CellPortWriter) EnqueueRaw(img [atm.CellBytes]byte) {
-	w.queue = append(w.queue, queued{img: img})
+	w.queue.Push(queued{img: img})
 	w.proc.Wake()
 }
 
 // Backlog returns the number of cells waiting (excluding the one in
 // flight).
-func (w *CellPortWriter) Backlog() int { return len(w.queue) }
+func (w *CellPortWriter) Backlog() int { return w.queue.Len() }
 
 // Busy reports whether a cell is currently being transmitted.
 func (w *CellPortWriter) Busy() bool { return w.active }
 
 func (w *CellPortWriter) tick() {
 	if !w.active {
-		if len(w.queue) > 0 {
-			q := w.queue[0]
+		if w.queue.Len() > 0 {
+			q := w.queue.Pop()
 			w.current = q.img
-			w.queue = w.queue[1:]
 			w.active = true
 			w.pos = 0
 			if q.trace != 0 && w.OnCellStart != nil {
