@@ -61,11 +61,13 @@ crash-resume-smoke:
 explore-smoke:
 	sh scripts/explore_smoke.sh
 
-# Kernel-equivalence smoke: the compiled bit-parallel fast path must be
-# observably identical to the plain event kernel — same VCD bytes, same
+# Kernel-equivalence smoke: the packed data plane must be observably
+# identical to the plain nine-value event kernel — same VCD bytes, same
 # event/run/delta/time-point counters, same coverage and profile — on the
-# pinned property-test seeds and on the full rig workloads, under the
-# race detector. The same run checks rising-edge processes against their
+# pinned property-test seeds, on X/Z/weak values crossing a signal's
+# packed/nine-value boundary and on the full rig workloads, under the
+# race detector, and every simulator must reach the packed plane at its
+# first run. The same run checks rising-edge processes against their
 # guarded level-process definition, parked processes against
 # never-parking twins at every wake position, idle-clock elision against
 # Step loops, cycle stepping against plain dispatch, and absorbed
@@ -73,7 +75,7 @@ explore-smoke:
 # hdl property tests at their pinned seeds; the nightly fuzz run explores
 # beyond them.
 kernel-diff-smoke:
-	$(GO) test -race -count=1 -short -run 'KernelEquivalence|EdgeSensitivity|ParkWake|Elide|CycleStep|Absorb' -v ./internal/hdl/ ./internal/coverify/
+	$(GO) test -race -count=1 -short -run 'KernelEquivalence|EdgeSensitivity|ParkWake|Elide|CycleStep|Absorb|Purity|FirstRunCompiles' -v ./internal/hdl/ ./internal/coverify/
 
 # Rig smoke, on one binary built once: the reference campaigns must meet
 # the per-group coverage floors committed in COVER_FLOOR.json (the

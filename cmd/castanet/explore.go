@@ -27,7 +27,6 @@ type exploreOpts struct {
 	trace      string
 	serve      string
 	traceCells int
-	noCompiled bool
 
 	supervision
 	digest string
@@ -59,8 +58,7 @@ func runExplore(o exploreOpts) int {
 		obsRun = obs.NewRun(obs.DefaultTraceCap)
 	}
 	spec := explore.Spec{
-		Space: explore.NewSwitchSpace(experiments.CampaignConfig{
-			TraceEvery: o.traceCells, NoCompiled: o.noCompiled}),
+		Space:           explore.NewSwitchSpace(experiments.CampaignConfig{TraceEvery: o.traceCells}),
 		Seed:            o.seed,
 		Generations:     o.generations,
 		Population:      o.population,

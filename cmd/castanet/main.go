@@ -28,12 +28,10 @@
 // Every rig's coupling carries the messages of one δ-window as one unit:
 // one frame and one round trip per processing window.
 //
-// Every HDL kernel runs on the compiled bit-parallel two-state fast path
-// (DESIGN.md §18); -no-compiled falls back to the plain event-driven
-// kernel. The two modes are observably
-// equivalent — same events, deltas, waveforms, coverage and profile — so
-// the switch exists for A/B speed measurement and for bisecting a
-// suspected fast-path defect, not for correctness.
+// Every HDL kernel runs on the packed two-state data plane (DESIGN.md
+// §18), which the kernel-equivalence tests hold observably identical to
+// the plain nine-value event kernel — same events, deltas, waveforms,
+// coverage and profile.
 //
 // With -campaign, instead of a single experiment the named verification
 // campaign fans -runs seed-derived runs across -shards workers and prints
@@ -134,20 +132,19 @@ func main() {
 
 func run() int {
 	var (
-		exp        = flag.String("experiment", "all", "experiment to run: e1..e8 or all")
-		cells      = flag.Uint64("cells", 2000, "total cells for throughput experiments (paper: 10000)")
-		seed       = flag.Uint64("seed", 1, "master random seed")
-		metrics    = flag.String("metrics", "", "write run metrics (plain-text exposition) to this file")
-		trace      = flag.String("trace", "", "write Chrome trace-event JSON to this file")
-		pprof      = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		serve      = flag.String("serve", "", "serve live telemetry on this address: /metrics (Prometheus), /healthz, /snapshot")
-		traceN     = flag.Int("trace-cells", 1, "causal cell tracing sample: trace every Nth cell (1 = all, 0 = off)")
-		camp       = flag.String("campaign", "", "run a verification campaign instead of an experiment: "+experiments.CampaignNames())
-		runs       = flag.Int("runs", 256, "campaign: total runs in the matrix")
-		shards     = flag.Int("shards", 0, "campaign: worker shards (0 = GOMAXPROCS)")
-		replay     = flag.Int64("replay", -1, "campaign: replay this single run index from a failure digest")
-		failfast   = flag.Bool("failfast", false, "campaign: cancel remaining runs after the first failure")
-		noCompiled = flag.Bool("no-compiled", false, "run HDL kernels on the plain event-driven kernel instead of the compiled fast path (DESIGN.md §18)")
+		exp      = flag.String("experiment", "all", "experiment to run: e1..e8 or all")
+		cells    = flag.Uint64("cells", 2000, "total cells for throughput experiments (paper: 10000)")
+		seed     = flag.Uint64("seed", 1, "master random seed")
+		metrics  = flag.String("metrics", "", "write run metrics (plain-text exposition) to this file")
+		trace    = flag.String("trace", "", "write Chrome trace-event JSON to this file")
+		pprof    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+		serve    = flag.String("serve", "", "serve live telemetry on this address: /metrics (Prometheus), /healthz, /snapshot")
+		traceN   = flag.Int("trace-cells", 1, "causal cell tracing sample: trace every Nth cell (1 = all, 0 = off)")
+		camp     = flag.String("campaign", "", "run a verification campaign instead of an experiment: "+experiments.CampaignNames())
+		runs     = flag.Int("runs", 256, "campaign: total runs in the matrix")
+		shards   = flag.Int("shards", 0, "campaign: worker shards (0 = GOMAXPROCS)")
+		replay   = flag.Int64("replay", -1, "campaign: replay this single run index from a failure digest")
+		failfast = flag.Bool("failfast", false, "campaign: cancel remaining runs after the first failure")
 
 		runTimeout = flag.Duration("run-timeout", 0, "campaign: per-run wall-clock deadline (0 = none); a hung run fails with a typed timeout")
 		retries    = flag.Int("retries", 0, "campaign: retry budget per run for retryable infrastructure failures")
@@ -193,7 +190,6 @@ func run() int {
 			shards: *shards, seed: *seed, target: *coverTarget,
 			replay:  *replay,
 			metrics: *metrics, trace: *trace, serve: *serve, traceCells: *traceN,
-			noCompiled:  *noCompiled,
 			supervision: sup, digest: *digest,
 		})
 	}
@@ -202,7 +198,6 @@ func run() int {
 			name: *camp, runs: *runs, shards: *shards, seed: *seed,
 			replay: *replay, failfast: *failfast,
 			metrics: *metrics, trace: *trace, serve: *serve, traceCells: *traceN,
-			noCompiled:  *noCompiled,
 			supervision: sup, digest: *digest,
 			coverage: *coverage || *coverFloor != "", coverFloor: *coverFloor,
 			profile: profiling, profileOut: *profileOut,
@@ -246,7 +241,7 @@ func run() int {
 			run.Profile = obs.NewRunProfile()
 		}
 	}
-	factory := experiments.Factory{Obs: run, NoCompiled: *noCompiled}
+	factory := experiments.Factory{Obs: run}
 
 	var srv *obs.Server
 	if *serve != "" {
@@ -345,7 +340,6 @@ type campaignOpts struct {
 	trace      string
 	serve      string
 	traceCells int
-	noCompiled bool
 
 	supervision
 	digest     string
@@ -384,7 +378,7 @@ func (s supervision) policy() (campaign.Policy, error) {
 // runCampaign executes (or replays one run of) a named campaign matrix.
 func runCampaign(o campaignOpts) int {
 	matrix, err := experiments.CampaignMatrixCfg(o.name,
-		experiments.CampaignConfig{TraceEvery: o.traceCells, NoCompiled: o.noCompiled})
+		experiments.CampaignConfig{TraceEvery: o.traceCells})
 	if err != nil {
 		return badFlags("unknown campaign %q (valid: %s)", o.name, experiments.CampaignNames())
 	}

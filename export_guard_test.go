@@ -28,6 +28,9 @@ var exportAllowlist = map[string]string{
 	"internal/hdl.(*Simulator).Step": "one instant that never elides or folds; the bounded runs " +
 		"execute instants through the internal step, and the hdl, obs and campaign tests and " +
 		"the obs overhead benchmarks (BENCH_obs.json) step the kernel with it",
+	"internal/hdl.UseNineValuePlane": "the test seam onto the nine-value reference plane; the " +
+		"coverify kernel-equivalence tests, the explorer's cross-plane digest test and the " +
+		"compiled-kernel benchmark (BENCH_coupling.json) run rigs on both planes with it",
 }
 
 // TestExportedHaveProductionCallers: every exported func, method, type

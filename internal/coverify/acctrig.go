@@ -31,9 +31,6 @@ type AcctRigConfig struct {
 	// Sources describes the traffic: per entry a model, a VC index into
 	// VCs (or -1 for an unregistered connection) and a cell budget.
 	Sources []AcctSource
-	// NoCompiled opts out of the compiled bit-parallel data plane (see
-	// SwitchRigConfig.NoCompiled).
-	NoCompiled bool
 	// Run is the observation handle (see SwitchRigConfig.Run). Its Cover
 	// also receives the metering event bins under "coverify.acct", folded
 	// once from the hardware's end-of-run counters.
@@ -76,7 +73,7 @@ func NewAcctRig(cfg AcctRigConfig) *AcctRig {
 		"metered", "clp1", "unregistered", "exception")
 
 	r.kernel(SwitchRigConfig{
-		Seed: cfg.Seed, Delta: 64 * clockPeriod, SyncEvery: syncEvery, NoCompiled: cfg.NoCompiled, Run: cfg.Run,
+		Seed: cfg.Seed, Delta: 64 * clockPeriod, SyncEvery: syncEvery, Run: cfg.Run,
 	})
 	// The accounting rig's coverage was recorded with the final window's
 	// synchronization lag counted.
@@ -125,7 +122,6 @@ func NewAcctRig(cfg AcctRigConfig) *AcctRig {
 			return r.newCell(ctx, vc, s.CLP1)
 		}, r.refNode, 0, 0)
 	}
-	r.compile()
 	return r
 }
 

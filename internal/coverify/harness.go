@@ -37,7 +37,7 @@ const (
 // DUT, its reference model and comparator, and how it builds cells from
 // its traffic; see DESIGN.md §20.
 //
-// The kernel half (kernel, entity, writer, reader, compile) serves the
+// The kernel half (kernel, entity, writer, reader) serves the
 // HDL rigs, the network half (network, attach, feed, drive) the rigs with
 // a test bench in the network simulator. The calls elaborate in the order
 // a rig makes them, so each rig keeps its signal, process and node order.
@@ -160,14 +160,6 @@ func (h *Harness) reader(name string, p int, out dut.CellPort) {
 		}
 	}
 	h.registry.Register(KindCellOut(p), mapping.CellCodec{})
-}
-
-// compile moves the kernel onto the compiled bit-parallel data plane
-// unless NoCompiled keeps it on the event kernel (DESIGN.md §18).
-func (h *Harness) compile() {
-	if !h.cfg.NoCompiled {
-		h.HDL.MustCompile()
-	}
 }
 
 // couple connects the interface process to the entity: direct calls, or

@@ -312,7 +312,7 @@ func campaign16Kernel(t *testing.T) (cells, points, elided uint64) {
 // than the kernel counts. Cycle stepping must execute at least 1.8× fewer
 // time points than elision alone leaves (TimePoints − ElidedEdges), so at
 // least 1.8× fewer than the kernel counts, on the E1 switch rig and on the
-// RTL rig. The compiled kernel must absorb at least 140 zero-delay
+// RTL rig. The packed data plane must absorb at least 140 zero-delay
 // assignments per cell on the E1 switch rig and 180 on the RTL rig, read
 // from hdl.sim.absorbed_assignments (167.8 and 218.4 when the floor was
 // set). It reads the fixed baseline under -record-parity too.

@@ -45,9 +45,6 @@ type PolicerRigConfig struct {
 	Tag       bool // tag instead of discard
 	Contracts []PolicerContract
 	Sources   []PolicerSource
-	// NoCompiled opts out of the compiled bit-parallel data plane (see
-	// SwitchRigConfig.NoCompiled).
-	NoCompiled bool
 	// Run is the observation handle (see SwitchRigConfig.Run). Its Cover
 	// also receives the UPC action bins under "coverify.policer", folded
 	// once from the DUT's end-of-run counters.
@@ -87,7 +84,7 @@ func NewPolicerRig(cfg PolicerRigConfig) *PolicerRig {
 		"conforming", "nonconforming", "tagged", "discarded")
 
 	r.kernel(SwitchRigConfig{
-		Seed: cfg.Seed, SyncEvery: syncEvery, NoCompiled: cfg.NoCompiled, Run: cfg.Run,
+		Seed: cfg.Seed, SyncEvery: syncEvery, Run: cfg.Run,
 		// UPC hardware is timing-sensitive: its conformance decisions
 		// depend on exact cell spacing. A large processing window δ would
 		// let the hardware clock overrun later cells' time stamps,
@@ -130,7 +127,6 @@ func NewPolicerRig(cfg PolicerRigConfig) *PolicerRig {
 			func(ctx *netsim.Ctx, k uint64) *atm.Cell { return r.newCell(ctx, s.VC, 0) },
 			lineNode, i, 0)
 	}
-	r.compile()
 	return r
 }
 

@@ -70,7 +70,6 @@ func NewRTLRig(cfg SwitchRigConfig) *RTLRig {
 		r.Gens[p] = rtltb.NewGenerator(r.HDL, fmt.Sprintf("gen%d", p), r.clk,
 			r.DUT.In[p].Data, r.DUT.In[p].Sync, vectors)
 	}
-	r.compile()
 	return r
 }
 

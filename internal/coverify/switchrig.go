@@ -77,11 +77,6 @@ type SwitchRigConfig struct {
 	//
 	// Deprecated: ignored.
 	Batch bool
-	// NoCompiled keeps the HDL simulator on the plain nine-value event
-	// kernel instead of the compiled bit-parallel data plane (hdl.Compile,
-	// DESIGN.md §18). Observables are byte-identical either way — the flag
-	// exists for differential testing and as the -no-compiled opt-out.
-	NoCompiled bool
 	// Waveforms, when non-nil, receives a VCD dump of the DUT's external
 	// ports — the HDL-side waveform debugging window of Fig. 2.
 	Waveforms io.Writer
@@ -234,7 +229,6 @@ func NewSwitchRig(cfg SwitchRigConfig) *SwitchRig {
 			return c
 		}, refNode, p, p)
 	}
-	r.compile()
 	return r
 }
 

@@ -32,12 +32,6 @@ type CampaignConfig struct {
 	// tracing). Campaign runs are small, so full tracing is the default;
 	// raise it for full-rate soak campaigns.
 	TraceEvery int
-	// NoCompiled elaborates every run's HDL kernel on the plain
-	// event-driven data plane instead of the compiled fast path
-	// (hdl.Compile, DESIGN.md §18) — the castanet -no-compiled escape
-	// hatch, threaded here so campaigns bisect the same way experiments
-	// do.
-	NoCompiled bool
 }
 
 // DefaultCampaignConfig traces every cell — see CampaignConfig.
@@ -55,14 +49,10 @@ func (cfg CampaignConfig) handle(r *campaign.Run) obs.Run {
 }
 
 // SwitchRigConfig is the per-run switch rig configuration of every
-// campaign run and every explored scenario: the kernel choice, the run's
-// observation handle and its supervision deadline. Every run that
-// elaborates an HDL kernel reports it to result collectors: its
-// Result.Value is whether the kernel ran compiled
-// (r.SetValue(rig.HDL.Compiled())). Table-fault runs elaborate the board
-// instead and report whether their planted fault was detected.
+// campaign run and every explored scenario: the run's observation handle
+// and its supervision deadline.
 func (cfg CampaignConfig) SwitchRigConfig(r *campaign.Run) coverify.SwitchRigConfig {
-	return coverify.SwitchRigConfig{Run: cfg.handle(r), NoCompiled: cfg.NoCompiled, Deadline: r.Deadline}
+	return coverify.SwitchRigConfig{Run: cfg.handle(r), Deadline: r.Deadline}
 }
 
 // campaignMatrices maps campaign names to their matrix builders.
@@ -133,7 +123,6 @@ func switchCells(ccfg CampaignConfig) []campaign.Cell {
 		cfg := ccfg.SwitchRigConfig(r)
 		cfg.Seed, cfg.Traffic = rng.Uint64(), tr
 		rig := coverify.NewSwitchRig(cfg)
-		r.SetValue(rig.HDL.Compiled())
 		if err := rig.Run(horizon); err != nil {
 			return campaign.Detailed(err, rig.FailureDigest())
 		}
@@ -195,7 +184,6 @@ func faultRun(ccfg CampaignConfig, profile *LinkFaultProfile) campaign.RunFunc {
 		cfg.Seed, cfg.Traffic = rng.Uint64(), tr
 		RemoteLink(&cfg, profile, rng)
 		rig := coverify.NewSwitchRig(cfg)
-		r.SetValue(rig.HDL.Compiled())
 		if done, err := RunLink(ctx, rig, horizon, profile); done {
 			return err
 		}
@@ -348,7 +336,7 @@ func policerCells(ccfg CampaignConfig) []campaign.Cell {
 		cells := uint64(30 + rng.Intn(31))
 		vc := atm.VC{VPI: 1, VCI: 10}
 		rig := coverify.NewPolicerRig(coverify.PolicerRigConfig{
-			Seed: rng.Uint64(), Run: ccfg.handle(r), NoCompiled: ccfg.NoCompiled,
+			Seed: rng.Uint64(), Run: ccfg.handle(r),
 			Contracts: []coverify.PolicerContract{
 				{VC: vc, PeakInterval: sim.FromSeconds(1 / contractRate), Tau: 2 * sim.Microsecond},
 			},
@@ -356,7 +344,6 @@ func policerCells(ccfg CampaignConfig) []campaign.Cell {
 				{Model: traffic.NewPoisson(contractRate * ratio), VC: vc, Cells: cells},
 			},
 		})
-		r.SetValue(rig.HDL.Compiled())
 		horizon := sim.FromSeconds(float64(cells)/(contractRate*ratio)) + sim.Millisecond
 		if err := rig.Run(horizon); err != nil {
 			return err
@@ -379,7 +366,7 @@ func acctCells(ccfg CampaignConfig) []campaign.Cell {
 		rng := r.RNG()
 		vcs := []atm.VC{{VPI: 1, VCI: 10}, {VPI: 2, VCI: 20}}
 		cfg := coverify.AcctRigConfig{
-			Seed: rng.Uint64(), Run: ccfg.handle(r), NoCompiled: ccfg.NoCompiled,
+			Seed: rng.Uint64(), Run: ccfg.handle(r),
 			VCs:    vcs,
 			Tariff: atm.Tariff{CellsPerUnit: 10},
 			Sources: []coverify.AcctSource{
@@ -388,7 +375,6 @@ func acctCells(ccfg CampaignConfig) []campaign.Cell {
 			},
 		}
 		rig := coverify.NewAcctRig(cfg)
-		r.SetValue(rig.HDL.Compiled())
 		suite := conformanceSuite(vcs[0])
 		at := sim.Microsecond
 		for i := range suite.Vectors {

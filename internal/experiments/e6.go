@@ -88,16 +88,15 @@ func (f Factory) E6(cells uint64, seed uint64) E6Result {
 			eventDone[c.Seq] = int(h.RisingEdges(clk)) - 1
 		}
 	}
-	if !f.NoCompiled {
-		h.MustCompile()
-	}
 	horizon := sim.Duration(totalCycles+20*53) * period
 	start := time.Now()
 	if err := h.Run(horizon); err != nil {
 		panic(err)
 	}
 	res.EventWall = time.Since(start)
-	res.EventCPS = float64(h.Now()/period) / res.EventWall.Seconds()
+	cycles := float64(h.Now() / period)
+	res.EventCPS = cycles / res.EventWall.Seconds()
+	res.KernelWork = float64(h.ProcessRuns()+h.Events()) / cycles
 	res.EventCells = uint64(len(eventGot))
 
 	// Cycle-based engine, same stimulus timing.

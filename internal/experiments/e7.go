@@ -46,8 +46,7 @@ func (f Factory) E7(cellsPerPoint uint64, seed uint64) E7Result {
 			Sources: []coverify.PolicerSource{
 				{Model: traffic.NewPoisson(contractRate * ratio), VC: vc, Cells: cellsPerPoint},
 			},
-			Run:        f.handle(),
-			NoCompiled: f.NoCompiled,
+			Run: f.handle(),
 		})
 		horizon := sim.FromSeconds(float64(cellsPerPoint)/(contractRate*ratio)) + sim.Millisecond
 		if err := rig.Run(horizon); err != nil {

@@ -38,7 +38,7 @@ type E8Result struct {
 // input ports — on GOMAXPROCS shards. A dirty golden run panics with the
 // campaign digest; the runs' coverage lands in the factory's cover sink.
 func (f Factory) E8(seed uint64) E8Result {
-	matrix := tableFaultCells(CampaignConfig{NoCompiled: f.NoCompiled})
+	matrix := tableFaultCells(CampaignConfig{})
 	cover := f.Obs.CoverReg()
 	sum, err := campaign.Execute(context.Background(), campaign.Spec{
 		Name: "tablefaults", Seed: seed, Runs: len(matrix), Matrix: matrix, Coverage: cover != nil,

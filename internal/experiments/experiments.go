@@ -27,18 +27,12 @@ import (
 )
 
 // Factory builds experiment harnesses against an explicit observability
-// sink and kernel choice; it is the one way to run E1–E8 (castanet builds
-// one from its flags), so the package holds no mutable state. Concurrent
-// callers may share one sink — obs handles are concurrency-safe. A zero
-// Factory (nil Obs, compiled kernel) elaborates uninstrumented rigs.
+// sink; it is the one way to run E1–E8 (castanet builds one from its
+// flags), so the package holds no mutable state. Concurrent callers may
+// share one sink — obs handles are concurrency-safe. A zero Factory (nil
+// Obs) elaborates uninstrumented rigs.
 type Factory struct {
 	Obs *obs.Run
-	// NoCompiled elaborates every HDL kernel the factory builds on the
-	// plain event-driven data plane instead of the compiled bit-parallel
-	// fast path (hdl.Compile, DESIGN.md §18) — the castanet -no-compiled
-	// escape hatch. The two modes are observably equivalent; this exists
-	// for measuring the fast path's contribution and for bisecting.
-	NoCompiled bool
 }
 
 // handle returns the observation handle every rig the factory builds
@@ -118,7 +112,7 @@ func (r E1Result) PerCell(n uint64) float64 {
 func (f Factory) E1(cells uint64, seed uint64) E1Result {
 	const load = 0.8
 	r := E1Result{Cells: cells}
-	cfg := coverify.SwitchRigConfig{Seed: seed, Traffic: loadTraffic(cells, load), Run: f.handle(), NoCompiled: f.NoCompiled}
+	cfg := coverify.SwitchRigConfig{Seed: seed, Traffic: loadTraffic(cells, load), Run: f.handle()}
 
 	co := coverify.NewSwitchRig(cfg)
 	start := time.Now()
@@ -197,12 +191,11 @@ func (f Factory) E2(cells uint64, seed uint64) E2Result {
 	period := 50 * sim.Nanosecond
 	run := func(deltaCycles int, syncEvery sim.Duration, lockstep bool) {
 		cfg := coverify.SwitchRigConfig{
-			Seed:       seed,
-			Traffic:    loadTraffic(cells, load),
-			Delta:      sim.Duration(deltaCycles) * period,
-			SyncEvery:  syncEvery,
-			Run:        f.handle(),
-			NoCompiled: f.NoCompiled,
+			Seed:      seed,
+			Traffic:   loadTraffic(cells, load),
+			Delta:     sim.Duration(deltaCycles) * period,
+			SyncEvery: syncEvery,
+			Run:       f.handle(),
 		}
 		rig := coverify.NewSwitchRig(cfg)
 		start := time.Now()
@@ -276,7 +269,7 @@ type E3Result struct {
 // cycles, plus idle periods).
 func (f Factory) E3(cells uint64, seed uint64) E3Result {
 	const load = 0.25 // realistic partially-loaded line: idle slots between cells
-	cfg := coverify.SwitchRigConfig{Seed: seed, Traffic: loadTraffic(cells, load), Run: f.handle(), NoCompiled: f.NoCompiled}
+	cfg := coverify.SwitchRigConfig{Seed: seed, Traffic: loadTraffic(cells, load), Run: f.handle()}
 	rig := coverify.NewSwitchRig(cfg)
 	if err := rig.Run(horizonFor(cells/dut.SwitchPorts, load)); err != nil {
 		panic(err)
@@ -336,7 +329,7 @@ func (f Factory) E4(cells uint64, seed uint64) E4Result {
 	const load = 0.6
 	res := E4Result{Cells: cells}
 	for _, depth := range []int{128, 512, 2048, 8192, 32768} {
-		cfg := coverify.SwitchRigConfig{Seed: seed, Traffic: loadTraffic(cells, load), Run: f.handle(), NoCompiled: f.NoCompiled}
+		cfg := coverify.SwitchRigConfig{Seed: seed, Traffic: loadTraffic(cells, load), Run: f.handle()}
 		rig, err := coverify.NewBoardRig(cfg, depth)
 		if err != nil {
 			panic(err)
@@ -385,11 +378,10 @@ type E5Result struct {
 func (f Factory) E5(seed uint64) E5Result {
 	vcs := []atm.VC{{VPI: 1, VCI: 10}, {VPI: 1, VCI: 11}, {VPI: 2, VCI: 20}, {VPI: 3, VCI: 30}}
 	cfg := coverify.AcctRigConfig{
-		Seed:       seed,
-		VCs:        vcs,
-		Tariff:     atm.Tariff{CellsPerUnit: 25},
-		Run:        f.handle(),
-		NoCompiled: f.NoCompiled,
+		Seed:   seed,
+		VCs:    vcs,
+		Tariff: atm.Tariff{CellsPerUnit: 25},
+		Run:    f.handle(),
 		Sources: []coverify.AcctSource{
 			{Model: traffic.NewCBR(100e3), VC: 0, Cells: 400},
 			{Model: traffic.NewPoisson(80e3), VC: 1, Cells: 300, CLP1: 0.4},
@@ -461,6 +453,11 @@ type E6Result struct {
 	// legs delivered shows that same latency (not printed).
 	Latency      int
 	LatencyConst bool
+	// KernelWork is the RTL leg's executed kernel work per simulated
+	// clock cycle — process runs plus signal events — against the twin's
+	// one Tick per cycle: the deterministic side of the speedup (not
+	// printed).
+	KernelWork float64
 }
 
 // String formats the E6 report.

@@ -165,9 +165,13 @@ func TestE6Shape(t *testing.T) {
 	if !r.LatencyConst || r.Latency != 18 {
 		t.Errorf("RTL-twin latency %d cycles (same for every cell: %v), want 18 for every cell", r.Latency, r.LatencyConst)
 	}
-	// Cycle-based must be clearly faster (paper's conclusion).
-	if r.Speedup < 2 {
-		t.Errorf("cycle-based speedup = %.1fx, want >= 2\n%s", r.Speedup, r)
+	// Cycle-based must be clearly faster (paper's conclusion), judged on
+	// executed work rather than a wall clock: per simulated cycle the RTL
+	// leg runs process bodies and commits signal events, the twin one
+	// Tick. 15.9 was measured here (seed 1, 200 cells); a kernel change
+	// that takes it below 15 changes the claim's basis and must say so.
+	if r.KernelWork < 15 {
+		t.Errorf("RTL leg executes %.2f process runs + signal events per cycle, want >= 15 against the twin's one Tick\n%s", r.KernelWork, r)
 	}
 }
 

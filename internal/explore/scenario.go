@@ -309,7 +309,6 @@ func (s *SwitchSpace) runFunc(sc scenario) campaign.RunFunc {
 		}
 
 		rig := coverify.NewSwitchRig(cfg)
-		r.SetValue(rig.HDL.Compiled())
 		// Table faults poison the "silicon" only: the reference model
 		// keeps the intact table, so the comparator is the detector.
 		var plantedFault string

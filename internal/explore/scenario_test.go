@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"castanet/internal/experiments"
+	"castanet/internal/hdl"
 	"castanet/internal/sim"
 )
 
@@ -81,9 +82,10 @@ func TestSwitchSpaceMutateStaysInDomain(t *testing.T) {
 // TestSwitchSpaceExploreSmoke runs a tiny real exploration end to end,
 // twice, and demands completion, advancing coverage, zero verification
 // failures at this pinned seed, and a byte-identical digest. The second
-// run elaborates every rig on the plain event-driven kernel: the two
-// kernels are observably equivalent (DESIGN.md §18), so -no-compiled must
-// not move a digest byte.
+// run executes every rig on the plain nine-value event kernel
+// (hdl.UseNineValuePlane): the two data planes are observably equivalent
+// (DESIGN.md §18), so the plane must not move a digest byte. The seam is
+// process-wide, so this test must not run in parallel.
 func TestSwitchSpaceExploreSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full co-verification rigs in -short mode")
@@ -95,8 +97,8 @@ func TestSwitchSpaceExploreSmoke(t *testing.T) {
 		Population:  3,
 		Shards:      2,
 	}
-	run := func(noCompiled bool) *Result {
-		spec.Space = NewSwitchSpace(experiments.CampaignConfig{NoCompiled: noCompiled})
+	run := func(nine bool) *Result {
+		defer hdl.UseNineValuePlane(nine)()
 		return mustExplore(t, spec)
 	}
 	res := run(false)
@@ -111,6 +113,6 @@ func TestSwitchSpaceExploreSmoke(t *testing.T) {
 		t.Fatalf("pinned-seed exploration found %d failures:\n%s", res.FailTotal, res.Digest())
 	}
 	if got := run(true).Digest(); got != res.Digest() {
-		t.Errorf("switch-space digest differs under NoCompiled:\n--- no-compiled\n%s\n--- compiled\n%s", got, res.Digest())
+		t.Errorf("switch-space digest differs between the planes:\n--- nine-value\n%s\n--- packed\n%s", got, res.Digest())
 	}
 }

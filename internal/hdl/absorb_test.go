@@ -8,11 +8,11 @@ import (
 	"castanet/internal/sim"
 )
 
-// TestAbsorbedReassertion pins the absorption rule of the compiled kernel
-// (Driver.setPacked) against the event kernel. Each case settles a small
+// TestAbsorbedReassertion pins the absorption rule of the packed plane
+// (Driver.setPacked) against the nine-value event kernel. Each case settles a small
 // design, makes one set of zero-delay assignments between Steps and runs
 // the instant they fall in. A delta whose only assignments leave their
-// driver as it is queues nothing on the compiled kernel, yet keeps its
+// driver as it is queues nothing on the packed plane, yet keeps its
 // delta count, stamp and time point; an assignment that changes its
 // driver's contribution is queued, even where the signal's value already
 // matches it, and so is a re-assertion while a delayed assignment is
@@ -27,7 +27,7 @@ func TestAbsorbedReassertion(t *testing.T) {
 		name     string
 		bus      bool // sig has a second driver, parked at Z
 		act      func(d design)
-		queued   bool // the compiled kernel queues a ring entry
+		queued   bool // the packed plane queues a ring entry
 		absorbed uint64
 	}{
 		{"reassert", false, func(d design) { d.a.SetUint(5) }, false, 1},
@@ -54,9 +54,7 @@ func TestAbsorbedReassertion(t *testing.T) {
 					d.b = d.sig.Driver("b")
 					d.b.SetZ()
 				}
-				if compiled {
-					s.MustCompile()
-				}
+				s.nine = !compiled
 				settle := func() {
 					for {
 						if ok, err := s.Step(); err != nil {

@@ -1,13 +1,12 @@
 package hdl
 
-// Bit-packed two-state values: the data plane of the compiled fast path
-// (DESIGN.md §18). A logic vector whose bits are all forcing 0/1 is stored
-// as one uint64 word, bit i of the word mirroring bit i of the vector
-// (index 0 = least significant, matching LV). The independent std_logic
-// bits of a bus are thereby packed into one machine word, so a bitwise
-// AND/OR/XOR/NOT over a 64-bit-wide signal costs one ALU operation instead
-// of 64 nine-value table lookups — the CCSS-style bit-parallel evaluation
-// the compiled plan runs while a region is two-state pure.
+// Bit-packed two-state values: the packed data plane (DESIGN.md §18). A
+// logic vector whose bits are all forcing 0/1 is stored as one uint64
+// word, bit i of the word mirroring bit i of the vector (index 0 = least
+// significant, matching LV). The independent std_logic bits of a bus are
+// thereby packed into one machine word, so assigning, comparing and
+// resolving a two-state value of up to 64 bits is a word operation
+// instead of a walk over nine-value vectors.
 //
 // Packing is strictly a mirror: the nine-value LV representation remains
 // the source of truth for any value containing U/X/Z/weak/don't-care bits,
@@ -58,27 +57,4 @@ func fromPacked(word uint64, width int) LV {
 	v := make(LV, width)
 	unpackInto(v, word)
 	return v
-}
-
-// packedGate evaluates one gate operation bit-parallel over packed words,
-// folding left over the inputs the way the nine-value LV operations fold.
-// The result is masked to the gate width, so inverting operations do not
-// leak bits above the vector.
-func packedGate(op GateOp, ins []uint64, mask uint64) uint64 {
-	acc := ins[0]
-	for _, w := range ins[1:] {
-		switch op {
-		case GateAnd, GateNand:
-			acc &= w
-		case GateOr, GateNor:
-			acc |= w
-		case GateXor, GateXnor:
-			acc ^= w
-		}
-	}
-	switch op {
-	case GateNot, GateNand, GateNor, GateXnor:
-		acc = ^acc
-	}
-	return acc & mask
 }

@@ -17,19 +17,18 @@ import "math/bits"
 
 // rederive recomputes the verdict of the kernel clock driving g, if any:
 // the clock is eligible when every watcher of g is a Clocked process, no
-// process wakes on g, no compiled gate reads g, the generator is its only
-// driver and its half period is positive. It also rebuilds the awake mask
-// from the watchers' slots and parking state, which Clocked, Park and
-// Wake keep current from then on. Process, WakeOn, Driver, Compile and
-// Clock call it; Clocked only adds its new watcher, which leaves the
-// verdict as it is. The mask is reused: it grows only when the watchers
-// outgrow it.
+// process wakes on g, the generator is its only driver and its half
+// period is positive. It also rebuilds the awake mask from the watchers'
+// slots and parking state, which Clocked, Park and Wake keep current from
+// then on. Process, WakeOn, Driver and Clock call it; Clocked only adds
+// its new watcher, which leaves the verdict as it is. The mask is reused:
+// it grows only when the watchers outgrow it.
 func (g *Signal) rederive() {
 	c := g.clk
 	if c == nil {
 		return
 	}
-	c.eligible = !g.sim.plain && c.half > 0 && len(g.wakers) == 0 && len(g.gwatch) == 0 && len(g.drivers) == 1
+	c.eligible = !g.sim.plain && c.half > 0 && len(g.wakers) == 0 && len(g.drivers) == 1
 	c.cover(len(g.watchers))
 	clear(c.awake)
 	for i, p := range g.watchers {

@@ -30,7 +30,7 @@ const (
 	// included.
 	cycleVCD cycleMode = iota
 	// cycleQuiet leaves clk without any OnChange callback, so on the
-	// compiled kernel its commits take the callback-free path; clk is
+	// packed plane its commits take the callback-free path; clk is
 	// checked through RisingEdges, the counters, the per-process runs and
 	// its final value.
 	cycleQuiet
@@ -44,8 +44,8 @@ const (
 // delta), with a level process on a stimulus input and stimulus scheduled
 // on rising and falling edges. Mid-run, some designs gain a level watcher
 // on the clock or a waker on it — which ends eligibility — and some gain a
-// clocked process registered after Compile, from a scheduled callback or
-// between two bounded runs.
+// clocked process registered after the first run, from a scheduled
+// callback or between two bounded runs.
 type cycleBench struct {
 	s      *Simulator
 	clk    *Signal
@@ -90,7 +90,7 @@ func newCycleBench(seed int64, compiled, plain bool, mode cycleMode) *cycleBench
 	if rng.Intn(2) == 0 {
 		a := b.ins[rng.Intn(nin)].Sig()
 		out := s.Signal("g0", a.Width(), U)
-		s.Gate("gate0", GateNot, out, a)
+		combProcess(s, "gate0", out, func() LV { return a.Val().Not() }, a)
 		b.sigs = append(b.sigs, out)
 	}
 	nproc := 2 + rng.Intn(4)
@@ -156,9 +156,7 @@ func newCycleBench(seed int64, compiled, plain bool, mode cycleMode) *cycleBench
 				fmt.Sprintf("%d@%d/%d %s->%s", now, s.DeltaCycles(), s.TimePoints(), old, new))
 		})
 	}
-	if compiled {
-		s.MustCompile()
-	}
+	s.nine = !compiled
 	return b
 }
 
@@ -404,9 +402,7 @@ func TestFoldedEdgesMetric(t *testing.T) {
 			at = append(at, s.Now())
 			d.SetUint(uint64(len(at)))
 		})
-		if compiled {
-			s.MustCompile()
-		}
+		s.nine = !compiled
 		if err := s.RunThrough(sim.Microsecond); err != nil {
 			t.Fatal(err)
 		}
@@ -479,9 +475,7 @@ func TestFoldReschedulesWithFreshSeq(t *testing.T) {
 			var order []string
 			s.Clocked("a", clk, func() { order = append(order, fmt.Sprintf("a@%d", s.Now())) })
 			s.Process("lvl", func() { order = append(order, fmt.Sprintf("lvl@%d", s.Now())) }, x)
-			if compiled {
-				s.MustCompile()
-			}
+			s.nine = !compiled
 			if err := s.RunThrough(5 * sim.Nanosecond); err != nil {
 				t.Fatal(err)
 			}
@@ -502,8 +496,7 @@ func TestFoldReschedulesWithFreshSeq(t *testing.T) {
 
 // The eligibility verdict and the unparked count follow every change of
 // the clock's observers: Clocked keeps it, a level watcher, a waker, a
-// second driver or a compiled gate ends it, and Park and Wake move the
-// count.
+// second driver ends it, and Park and Wake move the count.
 func TestClockEligibility(t *testing.T) {
 	for _, c := range []struct {
 		name     string
@@ -516,7 +509,6 @@ func TestClockEligibility(t *testing.T) {
 			s.Process("w", func() {}, s.Bit("x", L0)).WakeOn(clk)
 		}, false},
 		{"second driver", func(s *Simulator, clk *Signal) { clk.Driver("other") }, false},
-		{"compiled gate", func(s *Simulator, clk *Signal) { s.Gate("inv", GateNot, s.Bit("nclk", U), clk) }, false},
 	} {
 		s := New()
 		clk := s.Bit("clk", U)
@@ -524,7 +516,6 @@ func TestClockEligibility(t *testing.T) {
 		s.Clock(clk, cyclePeriod)
 		q := s.Clocked("q", clk, func() {})
 		c.build(s, clk)
-		s.MustCompile()
 		k := clk.clk
 		if k.eligible != c.eligible || len(k.awake) != 1 || k.awake[0] != 0b11 {
 			t.Errorf("%s: eligible=%v awake=%b, want %v and 11", c.name, k.eligible, k.awake, c.eligible)
@@ -559,9 +550,7 @@ func TestDirectDispatchLaterTrigger(t *testing.T) {
 				s.Clocked(name, clk, func() { order = append(order, fmt.Sprintf("%s@%d", name, s.Now())) })
 			}
 			s.Process("lvl", func() { order = append(order, fmt.Sprintf("lvl@%d", s.Now())) }, x)
-			if compiled {
-				s.MustCompile()
-			}
+			s.nine = !compiled
 			if err := s.RunThrough(10 * sim.Nanosecond); err != nil {
 				t.Fatal(err)
 			}
@@ -593,9 +582,7 @@ func TestDirectDispatchWatchersAtEdge(t *testing.T) {
 			s.Clock(clk, cyclePeriod)
 			var at []string
 			s.Clocked("a", clk, func() { at = append(at, fmt.Sprintf("a@%d", s.Now())) })
-			if compiled {
-				s.MustCompile()
-			}
+			s.nine = !compiled
 			if err := s.RunThrough(10 * sim.Nanosecond); err != nil {
 				t.Fatal(err)
 			}
@@ -621,7 +608,8 @@ func TestDirectDispatchWatchersAtEdge(t *testing.T) {
 // cycleSeeds returns differential-harness programs that exercise cycle
 // stepping: clocked processes on the clock with stimulus on falling edges
 // (op 9), and ones that gain a level watcher or a waker on the clock
-// (op 10) or a clocked process registered after Compile (op 11) mid-run.
+// (op 10) or a clocked process registered after the first run (op 11)
+// mid-run.
 // They seed the FuzzKernelEquivalence corpus.
 func cycleSeeds() [][]byte {
 	return [][]byte{
@@ -680,9 +668,7 @@ func TestSecondClockOnSignal(t *testing.T) {
 		var log []string
 		s.Process("p", func() { log = append(log, fmt.Sprintf("p@%d=%s", s.Now(), clk.Val())) }, clk)
 		clk.OnChange(func(now sim.Time, old, new LV) { log = append(log, fmt.Sprintf("%d %s->%s", now, old, new)) })
-		if compiled {
-			s.MustCompile()
-		}
+		s.nine = !compiled
 		if err := s.RunThrough(200 * sim.Nanosecond); err != nil {
 			t.Fatal(err)
 		}
@@ -701,15 +687,15 @@ func TestSecondClockOnSignal(t *testing.T) {
 }
 
 // Reading Prev after word-only commits materializes it into a vector of
-// its own. The clock's first compiled commit leaves prev on the vector its
-// driver assigned before Compile, a shared bitLV constant; unpacking into
-// that slice would turn the process-wide constant for '0' into '1'.
+// its own. The clock's first packed commit leaves prev on the vector its
+// driver assigned before the first run, a shared bitLV constant;
+// unpacking into that slice would turn the process-wide constant for '0'
+// into '1'.
 func TestPrevLeavesSharedVectors(t *testing.T) {
 	s := New()
 	clk := s.Bit("clk", U)
 	s.Clock(clk, cyclePeriod)
 	s.Clocked("p", clk, func() {})
-	s.MustCompile()
 	for i := 1; i <= 6; i++ {
 		at := sim.Time(i) * cyclePeriod / 2
 		if err := s.RunThrough(at); err != nil {

@@ -23,7 +23,7 @@ type clock struct {
 	awake    []uint64 // unparked Clocked watchers, a bit per slot in the signal's watchers
 	next     *clock   // a further generator on the signal; only the first is its clk
 	val      Logic
-	eligible bool // every watcher is Clocked; no waker, compiled gate or second driver
+	eligible bool // every watcher is Clocked; no waker or second driver
 }
 
 // Clock drives sig as a free-running clock with the given period and an
@@ -67,10 +67,10 @@ func (s *Simulator) RisingEdges(clk *Signal) uint64 {
 }
 
 // idle reports whether nothing observes the clock's edges: the clock is
-// eligible (every watcher is Clocked, no process wakes on it, no compiled
-// gate reads it, the generator is its only driver), every watcher is
-// parked, and its last event was a two-state toggle — so an even number
-// of further toggles leaves its value and prev exactly as they are.
+// eligible (every watcher is Clocked, no process wakes on it, the
+// generator is its only driver), every watcher is parked, and its last
+// event was a two-state toggle — so an even number of further toggles
+// leaves its value and prev exactly as they are.
 func (c *clock) idle() bool {
 	if !c.eligible {
 		return false

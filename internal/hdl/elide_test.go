@@ -21,7 +21,7 @@ const elidePeriod = 10 * sim.Nanosecond // edges every 5 ns, rising at 5, 15, 25
 
 // elideBench is a random design shaped so that elision happens: the clock's
 // only watchers are clocked processes that park at random and wake on
-// stimulus inputs, level processes and gates read only the inputs, and the
+// stimulus inputs, level and gate processes read only the inputs, and the
 // stimulus is sparse. Its runner drives it in bounded chunks and injects
 // wakes and stimulus between the calls, exactly at the bound, the way the
 // co-simulation entity applies messages between its runs.
@@ -51,7 +51,13 @@ func newElideBench(seed int64, compiled, withVCD bool) *elideBench {
 	for i, n := 0, rng.Intn(3); i < n; i++ {
 		a := b.ins[rng.Intn(nin)].Sig()
 		out := s.Signal(fmt.Sprintf("g%d", i), a.Width(), U)
-		s.Gate(fmt.Sprintf("gate%d", i), GateOp(rng.Intn(8)%2), out, a) // buf or not
+		inv := rng.Intn(8)%2 == 1
+		combProcess(s, fmt.Sprintf("gate%d", i), out, func() LV { // buf or not
+			if inv {
+				return a.Val().Not()
+			}
+			return a.Val()
+		}, a)
 		b.sigs = append(b.sigs, out)
 	}
 	for i, n := 0, 1+rng.Intn(5); i < n; i++ {
@@ -102,9 +108,7 @@ func newElideBench(seed int64, compiled, withVCD bool) *elideBench {
 				fmt.Sprintf("%d@%d/%d %s->%s", now, s.DeltaCycles(), s.TimePoints(), old, new))
 		})
 	}
-	if compiled {
-		s.MustCompile()
-	}
+	s.nine = !compiled
 	return b
 }
 
@@ -280,9 +284,7 @@ func newContractBench(compiled bool, build func(b *contractBench)) *contractBenc
 		b.p.Park()
 	})
 	build(b)
-	if compiled {
-		b.s.MustCompile()
-	}
+	b.s.nine = !compiled
 	return b
 }
 
@@ -355,9 +357,8 @@ func TestElideStopsAtEntryOnEdge(t *testing.T) {
 }
 
 // Anything else that observes the clock switches elision off: a level
-// process on it, a structural gate reading it (a compiled gate on the
-// compiled kernel), or a process woken by its events. The parked clocked
-// process alone elides.
+// process on it, a gate process driving its inverse, or a process woken
+// by its events. The parked clocked process alone elides.
 func TestElideOffWhenClockObserved(t *testing.T) {
 	run := func(b *contractBench) error { return b.s.RunThrough(sim.Microsecond) }
 	step := func(b *contractBench) error { return stepThrough(b.s, sim.Microsecond) }
@@ -372,7 +373,7 @@ func TestElideOffWhenClockObserved(t *testing.T) {
 			p = b.s.Process("lvl", func() { p.Park() }, b.clk)
 		}, false},
 		{"gate", func(b *contractBench) {
-			b.s.Gate("inv", GateNot, b.s.Bit("nclk", U), b.clk)
+			combProcess(b.s, "inv", b.s.Bit("nclk", U), func() LV { return b.clk.Val().Not() }, b.clk)
 		}, false},
 		{"waker", func(b *contractBench) {
 			x := b.s.Bit("x", L0)

@@ -10,17 +10,18 @@ import (
 	"castanet/internal/sim"
 )
 
-// This file is the compiled≡event-driven differential harness. A byte
-// program (random bytes are always a valid program) elaborates a netlist —
-// input signals, structural gates, clocked registers, clocked processes
-// that park and wake at random, multi-driver resolution, and a stimulus
-// script that injects two-state values as well as X/Z/weak/uninitialized
-// vectors and re-asserts values drivers already hold — onto a fresh
-// simulator. The same program runs once on the plain nine-value event
-// kernel and once with Compile(), and every observable must agree: the
-// full VCD byte stream, the per-signal waveform event-for-event (time,
-// global delta index, old and new value), the kernel counters, and the
-// activity profile. FuzzKernelEquivalence drives
+// This file is the packed≡nine-value differential harness. A byte program
+// (random bytes are always a valid program) elaborates a netlist — input
+// signals, combinational gate processes, clocked registers, clocked
+// processes that park and wake at random, multi-driver resolution, and a
+// stimulus script that injects two-state values as well as
+// X/Z/weak/uninitialized vectors and re-asserts values drivers already
+// hold — onto a fresh simulator. The same program runs once on the plain
+// nine-value event kernel (Simulator.nine) and once on the packed data
+// plane, and every observable must agree: the full VCD byte stream, the
+// per-signal waveform event-for-event (time, global delta index, old and
+// new value), the kernel counters, and the activity profile.
+// FuzzKernelEquivalence drives
 // the same harness from the fuzzer. The same programs also check
 // rising-edge sensitivity against its definition (compareEdgeSensitivity),
 // idle-clock elision against a Step-driven twin (compareElision) and cycle
@@ -101,13 +102,38 @@ func guardedReg(eg *edgeGuard, s *Simulator, name string, clk, d *Signal) *Signa
 	return q
 }
 
-// absorbStats counts, on the compiled kernel, the absorption cases the
-// re-assertion ops reach (Driver.setPacked), so that programs written to
-// exercise them cannot pass vacuously: a re-assertion that disarmed the
-// driver's earlier entry in the same run and was absorbed, and one that
-// would have been absorbed but for a pending delayed assignment.
-type absorbStats struct {
+// diffStats counts what a program reached, so that programs written to
+// exercise a case cannot pass vacuously. comb counts the runs of the
+// combinational gate processes and combPacked those whose inputs were all
+// on their packed mirrors, which happens only on the packed plane. On the
+// packed plane, disarmed and declined count the absorption cases the
+// re-assertion ops reach (Driver.setPacked): a re-assertion that disarmed
+// the driver's earlier entry in the same run and was absorbed, and one
+// that would have been absorbed but for a pending delayed assignment.
+type diffStats struct {
+	comb, combPacked   uint64
 	disarmed, declined uint64
+}
+
+// gateEval computes a gate operator over the inputs' nine-value values,
+// folding left with X propagation: buf, not, and, or, xor, nand, nor,
+// xnor for op 0 to 7.
+func gateEval(op byte, ins []*Signal) LV {
+	out := ins[0].Val()
+	for _, in := range ins[1:] {
+		switch op {
+		case 2, 5:
+			out = out.And(in.Val())
+		case 3, 6:
+			out = out.Or(in.Val())
+		case 4, 7:
+			out = out.Xor(in.Val())
+		}
+	}
+	if op == 1 || op >= 5 {
+		out = out.Not()
+	}
+	return out
 }
 
 // contribution returns the driver's own current value, the one a
@@ -120,7 +146,7 @@ func contribution(d *Driver) LV {
 // buildDiffDesign elaborates the byte program onto s. The elaboration is a
 // pure function of data, so running it onto two simulators yields
 // structurally identical designs with identical stimulus schedules.
-func buildDiffDesign(data []byte, s *Simulator, clk *Signal, eg *edgeGuard, st *absorbStats) (all []*Signal, horizon sim.Time) {
+func buildDiffDesign(data []byte, s *Simulator, clk *Signal, eg *edgeGuard, st *diffStats) (all []*Signal, horizon sim.Time) {
 	r := &diffReader{b: data}
 	type input struct {
 		sig *Signal
@@ -166,15 +192,15 @@ func buildDiffDesign(data []byte, s *Simulator, clk *Signal, eg *edgeGuard, st *
 			d := g.Driver("stim")
 			ins = append(ins, input{g, d})
 			addSig(g)
-		case 1, 2: // structural gate
+		case 1, 2: // combinational gate: a process on its inputs, out <= op(ins)
 			if gates >= diffMaxGates || len(all) == 0 {
 				continue
 			}
-			op := GateOp(r.next() % 8)
+			op := r.next() % 8
 			base := all[int(r.next())%len(all)]
 			peers := byWidth[base.width]
 			n := 1
-			if op != GateBuf && op != GateNot {
+			if op >= 2 { // buf and not take one input
 				n = 2 + int(r.next()%2)
 			}
 			gin := make([]*Signal, n)
@@ -182,7 +208,19 @@ func buildDiffDesign(data []byte, s *Simulator, clk *Signal, eg *edgeGuard, st *
 				gin[i] = peers[int(r.next())%len(peers)]
 			}
 			out := s.Signal(fmt.Sprintf("g%d", gates), base.width, U)
-			s.Gate(fmt.Sprintf("gate%d", gates), op, out, gin...)
+			name := fmt.Sprintf("gate%d", gates)
+			drv := out.Driver("gate:" + name)
+			s.Process(name, func() {
+				st.comb++
+				packed := true
+				for _, in := range gin {
+					packed = packed && in.pknown
+				}
+				if packed {
+					st.combPacked++
+				}
+				drv.Set(gateEval(op, gin))
+			}, gin...)
 			addSig(out)
 			gates++
 		case 3: // clocked register
@@ -286,7 +324,7 @@ func buildDiffDesign(data []byte, s *Simulator, clk *Signal, eg *edgeGuard, st *
 				s.Process(name, func() { drv.Set(clk.Val().Not()) }, clk)
 			})
 			addSig(q)
-		case 11: // mid-run (after Compile), a clocked process is registered
+		case 11: // mid-run (on the chosen plane), a clocked process is registered
 			if len(all) == 0 || len(all) >= 2*diffMaxSignals || stims >= diffMaxStims {
 				continue
 			}
@@ -384,21 +422,21 @@ func buildDiffDesign(data []byte, s *Simulator, clk *Signal, eg *edgeGuard, st *
 
 // diffResult captures every observable the two kernels must agree on.
 type diffResult struct {
-	vcd     string
-	waves   map[string][]string
-	events  uint64
-	runs    uint64
-	deltas  uint64
-	points  uint64
-	elided  uint64
-	folded  uint64
-	clk     string // clk's rising-edge count and final value
-	prof    interface{}
-	planErr error
-	// absorbed is the compiled kernel's absorbed assignments; absorb
-	// counts the cases the re-assertion ops reached.
+	vcd    string
+	waves  map[string][]string
+	events uint64
+	runs   uint64
+	deltas uint64
+	points uint64
+	elided uint64
+	folded uint64
+	clk    string // clk's rising-edge count and final value
+	prof   interface{}
+	err    error
+	// absorbed is the packed plane's absorbed assignments; stats counts
+	// what the program reached.
 	absorbed uint64
-	absorb   absorbStats
+	stats    diffStats
 }
 
 // diffMode is how runDiffKernel drives the program to its horizon.
@@ -412,10 +450,11 @@ const (
 
 // runDiffKernel runs the program to its horizon in the given mode. A
 // quiet run attaches no OnChange callback to clk (the VCD and the wave
-// probes watch every other signal), so on the compiled kernel the clock's
+// probes watch every other signal), so on the packed plane the clock's
 // commits take the callback-free path.
 func runDiffKernel(data []byte, compiled bool, eg *edgeGuard, mode diffMode, quiet bool) *diffResult {
 	s := New()
+	s.nine = !compiled
 	if mode == diffPlain {
 		plainDispatch(s)
 	}
@@ -423,7 +462,7 @@ func runDiffKernel(data []byte, compiled bool, eg *edgeGuard, mode diffMode, qui
 	clk := s.Bit("clk", U)
 	s.Clock(clk, diffClockPeriod)
 	res := &diffResult{waves: map[string][]string{}}
-	all, horizon := buildDiffDesign(data, s, clk, eg, &res.absorb)
+	all, horizon := buildDiffDesign(data, s, clk, eg, &res.stats)
 	if quiet {
 		all = all[1:] // clk is the first
 	}
@@ -440,18 +479,12 @@ func runDiffKernel(data []byte, compiled bool, eg *edgeGuard, mode diffMode, qui
 		dumped = dumped[1:] // clk is the first signal
 	}
 	vcd := NewVCD(&vcdBuf, s, dumped...)
-	if compiled {
-		if _, err := s.Compile(); err != nil {
-			res.planErr = err
-			return res
-		}
-	}
 	run := s.Run
 	if mode == diffStep {
 		run = func(until sim.Time) error { return stepThrough(s, until) }
 	}
 	if err := run(horizon); err != nil {
-		res.planErr = err
+		res.err = err
 		return res
 	}
 	vcd.Close()
@@ -468,28 +501,60 @@ func runDiffKernel(data []byte, compiled bool, eg *edgeGuard, mode diffMode, qui
 	return res
 }
 
-// compareKernels runs the program through both kernels and reports the
-// first divergence, or "" when they agree.
-func compareKernels(data []byte) string {
+// compareKernels runs the program through both planes and reports the
+// first divergence, or "" when they agree, with what the program reached
+// on the nine-value plane and on the packed plane.
+func compareKernels(data []byte) (string, [2]diffStats) {
 	ev := runDiffKernel(data, false, nil, diffRun, false)
 	cp := runDiffKernel(data, true, nil, diffRun, false)
-	if (ev.planErr == nil) != (cp.planErr == nil) {
-		return fmt.Sprintf("error divergence: event=%v compiled=%v", ev.planErr, cp.planErr)
+	st := [2]diffStats{ev.stats, cp.stats}
+	if (ev.err == nil) != (cp.err == nil) {
+		return fmt.Sprintf("error divergence: event=%v compiled=%v", ev.err, cp.err), st
 	}
-	if ev.planErr != nil {
-		return "" // both failed identically (e.g. delta overflow)
+	if ev.err != nil {
+		return "", st // both failed identically (e.g. delta overflow)
 	}
 	if ev.events != cp.events || ev.runs != cp.runs || ev.deltas != cp.deltas || ev.points != cp.points {
 		return fmt.Sprintf("counter divergence: event(ev=%d runs=%d deltas=%d points=%d) compiled(ev=%d runs=%d deltas=%d points=%d)",
-			ev.events, ev.runs, ev.deltas, ev.points, cp.events, cp.runs, cp.deltas, cp.points)
+			ev.events, ev.runs, ev.deltas, ev.points, cp.events, cp.runs, cp.deltas, cp.points), st
 	}
 	if diff := compareWaves(ev, cp); diff != "" {
-		return diff
+		return diff, st
 	}
 	if !reflect.DeepEqual(ev.prof, cp.prof) {
-		return fmt.Sprintf("profile divergence:\nevent:    %+v\ncompiled: %+v", ev.prof, cp.prof)
+		return fmt.Sprintf("profile divergence:\nevent:    %+v\ncompiled: %+v", ev.prof, cp.prof), st
 	}
-	return ""
+	return "", st
+}
+
+// combSum accumulates the combinational gate runs of programs on both
+// planes.
+type combSum [2]struct{ comb, combPacked uint64 }
+
+func (c *combSum) add(st [2]diffStats) {
+	for i := range c {
+		c[i].comb += st[i].comb
+		c[i].combPacked += st[i].combPacked
+	}
+}
+
+// check fails unless the programs ran gate processes, as often on both
+// planes, and the packed plane ran some with every input on its packed
+// mirror and some across the boundary with an input off it, while the
+// nine-value plane never has a packed input.
+func (c *combSum) check(t *testing.T) {
+	t.Helper()
+	nine, packed := c[0], c[1]
+	t.Logf("gate process runs: nine-value %d, packed %d (%d with packed inputs)", nine.comb, packed.comb, packed.combPacked)
+	if nine.comb == 0 || nine.comb != packed.comb {
+		t.Errorf("gate process runs: %d on the nine-value plane, %d on the packed plane; want equal and non-zero", nine.comb, packed.comb)
+	}
+	if nine.combPacked != 0 {
+		t.Errorf("%d gate runs saw packed inputs on the nine-value plane", nine.combPacked)
+	}
+	if packed.combPacked == 0 || packed.combPacked == packed.comb {
+		t.Errorf("%d of %d gate runs on the packed plane saw only packed inputs; want some and not all", packed.combPacked, packed.comb)
+	}
 }
 
 // compareEdgeSensitivity runs the program with native Clocked processes
@@ -502,10 +567,10 @@ func compareEdgeSensitivity(data []byte, compiled bool) string {
 	var eg edgeGuard
 	cl := runDiffKernel(data, compiled, nil, diffRun, false)
 	lv := runDiffKernel(data, compiled, &eg, diffRun, false)
-	if (cl.planErr == nil) != (lv.planErr == nil) {
-		return fmt.Sprintf("error divergence: clocked=%v level=%v", cl.planErr, lv.planErr)
+	if (cl.err == nil) != (lv.err == nil) {
+		return fmt.Sprintf("error divergence: clocked=%v level=%v", cl.err, lv.err)
 	}
-	if cl.planErr != nil {
+	if cl.err != nil {
 		return ""
 	}
 	if cl.events != lv.events || cl.deltas != lv.deltas || cl.points != lv.points {
@@ -544,10 +609,10 @@ func compareCycleStep(data []byte, compiled bool) string {
 func compareTwins(data []byte, compiled bool, mode diffMode, name string, quiet bool) string {
 	el := runDiffKernel(data, compiled, nil, diffRun, quiet)
 	st := runDiffKernel(data, compiled, nil, mode, quiet)
-	if (el.planErr == nil) != (st.planErr == nil) {
-		return fmt.Sprintf("error divergence: run=%v %s=%v", el.planErr, name, st.planErr)
+	if (el.err == nil) != (st.err == nil) {
+		return fmt.Sprintf("error divergence: run=%v %s=%v", el.err, name, st.err)
 	}
-	if el.planErr != nil {
+	if el.err != nil {
 		return ""
 	}
 	if el.events != st.events || el.runs != st.runs || el.deltas != st.deltas || el.points != st.points {
@@ -600,6 +665,7 @@ func TestKernelEquivalence(t *testing.T) {
 	if !testing.Short() {
 		seeds = append(seeds, 101, 211, 307, 401, 503)
 	}
+	var sum combSum
 	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -607,12 +673,31 @@ func TestKernelEquivalence(t *testing.T) {
 			for round := 0; round < 4; round++ {
 				data := make([]byte, 200+rng.Intn(600))
 				rng.Read(data)
-				if diff := compareKernels(data); diff != "" {
+				diff, st := compareKernels(data)
+				if diff != "" {
 					t.Fatalf("seed %d round %d: %s", seed, round, diff)
 				}
+				sum.add(st)
 			}
 		})
 	}
+	sum.check(t)
+}
+
+// TestKernelEquivalenceSeedsCombine keeps the FuzzKernelEquivalence
+// corpus meaningful for combinational logic: the E1–E8-shaped seeds run
+// gate processes on both planes, on packed inputs and across the
+// boundary.
+func TestKernelEquivalenceSeedsCombine(t *testing.T) {
+	var sum combSum
+	for i, data := range e1e8Seeds() {
+		diff, st := compareKernels(data)
+		if diff != "" {
+			t.Fatalf("e%d seed: %s", i+1, diff)
+		}
+		sum.add(st)
+	}
+	sum.check(t)
 }
 
 // TestEdgeSensitivityEquivalence is the property that defines Clocked: on
@@ -639,10 +724,12 @@ func TestEdgeSensitivityEquivalence(t *testing.T) {
 }
 
 // TestKernelEquivalencePurityChurn drives a program that repeatedly
-// demotes and promotes regions (alternating X and two-state stimulus on
-// the same inputs) — the guard boundary is where a fast path would lie.
+// carries gate cones off their packed mirrors and back (alternating X and
+// two-state stimulus on the same inputs) — the packed/nine-value boundary
+// is where a fast path would lie.
 func TestKernelEquivalencePurityChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
+	var sum combSum
 	for round := 0; round < 6; round++ {
 		var prog []byte
 		// A few inputs and a pile of gates, then alternating stimulus.
@@ -659,8 +746,11 @@ func TestKernelEquivalencePurityChurn(t *testing.T) {
 				prog = append(prog, 4, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))) // two-state
 			}
 		}
-		if diff := compareKernels(prog); diff != "" {
+		diff, st := compareKernels(prog)
+		if diff != "" {
 			t.Fatalf("round %d: %s", round, diff)
 		}
+		sum.add(st)
 	}
+	sum.check(t)
 }

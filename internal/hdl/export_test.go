@@ -16,6 +16,54 @@ func plainDispatch(s *Simulator) {
 	}
 }
 
+// Not returns the logical inverse with X propagation.
+func (l Logic) Not() Logic {
+	switch l.to01() {
+	case L0:
+		return L1
+	case L1:
+		return L0
+	default:
+		return X
+	}
+}
+
+// And returns a AND b with X propagation (0 dominates).
+func (l Logic) And(o Logic) Logic {
+	a, b := l.to01(), o.to01()
+	if a == L0 || b == L0 {
+		return L0
+	}
+	if a == L1 && b == L1 {
+		return L1
+	}
+	return X
+}
+
+// Or returns a OR b with X propagation (1 dominates).
+func (l Logic) Or(o Logic) Logic {
+	a, b := l.to01(), o.to01()
+	if a == L1 || b == L1 {
+		return L1
+	}
+	if a == L0 && b == L0 {
+		return L0
+	}
+	return X
+}
+
+// Xor returns a XOR b with X propagation.
+func (l Logic) Xor(o Logic) Logic {
+	a, b := l.to01(), o.to01()
+	if a == X || b == X {
+		return X
+	}
+	if a == b {
+		return L0
+	}
+	return L1
+}
+
 // MustParseLV is ParseLV that panics on error, for literals in tests.
 func MustParseLV(s string) LV {
 	v, err := ParseLV(s)
@@ -69,69 +117,6 @@ func (v LV) Concat(o LV) LV {
 	r = append(r, o...)
 	return r
 }
-
-// Level returns the gate's topological level in the compiled plan (0 =
-// fed only by non-gate signals). Valid after Compile.
-func (gt *Gate) Level() int { return gt.level }
-
-// Gate declares a structural combinational gate driving out from ins.
-// The output must not have any other driver (the gate owns it), widths
-// must match, and the width must fit the packed representation (≤ 64).
-// Gates must be declared before Compile.
-func (s *Simulator) Gate(name string, op GateOp, out *Signal, ins ...*Signal) *Gate {
-	if s.fast {
-		panic(fmt.Sprintf("hdl: gate %q declared after Compile", name))
-	}
-	switch {
-	case op == GateBuf || op == GateNot:
-		if len(ins) != 1 {
-			panic(fmt.Sprintf("hdl: gate %q: %v takes exactly one input, got %d", name, op, len(ins)))
-		}
-	default:
-		if len(ins) < 2 {
-			panic(fmt.Sprintf("hdl: gate %q: %v takes at least two inputs, got %d", name, op, len(ins)))
-		}
-	}
-	if out.width > 64 {
-		panic(fmt.Sprintf("hdl: gate %q: output %q wider than 64 bits", name, out.name))
-	}
-	if len(out.drivers) != 0 {
-		panic(fmt.Sprintf("hdl: gate %q: output %q already has a driver", name, out.name))
-	}
-	for _, in := range ins {
-		if in.width != out.width {
-			panic(fmt.Sprintf("hdl: gate %q: input %q width %d vs output width %d", name, in.name, in.width, out.width))
-		}
-	}
-	gt := &Gate{name: name, op: op, out: out, ins: ins, mask: packMask(out.width)}
-	gt.drv = out.Driver("gate:" + name)
-	gt.proc = s.Process(name, gt.run, ins...)
-	gt.proc.gate = gt
-	s.gates = append(s.gates, gt)
-	return gt
-}
-
-// Signals returns how many signals belong to the region.
-func (r *Region) Signals() int { return r.signals }
-
-// Demotions returns how many times the region left the bit-parallel path.
-func (r *Region) Demotions() uint64 { return r.demotions }
-
-// Promotions returns how many times the region re-entered the
-// bit-parallel path after draining its impure values.
-func (r *Region) Promotions() uint64 { return r.promotions }
-
-// Gates returns the number of compiled gates.
-func (pl *Plan) Gates() int { return len(pl.gates) }
-
-// Depth returns the number of topological levels.
-func (pl *Plan) Depth() int { return len(pl.levels) }
-
-// Regions returns the purity regions.
-func (pl *Plan) Regions() []*Region { return pl.regions }
-
-// CompiledPlan returns the active plan, or nil before Compile.
-func (s *Simulator) CompiledPlan() *Plan { return s.plan }
 
 // Profile returns the attached activity profiler, nil when profiling is
 // disabled.
@@ -282,7 +267,7 @@ func (s *Simulator) NextTime() sim.Time {
 	if t := s.agendaPeek(); t != nil {
 		return t.at
 	}
-	if len(s.runnable) > 0 || s.ndirty > 0 {
+	if len(s.runnable) > 0 {
 		return s.now
 	}
 	return sim.Never

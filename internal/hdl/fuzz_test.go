@@ -17,7 +17,7 @@ func e1e8Seeds() [][]byte {
 			p = append(p, 0, w) // SIG
 		}
 		for i := 0; i < gates; i++ {
-			p = append(p, 1, byte(i*37), byte(i*11), byte(i*5), byte(i*13), byte(i*7)) // GATE
+			p = append(p, 1, byte(i*37), byte(i*11), byte(i*5), byte(i*13), byte(i*7)) // GATE (a gate process)
 		}
 		for i := 0; i < regs; i++ {
 			p = append(p, 3, byte(i*29)) // REG
@@ -99,7 +99,7 @@ func absorbSeeds() [][]byte {
 
 // FuzzKernelEquivalence feeds arbitrary byte programs through the
 // differential harness: any divergence between the nine-value event
-// kernel and the compiled bit-parallel kernel — in waveforms, counters,
+// kernel and the packed data plane — in waveforms, counters,
 // VCD bytes or the activity profile — is a crash, as is any divergence
 // between eliding (Run) and stepping (a Step loop), or between cycle
 // stepping (Run) and plain dispatch, on either kernel. The nightly
@@ -115,7 +115,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 		if len(data) > 4096 {
 			data = data[:4096]
 		}
-		if diff := compareKernels(data); diff != "" {
+		if diff, _ := compareKernels(data); diff != "" {
 			t.Fatalf("kernel divergence: %s", diff)
 		}
 		if diff := compareEdgeSensitivity(data, true); diff != "" {
@@ -145,7 +145,7 @@ func TestElideSeedsElide(t *testing.T) {
 }
 
 // TestAbsorbSeedsAbsorb keeps the absorption corpus meaningful: on the
-// compiled kernel every absorb seed absorbs assignments, the seeds
+// packed plane every absorb seed absorbs assignments, the seeds
 // between them absorb a re-assertion that disarmed the driver's earlier
 // entry and decline one for a pending delayed assignment, and each agrees
 // with the event kernel.
@@ -153,17 +153,17 @@ func TestAbsorbSeedsAbsorb(t *testing.T) {
 	var disarmed, declined uint64
 	for i, data := range absorbSeeds() {
 		res := runDiffKernel(data, true, nil, diffRun, false)
-		if res.planErr != nil {
-			t.Fatalf("absorb seed %d: %v", i+1, res.planErr)
+		if res.err != nil {
+			t.Fatalf("absorb seed %d: %v", i+1, res.err)
 		}
 		if res.absorbed == 0 {
 			t.Errorf("absorb seed %d absorbed nothing", i+1)
 		}
 		t.Logf("absorb seed %d: %d absorbed, %d disarmed, %d declined",
-			i+1, res.absorbed, res.absorb.disarmed, res.absorb.declined)
-		disarmed += res.absorb.disarmed
-		declined += res.absorb.declined
-		if diff := compareKernels(data); diff != "" {
+			i+1, res.absorbed, res.stats.disarmed, res.stats.declined)
+		disarmed += res.stats.disarmed
+		declined += res.stats.declined
+		if diff, _ := compareKernels(data); diff != "" {
 			t.Errorf("absorb seed %d: %s", i+1, diff)
 		}
 	}

@@ -72,54 +72,6 @@ func (l Logic) IsHigh() bool { return l.to01() == L1 }
 // IsLow reports whether the value reads as logical 0 ('0' or 'L').
 func (l Logic) IsLow() bool { return l.to01() == L0 }
 
-// Not returns the logical inverse with X propagation.
-func (l Logic) Not() Logic {
-	switch l.to01() {
-	case L0:
-		return L1
-	case L1:
-		return L0
-	default:
-		return X
-	}
-}
-
-// And returns a AND b with X propagation (0 dominates).
-func (l Logic) And(o Logic) Logic {
-	a, b := l.to01(), o.to01()
-	if a == L0 || b == L0 {
-		return L0
-	}
-	if a == L1 && b == L1 {
-		return L1
-	}
-	return X
-}
-
-// Or returns a OR b with X propagation (1 dominates).
-func (l Logic) Or(o Logic) Logic {
-	a, b := l.to01(), o.to01()
-	if a == L1 || b == L1 {
-		return L1
-	}
-	if a == L0 && b == L0 {
-		return L0
-	}
-	return X
-}
-
-// Xor returns a XOR b with X propagation.
-func (l Logic) Xor(o Logic) Logic {
-	a, b := l.to01(), o.to01()
-	if a == X || b == X {
-		return X
-	}
-	if a == b {
-		return L0
-	}
-	return L1
-}
-
 // LV is a logic vector. Index 0 is the least significant bit, matching
 // VHDL's "downto" convention read right to left: LV{b0, b1, ...} prints as
 // "...b1b0".
@@ -190,8 +142,8 @@ func (v LV) Equal(o LV) bool {
 
 // TwoState reports whether every bit is a forcing 0 or 1 — no
 // uninitialized, unknown, high-impedance, weak or don't-care values. A
-// signal whose transitions are all two-state on both sides is a candidate
-// for a compiled bit-parallel fast path that skips 9-value resolution.
+// signal whose transitions are all two-state on both sides travels on the
+// packed data plane as words, skipping 9-value resolution.
 func (v LV) TwoState() bool {
 	for _, l := range v {
 		if l != L0 && l != L1 {

@@ -77,9 +77,7 @@ func (b *parkBench) run(t *testing.T, compiled bool) parkObs {
 	t.Helper()
 	var buf bytes.Buffer
 	vcd := NewVCD(&buf, b.s)
-	if compiled {
-		b.s.MustCompile()
-	}
+	b.s.nine = !compiled
 	if err := b.s.Run(200 * sim.Nanosecond); err != nil {
 		t.Fatal(err)
 	}

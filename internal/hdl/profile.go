@@ -9,8 +9,8 @@ import (
 
 // ActivityProfile attributes kernel work to individual signals and
 // processes: per-signal event counts with a two-state purity classifier
-// (transitions whose old and new values are pure forcing 0/1 — the
-// candidates for a compiled bit-parallel fast path) and per-process run
+// (transitions whose old and new values are pure forcing 0/1 — the ones
+// the packed data plane commits as words) and per-process run
 // counts with delta-cycle attribution (runs in follow-on deltas of an
 // instant, i.e. delta churn).
 //

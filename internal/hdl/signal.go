@@ -12,15 +12,15 @@ import (
 // delta (or a user delay), never immediately — the VHDL signal-update
 // semantics the synchronization protocol of the paper relies on.
 //
-// In compiled mode (after Simulator.Compile) every signal of 64 bits or
-// fewer carries a packed two-state mirror: pknown reports that the current
-// value is pure forcing 0/1 and pval holds it as one uint64 (bit i = bit
-// i). While a single-driver signal stays two-state, assignments travel as
-// packed words and the nine-value vector is materialized lazily, only when
-// somebody asks for it (Val, VCD, a nine-value operation). The mirror is
-// exact: for width ≤ 64, pknown == value.TwoState() at all times in
-// compiled mode, which is what the purity guard and the profiler's
-// two-state attribution rely on.
+// On the packed data plane (from the simulator's first run, compile.go)
+// every signal of 64 bits or fewer carries a packed two-state mirror:
+// pknown reports that the current value is pure forcing 0/1 and pval
+// holds it as one uint64 (bit i = bit i). While a single-driver signal
+// stays two-state, assignments travel as packed words and the nine-value
+// vector is materialized lazily, only when somebody asks for it (Val,
+// VCD, a nine-value operation). The mirror is exact: for width ≤ 64,
+// pknown == value.TwoState() at all times on the packed plane, which is
+// what the profiler's two-state attribution relies on.
 type Signal struct {
 	name  string
 	sim   *Simulator
@@ -30,7 +30,7 @@ type Signal struct {
 	value   LV
 	prev    LV
 
-	// Packed two-state mirror (compiled mode, width ≤ 64).
+	// Packed two-state mirror (packed plane, width ≤ 64).
 	pmask      uint64
 	pval       uint64
 	pprev      uint64
@@ -40,14 +40,12 @@ type Signal struct {
 	prevStale  bool  // prev's LV contents lag pprev (pprevKnown is set)
 	id         int32 // creation-order index into the profiler's accumulators
 
-	region *Region // purity-guard region, set by Compile for gate cones
-	clk    *clock  // kernel clock generator driving the signal, nil if none
-	packed bool    // compiled mode and width ≤ 64: the packed mirror is live
+	clk    *clock // kernel clock generator driving the signal, nil if none
+	packed bool   // packed plane and width ≤ 64: the packed mirror is live
 
 	eventStamp uint64 // stamp of the delta in which the last event occurred
 	watchers   []*Process
 	wakers     []*Process                        // processes woken by every event (Process.WakeOn)
-	gwatch     []*Gate                           // compiled gates sensitive to this signal
 	onChange   []func(now sim.Time, old, new LV) // VCD and probes
 }
 
@@ -137,7 +135,7 @@ func (g *Signal) OnChange(fn func(now sim.Time, old, new LV)) {
 // signal's value is the resolution of all driver contributions.
 func (g *Signal) Driver(owner string) *Driver {
 	if g.sim.fast {
-		// A driver appearing after Compile ends the signal's packed
+		// A driver appearing after the first run ends the signal's packed
 		// single-driver aliasing era: materialize every lazily-held vector
 		// so the nine-value resolution that now governs reads real values.
 		g.matVal()
@@ -154,8 +152,9 @@ func (g *Signal) Driver(owner string) *Driver {
 }
 
 // initMirror seeds the packed mirror from the current nine-value state;
-// Compile calls it once per signal so the mirror invariant holds from the
-// first compiled delta.
+// compile calls it once per signal, and Simulator.Signal for a signal
+// created after it, so the mirror invariant holds from the first packed
+// delta.
 func (g *Signal) initMirror() {
 	g.pknown, g.pprevKnown = false, false
 	g.valStale, g.prevStale = false, false
@@ -170,10 +169,10 @@ func (g *Signal) initMirror() {
 	}
 }
 
-// fire records the event and wakes everything sensitive to it: processes,
-// compiled gates, probes. The caller has already rotated value/prev. An
-// eligible clock's watchers are all Clocked, so its falling edge triggers
-// nothing and its rising edge goes to direct dispatch (cycle.go).
+// fire records the event and wakes everything sensitive to it: processes
+// and probes. The caller has already rotated value/prev. An eligible
+// clock's watchers are all Clocked, so its falling edge triggers nothing
+// and its rising edge goes to direct dispatch (cycle.go).
 func (g *Signal) fire(old, new LV) {
 	s := g.sim
 	g.eventStamp = s.stamp
@@ -195,9 +194,6 @@ func (g *Signal) fire(old, new LV) {
 				s.trigger(p)
 			}
 		}
-	}
-	for _, gt := range g.gwatch {
-		s.markDirty(gt)
 	}
 	for _, fn := range g.onChange {
 		fn(s.now, old, new)
@@ -251,9 +247,6 @@ func (g *Signal) resolve() {
 		var w uint64
 		w, newK = v.PackTwoState()
 		g.pval, g.pknown = w, newK
-		if r := g.region; r != nil && oldK != newK {
-			r.note(newK)
-		}
 	} else {
 		g.pknown = false
 	}
@@ -273,7 +266,7 @@ func (g *Signal) resolve() {
 }
 
 // Driver contribution classes for word-level multi-driver resolution
-// (compiled mode). drvOther is the zero value: the contribution carries
+// (packed plane). drvOther is the zero value: the contribution carries
 // X/W/U/DC bits (or mixes Z with strong bits) and forces the nine-value
 // resolution table.
 const (
@@ -295,7 +288,7 @@ type Driver struct {
 	// that a read vector stays valid until the signal's next event.
 	pbuf [2]LV
 	pidx uint8
-	// Packed contribution mirror (compiled mode): pstate classifies the
+	// Packed contribution mirror (packed plane): pstate classifies the
 	// driver's current value for resolveWord, pword holds it when two-state,
 	// and vstale marks that the value vector's contents lag pword (packed
 	// commits on multi-driver signals defer materialization until a
@@ -304,7 +297,7 @@ type Driver struct {
 	pword  uint64
 	vstale bool
 	zval   LV // cached all-Z vector for SetZ
-	// Delta-ring seq handshake (compiled mode): ringSeq is the seq of the
+	// Delta-ring seq handshake (packed plane): ringSeq is the seq of the
 	// driver's latest zero-delay assignment and ringArmed marks it live.
 	// A ring entry whose seq no longer matches has been preempted. di is
 	// the driver's index in the simulator's registry, how pointer-free
@@ -322,7 +315,7 @@ func (d *Driver) checkWidth(v LV) {
 }
 
 // packable reports whether assignments to this driver may travel as
-// packed words: compiled mode and mirror-capable width. Multi-driver
+// packed words: packed plane and mirror-capable width. Multi-driver
 // signals qualify too — the commit resolves at word level when every
 // contribution classifies (resolveWord) and falls back to the nine-value
 // table otherwise.
@@ -521,7 +514,7 @@ func (d *Driver) apply(t *txn) {
 	s.releaseTxn(t, relPending)
 }
 
-// applyRing commits a delta-ring value transaction (compiled mode). Ring
+// applyRing commits a delta-ring value transaction (packed plane). Ring
 // entries are never in the pending list, so there is nothing to sweep.
 func (d *Driver) applyRing(w uint64, v LV, packed bool) {
 	if packed {
@@ -590,15 +583,15 @@ func (g *Signal) commitWord(d *Driver, w uint64, alias bool) {
 		}
 	}
 	// Not pknown means the current value genuinely holds a non-two-state
-	// bit (the mirror is exact in compiled mode), so a two-state word is
-	// always an event.
+	// bit (the mirror is exact on the packed plane), so a two-state word
+	// is always an event.
 	s := g.sim
 	if g.valStale && len(g.onChange) == 0 {
 		// Steady-state commit: the vectors already lag their words (nothing
 		// materialized since the last event) and no probe needs them, so
 		// only the words rotate — the slices keep their roles and contents.
-		// valStale implies pknown, so this is a two-state→two-state event:
-		// no region transition, and the profiler counts it as pure.
+		// valStale implies pknown, so this is a two-state→two-state event,
+		// and the profiler counts it as pure.
 		g.pprev, g.pprevKnown = g.pval, true
 		g.prevStale = true
 		g.pval = w
@@ -642,9 +635,6 @@ func (g *Signal) commitWord(d *Driver, w uint64, alias bool) {
 		if alias {
 			d.vstale = true
 		}
-	}
-	if r := g.region; r != nil && !oldK {
-		r.note(true)
 	}
 	if pr := s.prof; pr != nil {
 		pr.sigEvents[g.id]++

@@ -22,8 +22,8 @@ const MaxDeltas = 10000
 // with that bit released. A clock generator's toggle (edge set) carries
 // the generator's driver and is neither: it stays with its clock for the
 // whole run, re-pushed at every edge and never pooled. Zero-delay driver
-// transactions in compiled mode do not use this type at all — they ride
-// the delta ring as rtxn values.
+// transactions on the packed plane do not use this type at all — they
+// ride the delta ring as rtxn values.
 type txn struct {
 	at     sim.Time
 	seq    uint64
@@ -65,8 +65,8 @@ func (s *Simulator) releaseTxn(t *txn, bit uint8) {
 	s.free = t
 }
 
-// rtxn is a zero-delay driver transaction in the delta ring (compiled
-// mode). Ring entries are plain values — no pool, no pending-list
+// rtxn is a zero-delay driver transaction in the delta ring (packed
+// plane). Ring entries are plain values — no pool, no pending-list
 // membership, no release bookkeeping. Inertial preemption is a seq
 // handshake: the owning driver remembers the seq of its latest zero-delay
 // assignment (ringSeq/ringArmed), and an entry whose seq no longer
@@ -146,8 +146,7 @@ func (h *txnHeap) len() int { return len(h.items) }
 type Process struct {
 	name      string
 	fn        func()
-	id        int // creation-order index into the profiler's accumulators
-	gate      *Gate
+	id        int     // creation-order index into the profiler's accumulators
 	edge      *Signal // clock of a Clocked process, nil for level sensitivity
 	triggered bool
 	parked    bool
@@ -208,21 +207,20 @@ func (p *Process) WakeOn(sig *Signal) {
 // new transactions; zero-delay assignments mature in the next delta of the
 // same simulated instant.
 //
-// After Compile the simulator additionally runs the bit-parallel fast data
-// plane (DESIGN.md §18): zero-delay driver transactions bypass the heap
-// through the delta ring, two-state values travel as packed words, and
-// structural gates evaluate level-ordered from a dirty set instead of the
-// generic sensitivity machinery. The scheduling semantics — which
-// transaction applies in which delta, in which order — are identical in
-// both modes; the shared seq counter across heap and ring is what makes
-// the merge order exact.
+// From its first run the simulator runs the packed data plane (DESIGN.md
+// §18, compile.go): zero-delay driver transactions bypass the heap
+// through the delta ring, and two-state values travel as packed words.
+// The scheduling semantics — which transaction applies in which delta, in
+// which order — are those of the plain nine-value event kernel, which
+// stays as the tests' reference; the shared seq counter across heap and
+// ring is what makes the merge order exact.
 type Simulator struct {
 	now   sim.Time
 	stamp uint64 // increments every delta; signals stamp their events with it
 
 	agenda    txnHeap
 	nseq      uint64 // global transaction order, shared by heap and ring
-	ring      []rtxn // zero-delay driver transactions (compiled mode), FIFO = seq order
+	ring      []rtxn // zero-delay driver transactions (packed plane), FIFO = seq order
 	ringVals  []LV   // vectors of non-packed ring entries, indexed by their pword
 	ringHead  int
 	free      *txn      // txn pool
@@ -240,10 +238,12 @@ type Simulator struct {
 	roseN int
 	plain bool
 
-	fast   bool // compiled data plane enabled (set by Compile)
-	plan   *Plan
-	gates  []*Gate
-	ndirty int // gates awaiting evaluation in the current delta
+	// The data plane (compile.go): compiled is set by the first run,
+	// which sets fast unless nine (tests only) or UseNineValuePlane keeps
+	// the simulator on the nine-value reference plane.
+	compiled bool
+	fast     bool
+	nine     bool
 
 	// absorbed stands in for the ring entries of absorbed assignments
 	// (Driver.setPacked) until the next signal-update phase, which counts
@@ -357,9 +357,14 @@ func (s *Simulator) Signal(name string, width int, init Logic) *Signal {
 		panic(fmt.Sprintf("hdl: signal %q with width %d", name, width))
 	}
 	g := &Signal{name: name, sim: s, width: width, id: int32(len(s.signals)), value: NewLV(width, init), prev: NewLV(width, init)}
-	g.packed = s.fast && width <= 64
 	if width <= 64 {
 		g.pmask = packMask(width)
+		if s.fast {
+			// Created after the first run: seed the mirror as compile
+			// would, so a two-state init is packed from the start.
+			g.packed = true
+			g.initMirror()
+		}
 	}
 	s.signals = append(s.signals, g)
 	s.prof.growSignal()
@@ -442,20 +447,9 @@ func (s *Simulator) trigger(p *Process) {
 	}
 }
 
-// markDirty queues a compiled gate for level-ordered evaluation in the
-// process phase of the current delta.
-func (s *Simulator) markDirty(gt *Gate) {
-	if gt.dirty {
-		return
-	}
-	gt.dirty = true
-	s.plan.dirty[gt.level] = append(s.plan.dirty[gt.level], gt)
-	s.ndirty++
-}
-
 // push stamps the transaction with the global order seq and inserts it in
-// the time-ordered heap. Zero-delay driver transactions in compiled mode
-// never come here — they take pushRing instead. The signal-update phase
+// the time-ordered heap. Zero-delay driver transactions on the packed
+// plane never come here — they take pushRing instead. The signal-update phase
 // merges the two containers by seq, so the application order is exactly
 // the order the plain event kernel would pop from its heap.
 func (s *Simulator) push(t *txn) {
@@ -540,14 +534,16 @@ var ErrDeltaOverflow = errors.New("hdl: delta cycle overflow (combinational loop
 // clock edges; only the bounded runs do (DESIGN.md §21), so a Step loop
 // is the never-eliding twin the kernel tests compare them against.
 func (s *Simulator) Step() (bool, error) {
+	if !s.compiled {
+		s.compile()
+	}
 	return s.step(s.agendaPeek(), s.quiet())
 }
 
 // quiet reports whether the current instant has nothing left to run:
-// nothing runnable, no dirty gate, no absorbed assignment and an empty
-// delta ring.
+// nothing runnable, no absorbed assignment and an empty delta ring.
 func (s *Simulator) quiet() bool {
-	return len(s.runnable) == 0 && s.ndirty == 0 && !s.absorbed && s.ringPeek() == nil
+	return len(s.runnable) == 0 && !s.absorbed && s.ringPeek() == nil
 }
 
 // step is Step on t, the earliest live heap entry (nil when the heap is
@@ -615,15 +611,14 @@ func (s *Simulator) step(t *txn, quiet bool) (bool, error) {
 		if s.absorbed {
 			applied, s.absorbed = true, false
 		}
-		// Phase 2: process execution, then level-ordered compiled gates.
-		// Parked processes and clocked ones whose clock's last event in
-		// this delta was not a rising edge are skipped at their slot. A
-		// rising edge that was the delta's first trigger dispatches its
-		// clock's awake Clocked processes directly, in registration
-		// order, ahead of the rest (cycle.go).
+		// Phase 2: process execution. Parked processes and clocked ones
+		// whose clock's last event in this delta was not a rising edge
+		// are skipped at their slot. A rising edge that was the delta's
+		// first trigger dispatches its clock's awake Clocked processes
+		// directly, in registration order, ahead of the rest (cycle.go).
 		run := s.runnable
 		s.runnable = s.spare[:0]
-		if !applied && len(run) == 0 && s.ndirty == 0 {
+		if !applied && len(run) == 0 {
 			s.spare = run
 			break
 		}
@@ -637,9 +632,6 @@ func (s *Simulator) step(t *txn, quiet bool) (bool, error) {
 				continue
 			}
 			s.runProcess(p)
-		}
-		if s.ndirty > 0 {
-			s.plan.runDirty(s)
 		}
 		s.spare = run[:0]
 		s.deltasAtNow++
@@ -700,9 +692,12 @@ func (s *Simulator) RunThrough(t sim.Time) error { return s.runTo(t, true) }
 // bound applies to the instant NextTime would report; then the instant
 // elides, folds or executes as a Step.
 func (s *Simulator) runTo(bound sim.Time, inclusive bool) error {
+	if !s.compiled {
+		s.compile()
+	}
 	for elided := false; ; {
 		ring := s.absorbed || s.ringPeek() != nil
-		quiet := !ring && len(s.runnable) == 0 && s.ndirty == 0
+		quiet := !ring && len(s.runnable) == 0
 		t := s.agendaPeek()
 		next := s.now
 		if !ring {

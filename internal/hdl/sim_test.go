@@ -296,3 +296,52 @@ func TestKernelDeterminismProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestFirstRunCompiles: a simulator nobody compiled runs its first instant
+// on the packed plane, whichever of Run, RunBefore, RunThrough and Step
+// executes it; only the nine field or UseNineValuePlane keeps it on the
+// nine-value plane. A process runs at elaboration, records the plane it
+// runs on and assigns 5, which wakes it once more in the same instant to
+// assign 5 again: the packed plane absorbs that re-assertion, the
+// nine-value plane queues it.
+func TestFirstRunCompiles(t *testing.T) {
+	for _, r := range []struct {
+		name string
+		run  func(s *Simulator) error
+	}{
+		{"Run", func(s *Simulator) error { return s.Run(10 * sim.Nanosecond) }},
+		{"RunBefore", func(s *Simulator) error { return s.RunBefore(10 * sim.Nanosecond) }},
+		{"RunThrough", func(s *Simulator) error { return s.RunThrough(10 * sim.Nanosecond) }},
+		{"Step", func(s *Simulator) error { _, err := s.Step(); return err }},
+	} {
+		for _, plane := range []string{"packed", "nine field", "UseNineValuePlane"} {
+			s := New()
+			x := s.Signal("x", 8, U)
+			d := x.Driver("p")
+			var packed []bool
+			s.Process("p", func() {
+				packed = append(packed, s.fast && x.packed)
+				d.SetUint(5)
+			}, x)
+			restore := func() {}
+			switch plane {
+			case "nine field":
+				s.nine = true
+			case "UseNineValuePlane":
+				restore = UseNineValuePlane(true)
+			}
+			err := r.run(s)
+			restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := plane == "packed"
+			if len(packed) != 2 || packed[0] != want || packed[1] != want {
+				t.Errorf("%s, %s: the first instant's runs were packed %v, want %v twice", r.name, plane, packed, want)
+			}
+			if absorbed := s.absorptions > 0; absorbed != want {
+				t.Errorf("%s, %s: %d absorbed assignments, want absorption %v", r.name, plane, s.absorptions, want)
+			}
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 
 	"castanet/internal/coverify"
 	"castanet/internal/dut"
+	"castanet/internal/hdl"
 	"castanet/internal/sim"
 	"castanet/internal/traffic"
 )
@@ -15,10 +16,12 @@ import (
 // rtlCellRate runs the E1 pure-RTL regression bench — the workload whose
 // every signal toggle lives inside one HDL kernel, so it measures the
 // kernel itself rather than the coupling — and returns the best
-// cells-checked-per-wall-second of three runs. noCompiled selects the
-// plain event-driven kernel over the compiled fast path.
-func rtlCellRate(t *testing.T, perPort uint64, noCompiled bool) float64 {
+// cells-checked-per-wall-second of three runs. nine runs the kernel on
+// the plain nine-value event kernel instead of the packed data plane
+// (hdl.UseNineValuePlane).
+func rtlCellRate(t *testing.T, perPort uint64, nine bool) float64 {
 	t.Helper()
+	defer hdl.UseNineValuePlane(nine)()
 	const load = 0.8
 	period := 50 * sim.Nanosecond
 	cellTime := sim.Duration(float64(53*period) / load)
@@ -33,7 +36,7 @@ func rtlCellRate(t *testing.T, perPort uint64, noCompiled bool) float64 {
 	best := 0.0
 	for run := 0; run < 3; run++ {
 		rig := coverify.NewRTLRig(coverify.SwitchRigConfig{
-			Seed: 1, Traffic: tr, NoCompiled: noCompiled,
+			Seed: 1, Traffic: tr,
 		})
 		start := time.Now()
 		if err := rig.Run(); err != nil {
@@ -54,13 +57,14 @@ func rtlCellRate(t *testing.T, perPort uint64, noCompiled bool) float64 {
 }
 
 // TestWriteCompiledBench measures the HDL kernel's cell throughput on the
-// E1 RTL-bench workload in both kernel modes and adds three figures to
-// BENCH_coupling.json: hdl_cells_per_sec (compiled fast path, gated
+// E1 RTL-bench workload on both data planes and adds three figures to
+// BENCH_coupling.json: hdl_cells_per_sec (the packed plane, gated
 // higher-is-better by cmd/benchgate), hdl_cells_per_sec_event (the plain
-// event kernel, informational), and speedup_compiled_e1 (their ratio,
-// gated by the speedup_ rule — the committed claim that the compiled
-// kernel carries at least ~5x on this workload survives host changes
-// because both legs run in the same process).
+// nine-value event kernel, informational), and speedup_compiled_e1 (their
+// ratio, gated by the speedup_ rule — the committed claim that the packed
+// plane carries at least ~5x on this workload survives host changes
+// because both legs run in the same process). It sets the process-wide
+// plane seam, so it must not run in parallel.
 func TestWriteCompiledBench(t *testing.T) {
 	out := os.Getenv("COUPLING_BENCH_OUT")
 	if out == "" {

@@ -64,13 +64,10 @@ type Queue struct {
 	busy    bool
 	Dropped uint64
 	Served  uint64
-
-	// Occupancy tracks the time-weighted queue length.
-	Occupancy sim.TimeWeighted
 }
 
 // Init implements Processor.
-func (q *Queue) Init(ctx *Ctx) { q.Occupancy.Set(ctx.Now(), 0) }
+func (q *Queue) Init(ctx *Ctx) {}
 
 // Arrival implements Processor.
 func (q *Queue) Arrival(ctx *Ctx, pkt *Packet, port int) {
@@ -79,7 +76,6 @@ func (q *Queue) Arrival(ctx *Ctx, pkt *Packet, port int) {
 		return
 	}
 	q.fifo = append(q.fifo, pkt)
-	q.Occupancy.Set(ctx.Now(), float64(len(q.fifo)))
 	if !q.busy {
 		q.startService(ctx)
 	}
@@ -88,7 +84,6 @@ func (q *Queue) Arrival(ctx *Ctx, pkt *Packet, port int) {
 func (q *Queue) startService(ctx *Ctx) {
 	pkt := q.fifo[0]
 	q.fifo = q.fifo[1:]
-	q.Occupancy.Set(ctx.Now(), float64(len(q.fifo)))
 	q.busy = true
 	d := q.ServiceTime
 	if q.RateBps > 0 {

@@ -5,27 +5,6 @@ import (
 	"math"
 )
 
-// Average returns the time average over [first Set, t]. Before the first
-// Set it returns 0; at or before the first observation it returns the
-// current value.
-func (w *TimeWeighted) Average(t Time) float64 {
-	if !w.started {
-		return 0
-	}
-	elapsed := float64(t - w.first)
-	if elapsed <= 0 {
-		return w.value
-	}
-	area := w.area
-	if t > w.last {
-		area += w.value * float64(t-w.last)
-	}
-	return area / elapsed
-}
-
-// Max returns the maximum value ever set.
-func (w *TimeWeighted) Max() float64 { return w.max }
-
 // Geometric returns a geometrically distributed count >= 1 with the given
 // mean (mean must be >= 1).
 func (r *RNG) Geometric(mean float64) int {

@@ -70,30 +70,3 @@ func (a *Accumulator) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g",
 		a.n, a.Mean(), a.Stddev(), a.Min(), a.Max())
 }
-
-// TimeWeighted tracks the time-average of a piecewise-constant quantity
-// such as a queue length: each Set records the value holding from the given
-// time onward.
-type TimeWeighted struct {
-	first   Time
-	last    Time
-	value   float64
-	area    float64
-	started bool
-	max     float64
-}
-
-// Set records that the quantity changed to v at time t.
-func (w *TimeWeighted) Set(t Time, v float64) {
-	if w.started {
-		w.area += w.value * float64(t-w.last)
-	} else {
-		w.first = t
-	}
-	w.started = true
-	w.last = t
-	w.value = v
-	if v > w.max {
-		w.max = v
-	}
-}

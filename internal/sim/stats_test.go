@@ -53,30 +53,3 @@ func TestAccumulatorMeanBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTimeWeightedAverage(t *testing.T) {
-	var w TimeWeighted
-	w.Set(0, 0)
-	w.Set(10*Nanosecond, 4) // value 0 for 10ns
-	w.Set(30*Nanosecond, 2) // value 4 for 20ns
-	// value 2 for 10ns -> horizon 40ns
-	got := w.Average(40 * Nanosecond)
-	want := (0*10 + 4*20 + 2*10) / 40.0
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("Average = %v, want %v", got, want)
-	}
-	if w.Max() != 4 {
-		t.Errorf("Max = %v, want 4", w.Max())
-	}
-}
-
-func TestTimeWeightedEdgeCases(t *testing.T) {
-	var w TimeWeighted
-	if w.Average(100) != 0 {
-		t.Error("average before any Set should be 0")
-	}
-	w.Set(50*Nanosecond, 3)
-	if w.Average(50*Nanosecond) != 3 {
-		t.Error("average at first instant should be the value")
-	}
-}
