@@ -12,6 +12,7 @@ import (
 	"path"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -62,9 +63,29 @@ func TestExportedHaveProductionCallers(t *testing.T) {
 	}
 }
 
-// TestUnusedExportsFixture runs the scan over a small module: a name
+// reachRoots are the directories whose main packages are the
+// repository's production binaries: the commands and the benchmark
+// module. Examples are demos, not roots.
+var reachRoots = []string{"cmd", "cvbench"}
+
+// TestInternalPackagesReachable: every internal/ package is imported,
+// directly or through other packages' non-test code, by a command under
+// cmd/ or by the cvbench module, so a package that only its own tests and
+// examples use cannot stay.
+func TestInternalPackagesReachable(t *testing.T) {
+	orphans, err := unreachablePackages(".", "internal", reachRoots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ip := range orphans {
+		t.Errorf("%s: no binary under %v imports it", ip, reachRoots)
+	}
+}
+
+// TestUnusedExportsFixture runs both scans over a small module: a name
 // only a test calls is flagged, a called name and a method that
-// satisfies an interface non-test code uses are not.
+// satisfies an interface non-test code uses are not; a package only an
+// example imports counts as a caller of its exports but is unreachable.
 func TestUnusedExportsFixture(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
@@ -86,6 +107,20 @@ func TestOnly() {}
 import "testing"
 
 func TestLib(t *testing.T) { TestOnly(); T{}.Detached() }
+`,
+		"internal/orphan/orphan.go": `package orphan
+
+func Hello() string { return "hello" }
+`,
+		"examples/demo/main.go": `package main
+
+import (
+	"fmt"
+
+	"fixture/internal/orphan"
+)
+
+func main() { fmt.Println(orphan.Hello()) }
 `,
 		"cmd/tool/main.go": `package main
 
@@ -115,6 +150,13 @@ func main() { fmt.Println(lib.Used()) }
 	if fmt.Sprint(unused) != fmt.Sprint(want) {
 		t.Errorf("unused = %v, want %v", unused, want)
 	}
+	orphans, err := unreachablePackages(root, "internal", reachRoots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"internal/orphan"}; fmt.Sprint(orphans) != fmt.Sprint(want) {
+		t.Errorf("unreachable = %v, want %v", orphans, want)
+	}
 }
 
 // unusedExports type-checks every package under root (nested modules
@@ -125,6 +167,71 @@ func main() { fmt.Println(lib.Used()) }
 // (usedInterfaces). References from inside a name's own
 // declaration (recursion, method receivers) do not count.
 func unusedExports(root, scope string) ([]string, error) {
+	s, err := parseModule(root)
+	if err != nil {
+		return nil, err
+	}
+	paths := make([]string, 0, len(s.files))
+	for ip := range s.files {
+		paths = append(paths, ip)
+	}
+	sort.Strings(paths)
+	for _, ip := range paths {
+		if _, err := s.Import(ip); err != nil {
+			return nil, err
+		}
+	}
+	return s.unused(path.Join(s.module, scope), paths)
+}
+
+// unreachablePackages returns, sorted, the packages under root/scope that
+// no main package in a roots directory (relative to root) imports,
+// directly or through other packages, in non-test code.
+func unreachablePackages(root, scope string, roots []string) ([]string, error) {
+	s, err := parseModule(root)
+	if err != nil {
+		return nil, err
+	}
+	seen := map[string]bool{}
+	var visit func(ip string)
+	visit = func(ip string) {
+		if seen[ip] {
+			return
+		}
+		seen[ip] = true
+		for _, f := range s.files[ip] {
+			for _, imp := range f.Imports {
+				if dep, err := strconv.Unquote(imp.Path.Value); err == nil && s.files[dep] != nil {
+					visit(dep)
+				}
+			}
+		}
+	}
+	for ip, files := range s.files {
+		for _, r := range roots {
+			if files[0].Name.Name == "main" && within(ip, path.Join(s.module, r)) {
+				visit(ip)
+			}
+		}
+	}
+	var out []string
+	for ip := range s.files {
+		if within(ip, path.Join(s.module, scope)) && !seen[ip] {
+			out = append(out, strings.TrimPrefix(ip, s.module+"/"))
+		}
+	}
+	sort.Strings(out)
+	return out, nil
+}
+
+// within reports whether import path ip is dir or lies below it.
+func within(ip, dir string) bool {
+	return ip == dir || strings.HasPrefix(ip, dir+"/")
+}
+
+// parseModule parses the non-test Go files of every package under root
+// (nested modules included), keyed by import path.
+func parseModule(root string) (*moduleScan, error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
@@ -161,17 +268,7 @@ func unusedExports(root, scope string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	paths := make([]string, 0, len(s.files))
-	for ip := range s.files {
-		paths = append(paths, ip)
-	}
-	sort.Strings(paths)
-	for _, ip := range paths {
-		if _, err := s.Import(ip); err != nil {
-			return nil, err
-		}
-	}
-	return s.unused(path.Join(s.module, scope), paths)
+	return s, nil
 }
 
 // moduleScan type-checks a module's packages from source into one
@@ -189,7 +286,7 @@ type moduleScan struct {
 // Import checks a module package from source on first use (the build
 // already rejects import cycles) and defers anything else to std.
 func (s *moduleScan) Import(ip string) (*types.Package, error) {
-	if ip != s.module && !strings.HasPrefix(ip, s.module+"/") {
+	if !within(ip, s.module) {
 		return s.std.Import(ip)
 	}
 	if pkg, ok := s.pkgs[ip]; ok {
@@ -216,7 +313,7 @@ func (s *moduleScan) unused(prefix string, paths []string) ([]string, error) {
 	}
 	var decls []decl
 	for _, ip := range paths {
-		if ip != prefix && !strings.HasPrefix(ip, prefix+"/") {
+		if !within(ip, prefix) {
 			continue
 		}
 		short := strings.TrimPrefix(ip, s.module+"/")

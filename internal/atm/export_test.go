@@ -22,9 +22,6 @@ func (a *Accounting) Records() []UsageRecord {
 	return out
 }
 
-// Pending returns the number of partially reassembled frames.
-func (r *Reassembler) Pending() int { return len(r.partial) }
-
 // Len returns the number of installed entries.
 func (t *Translator) Len() int { return len(t.entries) }
 

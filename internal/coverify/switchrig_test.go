@@ -24,28 +24,47 @@ func lightTraffic(cellsPerPort uint64) [dut.SwitchPorts]PortTraffic {
 	return t
 }
 
+// TestSwitchCoVerificationClean: light routed traffic matches cell for
+// cell. In the unknown_vc case, port 3 also sends every fifth cell on a VC
+// that is in no table entry: the RTL switch and the reference must drop
+// those identically, with the routed cells still clean and none left
+// outstanding.
 func TestSwitchCoVerificationClean(t *testing.T) {
-	rig := NewSwitchRig(SwitchRigConfig{
-		Seed:    1,
-		Traffic: lightTraffic(50),
-	})
-	if err := rig.Run(10 * sim.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if rig.Offered != 200 {
-		t.Fatalf("offered = %d", rig.Offered)
-	}
-	for _, m := range rig.Cmp.Mismatches() {
-		t.Errorf("%v", m)
-	}
-	if out := rig.Cmp.Outstanding(); len(out) != 0 {
-		t.Errorf("%d cells lost: %v (report: %s)", len(out), out, rig.Report())
-	}
-	if rig.Cmp.Matched != 200 {
-		t.Errorf("matched = %d, want 200", rig.Cmp.Matched)
-	}
-	if rig.Entity.CausalityErrors != 0 {
-		t.Errorf("causality errors: %d", rig.Entity.CausalityErrors)
+	for _, tc := range []struct {
+		name    string
+		port3   []atm.VC
+		unknown uint64
+	}{
+		{"routed", PortVCs(3), 0},
+		{"unknown_vc", append(PortVCs(3), atm.VC{VPI: 9, VCI: 999}), 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := lightTraffic(50)
+			tr[3].VCs = tc.port3
+			rig := NewSwitchRig(SwitchRigConfig{Seed: 1, Traffic: tr})
+			if err := rig.Run(10 * sim.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			if rig.Offered != 200 {
+				t.Fatalf("offered = %d", rig.Offered)
+			}
+			for _, m := range rig.Cmp.Mismatches() {
+				t.Errorf("%v", m)
+			}
+			if out := rig.Cmp.Outstanding(); len(out) != 0 {
+				t.Errorf("%d cells lost: %v (report: %s)", len(out), out, rig.Report())
+			}
+			if want := 200 - tc.unknown; rig.Cmp.Matched != want {
+				t.Errorf("matched = %d, want %d", rig.Cmp.Matched, want)
+			}
+			if rig.DUT.UnknownVC != tc.unknown || rig.Ref.UnknownVC != tc.unknown {
+				t.Errorf("unknown-VC drops: hardware %d, reference %d, want %d",
+					rig.DUT.UnknownVC, rig.Ref.UnknownVC, tc.unknown)
+			}
+			if rig.Entity.CausalityErrors != 0 {
+				t.Errorf("causality errors: %d", rig.Entity.CausalityErrors)
+			}
+		})
 	}
 }
 

@@ -9,15 +9,6 @@ import (
 	"castanet/internal/sim"
 )
 
-// Transitions returns the number of transitions taken.
-func (m *EFSM) Transitions() uint64 { return m.transitions }
-
-// ForcedState declares a forced state: its outgoing transitions are
-// evaluated immediately after entry without waiting for an interrupt.
-func (m *EFSM) ForcedState(name string, enter func(ctx *Ctx, m *EFSM)) *EFSM {
-	return m.addState(name, true, enter)
-}
-
 // Series returns the captured samples.
 func (p *Probe) Series() []Sample { return p.series }
 

@@ -1,12 +1,14 @@
 // Package netsim is a discrete-event telecommunication network simulator
-// standing in for OPNET Modeler. It mirrors OPNET's three hierarchical
-// modeling domains described in the paper:
+// standing in for OPNET Modeler. It mirrors OPNET's hierarchical modeling
+// domains described in the paper:
 //
 //   - the network domain — a topology of nodes and communication links;
 //   - the node domain — each node's processing, queueing and communication
 //     interfaces (Processor implementations and Ports);
-//   - the process domain — node behaviour specified as communicating
-//     extended finite state machines (type EFSM).
+//   - the process domain — node behaviour written as Go Processor
+//     implementations that react to begin, arrival and timer interrupts:
+//     the CASTANET interface process, the reference models, and the
+//     sources, queues and sinks of this package.
 //
 // System behaviour and performance are analyzed by discrete-event
 // simulation on a shared kernel (package sim). The CASTANET interface
@@ -74,12 +76,6 @@ func (n *Network) Node(name string, p Processor) *Node {
 	n.nodes[name] = node
 	n.order = append(n.order, node)
 	return node
-}
-
-// Lookup returns a node by name.
-func (n *Network) Lookup(name string) (*Node, bool) {
-	nd, ok := n.nodes[name]
-	return nd, ok
 }
 
 // Connect creates a simplex link from port srcPort of src to port dstPort
