@@ -116,11 +116,12 @@ rig-smoke:
 # Coverage-guided fuzzing of the ipc frame and reliability-envelope
 # decoders, the envelope's inbound dispatch (arbitrary units from the far
 # end; only in-sequence envelope payloads may reach Recv) and the campaign
-# checkpoint decoder, plus the differential
+# checkpoint decoder, the Fig.-4 cell framer and deframer (random
+# octet/sync port streams), plus the differential
 # kernel-equivalence fuzzer (random netlist programs through both HDL
 # kernels, any observable divergence is a crash); seed corpora live in
-# internal/ipc/testdata/fuzz/, internal/campaign/testdata/fuzz/ and
-# internal/hdl/testdata/fuzz/.
+# internal/ipc/testdata/fuzz/, internal/campaign/testdata/fuzz/,
+# internal/hdl/testdata/fuzz/ and internal/atm/testdata/fuzz/.
 # Each kernel-equivalence input runs about sixteen simulations, so the
 # default 60 s minimization of every new input would spend the whole
 # budget on the first few; -fuzzminimizetime=1x keeps the inputs as found
@@ -131,6 +132,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReliableInbound$$' -fuzztime=$(FUZZTIME) ./internal/ipc/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime=$(FUZZTIME) ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelEquivalence$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/hdl/
+	$(GO) test -run '^$$' -fuzz '^FuzzCellStream$$' -fuzztime=$(FUZZTIME) ./internal/atm/
 
 bench:
 	$(GO) test -bench=Transport -benchtime=100x -run=^$$ ./internal/ipc/

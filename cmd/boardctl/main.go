@@ -128,10 +128,15 @@ func runAutoDuration(b *board.Board) {
 	stim := make([]board.Frame, 1000)
 	img := (&atm.Cell{Header: atm.Header{VPI: 9, VCI: 99}}).Marshal()
 	data, sync := inportPins(b.Cfg, "rx_data"), inportPins(b.Cfg, "rx_sync")
-	for i, v := range img {
-		stim[i][data.Lane] |= v << data.StartBit
+	var tx atm.Framer
+	tx.Load(img)
+	for i := 0; tx.Busy(); i++ {
+		octet, cellSync := tx.Next()
+		stim[i][data.Lane] |= octet << data.StartBit
+		if cellSync {
+			stim[i][sync.Lane] |= 1 << sync.StartBit
+		}
 	}
-	stim[0][sync.Lane] |= 1 << sync.StartBit
 	resp, err := b.RunTestCycleAuto(stim, "exception", 1)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "boardctl:", err)

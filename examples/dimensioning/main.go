@@ -55,7 +55,6 @@ func fmtUs(seconds float64) string {
 // the mean queueing delay in seconds.
 func run(depth int, heavyTailed bool) (offered, lost uint64, meanDelay float64) {
 	n := netsim.New(77)
-	probes := netsim.NewProbeSet()
 
 	// All connections converge on output 0.
 	table := atm.NewTranslator()
@@ -67,11 +66,10 @@ func run(depth int, heavyTailed bool) (offered, lost uint64, meanDelay float64) 
 	swNode := n.Node("switch", sw)
 
 	// The output port: a finite queue serving at line rate, then a sink
-	// with delay probes.
+	// that records each cell's end-to-end delay.
 	line := &netsim.Queue{Capacity: depth, ServiceTime: atm.CellTime(atm.LinkRateSTM1)}
 	lineNode := n.Node("outq", line)
 	sink := &netsim.Sink{}
-	netsim.InstrumentSink(sink, probes, "out")
 	sinkNode := n.Node("sink", sink)
 	n.Connect(swNode, 0, lineNode, 0, netsim.LinkParams{})
 	n.Connect(lineNode, 0, sinkNode, 0, netsim.LinkParams{})
@@ -113,7 +111,7 @@ func run(depth int, heavyTailed bool) (offered, lost uint64, meanDelay float64) 
 	}
 
 	n.Run(20 * sim.Second)
-	delay := probes.Get("out.delay").Stats()
+	delay := &sink.Delay
 	if delivered := delay.N(); delivered+line.Dropped != count {
 		log.Fatalf("buffer %d: %d cells offered, %d delivered + %d lost", depth, count, delivered, line.Dropped)
 	}

@@ -73,18 +73,19 @@ type VC struct {
 // String formats the connection as "vpi.vci".
 func (v VC) String() string { return fmt.Sprintf("%d.%d", v.VPI, v.VCI) }
 
-// VC returns the cell's connection identifier.
-func (c *Cell) VC() VC { return VC{VPI: c.VPI, VCI: c.VCI} }
+// VC returns the header's connection identifier.
+func (h Header) VC() VC { return VC{VPI: h.VPI, VCI: h.VCI} }
 
-// IsIdle reports whether the cell is an idle cell (ITU-T I.432:
+// IsIdle reports whether the header marks an idle cell (ITU-T I.432:
 // VPI=0, VCI=0, PTI=0, CLP=1).
-func (c *Cell) IsIdle() bool {
-	return c.GFC == 0 && c.VPI == 0 && c.VCI == 0 && c.PTI == 0 && c.CLP == 1
+func (h Header) IsIdle() bool {
+	return h.GFC == 0 && h.VPI == 0 && h.VCI == 0 && h.PTI == 0 && h.CLP == 1
 }
 
-// IsUnassigned reports whether the cell is unassigned (CLP=0 variant).
-func (c *Cell) IsUnassigned() bool {
-	return c.GFC == 0 && c.VPI == 0 && c.VCI == 0 && c.PTI == 0 && c.CLP == 0
+// IsUnassigned reports whether the header marks an unassigned cell (CLP=0
+// variant).
+func (h Header) IsUnassigned() bool {
+	return h.GFC == 0 && h.VPI == 0 && h.VCI == 0 && h.PTI == 0 && h.CLP == 0
 }
 
 // IdleCell returns a fresh idle cell with the standard 0x6A payload fill.
@@ -152,6 +153,31 @@ func UnmarshalHeader(b [HeaderBytes]byte) (Header, error) {
 	return h, nil
 }
 
+// ImageHeader unpacks the header that opens a cell image, verifying the
+// HEC.
+func ImageHeader(img [CellBytes]byte) (Header, error) {
+	return UnmarshalHeader([HeaderBytes]byte(img[:HeaderBytes]))
+}
+
+// ParseImage checks that data is one cell image with a valid HEC and
+// returns the image: the path from a cell message to a port, with no
+// *Cell in between.
+func ParseImage(data []byte) (img [CellBytes]byte, err error) {
+	if len(data) != CellBytes {
+		return img, fmt.Errorf("atm: cell image is %d bytes, want %d", len(data), CellBytes)
+	}
+	img = [CellBytes]byte(data)
+	_, err = ImageHeader(img)
+	return img, err
+}
+
+// Seq reads the sequence stamp from the first four payload octets of a
+// cell image (see Cell.StampSeq).
+func Seq(img [CellBytes]byte) uint32 {
+	p := img[HeaderBytes:]
+	return uint32(p[0])<<24 | uint32(p[1])<<16 | uint32(p[2])<<8 | uint32(p[3])
+}
+
 // Marshal serializes the full 53-octet cell. The Seq stamp is embedded in
 // the first four payload octets so it survives the trip through bit-level
 // hardware; real payload content starts afterwards in our test benches.
@@ -165,16 +191,12 @@ func (c *Cell) Marshal() [CellBytes]byte {
 
 // Unmarshal parses a 53-octet cell, verifying the HEC.
 func Unmarshal(b [CellBytes]byte) (*Cell, error) {
-	var hdr [HeaderBytes]byte
-	copy(hdr[:], b[:HeaderBytes])
-	h, err := UnmarshalHeader(hdr)
+	h, err := ImageHeader(b)
 	if err != nil {
 		return nil, err
 	}
-	c := &Cell{Header: h}
+	c := &Cell{Header: h, Seq: Seq(b)}
 	copy(c.Payload[:], b[HeaderBytes:])
-	c.Seq = uint32(c.Payload[0])<<24 | uint32(c.Payload[1])<<16 |
-		uint32(c.Payload[2])<<8 | uint32(c.Payload[3])
 	return c, nil
 }
 

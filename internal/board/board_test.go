@@ -192,7 +192,7 @@ func TestSwitchOnBoardEndToEnd(t *testing.T) {
 				Seq:    uint32(p*100 + k),
 			}
 			c.StampSeq()
-			h.Enqueue(p, c)
+			h.Enqueue(p, c.Marshal())
 		}
 	}
 	if err := h.Execute(8 * atm.CellBytes); err != nil {
@@ -207,7 +207,8 @@ func TestSwitchOnBoardEndToEnd(t *testing.T) {
 	}
 	// Translation check on one cell.
 	found := false
-	for _, cell := range h.Out[2] {
+	for _, img := range h.Out[2] {
+		cell, _ := atm.Unmarshal(img)
 		if cell.Seq == 2 { // port 0, k=2 -> VCI 102 -> out 2
 			found = true
 			if cell.VPI != 0x10 || cell.VCI != 0x202 {

@@ -14,8 +14,8 @@ type StreamPair struct {
 	DataOut, SyncOut string // device outputs, sampled by the board
 }
 
-// StreamHarness converts between ATM cells and board pin frames for a
-// device whose interface is a set of cell streams (the switch, the
+// StreamHarness converts between ATM cell images and board pin frames
+// for a device whose interface is a set of cell streams (the switch, the
 // accounting unit). It chunks work into hardware test cycles bounded by
 // the board's memory depth and keeps reassembly state across cycles, so
 // arbitrarily long verification runs execute as the paper describes:
@@ -25,17 +25,12 @@ type StreamHarness struct {
 	Streams []StreamPair
 
 	pending [][][atm.CellBytes]byte // per stream, cells waiting to be driven
-	rx      []rxState
-	// Out collects reassembled output cells per stream.
-	Out [][]*atm.Cell
+	rx      []atm.Deframer
+	// Out collects the images of reassembled, HEC-clean, non-idle output
+	// cells per stream.
+	Out [][][atm.CellBytes]byte
 	// RxErrors counts HEC failures seen on device outputs.
 	RxErrors uint64
-}
-
-type rxState struct {
-	buf    [atm.CellBytes]byte
-	pos    int
-	inCell bool
 }
 
 // NewStreamHarness builds a harness; the board must already be configured
@@ -64,15 +59,15 @@ func NewStreamHarness(b *Board, streams []StreamPair) (*StreamHarness, error) {
 		Board:   b,
 		Streams: streams,
 		pending: make([][][atm.CellBytes]byte, len(streams)),
-		rx:      make([]rxState, len(streams)),
-		Out:     make([][]*atm.Cell, len(streams)),
+		rx:      make([]atm.Deframer, len(streams)),
+		Out:     make([][][atm.CellBytes]byte, len(streams)),
 	}, nil
 }
 
-// Enqueue queues a cell for transmission on a stream. The payload is
-// driven exactly as given (callers stamp sequence numbers themselves).
-func (h *StreamHarness) Enqueue(stream int, c *atm.Cell) {
-	h.pending[stream] = append(h.pending[stream], c.Marshal())
+// Enqueue queues a cell image for transmission on a stream. It is driven
+// exactly as given (callers stamp sequence numbers themselves).
+func (h *StreamHarness) Enqueue(stream int, img [atm.CellBytes]byte) {
+	h.pending[stream] = append(h.pending[stream], img)
 }
 
 // pinRange finds the mapping for a named input port.
@@ -114,14 +109,15 @@ func (h *StreamHarness) Execute(drainCycles int) error {
 	for si, q := range h.pending {
 		dp := h.inPins(h.Streams[si].DataIn)
 		sp := h.inPins(h.Streams[si].SyncIn)
+		var tx atm.Framer
 		cyc := 0
 		for _, img := range q {
-			for b := 0; b < atm.CellBytes; b++ {
-				insert(&stim[cyc], dp, uint64(img[b]))
-				if b == 0 {
+			for tx.Load(img); tx.Busy(); cyc++ {
+				octet, sync := tx.Next()
+				insert(&stim[cyc], dp, uint64(octet))
+				if sync {
 					insert(&stim[cyc], sp, 1)
 				}
-				cyc++
 			}
 		}
 		h.pending[si] = nil
@@ -145,35 +141,27 @@ func (h *StreamHarness) parse(resp []Frame) {
 	for si := range h.Streams {
 		dp := h.outPins(h.Streams[si].DataOut)
 		sp := h.outPins(h.Streams[si].SyncOut)
-		st := &h.rx[si]
+		rx := &h.rx[si]
 		for _, f := range resp {
-			if extract(f, sp)&1 == 1 {
-				st.pos = 0
-				st.inCell = true
-			}
-			if !st.inCell {
+			img := rx.Push(byte(extract(f, dp)), extract(f, sp)&1 == 1)
+			if img == nil {
 				continue
 			}
-			st.buf[st.pos] = byte(extract(f, dp))
-			st.pos++
-			if st.pos == atm.CellBytes {
-				st.inCell = false
-				cell, err := atm.Unmarshal(st.buf)
-				if err != nil {
-					h.RxErrors++
-					continue
-				}
-				if cell.IsIdle() {
-					continue
-				}
-				h.Out[si] = append(h.Out[si], cell)
+			hdr, err := atm.ImageHeader(*img)
+			if err != nil {
+				h.RxErrors++
+				continue
+			}
+			if !hdr.IsIdle() {
+				h.Out[si] = append(h.Out[si], *img)
 			}
 		}
 	}
 }
 
-// TakeOut returns and clears the collected output cells of one stream.
-func (h *StreamHarness) TakeOut(stream int) []*atm.Cell {
+// TakeOut returns and clears the collected output cell images of one
+// stream.
+func (h *StreamHarness) TakeOut(stream int) [][atm.CellBytes]byte {
 	out := h.Out[stream]
 	h.Out[stream] = nil
 	return out
@@ -183,8 +171,8 @@ func (h *StreamHarness) TakeOut(stream int) []*atm.Cell {
 // hardware test board in the simulation loop (the right-hand path of
 // Fig. 1): cell messages accumulate as stimuli; every time-update message
 // triggers a batch of hardware test cycles whose output cells return as
-// responses. KindOf maps input message kinds to streams; RespKind labels
-// each stream's responses.
+// responses. Cells stay images on the way through. KindOf maps input
+// message kinds to streams; RespKind labels each stream's responses.
 type Coupling struct {
 	Harness *StreamHarness
 	// KindOf returns the stream index for an input message kind, or -1.
@@ -222,12 +210,12 @@ func (c *Coupling) apply(out []ipc.Message, msg ipc.Message) ([]ipc.Message, err
 			return nil, err
 		}
 		for si := range c.Harness.Streams {
-			for _, cell := range c.Harness.TakeOut(si) {
-				img := cell.Marshal()
+			imgs := c.Harness.TakeOut(si)
+			for i := range imgs {
 				out = append(out, ipc.Message{
 					Kind: c.RespKind(si),
 					Time: msg.Time,
-					Data: img[:],
+					Data: imgs[i][:],
 				})
 			}
 		}
@@ -237,16 +225,11 @@ func (c *Coupling) apply(out []ipc.Message, msg ipc.Message) ([]ipc.Message, err
 	if stream < 0 {
 		return nil, fmt.Errorf("board: no stream for message kind %d", msg.Kind)
 	}
-	if len(msg.Data) != atm.CellBytes {
-		return nil, fmt.Errorf("board: cell message of %d bytes", len(msg.Data))
-	}
-	var img [atm.CellBytes]byte
-	copy(img[:], msg.Data)
-	cell, err := atm.Unmarshal(img)
+	img, err := atm.ParseImage(msg.Data)
 	if err != nil {
 		return nil, err
 	}
-	c.Harness.Enqueue(stream, cell)
+	c.Harness.Enqueue(stream, img)
 	return out, nil
 }
 

@@ -80,7 +80,7 @@ func TestSuiteAgainstHDLReader(t *testing.T) {
 	delivered := map[string]bool{}
 	rd := mapping.NewCellPortReader(h, "rx", clk, data, sync)
 	var order []string
-	rd.OnCell = func(c *atm.Cell) {
+	rd.OnCell = func(img [atm.CellBytes]byte, _ atm.Header) {
 		// Identify the vector by position in the replay order.
 		delivered[order[rd.Received+rd.Errors-1]] = true
 	}

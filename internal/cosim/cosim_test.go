@@ -43,19 +43,15 @@ func newLoopbackEntity() *Entity {
 	r := mapping.NewCellPortReader(h, "rx", clk, dout, sout)
 
 	e := NewEntity(h)
-	r.OnCell = func(c *atm.Cell) {
-		data, err := (mapping.CellCodec{}).Encode(c)
-		if err != nil {
-			panic(err)
-		}
-		e.EmitTraced(KindData, data, uint64(c.Seq)+1)
+	r.OnCell = func(img [atm.CellBytes]byte, _ atm.Header) {
+		e.EmitTraced(KindData, img[:], uint64(atm.Seq(img))+1)
 	}
 	e.Input(KindData, 60*clkPeriod, func(e *Entity, msg ipc.Message) error {
-		v, err := (mapping.CellCodec{}).Decode(msg.Data)
+		img, err := atm.ParseImage(msg.Data)
 		if err != nil {
 			return err
 		}
-		w.Enqueue(v.(*atm.Cell))
+		w.Enqueue(img, 0)
 		return nil
 	})
 	return e

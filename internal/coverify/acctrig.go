@@ -98,9 +98,7 @@ func NewAcctRig(cfg AcctRigConfig) *AcctRig {
 		if len(msg.Data) != atm.CellBytes {
 			return fmt.Errorf("coverify: raw vector of %d bytes", len(msg.Data))
 		}
-		var img [atm.CellBytes]byte
-		copy(img[:], msg.Data)
-		w.EnqueueRaw(img)
+		w.Enqueue([atm.CellBytes]byte(msg.Data), 0)
 		return nil
 	})
 	r.registry.Register(KindRawCell, mapping.BytesCodec{})

@@ -53,11 +53,6 @@ type Harness struct {
 	// coupling (nil unless Reliable is set); its Stats expose retransmit
 	// counts.
 	RelClient *ipc.ReliableTransport
-	// Probes collects run statistics: "hw.latency" is the per-cell
-	// traversal time through the hardware (network injection to hardware
-	// response, seconds) — the network simulator's analysis capabilities
-	// applied to the hardware's behaviour.
-	Probes *netsim.ProbeSet
 	// Offered counts cells injected into the environment.
 	Offered uint64
 
@@ -65,8 +60,6 @@ type Harness struct {
 	clk      *hdl.Signal
 	registry *mapping.Registry
 	node     *netsim.Node // the interface process, node "castanet"
-	injected map[uint32]sim.Time
-	latency  *netsim.Probe
 	// countFlushLag keeps the final flush window's lag in the entity's
 	// statistics; every rig but the accounting rig freezes them first.
 	countFlushLag bool
@@ -120,8 +113,8 @@ func (h *Harness) entity() {
 	h.registry = mapping.NewRegistry()
 }
 
-// writer conditions DUT input port in: every KindCellIn(p) message becomes
-// a cell serialized onto the port's byte lanes.
+// writer conditions DUT input port in: the cell image of every
+// KindCellIn(p) message is serialized onto the port's byte lanes.
 func (h *Harness) writer(name string, p int, in dut.CellPort) *mapping.CellPortWriter {
 	w := mapping.NewCellPortWriter(h.HDL, name, h.clk, in.Data, in.Sync)
 	if cells := h.cfg.Cells; cells.Enabled() {
@@ -132,31 +125,27 @@ func (h *Harness) writer(name string, p int, in dut.CellPort) *mapping.CellPortW
 		}
 	}
 	h.Entity.Input(KindCellIn(p), h.cfg.Delta, func(e *cosim.Entity, msg ipc.Message) error {
-		v, err := (mapping.CellCodec{}).Decode(msg.Data)
+		img, err := atm.ParseImage(msg.Data)
 		if err != nil {
 			return err
 		}
-		w.EnqueueTraced(v.(*atm.Cell), msg.Trace)
+		w.Enqueue(img, msg.Trace)
 		return nil
 	})
 	h.registry.Register(KindCellIn(p), mapping.CellCodec{})
 	return w
 }
 
-// reader conditions DUT output port out: every cell the DUT emits there
-// returns as a KindCellOut(p) response.
+// reader conditions DUT output port out: the image of every cell the DUT
+// emits there returns as a KindCellOut(p) response.
 func (h *Harness) reader(name string, p int, out dut.CellPort) {
 	rd := mapping.NewCellPortReader(h.HDL, name, h.clk, out.Data, out.Sync)
 	rd.SkipIdle = true
-	rd.OnCell = func(c *atm.Cell) {
-		data, err := (mapping.CellCodec{}).Encode(c)
-		if err != nil {
-			panic(err)
-		}
-		if id := uint64(c.Seq) + 1; h.cfg.Cells.Sampled(id) {
-			h.Entity.EmitTraced(KindCellOut(p), data, id)
+	rd.OnCell = func(img [atm.CellBytes]byte, _ atm.Header) {
+		if id := uint64(atm.Seq(img)) + 1; h.cfg.Cells.Sampled(id) {
+			h.Entity.EmitTraced(KindCellOut(p), img[:], id)
 		} else {
-			h.Entity.Emit(KindCellOut(p), data)
+			h.Entity.Emit(KindCellOut(p), img[:])
 		}
 	}
 	h.registry.Register(KindCellOut(p), mapping.CellCodec{})
@@ -205,9 +194,6 @@ func (h *Harness) network(coupling cosim.Coupling, classify func(*netsim.Packet,
 	}
 	h.Net = netsim.New(cfg.Seed)
 	h.Net.Sched.Instrument(cfg.Registry, "net.sched")
-	h.Probes = netsim.NewProbeSet()
-	h.latency = h.Probes.Get("hw.latency")
-	h.injected = make(map[uint32]sim.Time)
 	h.Iface = &cosim.InterfaceProcess{
 		Coupling:  coupling,
 		Registry:  h.registry,
@@ -269,8 +255,7 @@ func (h *Harness) feed(i int, gen traffic.Model, limit uint64, cell func(ctx *ne
 
 // newCell mints the next offered cell on vc, with CLP=1 at probability
 // clp1: its Seq numbers it within the run and is stamped into the
-// payload, and its injection is recorded for the latency probe and the
-// cell's causal trace.
+// payload, and its injection opens the cell's causal trace.
 func (h *Harness) newCell(ctx *netsim.Ctx, vc atm.VC, clp1 float64) *atm.Cell {
 	c := &atm.Cell{Header: atm.Header{VPI: vc.VPI, VCI: vc.VCI}}
 	if clp1 > 0 && ctx.RNG().Bool(clp1) {
@@ -279,20 +264,15 @@ func (h *Harness) newCell(ctx *netsim.Ctx, vc atm.VC, clp1 float64) *atm.Cell {
 	c.Seq = uint32(h.Offered)
 	h.Offered++
 	c.StampSeq()
-	h.injected[c.Seq] = ctx.Now()
 	h.cfg.Cells.Hop(uint64(c.Seq)+1, obs.HopNetEnqueue, int64(ctx.Now()))
 	return c
 }
 
-// respond takes one DUT response cell into the latency probe and the
-// comparison engine.
+// respond takes one DUT response cell into the comparison engine.
 func (h *Harness) respond(resp cosim.Response) {
 	cell, ok := resp.Value.(*atm.Cell)
 	if !ok {
 		panic(fmt.Sprintf("coverify: response kind %d carried %T", resp.Kind, resp.Value))
-	}
-	if t, known := h.injected[cell.Seq]; known {
-		h.latency.Record(resp.NetTime, (resp.HWTime - t).Seconds())
 	}
 	h.compare(int(resp.Kind-kindCellOut), cell, int64(resp.NetTime))
 }
@@ -359,7 +339,7 @@ func (h *Harness) flush(t sim.Time) error {
 		return err
 	}
 	for _, m := range resps {
-		v, err := (mapping.CellCodec{}).Decode(m.Data)
+		v, err := h.registry.Decode(m.Kind, m.Data)
 		if err != nil {
 			return err
 		}

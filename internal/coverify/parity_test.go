@@ -113,6 +113,22 @@ func rigParity(t *testing.T, name string, seed uint64) parityRun {
 	return parityRun{fmt.Sprintf("rig %s seed=%d vcd=%x report=%s", name, seed, sha256.Sum256(buf.Bytes()), report()), h, counter}
 }
 
+// boardParity runs the board rig, whose device is the cycle twin on the
+// test board rather than an HDL design, so its line carries the report
+// alone. The 1024-frame memory splits every batch into several test
+// cycles, so cells cross test-cycle boundaries in both directions.
+func boardParity(t *testing.T, seed uint64) string {
+	t.Helper()
+	rig, err := coverify.NewBoardRig(coverify.SwitchRigConfig{Seed: seed, Traffic: parityTraffic(15)}, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.Run(4 * sim.Millisecond); err != nil {
+		t.Fatalf("board seed %d: %v", seed, err)
+	}
+	return fmt.Sprintf("rig board seed=%d report=%s", seed, rig.Report())
+}
+
 // kernelCounters instruments h into a registry of its own and returns a
 // reader of its hdl.sim counters by name, as published (elided_edges,
 // folded_edges, absorbed_assignments, ...).
@@ -191,10 +207,10 @@ func parityFile(t *testing.T, file, got string) {
 	}
 }
 
-// TestParityArtifacts asserts every rig's full-design VCD and report, and
-// the switch, faults (without its partition column), policer and acct
-// campaign digests (coverage on, profile off), byte-identical to the
-// recorded ones.
+// TestParityArtifacts asserts every HDL rig's full-design VCD and report,
+// the board rig's report, and the switch, faults (without its partition
+// column), policer, acct and tablefaults campaign digests (coverage on,
+// profile off), byte-identical to the recorded ones.
 func TestParityArtifacts(t *testing.T) {
 	var b strings.Builder
 	for _, rig := range []string{"switch", "rtl", "policer", "acct"} {
@@ -202,7 +218,10 @@ func TestParityArtifacts(t *testing.T) {
 			b.WriteString(rigParity(t, rig, seed).line + "\n")
 		}
 	}
-	for _, name := range []string{"switch", "faults", "policer", "acct"} {
+	for _, seed := range paritySeeds {
+		b.WriteString(boardParity(t, seed) + "\n")
+	}
+	for _, name := range []string{"switch", "faults", "policer", "acct", "tablefaults"} {
 		b.WriteString(campaignParity(t, name, false) + "\n")
 	}
 	parityFile(t, "parity.txt", b.String())

@@ -207,17 +207,35 @@ func TestSwitchRigWaveformCapture(t *testing.T) {
 }
 
 func TestSwitchRigLatencyProbe(t *testing.T) {
-	rig := NewSwitchRig(SwitchRigConfig{Seed: 9, Traffic: lightTraffic(20)})
+	cells := obs.NewCellTracker(1, 0)
+	rig := NewSwitchRig(SwitchRigConfig{Seed: 9, Traffic: lightTraffic(20), Run: obs.Run{Cells: cells}})
 	if err := rig.Run(5 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	lat := rig.Probes.Get("hw.latency").Stats()
+	// Each cell's latency through the hardware: network injection to the
+	// comparison of its response.
+	var lat sim.Accumulator
+	for _, tr := range cells.Traces() {
+		var enq, cmp int64 = -1, -1
+		for _, h := range tr.Hops {
+			switch h.Name {
+			case obs.HopNetEnqueue:
+				enq = h.Sim
+			case obs.HopCompare:
+				cmp = h.Sim
+			}
+		}
+		if enq >= 0 && cmp >= 0 {
+			lat.Add(sim.Time(cmp - enq).Seconds())
+		}
+	}
 	if lat.N() != 80 {
 		t.Fatalf("latency samples = %d, want 80", lat.N())
 	}
 	// A cell needs at least 53 input clocks + bus + 53 output clocks at
 	// 50ns: > 5.3us; and nothing should take longer than a few cell times
 	// at this light load.
+	t.Logf("latency over %d cells: %s", lat.N(), &lat)
 	if lat.Min() < 5.3e-6 {
 		t.Errorf("min latency %v below physical floor", lat.Min())
 	}

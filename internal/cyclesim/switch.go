@@ -33,17 +33,13 @@ type Switch struct {
 const busBeats = (atm.CellBytes+3)/4 + 1 // words + grant cycle
 
 type swInPort struct {
-	buf    [atm.CellBytes]byte
-	pos    int
-	inCell bool
-	fifo   [][atm.CellBytes]byte
+	rx   atm.Deframer
+	fifo [][atm.CellBytes]byte
 }
 
 type swOutPort struct {
-	fifo   [][atm.CellBytes]byte
-	cur    [atm.CellBytes]byte
-	pos    int
-	active bool
+	fifo [][atm.CellBytes]byte
+	tx   atm.Framer
 }
 
 // NewSwitch returns a cycle-based switch with the given table and FIFO
@@ -91,20 +87,8 @@ func (s *Switch) Reset() {
 func (s *Switch) Tick(in []uint64) []uint64 {
 	// Input reassembly.
 	for p := 0; p < 4; p++ {
-		data := byte(in[2*p])
-		sync := in[2*p+1]&1 == 1
-		ip := &s.in[p]
-		if sync {
-			ip.pos = 0
-			ip.inCell = true
-		}
-		if ip.inCell {
-			ip.buf[ip.pos] = data
-			ip.pos++
-			if ip.pos == atm.CellBytes {
-				ip.inCell = false
-				s.acceptCell(p)
-			}
+		if img := s.in[p].rx.Push(byte(in[2*p]), in[2*p+1]&1 == 1); img != nil {
+			s.acceptCell(p, *img)
 		}
 	}
 	// Arbitration + transfer: the shared bus moves one whole cell every
@@ -121,7 +105,7 @@ func (s *Switch) Tick(in []uint64) []uint64 {
 				continue
 			}
 			img := ip.fifo[0]
-			hdr, err := atm.UnmarshalHeader([5]byte{img[0], img[1], img[2], img[3], img[4]})
+			hdr, err := atm.ImageHeader(img)
 			if err != nil {
 				ip.fifo = ip.fifo[1:]
 				s.HECErrors[p]++
@@ -153,36 +137,28 @@ func (s *Switch) Tick(in []uint64) []uint64 {
 	out := make([]uint64, 8)
 	for p := 0; p < 4; p++ {
 		op := &s.out[p]
-		if !op.active && len(op.fifo) > 0 {
-			op.cur = op.fifo[0]
+		if !op.tx.Busy() && len(op.fifo) > 0 {
+			op.tx.Load(op.fifo[0])
 			op.fifo = op.fifo[1:]
-			op.active = true
-			op.pos = 0
 			s.TxCells[p]++
 		}
-		if op.active {
-			out[2*p] = uint64(op.cur[op.pos])
-			if op.pos == 0 {
-				out[2*p+1] = 1
-			}
-			op.pos++
-			if op.pos == atm.CellBytes {
-				op.active = false
-			}
+		octet, sync := op.tx.Next()
+		out[2*p] = uint64(octet)
+		if sync {
+			out[2*p+1] = 1
 		}
 	}
 	return out
 }
 
-func (s *Switch) acceptCell(p int) {
+func (s *Switch) acceptCell(p int, img [atm.CellBytes]byte) {
 	ip := &s.in[p]
-	img := ip.buf
-	cell, err := atm.Unmarshal(img)
+	hdr, err := atm.ImageHeader(img)
 	if err != nil {
 		s.HECErrors[p]++
 		return
 	}
-	if cell.IsIdle() || cell.IsUnassigned() {
+	if hdr.IsIdle() || hdr.IsUnassigned() {
 		return
 	}
 	s.RxCells[p]++
@@ -213,9 +189,7 @@ type Accounting struct {
 	Cells [256]uint32
 	CLP1  [256]uint32
 
-	buf    [atm.CellBytes]byte
-	pos    int
-	inCell bool
+	rx atm.Deframer
 
 	Unregistered uint64
 	Observed     uint64
@@ -258,9 +232,7 @@ func (a *Accounting) Ports() []Port {
 // Reset implements Device (table bindings survive reset, counters clear —
 // matching a chip whose CAM is non-volatile configuration).
 func (a *Accounting) Reset() {
-	a.buf = [atm.CellBytes]byte{}
-	a.pos = 0
-	a.inCell = false
+	a.rx = atm.Deframer{}
 	a.Cells = [256]uint32{}
 	a.CLP1 = [256]uint32{}
 	a.Unregistered = 0
@@ -271,19 +243,8 @@ func (a *Accounting) Reset() {
 // Tick implements Device.
 func (a *Accounting) Tick(in []uint64) []uint64 {
 	a.exception = false
-	data := byte(in[0])
-	sync := in[1]&1 == 1
-	if sync {
-		a.pos = 0
-		a.inCell = true
-	}
-	if a.inCell {
-		a.buf[a.pos] = data
-		a.pos++
-		if a.pos == atm.CellBytes {
-			a.inCell = false
-			a.meter()
-		}
+	if img := a.rx.Push(byte(in[0]), in[1]&1 == 1); img != nil {
+		a.meter(*img)
 	}
 	out := make([]uint64, 1)
 	if a.exception {
@@ -292,15 +253,15 @@ func (a *Accounting) Tick(in []uint64) []uint64 {
 	return out
 }
 
-func (a *Accounting) meter() {
-	cell, err := atm.Unmarshal(a.buf)
+func (a *Accounting) meter(img [atm.CellBytes]byte) {
+	hdr, err := atm.ImageHeader(img)
 	if err != nil {
 		return // HEC-failed cells are invisible to the meter
 	}
-	if cell.IsIdle() || cell.IsUnassigned() {
+	if hdr.IsIdle() || hdr.IsUnassigned() {
 		return
 	}
-	idx, ok := a.slots[cell.VC()]
+	idx, ok := a.slots[hdr.VC()]
 	if !ok {
 		a.Unregistered++
 		a.exception = true
@@ -308,7 +269,7 @@ func (a *Accounting) meter() {
 	}
 	a.Observed++
 	a.Cells[idx]++
-	if cell.CLP == 1 {
+	if hdr.CLP == 1 {
 		a.CLP1[idx]++
 	}
 }

@@ -88,7 +88,7 @@ func NewAccountingUnit(h *hdl.Simulator, clk *hdl.Signal, capacity int) *Account
 	u.rdDataDrv.SetUint(0)
 
 	rd := mapping.NewCellPortReader(h, "acct_rx", clk, u.In.Data, u.In.Sync)
-	rd.OnCell = func(c *atm.Cell) { u.meter(c) }
+	rd.OnCell = func(_ [atm.CellBytes]byte, hdr atm.Header) { u.meter(hdr) }
 
 	// Exception strobe: exactly one clock cycle high per offending cell,
 	// even when offending cells arrive back to back. The process runs
@@ -153,11 +153,11 @@ func (u *AccountingUnit) Slot(vc atm.VC) (int, bool) {
 	return i, ok
 }
 
-func (u *AccountingUnit) meter(c *atm.Cell) {
-	if c.IsIdle() || c.IsUnassigned() {
+func (u *AccountingUnit) meter(hdr atm.Header) {
+	if hdr.IsIdle() || hdr.IsUnassigned() {
 		return
 	}
-	idx, ok := u.slots[c.VC()]
+	idx, ok := u.slots[hdr.VC()]
 	if !ok {
 		u.Unregistered++
 		u.pendingExc = true
@@ -166,7 +166,7 @@ func (u *AccountingUnit) meter(c *atm.Cell) {
 	}
 	u.Observed++
 	u.cells[idx]++
-	if c.CLP == 1 {
+	if hdr.CLP == 1 {
 		u.clp1[idx]++
 	}
 }

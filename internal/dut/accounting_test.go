@@ -42,10 +42,10 @@ func TestAccountingUnitCounts(t *testing.T) {
 	}
 	slotB, _ := rig.u.Register(vcB)
 	for i := 0; i < 5; i++ {
-		rig.w.Enqueue(&atm.Cell{Header: atm.Header{VPI: 1, VCI: 10}})
+		rig.w.Enqueue((&atm.Cell{Header: atm.Header{VPI: 1, VCI: 10}}).Marshal(), 0)
 	}
 	for i := 0; i < 3; i++ {
-		rig.w.Enqueue(&atm.Cell{Header: atm.Header{VPI: 2, VCI: 20, CLP: 1}})
+		rig.w.Enqueue((&atm.Cell{Header: atm.Header{VPI: 2, VCI: 20, CLP: 1}}).Marshal(), 0)
 	}
 	rig.run(t, 9*60*clkPeriod)
 	if got := rig.u.Counter(slotA, false); got != 5 {
@@ -74,8 +74,8 @@ func TestAccountingUnitException(t *testing.T) {
 			exceptions++
 		}
 	})
-	rig.w.Enqueue(&atm.Cell{Header: atm.Header{VPI: 7, VCI: 77}}) // unregistered
-	rig.w.Enqueue(&atm.Cell{Header: atm.Header{VPI: 1, VCI: 10}}) // registered
+	rig.w.Enqueue((&atm.Cell{Header: atm.Header{VPI: 7, VCI: 77}}).Marshal(), 0) // unregistered
+	rig.w.Enqueue((&atm.Cell{Header: atm.Header{VPI: 1, VCI: 10}}).Marshal(), 0) // registered
 	rig.run(t, 3*60*clkPeriod)
 	if rig.u.Unregistered != 1 {
 		t.Errorf("Unregistered = %d", rig.u.Unregistered)
@@ -94,11 +94,11 @@ func TestAccountingUnitIgnoresIdle(t *testing.T) {
 	// An idle-filled line around one user cell.
 	idle := atm.IdleCell().Marshal()
 	for i := 0; i < 5; i++ {
-		rig.w.EnqueueRaw(idle)
+		rig.w.Enqueue(idle, 0)
 	}
-	rig.w.Enqueue(&atm.Cell{Header: atm.Header{VPI: 1, VCI: 10}})
+	rig.w.Enqueue((&atm.Cell{Header: atm.Header{VPI: 1, VCI: 10}}).Marshal(), 0)
 	for i := 0; i < 5; i++ {
-		rig.w.EnqueueRaw(idle)
+		rig.w.Enqueue(idle, 0)
 	}
 	rig.run(t, 10*60*clkPeriod)
 	if rig.u.Observed != 1 {
@@ -114,7 +114,7 @@ func TestAccountingReadPort(t *testing.T) {
 	vc := atm.VC{VPI: 3, VCI: 30}
 	slot, _ := rig.u.Register(vc)
 	for i := 0; i < 7; i++ {
-		rig.w.Enqueue(&atm.Cell{Header: atm.Header{VPI: 3, VCI: 30}})
+		rig.w.Enqueue((&atm.Cell{Header: atm.Header{VPI: 3, VCI: 30}}).Marshal(), 0)
 	}
 	rig.run(t, 8*60*clkPeriod)
 

@@ -89,7 +89,7 @@ func NewPolicer(h *hdl.Simulator, clk *hdl.Signal, capacity int) *Policer {
 	p.violationDrv.SetBit(hdl.L0)
 
 	rd := mapping.NewCellPortReader(h, "upc_rx", clk, p.In.Data, p.In.Sync)
-	rd.OnCell = func(c *atm.Cell) { p.police(c) }
+	rd.OnCell = p.police
 
 	p.writer = mapping.NewCellPortWriter(h, "upc_tx", clk, p.Out.Data, p.Out.Sync)
 
@@ -137,18 +137,19 @@ func (p *Policer) ContractFor(vc atm.VC, peakInterval, tau, clockPeriod sim.Dura
 
 // police implements the virtual scheduling algorithm on the cycle
 // counter.
-func (p *Policer) police(c *atm.Cell) {
-	if c.IsIdle() || c.IsUnassigned() {
+func (p *Policer) police(img [atm.CellBytes]byte, hdr atm.Header) {
+	if hdr.IsIdle() || hdr.IsUnassigned() {
 		return
 	}
 	now := p.cycle()
 	if p.OnPolice != nil {
+		c, _ := atm.Unmarshal(img) // the reader delivers HEC-clean images only
 		p.OnPolice(c, now)
 	}
-	slot, ok := p.slots[c.VC()]
+	slot, ok := p.slots[hdr.VC()]
 	if !ok {
 		p.Passed++
-		p.writer.Enqueue(c)
+		p.writer.Enqueue(img, 0)
 		return
 	}
 	conforms := false
@@ -166,7 +167,7 @@ func (p *Policer) police(c *atm.Cell) {
 	}
 	if conforms {
 		p.Conforming++
-		p.writer.Enqueue(c)
+		p.writer.Enqueue(img, 0)
 		return
 	}
 	p.NonConforming++
@@ -174,14 +175,15 @@ func (p *Policer) police(c *atm.Cell) {
 	p.violProc.Wake()
 	switch p.Action {
 	case PolicerTag:
-		if c.CLP == 1 {
+		if hdr.CLP == 1 {
 			p.Discarded++
 			return
 		}
-		tagged := c.Clone()
-		tagged.CLP = 1
+		hdr.CLP = 1
+		tagged := hdr.MarshalHeader()
+		copy(img[:atm.HeaderBytes], tagged[:])
 		p.Tagged++
-		p.writer.Enqueue(tagged)
+		p.writer.Enqueue(img, 0)
 	default:
 		p.Discarded++
 	}

@@ -25,7 +25,10 @@ func newPolicerRig(action PolicerAction) *policerRig {
 	w := mapping.NewCellPortWriter(h, "tb_tx", clk, u.In.Data, u.In.Sync)
 	rig := &policerRig{h: h, u: u, w: w}
 	rd := mapping.NewCellPortReader(h, "tb_rx", clk, u.Out.Data, u.Out.Sync)
-	rd.OnCell = func(c *atm.Cell) { rig.out = append(rig.out, c) }
+	rd.OnCell = func(img [atm.CellBytes]byte, _ atm.Header) {
+		c, _ := atm.Unmarshal(img)
+		rig.out = append(rig.out, c)
+	}
 	return rig
 }
 
@@ -33,7 +36,7 @@ func newPolicerRig(action PolicerAction) *policerRig {
 func (r *policerRig) sendAt(t *testing.T, cycle int, c *atm.Cell) {
 	t.Helper()
 	c.StampSeq()
-	r.h.Schedule(sim.Duration(cycle)*clkPeriod, func() { r.w.Enqueue(c) })
+	r.h.Schedule(sim.Duration(cycle)*clkPeriod, func() { r.w.Enqueue(c.Marshal(), 0) })
 }
 
 func (r *policerRig) run(t *testing.T, cycles int) {

@@ -211,8 +211,8 @@ func newPortModule(h *hdl.Simulator, clk *hdl.Signal, sw *Switch, idx int, cfg S
 
 	// Input reassembly straight off the line.
 	rd := mapping.NewCellPortReader(h, name+"_rx", clk, sw.In[idx].Data, sw.In[idx].Sync)
-	rd.OnCell = func(c *atm.Cell) {
-		if c.IsIdle() || c.IsUnassigned() {
+	rd.OnCell = func(img [atm.CellBytes]byte, hdr atm.Header) {
+		if hdr.IsIdle() || hdr.IsUnassigned() {
 			return
 		}
 		sw.RxCells[idx]++
@@ -222,7 +222,7 @@ func newPortModule(h *hdl.Simulator, clk *hdl.Signal, sw *Switch, idx int, cfg S
 			sw.coverDropInFifo.Hit()
 			return
 		}
-		p.inFifo.Push(inCell{img: c.Marshal(), hdr: c.Header})
+		p.inFifo.Push(inCell{img: img, hdr: hdr})
 		p.ctl.Wake()
 	}
 	rd.OnError = func(img [atm.CellBytes]byte, err error) {
@@ -313,7 +313,7 @@ func newPortModule(h *hdl.Simulator, clk *hdl.Signal, sw *Switch, idx int, cfg S
 				sw.coverDropHEC.Hit()
 				return
 			}
-			p.writer.EnqueueRaw(img)
+			p.writer.Enqueue(img, 0)
 			sw.TxCells[idx]++
 		}
 	})

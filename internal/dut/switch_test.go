@@ -33,7 +33,10 @@ func newSwitchRig(table *atm.Translator, cfg SwitchConfig) *switchRig {
 		rig.readers[i] = mapping.NewCellPortReader(h, fmt.Sprintf("tb_rx%d", i), clk,
 			rig.sw.Out[i].Data, rig.sw.Out[i].Sync)
 		rig.readers[i].SkipIdle = true
-		rig.readers[i].OnCell = func(c *atm.Cell) { rig.out[i] = append(rig.out[i], c) }
+		rig.readers[i].OnCell = func(img [atm.CellBytes]byte, _ atm.Header) {
+			c, _ := atm.Unmarshal(img)
+			rig.out[i] = append(rig.out[i], c)
+		}
 	}
 	return rig
 }
@@ -42,7 +45,7 @@ func newSwitchRig(table *atm.Translator, cfg SwitchConfig) *switchRig {
 // benches here match cells by Seq) and queues it on an input port.
 func (r *switchRig) send(port int, c *atm.Cell) {
 	c.StampSeq()
-	r.in[port].Enqueue(c)
+	r.in[port].Enqueue(c.Marshal(), 0)
 }
 
 func (r *switchRig) run(t *testing.T, d sim.Duration) {
@@ -126,11 +129,11 @@ func TestSwitchIdleCellsNotSwitched(t *testing.T) {
 	// A continuous idle-filled line: 18 cell slots in 1000 clocks.
 	idle := atm.IdleCell().Marshal()
 	for i := 0; i < 8; i++ {
-		rig.in[0].EnqueueRaw(idle)
+		rig.in[0].Enqueue(idle, 0)
 	}
 	rig.send(0, &atm.Cell{Header: atm.Header{VPI: 1, VCI: 100}, Seq: 4})
 	for i := 0; i < 9; i++ {
-		rig.in[0].EnqueueRaw(idle)
+		rig.in[0].Enqueue(idle, 0)
 	}
 	rig.run(t, 1000*clkPeriod)
 	total := 0
@@ -155,7 +158,7 @@ func TestSwitchHECErrorDropped(t *testing.T) {
 	h.Clock(clk, clkPeriod)
 	sw := NewSwitch(h, clk, tb, DefaultSwitchConfig())
 	w := mapping.NewCellPortWriter(h, "tb_tx0", clk, sw.In[0].Data, sw.In[0].Sync)
-	w.Enqueue(&atm.Cell{Header: atm.Header{VPI: 1, VCI: 100}})
+	w.Enqueue((&atm.Cell{Header: atm.Header{VPI: 1, VCI: 100}}).Marshal(), 0)
 	// Force a header byte to zero during the second octet of the cell.
 	sab := sw.In[0].Data.Driver("sab")
 	sab.Set(hdl.NewLV(8, hdl.Z))

@@ -20,10 +20,10 @@ func conformanceSuite(known atm.VC) *conformance.Suite {
 }
 
 // e6Stimulus is the deterministic workload both engines consume: per
-// input port a list of (gapCycles, cell).
+// input port a list of (gapCycles, cell image).
 type e6Stimulus struct {
-	gaps  [dut.SwitchPorts][]int
-	cells [dut.SwitchPorts][]*atm.Cell
+	gaps [dut.SwitchPorts][]int
+	imgs [dut.SwitchPorts][][atm.CellBytes]byte
 }
 
 func makeE6Stimulus(cells uint64, seed uint64) *e6Stimulus {
@@ -37,7 +37,7 @@ func makeE6Stimulus(cells uint64, seed uint64) *e6Stimulus {
 			c := &atm.Cell{Header: atm.Header{VPI: vc.VPI, VCI: vc.VCI}, Seq: seq}
 			c.StampSeq()
 			seq++
-			st.cells[p] = append(st.cells[p], c)
+			st.imgs[p] = append(st.imgs[p], c.Marshal())
 			st.gaps[p] = append(st.gaps[p], 10+rng.Intn(20)) // 53+gap cycles spacing
 		}
 	}
@@ -72,20 +72,19 @@ func (f Factory) E6(cells uint64, seed uint64) E6Result {
 		p := p
 		w := mapping.NewCellPortWriter(h, fmt.Sprintf("tx%d", p), clk, sw.In[p].Data, sw.In[p].Sync)
 		cyc := 0
-		for i, c := range st.cells[p] {
-			c := c
-			at := sim.Duration(cyc) * period
-			h.Schedule(at, func() { w.Enqueue(c) })
-			cyc += 53 + st.gaps[p][i]
+		for i, img := range st.imgs[p] {
+			h.Schedule(sim.Duration(cyc)*period, func() { w.Enqueue(img, 0) })
+			cyc += atm.CellBytes + st.gaps[p][i]
 		}
 		if cyc > totalCycles {
 			totalCycles = cyc
 		}
 		rd := mapping.NewCellPortReader(h, fmt.Sprintf("rx%d", p), clk, sw.Out[p].Data, sw.Out[p].Sync)
 		rd.SkipIdle = true
-		rd.OnCell = func(c *atm.Cell) {
-			eventGot[c.Seq] = cellRecord{port: p, header: c.Header}
-			eventDone[c.Seq] = int(h.RisingEdges(clk)) - 1
+		rd.OnCell = func(img [atm.CellBytes]byte, hdr atm.Header) {
+			seq := atm.Seq(img)
+			eventGot[seq] = cellRecord{port: p, header: hdr}
+			eventDone[seq] = int(h.RisingEdges(clk)) - 1
 		}
 	}
 	horizon := sim.Duration(totalCycles+20*53) * period
@@ -104,62 +103,36 @@ func (f Factory) E6(cells uint64, seed uint64) E6Result {
 	cycleGot := make(map[uint32]cellRecord)
 	cycleDone := make(map[uint32]int)
 	nCycles := totalCycles + 20*53
-	// Precompile per-port byte streams.
-	type stream struct {
-		data []byte
-		sync []bool
-	}
-	streams := make([]stream, dut.SwitchPorts)
-	for p := 0; p < dut.SwitchPorts; p++ {
-		s := stream{data: make([]byte, nCycles), sync: make([]bool, nCycles)}
-		cyc := 0
-		for i, c := range st.cells[p] {
-			img := c.Marshal()
-			for b := 0; b < atm.CellBytes; b++ {
-				if cyc+b < nCycles {
-					s.data[cyc+b] = img[b]
-					s.sync[cyc+b] = b == 0
-				}
-			}
-			cyc += 53 + st.gaps[p][i]
-		}
-		streams[p] = s
-	}
-	type rxs struct {
-		buf    [atm.CellBytes]byte
-		pos    int
-		inCell bool
-	}
-	var rx [dut.SwitchPorts]rxs
+	// Each port frames its cells at the event leg's start cycles and
+	// deframes what the twin sends back.
+	var tx [dut.SwitchPorts]atm.Framer
+	var rx [dut.SwitchPorts]atm.Deframer
+	var next, at [dut.SwitchPorts]int // next cell per port and its start cycle
 	in := make([]uint64, 2*dut.SwitchPorts)
 	start = time.Now()
 	for cyc := 0; cyc < nCycles; cyc++ {
 		for p := 0; p < dut.SwitchPorts; p++ {
-			in[2*p] = uint64(streams[p].data[cyc])
-			if streams[p].sync[cyc] {
+			if i := next[p]; i < len(st.imgs[p]) && cyc == at[p] {
+				tx[p].Load(st.imgs[p][i])
+				at[p] += atm.CellBytes + st.gaps[p][i]
+				next[p]++
+			}
+			octet, sync := tx[p].Next()
+			in[2*p], in[2*p+1] = uint64(octet), 0
+			if sync {
 				in[2*p+1] = 1
-			} else {
-				in[2*p+1] = 0
 			}
 		}
 		out := csw.Tick(in)
 		for p := 0; p < dut.SwitchPorts; p++ {
-			r := &rx[p]
-			if out[2*p+1]&1 == 1 {
-				r.pos = 0
-				r.inCell = true
-			}
-			if !r.inCell {
+			img := rx[p].Push(byte(out[2*p]), out[2*p+1]&1 == 1)
+			if img == nil {
 				continue
 			}
-			r.buf[r.pos] = byte(out[2*p])
-			r.pos++
-			if r.pos == atm.CellBytes {
-				r.inCell = false
-				if c, err := atm.Unmarshal(r.buf); err == nil && !c.IsIdle() && !c.IsUnassigned() {
-					cycleGot[c.Seq] = cellRecord{port: p, header: c.Header}
-					cycleDone[c.Seq] = cyc
-				}
+			if hdr, err := atm.ImageHeader(*img); err == nil && !hdr.IsIdle() && !hdr.IsUnassigned() {
+				seq := atm.Seq(*img)
+				cycleGot[seq] = cellRecord{port: p, header: hdr}
+				cycleDone[seq] = cyc
 			}
 		}
 	}

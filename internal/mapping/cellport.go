@@ -6,31 +6,28 @@ import (
 	"castanet/internal/sim"
 )
 
-// CellPortWriter serializes ATM cells onto the Fig.-4 port structure:
+// CellPortWriter serializes cell images onto the Fig.-4 port structure:
 //
 //	atmdata  : STD_LOGIC_VECTOR(7 downto 0)  — one octet per clock
 //	cellsync : STD_LOGIC                     — high during the first octet
 //
-// One cell occupies exactly 53 rising clock edges. When the transmit
-// queue is empty the writer drives zero with cellsync low (a gated test
-// stream) and parks its process until the next Enqueue. A test bench that
-// models a continuously framed line enqueues idle-cell images with
-// EnqueueRaw.
+// One cell occupies exactly 53 rising clock edges (atm.Framer). When the
+// transmit queue is empty the writer drives zero with cellsync low (a
+// gated test stream) and parks its process until the next Enqueue. A test
+// bench that models a continuously framed line enqueues idle-cell images.
 type CellPortWriter struct {
-	// OnCellStart, when non-nil, fires as a cell queued by EnqueueTraced
-	// with a nonzero trace ID puts its first octet onto the wire, with that
-	// ID — the moment the hardware commits to transmitting it. Causal cell
-	// tracing hooks here to record the hdl.commit hop.
+	// OnCellStart, when non-nil, fires as a cell enqueued with a nonzero
+	// trace ID puts its first octet onto the wire, with that ID — the
+	// moment the hardware commits to transmitting it. Causal cell tracing
+	// hooks here to record the hdl.commit hop.
 	OnCellStart func(trace uint64)
 
 	data *hdl.Driver
 	sync *hdl.Driver
 	proc *hdl.Process
 
-	queue   sim.FIFO[queued]
-	current [atm.CellBytes]byte
-	pos     int
-	active  bool
+	queue sim.FIFO[queued]
+	frame atm.Framer
 
 	// SentCells counts completed cell transmissions.
 	SentCells uint64
@@ -63,25 +60,14 @@ func NewCellPortWriter(s *hdl.Simulator, name string, clk, data, cellSync *hdl.S
 	return w
 }
 
-// Enqueue schedules a cell for transmission. The payload is transmitted
-// exactly as given; callers that match cells by sequence number stamp it
-// into the payload first (Cell.StampSeq).
-func (w *CellPortWriter) Enqueue(c *atm.Cell) {
-	w.EnqueueTraced(c, 0)
-}
-
-// EnqueueTraced is Enqueue for a cell carrying causal trace ID trace (0:
-// untraced); OnCellStart reports the ID when the cell commits.
-func (w *CellPortWriter) EnqueueTraced(c *atm.Cell, trace uint64) {
-	w.queue.Push(queued{img: c.Marshal(), trace: trace})
-	w.proc.Wake()
-}
-
-// EnqueueRaw schedules a raw 53-octet image for transmission, including
-// deliberately invalid images (bad HEC) — the path conformance test
-// vectors take to the device.
-func (w *CellPortWriter) EnqueueRaw(img [atm.CellBytes]byte) {
-	w.queue.Push(queued{img: img})
+// Enqueue schedules a cell image for transmission, carrying causal trace
+// ID trace (0: untraced); OnCellStart reports the ID when the cell
+// commits. The image is sent exactly as given, deliberately invalid ones
+// (bad HEC) included: that is the path conformance test vectors take to
+// the device. Callers that match cells by sequence number stamp it into
+// the payload first (Cell.StampSeq).
+func (w *CellPortWriter) Enqueue(img [atm.CellBytes]byte, trace uint64) {
+	w.queue.Push(queued{img: img, trace: trace})
 	w.proc.Wake()
 }
 
@@ -90,19 +76,11 @@ func (w *CellPortWriter) EnqueueRaw(img [atm.CellBytes]byte) {
 func (w *CellPortWriter) Backlog() int { return w.queue.Len() }
 
 // Busy reports whether a cell is currently being transmitted.
-func (w *CellPortWriter) Busy() bool { return w.active }
+func (w *CellPortWriter) Busy() bool { return w.frame.Busy() }
 
 func (w *CellPortWriter) tick() {
-	if !w.active {
-		if w.queue.Len() > 0 {
-			q := w.queue.Pop()
-			w.current = q.img
-			w.active = true
-			w.pos = 0
-			if q.trace != 0 && w.OnCellStart != nil {
-				w.OnCellStart(q.trace)
-			}
-		} else {
+	if !w.frame.Busy() {
+		if w.queue.Len() == 0 {
 			// Idle line: once these zeros land, every further edge would
 			// only re-assert them, so sleep until the next Enqueue.
 			w.data.SetUint(0)
@@ -110,28 +88,32 @@ func (w *CellPortWriter) tick() {
 			w.proc.Park()
 			return
 		}
+		q := w.queue.Pop()
+		w.frame.Load(q.img)
+		if q.trace != 0 && w.OnCellStart != nil {
+			w.OnCellStart(q.trace)
+		}
 	}
-	w.data.SetUint(uint64(w.current[w.pos]))
-	if w.pos == 0 {
+	octet, sync := w.frame.Next()
+	w.data.SetUint(uint64(octet))
+	if sync {
 		w.sync.SetBit(hdl.L1)
 	} else {
 		w.sync.SetBit(hdl.L0)
 	}
-	w.pos++
-	if w.pos == atm.CellBytes {
-		w.active = false
+	if !w.frame.Busy() {
 		w.SentCells++
 	}
 }
 
 // CellPortReader reassembles cells from the same port structure: it
-// samples the data port on each rising clock edge, starts a new cell when
-// cellsync is high, and invokes OnCell for every completed 53-octet image.
-// HEC failures are surfaced through OnError; the cell is still delivered
-// to OnError callers for diagnosis.
+// samples the data port on each rising clock edge into an atm.Deframer
+// and invokes OnCell for every completed, HEC-clean 53-octet image. HEC
+// failures and undefined data mid-cell are surfaced through OnError.
 type CellPortReader struct {
-	// OnCell receives each correctly delineated, HEC-clean cell.
-	OnCell func(c *atm.Cell)
+	// OnCell receives each correctly delineated, HEC-clean cell image with
+	// its header.
+	OnCell func(img [atm.CellBytes]byte, hdr atm.Header)
 	// OnError receives the raw image of a cell that failed HEC, together
 	// with the error.
 	OnError func(img [atm.CellBytes]byte, err error)
@@ -139,9 +121,7 @@ type CellPortReader struct {
 	// line's framing, not of the traffic under test).
 	SkipIdle bool
 
-	buf      [atm.CellBytes]byte
-	pos      int
-	inCell   bool
+	frame    atm.Deframer
 	Received uint64
 	Errors   uint64
 	Idles    uint64
@@ -157,8 +137,9 @@ func NewCellPortReader(s *hdl.Simulator, name string, clk, data, cellSync *hdl.S
 	r := &CellPortReader{}
 	var p *hdl.Process
 	p = s.Clocked(name, clk, func() {
-		r.sample(data, cellSync)
-		if !r.inCell && !cellSync.Bit().IsHigh() {
+		sync := cellSync.Bit().IsHigh()
+		r.sample(data, sync)
+		if !r.frame.Busy() && !sync {
 			p.Park()
 		}
 	})
@@ -166,13 +147,8 @@ func NewCellPortReader(s *hdl.Simulator, name string, clk, data, cellSync *hdl.S
 	return r
 }
 
-func (r *CellPortReader) sample(data, cellSync *hdl.Signal) {
-	if cellSync.Bit().IsHigh() {
-		// Cell start: discard any partial cell (loss of delineation).
-		r.pos = 0
-		r.inCell = true
-	}
-	if !r.inCell {
+func (r *CellPortReader) sample(data *hdl.Signal, sync bool) {
+	if !sync && !r.frame.Busy() {
 		return
 	}
 	// Uint serves from the packed two-state mirror on the compiled data
@@ -181,36 +157,34 @@ func (r *CellPortReader) sample(data, cellSync *hdl.Signal) {
 	u, ok := data.Uint()
 	if !ok {
 		// Undefined data mid-cell: abandon the cell.
-		r.inCell = false
-		r.Errors++
-		if r.OnError != nil {
-			r.OnError(r.buf, atm.ErrHEC)
+		if partial := r.frame.Abort(sync); partial != nil {
+			r.Errors++
+			if r.OnError != nil {
+				r.OnError(*partial, atm.ErrHEC)
+			}
 		}
 		return
 	}
-	r.buf[r.pos] = byte(u)
-	r.pos++
-	if r.pos < atm.CellBytes {
+	img := r.frame.Push(byte(u), sync)
+	if img == nil {
 		return
 	}
-	r.inCell = false
-	img := r.buf
-	cell, err := atm.Unmarshal(img)
+	hdr, err := atm.ImageHeader(*img)
 	if err != nil {
 		r.Errors++
 		if r.OnError != nil {
-			r.OnError(img, err)
+			r.OnError(*img, err)
 		}
 		return
 	}
 	r.Received++
-	if cell.IsIdle() {
+	if hdr.IsIdle() {
 		r.Idles++
 		if r.SkipIdle {
 			return
 		}
 	}
 	if r.OnCell != nil {
-		r.OnCell(cell)
+		r.OnCell(*img, hdr)
 	}
 }

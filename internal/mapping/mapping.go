@@ -86,11 +86,10 @@ func (CellCodec) Encode(v interface{}) ([]byte, error) {
 
 // Decode implements Codec, verifying the HEC.
 func (CellCodec) Decode(data []byte) (interface{}, error) {
-	if len(data) != atm.CellBytes {
-		return nil, fmt.Errorf("mapping: cell payload is %d bytes, want %d", len(data), atm.CellBytes)
+	img, err := atm.ParseImage(data)
+	if err != nil {
+		return nil, err
 	}
-	var img [atm.CellBytes]byte
-	copy(img[:], data)
 	return atm.Unmarshal(img)
 }
 

@@ -85,7 +85,10 @@ func buildLoop(t *testing.T) (*hdl.Simulator, *CellPortWriter, *CellPortReader, 
 	r := NewCellPortReader(s, "rx", clk, data, csync)
 	r.SkipIdle = true
 	var got []*atm.Cell
-	r.OnCell = func(c *atm.Cell) { got = append(got, c) }
+	r.OnCell = func(img [atm.CellBytes]byte, _ atm.Header) {
+		c, _ := atm.Unmarshal(img)
+		got = append(got, c)
+	}
 	return s, w, r, &got
 }
 
@@ -98,7 +101,7 @@ func TestCellPortTransfer(t *testing.T) {
 	}
 	for _, c := range cells {
 		c.StampSeq()
-		w.Enqueue(c)
+		w.Enqueue(c.Marshal(), 0)
 	}
 	// 3 cells * 53 cycles * 10ns + slack.
 	if err := s.Run(3*53*10*sim.Nanosecond + 200*sim.Nanosecond); err != nil {
@@ -128,11 +131,11 @@ func TestCellPortTiming(t *testing.T) {
 	w := NewCellPortWriter(s, "tx", clk, data, csync)
 	rd := NewCellPortReader(s, "rx", clk, data, csync)
 	var times []sim.Time
-	rd.OnCell = func(c *atm.Cell) { times = append(times, s.Now()) }
+	rd.OnCell = func([atm.CellBytes]byte, atm.Header) { times = append(times, s.Now()) }
 	for i := 0; i < 3; i++ {
 		c := &atm.Cell{Header: atm.Header{VPI: 1, VCI: 1}, Seq: uint32(i)}
 		c.StampSeq()
-		w.Enqueue(c)
+		w.Enqueue(c.Marshal(), 0)
 	}
 	if err := s.Run(2 * sim.Microsecond); err != nil {
 		t.Fatal(err)
@@ -152,10 +155,10 @@ func TestCellPortIdleInsertion(t *testing.T) {
 	s, w, r, got := buildLoop(t)
 	// A continuously framed line: idle-cell images around one user cell.
 	idle := atm.IdleCell().Marshal()
-	w.EnqueueRaw(idle)
-	w.Enqueue(&atm.Cell{Header: atm.Header{VPI: 1, VCI: 7}, Seq: 9})
-	w.EnqueueRaw(idle)
-	w.EnqueueRaw(idle)
+	w.Enqueue(idle, 0)
+	w.Enqueue((&atm.Cell{Header: atm.Header{VPI: 1, VCI: 7}, Seq: 9}).Marshal(), 0)
+	w.Enqueue(idle, 0)
+	w.Enqueue(idle, 0)
 	if err := s.Run(5 * 530 * sim.Nanosecond); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +185,7 @@ func TestCellPortCorruptionDetected(t *testing.T) {
 	r := NewCellPortReader(s, "rx", clk, data, csync)
 	errs := 0
 	r.OnError = func(img [atm.CellBytes]byte, err error) { errs++ }
-	w.Enqueue(&atm.Cell{Header: atm.Header{VPI: 1, VCI: 1}})
+	w.Enqueue((&atm.Cell{Header: atm.Header{VPI: 1, VCI: 1}}).Marshal(), 0)
 	// Interfering driver glitches the bus during octet ~10.
 	saboteur := data.Driver("saboteur")
 	saboteur.Set(hdl.NewLV(8, hdl.Z))

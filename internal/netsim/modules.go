@@ -110,8 +110,7 @@ type Sink struct {
 	Received uint64
 	Delay    sim.Accumulator // seconds
 
-	// OnPacket, when set, observes every absorbed packet (used by the
-	// comparison logic and by hardware-vs-reference probes).
+	// OnPacket, when set, observes every absorbed packet.
 	OnPacket func(ctx *Ctx, pkt *Packet, port int)
 }
 

@@ -26,7 +26,10 @@ func TestGeneratorEmitsVectors(t *testing.T) {
 	var got []*atm.Cell
 	var times []sim.Time
 	rd := mapping.NewCellPortReader(h, "rx", clk, data, sync)
-	rd.OnCell = func(c *atm.Cell) { got = append(got, c); times = append(times, h.Now()) }
+	rd.OnCell = func(img [atm.CellBytes]byte, _ atm.Header) {
+		c, _ := atm.Unmarshal(img)
+		got, times = append(got, c), append(times, h.Now())
+	}
 	if err := h.Run(400 * clkPeriod); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +138,7 @@ func TestRTLTestbenchEventOverhead(t *testing.T) {
 	syncB := bare.Bit("sync", hdl.U)
 	w := mapping.NewCellPortWriter(bare, "tx", clkB, dataB, syncB)
 	for _, v := range makeCells(20) {
-		w.Enqueue(v.Cell)
+		w.Enqueue(v.Cell.Marshal(), 0)
 	}
 	if err := bare.Run(20 * 70 * clkPeriod); err != nil {
 		t.Fatal(err)
