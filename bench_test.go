@@ -40,6 +40,12 @@ func benchHorizon(cellsPerPort uint64, load float64) sim.Time {
 // control unit, test bench at the network level. The paper reports ~30 s
 // for 10,000 cells (~1,300 clock cycles/s) on an UltraSparc.
 //
+// Its deterministic figure is allocs/op: it counts work, not host speed
+// (about 5 heap objects per verified cell, DESIGN.md §22, plus the rig's
+// elaboration), so it reads the same on any machine for the same -benchtime
+// Nx and moves only when the cell path's allocations do. ns/op, cells/s
+// and clk-cycles/s are wall-clock figures and carry the host's noise.
+//
 // To size a kernel change, build the parent's and the change's test
 // binaries once and alternate them on one CPU, comparing pair by pair,
 // since a shared host is noisy:

@@ -87,6 +87,37 @@ func TestCoverFloorPreflight(t *testing.T) {
 	}
 }
 
+// TestCellsCapNotice: an experiment that runs fewer cells than -cells
+// asks for says so on stderr, naming the value it used, while stdout is
+// exactly that of a run asked for the capped value; a request within the
+// cap prints nothing on stderr.
+func TestCellsCapNotice(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess CLI tests in -short mode")
+	}
+	run := func(cells string) (stdout, stderr string) {
+		var out, errb strings.Builder
+		cmd := exec.Command(cliBin, "-experiment", "e3", "-cells", cells)
+		cmd.Stdout, cmd.Stderr = &out, &errb
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("-cells %s: %v\n%s", cells, err, errb.String())
+		}
+		return out.String(), errb.String()
+	}
+	capOut, capErr := run("1500")
+	want := "castanet: e3: -cells 1500 capped at 1000\n"
+	if capErr != want {
+		t.Errorf("stderr = %q, want %q", capErr, want)
+	}
+	plainOut, plainErr := run("1000")
+	if plainErr != "" {
+		t.Errorf("stderr within the cap = %q, want empty", plainErr)
+	}
+	if capOut != plainOut {
+		t.Errorf("capped stdout differs from -cells 1000:\n-- capped --\n%s-- 1000 --\n%s", capOut, plainOut)
+	}
+}
+
 // TestExploreFlagValidation: the -explore flag family rejects conflicts
 // and nonsense with exit status 2 before any work starts.
 func TestExploreFlagValidation(t *testing.T) {

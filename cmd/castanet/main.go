@@ -98,23 +98,36 @@ import (
 	"castanet/internal/obs"
 )
 
-// experiment is one runnable harness: the name accepted by -experiment
-// and the function producing its report from the run's factory.
+// experiment is one runnable harness: the name accepted by -experiment,
+// the most cells it runs (0: no cap) and the function producing its
+// report from the run's factory.
 type experiment struct {
-	name string
-	run  func(f experiments.Factory, cells, seed uint64) fmt.Stringer
+	name     string
+	maxCells uint64
+	run      func(f experiments.Factory, cells, seed uint64) fmt.Stringer
 }
 
 // table lists the experiments in execution order for -experiment all.
 var table = []experiment{
-	{"e1", func(f experiments.Factory, c, s uint64) fmt.Stringer { return f.E1(c, s) }},
-	{"e2", func(f experiments.Factory, c, s uint64) fmt.Stringer { return f.E2(min64(c, 800), s) }},
-	{"e3", func(f experiments.Factory, c, s uint64) fmt.Stringer { return f.E3(min64(c, 1000), s) }},
-	{"e4", func(f experiments.Factory, c, s uint64) fmt.Stringer { return f.E4(min64(c, 800), s) }},
-	{"e5", func(f experiments.Factory, c, s uint64) fmt.Stringer { return f.E5(s) }},
-	{"e6", func(f experiments.Factory, c, s uint64) fmt.Stringer { return f.E6(min64(c, 2000), s) }},
-	{"e7", func(f experiments.Factory, c, s uint64) fmt.Stringer { return f.E7(min64(c, 500), s) }},
-	{"e8", func(f experiments.Factory, c, s uint64) fmt.Stringer { return f.E8(s) }},
+	{"e1", 0, func(f experiments.Factory, c, s uint64) fmt.Stringer { return f.E1(c, s) }},
+	{"e2", 800, func(f experiments.Factory, c, s uint64) fmt.Stringer { return f.E2(c, s) }},
+	{"e3", 1000, func(f experiments.Factory, c, s uint64) fmt.Stringer { return f.E3(c, s) }},
+	{"e4", 800, func(f experiments.Factory, c, s uint64) fmt.Stringer { return f.E4(c, s) }},
+	{"e5", 0, func(f experiments.Factory, c, s uint64) fmt.Stringer { return f.E5(s) }},
+	{"e6", 2000, func(f experiments.Factory, c, s uint64) fmt.Stringer { return f.E6(c, s) }},
+	{"e7", 500, func(f experiments.Factory, c, s uint64) fmt.Stringer { return f.E7(c, s) }},
+	{"e8", 0, func(f experiments.Factory, c, s uint64) fmt.Stringer { return f.E8(s) }},
+}
+
+// cells returns the cell count e runs for a -cells request, saying on
+// stderr when its cap lowers the request: no experiment changes a flag's
+// value without printing it.
+func (e experiment) cells(requested uint64) uint64 {
+	if e.maxCells == 0 || requested <= e.maxCells {
+		return requested
+	}
+	fmt.Fprintf(os.Stderr, "castanet: %s: -cells %d capped at %d\n", e.name, requested, e.maxCells)
+	return e.maxCells
 }
 
 // names returns the valid -experiment values for usage messages.
@@ -260,7 +273,7 @@ func run() int {
 	var unprofiled []string
 	for _, e := range selected {
 		before := processRuns(run)
-		fmt.Println(e.run(factory, *cells, *seed))
+		fmt.Println(e.run(factory, e.cells(*cells), *seed))
 		srv.Beat()
 		if profiling && processRuns(run) == before {
 			unprofiled = append(unprofiled, e.name)
@@ -571,11 +584,4 @@ func writeRunArtifacts(run *obs.Run, metricsPath, tracePath string) error {
 		}
 	}
 	return nil
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

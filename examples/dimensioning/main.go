@@ -100,10 +100,10 @@ func run(depth int, heavyTailed bool) (offered, lost uint64, meanDelay float64) 
 		src := &netsim.Source{
 			Gen:   gen,
 			Limit: 40000,
-			Make: func(ctx *netsim.Ctx, i uint64) *netsim.Packet {
+			Make: func(ctx *netsim.Ctx, i uint64) netsim.Packet {
 				count++
 				c := &atm.Cell{Header: atm.Header{VPI: byte(p + 1), VCI: 7}, Seq: uint32(count)}
-				return ctx.Net().NewPacket("cell", c, atm.CellBytes*8)
+				return ctx.Net().NewPacket(c, atm.CellBytes*8)
 			},
 		}
 		srcNode := n.Node(fmt.Sprintf("src%d", p), src)

@@ -83,10 +83,10 @@ func runBurst(t *testing.T, c Coupling, gaps []byte, sources int) []Response {
 		src := &netsim.Source{
 			Gen:   &burstGen{gaps: gaps},
 			Limit: uint64(len(gaps)),
-			Make: func(ctx *netsim.Ctx, i uint64) *netsim.Packet {
+			Make: func(ctx *netsim.Ctx, i uint64) netsim.Packet {
 				c := &atm.Cell{Header: atm.Header{VPI: byte(i % 4), VCI: uint16(100 + i%8)}, Seq: base + uint32(i)}
 				c.StampSeq()
-				return ctx.Net().NewPacket("cell", c, atm.CellBytes*8)
+				return ctx.Net().NewPacket(c, atm.CellBytes*8)
 			},
 		}
 		n.Connect(n.Node(fmt.Sprintf("src%d", k), src), 0, nb, k, netsim.LinkParams{})
@@ -380,10 +380,10 @@ func TestBatchMetrics(t *testing.T) {
 	src := &netsim.Source{
 		Gen:   cellGen{2726 * sim.Nanosecond},
 		Limit: 10,
-		Make: func(ctx *netsim.Ctx, i uint64) *netsim.Packet {
+		Make: func(ctx *netsim.Ctx, i uint64) netsim.Packet {
 			c := &atm.Cell{Header: atm.Header{VPI: 1, VCI: 100}, Seq: uint32(i)}
 			c.StampSeq()
-			return ctx.Net().NewPacket("cell", c, atm.CellBytes*8)
+			return ctx.Net().NewPacket(c, atm.CellBytes*8)
 		},
 	}
 	na := n.Node("src", src)

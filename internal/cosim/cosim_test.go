@@ -2,6 +2,7 @@ package cosim
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -85,10 +86,10 @@ func runLoopback(t *testing.T, coupling Coupling, e *Entity, nCells int) []Respo
 	src := &netsim.Source{
 		Gen:   cellGen{2726 * sim.Nanosecond}, // one STM-1 cell slot
 		Limit: uint64(nCells),
-		Make: func(ctx *netsim.Ctx, i uint64) *netsim.Packet {
+		Make: func(ctx *netsim.Ctx, i uint64) netsim.Packet {
 			c := &atm.Cell{Header: atm.Header{VPI: byte(i % 4), VCI: uint16(100 + i%8)}, Seq: uint32(i)}
 			c.StampSeq()
-			return ctx.Net().NewPacket("cell", c, atm.CellBytes*8)
+			return ctx.Net().NewPacket(c, atm.CellBytes*8)
 		},
 	}
 	a := n.Node("src", src)
@@ -366,7 +367,7 @@ func TestInterfaceOnErrorHook(t *testing.T) {
 	n := netsim.New(1)
 	node := n.Node("iface", iface)
 	n.Init()
-	node.Inject(n.NewPacket("bogus", "not a cell", 0), 0)
+	node.Inject(n.NewPacket("not a cell", 0), 0)
 	n.Run(sim.Microsecond)
 	if gotErr == nil {
 		t.Fatal("encode failure not reported")
@@ -390,9 +391,7 @@ func TestInterfaceDefaultResponseForwarding(t *testing.T) {
 	n.Init()
 	cell := &atm.Cell{Header: atm.Header{VPI: 1, VCI: 5}, Seq: 42}
 	cell.StampSeq()
-	n.Sched.At(sim.Microsecond, func() {
-		ifaceNode.Inject(n.NewPacket("cell", cell, atm.CellBytes*8), 0)
-	})
+	ifaceNode.InjectAt(sim.Microsecond, n.NewPacket(cell, atm.CellBytes*8), 0)
 	n.Run(sim.Millisecond)
 	if sink.Received != 1 {
 		t.Fatalf("forwarded responses = %d, want 1", sink.Received)
@@ -418,12 +417,58 @@ func TestInterfaceUnregisteredResponseKindPassesRaw(t *testing.T) {
 	node := n.Node("iface", iface)
 	n.Init()
 	cell := &atm.Cell{Header: atm.Header{VPI: 1, VCI: 1}}
-	n.Sched.At(sim.Microsecond, func() {
-		node.Inject(n.NewPacket("cell", cell, atm.CellBytes*8), 0)
-	})
+	node.InjectAt(sim.Microsecond, n.NewPacket(cell, atm.CellBytes*8), 0)
 	n.Run(sim.Millisecond)
 	raw, ok := got.([]byte)
 	if !ok || len(raw) != 1 || raw[0] != 0xAB {
 		t.Fatalf("raw response = %v", got)
+	}
+}
+
+// stampCoupling answers its first unit with resps and every later unit
+// with nothing.
+type stampCoupling struct {
+	resps []ipc.Message
+	done  bool
+}
+
+func (c *stampCoupling) Exchange([]ipc.Message) ([]ipc.Message, error) {
+	if c.done {
+		return nil, nil
+	}
+	c.done = true
+	return c.resps, nil
+}
+
+func (c *stampCoupling) Close() error { return nil }
+
+// TestInterfaceDefersResponsesInStampOrder: responses stamped ahead of
+// the network clock are delivered at their stamps, in stamp order and
+// equal stamps in arrival order, even when one unit carries them out of
+// order, as a late reply over a faulty link without the reliability
+// envelope can.
+func TestInterfaceDefersResponsesInStampOrder(t *testing.T) {
+	raw := ipc.KindUser + 7 // no codec: the value is the payload
+	c := &stampCoupling{resps: []ipc.Message{
+		{Kind: raw, Time: 30 * sim.Nanosecond, Data: []byte{1}},
+		{Kind: raw, Time: 10 * sim.Nanosecond, Data: []byte{2}},
+		{Kind: raw, Time: 30 * sim.Nanosecond, Data: []byte{3}},
+		{Kind: raw, Time: 10 * sim.Nanosecond, Data: []byte{4}},
+		{Kind: raw, Time: 20 * sim.Nanosecond, Data: []byte{5}},
+	}}
+	var got []string
+	iface := &InterfaceProcess{
+		Coupling: c,
+		Registry: newRegistry(),
+		OnResponse: func(ctx *netsim.Ctx, r Response) {
+			got = append(got, fmt.Sprintf("%d@%dps", r.Value.([]byte)[0], int64(ctx.Now())))
+		},
+	}
+	n := netsim.New(1)
+	n.Node("iface", iface)
+	n.Run(sim.Microsecond)
+	want := "2@10000ps 4@10000ps 5@20000ps 1@30000ps 3@30000ps"
+	if s := strings.Join(got, " "); s != want {
+		t.Fatalf("deliveries %s, want %s", s, want)
 	}
 }

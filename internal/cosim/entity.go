@@ -40,7 +40,7 @@ type inQueue struct {
 	kind  ipc.Kind
 	delta sim.Duration // δ_j: processing window granted per message
 	apply ApplyFunc
-	msgs  []ipc.Message
+	msgs  sim.FIFO[ipc.Message]
 	last  sim.Time   // newest stamp seen for this queue
 	depth *obs.Gauge // queue occupancy (nil until Observe)
 }
@@ -57,7 +57,10 @@ type Entity struct {
 	tcur sim.Time // current co-simulation time = newest stamp received
 	gmin sim.Time // global causality lower bound
 
-	outbox []ipc.Message
+	// outbox collects the responses of the unit being delivered. spare is
+	// the array TakeOutbox handed out last; the next TakeOutbox reuses it,
+	// so the two alternate and steady-state delivery allocates neither.
+	outbox, spare []ipc.Message
 
 	// Statistics.
 	Received        uint64 // messages delivered
@@ -189,10 +192,16 @@ func (e *Entity) EmitTraced(kind ipc.Kind, data []byte, trace uint64) {
 	e.outbox = append(e.outbox, ipc.Message{Kind: kind, Time: e.HDL.Now(), Data: data, Trace: trace})
 }
 
-// TakeOutbox returns and clears the accumulated responses.
+// TakeOutbox returns the accumulated responses and starts an empty
+// outbox. The returned slice is valid until the next TakeOutbox, which
+// reuses its array; both couplings are done with it by then (Direct's
+// caller holds it until its next Exchange, EntityServer copies it into
+// its reply at once).
 func (e *Entity) TakeOutbox() []ipc.Message {
 	out := e.outbox
-	e.outbox = nil
+	clear(e.spare)
+	e.outbox = e.spare[:0]
+	e.spare = out
 	return out
 }
 
@@ -201,7 +210,8 @@ func (e *Entity) TakeOutbox() []ipc.Message {
 func (e *Entity) deliverUnit(msgs []ipc.Message) error {
 	for _, m := range msgs {
 		if err := e.Deliver(m); err != nil {
-			e.outbox = nil
+			clear(e.outbox)
+			e.outbox = e.outbox[:0]
 			return err
 		}
 	}
@@ -271,9 +281,9 @@ func (e *Entity) Deliver(msg ipc.Message) error {
 			"message for undeclared input kind %d", msg.Kind)
 		return fmt.Errorf("cosim: message for undeclared input kind %d", msg.Kind)
 	}
-	q.msgs = append(q.msgs, msg)
+	q.msgs.Push(msg)
 	q.last = msg.Time
-	q.depth.Set(float64(len(q.msgs)))
+	q.depth.Set(float64(q.msgs.Len()))
 	return e.drainReady()
 }
 
@@ -308,8 +318,8 @@ func (e *Entity) drainReady() error {
 		// Earliest queued stamp.
 		var t sim.Time = sim.Never
 		for _, q := range e.queues {
-			if len(q.msgs) > 0 && q.msgs[0].Time < t {
-				t = q.msgs[0].Time
+			if q.msgs.Len() > 0 && q.msgs.Head().Time < t {
+				t = q.msgs.Head().Time
 			}
 		}
 		if t == sim.Never {
@@ -325,9 +335,8 @@ func (e *Entity) drainReady() error {
 		// within a queue.
 		for _, q := range e.queues {
 			popped := false
-			for len(q.msgs) > 0 && q.msgs[0].Time == t {
-				m := q.msgs[0]
-				q.msgs = q.msgs[1:]
+			for q.msgs.Len() > 0 && q.msgs.Head().Time == t {
+				m := q.msgs.Pop()
 				popped = true
 				if q.apply != nil {
 					if err := q.apply(e, m); err != nil {
@@ -338,7 +347,7 @@ func (e *Entity) drainReady() error {
 				e.obsApplied.Inc()
 			}
 			if popped {
-				q.depth.Set(float64(len(q.msgs)))
+				q.depth.Set(float64(q.msgs.Len()))
 			}
 		}
 		// Grant the processing window.

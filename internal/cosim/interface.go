@@ -49,7 +49,7 @@ type InterfaceProcess struct {
 	// Classify maps an arriving packet and its input port to a message
 	// kind — one kind per input queue I_j of the entity. A nil Classify
 	// sends every packet as KindData.
-	Classify func(pkt *netsim.Packet, port int) ipc.Kind
+	Classify func(pkt netsim.Packet, port int) ipc.Kind
 	// OnResponse consumes each decoded hardware response. When nil,
 	// responses with a registered codec are re-injected as packets on
 	// output port 0 (if connected).
@@ -67,7 +67,7 @@ type InterfaceProcess struct {
 	// TraceOf, when non-nil, mints the causal trace ID of an outbound
 	// packet (0 = untraced). IDs the observed cell tracker samples ride
 	// the IPC envelope and record the ipc.tx hop.
-	TraceOf func(pkt *netsim.Packet, port int) uint64
+	TraceOf func(pkt netsim.Packet, port int) uint64
 
 	// Sent counts data messages pushed to the hardware side.
 	Sent uint64
@@ -85,6 +85,11 @@ type InterfaceProcess struct {
 	pending    []ipc.Message
 	flushArmed bool
 	one        [1]ipc.Message
+	// later holds the responses stamped ahead of the network clock, in
+	// (stamp, arrival) order, each with one respTag timer armed at its
+	// stamp. The timers fire in that same order, so the response of a
+	// firing timer is always the head.
+	later sim.FIFO[Response]
 
 	// Observability handles (nil until Observe; all nil-safe). The
 	// process runs inside the sequential network scheduler, so plain field
@@ -164,15 +169,15 @@ type syncTag struct{}
 // instant, at the same network time.
 type flushTag struct{}
 
-// respTag schedules delivery of a response whose hardware time stamp lies
-// ahead of the network clock (the DUT produced it inside its granted
-// δ-window). Scheduling it as a future self event keeps the network
-// domain causal: events may be generated for future times, never past
-// ones (Fig. 3).
-type respTag struct{ r Response }
+// respTag schedules delivery of the head of the later queue: a response
+// whose hardware time stamp lies ahead of the network clock (the DUT
+// produced it inside its granted δ-window). Scheduling it as a future
+// self event keeps the network domain causal: events may be generated for
+// future times, never past ones (Fig. 3).
+type respTag struct{}
 
 // Arrival implements netsim.Processor: encode and forward one packet.
-func (p *InterfaceProcess) Arrival(ctx *netsim.Ctx, pkt *netsim.Packet, port int) {
+func (p *InterfaceProcess) Arrival(ctx *netsim.Ctx, pkt netsim.Packet, port int) {
 	if p.err != nil {
 		return
 	}
@@ -210,7 +215,7 @@ func (p *InterfaceProcess) Timer(ctx *netsim.Ctx, tag interface{}) {
 	if p.err != nil {
 		return
 	}
-	switch tg := tag.(type) {
+	switch tag.(type) {
 	case syncTag:
 		p.obsSyncs.Inc()
 		if p.tracer.Enabled() {
@@ -233,7 +238,7 @@ func (p *InterfaceProcess) Timer(ctx *netsim.Ctx, tag interface{}) {
 	case flushTag:
 		p.flush(ctx)
 	case respTag:
-		p.deliver(ctx, tg.r)
+		p.deliver(ctx, p.later.Pop())
 	}
 }
 
@@ -318,11 +323,26 @@ func (p *InterfaceProcess) handleResponses(ctx *netsim.Ctx, resps []ipc.Message)
 		if rm.Time > ctx.Now() {
 			// The DUT produced this inside its δ-window, ahead of the
 			// network clock: hand it back as a future event.
-			ctx.SetTimer(rm.Time-ctx.Now(), respTag{r})
+			p.deferResponse(ctx, r)
 			continue
 		}
 		p.deliver(ctx, r)
 	}
+}
+
+// deferResponse queues r for delivery at its hardware time stamp. The
+// hardware clock never runs backwards, so r normally joins at the tail.
+// A faulty link without the reliability envelope can hand over a delayed
+// or duplicated reply late, stamped before queued responses; r then moves
+// ahead of them, behind those with its own stamp, which keeps the queue in
+// the order its timers fire.
+func (p *InterfaceProcess) deferResponse(ctx *netsim.Ctx, r Response) {
+	p.later.Push(r)
+	for i := p.later.Len() - 1; i > 0 && p.later.At(i-1).HWTime > r.HWTime; i-- {
+		*p.later.At(i) = *p.later.At(i - 1)
+		*p.later.At(i - 1) = r
+	}
+	ctx.SetTimer(r.HWTime-ctx.Now(), respTag{})
 }
 
 // deliver dispatches one response at the current network time.
@@ -331,7 +351,7 @@ func (p *InterfaceProcess) deliver(ctx *netsim.Ctx, r Response) {
 	if p.OnResponse != nil {
 		p.OnResponse(ctx, r)
 	} else if ctx.Connected(0) {
-		ctx.Send(ctx.Net().NewPacket("hw-response", r.Value, 0), 0)
+		ctx.Send(ctx.Net().NewPacket(r.Value, 0), 0)
 	}
 }
 

@@ -166,10 +166,10 @@ func TestInterfaceGracefulDefault(t *testing.T) {
 	src := &netsim.Source{
 		Gen:   cellGen{2726 * sim.Nanosecond},
 		Limit: 10,
-		Make: func(ctx *netsim.Ctx, i uint64) *netsim.Packet {
+		Make: func(ctx *netsim.Ctx, i uint64) netsim.Packet {
 			c := &atm.Cell{Seq: uint32(i)}
 			c.StampSeq()
-			return ctx.Net().NewPacket("cell", c, atm.CellBytes*8)
+			return ctx.Net().NewPacket(c, atm.CellBytes*8)
 		},
 	}
 	a := n.Node("src", src)

@@ -103,7 +103,7 @@ func NewAcctRig(cfg AcctRigConfig) *AcctRig {
 	})
 	r.registry.Register(KindRawCell, mapping.BytesCodec{})
 
-	r.network(nil, func(pkt *netsim.Packet, port int) ipc.Kind {
+	r.network(nil, func(pkt netsim.Packet, port int) ipc.Kind {
 		if _, raw := pkt.Data.([]byte); raw {
 			return KindRawCell
 		}
@@ -124,16 +124,19 @@ func NewAcctRig(cfg AcctRigConfig) *AcctRig {
 }
 
 // acctRefProc feeds the reference accounting algorithm. Raw byte images
-// (conformance vectors) are parsed first; images that fail the HEC are
-// invisible to the meter, exactly as they are at the bit level.
+// (conformance vectors) arrive here first (InjectVector), are handed on to
+// the hardware path in the same network event, and are parsed; images
+// that fail the HEC are invisible to the meter, exactly as they are at
+// the bit level.
 type acctRefProc struct{ rig *AcctRig }
 
 func (a *acctRefProc) Init(ctx *netsim.Ctx) {}
-func (a *acctRefProc) Arrival(ctx *netsim.Ctx, pkt *netsim.Packet, port int) {
+func (a *acctRefProc) Arrival(ctx *netsim.Ctx, pkt netsim.Packet, port int) {
 	switch data := pkt.Data.(type) {
 	case *atm.Cell:
 		a.rig.Ref.Observe(data, ctx.Now())
 	case []byte:
+		a.rig.node.Inject(pkt, 0)
 		var img [atm.CellBytes]byte
 		copy(img[:], data)
 		if cell, err := atm.Unmarshal(img); err == nil {
@@ -152,10 +155,7 @@ func (a *acctRefProc) Timer(ctx *netsim.Ctx, tag interface{}) {}
 func (r *AcctRig) InjectVector(at sim.Time, img [atm.CellBytes]byte) {
 	raw := make([]byte, atm.CellBytes)
 	copy(raw, img[:])
-	r.Net.Sched.At(at, func() {
-		r.node.Inject(r.Net.NewPacket("vector", raw, atm.CellBytes*8), 0)
-		r.refNode.Inject(r.Net.NewPacket("vector", raw, atm.CellBytes*8), 0)
-	})
+	r.refNode.InjectAt(at, netsim.Packet{Created: at, Data: raw, Size: atm.CellBytes * 8}, 0)
 }
 
 // Run executes the case study and drains the hardware.

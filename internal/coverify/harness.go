@@ -184,13 +184,13 @@ func (h *Harness) couple() cosim.Coupling {
 // feeds the hardware through coupling (nil: couple to the entity).
 // classify maps a packet to its message kind; nil sends every packet on
 // its input port p as KindCellIn(p).
-func (h *Harness) network(coupling cosim.Coupling, classify func(*netsim.Packet, int) ipc.Kind) {
+func (h *Harness) network(coupling cosim.Coupling, classify func(netsim.Packet, int) ipc.Kind) {
 	cfg := h.cfg
 	if coupling == nil {
 		coupling = h.couple()
 	}
 	if classify == nil {
-		classify = func(pkt *netsim.Packet, port int) ipc.Kind { return KindCellIn(port) }
+		classify = func(pkt netsim.Packet, port int) ipc.Kind { return KindCellIn(port) }
 	}
 	h.Net = netsim.New(cfg.Seed)
 	h.Net.Sched.Instrument(cfg.Registry, "net.sched")
@@ -199,7 +199,7 @@ func (h *Harness) network(coupling cosim.Coupling, classify func(*netsim.Packet,
 		Registry:  h.registry,
 		SyncEvery: cfg.SyncEvery,
 		Classify:  classify,
-		TraceOf: func(pkt *netsim.Packet, port int) uint64 {
+		TraceOf: func(pkt netsim.Packet, port int) uint64 {
 			if c, ok := pkt.Data.(*atm.Cell); ok {
 				return uint64(c.Seq) + 1
 			}
@@ -224,14 +224,14 @@ func (h *Harness) compareTo(cover *obs.CoverRegistry) {
 	h.coverMatch, h.coverMismatch = verdict.Handle("match"), verdict.Handle("mismatch")
 }
 
-// splitter duplicates each cell to the reference model (output 0) and to
-// the hardware coupling (output 1). It holds no state, so every fan-out
-// node shares it.
+// splitter forwards each cell to the reference model (output 0) and to
+// the hardware coupling (output 1). A sent cell is immutable, so both
+// outputs share the one cell (DESIGN.md, "Cell ownership and the event
+// list"). It holds no state, so every fan-out node shares it.
 var splitter = &netsim.Func{
-	OnArrival: func(ctx *netsim.Ctx, pkt *netsim.Packet, port int) {
-		cell := pkt.Data.(*atm.Cell)
-		ctx.Send(ctx.Net().NewPacket("cell", cell.Clone(), pkt.Size), 0)
-		ctx.Send(ctx.Net().NewPacket("cell", cell.Clone(), pkt.Size), 1)
+	OnArrival: func(ctx *netsim.Ctx, pkt netsim.Packet, port int) {
+		ctx.Send(pkt, 0)
+		ctx.Send(pkt, 1)
 	},
 }
 
@@ -243,8 +243,8 @@ func (h *Harness) feed(i int, gen traffic.Model, limit uint64, cell func(ctx *ne
 	src := h.Net.Node(fmt.Sprintf("src%d", i), &netsim.Source{
 		Gen:   gen,
 		Limit: limit,
-		Make: func(ctx *netsim.Ctx, k uint64) *netsim.Packet {
-			return ctx.Net().NewPacket("cell", cell(ctx, k), atm.CellBytes*8)
+		Make: func(ctx *netsim.Ctx, k uint64) netsim.Packet {
+			return ctx.Net().NewPacket(cell(ctx, k), atm.CellBytes*8)
 		},
 	})
 	split := h.Net.Node(fmt.Sprintf("split%d", i), splitter)

@@ -1,0 +1,7 @@
+//go:build !race
+
+package coverify
+
+// raceEnabled reports a -race build, whose allocation counts are not the
+// production ones.
+const raceEnabled = false

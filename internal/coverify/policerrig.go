@@ -69,12 +69,6 @@ type PolicerRig struct {
 	Ref *refmodel.PolicerRef
 
 	coverAction *obs.CoverPoint
-
-	// RefTrace/DUTTrace, when set, observe each policed arrival on the
-	// reference path (with its network time) and the hardware path (with
-	// its cycle count) — diagnostic hooks for timing-alignment analysis.
-	RefTrace func(c *atm.Cell, at sim.Time)
-	DUTTrace func(c *atm.Cell, cycle uint64)
 }
 
 // NewPolicerRig elaborates the UPC co-verification environment.
@@ -132,7 +126,6 @@ func NewPolicerRig(cfg PolicerRigConfig) *PolicerRig {
 
 // Run executes the verification and drains the pipeline.
 func (r *PolicerRig) Run(until sim.Time) error {
-	r.Ref.OnArrival, r.DUT.OnPolice = r.RefTrace, r.DUTTrace
 	if err := r.drive(until, 0, flushWindow); err != nil {
 		return err
 	}

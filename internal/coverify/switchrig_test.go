@@ -1,6 +1,7 @@
 package coverify
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -217,5 +218,44 @@ func TestSwitchCoVerificationOverloadDropsAccounted(t *testing.T) {
 	if rig.Cmp.Matched+dropped != rig.Offered {
 		t.Errorf("cell conservation violated: matched %d + dropped %d != offered %d",
 			rig.Cmp.Matched, dropped, rig.Offered)
+	}
+}
+
+// TestSwitchRigMallocsPerCell pins the co-simulation cell path's
+// allocation budget. The E1 rig (CBR at 0.8 load on all four ports, direct
+// coupling) runs at N and at 2N cells per port, and each extra cell may
+// cost at most 10 heap objects: the minted cell, the reference's
+// translated copy, the three codec images and the comparator's map
+// growth. The network event list, the interface process, the coupling's
+// queues and the cell fan-out allocate nothing per cell.
+func TestSwitchRigMallocsPerCell(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race are not the production ones")
+	}
+	cellTime := sim.Duration(float64(atm.CellBytes*clockPeriod) / 0.8)
+	run := func(perPort uint64) (mallocs, cells uint64) {
+		var tr [dut.SwitchPorts]PortTraffic
+		for p := range tr {
+			tr[p] = PortTraffic{Model: &traffic.CBR{Interval: cellTime}, VCs: PortVCs(p), Cells: perPort}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rig := NewSwitchRig(SwitchRigConfig{Seed: 1, Traffic: tr})
+		if err := rig.Run(sim.Time(perPort+4) * cellTime); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if !rig.Cmp.Clean() || rig.Cmp.Matched != dut.SwitchPorts*perPort {
+			t.Fatalf("comparison not clean: %s", rig.Report())
+		}
+		return after.Mallocs - before.Mallocs, rig.Cmp.Matched
+	}
+	const n = 250
+	m1, c1 := run(n)
+	m2, c2 := run(2 * n)
+	perCell := float64(m2-m1) / float64(c2-c1)
+	t.Logf("%d cells: %d mallocs; %d cells: %d mallocs; %.2f per extra cell", c1, m1, c2, m2, perCell)
+	if perCell > 10 {
+		t.Errorf("%.2f mallocs per extra cell, want at most 10", perCell)
 	}
 }

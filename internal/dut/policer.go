@@ -48,10 +48,6 @@ type Policer struct {
 	slots map[atm.VC]*policerSlot
 	cap   int
 
-	// OnPolice observes every policed arrival with the hardware cycle
-	// count (diagnostic).
-	OnPolice func(c *atm.Cell, cycle uint64)
-
 	// Counters (diagnostic registers).
 	Conforming    uint64
 	NonConforming uint64
@@ -142,10 +138,6 @@ func (p *Policer) police(img [atm.CellBytes]byte, hdr atm.Header) {
 		return
 	}
 	now := p.cycle()
-	if p.OnPolice != nil {
-		c, _ := atm.Unmarshal(img) // the reader delivers HEC-clean images only
-		p.OnPolice(c, now)
-	}
 	slot, ok := p.slots[hdr.VC()]
 	if !ok {
 		p.Passed++

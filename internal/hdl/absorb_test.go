@@ -97,3 +97,53 @@ func TestAbsorbedReassertion(t *testing.T) {
 		})
 	}
 }
+
+// TestBusReleaseAllocFree pins the nine-value multi-driver resolution's
+// vector reuse: on a 4-driver bus, one driver asserting a value and then
+// releasing it — the release leaves all four floating, which only the
+// nine-value table resolves — allocates nothing once the bus has cycled,
+// and the bus still reads the value, then all Z.
+func TestBusReleaseAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race are not the production ones")
+	}
+	s := New()
+	bus := s.Signal("bus", 8, U)
+	var drv [4]*Driver
+	for i := range drv {
+		drv[i] = bus.Driver(fmt.Sprintf("d%d", i))
+		drv[i].SetZ()
+	}
+	settle := func() {
+		for {
+			if ok, err := s.Step(); err != nil {
+				t.Fatal(err)
+			} else if !ok {
+				return
+			}
+		}
+	}
+	settle()
+	allZ := NewLV(8, Z)
+	k := 0
+	cycle := func() {
+		d := drv[k%len(drv)]
+		k++
+		d.SetUint(0x5A)
+		settle()
+		if v, ok := bus.Uint(); !ok || v != 0x5A {
+			t.Fatalf("driven bus reads %s, want 01011010", bus.Val())
+		}
+		d.SetZ()
+		settle()
+		if !bus.Val().Equal(allZ) {
+			t.Fatalf("released bus reads %s, want all Z", bus.Val())
+		}
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Fatalf("a 4-driver bus assert and release allocates %v objects, want 0", a)
+	}
+}

@@ -29,6 +29,12 @@ type Signal struct {
 	drivers []*Driver
 	value   LV
 	prev    LV
+	// The nine-value multi-driver resolution reuses its vectors. valOwn
+	// and prevOwn mark value and prev as vectors resolve wrote, which
+	// nothing else references once the signal drops them; rfree holds one
+	// such dropped vector for the next resolution to write into.
+	rfree           LV
+	valOwn, prevOwn bool
 
 	// Packed two-state mirror (packed plane, width ≤ 64).
 	pmask      uint64
@@ -69,19 +75,31 @@ func (g *Signal) matVal() {
 // constant — so unpacking into it would rewrite them.
 func (g *Signal) matPrev() {
 	if g.prevStale {
-		g.prev = fromPacked(g.pprev, g.width)
+		g.dropPrev()
+		g.prev, g.prevOwn = fromPacked(g.pprev, g.width), false
 		g.prevStale = false
 	}
 }
 
+// dropPrev releases prev before it is replaced: a vector resolve wrote
+// becomes the next resolution's scratch.
+func (g *Signal) dropPrev() {
+	if g.prevOwn && g.rfree == nil {
+		g.rfree = g.prev
+	}
+}
+
 // Val returns the current resolved value. The returned vector must not be
-// modified, and is valid until the signal's next event.
+// modified, and is valid until the signal's next event; a caller that
+// keeps it longer keeps a clone.
 func (g *Signal) Val() LV {
 	g.matVal()
 	return g.value
 }
 
-// Prev returns the value before the most recent event.
+// Prev returns the value before the most recent event. The returned
+// vector must not be modified, and is valid until the signal's next
+// event.
 func (g *Signal) Prev() LV {
 	g.matPrev()
 	return g.prev
@@ -122,8 +140,10 @@ func (g *Signal) Rising() bool {
 
 // OnChange registers a callback invoked after every value change (used by
 // the VCD dumper and by statistic probes). Callbacks must not write
-// signals. A signal with callbacks always materializes its vectors before
-// firing, so callbacks never observe a stale mirror.
+// signals, and a callback that keeps old or new past its return keeps a
+// clone: the signal reuses both vectors. A signal with callbacks always
+// materializes its vectors before firing, so callbacks never observe a
+// stale mirror.
 func (g *Signal) OnChange(fn func(now sim.Time, old, new LV)) {
 	g.matVal()
 	g.matPrev()
@@ -205,6 +225,7 @@ func (g *Signal) fire(old, new LV) {
 // path; packed single-driver commits take Driver.commitPacked instead.
 func (g *Signal) resolve() {
 	var v LV
+	own := false
 	switch len(g.drivers) {
 	case 0:
 		return
@@ -221,9 +242,15 @@ func (g *Signal) resolve() {
 				return
 			}
 		}
+		// Resolve into the scratch vector (a bus whose drivers all float
+		// lands here at every release), so the commit allocates nothing.
+		v, g.rfree, own = g.rfree, nil, true
+		if v == nil {
+			v = make(LV, g.width)
+		}
 		d0 := g.drivers[0]
 		d0.matDrv()
-		v = d0.value.Clone()
+		copy(v, d0.value)
 		for _, d := range g.drivers[1:] {
 			d.matDrv()
 			for i := range v {
@@ -233,15 +260,19 @@ func (g *Signal) resolve() {
 	}
 	g.matVal()
 	if v.Equal(g.value) {
+		if own {
+			g.rfree = v
+		}
 		return
 	}
 	old := g.value
 	s := g.sim
 	oldK := g.pknown
-	g.prev = old
+	g.dropPrev()
+	g.prev, g.prevOwn = old, g.valOwn
 	g.prevStale = false
 	g.pprev, g.pprevKnown = g.pval, oldK
-	g.value = v
+	g.value, g.valOwn = v, own
 	var newK bool
 	if g.packed {
 		var w uint64
@@ -614,10 +645,11 @@ func (g *Signal) commitWord(d *Driver, w uint64, alias bool) {
 		d.pbuf[d.pidx] = buf
 	}
 	d.pidx ^= 1
-	g.prev = oldLV
+	g.dropPrev()
+	g.prev, g.prevOwn = oldLV, g.valOwn
 	g.prevStale = oldStale
 	g.pprev, g.pprevKnown = oldP, oldK
-	g.value = buf
+	g.value, g.valOwn = buf, false
 	if alias {
 		d.value = buf
 	}

@@ -13,7 +13,7 @@ type Generator interface {
 }
 
 // PacketFactory builds the payload for the i-th emitted packet.
-type PacketFactory func(ctx *Ctx, i uint64) *Packet
+type PacketFactory func(ctx *Ctx, i uint64) Packet
 
 // Source emits packets on port 0 with inter-departure times drawn from a
 // Generator — the node-domain wrapper every OPNET traffic model gets.
@@ -40,7 +40,7 @@ func (s *Source) arm(ctx *Ctx) {
 }
 
 // Arrival implements Processor; sources have no inputs.
-func (s *Source) Arrival(ctx *Ctx, pkt *Packet, port int) {}
+func (s *Source) Arrival(ctx *Ctx, pkt Packet, port int) {}
 
 // Timer implements Processor: emit one packet and re-arm.
 func (s *Source) Timer(ctx *Ctx, tag interface{}) {
@@ -54,13 +54,14 @@ func (s *Source) Timer(ctx *Ctx, tag interface{}) {
 // queueing module. Packets arriving on any port enter the queue; the
 // server forwards them on port 0 after a service time of Size/RateBps
 // seconds (or a fixed ServiceTime). Packets arriving to a full queue are
-// dropped.
+// dropped. The queue holds its own copies of the packets it keeps.
 type Queue struct {
 	Capacity    int          // max queued packets (0 = unbounded)
 	RateBps     float64      // service rate applied to pkt.Size
 	ServiceTime sim.Duration // fixed service time when RateBps == 0
 
-	fifo    []*Packet
+	fifo    sim.FIFO[Packet]
+	serving Packet // the packet in service while busy
 	busy    bool
 	Dropped uint64
 	Served  uint64
@@ -70,34 +71,34 @@ type Queue struct {
 func (q *Queue) Init(ctx *Ctx) {}
 
 // Arrival implements Processor.
-func (q *Queue) Arrival(ctx *Ctx, pkt *Packet, port int) {
-	if q.Capacity > 0 && len(q.fifo) >= q.Capacity {
+func (q *Queue) Arrival(ctx *Ctx, pkt Packet, port int) {
+	if q.Capacity > 0 && q.fifo.Len() >= q.Capacity {
 		q.Dropped++
 		return
 	}
-	q.fifo = append(q.fifo, pkt)
+	q.fifo.Push(pkt)
 	if !q.busy {
 		q.startService(ctx)
 	}
 }
 
 func (q *Queue) startService(ctx *Ctx) {
-	pkt := q.fifo[0]
-	q.fifo = q.fifo[1:]
+	q.serving = q.fifo.Pop()
 	q.busy = true
 	d := q.ServiceTime
 	if q.RateBps > 0 {
-		d = sim.FromSeconds(float64(pkt.Size) / q.RateBps)
+		d = sim.FromSeconds(float64(q.serving.Size) / q.RateBps)
 	}
-	ctx.SetTimer(d, pkt)
+	ctx.SetTimer(d, nil)
 }
 
 // Timer implements Processor: service completion.
 func (q *Queue) Timer(ctx *Ctx, tag interface{}) {
-	pkt := tag.(*Packet)
+	pkt := q.serving
+	q.serving = Packet{}
 	q.Served++
 	ctx.Send(pkt, 0)
-	if len(q.fifo) > 0 {
+	if q.fifo.Len() > 0 {
 		q.startService(ctx)
 	} else {
 		q.busy = false
@@ -111,14 +112,14 @@ type Sink struct {
 	Delay    sim.Accumulator // seconds
 
 	// OnPacket, when set, observes every absorbed packet.
-	OnPacket func(ctx *Ctx, pkt *Packet, port int)
+	OnPacket func(ctx *Ctx, pkt Packet, port int)
 }
 
 // Init implements Processor.
 func (s *Sink) Init(ctx *Ctx) {}
 
 // Arrival implements Processor.
-func (s *Sink) Arrival(ctx *Ctx, pkt *Packet, port int) {
+func (s *Sink) Arrival(ctx *Ctx, pkt Packet, port int) {
 	s.Received++
 	s.Delay.Add((ctx.Now() - pkt.Created).Seconds())
 	if s.OnPacket != nil {
@@ -133,7 +134,7 @@ func (s *Sink) Timer(ctx *Ctx, tag interface{}) {}
 // processes in examples and tests.
 type Func struct {
 	OnInit    func(ctx *Ctx)
-	OnArrival func(ctx *Ctx, pkt *Packet, port int)
+	OnArrival func(ctx *Ctx, pkt Packet, port int)
 	OnTimer   func(ctx *Ctx, tag interface{})
 }
 
@@ -145,7 +146,7 @@ func (f *Func) Init(ctx *Ctx) {
 }
 
 // Arrival implements Processor.
-func (f *Func) Arrival(ctx *Ctx, pkt *Packet, port int) {
+func (f *Func) Arrival(ctx *Ctx, pkt Packet, port int) {
 	if f.OnArrival != nil {
 		f.OnArrival(ctx, pkt, port)
 	}

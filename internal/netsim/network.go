@@ -26,32 +26,52 @@ import (
 // Communication at this level is instantaneous and structural: when an
 // event occurs the complete information is available at once (§3.2), in
 // contrast to the bit-serial representation at the implementation level.
+// A packet is a value: it travels inside the arrival event that carries
+// it, and a processor that keeps one (a queue) keeps its own copy.
 type Packet struct {
-	ID      uint64
 	Created sim.Time
-	Kind    string
 	Data    interface{} // typed payload, e.g. *atm.Cell
 	Size    int         // bits on the wire, for link transmission delay
 }
 
+// event is one entry of the network's event list: a packet arriving on
+// an input port of a node, or a timer interrupt of the node's processor
+// (port timerPort). Events are held by value in the scheduler, so neither
+// kind allocates.
+type event struct {
+	node *Node
+	port int
+	pkt  Packet
+	tag  interface{}
+}
+
+// timerPort marks a timer event.
+const timerPort = -1
+
+// dispatch delivers one due event to its node's processor.
+func dispatch(ev event) {
+	nd := ev.node
+	if ev.port == timerPort {
+		nd.proc.Timer(&nd.ctx, ev.tag)
+		return
+	}
+	nd.proc.Arrival(&nd.ctx, ev.pkt, ev.port)
+}
+
 // Network is the network-domain container: nodes, links and the kernel.
 type Network struct {
-	Sched *sim.Scheduler
+	Sched *sim.Scheduler[event]
 	RNG   *sim.RNG
 
-	nodes   map[string]*Node
-	order   []*Node
-	nextPkt uint64
-
-	// Delivered counts end-to-end packet deliveries across all links.
-	Delivered uint64
+	nodes map[string]*Node
+	order []*Node
 }
 
 // New returns an empty network using the given master seed for all
 // stochastic behaviour.
 func New(seed uint64) *Network {
 	return &Network{
-		Sched: sim.NewScheduler(),
+		Sched: sim.NewScheduler(dispatch),
 		RNG:   sim.NewRNG(seed),
 		nodes: make(map[string]*Node),
 	}
@@ -60,10 +80,9 @@ func New(seed uint64) *Network {
 // Now returns the current simulated time.
 func (n *Network) Now() sim.Time { return n.Sched.Now() }
 
-// NewPacket allocates a packet stamped with the current time.
-func (n *Network) NewPacket(kind string, data interface{}, sizeBits int) *Packet {
-	n.nextPkt++
-	return &Packet{ID: n.nextPkt, Created: n.Now(), Kind: kind, Data: data, Size: sizeBits}
+// NewPacket returns a packet stamped with the current time.
+func (n *Network) NewPacket(data interface{}, sizeBits int) Packet {
+	return Packet{Created: n.Now(), Data: data, Size: sizeBits}
 }
 
 // Node creates a node hosting the given processor. Node names must be
@@ -73,6 +92,7 @@ func (n *Network) Node(name string, p Processor) *Node {
 		panic(fmt.Sprintf("netsim: duplicate node %q", name))
 	}
 	node := &Node{Name: name, net: n, proc: p}
+	node.ctx.node = node
 	n.nodes[name] = node
 	n.order = append(n.order, node)
 	return node
@@ -100,7 +120,7 @@ func (n *Network) Init() {
 	for _, node := range n.order {
 		if !node.inited {
 			node.inited = true
-			node.proc.Init(&Ctx{node: node})
+			node.proc.Init(&node.ctx)
 		}
 	}
 }
@@ -123,12 +143,11 @@ type Link struct {
 	params  LinkParams
 
 	busyUntil sim.Time
-	Sent      uint64
 }
 
 // send transmits pkt, delivering it to the destination processor after
 // transmission + propagation time.
-func (l *Link) send(pkt *Packet) {
+func (l *Link) send(pkt Packet) {
 	now := l.net.Now()
 	start := now
 	if l.busyUntil > start {
@@ -140,20 +159,17 @@ func (l *Link) send(pkt *Packet) {
 	}
 	l.busyUntil = start + txTime
 	arrive := l.busyUntil + l.params.Delay
-	l.Sent++
-	l.net.Sched.At(arrive, func() {
-		l.net.Delivered++
-		l.dst.deliver(pkt, l.dstPort)
-	})
+	l.net.Sched.At(arrive, event{node: l.dst, port: l.dstPort, pkt: pkt})
 }
 
 // Node is a network element in the node domain. Its behaviour lives in its
 // Processor; its communication interfaces are numbered output ports bound
-// to links.
+// to links. Every interrupt of the processor receives the node's one Ctx.
 type Node struct {
 	Name   string
 	net    *Network
 	proc   Processor
+	ctx    Ctx
 	out    []*Link
 	inited bool
 }
@@ -168,15 +184,18 @@ func (nd *Node) setOutput(port int, l *Link) {
 	nd.out[port] = l
 }
 
-func (nd *Node) deliver(pkt *Packet, port int) {
-	nd.proc.Arrival(&Ctx{node: nd}, pkt, port)
-}
-
 // Inject delivers a packet to the node's processor at the current
 // simulated time, bypassing any link — the hook external drivers (test
 // harnesses, vector injectors) use to stimulate a process directly.
-func (nd *Node) Inject(pkt *Packet, port int) {
-	nd.deliver(pkt, port)
+func (nd *Node) Inject(pkt Packet, port int) {
+	nd.proc.Arrival(&nd.ctx, pkt, port)
+}
+
+// InjectAt schedules pkt to arrive on the node's input port at absolute
+// time t, bypassing any link: Inject for a driver that stimulates a
+// process before or between runs.
+func (nd *Node) InjectAt(t sim.Time, pkt Packet, port int) {
+	nd.net.Sched.At(t, event{node: nd, port: port, pkt: pkt})
 }
 
 // Processor is the node-domain behaviour contract. OPNET would call this a
@@ -188,13 +207,14 @@ type Processor interface {
 	Init(ctx *Ctx)
 	// Arrival handles a packet arriving on an input port ("stream
 	// interrupt").
-	Arrival(ctx *Ctx, pkt *Packet, port int)
+	Arrival(ctx *Ctx, pkt Packet, port int)
 	// Timer handles a self interrupt previously set via ctx.SetTimer.
 	Timer(ctx *Ctx, tag interface{})
 }
 
 // Ctx gives a processor access to its execution environment for the
-// duration of one interrupt.
+// duration of one interrupt. Each node has one, passed to every interrupt
+// of its processor.
 type Ctx struct {
 	node *Node
 }
@@ -211,7 +231,7 @@ func (c *Ctx) RNG() *sim.RNG { return c.node.net.RNG }
 // Send transmits a packet on the given output port. It panics when the
 // port is not connected — mirroring OPNET's runtime error for sending to
 // an unconnected stream.
-func (c *Ctx) Send(pkt *Packet, port int) {
+func (c *Ctx) Send(pkt Packet, port int) {
 	nd := c.node
 	if port < 0 || port >= len(nd.out) || nd.out[port] == nil {
 		panic(fmt.Sprintf("netsim: node %q: send on unconnected port %d", nd.Name, port))
@@ -224,11 +244,9 @@ func (c *Ctx) Connected(port int) bool {
 	return port >= 0 && port < len(c.node.out) && c.node.out[port] != nil
 }
 
-// SetTimer schedules a self interrupt after the given delay. The returned
-// event may be cancelled.
-func (c *Ctx) SetTimer(delay sim.Duration, tag interface{}) *sim.Event {
-	nd := c.node
-	return nd.net.Sched.After(delay, func() {
-		nd.proc.Timer(&Ctx{node: nd}, tag)
-	})
+// SetTimer schedules a self interrupt after the given delay; the
+// processor's Timer receives tag. Timers falling due at the same instant
+// as arrivals or other timers run in the order they were set.
+func (c *Ctx) SetTimer(delay sim.Duration, tag interface{}) {
+	c.node.net.Sched.After(delay, event{node: c.node, port: timerPort, tag: tag})
 }

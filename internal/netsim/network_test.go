@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"castanet/internal/sim"
@@ -13,8 +14,8 @@ type fixedGen struct{ d sim.Duration }
 func (g fixedGen) Next(*sim.RNG) sim.Duration { return g.d }
 
 func simplePacket(size int) PacketFactory {
-	return func(ctx *Ctx, i uint64) *Packet {
-		return ctx.Net().NewPacket("test", i, size)
+	return func(ctx *Ctx, i uint64) Packet {
+		return ctx.Net().NewPacket(i, size)
 	}
 }
 
@@ -59,14 +60,14 @@ func TestLinkSerialization(t *testing.T) {
 	n := New(1)
 	sink := &Sink{}
 	var deliveries []sim.Time
-	sink.OnPacket = func(ctx *Ctx, pkt *Packet, port int) {
+	sink.OnPacket = func(ctx *Ctx, pkt Packet, port int) {
 		deliveries = append(deliveries, ctx.Now())
 	}
 	send2 := &Func{OnInit: func(ctx *Ctx) {
 		ctx.SetTimer(0, nil)
 	}, OnTimer: func(ctx *Ctx, tag interface{}) {
-		ctx.Send(ctx.Net().NewPacket("p", 1, 1000), 0)
-		ctx.Send(ctx.Net().NewPacket("p", 2, 1000), 0)
+		ctx.Send(ctx.Net().NewPacket(1, 1000), 0)
+		ctx.Send(ctx.Net().NewPacket(2, 1000), 0)
 	}}
 	a := n.Node("a", send2)
 	b := n.Node("b", sink)
@@ -111,7 +112,7 @@ func TestQueueFIFOOrder(t *testing.T) {
 	q := &Queue{ServiceTime: 10 * sim.Microsecond}
 	sink := &Sink{}
 	var order []uint64
-	sink.OnPacket = func(ctx *Ctx, pkt *Packet, port int) {
+	sink.OnPacket = func(ctx *Ctx, pkt Packet, port int) {
 		order = append(order, pkt.Data.(uint64))
 	}
 	a := n.Node("src", src)
@@ -145,7 +146,7 @@ func TestSendUnconnectedPanics(t *testing.T) {
 	n := New(1)
 	bad := &Func{OnInit: func(ctx *Ctx) { ctx.SetTimer(0, nil) },
 		OnTimer: func(ctx *Ctx, tag interface{}) {
-			ctx.Send(ctx.Net().NewPacket("p", nil, 0), 3)
+			ctx.Send(ctx.Net().NewPacket(nil, 0), 3)
 		}}
 	n.Node("bad", bad)
 	defer func() {
@@ -180,3 +181,65 @@ func TestDeterministicRuns(t *testing.T) {
 type expGen struct{}
 
 func (expGen) Next(r *sim.RNG) sim.Duration { return sim.FromSeconds(r.Exp(1e-3)) }
+
+// TestArrivalAndTimerAllocFree pins the network's steady-state event
+// path: a source's timer interrupt that sends a packet over a link and
+// re-arms itself, followed by the packet's arrival at a sink, allocates
+// nothing.
+func TestArrivalAndTimerAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race are not the production ones")
+	}
+	n := New(1)
+	payload := new(int)
+	src := &Source{Gen: fixedGen{10 * sim.Microsecond}, Make: func(ctx *Ctx, i uint64) Packet {
+		return ctx.Net().NewPacket(payload, 424)
+	}}
+	sink := &Sink{}
+	a := n.Node("src", src)
+	b := n.Node("sink", sink)
+	n.Connect(a, 0, b, 0, LinkParams{Delay: 100 * sim.Nanosecond, RateBps: 155.52e6})
+	n.Init()
+	for i := 0; i < 16; i++ { // reach the event list's high-water mark
+		n.Sched.Step()
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		n.Sched.Step() // timer: send, re-arm
+		n.Sched.Step() // arrival at the sink
+	})
+	if allocs != 0 {
+		t.Fatalf("arrival + timer re-arm allocates %v objects, want 0", allocs)
+	}
+	if sink.Received < 1000 {
+		t.Fatalf("sink received %d packets, want at least 1000", sink.Received)
+	}
+}
+
+// TestEqualTimeArrivalsAndTimersInScheduleOrder: arrivals and timer
+// interrupts that fall due at the same instant run in the order they
+// were scheduled, whichever kind they are, and a zero-delay timer set
+// during the instant runs after everything already due then.
+func TestEqualTimeArrivalsAndTimersInScheduleOrder(t *testing.T) {
+	n := New(1)
+	var got []string
+	at := 10 * sim.Microsecond
+	probe := &Func{
+		OnInit: func(ctx *Ctx) { ctx.SetTimer(at, "timer a") },
+		OnArrival: func(ctx *Ctx, pkt Packet, port int) {
+			got = append(got, pkt.Data.(string))
+			if pkt.Data == "arrival b" {
+				ctx.SetTimer(0, "timer d")
+			}
+		},
+		OnTimer: func(ctx *Ctx, tag interface{}) { got = append(got, tag.(string)) },
+	}
+	node := n.Node("probe", probe)
+	n.Init()
+	node.InjectAt(at, n.NewPacket("arrival b", 0), 0)
+	node.InjectAt(at, n.NewPacket("arrival c", 0), 0)
+	n.Run(sim.Second)
+	want := "timer a,arrival b,arrival c,timer d"
+	if s := strings.Join(got, ","); s != want {
+		t.Fatalf("order %s, want %s", s, want)
+	}
+}

@@ -17,7 +17,7 @@ type AccountingRef struct {
 func (a *AccountingRef) Init(ctx *netsim.Ctx) {}
 
 // Arrival implements netsim.Processor.
-func (a *AccountingRef) Arrival(ctx *netsim.Ctx, pkt *netsim.Packet, port int) {
+func (a *AccountingRef) Arrival(ctx *netsim.Ctx, pkt netsim.Packet, port int) {
 	c, ok := pkt.Data.(*atm.Cell)
 	if !ok {
 		panic(fmt.Sprintf("refmodel: AccountingRef got %T, want *atm.Cell", pkt.Data))

@@ -25,9 +25,6 @@ type PolicerRef struct {
 
 	// OnForward observes every cell the policer lets through.
 	OnForward func(ctx *netsim.Ctx, c *atm.Cell)
-	// OnArrival observes every policed arrival before the decision
-	// (diagnostic).
-	OnArrival func(c *atm.Cell, at sim.Time)
 }
 
 // NewPolicerRef returns an empty reference policer.
@@ -44,16 +41,13 @@ func (p *PolicerRef) Contract(vc atm.VC, peakInterval, tau sim.Duration) {
 func (p *PolicerRef) Init(ctx *netsim.Ctx) {}
 
 // Arrival implements netsim.Processor.
-func (p *PolicerRef) Arrival(ctx *netsim.Ctx, pkt *netsim.Packet, port int) {
+func (p *PolicerRef) Arrival(ctx *netsim.Ctx, pkt netsim.Packet, port int) {
 	c, ok := pkt.Data.(*atm.Cell)
 	if !ok {
 		panic(fmt.Sprintf("refmodel: PolicerRef got %T", pkt.Data))
 	}
 	if c.IsIdle() || c.IsUnassigned() {
 		return
-	}
-	if p.OnArrival != nil {
-		p.OnArrival(c, ctx.Now())
 	}
 	g, registered := p.policers[c.VC()]
 	if !registered {
@@ -86,7 +80,7 @@ func (p *PolicerRef) forward(ctx *netsim.Ctx, c *atm.Cell, size int) {
 		p.OnForward(ctx, c)
 	}
 	if ctx.Connected(0) {
-		ctx.Send(ctx.Net().NewPacket("cell", c.Clone(), size), 0)
+		ctx.Send(ctx.Net().NewPacket(c, size), 0)
 	}
 }
 

@@ -43,7 +43,7 @@ type SwitchRef struct {
 func (s *SwitchRef) Init(ctx *netsim.Ctx) {}
 
 // Arrival implements netsim.Processor.
-func (s *SwitchRef) Arrival(ctx *netsim.Ctx, pkt *netsim.Packet, port int) {
+func (s *SwitchRef) Arrival(ctx *netsim.Ctx, pkt netsim.Packet, port int) {
 	c, ok := pkt.Data.(*atm.Cell)
 	if !ok {
 		panic(fmt.Sprintf("refmodel: SwitchRef got %T, want *atm.Cell", pkt.Data))
@@ -56,6 +56,9 @@ func (s *SwitchRef) Arrival(ctx *netsim.Ctx, pkt *netsim.Packet, port int) {
 		s.UnknownVC++
 		return
 	}
+	// The one copy a forwarded cell costs: the arriving cell is immutable
+	// (it was sent), so the translation writes a fresh one, which is in
+	// turn immutable once forwarded.
 	out := c.Clone()
 	out.VPI = route.Out.VPI
 	out.VCI = route.Out.VCI
@@ -64,7 +67,7 @@ func (s *SwitchRef) Arrival(ctx *netsim.Ctx, pkt *netsim.Packet, port int) {
 		s.OnForward(ctx, route.Port, out)
 	}
 	if ctx.Connected(route.Port) {
-		fwd := ctx.Net().NewPacket("cell", out, atm.CellBytes*8)
+		fwd := ctx.Net().NewPacket(out, atm.CellBytes*8)
 		if s.Latency > 0 {
 			ctx.SetTimer(s.Latency, timedForward{pkt: fwd, port: route.Port})
 			return
@@ -74,7 +77,7 @@ func (s *SwitchRef) Arrival(ctx *netsim.Ctx, pkt *netsim.Packet, port int) {
 }
 
 type timedForward struct {
-	pkt  *netsim.Packet
+	pkt  netsim.Packet
 	port int
 }
 
@@ -160,9 +163,10 @@ func NewComparator() *Comparator {
 }
 
 // Expect records that the reference model forwarded a cell to the given
-// output port.
+// output port. The comparator keeps cell itself: a forwarded cell is
+// immutable, so the caller must not modify it afterwards.
 func (c *Comparator) Expect(port int, cell *atm.Cell) {
-	c.expected[cell.Seq] = expectedCell{port: port, cell: cell.Clone()}
+	c.expected[cell.Seq] = expectedCell{port: port, cell: cell}
 }
 
 // Actual records a DUT output cell and checks it against the expectation.

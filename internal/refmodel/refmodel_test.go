@@ -34,7 +34,7 @@ func TestSwitchRefForwardsAndTranslates(t *testing.T) {
 	}
 	n.Init()
 	cell := &atm.Cell{Header: atm.Header{VPI: 1, VCI: 100, PTI: 2, CLP: 1}, Seq: 5}
-	node.Inject(n.NewPacket("cell", cell, 424), 0)
+	node.Inject(n.NewPacket(cell, 424), 0)
 	n.Run(sim.Millisecond)
 	if len(got) != 1 || gotPorts[0] != 2 {
 		t.Fatalf("forwarded %d cells to %v", len(got), gotPorts)
@@ -60,8 +60,8 @@ func TestSwitchRefUnknownAndIdle(t *testing.T) {
 	ref := &SwitchRef{Table: refTable()}
 	node := n.Node("sw", ref)
 	n.Init()
-	node.Inject(n.NewPacket("cell", &atm.Cell{Header: atm.Header{VPI: 7, VCI: 7}}, 424), 0)
-	node.Inject(n.NewPacket("cell", atm.IdleCell(), 424), 0)
+	node.Inject(n.NewPacket(&atm.Cell{Header: atm.Header{VPI: 7, VCI: 7}}, 424), 0)
+	node.Inject(n.NewPacket(atm.IdleCell(), 424), 0)
 	n.Run(sim.Millisecond)
 	if ref.UnknownVC != 1 {
 		t.Errorf("UnknownVC = %d, want 1 (idle cells are not unknown)", ref.UnknownVC)
@@ -74,13 +74,11 @@ func TestSwitchRefLatency(t *testing.T) {
 	node := n.Node("sw", ref)
 	sink := &netsim.Sink{}
 	var at sim.Time
-	sink.OnPacket = func(ctx *netsim.Ctx, pkt *netsim.Packet, port int) { at = ctx.Now() }
+	sink.OnPacket = func(ctx *netsim.Ctx, pkt netsim.Packet, port int) { at = ctx.Now() }
 	out := n.Node("out", sink)
 	n.Connect(node, 2, out, 0, netsim.LinkParams{})
 	n.Init()
-	n.Sched.At(5*sim.Microsecond, func() {
-		node.Inject(n.NewPacket("cell", &atm.Cell{Header: atm.Header{VPI: 1, VCI: 100}}, 424), 0)
-	})
+	node.InjectAt(5*sim.Microsecond, n.NewPacket(&atm.Cell{Header: atm.Header{VPI: 1, VCI: 100}}, 424), 0)
 	n.Run(sim.Millisecond)
 	if at != 15*sim.Microsecond {
 		t.Errorf("delivery at %v, want 15us", at)
@@ -185,7 +183,7 @@ func TestAccountingRefObserves(t *testing.T) {
 	node := n.Node("acct", &AccountingRef{Acct: acct})
 	n.Init()
 	for i := 0; i < 5; i++ {
-		node.Inject(n.NewPacket("cell", &atm.Cell{Header: atm.Header{VPI: 1, VCI: 5}}, 424), 0)
+		node.Inject(n.NewPacket(&atm.Cell{Header: atm.Header{VPI: 1, VCI: 5}}, 424), 0)
 	}
 	n.Run(sim.Millisecond)
 	rec, _ := acct.Record(vc)
@@ -210,12 +208,7 @@ func TestPolicerRefDecisions(t *testing.T) {
 	// conforms (TAT advanced to 100us by cell 0 only).
 	times := []sim.Time{0, 50 * sim.Microsecond, 150 * sim.Microsecond}
 	for i, at := range times {
-		i := i
-		at := at
-		n.Sched.At(at, func() {
-			node.Inject(n.NewPacket("cell",
-				&atm.Cell{Header: atm.Header{VPI: 4, VCI: 44}, Seq: uint32(i)}, 424), 0)
-		})
+		node.InjectAt(at, n.NewPacket(&atm.Cell{Header: atm.Header{VPI: 4, VCI: 44}, Seq: uint32(i)}, 424), 0)
 	}
 	n.Run(sim.Millisecond)
 	if ref.Conforming != 2 || ref.NonConforming != 1 || ref.Discarded != 1 {
@@ -235,12 +228,8 @@ func TestPolicerRefTagging(t *testing.T) {
 	ref.OnForward = func(ctx *netsim.Ctx, c *atm.Cell) { clps = append(clps, c.CLP) }
 	node := n.Node("upc", ref)
 	n.Init()
-	n.Sched.At(0, func() {
-		node.Inject(n.NewPacket("cell", &atm.Cell{Header: atm.Header{VPI: 4, VCI: 44}}, 424), 0)
-	})
-	n.Sched.At(sim.Microsecond, func() {
-		node.Inject(n.NewPacket("cell", &atm.Cell{Header: atm.Header{VPI: 4, VCI: 44}}, 424), 0)
-	})
+	node.InjectAt(0, n.NewPacket(&atm.Cell{Header: atm.Header{VPI: 4, VCI: 44}}, 424), 0)
+	node.InjectAt(sim.Microsecond, n.NewPacket(&atm.Cell{Header: atm.Header{VPI: 4, VCI: 44}}, 424), 0)
 	n.Run(sim.Millisecond)
 	if len(clps) != 2 || clps[0] != 0 || clps[1] != 1 {
 		t.Errorf("clps = %v (violator must be tagged)", clps)

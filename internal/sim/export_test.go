@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Geometric returns a geometrically distributed count >= 1 with the given
 // mean (mean must be >= 1).
@@ -22,29 +19,10 @@ func (r *RNG) Geometric(mean float64) int {
 	return 1 + int(math.Log(u)/math.Log(1-p))
 }
 
-// Cancelled reports whether the event was cancelled before execution.
-func (e *Event) Cancelled() bool { return e.dead }
-
-// Cancel removes the event from its queue. Cancelling an already executed
-// or cancelled event is a no-op.
-func (e *Event) Cancel() { e.dead = true }
-
 // Run executes events until the queue is empty or Stop is called. It
 // returns the final simulated time.
-func (s *Scheduler) Run() Time {
+func (s *Scheduler[E]) Run() Time {
 	return s.RunUntil(Never)
-}
-
-// Advance moves the clock forward to t without executing anything.
-// Advancing past pending events or backwards panics.
-func (s *Scheduler) Advance(t Time) {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: Advance backwards: now=%v target=%v", s.now, t))
-	}
-	if next := s.NextTime(); next < t {
-		panic(fmt.Sprintf("sim: Advance(%v) would skip pending event at %v", t, next))
-	}
-	s.now = t
 }
 
 // ClockPeriod returns the period of a clock of the given frequency in hertz.
@@ -54,14 +32,4 @@ func ClockPeriod(hz float64) Duration {
 		panic("sim: clock frequency must be positive")
 	}
 	return Duration(float64(Second) / hz)
-}
-
-// NextTime returns the time stamp of the earliest pending event, or Never
-// when the queue is empty.
-func (s *Scheduler) NextTime() Time {
-	e := s.queue.peek()
-	if e == nil {
-		return Never
-	}
-	return e.At
 }

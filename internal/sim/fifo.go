@@ -29,6 +29,10 @@ func (q *FIFO[T]) Push(v T) {
 // Pop; the queue must not be empty.
 func (q *FIFO[T]) Head() *T { return &q.items[q.head] }
 
+// At returns the i-th oldest entry in place (At(0) is the head), valid
+// until the next Push or Pop; i must be below Len.
+func (q *FIFO[T]) At(i int) *T { return &q.items[q.head+i] }
+
 // Pop removes and returns the oldest entry; the queue must not be empty.
 func (q *FIFO[T]) Pop() T {
 	v := q.items[q.head]

@@ -1,116 +1,94 @@
 package sim
 
-// Event is a scheduled callback. Events are ordered by time stamp; events
-// with equal time stamps execute in the order they were scheduled, which
-// makes runs reproducible regardless of map iteration or goroutine timing.
-type Event struct {
-	At   Time
-	Fn   func()
-	seq  uint64
-	pos  int // index in the heap, -1 when not queued
-	dead bool
+// entry is one scheduled event, held by value: its payload and its place
+// in the (at, seq) order.
+type entry[E any] struct {
+	at  Time
+	seq uint64
+	ev  E
 }
 
-// eventQueue is a binary min-heap keyed on (At, seq). A hand-rolled heap
-// (rather than container/heap) avoids the interface boxing on every
-// operation; the event queue is the hottest structure in the kernel.
-type eventQueue struct {
-	items []*Event
-	nseq  uint64
-}
-
-func (q *eventQueue) Len() int { return len(q.items) }
-
-func (q *eventQueue) push(e *Event) {
-	e.seq = q.nseq
-	q.nseq++
-	e.pos = len(q.items)
-	q.items = append(q.items, e)
-	q.up(e.pos)
-}
-
-// peek returns the earliest live event without removing it, or nil.
-func (q *eventQueue) peek() *Event {
-	q.drain()
-	if len(q.items) == 0 {
-		return nil
-	}
-	return q.items[0]
-}
-
-// pop removes and returns the earliest live event, or nil when empty.
-func (q *eventQueue) pop() *Event {
-	q.drain()
-	if len(q.items) == 0 {
-		return nil
-	}
-	return q.remove(0)
-}
-
-// drain discards cancelled events sitting at the head so that peek/pop see
-// a live event. Cancelled events elsewhere in the heap are dropped lazily
-// when they surface.
-func (q *eventQueue) drain() {
-	for len(q.items) > 0 && q.items[0].dead {
-		q.remove(0)
-	}
-}
-
-func (q *eventQueue) remove(i int) *Event {
-	e := q.items[i]
-	last := len(q.items) - 1
-	q.items[i] = q.items[last]
-	q.items[i].pos = i
-	q.items[last] = nil
-	q.items = q.items[:last]
-	if i < last {
-		q.down(i)
-		q.up(i)
-	}
-	e.pos = -1
-	return e
-}
-
-func (q *eventQueue) less(i, j int) bool {
-	a, b := q.items[i], q.items[j]
-	if a.At != b.At {
-		return a.At < b.At
+// before reports whether a executes before b: earlier time stamp first,
+// and among equal time stamps the one scheduled first.
+func (a *entry[E]) before(b *entry[E]) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-func (q *eventQueue) up(i int) {
+// eventQueue is a binary min-heap of events held by value, keyed on
+// (at, seq). Entries live in one array that is reused as the queue
+// drains and refills, so scheduling allocates only while the pending set
+// grows past its high-water mark. A hand-rolled heap (rather than
+// container/heap) avoids the interface boxing on every operation, and the
+// sift loops move a hole instead of swapping, so each level copies one
+// entry.
+type eventQueue[E any] struct {
+	items []entry[E]
+	nseq  uint64
+}
+
+func (q *eventQueue[E]) Len() int { return len(q.items) }
+
+// push adds ev at time at, after every event already queued for at.
+func (q *eventQueue[E]) push(at Time, ev E) {
+	q.items = append(q.items, entry[E]{at: at, seq: q.nseq, ev: ev})
+	q.nseq++
+	q.up(len(q.items) - 1)
+}
+
+// peek returns the earliest time stamp, or false when the queue is empty.
+func (q *eventQueue[E]) peek() (Time, bool) {
+	if len(q.items) == 0 {
+		return 0, false
+	}
+	return q.items[0].at, true
+}
+
+// pop removes and returns the earliest event; the queue must not be
+// empty.
+func (q *eventQueue[E]) pop() (Time, E) {
+	head := q.items[0]
+	last := len(q.items) - 1
+	q.items[0] = q.items[last]
+	q.items[last] = entry[E]{} // drop the payload's references
+	q.items = q.items[:last]
+	if last > 0 {
+		q.down(0)
+	}
+	return head.at, head.ev
+}
+
+func (q *eventQueue[E]) up(i int) {
+	x := q.items[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !x.before(&q.items[parent]) {
 			break
 		}
-		q.swap(i, parent)
+		q.items[i] = q.items[parent]
 		i = parent
 	}
+	q.items[i] = x
 }
 
-func (q *eventQueue) down(i int) {
+func (q *eventQueue[E]) down(i int) {
 	n := len(q.items)
+	x := q.items[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && q.less(l, smallest) {
-			smallest = l
+		child := 2*i + 1
+		if child >= n {
+			break
 		}
-		if r < n && q.less(r, smallest) {
-			smallest = r
+		if r := child + 1; r < n && q.items[r].before(&q.items[child]) {
+			child = r
 		}
-		if smallest == i {
-			return
+		if !q.items[child].before(&x) {
+			break
 		}
-		q.swap(i, smallest)
-		i = smallest
+		q.items[i] = q.items[child]
+		i = child
 	}
-}
-
-func (q *eventQueue) swap(i, j int) {
-	q.items[i], q.items[j] = q.items[j], q.items[i]
-	q.items[i].pos = i
-	q.items[j].pos = j
+	q.items[i] = x
 }

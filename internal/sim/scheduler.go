@@ -9,11 +9,20 @@ import (
 
 // Scheduler is a sequential discrete-event scheduler: an event list plus a
 // simulation clock. Events execute in monotone non-decreasing time-stamp
-// order; scheduling into the past is a programming error and panics, which
-// mirrors the causality rule in Fig. 3 of the paper — an event list may
-// receive events for the current or a future time, never for a past time.
-type Scheduler struct {
-	queue    eventQueue
+// order, and events with equal time stamps in the order they were
+// scheduled, which makes runs reproducible regardless of map iteration or
+// goroutine timing. Scheduling into the past is a programming error and
+// panics, which mirrors the causality rule in Fig. 3 of the paper — an
+// event list may receive events for the current or a future time, never
+// for a past time.
+//
+// An event is a value of type E, held by value in the event list and
+// handed to the scheduler's fire function when it is due: the caller
+// defines what its events are and how they dispatch, and scheduling one
+// allocates nothing once the list has reached its high-water mark.
+type Scheduler[E any] struct {
+	queue    eventQueue[E]
+	fire     func(E)
 	now      Time
 	running  bool
 	stopped  bool
@@ -36,7 +45,7 @@ type Scheduler struct {
 // it into the /profile endpoint's sim-rate table). A nil registry leaves
 // the scheduler uninstrumented at zero cost beyond one pointer test per
 // event.
-func (s *Scheduler) Instrument(reg *obs.Registry, prefix string) {
+func (s *Scheduler[E]) Instrument(reg *obs.Registry, prefix string) {
 	if reg == nil {
 		return
 	}
@@ -46,62 +55,53 @@ func (s *Scheduler) Instrument(reg *obs.Registry, prefix string) {
 	s.obsRate = reg.Gauge(prefix + ".rate.events_per_sec")
 }
 
-// NewScheduler returns a scheduler with the clock at time zero.
-func NewScheduler() *Scheduler { return &Scheduler{} }
+// NewScheduler returns a scheduler with the clock at time zero that
+// executes each due event by passing it to fire.
+func NewScheduler[E any](fire func(E)) *Scheduler[E] { return &Scheduler[E]{fire: fire} }
 
 // Now returns the current simulated time.
-func (s *Scheduler) Now() Time { return s.now }
+func (s *Scheduler[E]) Now() Time { return s.now }
 
 // Executed returns how many events have been executed so far.
-func (s *Scheduler) Executed() uint64 { return s.executed }
+func (s *Scheduler[E]) Executed() uint64 { return s.executed }
 
-// Pending returns the number of events in the queue, including events that
-// were cancelled but not yet discarded.
-func (s *Scheduler) Pending() int { return s.queue.Len() }
+// Pending returns the number of events in the queue.
+func (s *Scheduler[E]) Pending() int { return s.queue.Len() }
 
-// At schedules fn at absolute time t. It returns the event handle, which
-// may be used to cancel the event.
-func (s *Scheduler) At(t Time, fn func()) *Event {
+// At schedules ev at absolute time t.
+func (s *Scheduler[E]) At(t Time, ev E) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: now=%v at=%v", s.now, t))
 	}
-	if fn == nil {
-		panic("sim: scheduling nil function")
-	}
-	e := &Event{At: t, Fn: fn}
-	s.queue.push(e)
-	return e
+	s.queue.push(t, ev)
 }
 
-// After schedules fn after the given delay from the current time.
-func (s *Scheduler) After(d Duration, fn func()) *Event {
+// After schedules ev after the given delay from the current time.
+func (s *Scheduler[E]) After(d Duration, ev E) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return s.At(s.now+d, fn)
+	s.queue.push(s.now+d, ev)
 }
 
 // Step executes the single earliest event. It reports whether an event was
 // executed (false when the queue is empty or the scheduler was stopped).
-func (s *Scheduler) Step() bool {
-	if s.stopped {
+func (s *Scheduler[E]) Step() bool {
+	if s.stopped || s.queue.Len() == 0 {
 		return false
 	}
-	e := s.queue.pop()
-	if e == nil {
-		return false
-	}
-	s.now = e.At
+	at, ev := s.queue.pop()
+	s.now = at
 	s.executed++
 	s.obsExecuted.Inc()
-	e.Fn()
+	s.fire(ev)
 	return true
 }
 
 // RunUntil executes events whose time stamp is <= limit, then advances the
 // clock to limit if any later events remain pending (so a subsequent
 // RunUntil continues from there). It returns the current time.
-func (s *Scheduler) RunUntil(limit Time) Time {
+func (s *Scheduler[E]) RunUntil(limit Time) Time {
 	if s.running {
 		panic("sim: re-entrant Run")
 	}
@@ -115,8 +115,7 @@ func (s *Scheduler) RunUntil(limit Time) Time {
 	}
 	s.stopped = false
 	for !s.stopped {
-		e := s.queue.peek()
-		if e == nil || e.At > limit {
+		if at, ok := s.queue.peek(); !ok || at > limit {
 			break
 		}
 		s.Step()
@@ -136,4 +135,4 @@ func (s *Scheduler) RunUntil(limit Time) Time {
 
 // Stop makes the current Run/RunUntil return after the in-flight event
 // completes.
-func (s *Scheduler) Stop() { s.stopped = true }
+func (s *Scheduler[E]) Stop() { s.stopped = true }

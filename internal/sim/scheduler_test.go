@@ -5,12 +5,18 @@ import (
 	"testing/quick"
 )
 
+// logScheduler returns a scheduler whose events are ints that fire by
+// appending themselves to *got.
+func logScheduler(got *[]int) *Scheduler[int] {
+	return NewScheduler(func(id int) { *got = append(*got, id) })
+}
+
 func TestSchedulerOrdering(t *testing.T) {
-	s := NewScheduler()
 	var got []int
-	s.At(30*Nanosecond, func() { got = append(got, 3) })
-	s.At(10*Nanosecond, func() { got = append(got, 1) })
-	s.At(20*Nanosecond, func() { got = append(got, 2) })
+	s := logScheduler(&got)
+	s.At(30*Nanosecond, 3)
+	s.At(10*Nanosecond, 1)
+	s.At(20*Nanosecond, 2)
 	s.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -24,11 +30,10 @@ func TestSchedulerOrdering(t *testing.T) {
 }
 
 func TestSchedulerFIFOAtSameTime(t *testing.T) {
-	s := NewScheduler()
 	var got []int
+	s := logScheduler(&got)
 	for i := 0; i < 100; i++ {
-		i := i
-		s.At(5*Nanosecond, func() { got = append(got, i) })
+		s.At(5*Nanosecond, i)
 	}
 	s.Run()
 	for i, v := range got {
@@ -38,28 +43,61 @@ func TestSchedulerFIFOAtSameTime(t *testing.T) {
 	}
 }
 
+// TestSchedulerEqualTimeScheduleOrder: events that fall due at the same
+// instant run in the order they were scheduled, however they interleave
+// with earlier events and with events scheduled while the instant runs.
+// The network simulator relies on it: a zero-delay timer set during an
+// arrival runs after every arrival already due at that instant.
+func TestSchedulerEqualTimeScheduleOrder(t *testing.T) {
+	var got []int
+	var s *Scheduler[int]
+	s = NewScheduler(func(id int) {
+		got = append(got, id)
+		if id == 1 {
+			s.After(0, 100) // joins the instant behind 2, 3 and 4
+			s.After(10*Nanosecond, 101)
+		}
+	})
+	s.At(20*Nanosecond, 4)
+	s.At(10*Nanosecond, 1)
+	s.At(20*Nanosecond, 5)
+	s.At(10*Nanosecond, 2)
+	s.At(10*Nanosecond, 3)
+	s.Run()
+	want := []int{1, 2, 3, 100, 4, 5, 101}
+	if len(got) != len(want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("order = %v, want %v", got, want)
+		}
+	}
+}
+
 func TestSchedulerPastPanics(t *testing.T) {
-	s := NewScheduler()
-	s.At(10*Nanosecond, func() {
+	var s *Scheduler[int]
+	s = NewScheduler(func(int) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling into the past did not panic")
 			}
 		}()
-		s.At(5*Nanosecond, func() {})
+		s.At(5*Nanosecond, 0)
 	})
+	s.At(10*Nanosecond, 0)
 	s.Run()
 }
 
 func TestSchedulerRunUntil(t *testing.T) {
-	s := NewScheduler()
-	fired := 0
-	s.At(10*Nanosecond, func() { fired++ })
-	s.At(20*Nanosecond, func() { fired++ })
-	s.At(30*Nanosecond, func() { fired++ })
+	var got []int
+	s := logScheduler(&got)
+	s.At(10*Nanosecond, 1)
+	s.At(20*Nanosecond, 2)
+	s.At(30*Nanosecond, 3)
 	s.RunUntil(20 * Nanosecond)
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2", fired)
+	if len(got) != 2 {
+		t.Fatalf("fired = %d, want 2", len(got))
 	}
 	if s.Now() != 20*Nanosecond {
 		t.Fatalf("Now = %v, want 20ns", s.Now())
@@ -69,42 +107,22 @@ func TestSchedulerRunUntil(t *testing.T) {
 		t.Fatalf("Now = %v, want 25ns (clock advances to limit)", s.Now())
 	}
 	s.Run()
-	if fired != 3 {
-		t.Fatalf("fired = %d, want 3", fired)
-	}
-}
-
-func TestSchedulerCancel(t *testing.T) {
-	s := NewScheduler()
-	fired := false
-	e := s.At(10*Nanosecond, func() { fired = true })
-	e.Cancel()
-	s.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !e.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
-	}
-}
-
-func TestSchedulerCancelDuringRun(t *testing.T) {
-	s := NewScheduler()
-	fired := false
-	var victim *Event
-	s.At(5*Nanosecond, func() { victim.Cancel() })
-	victim = s.At(10*Nanosecond, func() { fired = true })
-	s.Run()
-	if fired {
-		t.Fatal("event cancelled mid-run still fired")
+	if len(got) != 3 {
+		t.Fatalf("fired = %d, want 3", len(got))
 	}
 }
 
 func TestSchedulerStop(t *testing.T) {
-	s := NewScheduler()
 	fired := 0
-	s.At(10*Nanosecond, func() { fired++; s.Stop() })
-	s.At(20*Nanosecond, func() { fired++ })
+	var s *Scheduler[int]
+	s = NewScheduler(func(id int) {
+		fired++
+		if id == 1 {
+			s.Stop()
+		}
+	})
+	s.At(10*Nanosecond, 1)
+	s.At(20*Nanosecond, 2)
 	s.Run()
 	if fired != 1 {
 		t.Fatalf("fired = %d after Stop, want 1", fired)
@@ -116,32 +134,16 @@ func TestSchedulerStop(t *testing.T) {
 	}
 }
 
-func TestSchedulerAdvance(t *testing.T) {
-	s := NewScheduler()
-	s.Advance(15 * Nanosecond)
-	if s.Now() != 15*Nanosecond {
-		t.Fatalf("Now = %v, want 15ns", s.Now())
-	}
-	s.At(20*Nanosecond, func() {})
-	defer func() {
-		if recover() == nil {
-			t.Error("Advance past pending event did not panic")
-		}
-	}()
-	s.Advance(25 * Nanosecond)
-}
-
 func TestSchedulerSelfScheduling(t *testing.T) {
-	s := NewScheduler()
 	n := 0
-	var tick func()
-	tick = func() {
+	var s *Scheduler[int]
+	s = NewScheduler(func(int) {
 		n++
 		if n < 1000 {
-			s.After(Nanosecond, tick)
+			s.After(Nanosecond, 0)
 		}
-	}
-	s.After(Nanosecond, tick)
+	})
+	s.After(Nanosecond, 0)
 	s.Run()
 	if n != 1000 {
 		t.Fatalf("ticks = %d, want 1000", n)
@@ -158,11 +160,11 @@ func TestSchedulerSelfScheduling(t *testing.T) {
 // clock never moves backwards.
 func TestSchedulerMonotoneProperty(t *testing.T) {
 	f := func(delays []uint16) bool {
-		s := NewScheduler()
 		var times []Time
+		var s *Scheduler[int]
+		s = NewScheduler(func(int) { times = append(times, s.Now()) })
 		for _, d := range delays {
-			at := Time(d) * Nanosecond
-			s.At(at, func() { times = append(times, s.Now()) })
+			s.At(Time(d)*Nanosecond, 0)
 		}
 		s.Run()
 		if len(times) != len(delays) {
@@ -180,56 +182,65 @@ func TestSchedulerMonotoneProperty(t *testing.T) {
 	}
 }
 
+// TestQueueInterleavedPushPop checks the heap against its (at, seq)
+// contract under random interleaved pushes and pops: every pop returns
+// the smallest queued key, so the popped keys never fall below the
+// largest key popped while a smaller one was still queued.
 func TestQueueInterleavedPushPop(t *testing.T) {
-	var q eventQueue
+	var q eventQueue[int]
 	rng := NewRNG(7)
-	var popped []Time
-	live := 0
+	queued := map[int]Time{} // seq → at of every queued event
+	seq := 0
 	for i := 0; i < 5000; i++ {
-		if live == 0 || rng.Bool(0.6) {
-			q.push(&Event{At: Time(rng.Intn(1000))})
-			live++
-		} else {
-			e := q.pop()
-			if e == nil {
-				t.Fatal("pop returned nil with live events")
+		if q.Len() == 0 || rng.Bool(0.6) {
+			at := Time(rng.Intn(1000))
+			q.push(at, seq)
+			queued[seq] = at
+			seq++
+			continue
+		}
+		at, got := q.pop()
+		if queued[got] != at {
+			t.Fatalf("pop returned seq %d at %v, pushed at %v", got, at, queued[got])
+		}
+		delete(queued, got)
+		for s, a := range queued {
+			if a < at || (a == at && s < got) {
+				t.Fatalf("pop returned (%v, %d) while (%v, %d) was queued", at, got, a, s)
 			}
-			popped = append(popped, e.At)
-			live--
 		}
 	}
-	for q.Len() > 0 {
-		popped = append(popped, q.pop().At)
+	if q.Len() != len(queued) {
+		t.Fatalf("Len = %d, want %d", q.Len(), len(queued))
 	}
-	// Within any window bounded by a pop, later pops at the same instant may
-	// be smaller only if pushed later; global order is not sorted, but a
-	// pop must never return something greater than a still-queued earlier
-	// event. Easiest strong check: heap pops from a static set are sorted.
-	var q2 eventQueue
-	for _, at := range popped {
-		q2.push(&Event{At: at})
+}
+
+// TestSchedulerAllocFree: once the event list has reached its high-water
+// mark, scheduling and executing an event allocates nothing.
+func TestSchedulerAllocFree(t *testing.T) {
+	s := NewScheduler(func(int) {})
+	for i := 0; i < 64; i++ {
+		s.After(Duration(i)*Nanosecond, i)
 	}
-	prev := Time(-1)
-	for q2.Len() > 0 {
-		e := q2.pop()
-		if e.At < prev {
-			t.Fatalf("heap order violated: %v after %v", e.At, prev)
-		}
-		prev = e.At
+	if a := testing.AllocsPerRun(1000, func() {
+		s.After(100*Nanosecond, 0)
+		s.Step()
+	}); a != 0 {
+		t.Fatalf("schedule+step allocates %v objects, want 0", a)
 	}
 }
 
 // BenchmarkSchedulerChurn measures push/pop through the event heap at a
 // realistic pending-set size.
 func BenchmarkSchedulerChurn(b *testing.B) {
-	s := NewScheduler()
-	fn := func() {}
+	s := NewScheduler(func(int) {})
 	for i := 0; i < 1000; i++ {
-		s.After(Duration(i)*Microsecond, fn)
+		s.After(Duration(i)*Microsecond, i)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.After(1100*Microsecond, fn)
+		s.After(1100*Microsecond, i)
 		s.Step()
 	}
 }
